@@ -50,7 +50,7 @@ budget in milliseconds (one retry after --retry-backoff ms, default 25,
 then a structured timeout error); --self-check N re-runs 1-in-N fresh
 cells on the stepped oracle loop and demotes a diverging scheduler/mix
 class to that loop for the session; --fault-log FILE mirrors detected
-faults as telemetry JSONL. See DESIGN.md section 12.
+faults as telemetry JSONL. See DESIGN.md section 11.
 
 `trace` runs one workload under one scheduler (default: stfm) with the
 telemetry sink attached and writes <out-dir>/events.jsonl (full event

@@ -642,41 +642,47 @@ impl Stfm {
         self.work.incremental_updates += 1;
     }
 
+    /// One thread's paced-drain step for one DRAM cycle: moves up to one
+    /// cycle's worth of pending charge into `Tinterference`, then caps
+    /// the backlog — overcharge bursts from short waits must not haunt
+    /// the estimate long after the wait ended. Returns the amount moved.
+    fn drain_step(config: &StfmConfig, regs: &mut ThreadRegs) -> i64 {
+        let cycle_cpu = CPU_CYCLES_PER_DRAM_CYCLE as i64;
+        let mut take = 0;
+        if regs.pending_interference > 0 {
+            // Attributed interference can outgrow observed stall when a
+            // thread waits constantly but overlaps its stalls (bandwidth
+            // saturation); physically the extra stall cannot exceed total
+            // stall, so leave 1/16 of Tshared as headroom — this keeps
+            // the slowdown estimate off its saturation cap and the
+            // cross-thread ordering meaningful.
+            take = if config.tshared_headroom {
+                let ceiling = (regs.tshared() - regs.tshared() / 16) as i64;
+                let headroom = (ceiling - regs.tinterference).max(0);
+                regs.pending_interference.min(cycle_cpu).min(headroom)
+            } else {
+                regs.pending_interference.min(cycle_cpu)
+            };
+            regs.tinterference += take;
+            regs.pending_interference -= take;
+        }
+        regs.pending_interference = regs.pending_interference.min(config.pending_cap);
+        take
+    }
+
     /// Per-cycle paced drain over the live waiting-thread set: drains
     /// pending charges into `Tinterference` at wall-clock rate while the
-    /// victim has work waiting, and caps the backlog — overcharge bursts
-    /// from short waits must not haunt the estimate long after the wait
-    /// ended. Exactly the original walk-embedded drain loop (per-thread
-    /// steps are independent, so iteration order is immaterial); bumps
-    /// the decision generation when any `Tinterference` actually moved.
+    /// victim has work waiting. Per-thread steps are independent, so
+    /// iteration order is immaterial; bumps the decision generation when
+    /// any `Tinterference` actually moved.
     fn drain_pending(&mut self) {
-        let cycle_cpu = CPU_CYCLES_PER_DRAM_CYCLE as i64;
-        let cap = self.config.pending_cap;
         let mut moved = false;
         for t in 0..self.live.len() {
             if self.live[t].depth == 0 {
                 continue;
             }
             let regs = self.regs.thread_mut(ThreadId(t as u32));
-            if regs.pending_interference > 0 {
-                // Attributed interference can outgrow observed stall when
-                // a thread waits constantly but overlaps its stalls
-                // (bandwidth saturation); physically the extra stall
-                // cannot exceed total stall, so leave 1/16 of Tshared as
-                // headroom — this keeps the slowdown estimate off its
-                // saturation cap and the cross-thread ordering meaningful.
-                let take = if self.config.tshared_headroom {
-                    let ceiling = (regs.tshared() - regs.tshared() / 16) as i64;
-                    let headroom = (ceiling - regs.tinterference).max(0);
-                    regs.pending_interference.min(cycle_cpu).min(headroom)
-                } else {
-                    regs.pending_interference.min(cycle_cpu)
-                };
-                regs.tinterference += take;
-                regs.pending_interference -= take;
-                moved |= take != 0;
-            }
-            regs.pending_interference = regs.pending_interference.min(cap);
+            moved |= Self::drain_step(&self.config, regs) != 0;
         }
         if moved {
             self.est_gen += 1;
@@ -1214,7 +1220,7 @@ impl Stfm {
 }
 
 impl SchedulerPolicy for Stfm {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "STFM"
     }
 
@@ -1294,20 +1300,17 @@ impl SchedulerPolicy for Stfm {
         }
     }
 
-    fn fast_forward(&mut self, sys: &SystemView<'_>, cycles: u64) -> bool {
+    fn fast_forward(&mut self, sys: &SystemView<'_>, cycles: u64) {
         match self.config.estimator {
             // One walk at span start, then closed-form per-thread counts
             // (see `time_sampled_fast_forward`) — the span freeze makes
             // every stepped cycle's walk identical.
-            EstimatorKind::TimeSampled => {
-                self.time_sampled_fast_forward(sys, cycles);
-                true
-            }
+            EstimatorKind::TimeSampled => self.time_sampled_fast_forward(sys, cycles),
             // No per-cycle persistent state: interval resets are fenced by
             // `next_event_hint`, and everything else `on_dram_cycle`
             // touches is derived state the next real call recomputes
             // before any ranking or sampling reads it.
-            EstimatorKind::PerCommand => true,
+            EstimatorKind::PerCommand => {}
             // Replicate the per-cycle pending-interference drain. The
             // drain set — threads with a waiting, not-yet-started read —
             // is frozen with the buffers (and tracked live), and each
@@ -1315,9 +1318,6 @@ impl SchedulerPolicy for Stfm {
             // loop of the exact stepped update is bit-identical to
             // interleaved stepping.
             EstimatorKind::PerCommandPaced => {
-                let cycle_cpu = CPU_CYCLES_PER_DRAM_CYCLE as i64;
-                let cap = self.config.pending_cap;
-                let headroom_on = self.config.tshared_headroom;
                 let mut moved = false;
                 for t in 0..self.live.len() {
                     if self.live[t].depth == 0 {
@@ -1326,18 +1326,7 @@ impl SchedulerPolicy for Stfm {
                     let regs = self.regs.thread_mut(ThreadId(t as u32));
                     for _ in 0..cycles {
                         let before = (regs.tinterference, regs.pending_interference);
-                        if regs.pending_interference > 0 {
-                            let take = if headroom_on {
-                                let ceiling = (regs.tshared() - regs.tshared() / 16) as i64;
-                                let headroom = (ceiling - regs.tinterference).max(0);
-                                regs.pending_interference.min(cycle_cpu).min(headroom)
-                            } else {
-                                regs.pending_interference.min(cycle_cpu)
-                            };
-                            regs.tinterference += take;
-                            regs.pending_interference -= take;
-                        }
-                        regs.pending_interference = regs.pending_interference.min(cap);
+                        Self::drain_step(&self.config, regs);
                         // Fixed point: no charges arrive mid-span, so an
                         // unchanged cycle means all remaining ones match.
                         if (regs.tinterference, regs.pending_interference) == before {
@@ -1349,7 +1338,6 @@ impl SchedulerPolicy for Stfm {
                 if moved {
                     self.est_gen += 1;
                 }
-                true
             }
         }
     }
@@ -1460,10 +1448,6 @@ impl SchedulerPolicy for Stfm {
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         Some(self)
-    }
-
-    fn static_name(&self) -> &'static str {
-        "STFM"
     }
 
     fn record_interval(&self, now: DramCycle, sink: &mut dyn stfm_telemetry::Sink) {

@@ -129,6 +129,10 @@ enum BankCache {
     },
 }
 
+/// A bank's `(row-hit, row-miss)` class representatives, as buffer
+/// indices.
+type ClassReps = (Option<usize>, Option<usize>);
+
 /// One bank's cached class representatives: the first eligible row-hit
 /// and row-miss of its waiting list (see [`MemorySystem::class_reps`]).
 ///
@@ -215,6 +219,31 @@ impl ChannelCtrl {
         }
     }
 
+    /// True when the write-drain hysteresis flips at the channel's next
+    /// scheduling pass. It is evaluated against queue counts that change
+    /// *after* `update_drain` last ran (reaps and enqueues come later in
+    /// the tick), so a pending flip fences the channel's whole outlook:
+    /// nothing may be elided until the transition, and its telemetry
+    /// event, has landed on its exact cycle.
+    fn drain_will_flip(&self, cfg: &ControllerConfig) -> bool {
+        if self.drain_active {
+            self.queued_writes <= cfg.drain_low
+        } else {
+            self.queued_writes >= cfg.drain_high
+        }
+    }
+
+    /// The read/write election: writes while draining or when no read
+    /// waits, reads otherwise. Past the drain fence it is frozen while no
+    /// request arrives or completes.
+    fn eligible_kind(&self) -> AccessKind {
+        if self.drain_active || self.waiting_reads == 0 {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+
     pub(crate) fn query(&self, channel_id: ChannelId, now: DramCycle) -> SchedQuery<'_> {
         SchedQuery {
             channel_id,
@@ -235,21 +264,9 @@ impl ChannelCtrl {
 
     /// The bank's class representatives, served from [`RepCache`] when
     /// valid and recomputed (and cached) from the waiting list otherwise.
-    fn reps(&mut self, bank: usize, eligible: AccessKind) -> (Option<usize>, Option<usize>) {
-        if let RepCache::Reps { kind, hit, miss } = self.rep_cache[bank] {
-            if kind == eligible {
-                debug_assert_eq!(
-                    (hit, miss),
-                    MemorySystem::class_reps(
-                        &self.requests,
-                        &self.channel,
-                        &self.bank_waiting[bank],
-                        eligible
-                    ),
-                    "cached class representatives diverged from a fresh scan"
-                );
-                return (hit, miss);
-            }
+    fn reps(&mut self, bank: usize, eligible: AccessKind) -> ClassReps {
+        if let Some(pair) = self.reps_peek(bank, eligible) {
+            return pair;
         }
         let (hit, miss) = MemorySystem::class_reps(
             &self.requests,
@@ -268,11 +285,7 @@ impl ChannelCtrl {
     /// Read-only variant of [`ChannelCtrl::reps`] for borrow contexts
     /// that cannot cache: the cached pair when valid, `None` when a
     /// fresh scan is needed.
-    fn reps_peek(
-        &self,
-        bank: usize,
-        eligible: AccessKind,
-    ) -> Option<(Option<usize>, Option<usize>)> {
+    fn reps_peek(&self, bank: usize, eligible: AccessKind) -> Option<ClassReps> {
         if let RepCache::Reps { kind, hit, miss } = self.rep_cache[bank] {
             if kind == eligible {
                 debug_assert_eq!(
@@ -720,16 +733,15 @@ impl MemorySystem {
     }
 
     /// Folds a just-enqueued request (the last buffer entry of channel
-    /// `chan`) into the channel's live agenda without a full rescan.
+    /// `chan`) into the channel's cached earliest edge without a rescan.
     ///
-    /// An enqueue appends one request and touches nothing else, so every
-    /// existing calendar entry stays exact *unless* the arrival changes
-    /// the channel's outlook wholesale: the write-drain hysteresis now
-    /// flips at the next tick, or a read arrival flips the read/write
-    /// election away from the writes whose edges are scheduled. Those
-    /// cases (and a channel that is already dirty) fall back to the dirty
-    /// bit; the common case just schedules the newcomer's own command
-    /// edge and tightens the cached channel minimum.
+    /// An enqueue appends one request and touches nothing else, so the
+    /// cached edge stays exact *unless* the arrival changes the
+    /// channel's outlook wholesale: the write-drain hysteresis now flips
+    /// at the next tick, or a read arrival flips the read/write election
+    /// away from the writes whose edges were folded in. Those cases (and
+    /// a channel that is already dirty) fall back to the dirty bit; the
+    /// common case just folds in the newcomer's own command edge.
     fn merge_arrival(&mut self, chan: usize) {
         if self.chan_dirty[chan] {
             return;
@@ -742,27 +754,17 @@ impl MemorySystem {
             self.chan_dirty[chan] = true;
             return;
         };
-        // Post-arrival state, exactly what a rescan at the next tick
-        // would evaluate.
-        let drain_flips = if ctrl.drain_active {
-            ctrl.queued_writes <= self.ctrl_config.drain_low
-        } else {
-            ctrl.queued_writes >= self.ctrl_config.drain_high
-        };
         // A read landing while the election pointed at writes (no waiting
-        // reads) invalidates every scheduled write edge.
+        // reads) invalidates every folded-in write edge. Both tests see
+        // the post-arrival state, exactly what a rescan at the next tick
+        // would evaluate.
         let election_flipped =
             req.kind == AccessKind::Read && !ctrl.drain_active && ctrl.waiting_reads == 1;
-        if drain_flips || election_flipped {
+        if ctrl.drain_will_flip(&self.ctrl_config) || election_flipped {
             self.chan_dirty[chan] = true;
             return;
         }
-        let eligible_kind = if ctrl.drain_active || ctrl.waiting_reads == 0 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        if req.kind != eligible_kind {
+        if req.kind != ctrl.eligible_kind() {
             return; // not electable now; its edge appears when it is
         }
         let cmd = Self::next_command(&ctrl.channel, req);
@@ -818,7 +820,7 @@ impl MemorySystem {
         let sched = self.sched_counters();
         self.sink.record(&Event::EstimatorWork {
             dram_cycle: self.now,
-            scheduler: self.policy.static_name(),
+            scheduler: self.policy.name(),
             full_rebuilds: work.full_rebuilds,
             incremental_updates: work.incremental_updates,
             decides_recomputed: work.decides_recomputed,
@@ -845,11 +847,11 @@ impl MemorySystem {
         // Settle any deferred residue from elided cycles before this
         // cycle's own policy hook runs (hook order must match stepping).
         self.flush_residue();
-        // A channel's calendar entries stay exact until one of its edges
-        // is consumed: command edges, completions, refreshes, drain flips
-        // and samples are all scheduled, and a channel cannot mutate at a
-        // tick strictly before its earliest entry unless a new request
-        // arrived (which marks it dirty in `try_enqueue`).
+        // A channel's cached earliest edge stays exact until it is
+        // consumed: command edges, completions, refreshes and drain flips
+        // are all folded into it, and a channel cannot mutate at a tick
+        // strictly before it unless a new request arrived (which
+        // `merge_arrival` folds in or marks dirty).
         for (i, edge) in self.chan_next.iter().enumerate() {
             if edge.is_some_and(|e| e <= now) {
                 self.chan_dirty[i] = true;
@@ -957,108 +959,6 @@ impl MemorySystem {
             .sum()
     }
 
-    /// A lower bound on the next DRAM cycle at which *anything* can happen
-    /// inside the memory system, assuming no new requests arrive: the
-    /// earliest in-service data completion, the earliest cycle any waiting
-    /// eligible request's next command becomes issuable, the next refresh
-    /// transition, the next telemetry sampling point, and the policy's own
-    /// [`SchedulerPolicy::next_event_hint`]. `None` means the memory
-    /// system is fully idle (no event will ever fire without new input).
-    ///
-    /// A return of `Some(e)` with `e > now` guarantees that
-    /// [`MemorySystem::tick`] is a no-op (issues nothing, completes
-    /// nothing, emits nothing) for every cycle in `now..e`, *except* for
-    /// per-cycle policy and energy accounting — which
-    /// [`MemorySystem::fast_forward`] replicates. The bound is
-    /// conservative: stopping early is always safe.
-    pub fn next_event_at(&self, now: DramCycle) -> Option<DramCycle> {
-        let mut next: Option<DramCycle> = None;
-        let mut consider = |c: DramCycle| {
-            next = Some(match next {
-                Some(n) => n.min(c),
-                None => c,
-            });
-        };
-        for ctrl in &self.channels {
-            // The write-drain hysteresis is evaluated against queue counts
-            // that may have changed *after* the last `update_drain` ran
-            // (reaps and enqueues happen later in the tick). If the flag
-            // would flip at the next tick, stop the span here so the
-            // transition (and its telemetry event) lands on its exact
-            // cycle.
-            let drain_flips = if ctrl.drain_active {
-                ctrl.queued_writes <= self.ctrl_config.drain_low
-            } else {
-                ctrl.queued_writes >= self.ctrl_config.drain_high
-            };
-            if drain_flips {
-                consider(now);
-                continue;
-            }
-            // Past that fence, drain mode and the read/write election are
-            // frozen while no request arrives or completes, so the
-            // eligible kind at `now` holds for the whole span.
-            let eligible_kind = if ctrl.drain_active || ctrl.waiting_reads == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            if let Some(d) = ctrl.next_data_done {
-                consider(d);
-            }
-            for list in &ctrl.bank_waiting {
-                let (hit, miss) =
-                    Self::class_reps(&ctrl.requests, &ctrl.channel, list, eligible_kind);
-                for idx in [hit, miss].into_iter().flatten() {
-                    let cmd = Self::next_command(&ctrl.channel, &ctrl.requests[idx]);
-                    if let Some(at) = ctrl.channel.earliest_issue(&cmd, now) {
-                        consider(at);
-                    }
-                }
-            }
-            if let Some(at) = ctrl.channel.next_refresh_event(now) {
-                consider(at);
-            }
-        }
-        if self.sink.is_enabled() {
-            consider(self.next_sample);
-        }
-        if let Some(h) = self.policy.next_event_hint(now) {
-            consider(h);
-        }
-        next
-    }
-
-    /// Replicates `cycles` consecutive [`MemorySystem::tick`] calls (at
-    /// `now`, `now + 1`, …) across a dead span — the caller must have
-    /// established via [`MemorySystem::next_event_at`] that no event fires
-    /// before `now + cycles`. Only the per-cycle residue is performed:
-    /// background-energy accounting and the policy's cycle hook (via
-    /// [`SchedulerPolicy::fast_forward`]). Returns `false` without any
-    /// state change if the policy vetoes the skip; the caller then steps
-    /// cycle by cycle.
-    pub fn fast_forward(&mut self, now: DramCycle, cycles: u64) -> bool {
-        debug_assert!(cycles > 0);
-        debug_assert!(now >= self.now);
-        debug_assert!(
-            self.next_event_at(now).is_none_or(|e| e >= now + cycles),
-            "fast-forward across a live memory event"
-        );
-        {
-            let view = SystemView::from_ctrls(now, &self.channels);
-            if !self.policy.fast_forward(&view, cycles) {
-                return false;
-            }
-        }
-        for ctrl in &mut self.channels {
-            if let Some(energy) = &mut ctrl.energy {
-                energy.tick_n(cycles, ctrl.channel.open_banks() > 0);
-            }
-        }
-        self.now = now + (cycles - 1);
-        true
-    }
-
     /// Records DRAM cycle `now` as *elided*: the caller — the event-driven
     /// run loop — has established via [`MemorySystem::predict_next`] that
     /// a [`MemorySystem::tick`] at `now` would change nothing except the
@@ -1089,9 +989,8 @@ impl MemorySystem {
     }
 
     /// Settles the deferred per-cycle residue of elided ticks: the
-    /// policy's cycle hook — closed-form via
-    /// [`SchedulerPolicy::fast_forward`] where the policy supports it,
-    /// otherwise an exact per-cycle replay — and background-energy
+    /// policy's cycle hook, in closed form via
+    /// [`SchedulerPolicy::fast_forward`], and background-energy
     /// accounting. Both are bit-identical to having stepped, because the
     /// channel state was frozen across the span (per-cycle views differ
     /// only in `now`). Runs automatically at the top of
@@ -1103,16 +1002,8 @@ impl MemorySystem {
             return;
         }
         let n = std::mem::take(&mut self.pending_elided);
-        let start = self.residue_start;
-        let view = SystemView::from_ctrls(start, &self.channels);
-        if !self.policy.fast_forward(&view, n) {
-            // The policy has no closed form for this span (e.g. STFM's
-            // time-sampled estimator): replay its cycle hook exactly.
-            for i in 0..n {
-                let v = SystemView::from_ctrls(start + i, &self.channels);
-                self.policy.on_dram_cycle(&v);
-            }
-        }
+        let view = SystemView::from_ctrls(self.residue_start, &self.channels);
+        self.policy.fast_forward(&view, n);
         for ctrl in &mut self.channels {
             if let Some(energy) = &mut ctrl.energy {
                 energy.tick_n(n, ctrl.channel.open_banks() > 0);
@@ -1122,80 +1013,77 @@ impl MemorySystem {
 
     /// The exact next DRAM cycle at which [`MemorySystem::tick`] would do
     /// anything beyond the deferred per-cycle residue, assuming no new
-    /// request arrives — the event-driven run loop's agenda head. `None`
-    /// means the memory system is fully idle forever absent new input.
+    /// request arrives — what the event-driven run loop elides up to.
+    /// `None` means the memory system is fully idle forever absent new
+    /// input. A return of `Some(e)` with `e > now` guarantees that a tick
+    /// issues nothing, completes nothing, and emits nothing at every
+    /// cycle in `now..e`.
     ///
-    /// Semantically identical to [`MemorySystem::next_event_at`] clamped
-    /// to `now` (debug-asserted), but incremental: only channels whose
-    /// edges were consumed since the last call are rescanned; clean
-    /// channels reuse their cached `chan_next` minimum.
+    /// Incremental: only channels whose cached edge was consumed (or
+    /// whose outlook an arrival changed) since the last call are
+    /// rescanned (`channel_edge`); clean channels reuse their
+    /// `chan_next`. Debug builds re-derive every channel's edge from
+    /// scratch — bypassing the dirty bits and the class-representative
+    /// cache — and assert agreement.
     pub fn predict_next(&mut self, now: DramCycle) -> Option<DramCycle> {
         debug_assert_eq!(
             self.pending_elided, 0,
             "predict_next called with unsettled residue"
         );
-        for i in 0..self.channels.len() {
-            if self.chan_dirty[i] {
-                self.rescan_channel(i, now);
-                self.chan_dirty[i] = false;
+        let cfg = &self.ctrl_config;
+        for (i, ctrl) in self.channels.iter_mut().enumerate() {
+            if std::mem::take(&mut self.chan_dirty[i]) {
+                self.chan_next[i] = Self::channel_edge(cfg, ctrl, now, ChannelCtrl::reps);
             }
-        }
-        let mut next: Option<DramCycle> = None;
-        let mut consider = |c: DramCycle| {
-            next = Some(next.map_or(c, |n| n.min(c)));
-        };
-        for e in self.chan_next.iter().flatten() {
-            consider(*e);
-        }
-        // The sample and policy-hint edges are global and cheap, so they
-        // are recomputed on every call.
-        if self.sink.is_enabled() {
-            consider(self.next_sample.max(now));
-        }
-        if let Some(h) = self.policy.next_event_hint(now) {
-            consider(h.max(now));
         }
         // Clamp: a request that arrived mid-tick, after its channel's
         // scheduling phase had already run, can carry an edge at that very
         // cycle — by query time the edge is *due*, not future. Frozen
         // channel state keeps an issuable command issuable, so `now` is
         // its exact firing cycle (the next tick dirties the channel).
-        let next = next.map(|e| e.max(now));
+        let mut next = self.chan_next.iter().flatten().min().map(|&e| e.max(now));
         debug_assert_eq!(
             next,
-            self.next_event_at(now).map(|e| e.max(now)),
-            "incremental agenda diverged from the full scan at {now}"
+            self.channels
+                .iter_mut()
+                .filter_map(|c| Self::channel_edge(cfg, c, now, |c, bank, kind| {
+                    Self::class_reps(&c.requests, &c.channel, &c.bank_waiting[bank], kind)
+                }))
+                .min(),
+            "cached channel edges diverged from a full scan at {now}"
         );
+        // The sample and policy-hint edges are global and cheap, so they
+        // are recomputed on every call.
+        let mut consider = |c: DramCycle| {
+            let c = c.max(now);
+            next = Some(next.map_or(c, |n| n.min(c)));
+        };
+        if self.sink.is_enabled() {
+            consider(self.next_sample);
+        }
+        if let Some(h) = self.policy.next_event_hint(now) {
+            consider(h);
+        }
         next
     }
 
-    /// Rebuilds channel `i`'s cached earliest edge from scratch (the
-    /// per-channel slice of [`MemorySystem::next_event_at`], folded into
-    /// the `chan_next` minimum).
-    fn rescan_channel(&mut self, i: usize, now: DramCycle) {
-        let ctrl = &mut self.channels[i];
-        let mut earliest: Option<DramCycle> = None;
-        let mut put = |at: DramCycle| {
-            let at = at.max(now);
-            earliest = Some(earliest.map_or(at, |e| e.min(at)));
-        };
-        // Same fence as `next_event_at`: a pending drain flip freezes the
-        // whole outlook until it lands on its exact cycle.
-        let drain_flips = if ctrl.drain_active {
-            ctrl.queued_writes <= self.ctrl_config.drain_low
-        } else {
-            ctrl.queued_writes >= self.ctrl_config.drain_high
-        };
-        if drain_flips {
-            put(now);
-            self.chan_next[i] = earliest;
-            return;
+    /// The per-channel edge scan: the earliest cycle, clamped to `now`,
+    /// at which `ctrl` can do anything absent new arrivals — the minimum
+    /// over its drain fence, the data-done watermark, the command edges
+    /// of each bank's class representatives, and the next refresh
+    /// transition. `reps` supplies a bank's representatives: the caching
+    /// [`ChannelCtrl::reps`] on the live path, a fresh
+    /// [`Self::class_reps`] scan in the debug cross-check.
+    fn channel_edge(
+        cfg: &ControllerConfig,
+        ctrl: &mut ChannelCtrl,
+        now: DramCycle,
+        reps: fn(&mut ChannelCtrl, usize, AccessKind) -> ClassReps,
+    ) -> Option<DramCycle> {
+        if ctrl.drain_will_flip(cfg) {
+            return Some(now);
         }
-        let eligible_kind = if ctrl.drain_active || ctrl.waiting_reads == 0 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
+        let eligible_kind = ctrl.eligible_kind();
         debug_assert_eq!(
             ctrl.next_data_done,
             ctrl.requests
@@ -1207,29 +1095,24 @@ impl MemorySystem {
                 .min(),
             "stale next_data_done watermark"
         );
-        if let Some(d) = ctrl.next_data_done {
-            put(d);
-        }
-        let mut cmd_at: Option<DramCycle> = None;
+        let mut earliest = ctrl.next_data_done;
+        let mut put = |at: DramCycle| earliest = Some(earliest.map_or(at, |e| e.min(at)));
         for b in 0..ctrl.bank_waiting.len() {
             if ctrl.bank_waiting[b].is_empty() {
                 continue;
             }
-            let (hit, miss) = ctrl.reps(b, eligible_kind);
+            let (hit, miss) = reps(ctrl, b, eligible_kind);
             for idx in [hit, miss].into_iter().flatten() {
                 let cmd = Self::next_command(&ctrl.channel, &ctrl.requests[idx]);
                 if let Some(at) = ctrl.channel.earliest_issue(&cmd, now) {
-                    cmd_at = Some(cmd_at.map_or(at, |c: DramCycle| c.min(at)));
+                    put(at);
                 }
             }
-        }
-        if let Some(c) = cmd_at {
-            put(c);
         }
         if let Some(at) = ctrl.channel.next_refresh_event(now) {
             put(at);
         }
-        self.chan_next[i] = earliest;
+        earliest.map(|e| e.max(now))
     }
 
     fn update_drain(
@@ -1239,28 +1122,28 @@ impl MemorySystem {
         now: DramCycle,
         sink: &mut dyn Sink,
     ) {
-        let writes = ctrl.queued_writes;
-        if ctrl.drain_active {
-            if writes <= cfg.drain_low {
-                ctrl.drain_active = false;
-                if sink.is_enabled() {
-                    sink.record(&Event::WriteDrainEnd {
-                        dram_cycle: now,
-                        channel,
-                        queued_writes: writes as u32,
-                    });
-                }
-            }
-        } else if writes >= cfg.drain_high {
-            ctrl.drain_active = true;
-            if sink.is_enabled() {
-                sink.record(&Event::WriteDrainStart {
-                    dram_cycle: now,
-                    channel,
-                    queued_writes: writes as u32,
-                });
-            }
+        if !ctrl.drain_will_flip(cfg) {
+            return;
         }
+        ctrl.drain_active = !ctrl.drain_active;
+        if !sink.is_enabled() {
+            return;
+        }
+        let queued_writes = ctrl.queued_writes as u32;
+        let event = if ctrl.drain_active {
+            Event::WriteDrainStart {
+                dram_cycle: now,
+                channel,
+                queued_writes,
+            }
+        } else {
+            Event::WriteDrainEnd {
+                dram_cycle: now,
+                channel,
+                queued_writes,
+            }
+        };
+        sink.record(&event);
     }
 
     /// Selects and issues at most one command on `ctrl`'s channel.
@@ -1274,13 +1157,7 @@ impl MemorySystem {
         sink: &mut dyn Sink,
     ) {
         ctrl.sched_visits += 1;
-        let reads_pending = ctrl.waiting_reads > 0;
-        let drain = ctrl.drain_active;
-        let eligible_kind = if drain || !reads_pending {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
+        let eligible_kind = ctrl.eligible_kind();
 
         // Cross-tick decision carrying: when the policy vouches (via
         // `decision_epoch`) that ranks are a pure function of request and
@@ -1626,7 +1503,7 @@ impl MemorySystem {
         channel: &Channel,
         list: &[usize],
         eligible: AccessKind,
-    ) -> (Option<usize>, Option<usize>) {
+    ) -> ClassReps {
         let Some(&first) = list.first() else {
             return (None, None);
         };

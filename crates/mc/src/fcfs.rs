@@ -5,7 +5,7 @@
 //! and it still implicitly favors memory-intensive threads whose requests
 //! dominate the front of the queue.
 
-use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
+use crate::policy::{Rank, SchedQuery, SchedulerPolicy};
 use crate::request::Request;
 use stfm_dram::DramCycle;
 
@@ -21,21 +21,12 @@ impl Fcfs {
 }
 
 impl SchedulerPolicy for Fcfs {
-    fn name(&self) -> &str {
-        "FCFS"
-    }
-
-    fn static_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "FCFS"
     }
 
     fn rank(&self, req: &Request, _q: &SchedQuery<'_>) -> Rank {
         Rank([Rank::older_first(req.id), 0, 0])
-    }
-
-    fn fast_forward(&mut self, _sys: &SystemView<'_>, _cycles: u64) -> bool {
-        // Stateless per cycle: skipping is always safe.
-        true
     }
 
     fn decision_epoch(&self, _now: DramCycle) -> Option<u64> {

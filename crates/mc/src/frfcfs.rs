@@ -5,7 +5,7 @@
 //! row-buffer hit rate and therefore DRAM throughput — and, as the paper
 //! shows, starves threads with poor row-buffer locality.
 
-use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
+use crate::policy::{Rank, SchedQuery, SchedulerPolicy};
 use crate::request::Request;
 use stfm_dram::DramCycle;
 
@@ -29,21 +29,12 @@ impl FrFcfs {
 }
 
 impl SchedulerPolicy for FrFcfs {
-    fn name(&self) -> &str {
-        "FR-FCFS"
-    }
-
-    fn static_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "FR-FCFS"
     }
 
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank {
         Self::base_rank(req, q)
-    }
-
-    fn fast_forward(&mut self, _sys: &SystemView<'_>, _cycles: u64) -> bool {
-        // Stateless per cycle: skipping is always safe.
-        true
     }
 
     fn decision_epoch(&self, _now: DramCycle) -> Option<u64> {

@@ -62,11 +62,7 @@ impl Default for FrFcfsCap {
 }
 
 impl SchedulerPolicy for FrFcfsCap {
-    fn name(&self) -> &str {
-        "FRFCFS+Cap"
-    }
-
-    fn static_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "FRFCFS+Cap"
     }
 
@@ -98,17 +94,6 @@ impl SchedulerPolicy for FrFcfsCap {
                 }
             }
         }
-    }
-
-    fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) -> bool {
-        // Replicates the whole span with one real cycle hook: the first
-        // skipped cycle may observe changes since the last stepped call
-        // (new arrivals needing cap-state pruning), and with the request buffers and
-        // device state frozen, every further call is idempotent on the
-        // persistent state. Derived per-cycle state is recomputed from
-        // scratch by the next real `on_dram_cycle` before any ranking.
-        self.on_dram_cycle(sys);
-        true
     }
 
     fn on_command(&mut self, cmd: &DramCommand, req: &Request, q: &SchedQuery<'_>) {

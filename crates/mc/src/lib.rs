@@ -32,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod calendar;
 pub mod controller;
 pub mod fcfs;
 pub mod frfcfs;
@@ -44,7 +43,6 @@ pub mod request;
 pub mod stats;
 pub mod test_util;
 
-pub use calendar::{Event, EventCalendar, EventKind};
 pub use controller::{
     Completion, ControllerConfig, MemorySystem, RowPolicy, SchedCounters, DEFAULT_SAMPLE_INTERVAL,
 };

@@ -98,11 +98,7 @@ impl Nfq {
 }
 
 impl SchedulerPolicy for Nfq {
-    fn name(&self) -> &str {
-        "NFQ"
-    }
-
-    fn static_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "NFQ"
     }
 
@@ -164,17 +160,6 @@ impl SchedulerPolicy for Nfq {
                 }
             }
         }
-    }
-
-    fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) -> bool {
-        // Replicates the whole span with one real cycle hook: the first
-        // skipped cycle may observe changes since the last stepped call
-        // (a new bank head starts its tRAS timer at `sys.now`), and with the request buffers and device state frozen,
-        // every further call is idempotent on the persistent state
-        // (same head, `since` preserved). Derived per-cycle state is recomputed
-        // from scratch by the next real `on_dram_cycle` before any ranking.
-        self.on_dram_cycle(sys);
-        true
     }
 
     fn on_enqueue(&mut self, req: &Request, _tshared: u64) {

@@ -107,11 +107,7 @@ impl Default for ParBs {
 }
 
 impl SchedulerPolicy for ParBs {
-    fn name(&self) -> &str {
-        "PAR-BS"
-    }
-
-    fn static_name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         "PAR-BS"
     }
 
@@ -140,17 +136,6 @@ impl SchedulerPolicy for ParBs {
         if self.marked.is_empty() {
             self.form_batch(sys);
         }
-    }
-
-    fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) -> bool {
-        // Replicates the whole span with one real cycle hook: the first
-        // skipped cycle may observe changes since the last stepped call
-        // (batch exhaustion triggers formation), and with the request buffers and device state frozen,
-        // every further call is idempotent on the persistent state
-        // (pruning converges, batches only re-form when emptied). Derived per-cycle state is recomputed
-        // from scratch by the next real `on_dram_cycle` before any ranking.
-        self.on_dram_cycle(sys);
-        true
     }
 
     fn on_thread_reset(&mut self, thread: ThreadId) {

@@ -234,8 +234,9 @@ impl<'a> SystemView<'a> {
 /// [`crate::FrFcfsCap`], [`crate::Nfq`], and the STFM scheduler in the
 /// `stfm-core` crate.
 pub trait SchedulerPolicy {
-    /// Short policy name for reports (e.g. `"FR-FCFS"`).
-    fn name(&self) -> &str;
+    /// Short policy name for reports and telemetry events (e.g.
+    /// `"FR-FCFS"`).
+    fn name(&self) -> &'static str;
 
     /// Ranks a live request. The controller calls this for every
     /// non-completed request each time it schedules; the highest-ranked
@@ -281,33 +282,34 @@ pub trait SchedulerPolicy {
     fn record_interval(&self, now: DramCycle, sink: &mut dyn Sink) {
         sink.record(&Event::SchedulerIntervalUpdate {
             dram_cycle: now,
-            scheduler: self.static_name(),
+            scheduler: self.name(),
             slowdowns: Vec::new(),
             unfairness: None,
             fairness_rule_active: None,
         });
     }
 
-    /// The policy name as a `'static` string for telemetry events.
-    /// Policies whose [`SchedulerPolicy::name`] is already static
-    /// should return it; the default is a generic placeholder.
-    fn static_name(&self) -> &'static str {
-        "scheduler"
-    }
-
-    /// Fast-forward support: replicate the persistent effects of `cycles`
-    /// consecutive [`SchedulerPolicy::on_dram_cycle`] calls (at
-    /// `sys.now`, `sys.now + 1`, …) under the guarantee that the request
-    /// buffers, device state, and request lifecycles in `sys` are frozen
-    /// for the whole span (no command can issue, nothing arrives or
-    /// completes). Return `false` to veto the skip — the controller then
-    /// falls back to stepping cycle by cycle, so the conservative default
-    /// is always correct. Implementations returning `true` must leave the
-    /// policy in a state **bit-identical** to `cycles` stepped calls;
-    /// derived state that the next real `on_dram_cycle` recomputes from
-    /// scratch may be left stale.
-    fn fast_forward(&mut self, _sys: &SystemView<'_>, _cycles: u64) -> bool {
-        false
+    /// Settles a span of elided cycles: replicate the persistent effects
+    /// of `cycles` consecutive [`SchedulerPolicy::on_dram_cycle`] calls
+    /// (at `sys.now`, `sys.now + 1`, …) under the guarantee that the
+    /// request buffers, device state, and request lifecycles in `sys`
+    /// are frozen for the whole span (no command can issue, nothing
+    /// arrives or completes, and [`SchedulerPolicy::next_event_hint`] is
+    /// not crossed). The policy must end up **bit-identical** to `cycles`
+    /// stepped calls; derived state that the next real `on_dram_cycle`
+    /// recomputes from scratch before anything reads it may be left
+    /// stale.
+    ///
+    /// The default runs the cycle hook once, which is exact for every
+    /// policy whose hook is idempotent on frozen state: the first skipped
+    /// cycle may observe changes since the last stepped call (an arrival
+    /// to prune against, a new bank head starting its timer at `sys.now`,
+    /// an exhausted batch to re-form), and every further call would find
+    /// the same buffers and rewrite the same persistent state. A policy
+    /// whose hook accumulates per cycle (STFM's interference drain) must
+    /// override this with the span's closed form.
+    fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) {
+        self.on_dram_cycle(sys);
     }
 
     /// Identifies the current *decision state* of the policy for the
@@ -353,8 +355,7 @@ pub trait SchedulerPolicy {
     /// The next DRAM cycle (strictly after `now`) at which this policy's
     /// per-cycle state transitions in a way [`SchedulerPolicy::fast_forward`]
     /// cannot replicate (e.g. STFM's interval reset). The controller never
-    /// fast-forwards across the returned boundary. `None` means no such
-    /// boundary.
+    /// elides the returned cycle. `None` means no such boundary.
     fn next_event_hint(&self, _now: DramCycle) -> Option<DramCycle> {
         None
     }

@@ -82,7 +82,7 @@ pub struct ChaosPolicy {
 }
 
 impl crate::policy::SchedulerPolicy for ChaosPolicy {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "chaos"
     }
 

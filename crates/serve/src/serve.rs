@@ -28,7 +28,7 @@
 //! # Fault tolerance
 //!
 //! Every accepted cell gets exactly one response line, no matter what
-//! the cell does (see DESIGN.md §12 for the full degradation ladder):
+//! the cell does (see DESIGN.md §11 for the full degradation ladder):
 //!
 //! * **Panic isolation** — each simulation runs under `catch_unwind`; a
 //!   panicking cell becomes `{"type":"error","kind":"panic",...}` and

@@ -347,10 +347,10 @@ impl Experiment {
         }
     }
 
-    /// Enables or disables dead-cycle fast-forwarding in the shared run
-    /// (default: on). Results are bit-identical either way; the
-    /// equivalence tests use this to pit the two paths against each
-    /// other.
+    /// Selects the shared run's loop: the event-driven loop (`true`, the
+    /// default) or the stepped cycle-by-cycle oracle (`false`). Results
+    /// are bit-identical either way; the equivalence tests use this to
+    /// pit the two against each other.
     pub fn fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
         self

@@ -10,18 +10,6 @@ use crate::metrics::WorkloadMetrics;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Runs all experiments, using up to `available_parallelism` worker
-/// threads, and returns their metrics in input order.
-pub fn run_all(experiments: &[Experiment]) -> Vec<WorkloadMetrics> {
-    run_all_with_cache(experiments, &AloneCache::new())
-}
-
-/// Like [`run_all`] but reusing an existing alone-run cache (useful when a
-/// harness runs several sweeps over the same benchmarks).
-pub fn run_all_with_cache(experiments: &[Experiment], cache: &AloneCache) -> Vec<WorkloadMetrics> {
-    run_all_jobs(experiments, cache, None)
-}
-
 /// Resolves a `--jobs` request against the host: `None` (or `Some(0)`)
 /// means `available_parallelism`, anything else is taken as given.
 #[must_use]
@@ -34,9 +22,10 @@ pub fn resolve_jobs(jobs: Option<usize>) -> usize {
     }
 }
 
-/// Like [`run_all_with_cache`] with a bounded worker count: `jobs` caps
-/// the threads spawned (`None` / `Some(0)` = `available_parallelism`), so
-/// CI runners and laptops can keep sweeps from saturating the host.
+/// Runs all experiments on worker threads sharing the alone-run `cache`
+/// and returns their metrics in input order. `jobs` caps the threads
+/// spawned (`None` / `Some(0)` = `available_parallelism`), so CI runners
+/// and laptops can keep sweeps from saturating the host.
 pub fn run_all_jobs(
     experiments: &[Experiment],
     cache: &AloneCache,
@@ -95,7 +84,7 @@ mod tests {
             })
             .collect();
         let cache = AloneCache::new();
-        let parallel = run_all_with_cache(&experiments, &cache);
+        let parallel = run_all_jobs(&experiments, &cache, None);
         let serial: Vec<_> = experiments
             .iter()
             .map(|e| e.run_with_cache(&cache))
@@ -117,7 +106,7 @@ mod tests {
             })
             .collect();
         let cache = AloneCache::new();
-        let default = run_all_with_cache(&experiments, &cache);
+        let default = run_all_jobs(&experiments, &cache, None);
         let single = run_all_jobs(&experiments, &cache, Some(1));
         for (a, b) in default.iter().zip(&single) {
             assert_eq!(a.scheduler, b.scheduler);

@@ -8,8 +8,8 @@
 //! hook, per-channel scheduling scan, completion reap) plus
 //! [`CPU_CYCLES_PER_DRAM_CYCLE`] steps per core. The event-driven loop
 //! instead asks the memory system for the exact next cycle at which
-//! anything can happen ([`MemorySystem::predict_next`], backed by the
-//! `stfm_mc::EventCalendar` agenda) and *elides* the cycles in between:
+//! anything can happen ([`MemorySystem::predict_next`], a minimum over
+//! per-channel cached edges) and *elides* the cycles in between:
 //!
 //! - **Whole-system jump** — when every core is provably inert past the
 //!   span ([`Core::next_wake`]), the span collapses into one O(1)

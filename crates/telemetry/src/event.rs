@@ -148,7 +148,7 @@ pub enum Event {
     EstimatorWork {
         /// DRAM cycle of the snapshot (normally the final cycle).
         dram_cycle: DramCycle,
-        /// Scheduler name (`SchedulerPolicy::static_name`).
+        /// Scheduler name (`SchedulerPolicy::name`).
         scheduler: &'static str,
         /// O(queue) estimator walks (full rebuilds).
         full_rebuilds: u64,
