@@ -1,14 +1,19 @@
 //! Figure 5: 2-core systems — mcf run with every other benchmark under
 //! FR-FCFS (a) and STFM (b), plus the throughput metrics (c).
 
-use stfm_bench::Args;
-use stfm_sim::{gmean, AloneCache, Experiment, SchedulerKind, Table};
+use stfm_bench::{report, Args};
+use stfm_sim::{gmean, AloneCache, SchedulerKind, Table};
 use stfm_workloads::mix;
 
 fn main() {
     let args = Args::parse(100_000);
-    let cache = AloneCache::new();
     let pairs = mix::mcf_pairs();
+    let kinds = [SchedulerKind::FrFcfs, SchedulerKind::Stfm];
+    let cells: Vec<_> = pairs
+        .iter()
+        .flat_map(|pair| report::cells_for(pair, &kinds, args.insts, args.seed))
+        .collect();
+    let results = report::run_cells(&cells, &AloneCache::new(), args.jobs);
 
     let mut t = Table::new([
         "other benchmark",
@@ -24,17 +29,7 @@ fn main() {
     let mut unfair = (Vec::new(), Vec::new());
     let mut ws_gain = Vec::new();
     let mut hm_gain = Vec::new();
-    for pair in &pairs {
-        let exps: Vec<Experiment> = [SchedulerKind::FrFcfs, SchedulerKind::Stfm]
-            .iter()
-            .map(|k| {
-                Experiment::new(pair.clone())
-                    .scheduler(*k)
-                    .instructions_per_thread(args.insts)
-                    .seed(args.seed)
-            })
-            .collect();
-        let r = stfm_sim::run_all_jobs(&exps, &cache, args.jobs);
+    for (pair, r) in pairs.iter().zip(results.chunks(kinds.len())) {
         let (fr, st) = (&r[0], &r[1]);
         unfair.0.push(fr.unfairness());
         unfair.1.push(st.unfairness());

@@ -3,44 +3,36 @@
 //! STFM, averaged over 8-core workloads. The default uses 8 of the 32
 //! mixes; pass `--full` for all 32.
 
-use stfm_bench::Args;
-use stfm_dram::DramConfig;
-use stfm_sim::{gmean, AloneCache, Experiment, SchedulerKind, Table};
+use stfm_bench::{report, Args};
+use stfm_sim::{gmean, AloneCache, SchedulerKind, Table, WorkloadMetrics};
 use stfm_workloads::mix;
 
 fn sweep(
     label: String,
-    dram: DramConfig,
+    banks: Option<u32>,
+    row_kb: Option<u32>,
     mixes: &[Vec<stfm_workloads::Profile>],
     args: &Args,
     t: &mut Table,
 ) {
-    let cache = AloneCache::new(); // config-specific baselines
-    let mut cells = vec![label];
-    let mut frfcfs = (Vec::new(), Vec::new());
-    let mut stfm = (Vec::new(), Vec::new());
-    for (kind, acc) in [
-        (SchedulerKind::FrFcfs, &mut frfcfs),
-        (SchedulerKind::Stfm, &mut stfm),
-    ] {
-        let exps: Vec<Experiment> = mixes
-            .iter()
-            .map(|m| {
-                Experiment::new(m.clone())
-                    .scheduler(kind)
-                    .dram_config(dram.clone())
-                    .instructions_per_thread(args.insts)
-                    .seed(args.seed)
-            })
-            .collect();
-        for r in stfm_sim::run_all_jobs(&exps, &cache, args.jobs) {
-            acc.0.push(r.unfairness());
-            acc.1.push(r.weighted_speedup());
-        }
-    }
-    let (fu, fw) = (gmean(frfcfs.0), gmean(frfcfs.1));
-    let (su, sw) = (gmean(stfm.0), gmean(stfm.1));
-    cells.extend([
+    let kinds = [SchedulerKind::FrFcfs, SchedulerKind::Stfm];
+    let cells: Vec<_> = mixes
+        .iter()
+        .flat_map(|m| report::cells_for(m, &kinds, args.insts, args.seed))
+        .map(|mut cell| {
+            cell.banks = banks;
+            cell.row_kb = row_kb;
+            cell
+        })
+        .collect();
+    let results = report::run_cells(&cells, &AloneCache::new(), args.jobs);
+    let mean = |kind: usize, metric: fn(&WorkloadMetrics) -> f64| {
+        gmean(results.iter().skip(kind).step_by(kinds.len()).map(metric))
+    };
+    let [fu, su] = [0, 1].map(|kind| mean(kind, WorkloadMetrics::unfairness));
+    let [fw, sw] = [0, 1].map(|kind| mean(kind, WorkloadMetrics::weighted_speedup));
+    let mut row = vec![label];
+    row.extend([
         format!("{fu:.2}"),
         format!("{fw:.2}"),
         format!("{su:.2}"),
@@ -49,7 +41,7 @@ fn sweep(
         format!("{:.2}X", fu / su),
         format!("{:+.1}%", (sw / fw - 1.0) * 100.0),
     ]);
-    t.row(cells);
+    t.row(row);
 }
 
 fn main() {
@@ -74,20 +66,20 @@ fn main() {
         "w-speedup impr.",
     ]);
     for banks in [4u32, 8, 16] {
-        let dram = DramConfig::for_cores(8).with_banks(banks);
         sweep(
             format!("{banks} banks / 2KB row"),
-            dram,
+            Some(banks),
+            None,
             &mixes,
             &args,
             &mut t,
         );
     }
     for row_kb in [1u32, 2, 4] {
-        let dram = DramConfig::for_cores(8).with_row_buffer_bytes_per_chip(row_kb * 1024);
         sweep(
             format!("8 banks / {row_kb}KB row"),
-            dram,
+            None,
+            Some(row_kb),
             &mixes,
             &args,
             &mut t,

@@ -11,12 +11,6 @@ pub struct Args {
     pub full: bool,
     /// Worker-thread cap (`--jobs N`; `None` = all cores).
     pub jobs: Option<usize>,
-    /// Force the stepped reference loop instead of the event-driven one
-    /// (`--stepped`): the differential baseline for timing comparisons.
-    pub stepped: bool,
-    /// Explicit output path for binaries that write a report file
-    /// (`--out PATH`; default = the binary's dated name in the cwd).
-    pub out: Option<String>,
 }
 
 impl Args {
@@ -31,8 +25,6 @@ impl Args {
             seed: 1,
             full: false,
             jobs: None,
-            stepped: false,
-            out: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
@@ -57,21 +49,8 @@ impl Args {
                         .unwrap_or_else(|| panic!("--jobs needs a number"));
                     args.jobs = (n > 0).then_some(n);
                 }
-                "--stepped" => args.stepped = true,
-                "--out" => {
-                    args.out = Some(it.next().unwrap_or_else(|| panic!("--out needs a path")));
-                }
-                // `cargo bench --workspace` invokes every binary with
-                // --bench; the figure harnesses are run explicitly, not as
-                // Criterion benchmarks, so exit cleanly.
-                "--bench" => {
-                    println!("(figure harness; run explicitly with `cargo run --release -p stfm-bench --bin ...`)");
-                    std::process::exit(0);
-                }
                 "--help" | "-h" => {
-                    println!(
-                        "usage: [--insts N] [--seed N] [--full] [--jobs N] [--stepped] [--out PATH]"
-                    );
+                    println!("usage: [--insts N] [--seed N] [--full] [--jobs N]");
                     std::process::exit(0);
                 }
                 other => panic!("unknown argument: {other}"),

@@ -8,13 +8,13 @@
 //! * `--seed N` — workload seed;
 //! * `--full` — full-scale sweeps where the default subsamples (fig9).
 //!
-//! Criterion micro-benchmarks live in `benches/micro.rs`.
+//! Speed is measured by `src/bin/benchmark/` (contract: `BENCHMARK.json`);
+//! its `kernels.rs` holds the per-layer ns/op micro-measurements.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cli;
 pub mod report;
-pub mod wallclock;
 
 pub use cli::Args;

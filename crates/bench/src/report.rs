@@ -1,8 +1,6 @@
 //! Report helpers: the recurring "slowdowns + unfairness + throughput"
-//! layout of the paper's case-study figures, averaged sweeps, and the
-//! `BENCH_<date>.json` simulator-throughput artifact.
+//! layout of the paper's case-study figures, and averaged sweeps.
 
-use std::fmt::Write as _;
 use stfm_serve::{run_sweep, Cell, ResultCache, SchedSpec};
 use stfm_sim::{gmean, AloneCache, SchedulerKind, Table, WorkloadMetrics};
 use stfm_workloads::Profile;
@@ -124,114 +122,6 @@ pub fn averaged_sweep(
             weighted_speedup: gmean(results.iter().map(|m| m.weighted_speedup())),
             sum_of_ipcs: gmean(results.iter().map(|m| m.sum_of_ipcs())),
             hmean_speedup: gmean(results.iter().map(|m| m.hmean_speedup())),
-        })
-        .collect()
-}
-
-/// Machine-independent work counters of one run (from the
-/// `EstimatorWork` telemetry snapshot): how many O(queue) estimator
-/// rebuilds, mode decisions, scheduler visits, and per-bank rank scans
-/// the loop performed. Unlike wall-clock these are bit-deterministic,
-/// so CI can gate on their ratios (see `.github/workflows/ci.yml`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkRow {
-    /// Full O(queue) estimator walks.
-    pub full_rebuilds: u64,
-    /// O(1) event-driven estimator updates.
-    pub incremental_updates: u64,
-    /// Mode decisions recomputed (estimator generation moved).
-    pub decides_recomputed: u64,
-    /// Mode decisions carried across ticks unchanged.
-    pub decides_carried: u64,
-    /// DRAM cycles on which the scheduler actually ran.
-    pub sched_visits: u64,
-    /// Per-bank candidate rank passes executed.
-    pub rank_scans: u64,
-    /// Per-bank decisions served from the cross-tick cache.
-    pub rank_carried: u64,
-}
-
-/// One timed simulation run of the throughput benchmark
-/// (`src/bin/throughput.rs`).
-#[derive(Debug, Clone)]
-pub struct ThroughputRun {
-    /// Scheduler name.
-    pub scheduler: String,
-    /// Wall-clock seconds of the shared (multiprogrammed) run.
-    pub wall_s: f64,
-    /// Simulated DRAM cycles of the shared run.
-    pub dram_cycles: u64,
-    /// Memory requests serviced during the shared run.
-    pub requests: u64,
-    /// Work counters, when the run's policy reports them (STFM).
-    pub work: Option<WorkRow>,
-}
-
-impl ThroughputRun {
-    /// Simulated DRAM cycles per wall-clock second.
-    pub fn dram_cycles_per_sec(&self) -> f64 {
-        self.dram_cycles as f64 / self.wall_s.max(1e-9)
-    }
-
-    /// Serviced requests per wall-clock second.
-    pub fn requests_per_sec(&self) -> f64 {
-        self.requests as f64 / self.wall_s.max(1e-9)
-    }
-}
-
-/// Renders the `BENCH_<date>.json` artifact: machine-readable throughput
-/// sections (e.g. `"before"` / `"after"`), each a list of per-scheduler
-/// [`ThroughputRun`]s. Hand-rolled JSON, like the telemetry serializers —
-/// the workspace carries no serde dependency.
-pub fn throughput_json(date: &str, config: &str, sections: &[(&str, &[ThroughputRun])]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"date\": \"{}\",", escape(date));
-    let _ = writeln!(s, "  \"config\": \"{}\",", escape(config));
-    for (si, (label, runs)) in sections.iter().enumerate() {
-        let _ = writeln!(s, "  \"{}\": [", escape(label));
-        for (i, r) in runs.iter().enumerate() {
-            let comma = if i + 1 == runs.len() { "" } else { "," };
-            let work = r.work.map_or(String::new(), |w| {
-                format!(
-                    ", \"work\": {{\"full_rebuilds\": {}, \"incremental_updates\": {}, \
-                     \"decides_recomputed\": {}, \"decides_carried\": {}, \
-                     \"sched_visits\": {}, \"rank_scans\": {}, \"rank_carried\": {}}}",
-                    w.full_rebuilds,
-                    w.incremental_updates,
-                    w.decides_recomputed,
-                    w.decides_carried,
-                    w.sched_visits,
-                    w.rank_scans,
-                    w.rank_carried,
-                )
-            });
-            let _ = writeln!(
-                s,
-                "    {{\"scheduler\": \"{}\", \"wall_s\": {:.4}, \"dram_cycles\": {}, \
-                 \"requests\": {}, \"dram_cycles_per_sec\": {:.0}, \"requests_per_sec\": {:.0}{work}}}{comma}",
-                escape(&r.scheduler),
-                r.wall_s,
-                r.dram_cycles,
-                r.requests,
-                r.dram_cycles_per_sec(),
-                r.requests_per_sec(),
-            );
-        }
-        let comma = if si + 1 == sections.len() { "" } else { "," };
-        let _ = writeln!(s, "  ]{comma}");
-    }
-    s.push_str("}\n");
-    s
-}
-
-fn escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
         })
         .collect()
 }

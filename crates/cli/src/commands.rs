@@ -3,6 +3,7 @@
 use crate::args::Flags;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write as _};
+use std::ops::ControlFlow;
 use std::path::Path;
 use stfm_core::StfmConfig;
 use stfm_cpu::{trace_io, Core, FileTrace};
@@ -10,7 +11,7 @@ use stfm_dram::DramConfig;
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL};
 use stfm_serve::{expand_line, run_sweep, ResultCache, ServeConfig};
 use stfm_sim::{
-    run_all_jobs, AloneCache, Experiment, SchedulerKind, System, Table, ThreadMetrics,
+    run_ordered, AloneCache, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
 };
 use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
@@ -149,7 +150,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
         experiments.push(e);
     }
-    let results = run_all_jobs(&experiments, &cache, jobs_flag(&f)?);
+    let mut results = Vec::with_capacity(experiments.len());
+    run_ordered(
+        experiments.iter(),
+        jobs_flag(&f)?,
+        |e| e.run_with_cache(&cache),
+        |metrics| {
+            results.push(metrics);
+            ControlFlow::Continue(())
+        },
+    );
     if !f.has("quiet") {
         println!(
             "workload {:?}, {} instructions/thread, seed {}\n",
@@ -503,7 +513,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         stfm_serve::serve_tcp(addr, &alone, &results, &cfg).map_err(|e| format!("{addr}: {e}"))?;
         return Ok(());
     }
-    // `StdinLock` is not `Send` (the reader runs on its own thread), so
+    // `StdinLock` is not `Send` (input is read on the worker threads), so
     // wrap the handle in a `BufReader` instead of locking it.
     let stdin = BufReader::new(io::stdin());
     let stdout = io::stdout().lock();

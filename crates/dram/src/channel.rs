@@ -257,8 +257,8 @@ impl Channel {
         Some(self.refresh.next_due().max(self.earliest_drained()))
     }
 
-    /// The earliest cycle at which the channel counts as drained (see
-    /// [`Channel::drained`]): data bus idle and every bank quiescent.
+    /// The earliest cycle at which the channel counts as drained, so a
+    /// refresh can begin: data bus idle and every bank quiescent.
     pub fn earliest_drained(&self) -> DramCycle {
         self.banks
             .iter()

@@ -15,11 +15,11 @@
 //!    memoized in memory and optionally persisted to a cache directory,
 //!    so re-running a spec replays finished cells byte-for-byte and only
 //!    simulates what changed.
-//! 3. **Execution** ([`runner`], [`serve`]) — a work-stealing sharded
-//!    runner for batch sweeps (`stfm sweep`), and a long-running stdin/TCP
-//!    service (`stfm serve`) that streams result lines with backpressure,
-//!    per-line telemetry epochs, structured error responses, and graceful
-//!    shutdown.
+//! 3. **Execution** ([`runner`], [`mod@serve`]) — batch sweeps
+//!    ([`run_sweep`], `stfm sweep`) and a long-running stdin/TCP service
+//!    ([`serve()`], `stfm serve`: streamed result lines with backpressure,
+//!    per-line epochs, structured errors, graceful shutdown), both on the
+//!    one ordered worker pool, [`stfm_sim::runner::run_ordered`].
 //!
 //! The whole stack preserves the repository's determinism contract: the
 //! result-line stream for a spec is byte-identical across worker counts,

@@ -1,40 +1,24 @@
-//! Work-stealing sharded sweep runner.
+//! Running cells: one at a time, and swept across the worker pool.
 //!
-//! Generalizes the fixed-shard runner in `stfm_sim::runner` to arbitrary
-//! spec cells: a shared atomic cursor hands the next pending cell to
-//! whichever worker frees up first (natural work stealing — no shard can
-//! straggle), completed cells flow back over a channel, and the caller's
-//! emit hook observes them **in input order** regardless of completion
-//! order or worker count. That reordering is what makes the output stream
+//! [`run_cell`] is the unit of work — consult the [`ResultCache`] first
+//! (a hit replays the stored line verbatim and skips the simulation
+//! entirely, which is how resumed sweeps fast-forward over
+//! already-completed cells), else simulate and store. [`run_sweep`] puts
+//! a slice of cells through the ordered pool in `stfm_sim::runner`, each
+//! inside the same envelope `serve` uses, so the caller's emit hook
+//! observes them **in input order** regardless of completion order or
+//! worker count. That ordering is what makes the output stream
 //! byte-identical for every `--jobs` setting.
-//!
-//! Each cell consults the [`ResultCache`] first; a hit replays the stored
-//! line verbatim and skips the simulation entirely, which is how resumed
-//! sweeps fast-forward over already-completed cells.
 
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::ops::ControlFlow;
+use std::time::Duration;
 
-use stfm_sim::{runner::resolve_jobs, AloneCache, CancelToken, WorkloadMetrics};
+use stfm_sim::{run_ordered, AloneCache, CancelToken, WorkloadMetrics};
 
 use crate::cache::ResultCache;
 use crate::result::result_line;
+use crate::serve::{CellRunner, ServeConfig};
 use crate::spec::Cell;
-
-/// Renders a caught panic payload as a one-line message (panics carry
-/// `&str` or `String` in practice; anything else gets a placeholder).
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
 
 /// One completed cell, as observed by the emit hook.
 #[derive(Debug)]
@@ -123,11 +107,15 @@ pub fn run_cell_cancellable(
 /// cell **in input order**.
 ///
 /// `jobs = None` (or `Some(0)`) uses the host's available parallelism.
+/// Cells run inside `serve`'s envelope with no timeout and no self-check,
+/// which leaves its panic isolation: a panicking cell is that cell's
+/// error, not the end of the process.
 ///
 /// # Errors
 ///
-/// Returns the first per-cell error (unknown benchmark); cells after the
-/// failing one are still drained so workers shut down cleanly.
+/// Returns the error (unknown benchmark, panic) of the first failing cell
+/// in input order, whatever the worker count. Exactly the cells before it
+/// are emitted and no further cell is started.
 pub fn run_sweep<F>(
     cells: &[Cell],
     alone: &AloneCache,
@@ -138,64 +126,41 @@ pub fn run_sweep<F>(
 where
     F: FnMut(CellOutcome),
 {
-    let workers = resolve_jobs(jobs).min(cells.len().max(1));
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Result<CellOutcome, String>>();
+    let cfg = ServeConfig::default();
+    let runner = CellRunner::new(alone, results, &cfg);
+    let mut index = 0usize;
     let mut cache_hits = 0usize;
     let mut first_err: Option<String> = None;
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            scope.spawn(move || loop {
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(index) else { break };
-                let start = Instant::now();
-                // A panicking cell (a simulator invariant violation on
-                // some exotic input) must not tear down the whole sweep:
-                // isolate it and report it like any other per-cell error.
-                let outcome = catch_unwind(AssertUnwindSafe(|| run_cell(cell, alone, results)))
-                    .unwrap_or_else(|payload| {
-                        Err(format!("cell panicked: {}", panic_message(payload)))
-                    })
-                    .map(|(line, metrics, from_cache)| CellOutcome {
+    let workers = run_ordered(
+        cells.iter(),
+        jobs,
+        |cell| runner.execute_cell(cell),
+        |out| {
+            if first_err.is_some() {
+                // Cells past the failure that were already running.
+                return ControlFlow::Break(());
+            }
+            match out.result {
+                Ok((line, metrics, from_cache)) => {
+                    cache_hits += usize::from(from_cache);
+                    emit(CellOutcome {
                         index,
-                        key: cell.key(),
+                        key: out.key,
                         line,
                         metrics,
                         from_cache,
-                        wall: start.elapsed(),
+                        wall: out.wall,
                     });
-                if tx.send(outcome).is_err() {
-                    break;
+                    index += 1;
+                    ControlFlow::Continue(())
                 }
-            });
-        }
-        drop(tx);
-
-        // Reorder completions so `emit` sees input order.
-        let mut pending: BTreeMap<usize, CellOutcome> = BTreeMap::new();
-        let mut emitted = 0usize;
-        for completion in rx {
-            match completion {
-                Ok(outcome) => {
-                    pending.insert(outcome.index, outcome);
-                    while let Some(outcome) = pending.remove(&emitted) {
-                        emitted += 1;
-                        cache_hits += usize::from(outcome.from_cache);
-                        emit(outcome);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                Err((_, message)) => {
+                    first_err = Some(message);
+                    ControlFlow::Break(())
                 }
             }
-        }
-    });
-
+        },
+    );
     match first_err {
         Some(e) => Err(e),
         None => Ok(SweepSummary {
@@ -209,7 +174,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::expand_line;
+    use crate::spec::{expand_line, SchedSpec};
 
     fn small_grid() -> Vec<Cell> {
         expand_line(
@@ -264,5 +229,34 @@ mod tests {
         .unwrap();
         assert_eq!(warm.cache_hits, cells.len());
         assert!(replayed.iter().all(|&hit| hit));
+    }
+
+    #[test]
+    fn error_is_the_first_failing_cell_for_any_worker_count() {
+        let mut cells = small_grid();
+        let bad = |name: &str| Cell::new(SchedSpec::Fcfs, vec![name.to_string()]).insts(500);
+        cells.insert(7, bad("no_such_late"));
+        cells.insert(2, bad("no_such_early"));
+        let mut runs = Vec::new();
+        for jobs in [Some(1), Some(3), None] {
+            let alone = AloneCache::new();
+            let results = ResultCache::in_memory();
+            let mut seen = Vec::new();
+            let err = run_sweep(&cells, &alone, &results, jobs, |o| {
+                seen.push((o.index, o.line));
+            })
+            .unwrap_err();
+            if jobs == Some(1) {
+                // Two good cells and the bad one were looked up, plus at
+                // most the one cell the worker pulled before the stop
+                // landed — not the eleven behind it.
+                assert!(results.miss_count() <= 4, "{}", results.miss_count());
+            }
+            runs.push((err, seen));
+        }
+        assert!(runs[0].0.contains("no_such_early"), "{}", runs[0].0);
+        assert_eq!(runs[0].1.len(), 2, "exactly the cells before the failure");
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0], runs[2]);
     }
 }

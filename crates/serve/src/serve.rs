@@ -1,18 +1,19 @@
 //! The long-running `stfm serve` loop.
 //!
-//! Reads JSONL spec lines from an input stream, runs their cells through
-//! a bounded worker pool, and streams one JSON line per cell back in
-//! input order, followed by a per-line `epoch` telemetry summary. The
-//! design is a three-stage pipeline sharing one global sequence space:
+//! Reads JSONL spec lines from an input stream, runs their cells on the
+//! shared ordered pool ([`stfm_sim::run_ordered`]), and streams one JSON
+//! line per cell back in input order, followed by a per-line `epoch`
+//! telemetry summary. Cells and the markers that need no work (`epoch`,
+//! `pong`, `stats`, line errors, `bye`) share one sequence:
 //!
-//! * **reader** (thread) — parses each input line, expands it into cells,
-//!   and pushes jobs into a *bounded* queue. When the queue is full the
-//!   reader blocks, which stops it consuming input: backpressure reaches
-//!   all the way back to the client's pipe.
-//! * **workers** (threads) — pull jobs work-stealing style and run each
-//!   cell (result-cache lookup, else simulate).
-//! * **emitter** (caller's thread) — reorders completions by sequence
-//!   number so the output stream is byte-identical for any `--jobs`.
+//! * **feed** — an iterator that parses each input line and hands out
+//!   its cells, then its `epoch` marker. A worker pulls from it only
+//!   when it is free, so input is read no faster than it is worked on:
+//!   backpressure reaches all the way back to the client's pipe.
+//! * **workers** — run each cell (result-cache lookup, else simulate)
+//!   inside the fault-tolerance envelope; markers pass straight through.
+//! * **emit** (caller's thread) — receives the sequence in input order,
+//!   so the output stream is byte-identical for any `--jobs`.
 //!
 //! Malformed lines never crash the service: they produce a structured
 //! `{"type":"error","line":N,...}` response and processing continues.
@@ -50,24 +51,23 @@
 //! [`stfm_telemetry::Event::ServeFault`] records into an optional JSONL
 //! fault log ([`ServeConfig::fault_log`]).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashSet, VecDeque};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use stfm_sim::{runner::resolve_jobs, AloneCache, CancelToken};
+use stfm_sim::{run_ordered, AloneCache, CancelToken, WorkloadMetrics};
 use stfm_telemetry::{Event as TelemetryEvent, JsonLinesSink, Sink};
 
 use crate::cache::ResultCache;
 use crate::json::{self, escape};
 use crate::result::result_line;
-use crate::runner::{panic_message, run_cell_cancellable};
+use crate::runner::run_cell_cancellable;
 use crate::spec::{expand_line, Cell};
 
 /// Configuration for one [`serve`] session (and, via [`serve_tcp`], for
@@ -167,19 +167,6 @@ pub struct ServeTotals {
     pub shutdown_requested: bool,
 }
 
-/// One unit of work handed to the worker pool.
-struct Job {
-    seq: u64,
-    line_no: u64,
-    cell: Cell,
-}
-
-/// A structured per-cell failure: the error line's `kind` plus message.
-struct CellError {
-    kind: &'static str,
-    message: String,
-}
-
 /// A tolerated fault worth a `{"type":"fault"}` line (and a telemetry
 /// record): the cell still got its one response line.
 struct FaultNote {
@@ -188,56 +175,33 @@ struct FaultNote {
     detail: String,
 }
 
-/// Everything a worker produced for one cell.
-struct CellOutput {
-    key: String,
-    line: String,
-    from_cache: bool,
-    error: Option<CellError>,
+/// Everything the envelope produced for one cell.
+pub(crate) struct CellOutput {
+    pub(crate) key: String,
+    /// The result line, its metrics and whether the cache answered; or
+    /// the error line's `kind` and message.
+    pub(crate) result: Result<(String, WorkloadMetrics, bool), (&'static str, String)>,
     faults: Vec<FaultNote>,
+    /// Wall-clock time spent on the cell, retries and checks included.
+    pub(crate) wall: Duration,
 }
 
-/// A completion or control event, tagged with its slot in the output
-/// sequence.
+/// One slot of the output sequence once its work is done: a completed
+/// cell, or a marker answered in stream order.
 enum Event {
-    Cell {
-        seq: u64,
-        line_no: u64,
-        out: CellOutput,
-        wall: Duration,
-    },
-    Error {
-        seq: u64,
-        line_no: u64,
-        message: String,
-    },
-    Epoch {
-        seq: u64,
-        line_no: u64,
-        cells: u64,
-    },
-    Pong {
-        seq: u64,
-    },
-    Stats {
-        seq: u64,
-    },
-    Bye {
-        seq: u64,
-    },
+    Cell { line_no: u64, out: CellOutput },
+    Error { line_no: u64, message: String },
+    Epoch { line_no: u64, cells: u64 },
+    Pong,
+    Stats,
+    Bye,
 }
 
-impl Event {
-    fn seq(&self) -> u64 {
-        match self {
-            Event::Cell { seq, .. }
-            | Event::Error { seq, .. }
-            | Event::Epoch { seq, .. }
-            | Event::Pong { seq }
-            | Event::Stats { seq }
-            | Event::Bye { seq } => *seq,
-        }
-    }
+/// One slot of the output sequence as the feed hands it out: a cell
+/// still to run, or a marker that needs no work.
+enum Slot {
+    Cell { line_no: u64, cell: Cell },
+    Marker(Event),
 }
 
 fn wall_ms(wall: Duration) -> u64 {
@@ -264,14 +228,27 @@ fn is_disconnect(e: &io::Error) -> bool {
     )
 }
 
-/// Shared state the worker loop needs per cell.
-struct WorkerCtx<'a> {
+/// Renders a caught panic payload as a one-line message (panics carry
+/// `&str` or `String` in practice; anything else gets a placeholder).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
+/// The fault-tolerance envelope every cell runs in, shared by all the
+/// workers of one `serve` session or one `run_sweep`.
+pub(crate) struct CellRunner<'a> {
     alone: &'a AloneCache,
     results: &'a ResultCache,
     cfg: &'a ServeConfig,
     /// Scheduler/mix classes demoted to the stepped loop after a
     /// self-check divergence (session-lifetime).
-    demoted: &'a Mutex<HashSet<String>>,
+    demoted: Mutex<HashSet<String>>,
 }
 
 /// The demotion granularity: one event-loop divergence demotes every
@@ -280,28 +257,42 @@ fn cell_class(cell: &Cell) -> String {
     format!("{}|{}", cell.scheduler.token(), cell.mix.join("+"))
 }
 
-impl WorkerCtx<'_> {
-    fn is_demoted(&self, cell: &Cell) -> bool {
-        self.demoted
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .contains(&cell_class(cell))
+impl<'a> CellRunner<'a> {
+    pub(crate) fn new(
+        alone: &'a AloneCache,
+        results: &'a ResultCache,
+        cfg: &'a ServeConfig,
+    ) -> Self {
+        CellRunner {
+            alone,
+            results,
+            cfg,
+            demoted: Mutex::new(HashSet::new()),
+        }
+    }
+
+    fn demoted(&self) -> MutexGuard<'_, HashSet<String>> {
+        self.demoted.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Runs one cell under the full fault-tolerance envelope: panic
     /// isolation, timeout + one retry, and opt-in self-check sampling.
     /// Always produces exactly one [`CellOutput`].
-    fn execute_cell(&self, cell: &Cell) -> CellOutput {
+    pub(crate) fn execute_cell(&self, cell: &Cell) -> CellOutput {
+        let start = Instant::now();
         let key = cell.key();
-        let force_stepped = self.is_demoted(cell);
+        let force_stepped = self.demoted().contains(&cell_class(cell));
         let mut faults = Vec::new();
         let mut attempt: u32 = 0;
-        loop {
+        let mut result = loop {
             // The deadline starts *before* any injected delay: a slow
             // cell burns its own budget, exactly like a slow simulation.
             let token = self.cfg.cell_timeout.map(CancelToken::with_timeout);
             #[cfg(feature = "fault-inject")]
             self.injected_delay(&key, attempt);
+            // A panicking cell (a simulator invariant violation on some
+            // exotic input) must not take the session or the sweep down:
+            // it is reported like any other per-cell error.
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 self.injected_panic(&key, attempt);
@@ -313,31 +304,13 @@ impl WorkerCtx<'_> {
                     force_stepped,
                 )
             }));
-            match run {
-                Err(payload) => {
-                    return CellOutput {
-                        key,
-                        line: String::new(),
-                        from_cache: false,
-                        error: Some(CellError {
-                            kind: "panic",
-                            message: format!("cell panicked: {}", panic_message(payload)),
-                        }),
-                        faults,
-                    };
-                }
-                Ok(Err(message)) => {
-                    return CellOutput {
-                        key,
-                        line: String::new(),
-                        from_cache: false,
-                        error: Some(CellError {
-                            kind: "spec",
-                            message,
-                        }),
-                        faults,
-                    };
-                }
+            let error = match run {
+                Ok(Ok(Some(done))) => break Ok(done),
+                Err(payload) => (
+                    "panic",
+                    format!("cell panicked: {}", panic_message(payload)),
+                ),
+                Ok(Err(message)) => ("spec", message),
                 Ok(Ok(None)) => {
                     let budget_ms = wall_ms(self.cfg.cell_timeout.unwrap_or_default());
                     if attempt == 0 {
@@ -353,86 +326,77 @@ impl WorkerCtx<'_> {
                         attempt += 1;
                         continue;
                     }
-                    return CellOutput {
-                        key,
-                        line: String::new(),
-                        from_cache: false,
-                        error: Some(CellError {
-                            kind: "timeout",
-                            message: format!("cell exceeded the {budget_ms}ms budget twice"),
-                        }),
-                        faults,
-                    };
+                    (
+                        "timeout",
+                        format!("cell exceeded the {budget_ms}ms budget twice"),
+                    )
                 }
-                Ok(Ok(Some((line, _metrics, from_cache)))) => {
-                    let mut out = CellOutput {
-                        key,
-                        line,
-                        from_cache,
-                        error: None,
-                        faults,
-                    };
-                    if !from_cache && !force_stepped {
-                        self.self_check(cell, &mut out);
-                    }
-                    return out;
-                }
-            }
+            };
+            break Err(error);
+        };
+        if let (Ok((line, metrics, false)), false) = (&mut result, force_stepped) {
+            faults.extend(self.self_check(cell, &key, line, metrics));
+        }
+        CellOutput {
+            key,
+            result,
+            faults,
+            wall: start.elapsed(),
         }
     }
 
     /// Re-runs a sampled fresh cell on the stepped oracle loop and
     /// compares transcripts. On divergence the oracle's line wins (it is
     /// the differential-test reference), the stored cache entry is
-    /// corrected, and the cell's scheduler/mix class is demoted to the
-    /// stepped loop for the rest of the session.
-    fn self_check(&self, cell: &Cell, out: &mut CellOutput) {
-        let Some(n) = self.cfg.self_check else { return };
-        let sampled = u64::from_str_radix(&out.key, 16)
+    /// corrected, the cell's scheduler/mix class is demoted to the
+    /// stepped loop for the rest of the session, and the note to emit is
+    /// returned.
+    fn self_check(
+        &self,
+        cell: &Cell,
+        key: &str,
+        line: &mut String,
+        metrics: &mut WorkloadMetrics,
+    ) -> Option<FaultNote> {
+        let n = self.cfg.self_check?;
+        let sampled = u64::from_str_radix(key, 16)
             .map(|v| v.is_multiple_of(n))
             .unwrap_or(false);
         if !sampled {
-            return;
+            return None;
         }
-        let Ok(experiment) = cell.to_experiment() else {
-            return;
-        };
-        let experiment = experiment.fast_forward(false);
+        let experiment = cell.to_experiment().ok()?.fast_forward(false);
         let token = self.cfg.cell_timeout.map(CancelToken::with_timeout);
-        let metrics = match &token {
-            Some(t) => match experiment.run_cancellable(self.alone, t) {
-                Some(m) => m,
-                // The oracle ran out of budget: skip the check rather
-                // than stall the pipeline further.
-                None => return,
-            },
+        let oracle = match &token {
+            // An oracle that runs out of budget skips the check rather
+            // than stall the pipeline further.
+            Some(t) => experiment.run_cancellable(self.alone, t)?,
             None => experiment.run_with_cache(self.alone),
         };
-        let oracle_line = result_line(cell, &metrics);
+        let oracle_line = result_line(cell, &oracle);
         #[cfg(feature = "fault-inject")]
         let forced = self
             .cfg
             .fault_plan
             .as_ref()
-            .is_some_and(|p| p.self_check_lies(&out.key));
+            .is_some_and(|p| p.self_check_lies(key));
         #[cfg(not(feature = "fault-inject"))]
         let forced = false;
-        if oracle_line != out.line || forced {
-            let class = cell_class(cell);
-            self.demoted
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .insert(class.clone());
-            out.faults.push(FaultNote {
-                domain: "self_check",
-                kind: "divergence",
-                detail: format!("event loop diverged from stepped oracle; class {class} demoted"),
-            });
-            // The oracle is the reference: its line replaces the fast
-            // path's in the cache and on the stream.
-            self.results.store(&out.key, &oracle_line);
-            out.line = oracle_line;
+        if oracle_line == *line && !forced {
+            return None;
         }
+        let class = cell_class(cell);
+        self.demoted().insert(class.clone());
+        // The oracle is the reference: its line replaces the fast
+        // path's in the cache and on the stream.
+        self.results.store(key, &oracle_line);
+        *line = oracle_line;
+        *metrics = oracle;
+        Some(FaultNote {
+            domain: "self_check",
+            kind: "divergence",
+            detail: format!("event loop diverged from stepped oracle; class {class} demoted"),
+        })
     }
 
     #[cfg(feature = "fault-inject")]
@@ -459,6 +423,72 @@ impl WorkerCtx<'_> {
     }
 }
 
+/// The input side of a session: parses input lines into the slots of the
+/// output sequence. A spec line's cells and then its `epoch` marker are
+/// handed out before the next input line is read, so a client that waits
+/// for a line's `epoch` before sending the next never waits on a server
+/// that is waiting on it.
+struct Feed<R> {
+    lines: std::iter::Enumerate<io::Lines<R>>,
+    /// The current spec line's slots not yet handed out.
+    queued: VecDeque<Slot>,
+    /// Set at end of input, on a read failure and by `shutdown`: nothing
+    /// further is read.
+    done: bool,
+    shutdown_requested: bool,
+}
+
+impl<R: BufRead> Iterator for Feed<R> {
+    type Item = Slot;
+
+    fn next(&mut self) -> Option<Slot> {
+        loop {
+            if let Some(slot) = self.queued.pop_front() {
+                return Some(slot);
+            }
+            if self.done {
+                return None;
+            }
+            let Some((idx, Ok(raw))) = self.lines.next() else {
+                // EOF: implicit graceful shutdown.
+                self.done = true;
+                return Some(Slot::Marker(Event::Bye));
+            };
+            let line_no = idx as u64 + 1;
+            let trimmed = raw.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
+            }
+            let marker = match control_command(trimmed).as_deref() {
+                Some("shutdown") => {
+                    self.done = true;
+                    self.shutdown_requested = true;
+                    Event::Bye
+                }
+                Some("ping") => Event::Pong,
+                Some("stats") => Event::Stats,
+                Some(other) => Event::Error {
+                    line_no,
+                    message: format!("unknown command '{other}'"),
+                },
+                None => match expand_line(trimmed) {
+                    Ok(cells) => {
+                        let count = cells.len() as u64;
+                        self.queued
+                            .extend(cells.into_iter().map(|cell| Slot::Cell { line_no, cell }));
+                        Event::Epoch {
+                            line_no,
+                            cells: count,
+                        }
+                    }
+                    Err(message) => Event::Error { line_no, message },
+                },
+            };
+            self.queued.push_back(Slot::Marker(marker));
+        }
+    }
+}
+
 /// Reads the input stream to completion (or `shutdown`), streaming
 /// responses to `output`. Returns the session totals.
 ///
@@ -475,19 +505,16 @@ pub fn serve(
     results: &ResultCache,
     cfg: &ServeConfig,
 ) -> io::Result<ServeTotals> {
-    let workers = resolve_jobs(cfg.jobs);
-    let queue_cap = (workers * 4).max(16);
-    let (job_tx, job_rx) = mpsc::sync_channel::<Job>(queue_cap);
-    let job_rx = Mutex::new(job_rx);
-    let (event_tx, event_rx) = mpsc::channel::<Event>();
-    let shutdown_flag = AtomicBool::new(false);
-    // Set when the output stream fails: the reader stops consuming input
-    // and workers drain the queue without simulating, so nothing blocks.
-    let abort_flag = AtomicBool::new(false);
-    let demoted: Mutex<HashSet<String>> = Mutex::new(HashSet::new());
-
+    let runner = CellRunner::new(alone, results, cfg);
+    let mut feed = Feed {
+        lines: input.lines().enumerate(),
+        queued: VecDeque::new(),
+        done: false,
+        shutdown_requested: false,
+    };
     let mut totals = ServeTotals::default();
     let mut write_err: Option<io::Error> = None;
+    let mut line_agg = (0u64, Duration::ZERO);
     // Best-effort fault telemetry; a log that cannot be opened degrades
     // to no log rather than refusing to serve.
     let mut fault_sink: Option<JsonLinesSink<BufWriter<File>>> = cfg
@@ -496,174 +523,44 @@ pub fn serve(
         .and_then(|p| File::create(p).ok())
         .map(|f| JsonLinesSink::new(BufWriter::new(f)));
 
-    std::thread::scope(|scope| {
-        // Reader: input lines -> jobs + control events.
-        let reader_tx = event_tx.clone();
-        let shutdown = &shutdown_flag;
-        let reader_abort = &abort_flag;
-        scope.spawn(move || {
-            let mut seq = 0u64;
-            let next = |s: &mut u64| {
-                let v = *s;
-                *s += 1;
-                v
-            };
-            for (idx, read) in input.lines().enumerate() {
-                if reader_abort.load(Ordering::Relaxed) {
-                    return;
-                }
-                let line_no = idx as u64 + 1;
-                let Ok(raw) = read else { break };
-                let trimmed = raw.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
-                    continue;
-                }
-                if let Some(cmd) = control_command(trimmed) {
-                    let event = match cmd.as_str() {
-                        "shutdown" => {
-                            shutdown.store(true, Ordering::Relaxed);
-                            Event::Bye {
-                                seq: next(&mut seq),
-                            }
-                        }
-                        "ping" => Event::Pong {
-                            seq: next(&mut seq),
-                        },
-                        "stats" => Event::Stats {
-                            seq: next(&mut seq),
-                        },
-                        other => Event::Error {
-                            seq: next(&mut seq),
-                            line_no,
-                            message: format!("unknown command '{other}'"),
-                        },
-                    };
-                    let stop = matches!(event, Event::Bye { .. });
-                    if reader_tx.send(event).is_err() || stop {
-                        return;
-                    }
-                    continue;
-                }
-                match expand_line(trimmed) {
-                    Ok(cells) => {
-                        let count = cells.len() as u64;
-                        for cell in cells {
-                            let job = Job {
-                                seq: next(&mut seq),
-                                line_no,
-                                cell,
-                            };
-                            if job_tx.send(job).is_err() {
-                                return;
-                            }
-                        }
-                        let epoch = Event::Epoch {
-                            seq: next(&mut seq),
-                            line_no,
-                            cells: count,
-                        };
-                        if reader_tx.send(epoch).is_err() {
-                            return;
-                        }
-                    }
-                    Err(message) => {
-                        let event = Event::Error {
-                            seq: next(&mut seq),
-                            line_no,
-                            message,
-                        };
-                        if reader_tx.send(event).is_err() {
-                            return;
-                        }
-                    }
-                }
+    run_ordered(
+        &mut feed,
+        cfg.jobs,
+        |slot| match slot {
+            Slot::Cell { line_no, cell } => Event::Cell {
+                line_no,
+                out: runner.execute_cell(&cell),
+            },
+            Slot::Marker(event) => event,
+        },
+        // A failed write stops the feed and the *writes*, not the
+        // accounting: events already in flight still drain into totals, so
+        // a disconnected client's `bye`-style bookkeeping stays exact.
+        |event| {
+            let rendered = render(event, &mut totals, &mut line_agg, &mut fault_sink);
+            if totals.disconnected || write_err.is_some() {
+                return ControlFlow::Break(());
             }
-            // EOF: implicit graceful shutdown.
-            let _ = reader_tx.send(Event::Bye {
-                seq: next(&mut seq),
-            });
-        });
-
-        // Workers: jobs -> cell completions.
-        for _ in 0..workers {
-            let worker_tx = event_tx.clone();
-            let job_rx = &job_rx;
-            let worker_abort = &abort_flag;
-            let ctx = WorkerCtx {
-                alone,
-                results,
-                cfg,
-                demoted: &demoted,
-            };
-            scope.spawn(move || loop {
-                let job = {
-                    let rx = job_rx.lock().unwrap_or_else(PoisonError::into_inner);
-                    rx.recv()
+            for out_line in rendered {
+                let Err(e) = writeln!(output, "{out_line}").and_then(|()| output.flush()) else {
+                    continue;
                 };
-                let Ok(job) = job else { break };
-                if worker_abort.load(Ordering::Relaxed) {
-                    // Output already failed: drain without simulating so
-                    // the reader's bounded send never wedges.
-                    continue;
+                if is_disconnect(&e) {
+                    totals.disconnected = true;
+                    record_fault(&mut fault_sink, "client", "disconnect", "", &e.to_string());
+                } else {
+                    write_err = Some(e);
                 }
-                let start = Instant::now();
-                let out = ctx.execute_cell(&job.cell);
-                let event = Event::Cell {
-                    seq: job.seq,
-                    line_no: job.line_no,
-                    out,
-                    wall: start.elapsed(),
-                };
-                if worker_tx.send(event).is_err() {
-                    // Emitter gone: keep draining rather than exiting so
-                    // the job queue keeps moving.
-                    continue;
-                }
-            });
-        }
-        drop(event_tx);
-
-        // Emitter: reorder by sequence number, write in input order. A
-        // disconnected client stops the *writes*, not the accounting:
-        // events keep draining into totals so `bye`-style bookkeeping
-        // stays exact.
-        let mut pending: BTreeMap<u64, Event> = BTreeMap::new();
-        let mut line_agg: HashMap<u64, (u64, Duration)> = HashMap::new();
-        let mut next_seq = 0u64;
-        'drain: for event in event_rx {
-            pending.insert(event.seq(), event);
-            while let Some(event) = pending.remove(&next_seq) {
-                next_seq += 1;
-                let rendered = render(event, &mut totals, &mut line_agg, &mut fault_sink);
-                if totals.disconnected {
-                    continue;
-                }
-                for out_line in rendered {
-                    if let Err(e) = writeln!(output, "{out_line}").and_then(|()| output.flush()) {
-                        abort_flag.store(true, Ordering::Relaxed);
-                        if is_disconnect(&e) {
-                            totals.disconnected = true;
-                            record_fault(
-                                &mut fault_sink,
-                                "client",
-                                "disconnect",
-                                "",
-                                &e.to_string(),
-                            );
-                            break;
-                        }
-                        write_err = Some(e);
-                        break 'drain;
-                    }
-                }
+                return ControlFlow::Break(());
             }
-        }
-    });
+            ControlFlow::Continue(())
+        },
+    );
 
     if let Some(sink) = &mut fault_sink {
         let _ = sink.flush();
     }
-    totals.shutdown_requested = shutdown_flag.load(Ordering::Relaxed);
+    totals.shutdown_requested = feed.shutdown_requested;
     match write_err {
         Some(e) => Err(e),
         None => Ok(totals),
@@ -696,22 +593,22 @@ fn record_fault(
 }
 
 /// Renders one in-order event to zero or more output lines, updating
-/// running totals and per-line aggregates.
+/// running totals and `line_agg`, the cache hits and wall time of the
+/// current line's cells (events arrive in input order, so a line's cells
+/// are exactly those since the previous `epoch`).
 fn render(
     event: Event,
     totals: &mut ServeTotals,
-    line_agg: &mut HashMap<u64, (u64, Duration)>,
+    line_agg: &mut (u64, Duration),
     fault_sink: &mut Option<JsonLinesSink<BufWriter<File>>>,
 ) -> Vec<String> {
     match event {
-        Event::Cell {
-            line_no, out, wall, ..
-        } => {
+        Event::Cell { line_no, out } => {
+            let from_cache = matches!(out.result, Ok((_, _, true)));
             totals.cells += 1;
-            totals.cache_hits += u64::from(out.from_cache);
-            let agg = line_agg.entry(line_no).or_default();
-            agg.0 += u64::from(out.from_cache);
-            agg.1 += wall;
+            totals.cache_hits += u64::from(from_cache);
+            line_agg.0 += u64::from(from_cache);
+            line_agg.1 += out.wall;
             let mut lines = Vec::with_capacity(1 + out.faults.len());
             // Fault lines first (a retry precedes the answer it enabled;
             // a divergence note precedes the corrected line it explains).
@@ -726,29 +623,27 @@ fn render(
                     escape(&note.detail)
                 ));
             }
-            match out.error {
-                Some(err) => {
+            match out.result {
+                Err((kind, message)) => {
                     totals.errors += 1;
-                    match err.kind {
+                    match kind {
                         "timeout" => totals.timeouts += 1,
                         "panic" => totals.panics += 1,
                         _ => {}
                     }
-                    record_fault(fault_sink, "worker", err.kind, &out.key, &err.message);
+                    record_fault(fault_sink, "worker", kind, &out.key, &message);
                     lines.push(format!(
                         "{{\"type\":\"error\",\"line\":{line_no},\"kind\":\"{}\",\"cell\":\"{}\",\"error\":\"{}\"}}",
-                        err.kind,
+                        kind,
                         out.key,
-                        escape(&err.message)
+                        escape(&message)
                     ));
                 }
-                None => lines.push(out.line),
+                Ok((line, ..)) => lines.push(line),
             }
             lines
         }
-        Event::Error {
-            line_no, message, ..
-        } => {
+        Event::Error { line_no, message } => {
             totals.lines += 1;
             totals.errors += 1;
             vec![format!(
@@ -756,19 +651,19 @@ fn render(
                 escape(&message)
             )]
         }
-        Event::Epoch { line_no, cells, .. } => {
+        Event::Epoch { line_no, cells } => {
             totals.lines += 1;
-            let (hits, wall) = line_agg.remove(&line_no).unwrap_or_default();
+            let (hits, wall) = std::mem::take(line_agg);
             vec![format!(
                 "{{\"type\":\"epoch\",\"line\":{line_no},\"cells\":{cells},\"cache_hits\":{hits},\"wall_ms\":{}}}",
                 wall_ms(wall)
             )]
         }
-        Event::Pong { .. } => vec!["{\"type\":\"pong\"}".to_string()],
-        Event::Stats { .. } => {
+        Event::Pong => vec!["{\"type\":\"pong\"}".to_string()],
+        Event::Stats => {
             vec![format!("{{\"type\":\"stats\",{}}}", totals_fields(totals))]
         }
-        Event::Bye { .. } => vec![format!("{{\"type\":\"bye\",{}}}", totals_fields(totals))],
+        Event::Bye => vec![format!("{{\"type\":\"bye\",{}}}", totals_fields(totals))],
     }
 }
 

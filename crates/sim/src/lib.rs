@@ -40,7 +40,7 @@ pub use experiment::{
     run_alone, run_alone_with, AloneCache, Experiment, TracedRun, DEFAULT_INSTRUCTIONS,
 };
 pub use metrics::{gmean, unfairness_from_slowdowns, ThreadMetrics, WorkloadMetrics};
-pub use runner::run_all_jobs;
+pub use runner::run_ordered;
 pub use scheduler_kind::SchedulerKind;
 pub use stfm_mc::RowPolicy;
 pub use system::{RunOutcome, System};

@@ -52,13 +52,10 @@ pub const DETERMINISTIC_CORE: [&str; 6] = [
 pub const WALL_CLOCK_CORE_ALLOW: [&str; 1] = ["crates/sim/src/cancel.rs"];
 
 /// Edge layers where `Instant` latency measurement is legitimate but
-/// `SystemTime` (calendar time) must still flow through one audited
-/// helper so timestamps cannot silently leak into cached results.
+/// `SystemTime` (calendar time) is banned outright, so timestamps cannot
+/// silently leak into cached results or output artifacts.
 pub const WALL_CLOCK_EDGE: [&str; 3] =
     ["crates/bench/src/", "crates/cli/src/", "crates/serve/src/"];
-
-/// The single place the edge layers may call `SystemTime::now`.
-pub const WALL_CLOCK_EDGE_ALLOW: [&str; 1] = ["crates/bench/src/wallclock.rs"];
 
 /// Crates whose `src/` trees run under `catch_unwind` isolation (the
 /// serve degradation ladder) — a poisoned lock or a sliced-index panic

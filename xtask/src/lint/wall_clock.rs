@@ -10,16 +10,12 @@
 //!   or a replay-divergence bug. `sim/src/cancel.rs` is the one
 //!   allowed file — deadline cancellation is its purpose and its
 //!   clock never feeds simulation state.
-//! * **Edge layers** (`WALL_CLOCK_EDGE` minus `WALL_CLOCK_EDGE_ALLOW`):
-//!   `Instant` (monotonic latency measurement) is legitimate, but
-//!   calendar time (`SystemTime`) must flow through
-//!   `stfm_bench::wallclock` so there is exactly one audited site
-//!   where timestamps enter output artifacts.
+//! * **Edge layers** (`WALL_CLOCK_EDGE`, no exception): `Instant`
+//!   (monotonic latency measurement) is legitimate, but calendar time
+//!   (`SystemTime`) is not, so no timestamp can enter an output
+//!   artifact.
 
-use super::{
-    FileCtx, Finding, Rule, DETERMINISTIC_CORE, WALL_CLOCK_CORE_ALLOW, WALL_CLOCK_EDGE,
-    WALL_CLOCK_EDGE_ALLOW,
-};
+use super::{FileCtx, Finding, Rule, DETERMINISTIC_CORE, WALL_CLOCK_CORE_ALLOW, WALL_CLOCK_EDGE};
 
 /// See the module docs.
 pub struct WallClock;
@@ -36,8 +32,7 @@ impl Rule for WallClock {
     fn check(&self, ctx: &FileCtx<'_>, out: &mut Vec<Finding>) {
         let core = super::in_scope(ctx.rel, &DETERMINISTIC_CORE)
             && !super::in_scope(ctx.rel, &WALL_CLOCK_CORE_ALLOW);
-        let edge = super::in_scope(ctx.rel, &WALL_CLOCK_EDGE)
-            && !super::in_scope(ctx.rel, &WALL_CLOCK_EDGE_ALLOW);
+        let edge = super::in_scope(ctx.rel, &WALL_CLOCK_EDGE);
         if !core && !edge {
             return;
         }
@@ -53,7 +48,7 @@ impl Rule for WallClock {
                 let why = if core {
                     "deterministic core must not read the wall clock"
                 } else {
-                    "calendar time must go through stfm_bench::wallclock"
+                    "edge layers must not read calendar time"
                 };
                 report(t.line, format!("`SystemTime` use; {why}"), out);
             }

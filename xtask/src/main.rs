@@ -20,8 +20,7 @@
 //!    deterministic-core crates (bit-identical replay is the
 //!    simulator's load-bearing property).
 //! 7. `wall-clock` — no `Instant`/`SystemTime`/`std::time` in the
-//!    deterministic core; `SystemTime` in the edge layers only via
-//!    `stfm_bench::wallclock`.
+//!    deterministic core; no `SystemTime` in the edge layers.
 //! 8. `lock-unwrap` — no `lock().unwrap()` poisoning hazards in the
 //!    `catch_unwind`-isolated serve/sim paths.
 //! 9. `index-arith` — no arithmetic inside `[…]` slice indexing in the
@@ -403,11 +402,7 @@ mod tests {
         );
         // Edge layers: Instant fine, SystemTime flagged.
         assert_eq!(count_rule("crates/serve/src/bad.rs", &src, "wall-clock"), 1);
-        // The bench wallclock helper is the vetted edge exception.
-        assert_eq!(
-            count_rule("crates/bench/src/wallclock.rs", &src, "wall-clock"),
-            0
-        );
+        assert_eq!(count_rule("crates/bench/src/bad.rs", &src, "wall-clock"), 1);
         // Outside every scope nothing fires.
         assert_eq!(count_rule("tools/src/bad.rs", &src, "wall-clock"), 0);
     }
