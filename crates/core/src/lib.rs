@@ -23,6 +23,10 @@
 //! * [`stfm::Stfm`] — the scheduling policy with the three
 //!   `T_interference` update rules of Section 3.2.2, thread weights and the
 //!   `α` interface of Section 3.3, and the interval reset of Section 5.1.
+//!   There is one estimator: the rules' constants are calibrated for this
+//!   simulator and fixed (DESIGN.md §2.4), and [`stfm::StfmConfig`] holds
+//!   only the paper's own parameters — `α`, the interval length, `γ`, and
+//!   whether the parallelism registers are used.
 //!
 //! # Example
 //!
@@ -46,6 +50,4 @@ pub mod stfm;
 
 pub use fixed::Fx8;
 pub use registers::{state_bits, weighted_slowdown, RegisterFile, ThreadRegs};
-pub use stfm::{
-    DampingKey, EstimatorKind, Stfm, StfmConfig, DEFAULT_ALPHA, DEFAULT_INTERVAL_LENGTH,
-};
+pub use stfm::{Stfm, StfmConfig, DEFAULT_ALPHA, DEFAULT_INTERVAL_LENGTH};

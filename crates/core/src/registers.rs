@@ -29,19 +29,15 @@ pub struct ThreadRegs {
     /// incrementally from request-lifecycle events and republished each
     /// DRAM cycle the scheduler actually runs).
     pub bank_waiting_parallelism: u32,
-    /// Waiting (read) requests of this thread across all banks — a proxy
-    /// for how much delay its instruction window can absorb.
-    pub waiting_requests: u32,
-    /// Age (CPU cycles) of the thread's oldest waiting request.
-    pub oldest_wait_cpu: u64,
     /// Banks currently servicing this thread's requests.
     pub bank_access_parallelism: u32,
     /// EMA of the thread's stall fraction `ΔTshared / Δt`. Starts at 1
     /// (assume fully stalled until measured).
     pub stall_rate: Fx8,
-    /// Cross-thread interference charged but not yet applied: the paced
-    /// estimator drains this into `tinterference` at the thread's stall
-    /// rate, so attributed interference can never outrun wall-clock stall.
+    /// Cross-thread interference charged but not yet applied: each DRAM
+    /// cycle the thread has a read waiting, at most one DRAM cycle of it
+    /// moves into `tinterference`, so attributed interference can never
+    /// outrun wall-clock stall.
     pub pending_interference: i64,
     /// Wall-clock CPU cycle of the last stall-rate sample.
     pub last_sample_cpu: CpuCycle,
@@ -58,8 +54,6 @@ impl Default for ThreadRegs {
             slowdown: Fx8::ONE,
             weighted_slowdown: Fx8::ONE,
             bank_waiting_parallelism: 0,
-            waiting_requests: 0,
-            oldest_wait_cpu: 0,
             bank_access_parallelism: 0,
             stall_rate: Fx8::ONE,
             pending_interference: 0,
@@ -105,8 +99,8 @@ impl ThreadRegs {
         self.slowdown
     }
 
-    /// Resets the interval-relative state (interval expiry or context
-    /// switch), keeping the core's cumulative counter as the new baseline.
+    /// Resets the interval-relative state at interval expiry, keeping the
+    /// core's cumulative counter as the new baseline.
     pub fn reset_interval(&mut self) {
         self.tshared_base = self.core_tshared;
         self.tinterference = 0;
@@ -153,11 +147,6 @@ impl LastRowTable {
         self.rows.get(Self::index(key)).and_then(|o| o.as_ref())
     }
 
-    /// True if a row is recorded for `key`.
-    pub fn contains_key(&self, key: &(ThreadId, u32, u32)) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Records `row` for `key`, growing the table on first touch.
     pub fn insert(&mut self, key: (ThreadId, u32, u32), row: u32) {
         let i = Self::index(&key);
@@ -174,17 +163,6 @@ impl LastRowTable {
     pub fn clear(&mut self) {
         self.rows.fill(None);
         self.len = 0;
-    }
-
-    /// Forgets `thread`'s recorded rows (context switch).
-    pub fn clear_thread(&mut self, thread: ThreadId) {
-        let start = thread.0 as usize * LR_SLOTS;
-        let end = (start + LR_SLOTS).min(self.rows.len());
-        for slot in self.rows.get_mut(start..end).unwrap_or_default() {
-            if slot.take().is_some() {
-                self.len -= 1;
-            }
-        }
     }
 
     /// True if no rows are recorded.
@@ -245,14 +223,6 @@ impl RegisterFile {
             r.reset_interval();
         }
         self.last_row.clear();
-    }
-
-    /// Context switch on one thread.
-    pub fn reset_thread(&mut self, thread: ThreadId) {
-        if let Some(Some(r)) = self.threads.get_mut(thread.0 as usize) {
-            r.reset_interval();
-        }
-        self.last_row.clear_thread(thread);
     }
 }
 
@@ -347,13 +317,8 @@ mod tests {
         rf.last_row.insert((ThreadId(0), 0, 0), 7);
         rf.last_row.insert((ThreadId(1), 0, 0), 9);
 
-        rf.reset_thread(ThreadId(0));
-        assert_eq!(rf.thread(ThreadId(0)).unwrap().tshared(), 0);
-        assert_eq!(rf.thread(ThreadId(1)).unwrap().tshared(), 200);
-        assert!(!rf.last_row.contains_key(&(ThreadId(0), 0, 0)));
-        assert!(rf.last_row.contains_key(&(ThreadId(1), 0, 0)));
-
         rf.reset_all_intervals();
+        assert_eq!(rf.thread(ThreadId(0)).unwrap().tshared(), 0);
         assert_eq!(rf.thread(ThreadId(1)).unwrap().tshared(), 0);
         assert!(rf.last_row.is_empty());
     }

@@ -6,7 +6,7 @@ use crate::config::DramConfig;
 use crate::refresh::RefreshState;
 use crate::timing::TimingParams;
 use crate::DramCycle;
-#[cfg(feature = "debug-audit")]
+#[cfg(debug_assertions)]
 use crate::TimingChecker;
 use stfm_telemetry::{CmdKind, Event, Sink};
 
@@ -52,11 +52,11 @@ pub struct Channel {
     recent_activates: [DramCycle; FAW_WINDOW],
     refresh: RefreshState,
     /// Self-audit: an independent checker fed every issued command, so
-    /// debug simulations validate their own command streams. `None` in
-    /// release builds (no `debug_assertions`), where the audit would
-    /// only cost time.
-    #[cfg(feature = "debug-audit")]
-    audit: Option<TimingChecker>,
+    /// simulations built with debug assertions validate their own
+    /// command streams. Absent from plain release builds, where the
+    /// audit would only cost time.
+    #[cfg(debug_assertions)]
+    audit: TimingChecker,
     /// Commands issued, by rough class, for statistics.
     stats: ChannelStats,
 }
@@ -89,21 +89,19 @@ impl Channel {
             next_activate_any: DramCycle::ZERO,
             recent_activates: [DramCycle::ZERO; FAW_WINDOW],
             refresh: RefreshState::new(config.refresh_enabled, config.timing.t_refi),
-            #[cfg(feature = "debug-audit")]
-            audit: cfg!(debug_assertions).then(|| TimingChecker::new(config.banks, config.timing)),
+            #[cfg(debug_assertions)]
+            audit: TimingChecker::new(config.banks, config.timing),
             stats: ChannelStats::default(),
         }
     }
 
-    /// Feeds the embedded self-audit checker (debug builds with the
-    /// `debug-audit` feature) and panics on the first timing violation.
-    #[cfg(feature = "debug-audit")]
+    /// Feeds the embedded self-audit checker and panics on the first
+    /// timing violation.
+    #[cfg(debug_assertions)]
     fn audit_with(&mut self, f: impl FnOnce(&mut TimingChecker)) {
-        if let Some(chk) = self.audit.as_mut() {
-            f(chk);
-            if let Some(v) = chk.violations().first() {
-                panic!("debug-audit: {v}");
-            }
+        f(&mut self.audit);
+        if let Some(v) = self.audit.violations().first() {
+            panic!("timing self-audit: {v}");
         }
     }
 
@@ -154,7 +152,7 @@ impl Channel {
             self.cmd_bus_free = self.cmd_bus_free.max(reopen);
             self.data_bus_free = self.data_bus_free.max(reopen);
             self.stats.refreshes += 1;
-            #[cfg(feature = "debug-audit")]
+            #[cfg(debug_assertions)]
             self.audit_with(|chk| chk.observe_refresh(now, reopen));
             return Some((now, reopen));
         }
@@ -318,7 +316,7 @@ impl Channel {
             }
             CommandKind::Refresh => self.stats.refreshes += 1,
         }
-        #[cfg(feature = "debug-audit")]
+        #[cfg(debug_assertions)]
         self.audit_with(|chk| chk.observe(cmd, now));
         self.banks[cmd.bank.0 as usize].issue(cmd, now, &t)
     }
@@ -365,7 +363,7 @@ impl Channel {
             _ => unreachable!("checked above"),
         }
         self.stats.precharges += 1;
-        #[cfg(feature = "debug-audit")]
+        #[cfg(debug_assertions)]
         self.audit_with(|chk| chk.observe_auto_precharge(cmd, now));
         self.banks[cmd.bank.0 as usize].issue_auto_precharge(cmd, now, &t)
     }

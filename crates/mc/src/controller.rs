@@ -100,14 +100,11 @@ pub struct SchedCounters {
 /// enqueues, command issues, refreshes, and buffer compaction all
 /// invalidate — and (b) the policy's [`SchedulerPolicy::decision_epoch`]
 /// and the channel's eligible access kind are unchanged (checked via
-/// `cache_key`), and (c) the current cycle is before the entry's
-/// `valid_until` (the policy-declared [`SchedulerPolicy::rank_expiry`]:
-/// the first cycle an age-triggered rank flip could occur in this bank
-/// with no state transition). Readiness is never cached: the stored
-/// top/slip are re-checked against DRAM timing at the current cycle,
-/// and all row-hits of a bank share one command shape (as do all
-/// row-misses), so the stored best-row-hit fallback has the same
-/// issuability as every other row-hit candidate.
+/// `cache_key`). Readiness is never cached: the stored top/slip are
+/// re-checked against DRAM timing at the current cycle, and all row-hits
+/// of a bank share one command shape (as do all row-misses), so the
+/// stored best-row-hit fallback has the same issuability as every other
+/// row-hit candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BankCache {
     /// No cached selection; the next scheduling pass rebuilds it.
@@ -122,10 +119,6 @@ enum BankCache {
         /// Best-ranked row-hit other than `top` (the "slip" candidate
         /// driven while `top`'s command is not ready), if any.
         slip: Option<(usize, Rank, RequestId)>,
-        /// First DRAM cycle the cached ranks may silently change
-        /// ([`SchedulerPolicy::rank_expiry`] at fill time); `None`
-        /// means the ranks cannot expire on their own.
-        valid_until: Option<DramCycle>,
     },
 }
 
@@ -533,11 +526,6 @@ impl MemorySystem {
         self.sink = sink;
     }
 
-    /// The attached telemetry sink.
-    pub fn sink_mut(&mut self) -> &mut dyn Sink {
-        &mut *self.sink
-    }
-
     /// Detaches and returns the telemetry sink (a [`NullSink`] takes its
     /// place), so callers can downcast and extract recorded data.
     pub fn take_sink(&mut self) -> Box<dyn Sink> {
@@ -629,13 +617,6 @@ impl MemorySystem {
         &*self.policy
     }
 
-    /// Mutable access to the policy (for runtime knobs such as STFM's
-    /// `α`-register writes or thread-weight updates).
-    #[inline]
-    pub fn policy_mut(&mut self) -> &mut dyn SchedulerPolicy {
-        &mut *self.policy
-    }
-
     /// Accumulated statistics.
     #[inline]
     pub fn stats(&self) -> &SystemStats {
@@ -655,16 +636,7 @@ impl MemorySystem {
         self.stats.reset_max_read_latency(thread);
     }
 
-    /// True if a `kind` request for `addr` can be accepted right now.
-    pub fn can_accept(&self, addr: PhysAddr, kind: AccessKind) -> bool {
-        let loc = self
-            .mapping
-            .decode(addr.line_aligned(self.config.line_bytes));
-        self.can_accept_at(loc.channel, kind)
-    }
-
-    /// [`MemorySystem::can_accept`] for an already-decoded channel, so the
-    /// enqueue path decodes each address exactly once.
+    /// True if a `kind` request to `channel` can be accepted right now.
     fn can_accept_at(&self, channel: ChannelId, kind: AccessKind) -> bool {
         let ctrl = &self.channels[channel.0 as usize];
         let cap = match kind {
@@ -767,7 +739,7 @@ impl MemorySystem {
         if req.kind != ctrl.eligible_kind() {
             return; // not electable now; its edge appears when it is
         }
-        let cmd = Self::next_command(&ctrl.channel, req);
+        let cmd = req.next_command(&ctrl.channel);
         if let Some(at) = ctrl.channel.earliest_issue(&cmd, self.now) {
             let at = at.max(self.now);
             self.chan_next[chan] = Some(match self.chan_next[chan] {
@@ -1061,7 +1033,7 @@ impl MemorySystem {
         if self.sink.is_enabled() {
             consider(self.next_sample);
         }
-        if let Some(h) = self.policy.next_event_hint(now) {
+        if let Some(h) = self.policy.next_event_hint() {
             consider(h);
         }
         next
@@ -1103,7 +1075,7 @@ impl MemorySystem {
             }
             let (hit, miss) = reps(ctrl, b, eligible_kind);
             for idx in [hit, miss].into_iter().flatten() {
-                let cmd = Self::next_command(&ctrl.channel, &ctrl.requests[idx]);
+                let cmd = ctrl.requests[idx].next_command(&ctrl.channel);
                 if let Some(at) = ctrl.channel.earliest_issue(&cmd, now) {
                     put(at);
                 }
@@ -1165,7 +1137,7 @@ impl MemorySystem {
         // until that bank — or the epoch / eligible kind — changes. Only
         // the *selection* is carried; issuability is re-evaluated at `now`
         // every cycle, so DRAM timing is never cached.
-        let carry_key = policy.decision_epoch(now).map(|e| (e, eligible_kind));
+        let carry_key = policy.decision_epoch().map(|e| (e, eligible_kind));
         if carry_key != ctrl.cache_key {
             ctrl.invalidate_bank_cache();
             ctrl.cache_key = carry_key;
@@ -1200,11 +1172,7 @@ impl MemorySystem {
                                 .all(|&i| ctrl.requests[i].kind != eligible_kind));
                             None
                         }
-                        BankCache::Top {
-                            top,
-                            slip,
-                            valid_until,
-                        } if valid_until.is_none_or(|d| now < d) => {
+                        BankCache::Top { top, slip } => {
                             rank_carried += 1;
                             let c = Self::cached_candidate(
                                 &ctrl.requests,
@@ -1229,10 +1197,7 @@ impl MemorySystem {
                             );
                             c
                         }
-                        // Invalid, or a `Top` whose expiry has passed: a
-                        // rank may have flipped with no state transition,
-                        // so rebuild the entry from a fresh pass.
-                        BankCache::Invalid | BankCache::Top { .. } => {
+                        BankCache::Invalid => {
                             rank_scans += 1;
                             let (c, entry) = Self::fill_bank_cache(
                                 &ctrl.requests,
@@ -1265,10 +1230,8 @@ impl MemorySystem {
                         });
                     let ready = |i: Option<usize>| {
                         i.is_some_and(|i| {
-                            ctrl.channel.can_issue(
-                                &Self::next_command(&ctrl.channel, &ctrl.requests[i]),
-                                now,
-                            )
+                            ctrl.channel
+                                .can_issue(&ctrl.requests[i].next_command(&ctrl.channel), now)
                         })
                     };
                     if !ready(hit_rep) && !ready(miss_rep) {
@@ -1403,7 +1366,7 @@ impl MemorySystem {
             .iter()
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
             .copied()?;
-        let top_cmd = Self::next_command(channel, &requests[top_idx]);
+        let top_cmd = requests[top_idx].next_command(channel);
         if channel.can_issue(&top_cmd, now) {
             return Some((top_idx, top_cmd, top_rank, requests[top_idx].id));
         }
@@ -1412,7 +1375,7 @@ impl MemorySystem {
             .filter(|(i, _)| *i != top_idx && q.is_row_hit(&requests[*i]))
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
             .and_then(|&(i, rank)| {
-                let cmd = Self::next_command(channel, &requests[i]);
+                let cmd = requests[i].next_command(channel);
                 channel
                     .can_issue(&cmd, now)
                     .then_some((i, cmd, rank, requests[i].id))
@@ -1454,15 +1417,7 @@ impl MemorySystem {
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
             .map(|&(i, rank)| (i, rank, requests[i].id));
         let candidate = Self::cached_candidate(requests, channel, now, top, slip);
-        let valid_until = policy.rank_expiry(q, bank_list);
-        (
-            candidate,
-            BankCache::Top {
-                top,
-                slip,
-                valid_until,
-            },
-        )
+        (candidate, BankCache::Top { top, slip })
     }
 
     /// Evaluates a cached bank selection at `now`: the cached top if its
@@ -1479,12 +1434,12 @@ impl MemorySystem {
         slip: Option<(usize, Rank, RequestId)>,
     ) -> Option<(usize, DramCommand, Rank, RequestId)> {
         let (top_idx, top_rank, top_id) = top;
-        let top_cmd = Self::next_command(channel, &requests[top_idx]);
+        let top_cmd = requests[top_idx].next_command(channel);
         if channel.can_issue(&top_cmd, now) {
             return Some((top_idx, top_cmd, top_rank, top_id));
         }
         let (slip_idx, slip_rank, slip_id) = slip?;
-        let cmd = Self::next_command(channel, &requests[slip_idx]);
+        let cmd = requests[slip_idx].next_command(channel);
         channel
             .can_issue(&cmd, now)
             .then_some((slip_idx, cmd, slip_rank, slip_id))
@@ -1492,7 +1447,7 @@ impl MemorySystem {
 
     /// The first `eligible`-kind row-hit and row-miss requests of one
     /// bank's waiting list. DRAM timing depends only on the command kind
-    /// (the row value merely gates validity), and [`Self::next_command`]
+    /// (the row value merely gates validity), and [`Request::next_command`]
     /// maps every row-hit to the same column-access shape and every
     /// row-miss to the same precharge/activate shape — so these two
     /// representatives carry the exact issuability and earliest-issue
@@ -1532,19 +1487,6 @@ impl MemorySystem {
             }
         }
         (hit, miss)
-    }
-
-    /// Derives a request's next DRAM command from current bank state.
-    fn next_command(channel: &Channel, req: &Request) -> DramCommand {
-        let bank = req.loc.bank;
-        match channel.bank(bank).open_row() {
-            Some(open) if open == req.loc.row => match req.kind {
-                AccessKind::Read => DramCommand::read(bank, req.loc.row, req.loc.col),
-                AccessKind::Write => DramCommand::write(bank, req.loc.row, req.loc.col),
-            },
-            Some(_) => DramCommand::precharge(bank),
-            None => DramCommand::activate(bank, req.loc.row),
-        }
     }
 
     /// Marks finished requests completed and removes them from the buffer.

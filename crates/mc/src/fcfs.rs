@@ -7,7 +7,6 @@
 
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy};
 use crate::request::Request;
-use stfm_dram::DramCycle;
 
 /// The FCFS scheduling policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -29,7 +28,7 @@ impl SchedulerPolicy for Fcfs {
         Rank([Rank::older_first(req.id), 0, 0])
     }
 
-    fn decision_epoch(&self, _now: DramCycle) -> Option<u64> {
+    fn decision_epoch(&self) -> Option<u64> {
         // Request ids fully determine the rank: always carriable.
         Some(0)
     }

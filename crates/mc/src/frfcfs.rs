@@ -7,7 +7,6 @@
 
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy};
 use crate::request::Request;
-use stfm_dram::DramCycle;
 
 /// The FR-FCFS scheduling policy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -37,7 +36,7 @@ impl SchedulerPolicy for FrFcfs {
         Self::base_rank(req, q)
     }
 
-    fn decision_epoch(&self, _now: DramCycle) -> Option<u64> {
+    fn decision_epoch(&self) -> Option<u64> {
         // Ranks depend only on the request and bank state, never on
         // internal policy state: decisions carry across any span.
         Some(0)

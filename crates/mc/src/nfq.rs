@@ -185,13 +185,6 @@ impl SchedulerPolicy for Nfq {
         }
         slots[slot] += latency * scale.max(1);
     }
-
-    fn on_thread_reset(&mut self, thread: ThreadId) {
-        if let Some(slots) = self.vft.get_mut(thread.0 as usize) {
-            slots.clear();
-        }
-        self.active.remove(&thread);
-    }
 }
 
 #[cfg(test)]
@@ -317,15 +310,5 @@ mod tests {
         let requests = [busy.clone(), woke.clone()];
         let q = harness::query(&channel, &requests);
         assert!(p.rank(&woke, &q) > p.rank(&busy, &q));
-    }
-
-    #[test]
-    fn reset_clears_thread_state() {
-        let mut p = nfq();
-        p.on_enqueue(&req_to(0, ThreadId(0), 1, 0, 0), 0);
-        complete(&mut p, req_to(0, ThreadId(0), 1, 0, 1), AccessCategory::Hit);
-        assert!(p.virtual_finish_time(ThreadId(0), ChannelId(0), 0) > 0);
-        p.on_thread_reset(ThreadId(0));
-        assert_eq!(p.virtual_finish_time(ThreadId(0), ChannelId(0), 0), 0);
     }
 }

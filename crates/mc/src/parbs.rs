@@ -137,10 +137,6 @@ impl SchedulerPolicy for ParBs {
             self.form_batch(sys);
         }
     }
-
-    fn on_thread_reset(&mut self, thread: ThreadId) {
-        self.thread_rank.remove(&thread);
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! request. Policies therefore only rank requests; all timing legality is
 //! the controller's and the device model's problem.
 
-use crate::request::{AccessKind, Request};
+use crate::request::Request;
 use stfm_dram::{Channel, ChannelId, DramCommand, DramCycle};
 use stfm_telemetry::{Event, Sink};
 
@@ -73,26 +73,13 @@ impl SchedQuery<'_> {
         self.channel.bank(req.loc.bank).open_row() == Some(req.loc.row)
     }
 
-    /// The DRAM command `req` needs next, given current bank state.
-    pub fn next_command(&self, req: &Request) -> DramCommand {
-        let bank = req.loc.bank;
-        match self.channel.bank(bank).open_row() {
-            Some(open) if open == req.loc.row => match req.kind {
-                AccessKind::Read => DramCommand::read(bank, req.loc.row, req.loc.col),
-                AccessKind::Write => DramCommand::write(bank, req.loc.row, req.loc.col),
-            },
-            Some(_) => DramCommand::precharge(bank),
-            None => DramCommand::activate(bank, req.loc.row),
-        }
-    }
-
     /// True if `req`'s next command satisfies its *bank-local* timing
     /// constraints at `now` — the paper's "ready" notion (footnote 4),
     /// ignoring shared-bus availability. A request blocked by its own
     /// bank's timing shadow is not ready and would have waited even with
     /// the thread running alone.
     pub fn is_bank_ready(&self, req: &Request) -> bool {
-        let cmd = self.next_command(req);
+        let cmd = req.next_command(self.channel);
         self.channel.bank(req.loc.bank).can_issue(&cmd, self.now)
     }
 }
@@ -154,8 +141,8 @@ impl<'a> Iterator for WaitingInBank<'a> {
 /// `BankWaitingParallelism` recomputation.
 ///
 /// The view is backed either by the controller's channel array directly
-/// (the hot path — no per-cycle allocation) or by a caller-provided slice
-/// of [`SchedQuery`]s (tests and harnesses). Iterate with
+/// (the hot path — no per-cycle allocation) or by one caller-provided
+/// [`SchedQuery`] (policy unit tests). Iterate with
 /// [`SystemView::channels`]; queries are `Copy` and constructed on demand.
 pub struct SystemView<'a> {
     /// Current DRAM cycle.
@@ -166,8 +153,6 @@ pub struct SystemView<'a> {
 enum ViewBacking<'a> {
     /// A single channel, stored inline (test convenience).
     One(SchedQuery<'a>),
-    /// Caller-provided queries, one per channel.
-    Queries(&'a [SchedQuery<'a>]),
     /// The controller's channel array, viewed without allocating.
     Ctrls(&'a [crate::controller::ChannelCtrl]),
 }
@@ -178,15 +163,6 @@ impl<'a> SystemView<'a> {
         SystemView {
             now: q.now,
             backing: ViewBacking::One(q),
-        }
-    }
-
-    /// A view over caller-assembled per-channel queries. `queries[i]` must
-    /// describe channel `i`.
-    pub fn from_queries(now: DramCycle, queries: &'a [SchedQuery<'a>]) -> Self {
-        SystemView {
-            now,
-            backing: ViewBacking::Queries(queries),
         }
     }
 
@@ -201,7 +177,6 @@ impl<'a> SystemView<'a> {
     pub fn num_channels(&self) -> usize {
         match &self.backing {
             ViewBacking::One(_) => 1,
-            ViewBacking::Queries(qs) => qs.len(),
             ViewBacking::Ctrls(cs) => cs.len(),
         }
     }
@@ -217,7 +192,6 @@ impl<'a> SystemView<'a> {
                 assert!(i == 0, "channel {i} out of range");
                 *q
             }
-            ViewBacking::Queries(qs) => qs[i],
             ViewBacking::Ctrls(cs) => cs[i].query(ChannelId(i as u32), self.now),
         }
     }
@@ -259,9 +233,6 @@ pub trait SchedulerPolicy {
 
     /// Called when a request's data burst completes.
     fn on_complete(&mut self, _req: &Request) {}
-
-    /// Called when per-thread state should be reset (context switch).
-    fn on_thread_reset(&mut self, _thread: crate::request::ThreadId) {}
 
     /// Optional introspection hook: policies that expose internal state
     /// (e.g. STFM's slowdown estimates) return `Some(self)` so harnesses
@@ -317,31 +288,11 @@ pub trait SchedulerPolicy {
     /// `Some(epoch)` promise that [`SchedulerPolicy::rank`] is a pure
     /// function of the request and the channel's bank state between them
     /// — i.e. no policy-internal state that feeds ranking has changed,
-    /// and no rank flipped purely because `q.now` advanced. The current
-    /// cycle is provided so policies with *predictably* time-dependent
-    /// ranking (e.g. an age-triggered starvation override) can return
-    /// `None` exactly in the windows where such a flip could occur and
-    /// keep carrying everywhere else. Return `None` (the default) to
-    /// disable decision carrying entirely; stateless policies return a
-    /// constant, stateful ones bump an internal counter whenever
-    /// rank-relevant state moves.
-    fn decision_epoch(&self, _now: DramCycle) -> Option<u64> {
-        None
-    }
-
-    /// Per-bank expiry for the cross-tick rank cache: the first DRAM
-    /// cycle at which a rank in this bank's candidate set (`bank_list`,
-    /// indices into `q.requests`) could change *purely because time
-    /// advanced*, with no state transition. The controller calls this
-    /// once per rank pass (so an O(bank_list) scan adds nothing
-    /// asymptotically) and drops the cached winner at the returned
-    /// cycle instead of disabling carrying for the whole window.
-    /// `None` (the default) means the ranks never expire on their own —
-    /// correct for policies whose [`SchedulerPolicy::decision_epoch`]
-    /// already captures every rank change. Policies with an
-    /// age-triggered override (e.g. STFM's starvation guard) return the
-    /// earliest crossing among the not-yet-crossed candidates.
-    fn rank_expiry(&self, _q: &SchedQuery<'_>, _bank_list: &[usize]) -> Option<DramCycle> {
+    /// and no rank flips purely because `q.now` advanced. Return `None`
+    /// (the default) to disable decision carrying entirely; stateless
+    /// policies return a constant, stateful ones bump an internal counter
+    /// whenever rank-relevant state moves.
+    fn decision_epoch(&self) -> Option<u64> {
         None
     }
 
@@ -352,11 +303,11 @@ pub trait SchedulerPolicy {
         None
     }
 
-    /// The next DRAM cycle (strictly after `now`) at which this policy's
-    /// per-cycle state transitions in a way [`SchedulerPolicy::fast_forward`]
-    /// cannot replicate (e.g. STFM's interval reset). The controller never
+    /// The next DRAM cycle at which this policy's per-cycle state
+    /// transitions in a way [`SchedulerPolicy::fast_forward`] cannot
+    /// replicate (e.g. STFM's interval reset). The controller never
     /// elides the returned cycle. `None` means no such boundary.
-    fn next_event_hint(&self, _now: DramCycle) -> Option<DramCycle> {
+    fn next_event_hint(&self) -> Option<DramCycle> {
         None
     }
 }

@@ -1,7 +1,7 @@
 //! Memory requests as seen by the DRAM controller.
 
 use std::fmt;
-use stfm_dram::{AccessCategory, CpuCycle, DecodedAddr, DramCycle, PhysAddr};
+use stfm_dram::{AccessCategory, Channel, CpuCycle, DecodedAddr, DramCommand, DramCycle, PhysAddr};
 
 /// Identifies a hardware thread (core) in the CMP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -100,6 +100,21 @@ impl Request {
     #[inline]
     pub fn is_completed(&self) -> bool {
         matches!(self.state, RequestState::Completed { .. })
+    }
+
+    /// The DRAM command this request needs next, given the current state
+    /// of its bank in `channel`: the column access on a row hit, a
+    /// precharge on a row conflict, an activate on a closed bank.
+    pub fn next_command(&self, channel: &Channel) -> DramCommand {
+        let bank = self.loc.bank;
+        match channel.bank(bank).open_row() {
+            Some(open) if open == self.loc.row => match self.kind {
+                AccessKind::Read => DramCommand::read(bank, self.loc.row, self.loc.col),
+                AccessKind::Write => DramCommand::write(bank, self.loc.row, self.loc.col),
+            },
+            Some(_) => DramCommand::precharge(bank),
+            None => DramCommand::activate(bank, self.loc.row),
+        }
     }
 }
 

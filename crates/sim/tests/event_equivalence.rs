@@ -4,8 +4,8 @@
 //! to be an *exact* reorganization of the stepped reference loop: jumps
 //! and elisions may skip work, never change it. This suite hammers that
 //! claim with seeded random configurations — scheduler × workload mix ×
-//! fairness alpha × DRAM geometry × run length — and requires, for every
-//! case, that the two loops produce
+//! STFM parameters × DRAM geometry (up to 16 cores on 4 channels) × run
+//! length — and requires, for every case, that the two loops produce
 //!
 //! * the same full telemetry event stream (commands, enqueues,
 //!   completions, refreshes, samples — element by element),
@@ -18,7 +18,7 @@
 //! and re-running the suite replays it exactly. The CI-fast tier covers
 //! 200 cases; `--ignored` adds an 800-case deep sweep.
 
-use stfm_core::{EstimatorKind, StfmConfig};
+use stfm_core::StfmConfig;
 use stfm_cpu::{Core, CoreConfig, PrefetchConfig};
 use stfm_dram::rng::SmallRng;
 use stfm_dram::DramConfig;
@@ -41,9 +41,9 @@ struct CaseConfig {
     trace_seed: u64,
 }
 
-/// The workload palettes the fuzzer draws from: the streaming case-study
-/// mix, the dependent-load (pointer-chase) mix, and adversarial micro
-/// mixes. Each case takes a random 2–4 thread prefix.
+/// The small-system workload palettes: the streaming case-study mix, the
+/// dependent-load (pointer-chase) mix, and adversarial micro mixes. Each
+/// such case takes a random 2–4 thread prefix.
 fn palette(idx: u64) -> Vec<Profile> {
     match idx % 4 {
         0 => vec![
@@ -64,21 +64,7 @@ fn palette(idx: u64) -> Vec<Profile> {
 }
 
 fn draw_scheduler(rng: &mut SmallRng) -> SchedulerKind {
-    // The incremental estimator's correctness matrix: each STFM draw
-    // independently toggles the Tshared headroom clamp (a drain-path
-    // branch) and the starvation guard (whose age threshold feeds the
-    // controller's cross-tick carry deadline via `rank_expiry`).
-    let sel = rng.random_range(0u32..9);
-    let mut stfm = |estimator| {
-        SchedulerKind::StfmWith(StfmConfig {
-            alpha: 1.0 + rng.random_range(5u32..200) as f64 / 100.0,
-            estimator,
-            tshared_headroom: rng.random_range(0u32..2) == 0,
-            starvation_guard: rng.random_range(0u32..2) == 0,
-            ..StfmConfig::default()
-        })
-    };
-    match sel {
+    match rng.random_range(0u32..7) {
         0 => SchedulerKind::FrFcfs,
         1 => SchedulerKind::Fcfs,
         2 => SchedulerKind::FrFcfsCap {
@@ -86,25 +72,47 @@ fn draw_scheduler(rng: &mut SmallRng) -> SchedulerKind {
         },
         3 => SchedulerKind::Nfq,
         4 => SchedulerKind::Stfm,
-        5 => stfm(EstimatorKind::PerCommand),
-        // The time-sampled estimator's charges depend on the stepping
-        // clock; elided spans replay them in closed form
-        // (`time_sampled_fast_forward`), exercising that replay path.
-        6 => stfm(EstimatorKind::TimeSampled),
-        // The paced default, drawn explicitly so the headroom/guard
-        // toggles cover its drain loop too.
-        7 => stfm(EstimatorKind::PerCommandPaced),
+        // All four STFM parameters at once. The interval is drawn short
+        // enough to expire within a run, so the reset — and the
+        // `next_event_hint` fence that keeps elided spans from crossing
+        // it — is exercised, which the 2^24-cycle default never is here.
+        5 => SchedulerKind::StfmWith(StfmConfig {
+            alpha: 1.0 + rng.random_range(5u32..200) as f64 / 100.0,
+            interval_length: rng.random_range(5_000u64..100_000),
+            gamma_shift: rng.random_range(0u32..2),
+            use_parallelism: rng.random_range(0u32..4) != 0,
+        }),
         _ => SchedulerKind::ParBs,
+    }
+}
+
+/// Workload and geometry. About one case in sixteen leaves the 2–4
+/// thread / 1–2 channel range for the paper's many-core systems: the
+/// Figure 10 mix on 8 cores and 2 channels, or a Figure 12 mix on 16
+/// cores and 4 channels — the upper edge of STFM's 64-slot
+/// `(channel, bank)` packing.
+fn draw_system(rng: &mut SmallRng) -> (Vec<Profile>, DramConfig) {
+    match rng.random_range(0u32..32) {
+        0 => (mix::fig10_eight_core(), DramConfig::for_cores(8)),
+        1 => {
+            let mut mixes = mix::sixteen_core_mixes();
+            let (_, profiles) = mixes.swap_remove(rng.random_range(0usize..mixes.len()));
+            (profiles, DramConfig::for_cores(16))
+        }
+        _ => {
+            let threads = rng.random_range(2usize..5);
+            let mut profiles = palette(rng.random_range(0u64..4));
+            profiles.truncate(threads);
+            let mut dram = DramConfig::for_cores(threads as u32);
+            dram.channels = rng.random_range(1u32..3);
+            (profiles, dram)
+        }
     }
 }
 
 fn draw_case(case: u64) -> CaseConfig {
     let mut rng = SmallRng::seed_from_u64(0xE4E4_BA5E ^ (case * 0x9E37_79B9));
-    let threads = rng.random_range(2usize..5);
-    let mut profiles = palette(rng.random_range(0u64..4));
-    profiles.truncate(threads);
-    let mut dram = DramConfig::for_cores(threads as u32);
-    dram.channels = rng.random_range(1u32..3);
+    let (profiles, mut dram) = draw_system(&mut rng);
     dram.banks = if rng.random_range(0u32..2) == 0 { 4 } else { 8 };
     dram.refresh_enabled = rng.random_range(0u32..4) != 0;
     let ctrl = ControllerConfig {
@@ -194,13 +202,12 @@ fn run_mode_with(
 /// `None` for non-STFM policies.
 ///
 /// Deliberately excluded: derived values that are recomputed on demand
-/// rather than accumulated — the four published queue snapshots
-/// (`bank_waiting_parallelism`, `bank_access_parallelism`,
-/// `waiting_requests`, `oldest_wait_cpu`, republished from the live
-/// aggregates each DRAM cycle the scheduler actually runs) and the
-/// slowdown pair (`slowdown`, `weighted_slowdown`, a pure function of
-/// the digested accumulators, recomputed whenever the estimator
-/// generation moves before a decision). When a run ends inside an
+/// rather than accumulated — the two published queue snapshots
+/// (`bank_waiting_parallelism`, `bank_access_parallelism`, republished
+/// from the live aggregates each DRAM cycle the scheduler actually runs)
+/// and the slowdown pair (`slowdown`, `weighted_slowdown`, a pure
+/// function of the digested accumulators, recomputed whenever the
+/// estimator generation moves before a decision). When a run ends inside an
 /// elided span these lag the stepped oracle's per-cycle refresh by
 /// design — no decision ever reads the stale window; the debug-build
 /// `audit_incremental` check compares the snapshots against a fresh

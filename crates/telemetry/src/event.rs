@@ -29,11 +29,6 @@ impl CmdKind {
             CmdKind::Refresh => "refresh",
         }
     }
-
-    /// True for column (CAS) commands, which occupy the data bus.
-    pub fn is_cas(self) -> bool {
-        matches!(self, CmdKind::Read | CmdKind::Write)
-    }
 }
 
 /// One simulator occurrence, stamped with the cycle it happened on.

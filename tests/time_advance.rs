@@ -1,33 +1,15 @@
 //! Time advance, tier-1: the event-driven loop (`predict_next`, elided
 //! ticks, the deferred policy residue) must leave every simulated outcome
-//! bit-identical to the stepped oracle, for every scheduler and every
-//! STFM estimator, on one channel and on two — and it must actually
-//! elide something. The seeded fuzz suite in `crates/sim/tests/` goes
-//! deeper; this is the slice `cargo test -q` sees.
+//! bit-identical to the stepped oracle, for every scheduler, on one
+//! channel and on two — and it must actually elide something. The seeded
+//! fuzz suite in `crates/sim/tests/` goes deeper; this is the slice
+//! `cargo test -q` sees.
 
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind};
-use stfm_repro::stfm::{EstimatorKind, StfmConfig};
 use stfm_repro::telemetry::{Event, RingSink};
 use stfm_repro::workloads::{mix, Profile};
 
 const INSTS: u64 = 2_000;
-
-/// Every scheduler of the paper's comparison (STFM there runs the default
-/// `PerCommandPaced` estimator) plus STFM under the other two estimators.
-fn variants() -> Vec<SchedulerKind> {
-    let mut kinds = SchedulerKind::all().to_vec();
-    assert_eq!(
-        StfmConfig::default().estimator,
-        EstimatorKind::PerCommandPaced
-    );
-    for estimator in [EstimatorKind::TimeSampled, EstimatorKind::PerCommand] {
-        kinds.push(SchedulerKind::StfmWith(StfmConfig {
-            estimator,
-            ..StfmConfig::default()
-        }));
-    }
-    kinds
-}
 
 /// What one run leaves behind: the loop-agnostic event stream, the
 /// scheduling passes the loop paid for, metric bits, and the run length.
@@ -80,7 +62,7 @@ fn observe(
 
 fn assert_event_loop_matches_stepped(profiles: &[Profile]) {
     let cache = AloneCache::new();
-    for kind in variants() {
+    for kind in SchedulerKind::all() {
         let event = observe(profiles, kind, true, &cache);
         let stepped = observe(profiles, kind, false, &cache);
         assert_eq!(event.metrics, stepped.metrics, "{kind:?}: metrics diverge");
