@@ -11,9 +11,6 @@
 //! Speed is measured by `src/bin/benchmark/` (contract: `BENCHMARK.json`);
 //! its `kernels.rs` holds the per-layer ns/op micro-measurements.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod cli;
 pub mod report;
 

@@ -5,7 +5,6 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::ops::ControlFlow;
 use std::path::Path;
-use stfm_core::StfmConfig;
 use stfm_cpu::{trace_io, Core, FileTrace};
 use stfm_dram::DramConfig;
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL};
@@ -24,7 +23,7 @@ stfm — Stall-Time Fair Memory scheduling reproduction
 USAGE:
   stfm run --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|all]
            [--insts N] [--seed N] [--alpha X] [--weights w1,w2,...]
-           [--banks N] [--row-kb N] [--jobs N] [--check] [--energy]
+           [--banks N] [--row-kb N] [--jobs N] [--check]
   stfm trace --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm]
            [--insts N] [--seed N] [--epoch N] [--sample N] [--out-dir DIR]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
@@ -99,7 +98,10 @@ fn print_metrics(profile_names: &[String], results: &[WorkloadMetrics]) {
 
 /// `stfm run`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        "workload scheduler insts seed alpha weights banks row-kb jobs check quiet",
+    )?;
     let names = f.list("workload")?;
     let profiles: Vec<Profile> = names.iter().map(|n| lookup(n)).collect::<Result<_, _>>()?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("all"))?;
@@ -172,7 +174,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// `stfm trace`: one traced run, dumping `events.jsonl` + `epochs.csv`.
 pub fn trace(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        "workload scheduler insts seed epoch sample out-dir quiet",
+    )?;
     let names = f.list("workload")?;
     let profiles: Vec<Profile> = names.iter().map(|n| lookup(n)).collect::<Result<_, _>>()?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("stfm"))?;
@@ -244,7 +249,8 @@ pub fn trace(args: &[String]) -> Result<(), String> {
 }
 
 /// `stfm list`.
-pub fn list(_args: &[String]) -> Result<(), String> {
+pub fn list(args: &[String]) -> Result<(), String> {
+    Flags::parse(args, "")?;
     let mut t = Table::new([
         "benchmark",
         "suite",
@@ -298,7 +304,7 @@ pub fn list(_args: &[String]) -> Result<(), String> {
 
 /// `stfm capture`.
 pub fn capture(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, "benchmark ops out seed cores")?;
     let profile = lookup(f.require("benchmark")?)?;
     let out = f.require("out")?;
     let ops: usize = f.num("ops", 50_000usize)?;
@@ -315,7 +321,7 @@ pub fn capture(args: &[String]) -> Result<(), String> {
 /// `stfm replay`: run trace files (one per core) through the simulator and
 /// report per-thread shared-vs-alone metrics.
 pub fn replay(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, "traces scheduler insts")?;
     let files = f.list("traces")?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("stfm"))?;
     let insts: u64 = f.num("insts", 100_000)?;
@@ -362,7 +368,6 @@ pub fn replay(args: &[String]) -> Result<(), String> {
         });
     }
     print_metrics(&names, &results);
-    let _ = StfmConfig::default(); // keep the core crate in the public surface
     Ok(())
 }
 
@@ -411,7 +416,7 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     let [path] = positionals[..] else {
         return Err("usage: stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]".into());
     };
-    let f = Flags::parse(&flag_args)?;
+    let f = Flags::parse(&flag_args, "jobs cache-dir quiet")?;
     let (alone, results) = sweep_caches(&f)?;
     let quiet = f.has("quiet");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -436,6 +441,8 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
     }
 
     let total = cells.len();
+    // Feeds only the cells/s summary on stderr.
+    #[allow(clippy::disallowed_methods)]
     let started = std::time::Instant::now();
     let mut out = io::stdout().lock();
     let mut emitted = 0usize;
@@ -505,7 +512,10 @@ fn serve_config(f: &Flags) -> Result<ServeConfig, String> {
 /// `stfm serve`: the long-running experiment service (stdin/stdout line
 /// protocol, or sequential TCP connections with `--tcp`).
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(
+        args,
+        "jobs cache-dir tcp cell-timeout retry-backoff self-check fault-log",
+    )?;
     let (alone, results) = sweep_caches(&f)?;
     let cfg = serve_config(&f)?;
     if let Some(addr) = f.get("tcp") {

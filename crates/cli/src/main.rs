@@ -11,9 +11,6 @@
 //! stfm replay --traces a.trace,b.trace --scheduler stfm
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod args;
 mod commands;
 

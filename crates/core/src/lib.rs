@@ -41,9 +41,6 @@
 //! assert_eq!(sched.weight(ThreadId(2)), 16);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod fixed;
 pub mod registers;
 pub mod stfm;

@@ -146,10 +146,9 @@ impl MshrFile {
 
     /// Registers `key` in the sorted unsent list and bumps the epoch.
     fn note_unsent(&mut self, key: u64) {
-        let pos = self
-            .unsent_lines
-            .binary_search(&key)
-            .expect_err("line already tracked as unsent");
+        let found = self.unsent_lines.binary_search(&key);
+        debug_assert!(found.is_err(), "line already tracked as unsent");
+        let (Ok(pos) | Err(pos)) = found;
         self.unsent_lines.insert(pos, key);
         self.unsent_epoch += 1;
     }

@@ -36,12 +36,23 @@
 //! let _boom = DramDelta::new(6) + CpuDelta::new(60); // durations don't mix either
 //! ```
 //!
+//! Nor can an `as` cast smuggle a value in or out — the compiler rejects
+//! `as` to or from a non-primitive type (E0605), so `new()`/`get()` are
+//! the only doors and no lint is needed to keep them so:
+//!
+//! ```compile_fail,E0605
+//! use stfm_cycles::DramCycle;
+//! let _boom = 5u64 as DramCycle;
+//! ```
+//!
+//! ```compile_fail,E0605
+//! use stfm_cycles::DramCycle;
+//! let _boom = DramCycle::new(5) as u64;
+//! ```
+//!
 //! Raw `u64` literals remain convenient on *either* side (`now + 1`,
 //! `t >= 4`): a bare literal carries no domain, so allowing it does not
 //! weaken the cross-domain guarantee — only *typed* values refuse to mix.
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 
 use std::fmt;
 

@@ -37,9 +37,6 @@
 //! assert_eq!(done, start + t.t_rcd + t.t_cl + t.burst_cycles());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod address;
 pub mod bank;
 pub mod channel;

@@ -29,9 +29,6 @@
 //! assert_eq!(mem.drain_completions().len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod controller;
 pub mod fcfs;
 pub mod frfcfs;

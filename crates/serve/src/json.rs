@@ -101,6 +101,7 @@ pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -131,9 +132,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level and a stack overflow cannot be caught, so the
+/// bound is what keeps one hostile line from aborting the process; real
+/// spec and result lines nest three deep.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -165,7 +174,8 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -175,8 +185,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting deeper than 64 levels"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'n') => self.expect_literal("null", Value::Null),
             Some(b't') => self.expect_literal("true", Value::Bool(true)),
@@ -294,9 +315,9 @@ impl<'a> Parser<'a> {
                         return Err(self.err("invalid UTF-8 in string"));
                     }
                     self.pos = start + width;
-                    match std::str::from_utf8(&self.bytes[start..self.pos]) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return Err(self.err("invalid UTF-8 in string")),
+                    match self.bytes.get(start..self.pos).map(std::str::from_utf8) {
+                        Some(Ok(s)) => out.push_str(s),
+                        _ => return Err(self.err("invalid UTF-8 in string")),
                     }
                 }
             }
@@ -337,7 +358,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let tok = &self.bytes[start..self.pos];
+        let tok = self.bytes.get(start..self.pos).unwrap_or_default();
         match std::str::from_utf8(tok) {
             // Validate via f64 parse; the raw token is what we keep.
             Ok(s) if s.parse::<f64>().is_ok() => Ok(Value::Num(s.to_string())),
@@ -421,6 +442,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).unwrap_err().contains("nesting"));
+        // Unclosed, mixed, and far past any thread's stack if recursed into.
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":[".repeat(500_000)).is_err());
+        // Siblings do not accumulate depth.
+        assert!(parse(&format!("[{}]", vec![nest(MAX_DEPTH - 1); 40].join(","))).is_ok());
     }
 
     #[test]

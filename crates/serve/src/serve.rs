@@ -279,6 +279,9 @@ impl<'a> CellRunner<'a> {
     /// isolation, timeout + one retry, and opt-in self-check sampling.
     /// Always produces exactly one [`CellOutput`].
     pub(crate) fn execute_cell(&self, cell: &Cell) -> CellOutput {
+        // Reported as latency only (the `epoch` line's `wall_ms`, `stfm
+        // sweep`'s progress on stderr); never in a result line or a cache.
+        #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let key = cell.key();
         let force_stepped = self.demoted().contains(&cell_class(cell));
@@ -790,6 +793,17 @@ mod tests {
         assert_eq!(err.get("line").and_then(Value::as_u64), Some(2));
         let err = json::parse(&lines[3]).unwrap();
         assert_eq!(err.get("line").and_then(Value::as_u64), Some(3));
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let good = "{\"scheduler\": \"fcfs\", \"mix\": [\"mcf\"], \"insts\": 500}";
+        let input = format!("{}\n{good}\n", "[".repeat(200_000));
+        let (lines, totals) = run(&input, Some(1));
+        let kinds: Vec<_> = lines.iter().map(|l| kind(l)).collect();
+        assert_eq!(kinds, ["error", "result", "epoch", "bye"]);
+        assert!(lines[0].contains("nesting"), "{}", lines[0]);
+        assert_eq!(totals.errors, 1);
     }
 
     #[test]

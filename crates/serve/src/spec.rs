@@ -276,7 +276,7 @@ pub fn expand_value(v: &Value) -> Result<Vec<Cell>, String> {
                 SPEC_FIELDS.join(", ")
             ));
         }
-        if pairs[..i].iter().any(|(prev, _)| prev == k) {
+        if pairs.iter().take(i).any(|(prev, _)| prev == k) {
             return Err(format!("duplicate spec field '{k}'"));
         }
     }

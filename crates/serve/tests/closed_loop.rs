@@ -6,6 +6,9 @@
 //! channel-backed, so the server really blocks between lines, and every
 //! wait is bounded: a deadlock fails the test.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;

@@ -159,7 +159,8 @@ impl AloneCache {
     }
 
     /// Reads a persisted baseline; any mismatch (version, key string,
-    /// unknown field, parse failure) is a miss, never an error.
+    /// unknown field, parse failure, a counter missing or repeated — a
+    /// file cut short must not load as zeros) is a miss, never an error.
     fn load_disk(path: &Path, key_str: &str) -> Option<CoreStats> {
         let src = std::fs::read_to_string(path).ok()?;
         let mut lines = src.lines();
@@ -167,9 +168,14 @@ impl AloneCache {
             return None;
         }
         let mut stats = CoreStats::default();
+        let mut seen = Vec::new();
         for line in lines {
             let (field, value) = line.split_once(' ')?;
             let v: u64 = value.parse().ok()?;
+            if seen.contains(&field) {
+                return None;
+            }
+            seen.push(field);
             match field {
                 "cycles" => stats.cycles = v,
                 "instructions" => stats.instructions = v,
@@ -184,7 +190,7 @@ impl AloneCache {
                 _ => return None,
             }
         }
-        Some(stats)
+        (seen.len() == 10).then_some(stats)
     }
 
     /// Persists a baseline via write-to-temp + rename, so concurrent
@@ -633,16 +639,31 @@ mod tests {
         let dir = scratch_dir("corrupt");
         let cache = AloneCache::with_dir(&dir).unwrap();
         let e = Experiment::new(vec![spec::omnetpp()]).instructions_per_thread(2_000);
-        let _ = e.run_with_cache(&cache);
+        let honest = e.run_with_cache(&cache).threads[0].alone;
+        let path = std::fs::read_dir(&dir)
+            .unwrap()
+            .next()
+            .unwrap()
+            .unwrap()
+            .path();
+        let intact = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = intact.lines().collect();
+        assert_eq!(lines.len(), 12, "header, key, ten counters");
 
-        // Truncate every persisted file mid-line.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            let path = entry.unwrap().path();
-            std::fs::write(&path, "stfm-alone v1\ngarbage").unwrap();
+        // Cut mid-line; cut cleanly after the first counter (every later
+        // one would read as zero); one counter written twice in place of
+        // another, so the line count alone looks right.
+        let cut_after_one = lines[..3].join("\n") + "\n";
+        let mut repeated = lines.clone();
+        repeated[4] = repeated[3];
+        let repeated = repeated.join("\n") + "\n";
+        for corrupt in ["stfm-alone v1\ngarbage", &cut_after_one, &repeated] {
+            std::fs::write(&path, corrupt).unwrap();
+            let fresh = AloneCache::with_dir(&dir).unwrap();
+            let again = e.run_with_cache(&fresh).threads[0].alone;
+            assert_eq!(again, honest, "recomputed past {corrupt:?}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
         }
-        let fresh = AloneCache::with_dir(&dir).unwrap();
-        let _ = e.run_with_cache(&fresh);
-        assert_eq!(fresh.len(), 1, "recomputed past the corrupt entry");
 
         let _ = std::fs::remove_dir_all(&dir);
     }

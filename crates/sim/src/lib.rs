@@ -23,9 +23,6 @@
 //! );
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod cancel;
 pub mod digest;
 pub mod experiment;

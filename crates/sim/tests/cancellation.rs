@@ -30,6 +30,7 @@ fn pre_cancelled_token_stops_both_loops() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // an already-past deadline needs a clock reading
 fn expired_deadline_stops_both_loops() {
     for fast_forward in [true, false] {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));

@@ -18,6 +18,9 @@
 //! and re-running the suite replays it exactly. The CI-fast tier covers
 //! 200 cases; `--ignored` adds an 800-case deep sweep.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use stfm_core::StfmConfig;
 use stfm_cpu::{Core, CoreConfig, PrefetchConfig};
 use stfm_dram::rng::SmallRng;
@@ -324,6 +327,7 @@ fn event_loop_matches_stepped_oracle_200_cases() {
 /// it at different simulated cycles, which is why the cancelled runs
 /// are compared against the full oracle rather than each other).
 #[test]
+#[allow(clippy::disallowed_methods)] // an already-past deadline needs a clock reading
 fn cancelled_runs_are_prefixes_of_the_oracle() {
     let mut cancelled = 0u64;
     for case in 0..24 {

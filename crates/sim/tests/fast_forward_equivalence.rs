@@ -3,6 +3,9 @@
 //! run — request completions, core and controller statistics, and the
 //! full telemetry event stream, for every scheduler.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use stfm_cpu::{Core, TraceOp, VecTrace};
 use stfm_dram::DramConfig;
 use stfm_mc::{MemorySystem, ThreadId};

@@ -7,6 +7,9 @@
 //! To regenerate after an *intentional* behavior change, run this test
 //! and copy the digests from the failure message.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use stfm_sim::digest::Fnv64;
 use stfm_sim::{AloneCache, Experiment, SchedulerKind};
 use stfm_telemetry::{Event, RingSink};

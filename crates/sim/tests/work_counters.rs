@@ -11,6 +11,9 @@
 //! * the event-driven loop visits the scheduler strictly fewer times
 //!   than the stepped reference loop on the same workload.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use std::any::Any;
 use stfm_sim::{AloneCache, Experiment, SchedulerKind};
 use stfm_telemetry::{Event, Sink};

@@ -1,4 +1,4 @@
-//! The typed event vocabulary and its hand-rolled JSON/CSV encodings.
+//! The typed event vocabulary and its hand-rolled JSON encoding.
 
 use std::fmt::Write as _;
 use stfm_cycles::{CpuCycle, CpuDelta, DramCycle};
@@ -19,7 +19,7 @@ pub enum CmdKind {
 }
 
 impl CmdKind {
-    /// Stable lowercase name used in JSON and CSV output.
+    /// Stable lowercase name used in JSON output.
     pub fn as_str(self) -> &'static str {
         match self {
             CmdKind::Activate => "activate",
@@ -181,7 +181,7 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable snake_case event name used in JSON and CSV output.
+    /// Stable snake_case event name used in JSON output.
     pub fn name(&self) -> &'static str {
         match self {
             Event::DramCommandIssued { .. } => "dram_command_issued",
@@ -367,165 +367,6 @@ impl Event {
         s.push('}');
         s
     }
-
-    /// Header line for the flat per-event CSV encoding.
-    pub fn csv_header() -> &'static str {
-        "event,dram_cycle,cpu_cycle,channel,bank,thread,request,cmd,op,\
-         latency_cpu,queued_writes,end_cycle,scheduler,unfairness,\
-         fairness_rule_active,slowdowns,domain,kind,subject,detail"
-    }
-
-    /// One CSV row (no trailing newline) matching [`Event::csv_header`].
-    /// Inapplicable columns are left empty; the per-thread slowdown map
-    /// is packed into the final column as `t0:1.23;t1:1.04`.
-    pub fn to_csv_row(&self) -> String {
-        // Column order: event, dram_cycle, cpu_cycle, channel, bank,
-        // thread, request, cmd, op, latency_cpu, queued_writes,
-        // end_cycle, scheduler, unfairness, fairness_rule_active,
-        // slowdowns, domain, kind, subject, detail.
-        let mut c: [String; 20] = Default::default();
-        c[0] = self.name().to_string();
-        c[1] = self.dram_cycle().to_string();
-        match self {
-            Event::DramCommandIssued {
-                channel,
-                bank,
-                cmd,
-                thread,
-                ..
-            } => {
-                c[3] = channel.to_string();
-                c[4] = bank.to_string();
-                if let Some(thread) = thread {
-                    c[5] = thread.to_string();
-                }
-                c[7] = cmd.as_str().to_string();
-            }
-            Event::RequestEnqueued {
-                cpu_cycle,
-                channel,
-                bank,
-                thread,
-                request,
-                is_write,
-                ..
-            } => {
-                c[2] = cpu_cycle.to_string();
-                c[3] = channel.to_string();
-                c[4] = bank.to_string();
-                c[5] = thread.to_string();
-                c[6] = request.to_string();
-                c[8] = if *is_write { "write" } else { "read" }.to_string();
-            }
-            Event::RequestServiced {
-                cpu_cycle,
-                channel,
-                bank,
-                thread,
-                request,
-                is_write,
-                latency_cpu,
-                ..
-            } => {
-                c[2] = cpu_cycle.to_string();
-                c[3] = channel.to_string();
-                c[4] = bank.to_string();
-                c[5] = thread.to_string();
-                c[6] = request.to_string();
-                c[8] = if *is_write { "write" } else { "read" }.to_string();
-                c[9] = latency_cpu.to_string();
-            }
-            Event::SchedulerIntervalUpdate {
-                scheduler,
-                slowdowns,
-                unfairness,
-                fairness_rule_active,
-                ..
-            } => {
-                c[12] = (*scheduler).to_string();
-                if let Some(u) = unfairness {
-                    c[13] = fmt_f64(*u);
-                }
-                if let Some(active) = fairness_rule_active {
-                    c[14] = active.to_string();
-                }
-                c[15] = slowdowns
-                    .iter()
-                    .map(|(t, s)| format!("t{t}:{}", fmt_f64(*s)))
-                    .collect::<Vec<_>>()
-                    .join(";");
-            }
-            Event::WriteDrainStart {
-                channel,
-                queued_writes,
-                ..
-            }
-            | Event::WriteDrainEnd {
-                channel,
-                queued_writes,
-                ..
-            } => {
-                c[3] = channel.to_string();
-                c[10] = queued_writes.to_string();
-            }
-            Event::RefreshIssued {
-                channel, end_cycle, ..
-            } => {
-                c[3] = channel.to_string();
-                c[11] = end_cycle.to_string();
-            }
-            Event::EstimatorWork {
-                scheduler,
-                full_rebuilds,
-                incremental_updates,
-                decides_recomputed,
-                decides_carried,
-                sched_visits,
-                rank_scans,
-                rank_carried,
-                ..
-            } => {
-                // The counters share one free-text column (like the
-                // slowdown map) so the fixed CSV width is preserved.
-                c[12] = (*scheduler).to_string();
-                c[19] = format!(
-                    "full_rebuilds:{full_rebuilds};\
-                     incremental_updates:{incremental_updates};\
-                     decides_recomputed:{decides_recomputed};\
-                     decides_carried:{decides_carried};\
-                     sched_visits:{sched_visits};\
-                     rank_scans:{rank_scans};\
-                     rank_carried:{rank_carried}"
-                );
-            }
-            Event::ServeFault {
-                domain,
-                kind,
-                subject,
-                detail,
-                ..
-            } => {
-                c[16] = (*domain).to_string();
-                c[17] = (*kind).to_string();
-                c[18] = csv_cell(subject);
-                c[19] = csv_cell(detail);
-            }
-        }
-        c.join(",")
-    }
-}
-
-/// Free-form text dropped into a CSV cell: commas and newlines would
-/// break the row shape, so they become semicolons / spaces.
-fn csv_cell(value: &str) -> String {
-    value
-        .chars()
-        .map(|ch| match ch {
-            ',' => ';',
-            '\n' | '\r' => ' ',
-            c => c,
-        })
-        .collect()
 }
 
 fn push_str_field(s: &mut String, key: &str, value: &str) {
@@ -554,14 +395,6 @@ fn push_f64(s: &mut String, value: f64) {
         let _ = write!(s, "{value}");
     } else {
         s.push_str("null");
-    }
-}
-
-fn fmt_f64(value: f64) -> String {
-    if value.is_finite() {
-        format!("{value}")
-    } else {
-        String::new()
     }
 }
 
@@ -616,55 +449,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_rows_match_header_width() {
-        let header_cols = Event::csv_header().split(',').count();
-        let events = vec![
-            Event::WriteDrainStart {
-                dram_cycle: DramCycle::new(1),
-                channel: 0,
-                queued_writes: 24,
-            },
-            Event::WriteDrainEnd {
-                dram_cycle: DramCycle::new(90),
-                channel: 0,
-                queued_writes: 8,
-            },
-            Event::RequestServiced {
-                dram_cycle: DramCycle::new(60),
-                cpu_cycle: CpuCycle::new(600),
-                channel: 0,
-                bank: 2,
-                thread: 3,
-                request: 11,
-                is_write: false,
-                latency_cpu: CpuDelta::new(540),
-            },
-            Event::SchedulerIntervalUpdate {
-                dram_cycle: DramCycle::new(100),
-                scheduler: "fr-fcfs",
-                slowdowns: vec![],
-                unfairness: None,
-                fairness_rule_active: None,
-            },
-            Event::EstimatorWork {
-                dram_cycle: DramCycle::new(5000),
-                scheduler: "stfm",
-                full_rebuilds: 3,
-                incremental_updates: 4200,
-                decides_recomputed: 900,
-                decides_carried: 4100,
-                sched_visits: 5000,
-                rank_scans: 700,
-                rank_carried: 4300,
-            },
-        ];
-        for e in &events {
-            assert_eq!(e.to_csv_row().split(',').count(), header_cols, "{e:?}");
-        }
-    }
-
-    #[test]
-    fn estimator_work_encodes_in_json_and_csv() {
+    fn estimator_work_encodes_in_json() {
         let e = Event::EstimatorWork {
             dram_cycle: DramCycle::new(1234),
             scheduler: "stfm",
@@ -681,17 +466,10 @@ mod tests {
         assert!(j.contains("\"full_rebuilds\":2"), "{j}");
         assert!(j.contains("\"rank_carried\":43"), "{j}");
         assert!(!j.contains(",}"), "dangling comma in {j}");
-        let row = e.to_csv_row();
-        assert_eq!(
-            row.split(',').count(),
-            Event::csv_header().split(',').count(),
-            "{row}"
-        );
-        assert!(row.contains("decides_carried:40"), "{row}");
     }
 
     #[test]
-    fn serve_fault_encodes_in_json_and_csv() {
+    fn serve_fault_encodes_in_json() {
         let e = Event::ServeFault {
             dram_cycle: DramCycle::ZERO,
             domain: "worker",
@@ -705,16 +483,6 @@ mod tests {
         assert!(j.contains("\"kind\":\"panic\""), "{j}");
         assert!(j.contains("\\n(retrying)"), "newline must be escaped: {j}");
         assert!(!j.contains(",}"), "dangling comma in {j}");
-        let row = e.to_csv_row();
-        assert_eq!(
-            row.split(',').count(),
-            Event::csv_header().split(',').count(),
-            "{row}"
-        );
-        assert!(
-            row.contains("index out of bounds; len 4 (retrying)"),
-            "free text must not add columns: {row}"
-        );
     }
 
     #[test]

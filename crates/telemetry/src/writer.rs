@@ -1,4 +1,5 @@
-//! Streaming sinks that serialize events to any [`std::io::Write`].
+//! The streaming sink: events serialized as JSON Lines to any
+//! [`std::io::Write`].
 
 use std::any::Any;
 use std::io::Write;
@@ -68,74 +69,6 @@ impl<W: Write + 'static> Sink for JsonLinesSink<W> {
     }
 }
 
-/// Streams events as rows of a flat CSV table (header written before
-/// the first row; inapplicable columns left empty). Same error latching
-/// as [`JsonLinesSink`].
-#[derive(Debug)]
-pub struct CsvSink<W> {
-    writer: W,
-    rows: u64,
-    wrote_header: bool,
-    error: Option<std::io::Error>,
-}
-
-impl<W: Write> CsvSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        CsvSink {
-            writer,
-            rows: 0,
-            wrote_header: false,
-            error: None,
-        }
-    }
-
-    /// Data rows successfully written so far (excluding the header).
-    pub fn rows_written(&self) -> u64 {
-        self.rows
-    }
-
-    /// Takes the latched I/O error, if any occurred.
-    pub fn take_error(&mut self) -> Option<std::io::Error> {
-        self.error.take()
-    }
-
-    /// Unwraps the inner writer.
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + 'static> Sink for CsvSink<W> {
-    fn record(&mut self, event: &Event) {
-        if self.error.is_some() {
-            return;
-        }
-        if !self.wrote_header {
-            if let Err(e) = writeln!(self.writer, "{}", Event::csv_header()) {
-                self.error = Some(e);
-                return;
-            }
-            self.wrote_header = true;
-        }
-        match writeln!(self.writer, "{}", event.to_csv_row()) {
-            Ok(()) => self.rows += 1,
-            Err(e) => self.error = Some(e),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.flush()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,20 +99,6 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
-    }
-
-    #[test]
-    fn csv_writes_header_once_then_rows() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.record(&cmd(1));
-        sink.record(&cmd(2));
-        assert_eq!(sink.rows_written(), 2);
-        let out = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[0], Event::csv_header());
-        let width = lines[0].split(',').count();
-        assert!(lines[1..].iter().all(|l| l.split(',').count() == width));
     }
 
     struct FailingWriter;

@@ -22,9 +22,6 @@
 //!   pure random, pointer chase, bursty, bank hog) for adversarial and
 //!   unit studies.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod desktop;
 pub mod micro;
 pub mod mix;

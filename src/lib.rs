@@ -29,9 +29,6 @@
 //! println!("unfairness = {:.2}", result.unfairness());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use stfm_core as stfm;
 pub use stfm_cpu as cpu;
 pub use stfm_dram as dram;

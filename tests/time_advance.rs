@@ -5,6 +5,9 @@
 //! fuzz suite in `crates/sim/tests/` goes deeper; this is the slice
 //! `cargo test -q` sees.
 
+// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
+#![allow(clippy::expect_used)]
+
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind};
 use stfm_repro::telemetry::{Event, RingSink};
 use stfm_repro::workloads::{mix, Profile};
