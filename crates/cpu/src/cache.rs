@@ -171,7 +171,6 @@ impl Cache {
                 return None;
             }
         }
-        let _ = &prefetched;
         // Choose an invalid way, else the LRU way.
         let ways = self.set_slice_mut(set);
         let victim_idx = ways

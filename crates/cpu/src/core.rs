@@ -13,7 +13,7 @@ use crate::mshr::{MshrAlloc, MshrFile};
 use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
 use crate::trace::{MemOpKind, TraceOp, TraceSource};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use stfm_dram::{CpuCycle, CpuDelta, PhysAddr, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{AccessKind, Completion, MemorySystem, RequestId, ThreadId};
 
@@ -163,10 +163,9 @@ pub struct Core {
     next_entry_id: u64,
     /// (ready_time, entry id) for L1/L2 hits completing locally.
     local_done: BinaryHeap<Reverse<(CpuCycle, u64)>>,
-    /// DRAM completions waiting for their delivery time.
-    dram_done: BinaryHeap<Reverse<(CpuCycle, RequestId)>>,
-    /// Fill request id → line address.
-    inflight: HashMap<RequestId, PhysAddr>,
+    /// DRAM fills waiting for their delivery time, with the line each
+    /// one carries (ordered by time, then request id).
+    dram_done: BinaryHeap<Reverse<(CpuCycle, RequestId, PhysAddr)>>,
     /// Dirty L2 victims awaiting acceptance by the controller.
     pending_writebacks: VecDeque<PhysAddr>,
     /// Back-pressure retry gates. Controller buffer-class occupancy only
@@ -204,6 +203,8 @@ pub struct Core {
     last_dram_done: bool,
     now: CpuCycle,
     stats: CoreStats,
+    /// CPU cycles advanced in closed form by `compute_run`.
+    compute_run_cycles: u64,
 }
 
 impl Core {
@@ -227,7 +228,6 @@ impl Core {
             next_entry_id: 0,
             local_done: BinaryHeap::new(),
             dram_done: BinaryHeap::new(),
-            inflight: HashMap::new(),
             pending_writebacks: VecDeque::new(),
             fill_gate: None,
             wb_gate: None,
@@ -240,6 +240,7 @@ impl Core {
             last_dram_done: true,
             now: CpuCycle::ZERO,
             stats: CoreStats::default(),
+            compute_run_cycles: 0,
         }
     }
 
@@ -266,6 +267,15 @@ impl Core {
         self.now
     }
 
+    /// CPU cycles [`Core::advance_dram_cycle`] advanced as closed-form
+    /// compute runs instead of [`Core::step`] calls (0 for a core driven
+    /// by `step` alone). Lets tests confirm the path engages on
+    /// compute-bound traces and stays out of memory-bound ones.
+    #[inline]
+    pub fn compute_run_cycles(&self) -> u64 {
+        self.compute_run_cycles
+    }
+
     /// Queues a DRAM completion for delivery at its `finish_cpu` time.
     /// The simulator routes [`Completion`]s from the memory system to the
     /// owning core through this method.
@@ -273,7 +283,7 @@ impl Core {
         if c.kind == AccessKind::Write {
             return; // writebacks are fire-and-forget
         }
-        self.dram_done.push(Reverse((c.finish_cpu, c.id)));
+        self.dram_done.push(Reverse((c.finish_cpu, c.id, c.addr)));
     }
 
     /// Inertness probe for the dead-cycle fast-forward path.
@@ -297,12 +307,7 @@ impl Core {
     /// miss, or an MSHR-full stall — the latter re-checked here with the
     /// same non-mutating probes `step` uses).
     pub fn next_wake(&self, mem: &MemorySystem) -> Option<CpuCycle> {
-        if self.mshrs.has_unsent()
-            && self.fill_gate != Some((mem.reap_epoch(), self.mshrs.unsent_epoch()))
-        {
-            return None;
-        }
-        if !self.pending_writebacks.is_empty() && self.wb_gate != Some(mem.reap_epoch()) {
+        if self.retry_due(mem) {
             return None;
         }
         match self.window.front() {
@@ -332,14 +337,32 @@ impl Core {
                 return None;
             }
         }
+        Some(self.next_completion().unwrap_or(CpuCycle::MAX))
+    }
+
+    /// Delivery time of the earliest queued local or DRAM completion.
+    fn next_completion(&self) -> Option<CpuCycle> {
         let local = self.local_done.peek().map(|Reverse((t, _))| *t);
-        let dram = self.dram_done.peek().map(|Reverse((t, _))| *t);
-        Some(match (local, dram) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => CpuCycle::MAX,
-        })
+        let dram = self.dram_done.peek().map(|Reverse((t, ..))| *t);
+        match (local, dram) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// True when a fill or writeback send is pending behind an open retry
+    /// gate, i.e. the next [`Core::step`] will attempt it.
+    fn retry_due(&self, mem: &MemorySystem) -> bool {
+        self.fill_retry_due(mem) || self.writeback_retry_due(mem)
+    }
+
+    fn fill_retry_due(&self, mem: &MemorySystem) -> bool {
+        self.mshrs.has_unsent()
+            && self.fill_gate != Some((mem.reap_epoch(), self.mshrs.unsent_epoch()))
+    }
+
+    fn writeback_retry_due(&self, mem: &MemorySystem) -> bool {
+        !self.pending_writebacks.is_empty() && self.wb_gate != Some(mem.reap_epoch())
     }
 
     /// Replicates `cycles` consecutive [`Core::step`] calls across an
@@ -375,6 +398,10 @@ impl Core {
     /// completion landing mid-cycle no longer costs a full
     /// [`CPU_CYCLES_PER_DRAM_CYCLE`] of no-op steps, and a wake beyond
     /// the cycle boundary collapses to a pure fast-forward.
+    ///
+    /// The stepped remainder takes runs of pure-compute cycles in closed
+    /// form (`compute_run`, counted by [`Core::compute_run_cycles`]) and
+    /// calls [`Core::step`] for the rest.
     pub fn advance_dram_cycle(&mut self, wake: Option<CpuCycle>, mem: &mut MemorySystem) {
         let mut left = CPU_CYCLES_PER_DRAM_CYCLE;
         if let Some(w) = wake {
@@ -386,9 +413,93 @@ impl Core {
                 left -= skip;
             }
         }
-        for _ in 0..left {
-            self.step(mem);
+        while left > 0 {
+            let run = self.compute_run(left, mem);
+            if run == 0 {
+                self.step(mem);
+                left -= 1;
+            } else {
+                left -= run;
+            }
         }
+    }
+
+    /// Replicates up to `max` consecutive [`Core::step`] calls that only
+    /// move bubbles — `width` committed from the head of the window and
+    /// `width` fetched onto its tail per cycle, nothing else — as one
+    /// update, and returns how many cycles it covered (0 when the next
+    /// cycle is not of that kind). A cycle qualifies when, stage by stage
+    /// of `step`: (1) no local or DRAM completion is due; (2) no send
+    /// retry would be attempted (nothing pending, or its gate is closed
+    /// at `mem`'s reap epoch, which cannot change between memory ticks);
+    /// (3) the head of the window is a bubble run that alone fills the
+    /// commit width, so no memory op commits and (4) no stall is charged;
+    /// (5) the trace record being fetched still has a full fetch width of
+    /// bubbles, so no memory op is initiated. The window's occupancy is
+    /// unchanged by such a cycle (fetch width = commit width is required),
+    /// so fetch always has room. The prefetch-hit fold between stages 4
+    /// and 5 does run, once: no cache is touched during the run, so the
+    /// later folds would add zero.
+    fn compute_run(&mut self, max: u64, mem: &MemorySystem) -> u64 {
+        let width = self.cfg.commit_width;
+        let (Some(&Entry::Bubbles(head)), Some(op)) = (self.window.front(), self.cur_op) else {
+            return 0;
+        };
+        if width == 0 || width != self.cfg.fetch_width {
+            return 0;
+        }
+        // A lone bubble run is head and tail at once: it only needs to
+        // cover one cycle's commit, since fetch refills it every cycle.
+        let lone = self.window.len() == 1;
+        let head_cycles = match lone {
+            true if head >= width => max,
+            true => 0,
+            false => u64::from(head / width),
+        };
+        // A completion at `t` is delivered by the cycle that reaches `t`:
+        // the cycles strictly before it are free of them.
+        let undisturbed = self
+            .next_completion()
+            .map_or(max, |t| t.get().saturating_sub(self.now.get() + 1));
+        let cycles = max
+            .min(head_cycles)
+            .min(u64::from(op.bubbles / width))
+            .min(undisturbed);
+        if cycles == 0 || self.retry_due(mem) {
+            return 0;
+        }
+
+        // `cycles <= max <= CPU_CYCLES_PER_DRAM_CYCLE`, so this fits.
+        let moved = cycles as u32 * width;
+        self.cur_op = Some(TraceOp {
+            bubbles: op.bubbles - moved,
+            ..op
+        });
+        if !lone {
+            match self.window.front_mut() {
+                Some(Entry::Bubbles(n)) if *n > moved => *n -= moved,
+                _ => {
+                    self.window.pop_front();
+                }
+            }
+            match self.window.back_mut() {
+                Some(Entry::Bubbles(n)) => *n += moved,
+                _ => self.window.push_back(Entry::Bubbles(moved)),
+            }
+        }
+        self.now += cycles;
+        self.stats.cycles += cycles;
+        self.stats.instructions += u64::from(moved);
+        self.fold_prefetch_hits();
+        self.compute_run_cycles += cycles;
+        cycles
+    }
+
+    /// Folds newly observed demand-hits-on-prefetched-lines into stats.
+    fn fold_prefetch_hits(&mut self) {
+        let cache_hits = self.l1.prefetch_hits + self.l2.prefetch_hits;
+        self.stats.prefetch_hits += cache_hits - self.prefetch_hits_seen;
+        self.prefetch_hits_seen = cache_hits;
     }
 
     /// Executes one CPU cycle against the shared memory system.
@@ -406,38 +517,38 @@ impl Core {
             self.mark_done(id);
         }
         // ... and due DRAM completions.
-        while let Some(&Reverse((t, id))) = self.dram_done.peek() {
+        while let Some(&Reverse((t, _, line))) = self.dram_done.peek() {
             if t > now {
                 break;
             }
             self.dram_done.pop();
-            self.finish_fill(id);
+            self.finish_fill(line);
         }
 
         // 2. Retry sends that hit back-pressure: fills first, then
         //    writebacks. Each class retries at most once per DRAM cycle
         //    (see the gate fields): a failed attempt closes its gate
         //    until the memory clock advances.
-        if self.mshrs.has_unsent()
-            && self.fill_gate != Some((mem.reap_epoch(), self.mshrs.unsent_epoch()))
-        {
+        if self.fill_retry_due(mem) {
             while let Some(line) = self.mshrs.first_unsent() {
-                if let Some(id) = mem.try_enqueue(
-                    self.thread,
-                    AccessKind::Read,
-                    line,
-                    now,
-                    self.stats.mem_stall_cycles,
-                ) {
+                if mem
+                    .try_enqueue(
+                        self.thread,
+                        AccessKind::Read,
+                        line,
+                        now,
+                        self.stats.mem_stall_cycles,
+                    )
+                    .is_some()
+                {
                     self.mshrs.mark_sent(line);
-                    self.inflight.insert(id, line);
                 } else {
                     self.fill_gate = Some((mem.reap_epoch(), self.mshrs.unsent_epoch()));
                     break;
                 }
             }
         }
-        if !self.pending_writebacks.is_empty() && self.wb_gate != Some(mem.reap_epoch()) {
+        if self.writeback_retry_due(mem) {
             while let Some(&wb) = self.pending_writebacks.front() {
                 if mem
                     .try_enqueue(
@@ -490,10 +601,7 @@ impl Core {
             }
         }
 
-        // Fold newly observed demand-hits-on-prefetched-lines into stats.
-        let cache_hits = self.l1.prefetch_hits + self.l2.prefetch_hits;
-        self.stats.prefetch_hits += cache_hits - self.prefetch_hits_seen;
-        self.prefetch_hits_seen = cache_hits;
+        self.fold_prefetch_hits();
 
         // 5. Fetch.
         let mut fetched = 0u32;
@@ -592,15 +700,17 @@ impl Core {
                     match self.mshrs.allocate(line, id, is_store) {
                         MshrAlloc::NewEntry => {
                             self.stats.l2_misses += 1;
-                            if let Some(rid) = mem.try_enqueue(
-                                self.thread,
-                                AccessKind::Read,
-                                line,
-                                self.now,
-                                self.stats.mem_stall_cycles,
-                            ) {
+                            if mem
+                                .try_enqueue(
+                                    self.thread,
+                                    AccessKind::Read,
+                                    line,
+                                    self.now,
+                                    self.stats.mem_stall_cycles,
+                                )
+                                .is_some()
+                            {
                                 self.mshrs.mark_sent(line);
-                                self.inflight.insert(rid, line);
                             } else {
                                 // Left unsent; the rejection just observed
                                 // holds until the next reap, so the step-2
@@ -637,15 +747,17 @@ impl Core {
                 continue; // in flight or MSHRs exhausted
             }
             self.stats.prefetches += 1;
-            if let Some(rid) = mem.try_enqueue(
-                self.thread,
-                AccessKind::Read,
-                addr,
-                self.now,
-                self.stats.mem_stall_cycles,
-            ) {
+            if mem
+                .try_enqueue(
+                    self.thread,
+                    AccessKind::Read,
+                    addr,
+                    self.now,
+                    self.stats.mem_stall_cycles,
+                )
+                .is_some()
+            {
                 self.mshrs.mark_sent(addr);
-                self.inflight.insert(rid, addr);
             } else {
                 // Retried by the unsent path in step 2 — but not before
                 // the next reap (see the gate protocol).
@@ -671,18 +783,16 @@ impl Core {
         }
     }
 
-    /// Handles a DRAM fill that reached its delivery time.
-    fn finish_fill(&mut self, rid: RequestId) {
-        let Some(line) = self.inflight.remove(&rid) else {
-            return;
-        };
+    /// Handles the DRAM fill of `line` that reached its delivery time.
+    fn finish_fill(&mut self, line: PhysAddr) {
         let Some(fill) = self.mshrs.complete(line) else {
             return;
         };
-        self.mem_epoch += 1; // MSHR freed + caches installed below
-                             // An untouched prefetch installs into the L2 only, tagged so a
-                             // later demand hit counts it as useful. A prefetch that a demand
-                             // access merged into was *late but useful*: credit it directly.
+        // The MSHR is freed and the caches install below.
+        self.mem_epoch += 1;
+        // An untouched prefetch installs into the L2 only, tagged so a
+        // later demand hit counts it as useful. A prefetch that a demand
+        // access merged into was *late but useful*: credit it directly.
         let untouched_prefetch = fill.prefetch && fill.waiters.is_empty();
         if fill.prefetch && !fill.waiters.is_empty() {
             self.stats.prefetch_hits += 1;
@@ -708,15 +818,20 @@ impl Core {
         if self.last_dram_id == Some(id) {
             self.last_dram_done = true;
         }
-        for e in &mut self.window {
+        // Ids ascend toward the tail and an op that completes soon after
+        // its fetch (an L1 hit) sits near it: search from the back, and
+        // stop at the first older op — `id` then committed already (e.g.
+        // a store), and there is nothing to do.
+        for e in self.window.iter_mut().rev() {
             if let Entry::Mem(m) = e {
                 if m.id == id {
                     m.done = true;
+                }
+                if m.id <= id {
                     return;
                 }
             }
         }
-        // Entry already committed (e.g. a store): nothing to do.
     }
 }
 
@@ -984,5 +1099,222 @@ mod prefetch_integration_tests {
             on.prefetches,
             on.l2_misses
         );
+    }
+}
+
+#[cfg(test)]
+mod compute_run_tests {
+    use super::*;
+    use crate::trace::VecTrace;
+    use stfm_dram::rng::SmallRng;
+    use stfm_dram::{DramConfig, DramCycle};
+    use stfm_mc::{ControllerConfig, FrFcfs};
+
+    /// Trace shapes, each aimed at one way a compute run can end or must
+    /// not start.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shape {
+        /// Bubble runs of every length between far load and store misses
+        /// (low MPKI): runs span whole DRAM cycles, and fills come due in
+        /// the middle of them.
+        BubbleHeavy,
+        /// A hot set that hits in the L1 every few instructions: runs are
+        /// cut by 2-cycle local completions and short bubble counts.
+        L1Hits,
+        /// Dependent misses: fetch blocks behind the previous miss.
+        DependentChain,
+        /// Sequential lines with the stream prefetcher on: a demand hit on
+        /// a prefetched line folds into `CoreStats` on the cycle after
+        /// the access, which may be the first of a run.
+        Prefetched,
+        /// Bursts of stores to lines that all fall in one L2 set, into
+        /// tiny controller buffers, then a long bubble run: every fill
+        /// evicts a dirty line, and the unsent fills and the writebacks
+        /// wait behind closed and reopening retry gates while the head of
+        /// the window is all bubbles.
+        StoreBursts,
+        /// No bubbles at all: a compute run must never start.
+        ZeroBubble,
+    }
+
+    fn trace(shape: Shape, rng: &mut SmallRng) -> Vec<TraceOp> {
+        let far = |rng: &mut SmallRng| rng.random_range(0u64..1 << 22) * 64;
+        (0..6_000u64)
+            .map(|i| match shape {
+                Shape::BubbleHeavy => {
+                    let bubbles = rng.random_range(20u32..700);
+                    match rng.random_range(0u32..3) {
+                        0 => TraceOp::store(far(rng), bubbles),
+                        _ => TraceOp::load(far(rng), bubbles),
+                    }
+                }
+                Shape::L1Hits if rng.random_range(0u32..40) == 0 => TraceOp::load(far(rng), 3),
+                Shape::L1Hits => {
+                    let addr = rng.random_range(0u64..16) * 64;
+                    let bubbles = rng.random_range(0u32..14);
+                    match rng.random_range(0u32..4) {
+                        0 => TraceOp::store(addr, bubbles),
+                        _ => TraceOp::load(addr, bubbles),
+                    }
+                }
+                Shape::DependentChain => {
+                    TraceOp::load(far(rng), rng.random_range(0u32..60)).dependent()
+                }
+                Shape::Prefetched => {
+                    // Short gaps make a prefetch late (the demand access
+                    // merges into it); long ones let it land first.
+                    let bubbles = match rng.random_range(0u32..2) {
+                        0 => rng.random_range(4u32..40),
+                        _ => rng.random_range(300u32..900),
+                    };
+                    TraceOp::load(i * 64, bubbles)
+                }
+                Shape::StoreBursts => {
+                    let bubbles = match i % 24 {
+                        0 => rng.random_range(15_000u32..30_000),
+                        _ => 0,
+                    };
+                    TraceOp::store(i * 64 * 1024, bubbles)
+                }
+                Shape::ZeroBubble => TraceOp::load(far(rng), 0),
+            })
+            .collect()
+    }
+
+    fn system(shape: Shape, ops: Vec<TraceOp>) -> (Core, MemorySystem) {
+        let cfg = CoreConfig {
+            prefetch: (shape == Shape::Prefetched).then(PrefetchConfig::default),
+            ..CoreConfig::paper_baseline()
+        };
+        let ctrl = match shape {
+            Shape::StoreBursts => ControllerConfig {
+                read_capacity: 8,
+                write_capacity: 2,
+                // Above the capacity: no drain mode, so writes wait for
+                // the reads to run out and the writebacks queue up.
+                drain_high: 3,
+                drain_low: 1,
+                ..ControllerConfig::paper_baseline()
+            },
+            _ => ControllerConfig::paper_baseline(),
+        };
+        let mem = MemorySystem::with_controller_config(
+            DramConfig::ddr2_800(),
+            ctrl,
+            Box::new(FrFcfs::new()),
+        );
+        let core = Core::with_config(ThreadId(0), Box::new(VecTrace::new("t", ops)), cfg);
+        (core, mem)
+    }
+
+    /// Runs one trace on two identical systems — one advanced by
+    /// [`Core::advance_dram_cycle`], one by ten [`Core::step`] calls per
+    /// DRAM cycle — and compares everything a run loop can observe after
+    /// every DRAM cycle. Returns the share of CPU cycles the first core
+    /// took as compute runs.
+    fn check(shape: Shape, seed: u64, dram_cycles: u64) -> f64 {
+        let mut rng = SmallRng::seed_from_u64(0xC0DE_0000 ^ seed);
+        let ops = trace(shape, &mut rng);
+        let (mut fast, mut fast_mem) = system(shape, ops.clone());
+        let (mut slow, mut slow_mem) = system(shape, ops);
+        for c in 0..dram_cycles {
+            for (core, mem) in [(&mut fast, &mut fast_mem), (&mut slow, &mut slow_mem)] {
+                mem.tick(DramCycle::new(c));
+                for done in mem.drain_completions() {
+                    core.push_completion(done);
+                }
+            }
+            // Both entry forms: the inertness verdict, and "step it all".
+            let wake = match rng.random_range(0u32..3) {
+                0 => None,
+                _ => fast.next_wake(&fast_mem),
+            };
+            fast.advance_dram_cycle(wake, &mut fast_mem);
+            for _ in 0..CPU_CYCLES_PER_DRAM_CYCLE {
+                slow.step(&mut slow_mem);
+            }
+            let at = format!("{shape:?}, seed {seed}, DRAM cycle {c}");
+            assert_eq!(fast.stats(), slow.stats(), "{at}");
+            assert_eq!(fast.now(), slow.now(), "{at}");
+            assert_eq!(fast.next_wake(&fast_mem), slow.next_wake(&slow_mem), "{at}");
+            assert_eq!(fast.cur_op, slow.cur_op, "next trace record, {at}");
+            let inner = |c: &Core, m: &MemorySystem| {
+                (
+                    (c.window_count, c.window.len(), c.mem_epoch),
+                    (c.local_done.len(), c.dram_done.len(), c.mshrs.len()),
+                    (c.pending_writebacks.len(), m.outstanding(), m.arrivals()),
+                )
+            };
+            assert_eq!(
+                inner(&fast, &fast_mem),
+                inner(&slow, &slow_mem),
+                "window, queues and memory side, {at}"
+            );
+        }
+        assert_eq!(slow.compute_run_cycles(), 0, "step alone took a run");
+        assert!(fast.stats().instructions > 0);
+        fast.compute_run_cycles() as f64 / fast.stats().cycles as f64
+    }
+
+    const SHAPES: [Shape; 5] = [
+        Shape::BubbleHeavy,
+        Shape::L1Hits,
+        Shape::DependentChain,
+        Shape::Prefetched,
+        Shape::StoreBursts,
+    ];
+
+    #[test]
+    fn compute_runs_equal_stepping() {
+        for seed in 0..3 {
+            for shape in SHAPES {
+                check(shape, seed, 12_000);
+            }
+        }
+    }
+
+    /// The deep tier of the same property (CI runs it with
+    /// `--include-ignored`, in release with debug assertions).
+    #[test]
+    #[ignore = "deep tier; run with --include-ignored"]
+    fn compute_runs_equal_stepping_deep() {
+        for seed in 3..27 {
+            for shape in SHAPES {
+                check(shape, seed, 60_000);
+            }
+        }
+    }
+
+    #[test]
+    fn compute_runs_engage_on_low_mpki_and_never_without_bubbles() {
+        let share = check(Shape::BubbleHeavy, 100, 12_000);
+        assert!(
+            share > 0.3,
+            "compute runs covered only {share:.2} of cycles"
+        );
+        assert_eq!(check(Shape::ZeroBubble, 100, 12_000), 0.0);
+    }
+
+    #[test]
+    fn the_other_shapes_exercise_what_they_name() {
+        let run = |shape| {
+            let mut rng = SmallRng::seed_from_u64(7);
+            let (mut core, mut mem) = system(shape, trace(shape, &mut rng));
+            for c in 0..30_000 {
+                mem.tick(DramCycle::new(c));
+                for done in mem.drain_completions() {
+                    core.push_completion(done);
+                }
+                let wake = core.next_wake(&mem);
+                core.advance_dram_cycle(wake, &mut mem);
+            }
+            (*core.stats(), core.compute_run_cycles())
+        };
+        let (hits, runs) = run(Shape::L1Hits);
+        assert!(hits.l2_misses * 20 < hits.loads && runs > 0, "{hits:?}");
+        let (pf, runs) = run(Shape::Prefetched);
+        assert!(pf.prefetch_hits > 100 && runs > 0, "{pf:?}");
+        let (st, runs) = run(Shape::StoreBursts);
+        assert!(st.writebacks > 100 && runs > 0, "{st:?}");
     }
 }

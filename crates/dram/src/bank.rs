@@ -74,6 +74,22 @@ impl Bank {
         self.busy_until
     }
 
+    /// The bank-local thresholds of the bank's two command classes for a
+    /// read (`write == false`) or write access: `(hit, miss)`, where `hit`
+    /// is the earliest cycle of the column command to the open row (`None`
+    /// on a closed bank) and `miss` that of the command a row miss needs
+    /// next — PRECHARGE when a row is open, ACTIVATE when closed. The
+    /// command-free form of [`Bank::earliest_issue`], which stays the
+    /// reference it is tested against.
+    #[inline]
+    pub(crate) fn class_edges(&self, write: bool) -> (Option<DramCycle>, DramCycle) {
+        match self.open_row {
+            Some(_) if write => (Some(self.next_write), self.next_precharge),
+            Some(_) => (Some(self.next_read), self.next_precharge),
+            None => (None, self.next_activate),
+        }
+    }
+
     /// The earliest cycle at which `cmd` satisfies the *bank-local* timing
     /// constraints, assuming the bank receives no other command first.
     /// `None` when the row-buffer state precondition fails (e.g. a READ

@@ -61,6 +61,42 @@ pub struct Channel {
     stats: ChannelStats,
 }
 
+/// Earliest issue cycles of one bank's two command classes; see
+/// [`Channel::class_edges`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassEdges {
+    /// The column command to the open row (what a row hit needs); `None`
+    /// on a closed bank, where nothing can hit.
+    pub hit: Option<DramCycle>,
+    /// What a row miss needs next: PRECHARGE when a row is open, ACTIVATE
+    /// when the bank is closed.
+    pub miss: DramCycle,
+}
+
+impl ClassEdges {
+    /// The edge of a request's class: `hit` for a row hit, else `miss`.
+    /// A row hit implies an open row, so `hit` is present then.
+    #[inline]
+    pub fn of(&self, row_hit: bool) -> DramCycle {
+        match self.hit {
+            Some(at) if row_hit => at,
+            _ => self.miss,
+        }
+    }
+
+    /// The earlier edge among the classes present in a bank's waiting
+    /// list (`None` when neither is).
+    #[inline]
+    pub fn earliest(&self, has_hit: bool, has_miss: bool) -> Option<DramCycle> {
+        match (has_hit, has_miss) {
+            (true, true) => Some(self.of(true).min(self.miss)),
+            (true, false) => Some(self.of(true)),
+            (false, true) => Some(self.miss),
+            (false, false) => None,
+        }
+    }
+}
+
 /// Command counts observed by a channel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChannelStats {
@@ -234,6 +270,49 @@ impl Channel {
         Some(at)
     }
 
+    /// The earliest issue cycles, clamped to `now`, of `bank`'s two command
+    /// classes for a read (`write == false`) or write access, read straight
+    /// from the bank's and the channel's threshold fields: every row hit of
+    /// a bank needs the same column command and every row miss the same
+    /// PRECHARGE (row open) or ACTIVATE (bank closed), and DRAM timing
+    /// depends on the command's kind only, so these two cycles carry the
+    /// readiness of every request waiting on the bank. Each equals
+    /// [`Channel::earliest_issue`] of the corresponding command (same
+    /// frozen-state assumption), and is `<= now` exactly when
+    /// [`Channel::can_issue`] accepts it — without building a
+    /// [`DramCommand`]. A randomized test holds the three in agreement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is out of range.
+    #[inline]
+    pub fn class_edges(&self, bank: BankId, write: bool, now: DramCycle) -> ClassEdges {
+        let mut floor = now.max(self.cmd_bus_free);
+        if let Some(end) = self.refresh.busy_end() {
+            floor = floor.max(end);
+        }
+        let (hit, miss) = self.banks[bank.0 as usize].class_edges(write);
+        let (turnaround, latency) = if write {
+            (self.next_write_issue, self.timing.t_cwl)
+        } else {
+            (self.next_read_issue, self.timing.t_cl)
+        };
+        ClassEdges {
+            hit: hit.map(|at| {
+                at.max(floor)
+                    .max(turnaround)
+                    .max(self.data_bus_free.saturating_sub(latency))
+            }),
+            miss: if hit.is_some() {
+                miss.max(floor)
+            } else {
+                miss.max(floor)
+                    .max(self.next_activate_any)
+                    .max(self.faw_earliest())
+            },
+        }
+    }
+
     /// The cycle at which the next refresh-related state change happens,
     /// given a frozen channel (no commands issue in between): the end of
     /// the in-flight refresh, or the start cycle of the next one
@@ -264,6 +343,7 @@ impl Channel {
     }
 
     /// Earliest cycle at which a new ACTIVATE satisfies tFAW.
+    #[inline]
     fn faw_earliest(&self) -> DramCycle {
         if self.stats.activates < FAW_WINDOW as u64 {
             // Fewer than four ACTIVATEs ever issued: no tFAW bound yet.
@@ -668,5 +748,99 @@ mod randomized_tests {
                 }
             }
         }
+    }
+
+    /// Drives a channel through `steps` random legal commands (activates,
+    /// column reads and writes with and without auto-precharge,
+    /// precharges, and the refreshes `tick` starts once the channel has
+    /// drained) and, at every step, holds [`Channel::class_edges`] of
+    /// every bank and both access kinds against its two references: each
+    /// edge equals `earliest_issue` of the command it stands for, and is
+    /// due exactly when `can_issue` accepts that command.
+    fn check_class_edges(seeds: std::ops::Range<u64>, steps: u32) {
+        let mut refreshes = 0;
+        for seed in seeds {
+            let mut rng = SmallRng::seed_from_u64(0xED6E_0000 ^ seed);
+            let cfg = DramConfig {
+                refresh_enabled: seed % 2 == 0,
+                ..DramConfig::ddr2_800()
+            };
+            let mut ch = Channel::new(&cfg);
+            let mut now = DramCycle::ZERO;
+            for _ in 0..steps {
+                now += rng.random_range(1u64..6);
+                ch.tick(now);
+                for bank in (0..cfg.banks).map(BankId) {
+                    let open = ch.bank(bank).open_row();
+                    for write in [false, true] {
+                        let edges = ch.class_edges(bank, write, now);
+                        let column = |row| match write {
+                            true => DramCommand::write(bank, row, 0),
+                            false => DramCommand::read(bank, row, 0),
+                        };
+                        let miss = match open {
+                            Some(_) => DramCommand::precharge(bank),
+                            None => DramCommand::activate(bank, 1),
+                        };
+                        let at = format!("seed {seed}, {bank} at {now}");
+                        assert_eq!(Some(edges.miss), ch.earliest_issue(&miss, now), "{at}");
+                        assert_eq!(edges.miss <= now, ch.can_issue(&miss, now), "{at}");
+                        let hit = open.map(column);
+                        assert_eq!(
+                            edges.hit,
+                            hit.and_then(|c| ch.earliest_issue(&c, now)),
+                            "{at}"
+                        );
+                        assert_eq!(
+                            edges.hit.is_some_and(|e| e <= now),
+                            hit.is_some_and(|c| ch.can_issue(&c, now)),
+                            "{at}"
+                        );
+                        assert_eq!(edges.of(true), edges.hit.unwrap_or(edges.miss));
+                        assert_eq!(edges.of(false), edges.miss);
+                        assert_eq!(
+                            edges.earliest(true, true),
+                            Some(edges.of(true).min(edges.miss))
+                        );
+                    }
+                }
+                // A due refresh starts only on a drained channel: hold
+                // new commands back until it has.
+                if ch.refresh.due(now) {
+                    continue;
+                }
+                let bank = BankId(rng.random_range(0..cfg.banks));
+                let row = rng.random_range(0u32..4);
+                let (cmd, auto_pre) = match (ch.bank(bank).open_row(), rng.random_range(0u32..6)) {
+                    (None, _) => (DramCommand::activate(bank, row), false),
+                    (Some(_), 0) => (DramCommand::precharge(bank), false),
+                    (Some(r), k @ 1..=3) => (DramCommand::read(bank, r, row), k == 3),
+                    (Some(r), k) => (DramCommand::write(bank, r, row), k == 5),
+                };
+                if !ch.can_issue(&cmd, now) {
+                    continue;
+                }
+                if auto_pre {
+                    ch.issue_auto_precharge(&cmd, now);
+                } else {
+                    ch.issue(&cmd, now);
+                }
+            }
+            refreshes += ch.stats().refreshes;
+        }
+        assert!(refreshes > 0, "no refresh was exercised");
+    }
+
+    #[test]
+    fn class_edges_match_earliest_issue_and_can_issue() {
+        check_class_edges(0..16, 2_500);
+    }
+
+    /// The deep tier of the same property (CI runs it with
+    /// `--include-ignored`, in release with debug assertions).
+    #[test]
+    #[ignore = "deep tier; run with --include-ignored"]
+    fn class_edges_match_earliest_issue_and_can_issue_deep() {
+        check_class_edges(16..272, 6_000);
     }
 }

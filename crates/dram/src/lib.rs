@@ -51,7 +51,7 @@ pub mod timing;
 
 pub use address::{AddressMapping, DecodedAddr, PhysAddr};
 pub use bank::{Bank, BankState};
-pub use channel::Channel;
+pub use channel::{Channel, ClassEdges};
 pub use checker::{TimingChecker, TimingViolation};
 pub use command::{BankId, ChannelId, CommandKind, DramCommand};
 pub use config::DramConfig;

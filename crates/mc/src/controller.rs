@@ -4,7 +4,7 @@ use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 use crate::stats::{SystemStats, ThreadStats};
 use stfm_dram::{
-    AccessCategory, AddressMapping, Channel, ChannelId, ClockRatio, CpuCycle, DramCommand,
+    AccessCategory, AddressMapping, BankId, Channel, ChannelId, ClassEdges, ClockRatio, CpuCycle,
     DramConfig, DramCycle, DramDelta, EnergyBreakdown, EnergyModel, PhysAddr, TimingChecker,
 };
 use stfm_telemetry::{Event, NullSink, Sink};
@@ -73,6 +73,9 @@ pub struct Completion {
     pub thread: ThreadId,
     /// Read or write.
     pub kind: AccessKind,
+    /// The line address the request was enqueued with, so the requester
+    /// can match a fill to its miss without a table keyed by `id`.
+    pub addr: PhysAddr,
     /// CPU cycle at which the data is available to the core.
     pub finish_cpu: CpuCycle,
 }
@@ -101,54 +104,64 @@ pub struct SchedCounters {
 /// invalidate — and (b) the policy's [`SchedulerPolicy::decision_epoch`]
 /// and the channel's eligible access kind are unchanged (checked via
 /// `cache_key`). Readiness is never cached: the stored top/slip are
-/// re-checked against DRAM timing at the current cycle, and all row-hits
-/// of a bank share one command shape (as do all row-misses), so the
-/// stored best-row-hit fallback has the same issuability as every other
-/// row-hit candidate.
+/// re-checked at the current cycle against the bank's class edges
+/// ([`Channel::class_edges`]) — all row-hits of a bank share one command
+/// shape (as do all row-misses), so the stored class of the top and the
+/// best-row-hit fallback carry the issuability of every other candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BankCache {
     /// No cached selection; the next scheduling pass rebuilds it.
     Invalid,
     /// The waiting list holds no request of the eligible kind.
     NoEligible,
-    /// Winner of the rank pass plus the best row-hit fallback
-    /// (`(buffer index, rank, id)` each).
+    /// Winner of the rank pass plus the best row-hit fallback.
     Top {
         /// Highest-ranked eligible request of the bank.
-        top: (usize, Rank, RequestId),
+        top: Pick,
+        /// Whether `top` hits the open row (its command class).
+        top_hit: bool,
         /// Best-ranked row-hit other than `top` (the "slip" candidate
         /// driven while `top`'s command is not ready), if any.
-        slip: Option<(usize, Rank, RequestId)>,
+        slip: Option<Pick>,
     },
 }
 
-/// A bank's `(row-hit, row-miss)` class representatives, as buffer
-/// indices.
-type ClassReps = (Option<usize>, Option<usize>);
+/// A selected request: `(buffer index, rank, id)`.
+type Pick = (usize, Rank, RequestId);
 
-/// One bank's cached class representatives: the first eligible row-hit
-/// and row-miss of its waiting list (see [`MemorySystem::class_reps`]).
+/// A request whose data burst is over: `(data-done cycle, id, buffer
+/// index)`, which sorts into completion-stream order.
+type Finished = (DramCycle, RequestId, usize);
+
+/// Whether a bank's waiting list holds an eligible `(row-hit, row-miss)`.
+type ClassReps = (bool, bool);
+
+/// One bank's cached class presence: whether its waiting list holds an
+/// eligible row-hit and an eligible row-miss (see
+/// [`MemorySystem::class_reps`]). *When* either class can issue is never
+/// cached — [`Channel::class_edges`] answers that from the device's
+/// threshold fields — so the cache holds no buffer index.
 ///
 /// Unlike [`BankCache`], validity is purely *structural* — a cached
 /// pair is exact while the bank's waiting list and its row-buffer state
 /// are unchanged (command issues on the bank, refreshes, and the
 /// eligible access kind flipping all invalidate; an enqueue is folded
-/// in incrementally, since a newcomer appends at the tail and can only
-/// fill a still-empty representative slot). Policy decision epochs do
-/// not matter here: representatives carry timing shape, not rank.
+/// in incrementally, since a newcomer can only make its own class
+/// present). Policy decision epochs do not matter here: classes carry
+/// timing shape, not rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RepCache {
-    /// No cached representatives; the next query rescans the list.
+    /// Nothing cached; the next query rescans the list.
     Invalid,
-    /// Cached `(hit, miss)` representative buffer indices for the given
-    /// eligible kind (a mismatched kind reads as invalid).
+    /// Cached class presence for the given eligible kind (a mismatched
+    /// kind reads as invalid).
     Reps {
         /// Eligible access kind the pair was computed under.
         kind: AccessKind,
-        /// First eligible row-hit of the waiting list, if any.
-        hit: Option<usize>,
-        /// First eligible row-miss of the waiting list, if any.
-        miss: Option<usize>,
+        /// The waiting list holds an eligible row-hit.
+        hit: bool,
+        /// The waiting list holds an eligible row-miss.
+        miss: bool,
     },
 }
 
@@ -182,6 +195,9 @@ pub(crate) struct ChannelCtrl {
     /// Scratch for per-bank candidate ranks, reused across cycles so the
     /// hot path never allocates.
     rank_scratch: Vec<(usize, Rank)>,
+    /// Scratch for one reap's finished requests, reused likewise (bounded
+    /// by the buffer capacity).
+    finished_scratch: Vec<Finished>,
     /// Exact minimum `data_done` over in-service requests (`None` when
     /// none are in service): lowered when a column command issues,
     /// recomputed when completions are reaped. Lets the per-tick reap and
@@ -190,7 +206,7 @@ pub(crate) struct ChannelCtrl {
     /// Per-bank cached rank-pass winners (cross-tick decision carrying);
     /// see [`BankCache`].
     bank_cache: Vec<BankCache>,
-    /// Per-bank cached class representatives for the agenda and ready
+    /// Per-bank cached class presence for the agenda and ready
     /// pre-filter scans; see [`RepCache`].
     rep_cache: Vec<RepCache>,
     /// The `(decision epoch, eligible kind)` the cache was filled under;
@@ -255,8 +271,8 @@ impl ChannelCtrl {
         }
     }
 
-    /// The bank's class representatives, served from [`RepCache`] when
-    /// valid and recomputed (and cached) from the waiting list otherwise.
+    /// The bank's class presence, served from [`RepCache`] when valid and
+    /// recomputed (and cached) from the waiting list otherwise.
     fn reps(&mut self, bank: usize, eligible: AccessKind) -> ClassReps {
         if let Some(pair) = self.reps_peek(bank, eligible) {
             return pair;
@@ -289,7 +305,7 @@ impl ChannelCtrl {
                         &self.bank_waiting[bank],
                         eligible
                     ),
-                    "cached class representatives diverged from a fresh scan"
+                    "cached class presence diverged from a fresh scan"
                 );
                 return Some((hit, miss));
             }
@@ -307,8 +323,7 @@ impl ChannelCtrl {
         self.bank_waiting[bank].push(idx);
         // The newcomer may outrank the cached winner of its bank.
         self.bank_cache[bank] = BankCache::Invalid;
-        // But it extends the *tail* of the waiting list, so it becomes a
-        // class representative only if its class had none.
+        // And it makes its own class present, whatever else waits.
         let is_hit = self.channel.bank(r.loc.bank).open_row() == Some(r.loc.row);
         if let RepCache::Reps {
             kind: rep_kind,
@@ -317,10 +332,7 @@ impl ChannelCtrl {
         } = &mut self.rep_cache[bank]
         {
             if *rep_kind == kind {
-                let slot = if is_hit { hit } else { miss };
-                if slot.is_none() {
-                    *slot = Some(idx);
-                }
+                *(if is_hit { hit } else { miss }) = true;
             }
         }
         match kind {
@@ -348,16 +360,16 @@ impl ChannelCtrl {
     }
 
     /// Re-points the per-bank indexes after completed requests were
-    /// removed from the buffer (`removed` = their old positions,
-    /// ascending): every surviving index shifts down by the number of
+    /// removed from the buffer (`removed` = the requests, by ascending old
+    /// position): every surviving index shifts down by the number of
     /// removed slots below it. Completed requests were in service, not
     /// waiting, so the waiting *sets* — and therefore the cached
     /// per-bank rank decisions — are untouched; only their stored
     /// buffer indices move. Shifting preserves each list's ascending
     /// order, so no cache entry is invalidated here.
-    fn compact_indexes(&mut self, removed: &[usize]) {
-        debug_assert!(removed.windows(2).all(|w| w[0] < w[1]));
-        let shift = |idx: usize| idx - removed.partition_point(|&r| r < idx);
+    fn compact_indexes(&mut self, removed: &[Finished]) {
+        debug_assert!(removed.windows(2).all(|w| w[0].2 < w[1].2));
+        let shift = |idx: usize| idx - removed.partition_point(|r| r.2 < idx);
         for list in &mut self.bank_waiting {
             for idx in list.iter_mut() {
                 *idx = shift(*idx);
@@ -368,13 +380,6 @@ impl ChannelCtrl {
                 top.0 = shift(top.0);
                 if let Some(s) = slip {
                     s.0 = shift(s.0);
-                }
-            }
-        }
-        for e in &mut self.rep_cache {
-            if let RepCache::Reps { hit, miss, .. } = e {
-                for i in [hit, miss].into_iter().flatten() {
-                    *i = shift(*i);
                 }
             }
         }
@@ -486,6 +491,7 @@ impl MemorySystem {
                 queued_writes: 0,
                 waiting_reads: 0,
                 rank_scratch: Vec::new(),
+                finished_scratch: Vec::new(),
                 next_data_done: None,
                 bank_cache: vec![BankCache::Invalid; config.banks as usize],
                 rep_cache: vec![RepCache::Invalid; config.banks as usize],
@@ -739,14 +745,12 @@ impl MemorySystem {
         if req.kind != ctrl.eligible_kind() {
             return; // not electable now; its edge appears when it is
         }
-        let cmd = req.next_command(&ctrl.channel);
-        if let Some(at) = ctrl.channel.earliest_issue(&cmd, self.now) {
-            let at = at.max(self.now);
-            self.chan_next[chan] = Some(match self.chan_next[chan] {
-                Some(e) => e.min(at),
-                None => at,
-            });
-        }
+        let row_hit = ctrl.channel.bank(req.loc.bank).open_row() == Some(req.loc.row);
+        let at = ctrl
+            .channel
+            .class_edges(req.loc.bank, req.kind == AccessKind::Write, self.now)
+            .of(row_hit);
+        self.chan_next[chan] = Some(self.chan_next[chan].map_or(at, |e| e.min(at)));
     }
 
     /// Count of accepted enqueues over the system's lifetime. The
@@ -1041,11 +1045,13 @@ impl MemorySystem {
 
     /// The per-channel edge scan: the earliest cycle, clamped to `now`,
     /// at which `ctrl` can do anything absent new arrivals — the minimum
-    /// over its drain fence, the data-done watermark, the command edges
-    /// of each bank's class representatives, and the next refresh
-    /// transition. `reps` supplies a bank's representatives: the caching
-    /// [`ChannelCtrl::reps`] on the live path, a fresh
-    /// [`Self::class_reps`] scan in the debug cross-check.
+    /// over its drain fence, the data-done watermark, each bank's class
+    /// edges ([`Channel::class_edges`]) for the classes its waiting list
+    /// holds, and the next refresh transition. Since the result is
+    /// clamped, the first edge that is already due ends the scan. `reps`
+    /// says which classes a bank holds: the caching [`ChannelCtrl::reps`]
+    /// on the live path, a fresh [`Self::class_reps`] scan in the debug
+    /// cross-check.
     fn channel_edge(
         cfg: &ControllerConfig,
         ctrl: &mut ChannelCtrl,
@@ -1068,21 +1074,22 @@ impl MemorySystem {
             "stale next_data_done watermark"
         );
         let mut earliest = ctrl.next_data_done;
-        let mut put = |at: DramCycle| earliest = Some(earliest.map_or(at, |e| e.min(at)));
+        let write = eligible_kind == AccessKind::Write;
         for b in 0..ctrl.bank_waiting.len() {
+            if earliest.is_some_and(|e| e <= now) {
+                return Some(now);
+            }
             if ctrl.bank_waiting[b].is_empty() {
                 continue;
             }
             let (hit, miss) = reps(ctrl, b, eligible_kind);
-            for idx in [hit, miss].into_iter().flatten() {
-                let cmd = ctrl.requests[idx].next_command(&ctrl.channel);
-                if let Some(at) = ctrl.channel.earliest_issue(&cmd, now) {
-                    put(at);
-                }
+            let edges = ctrl.channel.class_edges(BankId(b as u32), write, now);
+            if let Some(at) = edges.earliest(hit, miss) {
+                earliest = Some(earliest.map_or(at, |e| e.min(at)));
             }
         }
         if let Some(at) = ctrl.channel.next_refresh_event(now) {
-            put(at);
+            earliest = Some(earliest.map_or(at, |e| e.min(at)));
         }
         earliest.map(|e| e.max(now))
     }
@@ -1157,7 +1164,11 @@ impl MemorySystem {
         let mut rank_carried = 0u64;
         let best = {
             let q = ctrl.query(channel_id, now);
-            let mut best: Option<(usize, DramCommand)> = None;
+            // When a bank's hit and miss commands can issue: readiness
+            // costs no command and no look at the buffer.
+            let write = eligible_kind == AccessKind::Write;
+            let edges = |bank: usize| ctrl.channel.class_edges(BankId(bank as u32), write, now);
+            let mut best: Option<usize> = None;
             let mut best_key = (Rank::MIN, 0u64);
             for (bank, bank_list) in ctrl.bank_waiting.iter().enumerate() {
                 if bank_list.is_empty() {
@@ -1172,25 +1183,18 @@ impl MemorySystem {
                                 .all(|&i| ctrl.requests[i].kind != eligible_kind));
                             None
                         }
-                        BankCache::Top { top, slip } => {
+                        BankCache::Top { top, top_hit, slip } => {
                             rank_carried += 1;
-                            let c = Self::cached_candidate(
-                                &ctrl.requests,
-                                &ctrl.channel,
-                                now,
-                                top,
-                                slip,
-                            );
+                            let c = Self::cached_candidate(edges(bank), now, top, top_hit, slip);
                             debug_assert_eq!(
                                 c,
                                 Self::scan_candidate(
                                     &ctrl.requests,
-                                    &ctrl.channel,
                                     &*policy,
                                     &q,
                                     bank_list,
                                     eligible_kind,
-                                    now,
+                                    edges(bank),
                                     &mut Vec::new(),
                                 ),
                                 "carried bank decision diverged from a fresh rank pass"
@@ -1201,12 +1205,11 @@ impl MemorySystem {
                             rank_scans += 1;
                             let (c, entry) = Self::fill_bank_cache(
                                 &ctrl.requests,
-                                &ctrl.channel,
                                 &*policy,
                                 &q,
                                 bank_list,
                                 eligible_kind,
-                                now,
+                                edges(bank),
                                 &mut scratch,
                             );
                             bank_cache[bank] = entry;
@@ -1214,12 +1217,12 @@ impl MemorySystem {
                         }
                     }
                 } else {
-                    // Legacy path (no epoch): pre-filter on the two class
-                    // representatives — if neither the row-hit column
-                    // access nor the precharge/activate shape can issue
-                    // this cycle, no candidate of this bank can, and the
-                    // rank pass would select nothing.
-                    let (hit_rep, miss_rep) =
+                    // Legacy path (no epoch): pre-filter on the two
+                    // classes — if neither the row-hit column access nor
+                    // the precharge/activate shape can issue this cycle,
+                    // no candidate of this bank can, and the rank pass
+                    // would select nothing.
+                    let (has_hit, has_miss) =
                         ctrl.reps_peek(bank, eligible_kind).unwrap_or_else(|| {
                             Self::class_reps(
                                 &ctrl.requests,
@@ -1228,33 +1231,27 @@ impl MemorySystem {
                                 eligible_kind,
                             )
                         });
-                    let ready = |i: Option<usize>| {
-                        i.is_some_and(|i| {
-                            ctrl.channel
-                                .can_issue(&ctrl.requests[i].next_command(&ctrl.channel), now)
-                        })
-                    };
-                    if !ready(hit_rep) && !ready(miss_rep) {
+                    let edges = edges(bank);
+                    if edges.earliest(has_hit, has_miss).is_none_or(|at| at > now) {
                         continue;
                     }
                     rank_scans += 1;
                     Self::scan_candidate(
                         &ctrl.requests,
-                        &ctrl.channel,
                         &*policy,
                         &q,
                         bank_list,
                         eligible_kind,
-                        now,
+                        edges,
                         &mut scratch,
                     )
                 };
-                let Some((idx, cmd, rank, id)) = candidate else {
+                let Some((idx, rank, id)) = candidate else {
                     continue;
                 };
                 let key = (rank, Rank::older_first(id));
                 if best.is_none() || key > best_key {
-                    best = Some((idx, cmd));
+                    best = Some(idx);
                     best_key = key;
                 }
             }
@@ -1266,9 +1263,11 @@ impl MemorySystem {
         ctrl.rank_scans += rank_scans;
         ctrl.rank_carried += rank_carried;
 
-        let Some((idx, cmd)) = best else {
+        let Some(idx) = best else {
             return;
         };
+        // The one command built per visit: the winner's.
+        let cmd = ctrl.requests[idx].next_command(&ctrl.channel);
 
         // Phase 2 (mutable): issue and update request state. Under the
         // closed-page policy, a column access auto-precharges unless some
@@ -1318,35 +1317,25 @@ impl MemorySystem {
         ctrl.bank_cache[cmd.bank.0 as usize] = BankCache::Invalid;
         ctrl.rep_cache[cmd.bank.0 as usize] = RepCache::Invalid;
         stats.record_command(&cmd);
-        let req_copy = ctrl.requests[idx].clone();
-        let q = SchedQuery {
-            channel_id,
-            now,
-            channel: &ctrl.channel,
-            requests: &ctrl.requests,
-            bank_waiting: Some(&ctrl.bank_waiting),
-        };
-        policy.on_command(&cmd, &req_copy, &q);
+        policy.on_command(&cmd, &ctrl.requests[idx], &ctrl.query(channel_id, now));
     }
 
     /// One bank's full selection pass: rank every eligible waiting
     /// request, take the top by `(rank, older_first(id))`, and — when the
-    /// top's command cannot issue at `now` — fall back to the best-ranked
-    /// row-hit whose (column) command can. Returns the issuable candidate
-    /// as `(buffer index, command, rank, id)`. This is the legacy
-    /// per-bank body of `schedule_channel`, factored out so the carried
-    /// path can cross-check against it in debug builds.
-    #[allow(clippy::too_many_arguments)]
+    /// top's command class cannot issue yet (`edges`, the bank's class
+    /// edges at `q.now`) — fall back to the best-ranked row-hit if the
+    /// column command can. Returns the issuable candidate. This is the
+    /// legacy per-bank body of `schedule_channel`, factored out so the
+    /// carried path can cross-check against it in debug builds.
     fn scan_candidate(
         requests: &[Request],
-        channel: &Channel,
         policy: &dyn SchedulerPolicy,
         q: &SchedQuery<'_>,
         bank_list: &[usize],
         eligible_kind: AccessKind,
-        now: DramCycle,
+        edges: ClassEdges,
         scratch: &mut Vec<(usize, Rank)>,
-    ) -> Option<(usize, DramCommand, Rank, RequestId)> {
+    ) -> Option<Pick> {
         scratch.clear();
         for &i in bank_list {
             let r = &requests[i];
@@ -1366,36 +1355,31 @@ impl MemorySystem {
             .iter()
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
             .copied()?;
-        let top_cmd = requests[top_idx].next_command(channel);
-        if channel.can_issue(&top_cmd, now) {
-            return Some((top_idx, top_cmd, top_rank, requests[top_idx].id));
+        if edges.of(q.is_row_hit(&requests[top_idx])) <= q.now {
+            return Some((top_idx, top_rank, requests[top_idx].id));
+        }
+        if edges.of(true) > q.now {
+            return None; // no row hit can slip in either
         }
         scratch
             .iter()
             .filter(|(i, _)| *i != top_idx && q.is_row_hit(&requests[*i]))
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
-            .and_then(|&(i, rank)| {
-                let cmd = requests[i].next_command(channel);
-                channel
-                    .can_issue(&cmd, now)
-                    .then_some((i, cmd, rank, requests[i].id))
-            })
+            .map(|&(i, rank)| (i, rank, requests[i].id))
     }
 
     /// [`Self::scan_candidate`] plus cache construction: runs the full
     /// rank pass once and records the bank's top and best-row-hit slip so
     /// later ticks can skip the pass while the bank is unchanged.
-    #[allow(clippy::too_many_arguments)]
     fn fill_bank_cache(
         requests: &[Request],
-        channel: &Channel,
         policy: &dyn SchedulerPolicy,
         q: &SchedQuery<'_>,
         bank_list: &[usize],
         eligible_kind: AccessKind,
-        now: DramCycle,
+        edges: ClassEdges,
         scratch: &mut Vec<(usize, Rank)>,
-    ) -> (Option<(usize, DramCommand, Rank, RequestId)>, BankCache) {
+    ) -> (Option<Pick>, BankCache) {
         scratch.clear();
         for &i in bank_list {
             let r = &requests[i];
@@ -1411,48 +1395,44 @@ impl MemorySystem {
             return (None, BankCache::NoEligible);
         };
         let top = (top_idx, top_rank, requests[top_idx].id);
+        let top_hit = q.is_row_hit(&requests[top_idx]);
         let slip = scratch
             .iter()
             .filter(|(i, _)| *i != top_idx && q.is_row_hit(&requests[*i]))
             .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
             .map(|&(i, rank)| (i, rank, requests[i].id));
-        let candidate = Self::cached_candidate(requests, channel, now, top, slip);
-        (candidate, BankCache::Top { top, slip })
+        let candidate = Self::cached_candidate(edges, q.now, top, top_hit, slip);
+        (candidate, BankCache::Top { top, top_hit, slip })
     }
 
-    /// Evaluates a cached bank selection at `now`: the cached top if its
-    /// command can issue, else the cached best row-hit if *its* command
-    /// can. Exact because, within a cache entry's validity window, the
-    /// candidate set, ranks, and row-hit classifications are unchanged —
-    /// and all row-hits share one command shape, so if the best one
-    /// cannot issue, none can.
+    /// Evaluates a cached bank selection at `now` against the bank's
+    /// class edges: the cached top if its class can issue, else the
+    /// cached best row-hit if the column command can. Exact because,
+    /// within a cache entry's validity window, the candidate set, ranks,
+    /// and row-hit classifications are unchanged — and all row-hits share
+    /// one command shape, so if the best one cannot issue, none can.
     fn cached_candidate(
-        requests: &[Request],
-        channel: &Channel,
+        edges: ClassEdges,
         now: DramCycle,
-        top: (usize, Rank, RequestId),
-        slip: Option<(usize, Rank, RequestId)>,
-    ) -> Option<(usize, DramCommand, Rank, RequestId)> {
-        let (top_idx, top_rank, top_id) = top;
-        let top_cmd = requests[top_idx].next_command(channel);
-        if channel.can_issue(&top_cmd, now) {
-            return Some((top_idx, top_cmd, top_rank, top_id));
+        top: Pick,
+        top_hit: bool,
+        slip: Option<Pick>,
+    ) -> Option<Pick> {
+        if edges.of(top_hit) <= now {
+            return Some(top);
         }
-        let (slip_idx, slip_rank, slip_id) = slip?;
-        let cmd = requests[slip_idx].next_command(channel);
-        channel
-            .can_issue(&cmd, now)
-            .then_some((slip_idx, cmd, slip_rank, slip_id))
+        slip.filter(|_| edges.of(true) <= now)
     }
 
-    /// The first `eligible`-kind row-hit and row-miss requests of one
-    /// bank's waiting list. DRAM timing depends only on the command kind
-    /// (the row value merely gates validity), and [`Request::next_command`]
-    /// maps every row-hit to the same column-access shape and every
-    /// row-miss to the same precharge/activate shape — so these two
-    /// representatives carry the exact issuability and earliest-issue
-    /// cycle of *all* the bank's candidates, making those scans O(1) per
-    /// bank instead of O(waiting).
+    /// Whether one bank's waiting list holds an `eligible`-kind row-hit
+    /// and an `eligible`-kind row-miss. DRAM timing depends only on the
+    /// command kind (the row value merely gates validity), and
+    /// [`Request::next_command`] maps every row-hit to the same
+    /// column-access shape and every row-miss to the same
+    /// precharge/activate shape — so the bank's two class edges
+    /// ([`Channel::class_edges`]) carry the exact issuability and
+    /// earliest-issue cycle of *all* the bank's candidates, making those
+    /// scans O(1) per bank instead of O(waiting).
     fn class_reps(
         requests: &[Request],
         channel: &Channel,
@@ -1460,29 +1440,21 @@ impl MemorySystem {
         eligible: AccessKind,
     ) -> ClassReps {
         let Some(&first) = list.first() else {
-            return (None, None);
+            return (false, false);
         };
         let open = channel.bank(requests[first].loc.bank).open_row();
-        let mut hit: Option<usize> = None;
-        let mut miss: Option<usize> = None;
+        let (mut hit, mut miss) = (false, false);
         for &i in list {
             let r = &requests[i];
             if r.kind != eligible {
                 continue;
             }
-            match open {
-                Some(row) if r.loc.row == row => {
-                    if hit.is_none() {
-                        hit = Some(i);
-                    }
-                }
-                _ => {
-                    if miss.is_none() {
-                        miss = Some(i);
-                    }
-                }
+            if open == Some(r.loc.row) {
+                hit = true;
+            } else {
+                miss = true;
             }
-            if miss.is_some() && (hit.is_some() || open.is_none()) {
+            if miss && (hit || open.is_none()) {
                 break;
             }
         }
@@ -1515,7 +1487,7 @@ impl MemorySystem {
         // order — deterministic by construction, independent of buffer
         // positions, so re-indexing optimizations can never reorder the
         // completion stream.
-        let mut finished: Vec<(DramCycle, crate::request::RequestId, usize)> = Vec::new();
+        let mut finished = std::mem::take(&mut ctrl.finished_scratch);
         for (i, r) in ctrl.requests.iter().enumerate() {
             if let RequestState::InService { data_done } = r.state {
                 if data_done <= now {
@@ -1524,21 +1496,18 @@ impl MemorySystem {
             }
         }
         debug_assert!(!finished.is_empty(), "stale next_data_done watermark");
-        if finished.is_empty() {
-            return;
-        }
         finished.sort_unstable();
         let (mut reads, mut writes) = (0usize, 0usize);
         for &(data_done, _, i) in &finished {
             let finish_cpu = ClockRatio::PAPER.dram_to_cpu(data_done + overhead);
             ctrl.requests[i].state = RequestState::Completed { finish_cpu };
-            let req = ctrl.requests[i].clone();
+            let req = &ctrl.requests[i];
             match req.kind {
                 AccessKind::Read => reads += 1,
                 AccessKind::Write => writes += 1,
             }
-            stats.record_completion(&req, finish_cpu);
-            policy.on_complete(&req);
+            stats.record_completion(req, finish_cpu);
+            policy.on_complete(req);
             if sink.is_enabled() {
                 sink.record(&Event::RequestServiced {
                     dram_cycle: now,
@@ -1555,6 +1524,7 @@ impl MemorySystem {
                 id: req.id,
                 thread: req.thread,
                 kind: req.kind,
+                addr: req.addr,
                 finish_cpu,
             });
         }
@@ -1570,9 +1540,10 @@ impl MemorySystem {
                 _ => None,
             })
             .min();
-        let mut removed: Vec<usize> = finished.iter().map(|&(_, _, i)| i).collect();
-        removed.sort_unstable();
-        ctrl.compact_indexes(&removed);
+        finished.sort_unstable_by_key(|f| f.2);
+        ctrl.compact_indexes(&finished);
+        finished.clear();
+        ctrl.finished_scratch = finished;
         ctrl.audit();
     }
 }

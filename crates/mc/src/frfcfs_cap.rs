@@ -10,8 +10,11 @@
 use crate::frfcfs::FrFcfs;
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{Request, RequestId};
-use std::collections::HashMap;
 use stfm_dram::{ChannelId, DramCommand};
+
+/// Banks per channel in the flat table: slot `channel * 16 + bank`, the
+/// packing `stfm-core`'s slot masks use.
+const BANK_SLOTS: u32 = 16;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BankCap {
@@ -25,7 +28,9 @@ struct BankCap {
 #[derive(Debug, Clone)]
 pub struct FrFcfsCap {
     cap: u32,
-    banks: HashMap<(ChannelId, u32), BankCap>,
+    /// Per-bank cap state, indexed by [`FrFcfsCap::slot`]; grown on first
+    /// write, so a slot beyond the end reads as the default (no victim).
+    banks: Vec<BankCap>,
 }
 
 impl FrFcfsCap {
@@ -39,7 +44,7 @@ impl FrFcfsCap {
         assert!(cap > 0, "cap must be positive");
         FrFcfsCap {
             cap,
-            banks: HashMap::new(),
+            banks: Vec::new(),
         }
     }
 
@@ -48,9 +53,17 @@ impl FrFcfsCap {
         self.cap
     }
 
+    fn slot(channel: ChannelId, bank: u32) -> usize {
+        debug_assert!(
+            bank < BANK_SLOTS,
+            "bank {bank} overflows its channel's slots"
+        );
+        (channel.0 * BANK_SLOTS + bank) as usize
+    }
+
     fn bank_capped(&self, channel: ChannelId, bank: u32) -> bool {
         self.banks
-            .get(&(channel, bank))
+            .get(Self::slot(channel, bank))
             .is_some_and(|b| b.victim.is_some() && b.bypasses >= self.cap)
     }
 }
@@ -82,7 +95,9 @@ impl SchedulerPolicy for FrFcfsCap {
         // row hits by a row change).
         for q in sys.channels() {
             for bank in 0..q.channel.num_banks() {
-                let entry = self.banks.entry((q.channel_id, bank)).or_default();
+                let Some(entry) = self.banks.get_mut(Self::slot(q.channel_id, bank)) else {
+                    break; // never written: no victim here or beyond
+                };
                 if let Some(victim) = entry.victim {
                     let still_waiting = q
                         .requests
@@ -110,7 +125,11 @@ impl SchedulerPolicy for FrFcfsCap {
             })
             .min_by_key(|r| r.id)
             .map(|r| r.id);
-        let entry = self.banks.entry((q.channel_id, cmd.bank.0)).or_default();
+        let slot = Self::slot(q.channel_id, cmd.bank.0);
+        if slot >= self.banks.len() {
+            self.banks.resize(slot + 1, BankCap::default());
+        }
+        let entry = &mut self.banks[slot];
         match (bypassed, entry.victim) {
             (Some(new), Some(old)) if new == old => entry.bypasses += 1,
             (Some(new), _) => {
@@ -179,5 +198,36 @@ mod tests {
         let sys = SystemView::single(q);
         p.on_dram_cycle(&sys);
         assert!(!p.bank_capped(ChannelId(0), 0));
+    }
+
+    #[test]
+    fn caps_and_clears_a_bank_on_the_last_channel() {
+        // Channel 3, bank 7 is slot 55 of the flat table: past every slot a
+        // one-channel system touches, so the table has to grow to reach it.
+        let ch3 = ChannelId(3);
+        let (channel, _cfg) = harness::open_row(7, 5);
+        let old_miss = req_to(7, ThreadId(0), 9, 0, 1);
+        let hit = req_to(7, ThreadId(1), 5, 0, 2);
+        let mut p = FrFcfsCap::with_cap(1);
+        assert!(!p.bank_capped(ch3, 7), "an unwritten slot is uncapped");
+        let requests = [old_miss.clone(), hit.clone()];
+        let q = SchedQuery {
+            channel_id: ch3,
+            ..harness::query(&channel, &requests)
+        };
+        p.on_command(&DramCommand::read(hit.loc.bank, 5, 0), &hit, &q);
+        assert!(p.bank_capped(ch3, 7));
+        assert!(p.rank(&old_miss, &q) > p.rank(&hit, &q));
+        for (c, b) in [(3, 6), (2, 7), (0, 7)] {
+            assert!(!p.bank_capped(ChannelId(c), b), "ch{c} bank {b} capped");
+        }
+        // The victim got serviced and left the queue: cap state clears.
+        let remaining = [hit.clone()];
+        let q = SchedQuery {
+            channel_id: ch3,
+            ..harness::query(&channel, &remaining)
+        };
+        p.on_dram_cycle(&SystemView::single(q));
+        assert!(!p.bank_capped(ch3, 7));
     }
 }
