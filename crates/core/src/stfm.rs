@@ -5,8 +5,8 @@ use crate::registers::{weighted_slowdown, RegisterFile, ThreadRegs};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use stfm_dram::{
-    AccessCategory, ClockRatio, CommandKind, CpuCycle, DramCommand, DramCycle, TimingParams,
-    CPU_CYCLES_PER_DRAM_CYCLE,
+    AccessCategory, BankId, ClockRatio, CommandKind, CpuCycle, DramCommand, DramCycle,
+    TimingParams, CPU_CYCLES_PER_DRAM_CYCLE,
 };
 use stfm_mc::policy::{PolicyWork, Rank, SchedQuery, SchedulerPolicy, SystemView};
 use stfm_mc::request::{Request, RequestId, RequestState, ThreadId};
@@ -67,6 +67,42 @@ const SLOTS: usize = 64;
 /// The bookkeeping slot of `req`'s `(channel, bank)`.
 fn slot_of(req: &Request) -> usize {
     (req.loc.channel.0 * 16 + req.loc.bank.0) as usize
+}
+
+/// Width of a [`ThreadSet`]. Thread ids must stay below it, which
+/// [`Stfm`] asserts where a thread first registers.
+const THREAD_SET_BITS: u32 = 64;
+
+/// A set of thread ids below [`THREAD_SET_BITS`], one bit per thread.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ThreadSet(u64);
+
+impl ThreadSet {
+    fn insert(&mut self, thread: ThreadId) {
+        debug_assert!(thread.0 < THREAD_SET_BITS);
+        self.0 |= 1 << thread.0;
+    }
+
+    fn contains(self, thread: ThreadId) -> bool {
+        self.0 >> thread.0 & 1 == 1
+    }
+
+    /// The members of `self` that are not in `other`.
+    fn without(self, other: ThreadSet) -> ThreadSet {
+        ThreadSet(self.0 & !other.0)
+    }
+
+    /// The members in ascending id order.
+    fn iter(self) -> impl Iterator<Item = ThreadId> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let t = bits.trailing_zeros();
+                bits &= bits - 1;
+                ThreadId(t)
+            })
+        })
+    }
 }
 
 /// Incrementally maintained per-thread estimator state — the
@@ -197,10 +233,6 @@ pub struct Stfm {
     /// Cumulative charge totals per update rule [bus, bank, own], for
     /// estimator diagnostics.
     charge_totals: [i64; 3],
-    /// Reusable victim-classification scratch ([bank, bus, slot]) for the
-    /// per-command interference update — cleared each command, kept
-    /// allocated across commands.
-    victims: [Vec<ThreadId>; 3],
     /// Incremental per-thread estimator state, indexed by thread id.
     live: Vec<LiveThread>,
     /// Pending end-of-bank-service expiries, popped at the top of each
@@ -239,7 +271,6 @@ impl Stfm {
             unfairness: Fx8::ONE,
             last_reset_cpu: CpuCycle::ZERO,
             charge_totals: [0; 3],
-            victims: [Vec::new(), Vec::new(), Vec::new()],
             live: Vec::new(),
             expiries: BinaryHeap::new(),
             est_gen: 0,
@@ -333,10 +364,15 @@ impl Stfm {
         }
     }
 
-    /// The live-state entry of `thread`, grown on demand.
+    /// The live-state entry of `thread`, grown on demand — where a
+    /// thread first registers.
     fn live_mut(&mut self, thread: ThreadId) -> &mut LiveThread {
         let t = thread.0 as usize;
         if t >= self.live.len() {
+            assert!(
+                thread.0 < THREAD_SET_BITS,
+                "{thread} exceeds STFM's {THREAD_SET_BITS}-thread victim sets"
+            );
             self.live.resize_with(t + 1, LiveThread::default);
         }
         &mut self.live[t]
@@ -422,9 +458,9 @@ impl Stfm {
 
     /// Determines the scheduling mode (paper Section 3.2.1 steps 1, 2a,
     /// 2b) over threads with at least one buffered request — the
-    /// incrementally tracked set, so O(threads), with a request-buffer
-    /// scan needed only to break exact `Smax` ties in the order a
-    /// per-request walk would meet them.
+    /// incrementally tracked set, so O(threads), with a walk over the
+    /// waiting requests needed only to break exact `Smax` ties in the
+    /// order a per-request walk would meet them.
     fn decide_mode(&mut self, sys: &SystemView<'_>) {
         let mut smax: Option<(ThreadId, Fx8)> = None;
         let mut max_count = 0u32;
@@ -461,26 +497,27 @@ impl Stfm {
                 _ => {}
             }
         }
-        // Exact ties on Smax: the walk elects the thread whose first
-        // waiting request appears earliest in (channel, buffer) order.
-        // With a unique maximum the winner is order-independent, so the
-        // scan runs only for genuine fixed-point ties that would actually
-        // steer scheduling (fairness mode about to engage).
+        // Exact ties on Smax: the walk elects the thread of the first
+        // tied waiting request in (channel, arrival) order — per channel,
+        // the one with the smallest id. With a unique maximum the winner
+        // is order-independent, so the scan runs only for genuine
+        // fixed-point ties that would actually steer scheduling (fairness
+        // mode about to engage).
         if let Some((tmax, hi)) = &mut smax {
             if max_count > 1 && self.unfairness_would_engage(*hi, smin) {
                 self.work.full_rebuilds += 1;
-                'scan: for q in sys.channels() {
-                    for r in q.requests {
-                        if r.is_waiting()
-                            && self
-                                .regs
-                                .thread(r.thread)
-                                .is_some_and(|rg| rg.weighted_slowdown == *hi)
-                        {
-                            *tmax = r.thread;
-                            break 'scan;
-                        }
-                    }
+                let tied = |r: &&Request| {
+                    self.regs
+                        .thread(r.thread)
+                        .is_some_and(|rg| rg.weighted_slowdown == *hi)
+                };
+                if let Some(t) = sys.channels().find_map(|q| {
+                    q.waiting()
+                        .filter(tied)
+                        .min_by_key(|r| r.id)
+                        .map(|r| r.thread)
+                }) {
+                    *tmax = t;
                 }
             }
         }
@@ -533,7 +570,7 @@ impl Stfm {
         }
         let mut walk: BTreeMap<ThreadId, Walked> = BTreeMap::new();
         for q in sys.channels() {
-            for r in q.requests {
+            for r in q.live() {
                 let e = walk.entry(r.thread).or_default();
                 e.queued |= r.is_waiting();
                 // Writebacks never block commit, so they do not count
@@ -600,7 +637,6 @@ impl Stfm {
         let tbus_cpu = ClockRatio::PAPER
             .dram_delta_to_cpu(self.timing.burst_cycles())
             .get();
-        let is_column = cmd.is_column();
 
         // 1a) Bus interference: every other thread with at least one ready
         //     column command loses the data bus for t_bus.
@@ -609,72 +645,12 @@ impl Stfm {
         //     over its BankWaitingParallelism (scaled by γ).
         //
         // Per victim thread, exactly one charge class applies (in priority
-        // order), so overlapped waiting is never double-counted:
-        //
-        // * **bank** — a request of the victim still needs row commands on
-        //   the culprit command's bank: charged the command's bank latency
-        //   (scaled, amortized over BankWaitingParallelism);
-        // * **bus** — the victim has a column-ready (row-hit) request and
-        //   the culprit issued a column access: charged `t_bus`;
-        // * **slot** — the victim had a bank-ready command this cycle but
-        //   lost command-bus arbitration to the culprit: charged one DRAM
-        //   cycle. (This covers fairness-mode starvation, where a
-        //   deprioritized thread's ready commands lose arbitration for
-        //   long stretches without any traffic touching its own bank.)
-        //
-        // Charging bus + bank simultaneously, as a literal reading of the
-        // paper's rules would, double-counts and saturates the estimates
-        // (see `ablation_estimate` and DESIGN.md).
-        // Classify each victim thread by scanning the channel queue, but
-        // short-circuit per-request work a thread's settled class makes
-        // irrelevant: once a thread is a bank victim nothing can upgrade
-        // it; a bus victim can only upgrade via a row-miss on the
-        // culprit's bank; the slot check never needs to run for a thread
-        // already classified. Membership is provably identical to the
-        // naive per-request chain — each skipped check could only have
-        // (re-)added the thread to a class the final retain step removes
-        // it from anyway — while skipping most of the expensive row-hit /
-        // bank-ready timing queries on deep queues.
-        let mut victims = std::mem::take(&mut self.victims);
-        let [bank_victims, bus_victims, slot_victims] = &mut victims;
-        bank_victims.clear();
-        bus_victims.clear();
-        slot_victims.clear();
-        for r in q.requests {
-            if r.thread == req.thread || !r.is_waiting() {
-                continue;
-            }
-            if bank_victims.contains(&r.thread) {
-                continue;
-            }
-            let same_bank = r.loc.bank == cmd.bank;
-            let in_bus = bus_victims.contains(&r.thread);
-            if in_bus && !same_bank {
-                continue;
-            }
-            if same_bank {
-                if !q.is_row_hit(r) {
-                    bank_victims.push(r.thread);
-                    continue;
-                }
-                if is_column {
-                    if !in_bus {
-                        bus_victims.push(r.thread);
-                    }
-                    continue;
-                }
-            } else if is_column && q.is_row_hit(r) {
-                if !in_bus {
-                    bus_victims.push(r.thread);
-                }
-                continue;
-            }
-            if !in_bus && !slot_victims.contains(&r.thread) && q.is_bank_ready(r) {
-                slot_victims.push(r.thread);
-            }
-        }
-        slot_victims.retain(|t| !bank_victims.contains(t) && !bus_victims.contains(t));
-        bus_victims.retain(|t| !bank_victims.contains(t));
+        // order), so overlapped waiting is never double-counted — see
+        // [`Stfm::classify_victims`]. Charging bus + bank simultaneously,
+        // as a literal reading of the paper's rules would, double-counts
+        // and saturates the estimates (see `ablation_estimate` and
+        // DESIGN.md).
+        let [bank_victims, bus_victims, slot_victims] = Self::classify_victims(cmd, req.thread, q);
         // Calibrated global charge scale: per-command sums overstate the
         // wall-clock delay a victim experiences by ~4/3 on this substrate
         // (command pipelining); ¾ = multiply by 3, shift by 2 in hardware.
@@ -695,20 +671,22 @@ impl Stfm {
         };
         // Charges land in the victim's pending bucket, which the paced
         // drain moves into `Tinterference` (see `drain_step`).
-        for &t in bus_victims.iter() {
+        // Each charge is a per-thread sum, so applying them in ascending
+        // thread order is as good as any.
+        for t in bus_victims.iter() {
             let regs = self.regs.thread_mut(t);
             let delta = scale(tbus_cpu as i64, regs.stall_rate);
             regs.pending_interference += delta;
             self.charge_totals[0] += delta;
         }
-        for &t in bank_victims.iter() {
+        for t in bank_victims.iter() {
             let regs = self.regs.thread_mut(t);
             let (bwp, rate) = (regs.bank_waiting_parallelism, regs.stall_rate);
             let delta = scale(self.amortize(latency_cpu, bwp), rate);
             self.regs.thread_mut(t).pending_interference += delta;
             self.charge_totals[1] += delta;
         }
-        for &t in slot_victims.iter() {
+        for t in slot_victims.iter() {
             let regs = self.regs.thread_mut(t);
             // One lost command-bus slot ≈ one DRAM cycle (pre-compensate
             // the ¾ scale so the net charge is a full cycle).
@@ -716,9 +694,70 @@ impl Stfm {
             regs.pending_interference += delta;
             self.charge_totals[1] += delta;
         }
-        self.victims = victims;
 
         self.update_own_thread(cmd, req);
+    }
+
+    /// The victims of `cmd`, issued for a request of `culprit`, as
+    /// `[bank, bus, slot]` thread sets — disjoint, each thread in the
+    /// first class that applies:
+    ///
+    /// * **bank** — a waiting request of the victim still needs row
+    ///   commands on the culprit command's bank (a row miss there);
+    /// * **bus** — the culprit issued a column access and the victim has
+    ///   a waiting row hit, on any bank;
+    /// * **slot** — the victim had a bank-ready command this cycle but
+    ///   lost command-bus arbitration to the culprit. (This covers
+    ///   fairness-mode starvation, where a deprioritized thread's ready
+    ///   commands lose arbitration for long stretches without any
+    ///   traffic touching its own bank.)
+    ///
+    /// The walk goes bank by bank over the channel's waiting requests.
+    /// A bank's readiness is read once per access kind from its
+    /// thresholds ([`stfm_dram::Bank::class_edges`]), which is
+    /// [`SchedQuery::is_bank_ready`] for every request of the bank; a
+    /// thread whose class is settled skips the remaining checks.
+    fn classify_victims(
+        cmd: &DramCommand,
+        culprit: ThreadId,
+        q: &SchedQuery<'_>,
+    ) -> [ThreadSet; 3] {
+        let is_column = cmd.is_column();
+        let mut bank_victims = ThreadSet::default();
+        let mut bus_victims = ThreadSet::default();
+        let mut slot_victims = ThreadSet::default();
+        for b in 0..q.channel.num_banks() {
+            let bank = q.channel.bank(BankId(b));
+            let open = bank.open_row();
+            let same_bank = b == cmd.bank.0;
+            // `[read, write]` × `(hit ready, miss ready)`.
+            let ready = [false, true].map(|write| {
+                let (hit, miss) = bank.class_edges(write);
+                (hit.is_some_and(|at| at <= q.now), miss <= q.now)
+            });
+            for r in q.waiting_in_bank(b) {
+                let t = r.thread;
+                if t == culprit || bank_victims.contains(t) {
+                    continue;
+                }
+                let hit = open == Some(r.loc.row);
+                if same_bank && !hit {
+                    bank_victims.insert(t);
+                } else if is_column && hit {
+                    bus_victims.insert(t);
+                } else if !bus_victims.contains(t) && !slot_victims.contains(t) {
+                    let (hit_ready, miss_ready) = ready[usize::from(r.kind == AccessKind::Write)];
+                    let bank_ready = if hit { hit_ready } else { miss_ready };
+                    debug_assert_eq!(bank_ready, q.is_bank_ready(r));
+                    if bank_ready {
+                        slot_victims.insert(t);
+                    }
+                }
+            }
+        }
+        let bus_victims = bus_victims.without(bank_victims);
+        let slot_victims = slot_victims.without(bank_victims).without(bus_victims);
+        [bank_victims, bus_victims, slot_victims]
     }
 
     /// 2) Own-thread extra latency, evaluated when the column access
@@ -1226,5 +1265,127 @@ mod charge_rule_tests {
         // after the integer pre-compensation, (10·4/3)·¾.
         let regs = victim_regs_after_one_read(&[req_to(1, ThreadId(1), 3, 0, 1)]);
         assert_eq!(regs.pending_interference, 9);
+    }
+
+    /// HEAD's victim classification before the thread bitsets: one pass
+    /// over the buffer in order, filling `Vec`s, then the two retains.
+    /// Returned sorted, for comparison with [`Stfm::classify_victims`].
+    fn vec_victims(
+        cmd: &DramCommand,
+        culprit: ThreadId,
+        q: &SchedQuery<'_>,
+        requests: &[Request],
+    ) -> [Vec<ThreadId>; 3] {
+        let is_column = cmd.is_column();
+        let (mut bank_victims, mut bus_victims, mut slot_victims) =
+            (Vec::new(), Vec::new(), Vec::new());
+        for r in requests {
+            if r.thread == culprit || !r.is_waiting() || bank_victims.contains(&r.thread) {
+                continue;
+            }
+            let same_bank = r.loc.bank == cmd.bank;
+            let in_bus = bus_victims.contains(&r.thread);
+            if in_bus && !same_bank {
+                continue;
+            }
+            if same_bank {
+                if !q.is_row_hit(r) {
+                    bank_victims.push(r.thread);
+                    continue;
+                }
+                if is_column {
+                    if !in_bus {
+                        bus_victims.push(r.thread);
+                    }
+                    continue;
+                }
+            } else if is_column && q.is_row_hit(r) {
+                if !in_bus {
+                    bus_victims.push(r.thread);
+                }
+                continue;
+            }
+            if !in_bus && !slot_victims.contains(&r.thread) && q.is_bank_ready(r) {
+                slot_victims.push(r.thread);
+            }
+        }
+        slot_victims.retain(|t| !bank_victims.contains(t) && !bus_victims.contains(t));
+        bus_victims.retain(|t| !bank_victims.contains(t));
+        for v in [&mut bank_victims, &mut bus_victims, &mut slot_victims] {
+            v.sort_unstable();
+        }
+        [bank_victims, bus_victims, slot_victims]
+    }
+
+    /// Seventeen threads — one more than a 16-bit set holds — all wait on
+    /// bank 0 and spread further requests over banks in every readiness
+    /// state. For every command each bank can take next, and culprits at
+    /// both ends of the id range, the bitset classification equals
+    /// HEAD's `Vec` form.
+    #[test]
+    fn seventeen_threads_classify_as_the_vec_form_did() {
+        use stfm_dram::rng::SmallRng;
+        let (mut channel, _) = harness::open_row(0, 5);
+        let now = harness::NOW;
+        // Bank 2 open and ready; bank 4 precharged too recently to
+        // activate; bank 3 activated too recently to read or precharge;
+        // bank 1 closed and ready.
+        channel.issue(&DramCommand::activate(BankId(2), 3), DramCycle::new(20));
+        channel.issue(&DramCommand::activate(BankId(4), 1), DramCycle::new(900));
+        channel.issue(&DramCommand::precharge(BankId(4)), now - 2);
+        channel.issue(&DramCommand::activate(BankId(3), 7), now - 1);
+        let mut seen = [ThreadSet::default(); 3];
+        for seed in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(0x17_7E ^ seed);
+            let mut requests = Vec::new();
+            for t in 0..17u32 {
+                for k in 0..3u32 {
+                    let bank = if k == 0 { 0 } else { rng.random_range(0u32..5) };
+                    let open = channel.bank(BankId(bank)).open_row();
+                    let row = match open {
+                        Some(row) if rng.random_bool(0.5) => row,
+                        _ => 11,
+                    };
+                    let id = requests.len() as u64;
+                    let mut r = req_to(bank, ThreadId(t), row, 0, id);
+                    if rng.random_bool(0.3) {
+                        r.kind = AccessKind::Write;
+                    }
+                    requests.push(r);
+                }
+            }
+            let q = harness::query(&channel, &requests);
+            for bank in (0..5).map(BankId) {
+                let cmds = match channel.bank(bank).open_row() {
+                    Some(row) => vec![
+                        DramCommand::read(bank, row, 0),
+                        DramCommand::write(bank, row, 0),
+                        DramCommand::precharge(bank),
+                    ],
+                    None => vec![DramCommand::activate(bank, 11)],
+                };
+                for cmd in &cmds {
+                    for culprit in [ThreadId(0), ThreadId(16)] {
+                        let sets = Stfm::classify_victims(cmd, culprit, &q);
+                        let got = sets.map(|s| s.iter().collect::<Vec<_>>());
+                        let want = vec_victims(cmd, culprit, &q, &requests);
+                        assert_eq!(got, want, "seed {seed}, {cmd} for {culprit}");
+                        for (s, class) in seen.iter_mut().zip(sets) {
+                            s.0 |= class.0;
+                        }
+                    }
+                }
+            }
+        }
+        for (name, s) in ["bank", "bus", "slot"].iter().zip(seen) {
+            assert!(s.contains(ThreadId(16)), "thread 16 never a {name} victim");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "victim sets")]
+    fn a_thread_beyond_the_set_width_is_refused() {
+        let mut p = Stfm::new(TimingParams::ddr2_800());
+        p.on_enqueue(&req_to(0, ThreadId(THREAD_SET_BITS), 1, 0, 1), 0);
     }
 }

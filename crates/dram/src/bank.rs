@@ -79,10 +79,13 @@ impl Bank {
     /// is the earliest cycle of the column command to the open row (`None`
     /// on a closed bank) and `miss` that of the command a row miss needs
     /// next — PRECHARGE when a row is open, ACTIVATE when closed. The
-    /// command-free form of [`Bank::earliest_issue`], which stays the
-    /// reference it is tested against.
+    /// command-free form of [`Bank::earliest_issue`], and a threshold
+    /// `<= now` exactly when [`Bank::can_issue`] accepts the command;
+    /// both stay the reference it is tested against. The channel-level
+    /// form, with the shared buses folded in, is
+    /// [`crate::Channel::class_edges`].
     #[inline]
-    pub(crate) fn class_edges(&self, write: bool) -> (Option<DramCycle>, DramCycle) {
+    pub fn class_edges(&self, write: bool) -> (Option<DramCycle>, DramCycle) {
         match self.open_row {
             Some(_) if write => (Some(self.next_write), self.next_precharge),
             Some(_) => (Some(self.next_read), self.next_precharge),

@@ -756,7 +756,9 @@ mod randomized_tests {
     /// drained) and, at every step, holds [`Channel::class_edges`] of
     /// every bank and both access kinds against its two references: each
     /// edge equals `earliest_issue` of the command it stands for, and is
-    /// due exactly when `can_issue` accepts that command.
+    /// due exactly when `can_issue` accepts that command. The bank-level
+    /// [`Bank::class_edges`] is held to `Bank::earliest_issue` and
+    /// `Bank::can_issue` the same way.
     fn check_class_edges(seeds: std::ops::Range<u64>, steps: u32) {
         let mut refreshes = 0;
         for seed in seeds {
@@ -794,6 +796,18 @@ mod randomized_tests {
                         assert_eq!(
                             edges.hit.is_some_and(|e| e <= now),
                             hit.is_some_and(|c| ch.can_issue(&c, now)),
+                            "{at}"
+                        );
+                        // The bank-level query, against the bank's own
+                        // references.
+                        let b = ch.bank(bank);
+                        let (bank_hit, bank_miss) = b.class_edges(write);
+                        assert_eq!(Some(bank_miss), b.earliest_issue(&miss), "{at}");
+                        assert_eq!(bank_miss <= now, b.can_issue(&miss, now), "{at}");
+                        assert_eq!(bank_hit, hit.and_then(|c| b.earliest_issue(&c)), "{at}");
+                        assert_eq!(
+                            bank_hit.is_some_and(|e| e <= now),
+                            hit.is_some_and(|c| b.can_issue(&c, now)),
                             "{at}"
                         );
                         assert_eq!(edges.of(true), edges.hit.unwrap_or(edges.miss));

@@ -1,8 +1,10 @@
 //! The DRAM memory controller and the multi-channel memory system.
 
-use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
+use crate::policy::{Buffer, Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 use crate::stats::{SystemStats, ThreadStats};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use stfm_dram::{
     AccessCategory, AddressMapping, BankId, Channel, ChannelId, ClassEdges, ClockRatio, CpuCycle,
     DramConfig, DramCycle, DramDelta, EnergyBreakdown, EnergyModel, PhysAddr, TimingChecker,
@@ -100,10 +102,10 @@ pub struct SchedCounters {
 ///
 /// Validity argument: a cached selection is exact while (a) the bank's
 /// waiting list and the row-buffer state of *this* bank are unchanged —
-/// enqueues, command issues, refreshes, and buffer compaction all
-/// invalidate — and (b) the policy's [`SchedulerPolicy::decision_epoch`]
-/// and the channel's eligible access kind are unchanged (checked via
-/// `cache_key`). Readiness is never cached: the stored top/slip are
+/// enqueues, command issues and refreshes all invalidate; slots never
+/// move, so a reap does not — and (b) the policy's
+/// [`SchedulerPolicy::decision_epoch`] and the channel's eligible access
+/// kind are unchanged (checked via `cache_key`). Readiness is never cached: the stored top/slip are
 /// re-checked at the current cycle against the bank's class edges
 /// ([`Channel::class_edges`]) — all row-hits of a bank share one command
 /// shape (as do all row-misses), so the stored class of the top and the
@@ -126,12 +128,12 @@ enum BankCache {
     },
 }
 
-/// A selected request: `(buffer index, rank, id)`.
+/// A selected request: `(slot, rank, id)`.
 type Pick = (usize, Rank, RequestId);
 
-/// A request whose data burst is over: `(data-done cycle, id, buffer
-/// index)`, which sorts into completion-stream order.
-type Finished = (DramCycle, RequestId, usize);
+/// An in-service request: `(data-done cycle, id, slot)`, which sorts into
+/// completion-stream order.
+type InService = (DramCycle, RequestId, usize);
 
 /// Whether a bank's waiting list holds an eligible `(row-hit, row-miss)`.
 type ClassReps = (bool, bool);
@@ -168,23 +170,34 @@ enum RepCache {
 /// Per-channel controller state: the device plus its request buffer and
 /// the incrementally maintained indexes over it.
 ///
-/// Index invariants (checked in debug builds by [`ChannelCtrl::audit`]):
+/// A request keeps one buffer slot from enqueue to reap, so no index ever
+/// moves. Invariants (checked in debug builds by [`ChannelCtrl::audit`]):
 ///
-/// * `bank_waiting[b]` holds the buffer indices of exactly the requests
-///   with [`Request::is_waiting`] targeting bank `b`, in ascending index
+/// * every slot is either live or vacant: a vacant slot is on `free`
+///   exactly once and holds the completed request it last carried; a live
+///   one holds a waiting or in-service request;
+/// * `in_service` holds exactly the in-service requests;
+/// * `bank_waiting[b]` holds the slots of exactly the requests with
+///   [`Request::is_waiting`] targeting bank `b`, in ascending id
 ///   (= arrival) order;
-/// * `queued_reads` / `queued_writes` count the buffered requests per
-///   [`AccessKind`] (the buffer never holds completed requests between
-///   ticks);
-/// * `waiting_reads` counts buffered reads still in the `Queued` state.
+/// * `queued_reads` / `queued_writes` count the live requests per
+///   [`AccessKind`];
+/// * `waiting_reads` counts live reads still in the `Queued` state.
 #[derive(Debug)]
 pub(crate) struct ChannelCtrl {
     pub(crate) channel: Channel,
-    pub(crate) requests: Vec<Request>,
+    /// The request buffer, indexed by slot.
+    slots: Vec<Request>,
+    /// Vacant slots, reused last in, first out.
+    free: Vec<usize>,
+    /// In-service requests, earliest `(data_done, id)` on top: the top is
+    /// the data-done watermark (nothing completes before it), and pops
+    /// come out in completion-stream order.
+    in_service: BinaryHeap<Reverse<InService>>,
     drain_active: bool,
     checker: Option<TimingChecker>,
     energy: Option<EnergyModel>,
-    /// Per-bank waiting-request indices into `requests`, ascending.
+    /// Per-bank waiting-request slots, in id order.
     bank_waiting: Vec<Vec<usize>>,
     /// Buffered reads (any state).
     queued_reads: usize,
@@ -195,14 +208,6 @@ pub(crate) struct ChannelCtrl {
     /// Scratch for per-bank candidate ranks, reused across cycles so the
     /// hot path never allocates.
     rank_scratch: Vec<(usize, Rank)>,
-    /// Scratch for one reap's finished requests, reused likewise (bounded
-    /// by the buffer capacity).
-    finished_scratch: Vec<Finished>,
-    /// Exact minimum `data_done` over in-service requests (`None` when
-    /// none are in service): lowered when a column command issues,
-    /// recomputed when completions are reaped. Lets the per-tick reap and
-    /// the agenda scans skip the buffer entirely while no data is due.
-    next_data_done: Option<DramCycle>,
     /// Per-bank cached rank-pass winners (cross-tick decision carrying);
     /// see [`BankCache`].
     bank_cache: Vec<BankCache>,
@@ -258,13 +263,24 @@ impl ChannelCtrl {
             channel_id,
             now,
             channel: &self.channel,
-            requests: &self.requests,
-            bank_waiting: Some(&self.bank_waiting),
+            buffer: Buffer::Slots {
+                slots: &self.slots,
+                bank_waiting: &self.bank_waiting,
+            },
         }
     }
 
-    /// Wipes every cached bank decision (buffer indices shifted, a
-    /// refresh closed the rows, or the decision epoch moved).
+    /// The data-done watermark: the earliest `data_done` of an in-service
+    /// request (`None` when none is in service). Nothing completes before
+    /// it, so the per-tick reap and the agenda scans look no further.
+    fn next_data_done(&self) -> Option<DramCycle> {
+        self.in_service
+            .peek()
+            .map(|Reverse((data_done, ..))| *data_done)
+    }
+
+    /// Wipes every cached bank decision (a refresh closed the rows, or
+    /// the decision epoch moved).
     fn invalidate_bank_cache(&mut self) {
         for e in &mut self.bank_cache {
             *e = BankCache::Invalid;
@@ -278,7 +294,7 @@ impl ChannelCtrl {
             return pair;
         }
         let (hit, miss) = MemorySystem::class_reps(
-            &self.requests,
+            &self.slots,
             &self.channel,
             &self.bank_waiting[bank],
             eligible,
@@ -300,7 +316,7 @@ impl ChannelCtrl {
                 debug_assert_eq!(
                     (hit, miss),
                     MemorySystem::class_reps(
-                        &self.requests,
+                        &self.slots,
                         &self.channel,
                         &self.bank_waiting[bank],
                         eligible
@@ -313,18 +329,29 @@ impl ChannelCtrl {
         None
     }
 
-    /// Registers a freshly pushed request (must be the last buffer entry).
-    fn index_enqueue(&mut self) {
-        let idx = self.requests.len() - 1;
-        let r = &self.requests[idx];
-        debug_assert!(r.is_waiting());
-        let bank = r.loc.bank.0 as usize;
-        let kind = r.kind;
-        self.bank_waiting[bank].push(idx);
+    /// Puts a new request in a vacant slot (or a new one at the end) and
+    /// indexes it; returns the slot.
+    fn enqueue(&mut self, req: Request) -> usize {
+        debug_assert!(req.is_waiting());
+        let bank = req.loc.bank.0 as usize;
+        let kind = req.kind;
+        let is_hit = self.channel.bank(req.loc.bank).open_row() == Some(req.loc.row);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = req;
+                slot
+            }
+            None => {
+                self.slots.push(req);
+                self.slots.len() - 1
+            }
+        };
+        // Ids ascend with arrival, so appending keeps the list in id
+        // order whichever slot the newcomer took.
+        self.bank_waiting[bank].push(slot);
         // The newcomer may outrank the cached winner of its bank.
         self.bank_cache[bank] = BankCache::Invalid;
         // And it makes its own class present, whatever else waits.
-        let is_hit = self.channel.bank(r.loc.bank).open_row() == Some(r.loc.row);
         if let RepCache::Reps {
             kind: rep_kind,
             hit,
@@ -342,77 +369,75 @@ impl ChannelCtrl {
             }
             AccessKind::Write => self.queued_writes += 1,
         }
+        slot
     }
 
-    /// Removes `idx` from its bank's waiting list (the request left the
-    /// `Queued` state via a column command).
-    fn index_unwait(&mut self, idx: usize) {
-        let r = &self.requests[idx];
+    /// Removes `slot` from its bank's waiting list (the request left the
+    /// `Queued` state via a column command). The list is in id order,
+    /// not slot order, so the slot is found by position.
+    fn index_unwait(&mut self, slot: usize) {
+        let r = &self.slots[slot];
         let list = &mut self.bank_waiting[r.loc.bank.0 as usize];
-        if let Ok(pos) = list.binary_search(&idx) {
+        if let Some(pos) = list.iter().position(|&s| s == slot) {
             list.remove(pos);
         } else {
-            debug_assert!(false, "waiting index missing from bank list");
+            debug_assert!(false, "waiting slot missing from bank list");
         }
         if r.kind == AccessKind::Read {
             self.waiting_reads -= 1;
         }
     }
 
-    /// Re-points the per-bank indexes after completed requests were
-    /// removed from the buffer (`removed` = the requests, by ascending old
-    /// position): every surviving index shifts down by the number of
-    /// removed slots below it. Completed requests were in service, not
-    /// waiting, so the waiting *sets* — and therefore the cached
-    /// per-bank rank decisions — are untouched; only their stored
-    /// buffer indices move. Shifting preserves each list's ascending
-    /// order, so no cache entry is invalidated here.
-    fn compact_indexes(&mut self, removed: &[Finished]) {
-        debug_assert!(removed.windows(2).all(|w| w[0].2 < w[1].2));
-        let shift = |idx: usize| idx - removed.partition_point(|r| r.2 < idx);
-        for list in &mut self.bank_waiting {
-            for idx in list.iter_mut() {
-                *idx = shift(*idx);
-            }
-        }
-        for e in &mut self.bank_cache {
-            if let BankCache::Top { top, slip, .. } = e {
-                top.0 = shift(top.0);
-                if let Some(s) = slip {
-                    s.0 = shift(s.0);
-                }
-            }
-        }
-    }
-
-    /// Debug-build check of all index invariants.
+    /// Debug-build check of all slot and index invariants.
     #[cfg(debug_assertions)]
     fn audit(&self) {
-        let reads = self
-            .requests
-            .iter()
-            .filter(|r| r.kind == AccessKind::Read)
-            .count();
-        let writes = self.requests.len() - reads;
-        debug_assert_eq!(self.queued_reads, reads);
-        debug_assert_eq!(self.queued_writes, writes);
-        let waiting_reads = self
-            .requests
-            .iter()
+        let mut vacant = vec![false; self.slots.len()];
+        for &s in &self.free {
+            assert!(!vacant[s], "slot {s} is on the free list twice");
+            vacant[s] = true;
+        }
+        for (s, r) in self.slots.iter().enumerate() {
+            assert_eq!(
+                vacant[s],
+                r.is_completed(),
+                "slot {s}: the free list and the buffer disagree"
+            );
+        }
+        let live = || self.slots.iter().filter(|r| !r.is_completed());
+        let reads = live().filter(|r| r.kind == AccessKind::Read).count();
+        assert_eq!(self.queued_reads, reads);
+        assert_eq!(self.queued_writes, live().count() - reads);
+        let waiting_reads = live()
             .filter(|r| r.kind == AccessKind::Read && r.is_waiting())
             .count();
-        debug_assert_eq!(self.waiting_reads, waiting_reads);
+        assert_eq!(self.waiting_reads, waiting_reads);
+        let mut heap: Vec<InService> = self.in_service.iter().map(|e| e.0).collect();
+        let mut in_service: Vec<InService> = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter_map(|(s, r)| match r.state {
+                RequestState::InService { data_done } => Some((data_done, r.id, s)),
+                _ => None,
+            })
+            .collect();
+        heap.sort_unstable();
+        in_service.sort_unstable();
+        assert_eq!(heap, in_service, "the heap is not the in-service set");
         let mut seen = 0usize;
         for (b, list) in self.bank_waiting.iter().enumerate() {
-            debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "bank list unsorted");
-            for &i in list {
-                let r = &self.requests[i];
-                debug_assert!(r.is_waiting() && r.loc.bank.0 as usize == b);
+            assert!(
+                list.windows(2)
+                    .all(|w| self.slots[w[0]].id < self.slots[w[1]].id),
+                "bank {b}'s list is out of id order"
+            );
+            for &s in list {
+                let r = &self.slots[s];
+                assert!(r.is_waiting() && r.loc.bank.0 as usize == b);
             }
             seen += list.len();
         }
-        let waiting = self.requests.iter().filter(|r| r.is_waiting()).count();
-        debug_assert_eq!(seen, waiting);
+        assert_eq!(seen, live().filter(|r| r.is_waiting()).count());
     }
 
     #[cfg(not(debug_assertions))]
@@ -477,12 +502,13 @@ impl MemorySystem {
         policy: Box<dyn SchedulerPolicy>,
     ) -> Self {
         let mapping = AddressMapping::new(&config);
+        let capacity = ctrl_config.read_capacity + ctrl_config.write_capacity;
         let channels = (0..config.channels)
             .map(|_| ChannelCtrl {
                 channel: Channel::new(&config),
-                requests: Vec::with_capacity(
-                    ctrl_config.read_capacity + ctrl_config.write_capacity,
-                ),
+                slots: Vec::with_capacity(capacity),
+                free: Vec::with_capacity(capacity),
+                in_service: BinaryHeap::with_capacity(capacity),
                 drain_active: false,
                 checker: None,
                 energy: None,
@@ -491,8 +517,6 @@ impl MemorySystem {
                 queued_writes: 0,
                 waiting_reads: 0,
                 rank_scratch: Vec::new(),
-                finished_scratch: Vec::new(),
-                next_data_done: None,
                 bank_cache: vec![BankCache::Invalid; config.banks as usize],
                 rep_cache: vec![RepCache::Invalid; config.banks as usize],
                 cache_key: None,
@@ -702,36 +726,28 @@ impl MemorySystem {
                 is_write: kind == AccessKind::Write,
             });
         }
-        let ctrl = &mut self.channels[loc.channel.0 as usize];
-        ctrl.requests.push(req);
-        ctrl.index_enqueue();
+        let slot = self.channels[loc.channel.0 as usize].enqueue(req);
         self.arrivals += 1;
-        self.merge_arrival(loc.channel.0 as usize);
+        self.merge_arrival(loc.channel.0 as usize, slot);
         Some(id)
     }
 
-    /// Folds a just-enqueued request (the last buffer entry of channel
-    /// `chan`) into the channel's cached earliest edge without a rescan.
+    /// Folds a just-enqueued request (in `slot` of channel `chan`) into
+    /// the channel's cached earliest edge without a rescan.
     ///
-    /// An enqueue appends one request and touches nothing else, so the
+    /// An enqueue adds one request and touches nothing else, so the
     /// cached edge stays exact *unless* the arrival changes the
     /// channel's outlook wholesale: the write-drain hysteresis now flips
     /// at the next tick, or a read arrival flips the read/write election
     /// away from the writes whose edges were folded in. Those cases (and
     /// a channel that is already dirty) fall back to the dirty bit; the
     /// common case just folds in the newcomer's own command edge.
-    fn merge_arrival(&mut self, chan: usize) {
+    fn merge_arrival(&mut self, chan: usize, slot: usize) {
         if self.chan_dirty[chan] {
             return;
         }
         let ctrl = &self.channels[chan];
-        // `merge_arrival` is called right after a push; an empty queue
-        // would mean that contract broke, so fall back to the dirty bit
-        // (a full rescan at the next tick) instead of panicking.
-        let Some(req) = ctrl.requests.last() else {
-            self.chan_dirty[chan] = true;
-            return;
-        };
+        let req = &ctrl.slots[slot];
         // A read landing while the election pointed at writes (no waiting
         // reads) invalidates every folded-in write edge. Both tests see
         // the post-arrival state, exactly what a rescan at the next tick
@@ -1023,7 +1039,7 @@ impl MemorySystem {
             self.channels
                 .iter_mut()
                 .filter_map(|c| Self::channel_edge(cfg, c, now, |c, bank, kind| {
-                    Self::class_reps(&c.requests, &c.channel, &c.bank_waiting[bank], kind)
+                    Self::class_reps(&c.slots, &c.channel, &c.bank_waiting[bank], kind)
                 }))
                 .min(),
             "cached channel edges diverged from a full scan at {now}"
@@ -1062,18 +1078,7 @@ impl MemorySystem {
             return Some(now);
         }
         let eligible_kind = ctrl.eligible_kind();
-        debug_assert_eq!(
-            ctrl.next_data_done,
-            ctrl.requests
-                .iter()
-                .filter_map(|r| match r.state {
-                    RequestState::InService { data_done } => Some(data_done),
-                    _ => None,
-                })
-                .min(),
-            "stale next_data_done watermark"
-        );
-        let mut earliest = ctrl.next_data_done;
+        let mut earliest = ctrl.next_data_done();
         let write = eligible_kind == AccessKind::Write;
         for b in 0..ctrl.bank_waiting.len() {
             if earliest.is_some_and(|e| e <= now) {
@@ -1180,7 +1185,7 @@ impl MemorySystem {
                             rank_carried += 1;
                             debug_assert!(bank_list
                                 .iter()
-                                .all(|&i| ctrl.requests[i].kind != eligible_kind));
+                                .all(|&s| ctrl.slots[s].kind != eligible_kind));
                             None
                         }
                         BankCache::Top { top, top_hit, slip } => {
@@ -1189,7 +1194,7 @@ impl MemorySystem {
                             debug_assert_eq!(
                                 c,
                                 Self::scan_candidate(
-                                    &ctrl.requests,
+                                    &ctrl.slots,
                                     &*policy,
                                     &q,
                                     bank_list,
@@ -1204,7 +1209,7 @@ impl MemorySystem {
                         BankCache::Invalid => {
                             rank_scans += 1;
                             let (c, entry) = Self::fill_bank_cache(
-                                &ctrl.requests,
+                                &ctrl.slots,
                                 &*policy,
                                 &q,
                                 bank_list,
@@ -1224,12 +1229,7 @@ impl MemorySystem {
                     // would select nothing.
                     let (has_hit, has_miss) =
                         ctrl.reps_peek(bank, eligible_kind).unwrap_or_else(|| {
-                            Self::class_reps(
-                                &ctrl.requests,
-                                &ctrl.channel,
-                                bank_list,
-                                eligible_kind,
-                            )
+                            Self::class_reps(&ctrl.slots, &ctrl.channel, bank_list, eligible_kind)
                         });
                     let edges = edges(bank);
                     if edges.earliest(has_hit, has_miss).is_none_or(|at| at > now) {
@@ -1237,7 +1237,7 @@ impl MemorySystem {
                     }
                     rank_scans += 1;
                     Self::scan_candidate(
-                        &ctrl.requests,
+                        &ctrl.slots,
                         &*policy,
                         &q,
                         bank_list,
@@ -1246,12 +1246,12 @@ impl MemorySystem {
                         &mut scratch,
                     )
                 };
-                let Some((idx, rank, id)) = candidate else {
+                let Some((slot, rank, id)) = candidate else {
                     continue;
                 };
                 let key = (rank, Rank::older_first(id));
                 if best.is_none() || key > best_key {
-                    best = Some(idx);
+                    best = Some(slot);
                     best_key = key;
                 }
             }
@@ -1263,11 +1263,11 @@ impl MemorySystem {
         ctrl.rank_scans += rank_scans;
         ctrl.rank_carried += rank_carried;
 
-        let Some(idx) = best else {
+        let Some(slot) = best else {
             return;
         };
         // The one command built per visit: the winner's.
-        let cmd = ctrl.requests[idx].next_command(&ctrl.channel);
+        let cmd = ctrl.slots[slot].next_command(&ctrl.channel);
 
         // Phase 2 (mutable): issue and update request state. Under the
         // closed-page policy, a column access auto-precharges unless some
@@ -1277,8 +1277,8 @@ impl MemorySystem {
             && cmd.is_column()
             && !ctrl.bank_waiting[cmd.bank.0 as usize]
                 .iter()
-                .any(|&i| i != idx && ctrl.requests[i].loc.row == ctrl.requests[idx].loc.row);
-        let thread = Some(ctrl.requests[idx].thread.0);
+                .any(|&s| s != slot && ctrl.slots[s].loc.row == ctrl.slots[slot].loc.row);
+        let thread = Some(ctrl.slots[slot].thread.0);
         let done = if auto_pre {
             ctrl.channel
                 .issue_auto_precharge_traced(&cmd, now, channel_id.0, thread, sink)
@@ -1296,19 +1296,16 @@ impl MemorySystem {
         if let Some(energy) = &mut ctrl.energy {
             energy.observe(&cmd);
         }
-        {
-            let req = &mut ctrl.requests[idx];
-            if req.service_started.is_none() {
-                req.service_started = Some(now);
-                req.category = Some(AccessCategory::classify(pre_open, req.loc.row));
-            }
-            if cmd.is_column() {
-                req.state = RequestState::InService { data_done: done };
-            }
+        let req = &mut ctrl.slots[slot];
+        if req.service_started.is_none() {
+            req.service_started = Some(now);
+            req.category = Some(AccessCategory::classify(pre_open, req.loc.row));
         }
         if cmd.is_column() {
-            ctrl.next_data_done = Some(ctrl.next_data_done.map_or(done, |d| d.min(done)));
-            ctrl.index_unwait(idx);
+            req.state = RequestState::InService { data_done: done };
+            ctrl.in_service.push(Reverse((done, req.id, slot)));
+            ctrl.index_unwait(slot);
+            ctrl.audit();
         }
         // The issue changed this bank's row state and/or candidate set;
         // its cached decision is stale. Other banks are untouched (their
@@ -1317,7 +1314,7 @@ impl MemorySystem {
         ctrl.bank_cache[cmd.bank.0 as usize] = BankCache::Invalid;
         ctrl.rep_cache[cmd.bank.0 as usize] = RepCache::Invalid;
         stats.record_command(&cmd);
-        policy.on_command(&cmd, &ctrl.requests[idx], &ctrl.query(channel_id, now));
+        policy.on_command(&cmd, &ctrl.slots[slot], &ctrl.query(channel_id, now));
     }
 
     /// One bank's full selection pass: rank every eligible waiting
@@ -1328,7 +1325,7 @@ impl MemorySystem {
     /// legacy per-bank body of `schedule_channel`, factored out so the
     /// carried path can cross-check against it in debug builds.
     fn scan_candidate(
-        requests: &[Request],
+        slots: &[Request],
         policy: &dyn SchedulerPolicy,
         q: &SchedQuery<'_>,
         bank_list: &[usize],
@@ -1338,7 +1335,7 @@ impl MemorySystem {
     ) -> Option<Pick> {
         scratch.clear();
         for &i in bank_list {
-            let r = &requests[i];
+            let r = &slots[i];
             if r.kind == eligible_kind {
                 scratch.push((i, policy.rank(r, q)));
             }
@@ -1353,26 +1350,26 @@ impl MemorySystem {
         // footnote 4).
         let (top_idx, top_rank) = scratch
             .iter()
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
+            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
             .copied()?;
-        if edges.of(q.is_row_hit(&requests[top_idx])) <= q.now {
-            return Some((top_idx, top_rank, requests[top_idx].id));
+        if edges.of(q.is_row_hit(&slots[top_idx])) <= q.now {
+            return Some((top_idx, top_rank, slots[top_idx].id));
         }
         if edges.of(true) > q.now {
             return None; // no row hit can slip in either
         }
         scratch
             .iter()
-            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&requests[*i]))
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
-            .map(|&(i, rank)| (i, rank, requests[i].id))
+            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&slots[*i]))
+            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
+            .map(|&(i, rank)| (i, rank, slots[i].id))
     }
 
     /// [`Self::scan_candidate`] plus cache construction: runs the full
     /// rank pass once and records the bank's top and best-row-hit slip so
     /// later ticks can skip the pass while the bank is unchanged.
     fn fill_bank_cache(
-        requests: &[Request],
+        slots: &[Request],
         policy: &dyn SchedulerPolicy,
         q: &SchedQuery<'_>,
         bank_list: &[usize],
@@ -1382,25 +1379,25 @@ impl MemorySystem {
     ) -> (Option<Pick>, BankCache) {
         scratch.clear();
         for &i in bank_list {
-            let r = &requests[i];
+            let r = &slots[i];
             if r.kind == eligible_kind {
                 scratch.push((i, policy.rank(r, q)));
             }
         }
         let Some((top_idx, top_rank)) = scratch
             .iter()
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
+            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
             .copied()
         else {
             return (None, BankCache::NoEligible);
         };
-        let top = (top_idx, top_rank, requests[top_idx].id);
-        let top_hit = q.is_row_hit(&requests[top_idx]);
+        let top = (top_idx, top_rank, slots[top_idx].id);
+        let top_hit = q.is_row_hit(&slots[top_idx]);
         let slip = scratch
             .iter()
-            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&requests[*i]))
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(requests[*i].id)))
-            .map(|&(i, rank)| (i, rank, requests[i].id));
+            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&slots[*i]))
+            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
+            .map(|&(i, rank)| (i, rank, slots[i].id));
         let candidate = Self::cached_candidate(edges, q.now, top, top_hit, slip);
         (candidate, BankCache::Top { top, top_hit, slip })
     }
@@ -1434,7 +1431,7 @@ impl MemorySystem {
     /// earliest-issue cycle of *all* the bank's candidates, making those
     /// scans O(1) per bank instead of O(waiting).
     fn class_reps(
-        requests: &[Request],
+        slots: &[Request],
         channel: &Channel,
         list: &[usize],
         eligible: AccessKind,
@@ -1442,10 +1439,10 @@ impl MemorySystem {
         let Some(&first) = list.first() else {
             return (false, false);
         };
-        let open = channel.bank(requests[first].loc.bank).open_row();
+        let open = channel.bank(slots[first].loc.bank).open_row();
         let (mut hit, mut miss) = (false, false);
         for &i in list {
-            let r = &requests[i];
+            let r = &slots[i];
             if r.kind != eligible {
                 continue;
             }
@@ -1461,7 +1458,9 @@ impl MemorySystem {
         (hit, miss)
     }
 
-    /// Marks finished requests completed and removes them from the buffer.
+    /// Reaps the requests whose data burst is over: pops them off the
+    /// in-service heap, which yields them in completion-stream order
+    /// `(data_done, id)`, hands each back, and frees its slot.
     #[allow(clippy::too_many_arguments)]
     fn reap_completions(
         ctrl: &mut ChannelCtrl,
@@ -1473,38 +1472,19 @@ impl MemorySystem {
         stats: &mut SystemStats,
         sink: &mut dyn Sink,
     ) {
-        // The watermark is an exact minimum over in-service requests, so
-        // nothing can finish before it — the common-case tick skips the
-        // buffer scan entirely.
-        if ctrl.next_data_done.is_none_or(|d| d > now) {
-            debug_assert!(ctrl.requests.iter().all(|r| match r.state {
-                RequestState::InService { data_done } => data_done > now,
-                _ => true,
-            }));
-            return;
-        }
-        // Collect finished requests and emit them in `(data_done, id)`
-        // order — deterministic by construction, independent of buffer
-        // positions, so re-indexing optimizations can never reorder the
-        // completion stream.
-        let mut finished = std::mem::take(&mut ctrl.finished_scratch);
-        for (i, r) in ctrl.requests.iter().enumerate() {
-            if let RequestState::InService { data_done } = r.state {
-                if data_done <= now {
-                    finished.push((data_done, r.id, i));
-                }
+        let mut reaped = false;
+        while let Some(&Reverse((data_done, _, slot))) = ctrl.in_service.peek() {
+            if data_done > now {
+                break;
             }
-        }
-        debug_assert!(!finished.is_empty(), "stale next_data_done watermark");
-        finished.sort_unstable();
-        let (mut reads, mut writes) = (0usize, 0usize);
-        for &(data_done, _, i) in &finished {
+            ctrl.in_service.pop();
+            reaped = true;
             let finish_cpu = ClockRatio::PAPER.dram_to_cpu(data_done + overhead);
-            ctrl.requests[i].state = RequestState::Completed { finish_cpu };
-            let req = &ctrl.requests[i];
+            let req = &mut ctrl.slots[slot];
+            req.state = RequestState::Completed { finish_cpu };
             match req.kind {
-                AccessKind::Read => reads += 1,
-                AccessKind::Write => writes += 1,
+                AccessKind::Read => ctrl.queued_reads -= 1,
+                AccessKind::Write => ctrl.queued_writes -= 1,
             }
             stats.record_completion(req, finish_cpu);
             policy.on_complete(req);
@@ -1527,24 +1507,13 @@ impl MemorySystem {
                 addr: req.addr,
                 finish_cpu,
             });
+            // The slot is vacant now; the completed request stays in it
+            // until an arrival takes the slot.
+            ctrl.free.push(slot);
         }
-        ctrl.requests
-            .retain(|r| !matches!(r.state, RequestState::Completed { .. }));
-        ctrl.queued_reads -= reads;
-        ctrl.queued_writes -= writes;
-        ctrl.next_data_done = ctrl
-            .requests
-            .iter()
-            .filter_map(|r| match r.state {
-                RequestState::InService { data_done } => Some(data_done),
-                _ => None,
-            })
-            .min();
-        finished.sort_unstable_by_key(|f| f.2);
-        ctrl.compact_indexes(&finished);
-        finished.clear();
-        ctrl.finished_scratch = finished;
-        ctrl.audit();
+        if reaped {
+            ctrl.audit();
+        }
     }
 }
 
@@ -1810,6 +1779,68 @@ mod tests {
         completed.dedup();
         assert_eq!(completed.len(), done.len(), "duplicate completion");
         assert_eq!(completed.len(), ids.len(), "lost request");
+    }
+
+    /// A request keeps its slot from enqueue to reap, and a freed slot
+    /// takes the next arrival. Fill a channel to capacity, let the chaos
+    /// policy finish requests in an order unrelated to their ids, tick
+    /// with gaps so one reap often finishes several, and refill every
+    /// freed slot at once: the completion stream must be the reference
+    /// `(data_done, id)` sort, and every bank's waiting list must stay in
+    /// arrival order whichever slots its requests took.
+    #[test]
+    fn freed_slots_are_refilled_without_reordering() {
+        use crate::test_util::ChaosPolicy;
+        use stfm_dram::rng::SmallRng;
+        let cfg = ControllerConfig::paper_baseline();
+        let capacity = cfg.read_capacity + cfg.write_capacity;
+        let mut sys = MemorySystem::new(no_refresh_cfg(), Box::new(ChaosPolicy { seed: 7 }));
+        let mut rng = SmallRng::seed_from_u64(0x51_07);
+        let mut now = DramCycle::ZERO;
+        let enqueue = |sys: &mut MemorySystem, kind, now, rng: &mut SmallRng| {
+            let addr = PhysAddr(rng.random_range(0u64..1 << 16) * 4096 + 64);
+            let thread = ThreadId(rng.random_range(0u32..4));
+            sys.try_enqueue(thread, kind, addr, ClockRatio::PAPER.dram_to_cpu(now), 0)
+        };
+        // Both buffer classes to capacity.
+        for kind in [AccessKind::Read, AccessKind::Write] {
+            while enqueue(&mut sys, kind, now, &mut rng).is_some() {}
+        }
+        assert_eq!(sys.outstanding(), capacity);
+        let mut accepted = capacity;
+        let (mut done, mut multi_reaps) = (Vec::new(), 0);
+        while sys.outstanding() > 0 {
+            sys.tick(now);
+            let reaped = sys.drain_completions();
+            multi_reaps += usize::from(reaped.len() > 1);
+            done.extend(reaped);
+            // Refill with reads only: writes kept at capacity would hold
+            // the channel in write drain for good.
+            while accepted < 3_000 && enqueue(&mut sys, AccessKind::Read, now, &mut rng).is_some() {
+                accepted += 1;
+            }
+            let ctrl = &sys.channels[0];
+            assert!(ctrl.slots.len() <= capacity, "a freed slot was not reused");
+            let q = ctrl.query(ChannelId(0), now);
+            for bank in 0..q.channel.num_banks() {
+                let ids: Vec<_> = q.waiting_in_bank(bank).map(|r| r.id).collect();
+                assert!(ids.windows(2).all(|w| w[0] < w[1]), "bank {bank}: {ids:?}");
+            }
+            now += rng.random_range(1u64..8);
+            assert!(now < 10_000_000, "memory system wedged");
+        }
+        assert_eq!(done.len(), accepted);
+        let mut reference = done.clone();
+        reference.sort_by_key(|c| (c.finish_cpu, c.id));
+        assert_eq!(
+            done, reference,
+            "completion stream out of (data_done, id) order"
+        );
+        assert!(
+            done.windows(2).any(|w| w[0].id > w[1].id),
+            "requests finished in id order: the scramble went unexercised"
+        );
+        assert!(multi_reaps > 0, "no reap finished two requests at once");
     }
 
     #[test]

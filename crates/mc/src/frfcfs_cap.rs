@@ -92,7 +92,8 @@ impl SchedulerPolicy for FrFcfsCap {
 
     fn on_dram_cycle(&mut self, sys: &SystemView<'_>) {
         // Drop victims that are no longer waiting (serviced or promoted to
-        // row hits by a row change).
+        // row hits by a row change). A victim is recorded on its own bank,
+        // so only that bank's waiting list is searched.
         for q in sys.channels() {
             for bank in 0..q.channel.num_banks() {
                 let Some(entry) = self.banks.get_mut(Self::slot(q.channel_id, bank)) else {
@@ -100,9 +101,8 @@ impl SchedulerPolicy for FrFcfsCap {
                 };
                 if let Some(victim) = entry.victim {
                     let still_waiting = q
-                        .requests
-                        .iter()
-                        .any(|r| r.id == victim && r.is_waiting() && !q.is_row_hit(r));
+                        .waiting_in_bank(bank)
+                        .any(|r| r.id == victim && !q.is_row_hit(r));
                     if !still_waiting {
                         *entry = BankCap::default();
                     }
@@ -118,11 +118,8 @@ impl SchedulerPolicy for FrFcfsCap {
         // A column access was serviced; find the oldest waiting row access
         // to the same bank that this access bypassed.
         let bypassed = q
-            .requests
-            .iter()
-            .filter(|r| {
-                r.loc.bank == cmd.bank && r.is_waiting() && r.id < req.id && !q.is_row_hit(r)
-            })
+            .waiting_in_bank(cmd.bank.0)
+            .filter(|r| r.id < req.id && !q.is_row_hit(r))
             .min_by_key(|r| r.id)
             .map(|r| r.id);
         let slot = Self::slot(q.channel_id, cmd.bank.0);

@@ -21,9 +21,9 @@
 //!   banks it needs.
 
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
-use crate::request::{Request, ThreadId};
+use crate::request::{Request, RequestId, ThreadId};
 use std::collections::{BTreeMap, BTreeSet};
-use stfm_dram::{ChannelId, DramCycle, DramDelta, TimingParams};
+use stfm_dram::{ChannelId, DramCommand, DramCycle, DramDelta, TimingParams};
 
 /// Per-channel stride of the flat (channel, bank) slot space used by the
 /// virtual-finish-time table; banks per channel stay well below this.
@@ -45,7 +45,12 @@ pub struct Nfq {
     /// Per-bank earliest-deadline head request and the cycle it became
     /// head, for the priority-inversion-prevention timer; indexed
     /// `[channel][bank]`, grown on demand.
-    bank_heads: Vec<Vec<Option<(crate::request::RequestId, DramCycle)>>>,
+    bank_heads: Vec<Vec<Option<(RequestId, DramCycle)>>>,
+    /// Banks whose head may have changed since the last cycle hook, one
+    /// bank bitmask per channel: an arrival, a column command or a
+    /// completion (which moves a deadline) marks its bank, and the next
+    /// hook recomputes the heads of exactly the marked banks.
+    stale_heads: Vec<u64>,
     /// Banks where hit-bypass is currently disabled by the inversion
     /// prevention threshold; one bank bitmask per channel, refreshed
     /// every DRAM cycle (banks per channel stay below 64).
@@ -61,6 +66,7 @@ impl Nfq {
             shares: BTreeMap::new(),
             active: BTreeSet::new(),
             bank_heads: Vec::new(),
+            stale_heads: Vec::new(),
             blocked_banks: Vec::new(),
         }
     }
@@ -84,6 +90,39 @@ impl Nfq {
             .map(|t| u64::from(self.share(*t)))
             .sum::<u64>()
             .max(1)
+    }
+
+    /// Marks `req`'s bank for a head recomputation at the next cycle hook.
+    fn mark_stale(&mut self, req: &Request) {
+        let ch = req.loc.channel.0 as usize;
+        if self.stale_heads.len() <= ch {
+            self.stale_heads.resize(ch + 1, 0);
+        }
+        self.stale_heads[ch] |= 1 << req.loc.bank.0;
+    }
+
+    /// The earliest-deadline waiting request of `bank`: least
+    /// `(virtual finish time, id)`.
+    fn fresh_head<'a>(&self, q: &SchedQuery<'a>, bank: u32) -> Option<&'a Request> {
+        q.waiting_in_bank(bank)
+            .min_by_key(|r| (self.virtual_finish_time(r.thread, q.channel_id, bank), r.id))
+    }
+
+    /// Debug-build check, every cycle hook: each cached bank head is the
+    /// bank's fresh earliest-deadline head.
+    #[cfg(debug_assertions)]
+    fn audit_heads(&self, sys: &SystemView<'_>) {
+        for q in sys.channels() {
+            let ch = q.channel_id.0 as usize;
+            for bank in 0..q.channel.num_banks() {
+                assert_eq!(
+                    self.bank_heads[ch][bank as usize].map(|(id, _)| id),
+                    self.fresh_head(&q, bank).map(|r| r.id),
+                    "cached NFQ head of channel {ch} bank {bank} is stale at {}",
+                    sys.now
+                );
+            }
+        }
     }
 
     /// Current virtual finish time of (thread, channel, bank).
@@ -130,43 +169,60 @@ impl SchedulerPolicy for Nfq {
             if self.blocked_banks.len() <= ch {
                 self.blocked_banks.resize(ch + 1, 0);
             }
+            if self.stale_heads.len() <= ch {
+                self.stale_heads.resize(ch + 1, 0);
+            }
             if self.bank_heads.len() <= ch {
                 self.bank_heads.resize(ch + 1, Vec::new());
             }
             if self.bank_heads[ch].len() < banks {
+                // Banks seen for the first time start stale.
                 self.bank_heads[ch].resize(banks, None);
+                self.stale_heads[ch] = u64::MAX;
             }
-            for bank in 0..q.channel.num_banks() {
-                let head = q
-                    .waiting_in_bank(bank)
-                    .min_by_key(|r| (self.virtual_finish_time(r.thread, q.channel_id, bank), r.id));
+            let mut stale = std::mem::take(&mut self.stale_heads[ch]);
+            while stale != 0 {
+                let bank = stale.trailing_zeros();
+                stale &= stale - 1;
+                if bank as usize >= banks {
+                    break;
+                }
+                let head = self.fresh_head(&q, bank).map(|r| r.id);
                 let slot = &mut self.bank_heads[ch][bank as usize];
                 match head {
                     None => *slot = None,
-                    Some(r) => {
-                        let since = match *slot {
-                            // Head unchanged: keep its timer (the
-                            // steady-state case needs no rewrite).
-                            Some((id, since)) if id == r.id => since,
-                            _ => {
-                                *slot = Some((r.id, sys.now));
-                                sys.now
-                            }
-                        };
-                        if sys.now.saturating_since(since) > threshold {
-                            self.blocked_banks[ch] |= 1 << bank;
-                        }
+                    // Head unchanged: keep its timer.
+                    Some(id) if slot.is_some_and(|(old, _)| old == id) => {}
+                    Some(id) => *slot = Some((id, sys.now)),
+                }
+            }
+            for (bank, head) in self.bank_heads[ch].iter().enumerate() {
+                if let Some((_, since)) = *head {
+                    if sys.now.saturating_since(since) > threshold {
+                        self.blocked_banks[ch] |= 1 << bank;
                     }
                 }
             }
         }
+        #[cfg(debug_assertions)]
+        self.audit_heads(sys);
     }
 
     fn on_enqueue(&mut self, req: &Request, _tshared: u64) {
         self.active.insert(req.thread);
+        self.mark_stale(req);
+    }
+
+    fn on_command(&mut self, cmd: &DramCommand, req: &Request, _q: &SchedQuery<'_>) {
+        // A column command takes its request off the bank's waiting list.
+        if cmd.is_column() {
+            self.mark_stale(req);
+        }
     }
 
     fn on_complete(&mut self, req: &Request) {
+        // The completion moves the thread's deadline in this bank.
+        self.mark_stale(req);
         let latency: u64 = req
             .category
             .map(|c| c.service_latency(&self.timing))
@@ -282,11 +338,8 @@ mod tests {
         now: DramCycle,
     ) -> crate::policy::SchedQuery<'a> {
         crate::policy::SchedQuery {
-            channel_id: ChannelId(0),
             now,
-            channel,
-            requests,
-            bank_waiting: None,
+            ..harness::query(channel, requests)
         }
     }
 

@@ -19,13 +19,16 @@
 
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{Request, RequestId, ThreadId};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// The PAR-BS scheduling policy (extension; not part of the 2007 paper).
 #[derive(Debug, Clone)]
 pub struct ParBs {
     marking_cap: u32,
-    marked: HashSet<RequestId>,
+    /// The current batch: ids of its still-waiting requests, ascending.
+    marked: Vec<RequestId>,
+    /// Scratch for pruning `marked`: which of its ids are still waiting.
+    still_waiting: Vec<bool>,
     /// Higher value = higher priority this batch.
     thread_rank: BTreeMap<ThreadId, u64>,
     batches_formed: u64,
@@ -42,7 +45,8 @@ impl ParBs {
         assert!(marking_cap > 0, "marking cap must be positive");
         ParBs {
             marking_cap,
-            marked: HashSet::new(),
+            marked: Vec::new(),
+            still_waiting: Vec::new(),
             thread_rank: BTreeMap::new(),
             batches_formed: 0,
         }
@@ -55,37 +59,34 @@ impl ParBs {
 
     /// True if `id` belongs to the current batch.
     pub fn is_marked(&self, id: RequestId) -> bool {
-        self.marked.contains(&id)
+        self.marked.binary_search(&id).is_ok()
     }
 
     fn form_batch(&mut self, sys: &SystemView<'_>) {
         self.marked.clear();
         // Oldest `marking_cap` waiting requests per (thread, channel, bank).
-        let mut per_slot: BTreeMap<(ThreadId, u32, u32), Vec<(RequestId, u64)>> = BTreeMap::new();
+        let mut per_slot: BTreeMap<(ThreadId, u32, u32), Vec<RequestId>> = BTreeMap::new();
         for q in sys.channels() {
-            for r in q.requests {
-                if r.is_waiting() {
-                    per_slot
-                        .entry((r.thread, q.channel_id.0, r.loc.bank.0))
-                        .or_default()
-                        .push((r.id, r.id.0));
-                }
+            for r in q.waiting() {
+                per_slot
+                    .entry((r.thread, q.channel_id.0, r.loc.bank.0))
+                    .or_default()
+                    .push(r.id);
             }
         }
         // Per-thread load statistics for the shortest-job-first ranking.
         let mut max_bank_load: BTreeMap<ThreadId, u32> = BTreeMap::new();
         let mut total_load: BTreeMap<ThreadId, u32> = BTreeMap::new();
-        for ((thread, _, _), mut reqs) in per_slot {
-            reqs.sort_by_key(|&(_, age)| age);
-            reqs.truncate(self.marking_cap as usize);
-            let n = reqs.len() as u32;
+        for ((thread, _, _), mut ids) in per_slot {
+            ids.sort_unstable();
+            ids.truncate(self.marking_cap as usize);
+            let n = ids.len() as u32;
             let mbl = max_bank_load.entry(thread).or_insert(0);
             *mbl = (*mbl).max(n);
             *total_load.entry(thread).or_insert(0) += n;
-            for (id, _) in reqs {
-                self.marked.insert(id);
-            }
+            self.marked.extend(ids);
         }
+        self.marked.sort_unstable();
         // Rank: lighter threads first. Encode as a single descending key.
         self.thread_rank.clear();
         for (&thread, &mbl) in &max_bank_load {
@@ -112,7 +113,7 @@ impl SchedulerPolicy for ParBs {
     }
 
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank {
-        let marked = u64::from(self.marked.contains(&req.id));
+        let marked = u64::from(self.is_marked(req.id));
         let hit = u64::from(q.is_row_hit(req));
         let rank = self.thread_rank.get(&req.thread).copied().unwrap_or(0);
         // Oldest-first is the controller's built-in tiebreak.
@@ -123,15 +124,17 @@ impl SchedulerPolicy for ParBs {
         // Drop marks of requests that finished; form a new batch when the
         // current one is exhausted.
         if !self.marked.is_empty() {
-            let mut live: HashSet<RequestId> = HashSet::with_capacity(self.marked.len());
+            self.still_waiting.clear();
+            self.still_waiting.resize(self.marked.len(), false);
             for q in sys.channels() {
-                for r in q.requests {
-                    if r.is_waiting() && self.marked.contains(&r.id) {
-                        live.insert(r.id);
+                for r in q.waiting() {
+                    if let Ok(i) = self.marked.binary_search(&r.id) {
+                        self.still_waiting[i] = true;
                     }
                 }
             }
-            self.marked = live;
+            let mut keep = self.still_waiting.iter();
+            self.marked.retain(|_| keep.next().is_some_and(|&k| k));
         }
         if self.marked.is_empty() {
             self.form_batch(sys);

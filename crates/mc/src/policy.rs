@@ -49,6 +49,11 @@ impl Rank {
 }
 
 /// Read-only view of one channel handed to policies while ranking.
+///
+/// The channel's requests are reached through [`SchedQuery::waiting`],
+/// [`SchedQuery::waiting_in_bank`] and, for debug audits,
+/// [`SchedQuery::live`]: the controller's buffer has vacant slots that no
+/// policy may see.
 #[derive(Debug, Clone, Copy)]
 pub struct SchedQuery<'a> {
     /// Which channel is being scheduled.
@@ -57,13 +62,21 @@ pub struct SchedQuery<'a> {
     pub now: DramCycle,
     /// Device state (bank open rows, bus occupancy, ...).
     pub channel: &'a Channel,
-    /// All live entries of this channel's request buffer (queued,
-    /// in-service, and just-completed requests awaiting reaping).
-    pub requests: &'a [Request],
-    /// Controller-maintained per-bank waiting-request index (ascending
-    /// positions into `requests`), present on the hot path; hand-built
-    /// test queries leave it `None` and fall back to scanning.
-    pub(crate) bank_waiting: Option<&'a [Vec<usize>]>,
+    pub(crate) buffer: Buffer<'a>,
+}
+
+/// Where a [`SchedQuery`]'s requests live.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Buffer<'a> {
+    /// The controller's slot buffer (vacant slots hold completed
+    /// requests) and its per-bank waiting lists of slot indices, each in
+    /// arrival order.
+    Slots {
+        slots: &'a [Request],
+        bank_waiting: &'a [Vec<usize>],
+    },
+    /// A hand-built request slice (policy unit tests), scanned.
+    Slice(&'a [Request]),
 }
 
 impl SchedQuery<'_> {
@@ -86,23 +99,43 @@ impl SchedQuery<'_> {
 
 impl<'a> SchedQuery<'a> {
     /// Iterates this channel's *waiting* requests targeting `bank`, in
-    /// ascending buffer position (= enqueue order). Served from the
-    /// controller's per-bank index when available, otherwise by scanning
-    /// `requests`; the yielded sequence is identical either way, so
-    /// policies can use this unconditionally.
+    /// arrival (= id) order. Served from the controller's per-bank list,
+    /// or by scanning a hand-built test slice; the yielded sequence is
+    /// the same either way.
+    #[inline]
     pub fn waiting_in_bank(&self, bank: u32) -> WaitingInBank<'a> {
         WaitingInBank {
-            inner: match self.bank_waiting {
-                Some(lists) => BankIter::Indexed {
-                    idx: lists[bank as usize].iter(),
-                    requests: self.requests,
+            inner: match self.buffer {
+                Buffer::Slots {
+                    slots,
+                    bank_waiting,
+                } => BankIter::Indexed {
+                    idx: bank_waiting[bank as usize].iter(),
+                    slots,
                 },
-                None => BankIter::Scan {
-                    iter: self.requests.iter(),
+                Buffer::Slice(requests) => BankIter::Scan {
+                    iter: requests.iter(),
                     bank,
                 },
             },
         }
+    }
+
+    /// Iterates this channel's waiting requests bank by bank, each bank
+    /// in arrival order — [`SchedQuery::waiting_in_bank`] over every
+    /// bank.
+    pub fn waiting(&self) -> impl Iterator<Item = &'a Request> + 'a {
+        let q = *self;
+        (0..self.channel.num_banks()).flat_map(move |bank| q.waiting_in_bank(bank))
+    }
+
+    /// Iterates every request the channel holds — waiting and in service
+    /// — in no particular order. A whole-buffer walk: for debug audits,
+    /// not for per-cycle or per-command paths.
+    pub fn live(&self) -> impl Iterator<Item = &'a Request> + 'a {
+        let (Buffer::Slots { slots: all, .. } | Buffer::Slice(all)) = self.buffer;
+        // A vacant slot holds the completed request it last carried.
+        all.iter().filter(|r| !r.is_completed())
     }
 }
 
@@ -115,7 +148,7 @@ pub struct WaitingInBank<'a> {
 enum BankIter<'a> {
     Indexed {
         idx: std::slice::Iter<'a, usize>,
-        requests: &'a [Request],
+        slots: &'a [Request],
     },
     Scan {
         iter: std::slice::Iter<'a, Request>,
@@ -126,9 +159,10 @@ enum BankIter<'a> {
 impl<'a> Iterator for WaitingInBank<'a> {
     type Item = &'a Request;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a Request> {
         match &mut self.inner {
-            BankIter::Indexed { idx, requests } => idx.next().map(|&i| &requests[i]),
+            BankIter::Indexed { idx, slots } => idx.next().map(|&i| &slots[i]),
             BankIter::Scan { iter, bank } => iter
                 .by_ref()
                 .find(|r| r.is_waiting() && r.loc.bank.0 == *bank),
@@ -212,10 +246,10 @@ pub trait SchedulerPolicy {
     /// `"FR-FCFS"`).
     fn name(&self) -> &'static str;
 
-    /// Ranks a live request. The controller calls this for every
-    /// non-completed request each time it schedules; the highest-ranked
-    /// request per bank is driven, and the highest-ranked ready command
-    /// across banks issues.
+    /// Ranks a waiting request. The controller calls this for the
+    /// waiting requests of the eligible access kind when it ranks a
+    /// bank; the highest-ranked request per bank is driven, and the
+    /// highest-ranked ready command across banks issues.
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank;
 
     /// Called once per DRAM cycle, before any ranking, with a view of the

@@ -39,7 +39,8 @@ pub enum RequestState {
         /// DRAM cycle at which the data burst finishes.
         data_done: DramCycle,
     },
-    /// Fully serviced; waiting to be reaped by the completion queue.
+    /// Fully serviced and handed back; the request's buffer slot is
+    /// vacant.
     Completed {
         /// CPU cycle at which the requester observes completion.
         finish_cpu: CpuCycle,

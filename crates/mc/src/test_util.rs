@@ -29,7 +29,7 @@ pub fn req_to(bank: u32, thread: ThreadId, row: u32, col: u32, id: u64) -> Reque
 /// Builders for device state and scheduler queries.
 pub mod harness {
     use super::*;
-    use crate::policy::SchedQuery;
+    use crate::policy::{Buffer, SchedQuery};
     use stfm_dram::{Channel, DramCommand};
 
     /// Query timestamp used by the harness (late enough that all timing
@@ -58,14 +58,14 @@ pub mod harness {
     }
 
     /// Wraps a channel and request slice into a [`SchedQuery`] at
-    /// [`NOW`].
+    /// [`NOW`]. The query scans the slice for its waiting requests, so
+    /// the slice must be in arrival (id) order, as a buffer would be.
     pub fn query<'a>(channel: &'a Channel, requests: &'a [Request]) -> SchedQuery<'a> {
         SchedQuery {
             channel_id: ChannelId(0),
             now: NOW,
             channel,
-            requests,
-            bank_waiting: None,
+            buffer: Buffer::Slice(requests),
         }
     }
 }
