@@ -7,7 +7,7 @@ use std::ops::ControlFlow;
 use std::path::Path;
 use stfm_cpu::{trace_io, Core, FileTrace};
 use stfm_dram::DramConfig;
-use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL};
+use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
 use stfm_serve::{expand_line, run_sweep, ResultCache, ServeConfig};
 use stfm_sim::{
     run_ordered, AloneCache, Experiment, SchedulerKind, System, Table, ThreadMetrics,
@@ -109,12 +109,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let seed: u64 = f.num("seed", 1)?;
 
     let mut dram = DramConfig::for_cores(profiles.len() as u32);
-    if let Some(banks) = f.get("banks") {
-        dram = dram.with_banks(banks.parse().map_err(|_| "bad --banks")?);
+    if let Some(v) = f.get("banks") {
+        let banks = power_of_two(v).filter(|&b| b <= MAX_BANKS).ok_or_else(|| {
+            format!("bad --banks '{v}': must be a power of two, at most {MAX_BANKS}")
+        })?;
+        dram = dram.with_banks(banks);
     }
-    if let Some(kb) = f.get("row-kb") {
-        let kb: u32 = kb.parse().map_err(|_| "bad --row-kb")?;
-        dram = dram.with_row_buffer_bytes_per_chip(kb * 1024);
+    if let Some(v) = f.get("row-kb") {
+        let bytes = power_of_two(v)
+            .and_then(|kb| kb.checked_mul(1024))
+            .ok_or_else(|| format!("bad --row-kb '{v}': must be a power of two"))?;
+        dram = dram.with_row_buffer_bytes_per_chip(bytes);
     }
 
     let weights: Vec<u32> = match f.get("weights") {
@@ -371,6 +376,11 @@ pub fn replay(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// `v` as a power of two, if it is one.
+fn power_of_two(v: &str) -> Option<u32> {
+    v.parse::<u32>().ok().filter(|n| n.is_power_of_two())
+}
+
 /// Resolves `--jobs` (0 or absent means "all cores").
 fn jobs_flag(f: &Flags) -> Result<Option<usize>, String> {
     let n: usize = f.num("jobs", 0)?;
@@ -544,4 +554,24 @@ pub fn serve(args: &[String]) -> Result<(), String> {
         }
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
+    }
+
+    /// Bank counts the controller cannot pack are usage errors, caught
+    /// before anything runs.
+    #[test]
+    fn run_refuses_bank_counts_it_cannot_pack() {
+        for banks in ["32", "6", "0", "x"] {
+            let line = format!("--workload mcf,mcf,mcf,mcf,mcf --scheduler cap --banks {banks}");
+            let err = run(&argv(&line)).expect_err(&line);
+            assert!(err.contains("power of two, at most 16"), "{line}: {err}");
+        }
+    }
 }

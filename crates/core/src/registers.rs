@@ -8,7 +8,7 @@
 
 use crate::fixed::Fx8;
 use stfm_dram::CpuCycle;
-use stfm_mc::ThreadId;
+use stfm_mc::{ThreadId, MAX_BANKS, MAX_CHANNELS};
 
 /// Per-thread slowdown-estimation registers.
 #[derive(Debug, Clone)]
@@ -124,10 +124,10 @@ pub fn weighted_slowdown(s: Fx8, weight: u32) -> Fx8 {
 /// Flat `LastRowAddress` table: row last accessed by
 /// (thread, channel, bank), estimating what the bank's row buffer would
 /// hold had the thread run alone. Vec-backed and indexed as
-/// `thread × 64 + channel × 16 + bank` — the same ≤ 4-channel,
-/// ≤ 16-bank slot packing the live estimator aggregates use — so the
-/// two lookups every column command performs are array loads instead of
-/// tree walks.
+/// `thread × LR_SLOTS + channel × MAX_BANKS + bank` — the slot packing
+/// the live estimator aggregates use, which `MemorySystem` keeps in range
+/// — so the two lookups every column command performs are array loads
+/// instead of tree walks.
 #[derive(Debug, Clone, Default)]
 pub struct LastRowTable {
     rows: Vec<Option<u32>>,
@@ -135,11 +135,11 @@ pub struct LastRowTable {
 }
 
 /// Slots per thread in [`LastRowTable`] (channel-major bank packing).
-const LR_SLOTS: usize = 64;
+const LR_SLOTS: usize = (MAX_CHANNELS * MAX_BANKS) as usize;
 
 impl LastRowTable {
     fn index(key: &(ThreadId, u32, u32)) -> usize {
-        key.0 .0 as usize * LR_SLOTS + key.1 as usize * 16 + key.2 as usize
+        key.0 .0 as usize * LR_SLOTS + (key.1 * MAX_BANKS + key.2) as usize
     }
 
     /// The recorded row for `key` = (thread, channel, bank), if any.
@@ -171,55 +171,81 @@ impl LastRowTable {
     }
 }
 
+/// Most threads a [`RegisterFile`] holds: thread ids run below it, so
+/// STFM's per-thread bitsets fit a `u64`.
+pub const MAX_THREADS: u32 = 64;
+
 /// The full STFM register file.
 ///
-/// Thread registers live in a dense `Vec` indexed by thread id — thread
-/// ids are small core indices, and the per-command charge loops and
-/// per-cycle publish/drain paths look registers up often enough that a
-/// map lookup per access is measurable.
+/// Thread registers live in a dense `Vec` indexed by thread id, with no
+/// per-entry `Option`: thread ids are small core indices, and the
+/// per-command charge loops and the per-cycle pass index the registers
+/// directly. An id below the highest one seen that has not registered
+/// yet holds default registers and is left out of [`RegisterFile::thread`]
+/// and [`RegisterFile::threads`].
 #[derive(Debug, Clone, Default)]
 pub struct RegisterFile {
-    threads: Vec<Option<ThreadRegs>>,
+    threads: Vec<ThreadRegs>,
+    /// Registered thread ids, bit `t` for thread `t`.
+    registered: u64,
     /// The per-thread per-bank `LastRowAddress` registers.
     pub last_row: LastRowTable,
 }
 
 impl RegisterFile {
-    /// Registers of `thread`, created zeroed on first touch.
+    /// Registers of `thread`, registering it (zeroed) on first touch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` is not below [`MAX_THREADS`].
     pub fn thread_mut(&mut self, thread: ThreadId) -> &mut ThreadRegs {
         let t = thread.0 as usize;
-        if t >= self.threads.len() {
-            self.threads.resize_with(t + 1, || None);
-        }
-        self.threads[t].get_or_insert_with(ThreadRegs::default)
+        self.grow(t + 1);
+        self.registered |= 1 << t;
+        &mut self.threads[t]
     }
 
-    /// Registers of `thread`, if it has been seen.
+    /// Registers of `thread`, if it has registered.
     pub fn thread(&self, thread: ThreadId) -> Option<&ThreadRegs> {
-        self.threads.get(thread.0 as usize).and_then(|o| o.as_ref())
+        (thread.0 < MAX_THREADS && self.registered >> thread.0 & 1 == 1)
+            .then(|| &self.threads[thread.0 as usize])
     }
 
-    /// All threads seen so far, in ascending thread-id order.
+    /// All registered threads, in ascending thread-id order.
     pub fn threads(&self) -> impl Iterator<Item = (ThreadId, &ThreadRegs)> {
         self.threads
             .iter()
             .enumerate()
-            .filter_map(|(t, r)| r.as_ref().map(|r| (ThreadId(t as u32), r)))
+            .filter(|&(t, _)| self.registered >> t & 1 == 1)
+            .map(|(t, r)| (ThreadId(t as u32), r))
     }
 
-    /// Mutable iteration over all thread registers, in ascending
-    /// thread-id order.
-    pub fn threads_mut(&mut self) -> impl Iterator<Item = (ThreadId, &mut ThreadRegs)> {
-        self.threads
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(t, r)| r.as_mut().map(|r| (ThreadId(t as u32), r)))
+    /// Grows the dense array to `len` entries without registering any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`MAX_THREADS`].
+    pub(crate) fn grow(&mut self, len: usize) {
+        if len > self.threads.len() {
+            assert!(
+                len <= MAX_THREADS as usize,
+                "thread {} exceeds the register file's {MAX_THREADS} threads",
+                len - 1
+            );
+            self.threads.resize_with(len, ThreadRegs::default);
+        }
+    }
+
+    /// Every entry of the dense array, registered or not, indexed by
+    /// thread id: the hot paths' view.
+    pub(crate) fn dense_mut(&mut self) -> &mut [ThreadRegs] {
+        &mut self.threads
     }
 
     /// Interval expiry: resets every thread's interval-relative registers
     /// and the `LastRowAddress` table.
     pub fn reset_all_intervals(&mut self) {
-        for r in self.threads.iter_mut().flatten() {
+        for r in &mut self.threads {
             r.reset_interval();
         }
         self.last_row.clear();

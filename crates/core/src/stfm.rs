@@ -1,16 +1,16 @@
 //! The Stall-Time Fair Memory scheduler (paper Sections 3 and 5).
 
 use crate::fixed::Fx8;
-use crate::registers::{weighted_slowdown, RegisterFile, ThreadRegs};
+use crate::registers::{weighted_slowdown, RegisterFile, ThreadRegs, MAX_THREADS};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BinaryHeap;
 use stfm_dram::{
     AccessCategory, BankId, ClockRatio, CommandKind, CpuCycle, DramCommand, DramCycle,
     TimingParams, CPU_CYCLES_PER_DRAM_CYCLE,
 };
 use stfm_mc::policy::{PolicyWork, Rank, SchedQuery, SchedulerPolicy, SystemView};
 use stfm_mc::request::{Request, RequestId, RequestState, ThreadId};
-use stfm_mc::{AccessKind, FrFcfs};
+use stfm_mc::{AccessKind, FrFcfs, MAX_BANKS, MAX_CHANNELS};
 
 /// Default maximum-tolerable-unfairness threshold (paper Section 6.3).
 pub const DEFAULT_ALPHA: f64 = 1.10;
@@ -59,32 +59,54 @@ pub struct StfmConfig {
     pub use_parallelism: bool,
 }
 
+impl StfmConfig {
+    /// Divides `latency` by `γ · parallelism`, i.e. shifts the latency left
+    /// by `gamma_shift` and divides by the parallelism estimate.
+    fn amortize(&self, latency_cpu: u64, parallelism: u32) -> i64 {
+        if !self.use_parallelism {
+            return latency_cpu as i64;
+        }
+        let boosted = latency_cpu << self.gamma_shift;
+        (boosted / u64::from(parallelism.max(1))) as i64
+    }
+}
+
 /// Number of `(channel, bank)` slots in the bitmask bookkeeping: slot
-/// `channel * 16 + bank`, so up to 4 channels × 16 banks — the same
-/// layout (and the same limit) as the original per-cycle walk's masks.
-const SLOTS: usize = 64;
+/// `channel * MAX_BANKS + bank`, the packing `MemorySystem` keeps in
+/// range.
+const SLOTS: usize = (MAX_CHANNELS * MAX_BANKS) as usize;
 
 /// The bookkeeping slot of `req`'s `(channel, bank)`.
 fn slot_of(req: &Request) -> usize {
-    (req.loc.channel.0 * 16 + req.loc.bank.0) as usize
+    (req.loc.channel.0 * MAX_BANKS + req.loc.bank.0) as usize
 }
 
-/// Width of a [`ThreadSet`]. Thread ids must stay below it, which
-/// [`Stfm`] asserts where a thread first registers.
-const THREAD_SET_BITS: u32 = 64;
-
-/// A set of thread ids below [`THREAD_SET_BITS`], one bit per thread.
+/// A set of thread ids below [`MAX_THREADS`], one bit per thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ThreadSet(u64);
 
 impl ThreadSet {
     fn insert(&mut self, thread: ThreadId) {
-        debug_assert!(thread.0 < THREAD_SET_BITS);
+        debug_assert!(thread.0 < MAX_THREADS);
         self.0 |= 1 << thread.0;
     }
 
+    fn remove(&mut self, thread: ThreadId) {
+        self.0 &= !(1 << thread.0);
+    }
+
+    #[cfg(test)]
     fn contains(self, thread: ThreadId) -> bool {
         self.0 >> thread.0 & 1 == 1
+    }
+
+    /// `self` if `keep`, else the empty set.
+    fn only_if(self, keep: bool) -> ThreadSet {
+        ThreadSet(self.0 & u64::from(keep).wrapping_neg())
+    }
+
+    fn union(self, other: ThreadSet) -> ThreadSet {
+        ThreadSet(self.0 | other.0)
     }
 
     /// The members of `self` that are not in `other`.
@@ -105,8 +127,59 @@ impl ThreadSet {
     }
 }
 
+/// The threads waiting on one `(channel, bank)` slot, by the class of
+/// their requests under `row`, the open row the sets were built for:
+/// `sets[write][miss]`, with `write` 0 for reads and 1 for writes, and
+/// `miss` 0 for a row hit and 1 for a row miss.
+///
+/// The sets are a function of the bank's waiting list and its open row
+/// only, so they stay exact while both do. The list grows at an enqueue,
+/// which adds the newcomer in place, and shrinks at a column command,
+/// which marks the slot stale (`Stfm::stale_waiters`) for a rebuild. The
+/// row, which ACTIVATE, PRECHARGE, auto-precharge and refresh move, is
+/// compared with `row` at every use: a closed row turns every request
+/// into a miss, any other change means a rebuild.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct BankWaiters {
+    row: Option<u32>,
+    sets: [[ThreadSet; 2]; 2],
+}
+
+impl BankWaiters {
+    /// Builds the sets from `bank`'s waiting list, with `row` open.
+    fn build(q: &SchedQuery<'_>, bank: u32, row: Option<u32>) -> Self {
+        let mut w = BankWaiters {
+            row,
+            sets: Default::default(),
+        };
+        for r in q.waiting_in_bank(bank) {
+            w.add(r);
+        }
+        w
+    }
+
+    /// Adds `r`'s thread to the set of its class under `row`.
+    fn add(&mut self, r: &Request) {
+        let write = usize::from(r.kind == AccessKind::Write);
+        let miss = usize::from(self.row != Some(r.loc.row));
+        self.sets[write][miss].insert(r.thread);
+    }
+
+    /// The sets once the bank's row has closed: every request misses.
+    fn closed(self) -> Self {
+        BankWaiters {
+            row: None,
+            sets: self
+                .sets
+                .map(|[hit, miss]| [ThreadSet::default(), hit.union(miss)]),
+        }
+    }
+}
+
 /// Incrementally maintained per-thread estimator state — the
-/// event-driven replacement for the per-DRAM-cycle request-buffer walk.
+/// event-driven replacement for the per-DRAM-cycle request-buffer walk —
+/// plus the thread's weight, so the per-cycle passes read everything
+/// per thread from one record.
 ///
 /// Counts transition exactly with the request lifecycle: `on_enqueue`
 /// adds a waiting read, the request's *first* command moves it from
@@ -132,6 +205,8 @@ struct LiveThread {
     /// Buffered requests (any kind) still in `Queued` state — membership
     /// in the mode decision's thread set.
     queued: u32,
+    /// The thread's weight (Section 3.3; 1 = unweighted).
+    weight: u32,
 }
 
 impl Default for LiveThread {
@@ -143,6 +218,7 @@ impl Default for LiveThread {
             accessing_slots: [0; SLOTS],
             accessing_mask: 0,
             queued: 0,
+            weight: 1,
         }
     }
 }
@@ -210,20 +286,23 @@ impl Default for StfmConfig {
 ///
 /// The paper's per-cycle register updates are maintained
 /// *incrementally*: request-lifecycle hooks keep per-thread
-/// waiting/accessing aggregates exact, a once-per-cycle publish step
-/// copies them into the register file (reproducing the original walk's
-/// tick-start snapshot), and the mode decision is recomputed only when
-/// an estimator generation counter shows one of its inputs actually
-/// moved. The restructuring is pinned bit-identical to the per-cycle
-/// recomputation by the golden digests, the event-equivalence fuzz, and
-/// — in builds with debug assertions — a fresh request-buffer walk
-/// compared against the published registers on every real tick.
+/// waiting/accessing aggregates exact, one pass per cycle publishes them
+/// into the register file (reproducing the original walk's tick-start
+/// snapshot) and paces the drain, and the slowdowns and mode decision are
+/// recomputed, in a second pass, only when an estimator generation
+/// counter shows one of their inputs actually moved. The per-command
+/// charge reads per-bank waiting-thread sets that are rebuilt only when
+/// their bank's waiting list or open row changed. The restructuring is
+/// pinned bit-identical to the per-cycle recomputation by the golden
+/// digests, the event-equivalence fuzz, and — in builds with debug
+/// assertions — a fresh request-buffer walk compared against the
+/// published registers on every real tick and against the victim sets on
+/// every command.
 pub struct Stfm {
     timing: TimingParams,
     config: StfmConfig,
     alpha: Fx8,
     regs: RegisterFile,
-    weights: BTreeMap<ThreadId, u32>,
     /// Decision state computed once per DRAM cycle.
     fairness_mode: bool,
     tmax: Option<ThreadId>,
@@ -233,12 +312,20 @@ pub struct Stfm {
     /// Cumulative charge totals per update rule [bus, bank, own], for
     /// estimator diagnostics.
     charge_totals: [i64; 3],
-    /// Incremental per-thread estimator state, indexed by thread id.
+    /// Incremental per-thread estimator state, indexed by thread id and
+    /// always as long as the register file's dense array, so the
+    /// per-cycle passes zip the two.
     live: Vec<LiveThread>,
     /// Pending end-of-bank-service expiries, popped at the top of each
     /// real cycle: (data-done cycle, request, thread, slot). Only ever
     /// pushed and popped-min, so a binary heap beats an ordered set.
     expiries: BinaryHeap<Reverse<(DramCycle, RequestId, ThreadId, u8)>>,
+    /// Waiting-thread sets per `(channel, bank)` slot, for the
+    /// per-command victim classification.
+    waiters: [BankWaiters; SLOTS],
+    /// Slots whose waiting list lost a request since their `waiters`
+    /// entry was built, bit `slot` per slot. Every slot starts stale.
+    stale_waiters: u64,
     /// Estimator generation: bumped whenever any input of the mode
     /// decision may have moved; the decision is carried while unchanged.
     est_gen: u64,
@@ -265,7 +352,6 @@ impl Stfm {
             alpha: Fx8::from_f64(config.alpha),
             config,
             regs: RegisterFile::default(),
-            weights: BTreeMap::new(),
             fairness_mode: false,
             tmax: None,
             unfairness: Fx8::ONE,
@@ -273,6 +359,8 @@ impl Stfm {
             charge_totals: [0; 3],
             live: Vec::new(),
             expiries: BinaryHeap::new(),
+            waiters: [BankWaiters::default(); SLOTS],
+            stale_waiters: u64::MAX,
             est_gen: 0,
             last_decided_gen: None,
             decision_sig: 0,
@@ -306,16 +394,18 @@ impl Stfm {
     ///
     /// # Panics
     ///
-    /// Panics if `weight` is zero.
+    /// Panics if `weight` is zero or `thread` is not below
+    /// [`MAX_THREADS`].
     pub fn set_weight(&mut self, thread: ThreadId, weight: u32) {
         assert!(weight > 0, "thread weight must be positive");
-        self.weights.insert(thread, weight);
+        let t = self.grow_to(thread);
+        self.live[t].weight = weight;
         self.est_gen += 1;
     }
 
     /// The weight of `thread` (default 1).
     pub fn weight(&self, thread: ThreadId) -> u32 {
-        self.weights.get(&thread).copied().unwrap_or(1)
+        self.live.get(thread.0 as usize).map_or(1, |lt| lt.weight)
     }
 
     /// The scheduler's current (unweighted) slowdown estimate for `thread`.
@@ -343,39 +433,16 @@ impl Stfm {
         &self.regs
     }
 
-    /// Divides `latency` by `γ · parallelism`, i.e. shifts the latency left
-    /// by `gamma_shift` and divides by the parallelism estimate.
-    fn amortize(&self, latency_cpu: u64, parallelism: u32) -> i64 {
-        if !self.config.use_parallelism {
-            return latency_cpu as i64;
-        }
-        let boosted = latency_cpu << self.config.gamma_shift;
-        (boosted / u64::from(parallelism.max(1))) as i64
-    }
-
-    /// Publishes the live incremental aggregates into the register file —
-    /// what the paper's per-DRAM-cycle walk over the request buffers
-    /// would recompute, in O(threads) instead of O(queue).
-    fn publish_live(&mut self) {
-        for (thread, regs) in self.regs.threads_mut() {
-            let e = self.live.get(thread.0 as usize);
-            regs.bank_waiting_parallelism = e.map_or(0, |e| e.waiting_mask.count_ones());
-            regs.bank_access_parallelism = e.map_or(0, |e| e.accessing_mask.count_ones());
-        }
-    }
-
-    /// The live-state entry of `thread`, grown on demand — where a
-    /// thread first registers.
-    fn live_mut(&mut self, thread: ThreadId) -> &mut LiveThread {
+    /// The index of `thread` in the dense per-thread arrays, growing the
+    /// live state and the register file together on its first
+    /// appearance.
+    fn grow_to(&mut self, thread: ThreadId) -> usize {
         let t = thread.0 as usize;
         if t >= self.live.len() {
-            assert!(
-                thread.0 < THREAD_SET_BITS,
-                "{thread} exceeds STFM's {THREAD_SET_BITS}-thread victim sets"
-            );
+            self.regs.grow(t + 1);
             self.live.resize_with(t + 1, LiveThread::default);
         }
-        &mut self.live[t]
+        t
     }
 
     /// Retires end-of-bank-service expiries due at `now`: an in-service
@@ -388,27 +455,25 @@ impl Stfm {
                 break;
             }
             self.expiries.pop();
-            if let Some(lt) = self.live.get_mut(thread.0 as usize) {
-                lt.remove_accessing(slot as usize);
-            }
+            self.live[thread.0 as usize].remove_accessing(slot as usize);
             self.work.incremental_updates += 1;
         }
     }
 
     /// Folds an issued command's lifecycle transition into the live
-    /// state: the request's first command moves it from waiting to
-    /// accessing, a column command removes it from the queued (mode) set
-    /// and schedules the end-of-service expiry at its data-done cycle.
-    fn note_command_live(&mut self, cmd: &DramCommand, req: &Request, now: DramCycle) {
+    /// state of thread `t`, the request's: the request's first command
+    /// moves it from waiting to accessing, a column command removes it
+    /// from the queued (mode) set and schedules the end-of-service expiry
+    /// at its data-done cycle.
+    fn note_command_live(&mut self, t: usize, cmd: &DramCommand, req: &Request, now: DramCycle) {
         let slot = slot_of(req);
         let is_column = cmd.is_column();
-        let first = req.service_started == Some(now);
-        let lt = self.live_mut(req.thread);
+        let lt = &mut self.live[t];
         if is_column {
             lt.queued = lt.queued.saturating_sub(1);
         }
         if req.kind == AccessKind::Read {
-            if first {
+            if req.service_started == Some(now) {
                 lt.remove_waiting(slot);
                 lt.add_accessing(slot);
             }
@@ -437,45 +502,49 @@ impl Stfm {
         take
     }
 
-    /// Per-cycle paced drain over the live waiting-thread set: drains
-    /// pending charges into `Tinterference` at wall-clock rate while the
-    /// victim has work waiting. Per-thread steps are independent, so
-    /// iteration order is immaterial; bumps the decision generation when
-    /// any `Tinterference` actually moved.
-    fn drain_pending(&mut self) {
+    /// The per-cycle pass over every thread: publishes the live
+    /// aggregates into the two parallelism registers — what the paper's
+    /// per-DRAM-cycle walk over the request buffers would recompute — and
+    /// takes one paced-drain step for each thread with a read waiting.
+    /// Per-thread steps are independent, so the order is immaterial;
+    /// bumps the decision generation when any `Tinterference` moved.
+    fn publish_and_drain(&mut self) {
+        let regs = self.regs.dense_mut();
+        debug_assert_eq!(regs.len(), self.live.len());
         let mut moved = false;
-        for t in 0..self.live.len() {
-            if self.live[t].depth == 0 {
-                continue;
+        for (r, lt) in regs.iter_mut().zip(&self.live) {
+            r.bank_waiting_parallelism = lt.waiting_mask.count_ones();
+            r.bank_access_parallelism = lt.accessing_mask.count_ones();
+            if lt.depth > 0 {
+                moved |= Self::drain_step(r) != 0;
             }
-            let regs = self.regs.thread_mut(ThreadId(t as u32));
-            moved |= Self::drain_step(regs) != 0;
         }
         if moved {
             self.est_gen += 1;
         }
     }
 
-    /// Determines the scheduling mode (paper Section 3.2.1 steps 1, 2a,
-    /// 2b) over threads with at least one buffered request — the
-    /// incrementally tracked set, so O(threads), with a walk over the
+    /// The slowdown-and-decision pass: recomputes every thread's
+    /// slowdown and determines the scheduling mode (paper Section 3.2.1
+    /// steps 1, 2a, 2b) over the threads with at least one buffered
+    /// request, in ascending id order — O(threads), with a walk over the
     /// waiting requests needed only to break exact `Smax` ties in the
     /// order a per-request walk would meet them.
-    fn decide_mode(&mut self, sys: &SystemView<'_>) {
+    fn decide(&mut self, sys: &SystemView<'_>) {
         let mut smax: Option<(ThreadId, Fx8)> = None;
         let mut max_count = 0u32;
         let mut smin: Option<Fx8> = None;
-        for t in 0..self.live.len() {
-            if self.live[t].queued == 0 {
+        let threads = self.regs.dense_mut().iter_mut().zip(&self.live);
+        for (t, (regs, lt)) in threads.enumerate() {
+            regs.compute_slowdown();
+            if lt.queued == 0 {
                 continue;
             }
             let thread = ThreadId(t as u32);
-            let weight = self.weight(thread);
-            let regs = self.regs.thread_mut(thread);
             let s = if regs.tshared() < TSHARED_NOISE_FLOOR {
                 Fx8::ONE
             } else {
-                weighted_slowdown(regs.slowdown, weight)
+                weighted_slowdown(regs.slowdown, lt.weight)
             };
             regs.weighted_slowdown = s;
             match &mut smax {
@@ -568,7 +637,7 @@ impl Stfm {
             depth: u32,
             queued: bool,
         }
-        let mut walk: BTreeMap<ThreadId, Walked> = BTreeMap::new();
+        let mut walk: std::collections::BTreeMap<ThreadId, Walked> = Default::default();
         for q in sys.channels() {
             for r in q.live() {
                 let e = walk.entry(r.thread).or_default();
@@ -650,7 +719,20 @@ impl Stfm {
         // as a literal reading of the paper's rules would, double-counts
         // and saturates the estimates (see `ablation_estimate` and
         // DESIGN.md).
-        let [bank_victims, bus_victims, slot_victims] = Self::classify_victims(cmd, req.thread, q);
+        let victims = self.classify_victims(cmd, req.thread, q);
+        debug_assert_eq!(
+            victims,
+            Self::walk_victims(cmd, req.thread, q),
+            "cached victim sets diverged from the walk for {cmd} at {}",
+            q.now
+        );
+        debug_assert!(
+            victims
+                .iter()
+                .all(|s| s.iter().all(|t| self.regs.thread(t).is_some())),
+            "a victim of {cmd} never registered"
+        );
+        let [bank_victims, bus_victims, slot_victims] = victims;
         // Calibrated global charge scale: per-command sums overstate the
         // wall-clock delay a victim experiences by ~4/3 on this substrate
         // (command pipelining); ¾ = multiply by 3, shift by 2 in hardware.
@@ -673,25 +755,28 @@ impl Stfm {
         // drain moves into `Tinterference` (see `drain_step`).
         // Each charge is a per-thread sum, so applying them in ascending
         // thread order is as good as any.
+        let regs = self.regs.dense_mut();
         for t in bus_victims.iter() {
-            let regs = self.regs.thread_mut(t);
-            let delta = scale(tbus_cpu as i64, regs.stall_rate);
-            regs.pending_interference += delta;
+            let r = &mut regs[t.0 as usize];
+            let delta = scale(tbus_cpu as i64, r.stall_rate);
+            r.pending_interference += delta;
             self.charge_totals[0] += delta;
         }
         for t in bank_victims.iter() {
-            let regs = self.regs.thread_mut(t);
-            let (bwp, rate) = (regs.bank_waiting_parallelism, regs.stall_rate);
-            let delta = scale(self.amortize(latency_cpu, bwp), rate);
-            self.regs.thread_mut(t).pending_interference += delta;
+            let r = &mut regs[t.0 as usize];
+            let amortized = self
+                .config
+                .amortize(latency_cpu, r.bank_waiting_parallelism);
+            let delta = scale(amortized, r.stall_rate);
+            r.pending_interference += delta;
             self.charge_totals[1] += delta;
         }
         for t in slot_victims.iter() {
-            let regs = self.regs.thread_mut(t);
+            let r = &mut regs[t.0 as usize];
             // One lost command-bus slot ≈ one DRAM cycle (pre-compensate
             // the ¾ scale so the net charge is a full cycle).
-            let delta = scale(CPU_CYCLES_PER_DRAM_CYCLE as i64 * 4 / 3, regs.stall_rate);
-            regs.pending_interference += delta;
+            let delta = scale(CPU_CYCLES_PER_DRAM_CYCLE as i64 * 4 / 3, r.stall_rate);
+            r.pending_interference += delta;
             self.charge_totals[1] += delta;
         }
 
@@ -712,47 +797,76 @@ impl Stfm {
     ///   commands lose arbitration for long stretches without any
     ///   traffic touching its own bank.)
     ///
-    /// The walk goes bank by bank over the channel's waiting requests.
-    /// A bank's readiness is read once per access kind from its
-    /// thresholds ([`stfm_dram::Bank::class_edges`]), which is
-    /// [`SchedQuery::is_bank_ready`] for every request of the bank; a
-    /// thread whose class is settled skips the remaining checks.
+    /// A few bitset operations per bank of the channel, on the banks'
+    /// [`BankWaiters`]: a bank's sets are rebuilt from its waiting list
+    /// only when stale or built under another open row, and its readiness
+    /// is read once per access kind from its thresholds
+    /// ([`stfm_dram::Bank::class_edges`]), which is
+    /// [`SchedQuery::is_bank_ready`] for every request of the class.
+    /// [`Stfm::walk_victims`] is the reference.
     fn classify_victims(
+        &mut self,
         cmd: &DramCommand,
         culprit: ThreadId,
         q: &SchedQuery<'_>,
     ) -> [ThreadSet; 3] {
+        let base = q.channel_id.0 * MAX_BANKS;
+        let banks = q.channel.num_banks();
+        let mut hits = ThreadSet::default();
+        let mut ready = ThreadSet::default();
+        for b in 0..banks {
+            let slot = (base + b) as usize;
+            let bank = q.channel.bank(BankId(b));
+            let row = bank.open_row();
+            let w = &mut self.waiters[slot];
+            if self.stale_waiters >> slot & 1 == 1 || (w.row != row && row.is_some()) {
+                *w = BankWaiters::build(q, b, row);
+            } else if w.row != row {
+                *w = w.closed();
+            }
+            // No branch on the sets: banks are many and their classes
+            // and readiness vary from command to command.
+            for (write, [hit, miss]) in [(false, w.sets[0]), (true, w.sets[1])] {
+                let (hit_at, miss_at) = bank.class_edges(write);
+                hits = hits.union(hit);
+                ready = ready
+                    .union(hit.only_if(hit_at.is_some_and(|at| at <= q.now)))
+                    .union(miss.only_if(miss_at <= q.now));
+            }
+        }
+        self.stale_waiters &= !(((1u64 << banks) - 1) << base);
+        let [[_, read_miss], [_, write_miss]] = self.waiters[(base + cmd.bank.0) as usize].sets;
+        let mut bank_victims = read_miss.union(write_miss);
+        bank_victims.remove(culprit);
+        hits.remove(culprit);
+        ready.remove(culprit);
+        let bus_victims = if cmd.is_column() {
+            hits.without(bank_victims)
+        } else {
+            ThreadSet::default()
+        };
+        let slot_victims = ready.without(bank_victims).without(bus_victims);
+        [bank_victims, bus_victims, slot_victims]
+    }
+
+    /// [`Stfm::classify_victims`] by its definition: a walk over the
+    /// channel's waiting requests that asks the query, per request,
+    /// whether it hits the open row and whether its next command is
+    /// bank-ready. The reference the bitset form is held to — on every
+    /// command in debug builds, and by the unit tests.
+    fn walk_victims(cmd: &DramCommand, culprit: ThreadId, q: &SchedQuery<'_>) -> [ThreadSet; 3] {
         let is_column = cmd.is_column();
         let mut bank_victims = ThreadSet::default();
         let mut bus_victims = ThreadSet::default();
         let mut slot_victims = ThreadSet::default();
-        for b in 0..q.channel.num_banks() {
-            let bank = q.channel.bank(BankId(b));
-            let open = bank.open_row();
-            let same_bank = b == cmd.bank.0;
-            // `[read, write]` × `(hit ready, miss ready)`.
-            let ready = [false, true].map(|write| {
-                let (hit, miss) = bank.class_edges(write);
-                (hit.is_some_and(|at| at <= q.now), miss <= q.now)
-            });
-            for r in q.waiting_in_bank(b) {
-                let t = r.thread;
-                if t == culprit || bank_victims.contains(t) {
-                    continue;
-                }
-                let hit = open == Some(r.loc.row);
-                if same_bank && !hit {
-                    bank_victims.insert(t);
-                } else if is_column && hit {
-                    bus_victims.insert(t);
-                } else if !bus_victims.contains(t) && !slot_victims.contains(t) {
-                    let (hit_ready, miss_ready) = ready[usize::from(r.kind == AccessKind::Write)];
-                    let bank_ready = if hit { hit_ready } else { miss_ready };
-                    debug_assert_eq!(bank_ready, q.is_bank_ready(r));
-                    if bank_ready {
-                        slot_victims.insert(t);
-                    }
-                }
+        for r in q.waiting().filter(|r| r.thread != culprit) {
+            let hit = q.is_row_hit(r);
+            if r.loc.bank == cmd.bank && !hit {
+                bank_victims.insert(r.thread);
+            } else if is_column && hit {
+                bus_victims.insert(r.thread);
+            } else if q.is_bank_ready(r) {
+                slot_victims.insert(r.thread);
             }
         }
         let bus_victims = bus_victims.without(bank_victims);
@@ -824,19 +938,15 @@ impl SchedulerPolicy for Stfm {
             self.est_gen += 1;
         }
         self.expire_accessing(sys.now);
-        // Publish the hook-maintained aggregates (O(threads), no buffer
-        // walk) and recompute the mode decision only when the estimator
-        // generation shows one of its inputs moved since the last
-        // decision — otherwise every slowdown, the unfairness, and the
-        // mode are provably unchanged and the previous outputs are
-        // carried.
-        self.publish_live();
-        self.drain_pending();
+        // Publish the hook-maintained aggregates and pace the drain in
+        // one O(threads) pass, no buffer walk; recompute the slowdowns and
+        // the mode decision only when the estimator generation shows one
+        // of their inputs moved since the last decision — otherwise every
+        // slowdown, the unfairness, and the mode are provably unchanged
+        // and the previous outputs are carried.
+        self.publish_and_drain();
         if self.last_decided_gen != Some(self.est_gen) {
-            for (_, regs) in self.regs.threads_mut() {
-                regs.compute_slowdown();
-            }
-            self.decide_mode(sys);
+            self.decide(sys);
             self.last_decided_gen = Some(self.est_gen);
             self.work.decides_recomputed += 1;
         } else {
@@ -856,11 +966,10 @@ impl SchedulerPolicy for Stfm {
         // reads only its own registers, so a per-thread loop of the
         // exact stepped update is bit-identical to interleaved stepping.
         let mut moved = false;
-        for t in 0..self.live.len() {
-            if self.live[t].depth == 0 {
+        for (regs, lt) in self.regs.dense_mut().iter_mut().zip(&self.live) {
+            if lt.depth == 0 {
                 continue;
             }
-            let regs = self.regs.thread_mut(ThreadId(t as u32));
             for _ in 0..cycles {
                 // Fixed point: no charges arrive mid-span and a step
                 // that moves nothing leaves the backlog at or under its
@@ -899,6 +1008,7 @@ impl SchedulerPolicy for Stfm {
     }
 
     fn on_enqueue(&mut self, req: &Request, tshared: u64) {
+        let t = self.grow_to(req.thread);
         // The core communicates its cumulative stall counter with every
         // request (Section 5.1). Counters are monotonic; outdated values
         // (e.g. reordered channels) are ignored.
@@ -919,19 +1029,26 @@ impl SchedulerPolicy for Stfm {
             regs.last_sample_cpu = req.arrival_cpu;
             regs.last_sample_tshared = tshared;
         }
-        // Fold the arrival into the live aggregates.
+        // Fold the arrival into the live aggregates and its bank's
+        // waiting-thread sets (a stale slot's rebuild will find it too).
         let slot = slot_of(req);
-        let lt = self.live_mut(req.thread);
+        let lt = &mut self.live[t];
         lt.queued += 1;
         if req.kind == AccessKind::Read {
             lt.add_waiting(slot);
         }
+        self.waiters[slot].add(req);
         self.est_gen += 1;
         self.work.incremental_updates += 1;
     }
 
     fn on_command(&mut self, cmd: &DramCommand, req: &Request, q: &SchedQuery<'_>) {
-        self.note_command_live(cmd, req, q.now);
+        let t = self.grow_to(req.thread);
+        self.note_command_live(t, cmd, req, q.now);
+        if cmd.is_column() {
+            // The request has left its bank's waiting list.
+            self.stale_waiters |= 1 << slot_of(req);
+        }
         self.update_interference(cmd, req, q);
     }
 
@@ -1267,9 +1384,9 @@ mod charge_rule_tests {
         assert_eq!(regs.pending_interference, 9);
     }
 
-    /// HEAD's victim classification before the thread bitsets: one pass
+    /// The victim classification before the thread bitsets: one pass
     /// over the buffer in order, filling `Vec`s, then the two retains.
-    /// Returned sorted, for comparison with [`Stfm::classify_victims`].
+    /// Returned sorted, for comparison with [`Stfm::walk_victims`].
     fn vec_victims(
         cmd: &DramCommand,
         culprit: ThreadId,
@@ -1320,8 +1437,8 @@ mod charge_rule_tests {
     /// Seventeen threads — one more than a 16-bit set holds — all wait on
     /// bank 0 and spread further requests over banks in every readiness
     /// state. For every command each bank can take next, and culprits at
-    /// both ends of the id range, the bitset classification equals
-    /// HEAD's `Vec` form.
+    /// both ends of the id range, the walk equals the `Vec` form and the
+    /// per-bank sets equal the walk.
     #[test]
     fn seventeen_threads_classify_as_the_vec_form_did() {
         use stfm_dram::rng::SmallRng;
@@ -1355,6 +1472,7 @@ mod charge_rule_tests {
                 }
             }
             let q = harness::query(&channel, &requests);
+            let mut p = Stfm::new(TimingParams::ddr2_800());
             for bank in (0..5).map(BankId) {
                 let cmds = match channel.bank(bank).open_row() {
                     Some(row) => vec![
@@ -1366,10 +1484,12 @@ mod charge_rule_tests {
                 };
                 for cmd in &cmds {
                     for culprit in [ThreadId(0), ThreadId(16)] {
-                        let sets = Stfm::classify_victims(cmd, culprit, &q);
+                        let sets = Stfm::walk_victims(cmd, culprit, &q);
                         let got = sets.map(|s| s.iter().collect::<Vec<_>>());
                         let want = vec_victims(cmd, culprit, &q, &requests);
                         assert_eq!(got, want, "seed {seed}, {cmd} for {culprit}");
+                        let cached = p.classify_victims(cmd, culprit, &q);
+                        assert_eq!(cached, sets, "seed {seed}, {cmd} for {culprit}");
                         for (s, class) in seen.iter_mut().zip(sets) {
                             s.0 |= class.0;
                         }
@@ -1383,9 +1503,126 @@ mod charge_rule_tests {
     }
 
     #[test]
-    #[should_panic(expected = "victim sets")]
+    #[should_panic(expected = "exceeds the register file's 64 threads")]
     fn a_thread_beyond_the_set_width_is_refused() {
         let mut p = Stfm::new(TimingParams::ddr2_800());
-        p.on_enqueue(&req_to(0, ThreadId(THREAD_SET_BITS), 1, 0, 1), 0);
+        p.on_enqueue(&req_to(0, ThreadId(MAX_THREADS), 1, 0, 1), 0);
+    }
+}
+
+/// The per-bank waiting-thread sets through each event that invalidates
+/// them, held to the walk after every step.
+#[cfg(test)]
+mod victim_cache_tests {
+    use super::*;
+    use stfm_dram::{Channel, DramConfig};
+    use stfm_mc::test_util::{harness, req_to};
+
+    /// One channel with refresh on, its request buffer, and the STFM
+    /// instance its hooks feed.
+    struct Rig {
+        p: Stfm,
+        channel: Channel,
+        requests: Vec<Request>,
+        now: DramCycle,
+    }
+
+    fn query<'a>(channel: &'a Channel, requests: &'a [Request], now: DramCycle) -> SchedQuery<'a> {
+        let mut q = harness::query(channel, requests);
+        q.now = now;
+        q
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let cfg = DramConfig::ddr2_800();
+            assert!(cfg.refresh_enabled);
+            Rig {
+                p: Stfm::new(cfg.timing),
+                channel: Channel::new(&cfg),
+                requests: Vec::new(),
+                now: DramCycle::new(1),
+            }
+        }
+
+        fn enqueue(&mut self, r: Request) {
+            self.p.on_enqueue(&r, 0);
+            self.requests.push(r);
+        }
+
+        /// Issues `cmd` for request `i` at its earliest legal cycle, as
+        /// the controller would: device first, then the request's state,
+        /// then the hook.
+        fn issue(&mut self, cmd: DramCommand, i: usize) {
+            self.now = self
+                .channel
+                .earliest_issue(&cmd, self.now)
+                .unwrap_or_else(|| panic!("{cmd} can never issue"));
+            let done = self.channel.issue(&cmd, self.now);
+            let r = &mut self.requests[i];
+            r.service_started.get_or_insert(self.now);
+            if cmd.is_column() {
+                r.state = RequestState::InService { data_done: done };
+            }
+            let q = query(&self.channel, &self.requests, self.now);
+            self.p.on_command(&cmd, &self.requests[i], &q);
+        }
+
+        /// Ticks the channel until a refresh starts (closing every row).
+        fn refresh(&mut self) {
+            let start = self.now.get();
+            let at = (start..start + 100_000)
+                .map(DramCycle::new)
+                .find(|&c| self.channel.tick(c).is_some())
+                .unwrap_or_else(|| panic!("no refresh within 100k cycles of {start}"));
+            self.now = at;
+        }
+
+        /// The cached sets equal the walk for a column and a row command
+        /// on every bank in use, for a culprit that never waits.
+        fn check(&mut self, step: &str) {
+            let q = query(&self.channel, &self.requests, self.now);
+            for b in (0..3).map(BankId) {
+                for cmd in [DramCommand::read(b, 0, 0), DramCommand::activate(b, 0)] {
+                    let culprit = ThreadId(9);
+                    assert_eq!(
+                        self.p.classify_victims(&cmd, culprit, &q),
+                        Stfm::walk_victims(&cmd, culprit, &q),
+                        "after {step}: {cmd}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Each step changes what one bank's sets must hold through exactly
+    /// one path — the enqueue's in-place add, the column command's stale
+    /// mark, the rebuild when a row opens (ACTIVATE) or the closed-row
+    /// form (PRECHARGE, refresh) — right after the sets were built, so
+    /// dropping any one of them fails here.
+    #[test]
+    fn cached_victim_sets_follow_every_invalidation() {
+        let mut rig = Rig::new();
+        rig.enqueue(req_to(0, ThreadId(1), 5, 0, 0));
+        rig.enqueue(req_to(1, ThreadId(2), 3, 0, 1));
+        rig.check("the first build");
+        // Thread 3 joins bank 0, whose sets are built.
+        rig.enqueue(req_to(0, ThreadId(3), 5, 0, 2));
+        rig.check("an enqueue into a built bank");
+        // Row 5 opens: both bank-0 reads turn from misses into hits.
+        rig.issue(DramCommand::activate(BankId(0), 5), 0);
+        rig.check("an ACTIVATE");
+        // Thread 1's read leaves the waiting list; the row stays open.
+        rig.issue(DramCommand::read(BankId(0), 5, 0), 0);
+        rig.check("a column command");
+        // The row closes under thread 3's waiting read: a miss again.
+        rig.issue(DramCommand::precharge(BankId(0)), 2);
+        rig.check("a PRECHARGE");
+        // Thread 2's row opens and is classified, then refresh closes it.
+        rig.issue(DramCommand::activate(BankId(1), 3), 1);
+        rig.check("an ACTIVATE on bank 1");
+        rig.refresh();
+        assert_eq!(rig.channel.bank(BankId(1)).open_row(), None);
+        rig.check("a refresh");
     }
 }

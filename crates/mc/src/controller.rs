@@ -17,6 +17,14 @@ use stfm_telemetry::{Event, NullSink, Sink};
 /// keep traces small).
 pub const DEFAULT_SAMPLE_INTERVAL: DramDelta = DramDelta::new(2_000);
 
+/// Most channels a [`MemorySystem`] takes. Policies that keep per-bank
+/// state (FR-FCFS+Cap, STFM) index it by the slot
+/// `channel * MAX_BANKS + bank`, in 64-bit slot masks.
+pub const MAX_CHANNELS: u32 = 4;
+
+/// Most banks per channel a [`MemorySystem`] takes; see [`MAX_CHANNELS`].
+pub const MAX_BANKS: u32 = 16;
+
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RowPolicy {
@@ -496,11 +504,24 @@ impl MemorySystem {
     }
 
     /// Creates a memory system with explicit controller parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more than [`MAX_CHANNELS`] channels or
+    /// [`MAX_BANKS`] banks per channel.
     pub fn with_controller_config(
         config: DramConfig,
         ctrl_config: ControllerConfig,
         policy: Box<dyn SchedulerPolicy>,
     ) -> Self {
+        assert!(
+            config.channels <= MAX_CHANNELS && config.banks <= MAX_BANKS,
+            "{} channels x {} banks: per-bank policy state packs (channel, bank) \
+             as channel * {MAX_BANKS} + bank, so at most {MAX_CHANNELS} channels \
+             x {MAX_BANKS} banks",
+            config.channels,
+            config.banks
+        );
         let mapping = AddressMapping::new(&config);
         let capacity = ctrl_config.read_capacity + ctrl_config.write_capacity;
         let channels = (0..config.channels)
@@ -1551,6 +1572,12 @@ mod tests {
             assert!(now < 1_000_000, "memory system wedged");
         }
         (done, now)
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 channels x 16 banks")]
+    fn a_geometry_beyond_the_slot_packing_is_refused() {
+        let _ = MemorySystem::new(no_refresh_cfg().with_banks(32), Box::new(FrFcfs::new()));
     }
 
     #[test]

@@ -7,14 +7,11 @@
 //! This bounds the starvation caused by FR-FCFS's column-first rule but
 //! retains FCFS's bias toward memory-intensive threads.
 
+use crate::controller::MAX_BANKS;
 use crate::frfcfs::FrFcfs;
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{Request, RequestId};
 use stfm_dram::{ChannelId, DramCommand};
-
-/// Banks per channel in the flat table: slot `channel * 16 + bank`, the
-/// packing `stfm-core`'s slot masks use.
-const BANK_SLOTS: u32 = 16;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BankCap {
@@ -53,12 +50,14 @@ impl FrFcfsCap {
         self.cap
     }
 
+    /// The flat-table slot of `(channel, bank)`: `channel * MAX_BANKS +
+    /// bank`, which `MemorySystem` keeps in range.
     fn slot(channel: ChannelId, bank: u32) -> usize {
         debug_assert!(
-            bank < BANK_SLOTS,
+            bank < MAX_BANKS,
             "bank {bank} overflows its channel's slots"
         );
-        (channel.0 * BANK_SLOTS + bank) as usize
+        (channel.0 * MAX_BANKS + bank) as usize
     }
 
     fn bank_capped(&self, channel: ChannelId, bank: u32) -> bool {

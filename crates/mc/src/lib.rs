@@ -42,6 +42,7 @@ pub mod test_util;
 
 pub use controller::{
     Completion, ControllerConfig, MemorySystem, RowPolicy, SchedCounters, DEFAULT_SAMPLE_INTERVAL,
+    MAX_BANKS, MAX_CHANNELS,
 };
 pub use fcfs::Fcfs;
 pub use frfcfs::FrFcfs;

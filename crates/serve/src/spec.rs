@@ -17,7 +17,7 @@
 //! cache files its outcome.
 
 use stfm_dram::DramConfig;
-use stfm_sim::{digest, Experiment, SchedulerKind, DEFAULT_INSTRUCTIONS};
+use stfm_sim::{digest, Experiment, SchedulerKind, DEFAULT_INSTRUCTIONS, MAX_BANKS};
 use stfm_workloads::{desktop, mix, spec as bench_spec, Profile};
 
 use crate::json::{self, Value};
@@ -300,8 +300,12 @@ pub fn expand_value(v: &Value) -> Result<Vec<Cell>, String> {
         return Err("alpha must be a finite number >= 1".into());
     }
     let banks_axis = parse_opt_u32_axis(v.get("banks"), "banks")?;
-    if banks_axis.iter().flatten().any(|b| !b.is_power_of_two()) {
-        return Err("banks must be a power of two".into());
+    if banks_axis
+        .iter()
+        .flatten()
+        .any(|b| !b.is_power_of_two() || *b > MAX_BANKS)
+    {
+        return Err(format!("banks must be a power of two, at most {MAX_BANKS}"));
     }
     let row_kb_axis = parse_opt_u32_axis(v.get("row_kb"), "row_kb")?;
     if row_kb_axis.iter().flatten().any(|kb| !kb.is_power_of_two()) {
@@ -579,6 +583,7 @@ mod tests {
             (r#"{"mix": ["mcf"], "insts": -5}"#, "unsigned integer"),
             (r#"{"mix": ["mcf"], "alpha": 0.5}"#, "alpha must be"),
             (r#"{"mix": ["mcf"], "banks": 6}"#, "power of two"),
+            (r#"{"mix": ["mcf"], "banks": 32}"#, "at most 16"),
             (
                 r#"{"mix": [], "scheduler": "stfm"}"#,
                 "at least one benchmark",

@@ -39,6 +39,6 @@ pub use experiment::{
 pub use metrics::{gmean, unfairness_from_slowdowns, ThreadMetrics, WorkloadMetrics};
 pub use runner::run_ordered;
 pub use scheduler_kind::SchedulerKind;
-pub use stfm_mc::RowPolicy;
+pub use stfm_mc::{RowPolicy, MAX_BANKS};
 pub use system::{RunOutcome, System};
 pub use table::Table;

@@ -1,9 +1,9 @@
 //! Time advance, tier-1: the event-driven loop (`predict_next`, elided
 //! ticks, the deferred policy residue) must leave every simulated outcome
 //! bit-identical to the stepped oracle, for every scheduler, on one
-//! channel and on two — and it must actually elide something. The seeded
-//! fuzz suite in `crates/sim/tests/` goes deeper; this is the slice
-//! `cargo test -q` sees.
+//! channel and on two, and for STFM on four — and it must actually elide
+//! something. The seeded fuzz suite in `crates/sim/tests/` goes deeper;
+//! this is the slice `cargo test -q` sees.
 
 // `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
 #![allow(clippy::expect_used)]
@@ -13,6 +13,11 @@ use stfm_repro::telemetry::{Event, RingSink};
 use stfm_repro::workloads::{mix, Profile};
 
 const INSTS: u64 = 2_000;
+
+/// The 16-core budget, kept tiny: every channel sees commands from 5
+/// instructions per thread up (at 4 the run hits its cycle cap first),
+/// and 10 leaves a margin.
+const SIXTEEN_CORE_INSTS: u64 = 10;
 
 /// What one run leaves behind: the loop-agnostic event stream, the
 /// scheduling passes the loop paid for, metric bits, and the run length.
@@ -26,12 +31,13 @@ struct Observed {
 fn observe(
     profiles: &[Profile],
     kind: SchedulerKind,
+    insts: u64,
     event_loop: bool,
     cache: &AloneCache,
 ) -> Observed {
     let run = Experiment::new(profiles.to_vec())
         .scheduler(kind)
-        .instructions_per_thread(INSTS)
+        .instructions_per_thread(insts)
         .fast_forward(event_loop)
         .run_traced(cache, Box::new(RingSink::new(1 << 21)));
     let mut sink = run.sink;
@@ -63,11 +69,18 @@ fn observe(
     }
 }
 
-fn assert_event_loop_matches_stepped(profiles: &[Profile]) {
+/// Runs each of `kinds` on both loops and holds them equal; returns the
+/// event loop's streams, one per kind.
+fn assert_event_loop_matches_stepped(
+    profiles: &[Profile],
+    kinds: &[SchedulerKind],
+    insts: u64,
+) -> Vec<Vec<Event>> {
     let cache = AloneCache::new();
-    for kind in SchedulerKind::all() {
-        let event = observe(profiles, kind, true, &cache);
-        let stepped = observe(profiles, kind, false, &cache);
+    let mut streams = Vec::new();
+    for &kind in kinds {
+        let event = observe(profiles, kind, insts, true, &cache);
+        let stepped = observe(profiles, kind, insts, false, &cache);
         assert_eq!(event.metrics, stepped.metrics, "{kind:?}: metrics diverge");
         assert_eq!(
             event.final_dram_cycle, stepped.final_dram_cycle,
@@ -87,15 +100,33 @@ fn assert_event_loop_matches_stepped(profiles: &[Profile]) {
             event.sched_visits,
             stepped.sched_visits
         );
+        streams.push(event.stream);
     }
+    streams
 }
 
 #[test]
 fn four_cores_one_channel() {
-    assert_event_loop_matches_stepped(&mix::case_study_intensive());
+    assert_event_loop_matches_stepped(&mix::case_study_intensive(), &SchedulerKind::all(), INSTS);
 }
 
 #[test]
 fn eight_cores_two_channels() {
-    assert_event_loop_matches_stepped(&mix::fig10_eight_core());
+    assert_event_loop_matches_stepped(&mix::fig10_eight_core(), &SchedulerKind::all(), INSTS);
+}
+
+/// STFM's per-bank state is packed `channel * 16 + bank`: this reaches
+/// channels 2 and 3, which the smaller systems never use.
+#[test]
+fn sixteen_cores_four_channels_stfm() {
+    let (name, profiles) = &mix::sixteen_core_mixes()[0];
+    let streams =
+        assert_event_loop_matches_stepped(profiles, &[SchedulerKind::Stfm], SIXTEEN_CORE_INSTS);
+    let mut used = [false; 4];
+    for e in &streams[0] {
+        if let Event::DramCommandIssued { channel, .. } = e {
+            used[*channel as usize] = true;
+        }
+    }
+    assert_eq!(used, [true; 4], "{name}: commands issued per channel");
 }
