@@ -88,6 +88,7 @@ fn completion_streams_match_goldens() {
             (SchedulerKind::FrFcfsCap { cap: 4 }, 0xf414530b2bb7a865),
             (SchedulerKind::Nfq, 0xa5c2ee8152755867),
             (SchedulerKind::Stfm, 0xb0ca41e7e50d5377),
+            (SchedulerKind::ParBs, 0xd00ed1c779a67942),
         ],
     );
 }
@@ -106,6 +107,7 @@ fn pointer_chase_streams_match_goldens() {
             (SchedulerKind::FrFcfsCap { cap: 4 }, 0xb76722b48eb707a1),
             (SchedulerKind::Nfq, 0xdcf3dd918e5f048b),
             (SchedulerKind::Stfm, 0x5ce7f47243925b85),
+            (SchedulerKind::ParBs, 0x6fc44e1735f8243f),
         ],
     );
 }
