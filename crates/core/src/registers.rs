@@ -8,7 +8,7 @@
 
 use crate::fixed::Fx8;
 use stfm_dram::CpuCycle;
-use stfm_mc::{ThreadId, MAX_BANKS, MAX_CHANNELS};
+use stfm_mc::{bank_slot, ThreadId, BANK_SLOTS};
 
 /// Per-thread slowdown-estimation registers.
 #[derive(Debug, Clone)]
@@ -124,22 +124,17 @@ pub fn weighted_slowdown(s: Fx8, weight: u32) -> Fx8 {
 /// Flat `LastRowAddress` table: row last accessed by
 /// (thread, channel, bank), estimating what the bank's row buffer would
 /// hold had the thread run alone. Vec-backed and indexed as
-/// `thread × LR_SLOTS + channel × MAX_BANKS + bank` — the slot packing
-/// the live estimator aggregates use, which `MemorySystem` keeps in range
-/// — so the two lookups every column command performs are array loads
-/// instead of tree walks.
+/// `thread × BANK_SLOTS + bank_slot(channel, bank)`, so the two lookups
+/// every column command performs are array loads instead of tree walks.
 #[derive(Debug, Clone, Default)]
 pub struct LastRowTable {
     rows: Vec<Option<u32>>,
     len: usize,
 }
 
-/// Slots per thread in [`LastRowTable`] (channel-major bank packing).
-const LR_SLOTS: usize = (MAX_CHANNELS * MAX_BANKS) as usize;
-
 impl LastRowTable {
     fn index(key: &(ThreadId, u32, u32)) -> usize {
-        key.0 .0 as usize * LR_SLOTS + (key.1 * MAX_BANKS + key.2) as usize
+        key.0 .0 as usize * BANK_SLOTS + bank_slot(key.1, key.2)
     }
 
     /// The recorded row for `key` = (thread, channel, bank), if any.

@@ -10,7 +10,7 @@ use stfm_dram::{
 };
 use stfm_mc::policy::{PolicyWork, Rank, SchedQuery, SchedulerPolicy, SystemView};
 use stfm_mc::request::{Request, RequestId, RequestState, ThreadId};
-use stfm_mc::{AccessKind, FrFcfs, MAX_BANKS, MAX_CHANNELS};
+use stfm_mc::{bank_slot, AccessKind, FrFcfs, BANK_SLOTS};
 
 /// Default maximum-tolerable-unfairness threshold (paper Section 6.3).
 pub const DEFAULT_ALPHA: f64 = 1.10;
@@ -71,14 +71,9 @@ impl StfmConfig {
     }
 }
 
-/// Number of `(channel, bank)` slots in the bitmask bookkeeping: slot
-/// `channel * MAX_BANKS + bank`, the packing `MemorySystem` keeps in
-/// range.
-const SLOTS: usize = (MAX_CHANNELS * MAX_BANKS) as usize;
-
 /// The bookkeeping slot of `req`'s `(channel, bank)`.
 fn slot_of(req: &Request) -> usize {
-    (req.loc.channel.0 * MAX_BANKS + req.loc.bank.0) as usize
+    bank_slot(req.loc.channel.0, req.loc.bank.0)
 }
 
 /// A set of thread ids below [`MAX_THREADS`], one bit per thread.
@@ -191,14 +186,14 @@ impl BankWaiters {
 #[derive(Debug, Clone)]
 struct LiveThread {
     /// Waiting (not-yet-started) reads per `(channel, bank)` slot.
-    waiting_slots: [u16; SLOTS],
+    waiting_slots: [u16; BANK_SLOTS],
     /// Bitmask of slots with ≥ 1 waiting read (`BankWaitingParallelism`).
     waiting_mask: u64,
     /// Total waiting reads across all banks; the paced drain runs while
     /// it is non-zero.
     depth: u32,
     /// In-service reads per slot (first command issued, data not done).
-    accessing_slots: [u16; SLOTS],
+    accessing_slots: [u16; BANK_SLOTS],
     /// Bitmask of slots with ≥ 1 in-service read
     /// (`BankAccessParallelism`).
     accessing_mask: u64,
@@ -212,10 +207,10 @@ struct LiveThread {
 impl Default for LiveThread {
     fn default() -> Self {
         LiveThread {
-            waiting_slots: [0; SLOTS],
+            waiting_slots: [0; BANK_SLOTS],
             waiting_mask: 0,
             depth: 0,
-            accessing_slots: [0; SLOTS],
+            accessing_slots: [0; BANK_SLOTS],
             accessing_mask: 0,
             queued: 0,
             weight: 1,
@@ -322,7 +317,7 @@ pub struct Stfm {
     expiries: BinaryHeap<Reverse<(DramCycle, RequestId, ThreadId, u8)>>,
     /// Waiting-thread sets per `(channel, bank)` slot, for the
     /// per-command victim classification.
-    waiters: [BankWaiters; SLOTS],
+    waiters: [BankWaiters; BANK_SLOTS],
     /// Slots whose waiting list lost a request since their `waiters`
     /// entry was built, bit `slot` per slot. Every slot starts stale.
     stale_waiters: u64,
@@ -331,10 +326,10 @@ pub struct Stfm {
     est_gen: u64,
     /// Generation at which the mode decision last ran.
     last_decided_gen: Option<u64>,
-    /// Bumped whenever the decision outputs that feed ranking
-    /// (`fairness_mode`, `tmax`) change; exported as the decision epoch
-    /// so the controller can carry per-bank rank winners across cycles.
-    decision_sig: u64,
+    /// The decision outputs that feed ranking (`fairness_mode`, `tmax`)
+    /// changed since the controller last asked
+    /// ([`SchedulerPolicy::take_stale_banks`]).
+    ranks_moved: bool,
     /// Estimator work counters (see [`PolicyWork`]); bookkeeping only.
     work: PolicyWork,
 }
@@ -359,11 +354,11 @@ impl Stfm {
             charge_totals: [0; 3],
             live: Vec::new(),
             expiries: BinaryHeap::new(),
-            waiters: [BankWaiters::default(); SLOTS],
+            waiters: [BankWaiters::default(); BANK_SLOTS],
             stale_waiters: u64::MAX,
             est_gen: 0,
             last_decided_gen: None,
-            decision_sig: 0,
+            ranks_moved: false,
             work: PolicyWork::default(),
         }
     }
@@ -600,9 +595,8 @@ impl Stfm {
         smin.is_some_and(|lo| hi.saturating_div(lo.max(Fx8::from_raw(1))) > self.alpha)
     }
 
-    /// Commits the decision outputs and bumps the decision signature
-    /// (the controller-visible epoch) when anything that feeds ranking
-    /// changed.
+    /// Commits the decision outputs and notes when anything that feeds
+    /// ranking changed.
     fn apply_decision(&mut self, smax: Option<(ThreadId, Fx8)>, smin: Option<Fx8>) {
         let before = (self.fairness_mode, self.tmax);
         match (smax, smin) {
@@ -617,9 +611,7 @@ impl Stfm {
                 self.tmax = None;
             }
         }
-        if (self.fairness_mode, self.tmax) != before {
-            self.decision_sig += 1;
-        }
+        self.ranks_moved |= (self.fairness_mode, self.tmax) != before;
     }
 
     /// Debug-build self-check, run on every real tick: the paper's
@@ -810,12 +802,12 @@ impl Stfm {
         culprit: ThreadId,
         q: &SchedQuery<'_>,
     ) -> [ThreadSet; 3] {
-        let base = q.channel_id.0 * MAX_BANKS;
+        let ch = q.channel_id.0;
         let banks = q.channel.num_banks();
         let mut hits = ThreadSet::default();
         let mut ready = ThreadSet::default();
         for b in 0..banks {
-            let slot = (base + b) as usize;
+            let slot = bank_slot(ch, b);
             let bank = q.channel.bank(BankId(b));
             let row = bank.open_row();
             let w = &mut self.waiters[slot];
@@ -834,8 +826,8 @@ impl Stfm {
                     .union(miss.only_if(miss_at <= q.now));
             }
         }
-        self.stale_waiters &= !(((1u64 << banks) - 1) << base);
-        let [[_, read_miss], [_, write_miss]] = self.waiters[(base + cmd.bank.0) as usize].sets;
+        self.stale_waiters &= !(((1u64 << banks) - 1) << bank_slot(ch, 0));
+        let [[_, read_miss], [_, write_miss]] = self.waiters[bank_slot(ch, cmd.bank.0)].sets;
         let mut bank_victims = read_miss.union(write_miss);
         bank_victims.remove(culprit);
         hits.remove(culprit);
@@ -994,13 +986,16 @@ impl SchedulerPolicy for Stfm {
         Some(DramCycle::new(due_cpu.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE)))
     }
 
-    fn decision_epoch(&self) -> Option<u64> {
+    fn take_stale_banks(&mut self) -> u64 {
         // Outside fairness mode the rank is plain FR-FCFS; inside it the
         // rank additionally keys on `tmax`. Both are pure functions of
         // the request and the bank's open row once `(fairness_mode,
-        // tmax)` is fixed — which is exactly what `decision_sig` tracks —
-        // so per-bank winners carry across cycles.
-        Some(self.decision_sig)
+        // tmax)` is fixed, and a change moves ranks in every bank.
+        if std::mem::take(&mut self.ranks_moved) {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn work_counters(&self) -> Option<PolicyWork> {

@@ -17,13 +17,27 @@ use stfm_telemetry::{Event, NullSink, Sink};
 /// keep traces small).
 pub const DEFAULT_SAMPLE_INTERVAL: DramDelta = DramDelta::new(2_000);
 
-/// Most channels a [`MemorySystem`] takes. Policies that keep per-bank
-/// state (FR-FCFS+Cap, STFM) index it by the slot
-/// `channel * MAX_BANKS + bank`, in 64-bit slot masks.
+/// Most channels a [`MemorySystem`] takes. Per-bank policy state is
+/// indexed by [`bank_slot`], and sets of banks are 64-bit slot masks.
 pub const MAX_CHANNELS: u32 = 4;
 
 /// Most banks per channel a [`MemorySystem`] takes; see [`MAX_CHANNELS`].
 pub const MAX_BANKS: u32 = 16;
+
+/// Number of `(channel, bank)` slots: `MAX_CHANNELS * MAX_BANKS` = 64,
+/// one bit each in a `u64` slot mask.
+pub const BANK_SLOTS: usize = (MAX_CHANNELS * MAX_BANKS) as usize;
+
+/// The slot of `(channel, bank)`: `channel * MAX_BANKS + bank`, below
+/// [`BANK_SLOTS`] for every geometry a [`MemorySystem`] accepts.
+#[inline]
+pub fn bank_slot(channel: u32, bank: u32) -> usize {
+    debug_assert!(
+        channel < MAX_CHANNELS && bank < MAX_BANKS,
+        "channel {channel} bank {bank} is outside the slot packing"
+    );
+    (channel * MAX_BANKS + bank) as usize
+}
 
 /// Row-buffer management policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -106,15 +120,16 @@ pub struct SchedCounters {
     pub rank_carried: u64,
 }
 
-/// One bank's cached rank-pass outcome for cross-tick decision carrying.
+/// One bank's cached rank-pass outcome, carried across ticks.
 ///
 /// Validity argument: a cached selection is exact while (a) the bank's
 /// waiting list and the row-buffer state of *this* bank are unchanged —
 /// enqueues, command issues and refreshes all invalidate; slots never
-/// move, so a reap does not — and (b) the policy's
-/// [`SchedulerPolicy::decision_epoch`] and the channel's eligible access
-/// kind are unchanged (checked via `cache_key`). Readiness is never cached: the stored top/slip are
-/// re-checked at the current cycle against the bank's class edges
+/// move, so a reap does not — (b) the policy has not reported the bank
+/// through [`SchedulerPolicy::take_stale_banks`], and (c) the channel's
+/// eligible access kind is unchanged (checked via `cache_kind`).
+/// Readiness is never cached: the stored top/slip are re-checked at the
+/// current cycle against the bank's class edges
 /// ([`Channel::class_edges`]) — all row-hits of a bank share one command
 /// shape (as do all row-misses), so the stored class of the top and the
 /// best-row-hit fallback carry the issuability of every other candidate.
@@ -157,8 +172,8 @@ type ClassReps = (bool, bool);
 /// are unchanged (command issues on the bank, refreshes, and the
 /// eligible access kind flipping all invalidate; an enqueue is folded
 /// in incrementally, since a newcomer can only make its own class
-/// present). Policy decision epochs do not matter here: classes carry
-/// timing shape, not rank.
+/// present). Policy state does not matter here: classes carry timing
+/// shape, not rank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RepCache {
     /// Nothing cached; the next query rescans the list.
@@ -216,15 +231,15 @@ pub(crate) struct ChannelCtrl {
     /// Scratch for per-bank candidate ranks, reused across cycles so the
     /// hot path never allocates.
     rank_scratch: Vec<(usize, Rank)>,
-    /// Per-bank cached rank-pass winners (cross-tick decision carrying);
+    /// Per-bank cached rank-pass winners, carried across ticks;
     /// see [`BankCache`].
     bank_cache: Vec<BankCache>,
-    /// Per-bank cached class presence for the agenda and ready
-    /// pre-filter scans; see [`RepCache`].
+    /// Per-bank cached class presence for the edge scan; see
+    /// [`RepCache`].
     rep_cache: Vec<RepCache>,
-    /// The `(decision epoch, eligible kind)` the cache was filled under;
-    /// any mismatch wipes every entry.
-    cache_key: Option<(u64, AccessKind)>,
+    /// The eligible kind `bank_cache` was filled under; a flip wipes
+    /// every entry.
+    cache_kind: AccessKind,
     /// Scheduling passes over this channel.
     sched_visits: u64,
     /// Full per-bank rank passes run.
@@ -287,54 +302,39 @@ impl ChannelCtrl {
             .map(|Reverse((data_done, ..))| *data_done)
     }
 
-    /// Wipes every cached bank decision (a refresh closed the rows, or
-    /// the decision epoch moved).
-    fn invalidate_bank_cache(&mut self) {
-        for e in &mut self.bank_cache {
-            *e = BankCache::Invalid;
+    /// Wipes the cached decisions of the banks set in `mask` (bit `b` for
+    /// bank `b`; `u64::MAX` for all of them).
+    fn invalidate_banks(&mut self, mask: u64) {
+        for (b, e) in self.bank_cache.iter_mut().enumerate() {
+            if mask >> b & 1 == 1 {
+                *e = BankCache::Invalid;
+            }
         }
     }
 
     /// The bank's class presence, served from [`RepCache`] when valid and
     /// recomputed (and cached) from the waiting list otherwise.
     fn reps(&mut self, bank: usize, eligible: AccessKind) -> ClassReps {
-        if let Some(pair) = self.reps_peek(bank, eligible) {
-            return pair;
+        let fresh = |c: &Self| {
+            MemorySystem::class_reps(&c.slots, &c.channel, &c.bank_waiting[bank], eligible)
+        };
+        if let RepCache::Reps { kind, hit, miss } = self.rep_cache[bank] {
+            if kind == eligible {
+                debug_assert_eq!(
+                    (hit, miss),
+                    fresh(self),
+                    "cached class presence diverged from a fresh scan"
+                );
+                return (hit, miss);
+            }
         }
-        let (hit, miss) = MemorySystem::class_reps(
-            &self.slots,
-            &self.channel,
-            &self.bank_waiting[bank],
-            eligible,
-        );
+        let (hit, miss) = fresh(self);
         self.rep_cache[bank] = RepCache::Reps {
             kind: eligible,
             hit,
             miss,
         };
         (hit, miss)
-    }
-
-    /// Read-only variant of [`ChannelCtrl::reps`] for borrow contexts
-    /// that cannot cache: the cached pair when valid, `None` when a
-    /// fresh scan is needed.
-    fn reps_peek(&self, bank: usize, eligible: AccessKind) -> Option<ClassReps> {
-        if let RepCache::Reps { kind, hit, miss } = self.rep_cache[bank] {
-            if kind == eligible {
-                debug_assert_eq!(
-                    (hit, miss),
-                    MemorySystem::class_reps(
-                        &self.slots,
-                        &self.channel,
-                        &self.bank_waiting[bank],
-                        eligible
-                    ),
-                    "cached class presence diverged from a fresh scan"
-                );
-                return Some((hit, miss));
-            }
-        }
-        None
     }
 
     /// Puts a new request in a vacant slot (or a new one at the end) and
@@ -540,7 +540,8 @@ impl MemorySystem {
                 rank_scratch: Vec::new(),
                 bank_cache: vec![BankCache::Invalid; config.banks as usize],
                 rep_cache: vec![RepCache::Invalid; config.banks as usize],
-                cache_key: None,
+                // Arbitrary: every entry starts invalid.
+                cache_kind: AccessKind::Read,
                 sched_visits: 0,
                 rank_scans: 0,
                 rank_carried: 0,
@@ -894,7 +895,7 @@ impl MemorySystem {
                 // The refresh precharges every bank: all cached row-hit
                 // classifications (and thus rank winners and class
                 // representatives) are stale.
-                ctrl.invalidate_bank_cache();
+                ctrl.invalidate_banks(u64::MAX);
                 for e in &mut ctrl.rep_cache {
                     *e = RepCache::Invalid;
                 }
@@ -921,6 +922,14 @@ impl MemorySystem {
         // borrows the channel array directly — no per-cycle allocation.
         let view = SystemView::from_ctrls(now, &self.channels);
         self.policy.on_dram_cycle(&view);
+        // Drop the cached decisions of the banks whose ranks the policy's
+        // own state moved since the last tick.
+        let stale = self.policy.take_stale_banks();
+        if stale != 0 {
+            for (i, ctrl) in self.channels.iter_mut().enumerate() {
+                ctrl.invalidate_banks(stale >> bank_slot(i as u32, 0));
+            }
+        }
 
         // Periodic scheduler snapshot for attached trace sinks.
         if self.sink.is_enabled() && now >= self.next_sample {
@@ -1164,18 +1173,16 @@ impl MemorySystem {
         ctrl.sched_visits += 1;
         let eligible_kind = ctrl.eligible_kind();
 
-        // Cross-tick decision carrying: when the policy vouches (via
-        // `decision_epoch`) that ranks are a pure function of request and
-        // bank state, each bank's rank-pass winner is cached and reused
-        // until that bank — or the epoch / eligible kind — changes. Only
-        // the *selection* is carried; issuability is re-evaluated at `now`
-        // every cycle, so DRAM timing is never cached.
-        let carry_key = policy.decision_epoch().map(|e| (e, eligible_kind));
-        if carry_key != ctrl.cache_key {
-            ctrl.invalidate_bank_cache();
-            ctrl.cache_key = carry_key;
+        // Cross-tick decision carry: each bank's rank-pass winner is
+        // cached and reused until that bank changes, the policy reports
+        // it (`take_stale_banks`, applied in `tick`), or the eligible kind
+        // flips. Only the *selection* is carried; issuability is
+        // re-evaluated at `now` every cycle, so DRAM timing is never
+        // cached.
+        if eligible_kind != ctrl.cache_kind {
+            ctrl.invalidate_banks(u64::MAX);
+            ctrl.cache_kind = eligible_kind;
         }
-        let carrying = carry_key.is_some();
 
         // Phase 1 (immutable): per-bank top request, then the globally
         // best *ready* command. Each bank visits only its own waiting
@@ -1200,72 +1207,46 @@ impl MemorySystem {
                 if bank_list.is_empty() {
                     continue;
                 }
-                let candidate = if carrying {
-                    match bank_cache[bank] {
-                        BankCache::NoEligible => {
-                            rank_carried += 1;
-                            debug_assert!(bank_list
-                                .iter()
-                                .all(|&s| ctrl.slots[s].kind != eligible_kind));
-                            None
-                        }
-                        BankCache::Top { top, top_hit, slip } => {
-                            rank_carried += 1;
-                            let c = Self::cached_candidate(edges(bank), now, top, top_hit, slip);
-                            debug_assert_eq!(
-                                c,
-                                Self::scan_candidate(
-                                    &ctrl.slots,
-                                    &*policy,
-                                    &q,
-                                    bank_list,
-                                    eligible_kind,
-                                    edges(bank),
-                                    &mut Vec::new(),
-                                ),
-                                "carried bank decision diverged from a fresh rank pass"
-                            );
-                            c
-                        }
-                        BankCache::Invalid => {
-                            rank_scans += 1;
-                            let (c, entry) = Self::fill_bank_cache(
+                let candidate = match bank_cache[bank] {
+                    BankCache::NoEligible => {
+                        rank_carried += 1;
+                        debug_assert!(bank_list
+                            .iter()
+                            .all(|&s| ctrl.slots[s].kind != eligible_kind));
+                        None
+                    }
+                    BankCache::Top { top, top_hit, slip } => {
+                        rank_carried += 1;
+                        let c = Self::cached_candidate(edges(bank), now, top, top_hit, slip);
+                        debug_assert_eq!(
+                            c,
+                            Self::scan_candidate(
                                 &ctrl.slots,
                                 &*policy,
                                 &q,
                                 bank_list,
                                 eligible_kind,
                                 edges(bank),
-                                &mut scratch,
-                            );
-                            bank_cache[bank] = entry;
-                            c
-                        }
+                                &mut Vec::new(),
+                            ),
+                            "carried bank decision diverged from a fresh rank pass"
+                        );
+                        c
                     }
-                } else {
-                    // Legacy path (no epoch): pre-filter on the two
-                    // classes — if neither the row-hit column access nor
-                    // the precharge/activate shape can issue this cycle,
-                    // no candidate of this bank can, and the rank pass
-                    // would select nothing.
-                    let (has_hit, has_miss) =
-                        ctrl.reps_peek(bank, eligible_kind).unwrap_or_else(|| {
-                            Self::class_reps(&ctrl.slots, &ctrl.channel, bank_list, eligible_kind)
-                        });
-                    let edges = edges(bank);
-                    if edges.earliest(has_hit, has_miss).is_none_or(|at| at > now) {
-                        continue;
+                    BankCache::Invalid => {
+                        rank_scans += 1;
+                        let (c, entry) = Self::fill_bank_cache(
+                            &ctrl.slots,
+                            &*policy,
+                            &q,
+                            bank_list,
+                            eligible_kind,
+                            edges(bank),
+                            &mut scratch,
+                        );
+                        bank_cache[bank] = entry;
+                        c
                     }
-                    rank_scans += 1;
-                    Self::scan_candidate(
-                        &ctrl.slots,
-                        &*policy,
-                        &q,
-                        bank_list,
-                        eligible_kind,
-                        edges,
-                        &mut scratch,
-                    )
                 };
                 let Some((slot, rank, id)) = candidate else {
                     continue;
@@ -1329,9 +1310,9 @@ impl MemorySystem {
             ctrl.audit();
         }
         // The issue changed this bank's row state and/or candidate set;
-        // its cached decision is stale. Other banks are untouched (their
-        // ranks depend only on their own row state and the policy epoch,
-        // which is re-checked next pass).
+        // its cached decision is stale. Other banks are untouched: their
+        // ranks depend only on their own state and on policy state,
+        // whose moves the policy reports.
         ctrl.bank_cache[cmd.bank.0 as usize] = BankCache::Invalid;
         ctrl.rep_cache[cmd.bank.0 as usize] = RepCache::Invalid;
         stats.record_command(&cmd);
@@ -1342,9 +1323,9 @@ impl MemorySystem {
     /// request, take the top by `(rank, older_first(id))`, and — when the
     /// top's command class cannot issue yet (`edges`, the bank's class
     /// edges at `q.now`) — fall back to the best-ranked row-hit if the
-    /// column command can. Returns the issuable candidate. This is the
-    /// legacy per-bank body of `schedule_channel`, factored out so the
-    /// carried path can cross-check against it in debug builds.
+    /// column command can. Returns the issuable candidate. The fresh
+    /// reference every carried decision is checked against in debug
+    /// builds.
     fn scan_candidate(
         slots: &[Request],
         policy: &dyn SchedulerPolicy,

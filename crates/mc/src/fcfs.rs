@@ -27,11 +27,6 @@ impl SchedulerPolicy for Fcfs {
     fn rank(&self, req: &Request, _q: &SchedQuery<'_>) -> Rank {
         Rank([Rank::older_first(req.id), 0, 0])
     }
-
-    fn decision_epoch(&self) -> Option<u64> {
-        // Request ids fully determine the rank: always carriable.
-        Some(0)
-    }
 }
 
 #[cfg(test)]

@@ -35,12 +35,6 @@ impl SchedulerPolicy for FrFcfs {
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank {
         Self::base_rank(req, q)
     }
-
-    fn decision_epoch(&self) -> Option<u64> {
-        // Ranks depend only on the request and bank state, never on
-        // internal policy state: decisions carry across any span.
-        Some(0)
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! This bounds the starvation caused by FR-FCFS's column-first rule but
 //! retains FCFS's bias toward memory-intensive threads.
 
-use crate::controller::MAX_BANKS;
+use crate::controller::{bank_slot, BANK_SLOTS};
 use crate::frfcfs::FrFcfs;
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{Request, RequestId};
@@ -25,9 +25,8 @@ struct BankCap {
 #[derive(Debug, Clone)]
 pub struct FrFcfsCap {
     cap: u32,
-    /// Per-bank cap state, indexed by [`FrFcfsCap::slot`]; grown on first
-    /// write, so a slot beyond the end reads as the default (no victim).
-    banks: Vec<BankCap>,
+    /// Per-bank cap state, indexed by [`bank_slot`].
+    banks: [BankCap; BANK_SLOTS],
 }
 
 impl FrFcfsCap {
@@ -41,7 +40,7 @@ impl FrFcfsCap {
         assert!(cap > 0, "cap must be positive");
         FrFcfsCap {
             cap,
-            banks: Vec::new(),
+            banks: [BankCap::default(); BANK_SLOTS],
         }
     }
 
@@ -50,20 +49,9 @@ impl FrFcfsCap {
         self.cap
     }
 
-    /// The flat-table slot of `(channel, bank)`: `channel * MAX_BANKS +
-    /// bank`, which `MemorySystem` keeps in range.
-    fn slot(channel: ChannelId, bank: u32) -> usize {
-        debug_assert!(
-            bank < MAX_BANKS,
-            "bank {bank} overflows its channel's slots"
-        );
-        (channel.0 * MAX_BANKS + bank) as usize
-    }
-
     fn bank_capped(&self, channel: ChannelId, bank: u32) -> bool {
-        self.banks
-            .get(Self::slot(channel, bank))
-            .is_some_and(|b| b.victim.is_some() && b.bypasses >= self.cap)
+        let b = &self.banks[bank_slot(channel.0, bank)];
+        b.victim.is_some() && b.bypasses >= self.cap
     }
 }
 
@@ -93,11 +81,16 @@ impl SchedulerPolicy for FrFcfsCap {
         // Drop victims that are no longer waiting (serviced or promoted to
         // row hits by a row change). A victim is recorded on its own bank,
         // so only that bank's waiting list is searched.
+        //
+        // No bank needs reporting (`take_stale_banks` keeps its default):
+        // only a command on the victim's bank (its column access, or the
+        // ACTIVATE of its row) ends its wait, so a cap is lifted here at
+        // the first cycle hook after such a command, before the controller
+        // ranks that bank again — and the command already dropped the
+        // bank's cached winner, as it does for `on_command`'s changes.
         for q in sys.channels() {
             for bank in 0..q.channel.num_banks() {
-                let Some(entry) = self.banks.get_mut(Self::slot(q.channel_id, bank)) else {
-                    break; // never written: no victim here or beyond
-                };
+                let entry = &mut self.banks[bank_slot(q.channel_id.0, bank)];
                 if let Some(victim) = entry.victim {
                     let still_waiting = q
                         .waiting_in_bank(bank)
@@ -121,11 +114,7 @@ impl SchedulerPolicy for FrFcfsCap {
             .filter(|r| r.id < req.id && !q.is_row_hit(r))
             .min_by_key(|r| r.id)
             .map(|r| r.id);
-        let slot = Self::slot(q.channel_id, cmd.bank.0);
-        if slot >= self.banks.len() {
-            self.banks.resize(slot + 1, BankCap::default());
-        }
-        let entry = &mut self.banks[slot];
+        let entry = &mut self.banks[bank_slot(q.channel_id.0, cmd.bank.0)];
         match (bypassed, entry.victim) {
             (Some(new), Some(old)) if new == old => entry.bypasses += 1,
             (Some(new), _) => {
@@ -199,7 +188,7 @@ mod tests {
     #[test]
     fn caps_and_clears_a_bank_on_the_last_channel() {
         // Channel 3, bank 7 is slot 55 of the flat table: past every slot a
-        // one-channel system touches, so the table has to grow to reach it.
+        // one-channel system touches.
         let ch3 = ChannelId(3);
         let (channel, _cfg) = harness::open_row(7, 5);
         let old_miss = req_to(7, ThreadId(0), 9, 0, 1);

@@ -41,8 +41,8 @@ pub mod stats;
 pub mod test_util;
 
 pub use controller::{
-    Completion, ControllerConfig, MemorySystem, RowPolicy, SchedCounters, DEFAULT_SAMPLE_INTERVAL,
-    MAX_BANKS, MAX_CHANNELS,
+    bank_slot, Completion, ControllerConfig, MemorySystem, RowPolicy, SchedCounters, BANK_SLOTS,
+    DEFAULT_SAMPLE_INTERVAL, MAX_BANKS, MAX_CHANNELS,
 };
 pub use fcfs::Fcfs;
 pub use frfcfs::FrFcfs;

@@ -20,41 +20,43 @@
 //!   faster than balanced threads and gets deprioritized in exactly the
 //!   banks it needs.
 
+use crate::controller::{bank_slot, BANK_SLOTS};
 use crate::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use crate::request::{Request, RequestId, ThreadId};
 use std::collections::{BTreeMap, BTreeSet};
 use stfm_dram::{ChannelId, DramCommand, DramCycle, DramDelta, TimingParams};
 
-/// Per-channel stride of the flat (channel, bank) slot space used by the
-/// virtual-finish-time table; banks per channel stay well below this.
-const VFT_STRIDE: usize = 64;
-
 /// The NFQ (FQ-VFTF) scheduling policy.
+///
+/// Per-bank state is indexed by [`bank_slot`], and sets of banks are
+/// slot masks.
 #[derive(Debug, Clone)]
 pub struct Nfq {
     timing: TimingParams,
     /// Virtual finish time per (thread, channel, bank), in scaled DRAM
-    /// cycles. Indexed `[thread][channel * VFT_STRIDE + bank]` and grown
-    /// on demand (thread ids are dense, core-assigned); O(1) lookups on
-    /// the per-cycle ranking path instead of hashing a tuple key.
-    vft: Vec<Vec<u64>>,
+    /// cycles. Indexed `[thread][slot]` and grown on demand (thread ids
+    /// are dense, core-assigned); O(1) lookups on the per-cycle ranking
+    /// path instead of hashing a tuple key.
+    vft: Vec<[u64; BANK_SLOTS]>,
     /// Bandwidth share per thread (paper Section 7.5's "NFQ-shares").
     shares: BTreeMap<ThreadId, u32>,
     /// Threads that have issued at least one request.
     active: BTreeSet<ThreadId>,
     /// Per-bank earliest-deadline head request and the cycle it became
-    /// head, for the priority-inversion-prevention timer; indexed
-    /// `[channel][bank]`, grown on demand.
-    bank_heads: Vec<Vec<Option<(RequestId, DramCycle)>>>,
-    /// Banks whose head may have changed since the last cycle hook, one
-    /// bank bitmask per channel: an arrival, a column command or a
-    /// completion (which moves a deadline) marks its bank, and the next
-    /// hook recomputes the heads of exactly the marked banks.
-    stale_heads: Vec<u64>,
+    /// head, for the priority-inversion-prevention timer.
+    bank_heads: [Option<(RequestId, DramCycle)>; BANK_SLOTS],
+    /// Banks whose head may have changed since the last cycle hook: an
+    /// arrival, a column command or a completion (which moves a
+    /// deadline) marks its bank, and the next hook recomputes the heads
+    /// of exactly the marked banks. Every bank starts marked.
+    stale_heads: u64,
     /// Banks where hit-bypass is currently disabled by the inversion
-    /// prevention threshold; one bank bitmask per channel, refreshed
-    /// every DRAM cycle (banks per channel stay below 64).
-    blocked_banks: Vec<u64>,
+    /// prevention threshold, refreshed every DRAM cycle.
+    blocked_banks: u64,
+    /// Banks whose ranks moved since the controller last asked
+    /// ([`SchedulerPolicy::take_stale_banks`]): a completion's bank (its
+    /// deadline moved) and every bank whose `blocked_banks` bit flipped.
+    stale_ranks: u64,
 }
 
 impl Nfq {
@@ -65,9 +67,10 @@ impl Nfq {
             vft: Vec::new(),
             shares: BTreeMap::new(),
             active: BTreeSet::new(),
-            bank_heads: Vec::new(),
-            stale_heads: Vec::new(),
-            blocked_banks: Vec::new(),
+            bank_heads: [None; BANK_SLOTS],
+            stale_heads: u64::MAX,
+            blocked_banks: 0,
+            stale_ranks: 0,
         }
     }
 
@@ -94,11 +97,7 @@ impl Nfq {
 
     /// Marks `req`'s bank for a head recomputation at the next cycle hook.
     fn mark_stale(&mut self, req: &Request) {
-        let ch = req.loc.channel.0 as usize;
-        if self.stale_heads.len() <= ch {
-            self.stale_heads.resize(ch + 1, 0);
-        }
-        self.stale_heads[ch] |= 1 << req.loc.bank.0;
+        self.stale_heads |= 1 << bank_slot(req.loc.channel.0, req.loc.bank.0);
     }
 
     /// The earliest-deadline waiting request of `bank`: least
@@ -113,10 +112,10 @@ impl Nfq {
     #[cfg(debug_assertions)]
     fn audit_heads(&self, sys: &SystemView<'_>) {
         for q in sys.channels() {
-            let ch = q.channel_id.0 as usize;
+            let ch = q.channel_id.0;
             for bank in 0..q.channel.num_banks() {
                 assert_eq!(
-                    self.bank_heads[ch][bank as usize].map(|(id, _)| id),
+                    self.bank_heads[bank_slot(ch, bank)].map(|(id, _)| id),
                     self.fresh_head(&q, bank).map(|r| r.id),
                     "cached NFQ head of channel {ch} bank {bank} is stale at {}",
                     sys.now
@@ -127,12 +126,9 @@ impl Nfq {
 
     /// Current virtual finish time of (thread, channel, bank).
     pub fn virtual_finish_time(&self, thread: ThreadId, channel: ChannelId, bank: u32) -> u64 {
-        debug_assert!((bank as usize) < VFT_STRIDE);
-        let slot = channel.0 as usize * VFT_STRIDE + bank as usize;
         self.vft
             .get(thread.0 as usize)
-            .and_then(|slots| slots.get(slot).copied())
-            .unwrap_or(0)
+            .map_or(0, |slots| slots[bank_slot(channel.0, bank)])
     }
 }
 
@@ -143,10 +139,7 @@ impl SchedulerPolicy for Nfq {
 
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank {
         let bank = req.loc.bank.0;
-        let bypass_ok = self
-            .blocked_banks
-            .get(q.channel_id.0 as usize)
-            .is_none_or(|m| m >> bank & 1 == 0);
+        let bypass_ok = self.blocked_banks >> bank_slot(q.channel_id.0, bank) & 1 == 0;
         let hit = u64::from(bypass_ok && q.is_row_hit(req));
         let deadline = self.virtual_finish_time(req.thread, q.channel_id, bank);
         Rank([hit, u64::MAX - deadline, Rank::older_first(req.id)])
@@ -158,54 +151,38 @@ impl SchedulerPolicy for Nfq {
         // only for up to tRAS; once the current head request has been head
         // for longer, the bank falls back to strict deadline order. The
         // timer restarts whenever the head request changes.
-        for mask in &mut self.blocked_banks {
-            *mask = 0;
-        }
         let threshold: DramDelta = self.timing.t_ras;
+        let mut blocked = 0u64;
         for q in sys.channels() {
-            let ch = q.channel_id.0 as usize;
-            let banks = q.channel.num_banks() as usize;
-            debug_assert!(banks <= 64);
-            if self.blocked_banks.len() <= ch {
-                self.blocked_banks.resize(ch + 1, 0);
-            }
-            if self.stale_heads.len() <= ch {
-                self.stale_heads.resize(ch + 1, 0);
-            }
-            if self.bank_heads.len() <= ch {
-                self.bank_heads.resize(ch + 1, Vec::new());
-            }
-            if self.bank_heads[ch].len() < banks {
-                // Banks seen for the first time start stale.
-                self.bank_heads[ch].resize(banks, None);
-                self.stale_heads[ch] = u64::MAX;
-            }
-            let mut stale = std::mem::take(&mut self.stale_heads[ch]);
-            while stale != 0 {
-                let bank = stale.trailing_zeros();
-                stale &= stale - 1;
-                if bank as usize >= banks {
-                    break;
+            for bank in 0..q.channel.num_banks() {
+                let slot = bank_slot(q.channel_id.0, bank);
+                let bit = 1 << slot;
+                if self.stale_heads & bit != 0 {
+                    self.stale_heads &= !bit;
+                    let head = self.fresh_head(&q, bank).map(|r| r.id);
+                    let entry = &mut self.bank_heads[slot];
+                    match head {
+                        None => *entry = None,
+                        // Head unchanged: keep its timer.
+                        Some(id) if entry.is_some_and(|(old, _)| old == id) => {}
+                        Some(id) => *entry = Some((id, sys.now)),
+                    }
                 }
-                let head = self.fresh_head(&q, bank).map(|r| r.id);
-                let slot = &mut self.bank_heads[ch][bank as usize];
-                match head {
-                    None => *slot = None,
-                    // Head unchanged: keep its timer.
-                    Some(id) if slot.is_some_and(|(old, _)| old == id) => {}
-                    Some(id) => *slot = Some((id, sys.now)),
-                }
-            }
-            for (bank, head) in self.bank_heads[ch].iter().enumerate() {
-                if let Some((_, since)) = *head {
+                if let Some((_, since)) = self.bank_heads[slot] {
                     if sys.now.saturating_since(since) > threshold {
-                        self.blocked_banks[ch] |= 1 << bank;
+                        blocked |= bit;
                     }
                 }
             }
         }
+        self.stale_ranks |= self.blocked_banks ^ blocked;
+        self.blocked_banks = blocked;
         #[cfg(debug_assertions)]
         self.audit_heads(sys);
+    }
+
+    fn take_stale_banks(&mut self) -> u64 {
+        std::mem::take(&mut self.stale_ranks)
     }
 
     fn on_enqueue(&mut self, req: &Request, _tshared: u64) {
@@ -221,25 +198,22 @@ impl SchedulerPolicy for Nfq {
     }
 
     fn on_complete(&mut self, req: &Request) {
-        // The completion moves the thread's deadline in this bank.
-        self.mark_stale(req);
+        // The completion moves the thread's deadline in this bank, and
+        // with it the ranks of the thread's requests there.
+        let slot = bank_slot(req.loc.channel.0, req.loc.bank.0);
+        self.stale_heads |= 1 << slot;
+        self.stale_ranks |= 1 << slot;
         let latency: u64 = req
             .category
             .map(|c| c.service_latency(&self.timing))
             .unwrap_or_else(|| self.timing.read_latency())
             .get();
         let scale = self.total_shares() / u64::from(self.share(req.thread)).max(1);
-        debug_assert!((req.loc.bank.0 as usize) < VFT_STRIDE);
-        let slot = req.loc.channel.0 as usize * VFT_STRIDE + req.loc.bank.0 as usize;
         let t = req.thread.0 as usize;
         if self.vft.len() <= t {
-            self.vft.resize(t + 1, Vec::new());
+            self.vft.resize(t + 1, [0; BANK_SLOTS]);
         }
-        let slots = &mut self.vft[t];
-        if slots.len() <= slot {
-            slots.resize(slot + 1, 0);
-        }
-        slots[slot] += latency * scale.max(1);
+        self.vft[t][slot] += latency * scale.max(1);
     }
 }
 
@@ -268,8 +242,10 @@ mod tests {
         let b = req_to(0, ThreadId(1), 2, 0, 2);
         p.on_enqueue(&a, 0);
         p.on_enqueue(&b, 0);
-        // Thread 0 already consumed service in this bank.
+        // Thread 0 already consumed service in this bank, which moves the
+        // bank's ranks.
         complete(&mut p, req_to(0, ThreadId(0), 1, 0, 0), AccessCategory::Hit);
+        assert_eq!(p.take_stale_banks(), 1 << bank_slot(0, 0));
         let requests = [a.clone(), b.clone()];
         let q = harness::query(&channel, &requests);
         assert!(
@@ -322,9 +298,12 @@ mod tests {
             p.rank(&young_hit, &q) > p.rank(&old_miss, &q),
             "within the tRAS window hits still bypass"
         );
+        assert_eq!(p.take_stale_banks(), 0, "no rank moved yet");
 
-        // tRAS + 1 cycles later the bank must be blocked for bypass.
+        // tRAS + 1 cycles later the bank must be blocked for bypass, and
+        // the flip reported.
         p.on_dram_cycle(&mk(harness::NOW + t_ras + 1));
+        assert_eq!(p.take_stale_banks(), 1 << bank_slot(0, 0));
         let q = harness::query(&channel, &requests);
         assert!(
             p.rank(&old_miss, &q) > p.rank(&young_hit, &q),

@@ -32,6 +32,9 @@ pub struct ParBs {
     /// Higher value = higher priority this batch.
     thread_rank: BTreeMap<ThreadId, u64>,
     batches_formed: u64,
+    /// A batch formed since the controller last asked
+    /// ([`SchedulerPolicy::take_stale_banks`]): every rank may have moved.
+    batch_formed: bool,
 }
 
 impl ParBs {
@@ -49,6 +52,7 @@ impl ParBs {
             still_waiting: Vec::new(),
             thread_rank: BTreeMap::new(),
             batches_formed: 0,
+            batch_formed: false,
         }
     }
 
@@ -95,8 +99,10 @@ impl ParBs {
             let key = (u64::from(u32::MAX - mbl) << 32) | u64::from(u32::MAX - total);
             self.thread_rank.insert(thread, key);
         }
+        // An empty batch means nothing waits, so no rank moved.
         if !self.marked.is_empty() {
             self.batches_formed += 1;
+            self.batch_formed = true;
         }
     }
 }
@@ -138,6 +144,16 @@ impl SchedulerPolicy for ParBs {
         }
         if self.marked.is_empty() {
             self.form_batch(sys);
+        }
+    }
+
+    fn take_stale_banks(&mut self) -> u64 {
+        // Pruning drops marks of requests that no longer wait, so only
+        // a new batch moves ranks.
+        if std::mem::take(&mut self.batch_formed) {
+            u64::MAX
+        } else {
+            0
         }
     }
 }
@@ -208,6 +224,10 @@ mod tests {
         let requests = [a.clone()];
         p.on_dram_cycle(&view(harness::query(&channel, &requests)));
         assert_eq!(p.batches_formed(), 1);
+        assert_eq!(p.take_stale_banks(), u64::MAX, "a batch moves every rank");
+        // While the batch lasts, no rank moves.
+        p.on_dram_cycle(&view(harness::query(&channel, &requests)));
+        assert_eq!(p.take_stale_banks(), 0);
         // Request got serviced: buffer now holds only a new request.
         let b = req_to(0, ThreadId(0), 2, 0, 7);
         let requests = [b.clone()];

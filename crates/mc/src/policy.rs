@@ -317,17 +317,27 @@ pub trait SchedulerPolicy {
         self.on_dram_cycle(sys);
     }
 
-    /// Identifies the current *decision state* of the policy for the
-    /// controller's cross-tick rank cache. Two calls returning the same
-    /// `Some(epoch)` promise that [`SchedulerPolicy::rank`] is a pure
-    /// function of the request and the channel's bank state between them
-    /// — i.e. no policy-internal state that feeds ranking has changed,
-    /// and no rank flips purely because `q.now` advanced. Return `None`
-    /// (the default) to disable decision carrying entirely; stateless
-    /// policies return a constant, stateful ones bump an internal counter
-    /// whenever rank-relevant state moves.
-    fn decision_epoch(&self) -> Option<u64> {
-        None
+    /// Returns, and forgets, the banks whose ranks the policy's own state
+    /// changed since the last call: bit [`crate::bank_slot`] per
+    /// `(channel, bank)`.
+    ///
+    /// The controller caches each bank's rank-pass winner across ticks
+    /// and drops it itself when the bank's waiting list or row state
+    /// changes (an enqueue, a command, a refresh) or the eligible access
+    /// kind flips. It calls this once per DRAM cycle, right after
+    /// [`SchedulerPolicy::on_dram_cycle`] and before it ranks any bank,
+    /// and drops the reported banks' winners too. So a policy whose
+    /// [`SchedulerPolicy::rank`] reads its own state reports every bank
+    /// whose ranks that state moved, except where the move follows a
+    /// command on that bank and comes before the bank is ranked again
+    /// (the command dropped the winner); a hook other than
+    /// `on_dram_cycle` may only move ranks in its own request's channel.
+    /// A policy whose ranks read `q.now` reports every slot. The
+    /// default, `0`, is exact when ranks depend only on the request and
+    /// the bank's state. Debug builds check every carried winner against
+    /// a fresh rank pass.
+    fn take_stale_banks(&mut self) -> u64 {
+        0
     }
 
     /// Cumulative estimator work counters, if the policy tracks them

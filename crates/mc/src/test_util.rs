@@ -94,4 +94,9 @@ impl crate::policy::SchedulerPolicy for ChaosPolicy {
         x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         crate::policy::Rank([x ^ (x >> 31), 0, 0])
     }
+
+    fn take_stale_banks(&mut self) -> u64 {
+        // Ranks read `q.now`: no bank's winner outlives its tick.
+        u64::MAX
+    }
 }

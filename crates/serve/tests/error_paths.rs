@@ -73,7 +73,7 @@ fn serve_completes_997_cells_around_3_bad_lines() {
         );
     }
 
-    // The stream ends with a graceful bye carrying the totals.
+    // The stream ends with a graceful bye that holds the totals.
     let last = text.lines().last().unwrap_or_default();
     assert!(
         last.contains("\"type\":\"bye\""),

@@ -9,7 +9,9 @@
 //! * full estimator rebuilds scale with O(events), not O(cycles);
 //! * the decision cache actually carries decisions across quiet ticks;
 //! * the event-driven loop visits the scheduler strictly fewer times
-//!   than the stepped reference loop on the same workload.
+//!   than the stepped reference loop on the same workload;
+//! * the controller's per-bank rank cache carries decisions under the
+//!   stateful policies too (NFQ, FR-FCFS+Cap, PAR-BS).
 
 // `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
 #![allow(clippy::expect_used)]
@@ -79,12 +81,12 @@ fn streaming() -> Vec<Profile> {
     ]
 }
 
-/// Runs `profiles` under STFM and returns (work counters, final DRAM
+/// Runs `profiles` under `kind` and returns (work counters, final DRAM
 /// cycle). `event` selects the event-driven loop vs the stepped
 /// reference.
-fn run_stfm(profiles: &[Profile], cache: &AloneCache, event: bool) -> (Work, u64) {
+fn run(kind: SchedulerKind, profiles: &[Profile], cache: &AloneCache, event: bool) -> (Work, u64) {
     let mut traced = Experiment::new(profiles.to_vec())
-        .scheduler(SchedulerKind::Stfm)
+        .scheduler(kind)
         .instructions_per_thread(INSTS)
         .fast_forward(event)
         .run_traced(cache, Box::new(WorkSink::default()));
@@ -103,7 +105,7 @@ fn run_stfm(profiles: &[Profile], cache: &AloneCache, event: bool) -> (Work, u64
 #[test]
 fn estimator_rebuilds_scale_with_events_not_cycles() {
     let cache = AloneCache::new();
-    let (work, cycles) = run_stfm(&streaming(), &cache, true);
+    let (work, cycles) = run(SchedulerKind::Stfm, &streaming(), &cache, true);
     println!("streaming/event: {work:?} over {cycles} dram cycles");
 
     assert!(cycles > 10_000, "run too short to be meaningful: {cycles}");
@@ -142,7 +144,7 @@ fn estimator_rebuilds_scale_with_events_not_cycles() {
 #[test]
 fn pointer_chase_elides_and_carries() {
     let cache = AloneCache::new();
-    let (work, cycles) = run_stfm(&mix::pointer_chase(), &cache, true);
+    let (work, cycles) = run(SchedulerKind::Stfm, &mix::pointer_chase(), &cache, true);
     println!("pointer-chase/event: {work:?} over {cycles} dram cycles");
 
     assert!(
@@ -180,8 +182,8 @@ fn pointer_chase_elides_and_carries() {
 #[test]
 fn event_loop_schedules_less_than_stepped() {
     let cache = AloneCache::new();
-    let (ev, ev_cycles) = run_stfm(&streaming(), &cache, true);
-    let (st, st_cycles) = run_stfm(&streaming(), &cache, false);
+    let (ev, ev_cycles) = run(SchedulerKind::Stfm, &streaming(), &cache, true);
+    let (st, st_cycles) = run(SchedulerKind::Stfm, &streaming(), &cache, false);
     println!("event:   {ev:?} over {ev_cycles} cycles");
     println!("stepped: {st:?} over {st_cycles} cycles");
 
@@ -198,4 +200,25 @@ fn event_loop_schedules_less_than_stepped() {
         ev.rank_carried > 0,
         "per-bank decision cache never carried a ranking"
     );
+}
+
+/// The per-bank decision cache serves the stateful policies too, not
+/// only those whose ranks depend on request and bank state alone: NFQ,
+/// FR-FCFS+Cap and PAR-BS carry every bank winner their own state did
+/// not move.
+#[test]
+fn stateful_policies_carry_bank_decisions() {
+    let cache = AloneCache::new();
+    for kind in [
+        SchedulerKind::Nfq,
+        SchedulerKind::FrFcfsCap { cap: 4 },
+        SchedulerKind::ParBs,
+    ] {
+        let (work, cycles) = run(kind, &streaming(), &cache, true);
+        println!("{kind:?}/event: {work:?} over {cycles} dram cycles");
+        assert!(
+            work.rank_carried > 0,
+            "{kind:?}: per-bank decision cache never carried a ranking"
+        );
+    }
 }

@@ -1,9 +1,11 @@
 //! Time advance, tier-1: the event-driven loop (`predict_next`, elided
 //! ticks, the deferred policy residue) must leave every simulated outcome
 //! bit-identical to the stepped oracle, for every scheduler, on one
-//! channel and on two, and for STFM on four — and it must actually elide
-//! something. The seeded fuzz suite in `crates/sim/tests/` goes deeper;
-//! this is the slice `cargo test -q` sees.
+//! channel and on two, and for STFM, FR-FCFS+Cap and NFQ on four — and it
+//! must actually elide something. In a debug build (`cargo test -q`) the
+//! controller also checks every carried bank decision against a fresh
+//! rank pass here. The seeded fuzz suite in `crates/sim/tests/` goes
+//! deeper; this is the slice `cargo test -q` sees.
 
 // `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
 #![allow(clippy::expect_used)]
@@ -107,7 +109,9 @@ fn assert_event_loop_matches_stepped(
 
 #[test]
 fn four_cores_one_channel() {
-    assert_event_loop_matches_stepped(&mix::case_study_intensive(), &SchedulerKind::all(), INSTS);
+    let mut kinds = SchedulerKind::all().to_vec();
+    kinds.push(SchedulerKind::ParBs);
+    assert_event_loop_matches_stepped(&mix::case_study_intensive(), &kinds, INSTS);
 }
 
 #[test]
@@ -115,18 +119,28 @@ fn eight_cores_two_channels() {
     assert_event_loop_matches_stepped(&mix::fig10_eight_core(), &SchedulerKind::all(), INSTS);
 }
 
-/// STFM's per-bank state is packed `channel * 16 + bank`: this reaches
-/// channels 2 and 3, which the smaller systems never use.
+/// Per-bank policy state is packed `channel * 16 + bank`: this reaches
+/// channels 2 and 3, which the smaller systems never use, for every
+/// policy that keeps such state.
 #[test]
-fn sixteen_cores_four_channels_stfm() {
+fn sixteen_cores_four_channels() {
     let (name, profiles) = &mix::sixteen_core_mixes()[0];
-    let streams =
-        assert_event_loop_matches_stepped(profiles, &[SchedulerKind::Stfm], SIXTEEN_CORE_INSTS);
-    let mut used = [false; 4];
-    for e in &streams[0] {
-        if let Event::DramCommandIssued { channel, .. } = e {
-            used[*channel as usize] = true;
+    let kinds = [
+        SchedulerKind::Stfm,
+        SchedulerKind::FrFcfsCap { cap: 4 },
+        SchedulerKind::Nfq,
+    ];
+    let streams = assert_event_loop_matches_stepped(profiles, &kinds, SIXTEEN_CORE_INSTS);
+    for (kind, stream) in kinds.iter().zip(&streams) {
+        let mut used = [false; 4];
+        for e in stream {
+            if let Event::DramCommandIssued { channel, .. } = e {
+                used[*channel as usize] = true;
+            }
         }
+        assert_eq!(
+            used, [true; 4],
+            "{name}, {kind:?}: commands issued per channel"
+        );
     }
-    assert_eq!(used, [true; 4], "{name}: commands issued per channel");
 }
