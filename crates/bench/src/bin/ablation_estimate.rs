@@ -4,6 +4,7 @@
 //! (Section 7.2.1) that residual unfairness stems from estimation error —
 //! this harness quantifies it.
 
+use std::any::Any;
 use stfm_bench::Args;
 use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::Core;
@@ -37,12 +38,7 @@ fn run_one(passive: bool, args: &Args) {
     let mut sys = System::new(cores, mem);
     let out = sys.run(args.insts, args.insts * 4_000);
 
-    let Some(stfm) = sys
-        .memory()
-        .policy()
-        .as_any()
-        .and_then(|a| a.downcast_ref::<Stfm>())
-    else {
+    let Some(stfm) = (sys.memory().policy() as &dyn Any).downcast_ref::<Stfm>() else {
         panic!("ablation_estimate: the system was not built with the STFM policy");
     };
 

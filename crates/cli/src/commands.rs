@@ -14,7 +14,7 @@ use stfm_sim::{
     WorkloadMetrics,
 };
 use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
-use stfm_workloads::{desktop, spec, Profile, SyntheticTrace};
+use stfm_workloads::{by_name, desktop, spec, Profile, SyntheticTrace};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
@@ -62,12 +62,6 @@ snapshot spacing, both in DRAM cycles.
 Benchmark names come from `stfm list` (the paper's Table 3 + Table 4).
 ";
 
-fn lookup(name: &str) -> Result<Profile, String> {
-    spec::by_name(name)
-        .or_else(|| desktop::workload().into_iter().find(|p| p.name == name))
-        .ok_or_else(|| format!("unknown benchmark '{name}' (see `stfm list`)"))
-}
-
 fn parse_scheduler(s: &str) -> Result<Vec<SchedulerKind>, String> {
     Ok(match s {
         "frfcfs" | "fr-fcfs" => vec![SchedulerKind::FrFcfs],
@@ -103,7 +97,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         "workload scheduler insts seed alpha weights banks row-kb jobs check quiet",
     )?;
     let names = f.list("workload")?;
-    let profiles: Vec<Profile> = names.iter().map(|n| lookup(n)).collect::<Result<_, _>>()?;
+    let profiles: Vec<Profile> = names.iter().map(|n| by_name(n)).collect::<Result<_, _>>()?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("all"))?;
     let insts: u64 = f.num("insts", 100_000)?;
     let seed: u64 = f.num("seed", 1)?;
@@ -184,7 +178,7 @@ pub fn trace(args: &[String]) -> Result<(), String> {
         "workload scheduler insts seed epoch sample out-dir quiet",
     )?;
     let names = f.list("workload")?;
-    let profiles: Vec<Profile> = names.iter().map(|n| lookup(n)).collect::<Result<_, _>>()?;
+    let profiles: Vec<Profile> = names.iter().map(|n| by_name(n)).collect::<Result<_, _>>()?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("stfm"))?;
     let [kind] = kinds[..] else {
         return Err("trace takes a single scheduler, not 'all'".into());
@@ -310,7 +304,7 @@ pub fn list(args: &[String]) -> Result<(), String> {
 /// `stfm capture`.
 pub fn capture(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, "benchmark ops out seed cores")?;
-    let profile = lookup(f.require("benchmark")?)?;
+    let profile = by_name(f.require("benchmark")?)?;
     let out = f.require("out")?;
     let ops: usize = f.num("ops", 50_000usize)?;
     let seed: u64 = f.num("seed", 1)?;

@@ -47,4 +47,4 @@ pub mod stfm;
 
 pub use fixed::Fx8;
 pub use registers::{state_bits, weighted_slowdown, RegisterFile, ThreadRegs};
-pub use stfm::{Stfm, StfmConfig, DEFAULT_ALPHA, DEFAULT_INTERVAL_LENGTH};
+pub use stfm::{Stfm, StfmConfig, StfmWork, DEFAULT_ALPHA, DEFAULT_INTERVAL_LENGTH};

@@ -11,7 +11,7 @@ use stfm_dram::CpuCycle;
 use stfm_mc::{bank_slot, ThreadId, BANK_SLOTS};
 
 /// Per-thread slowdown-estimation registers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadRegs {
     /// Latest cumulative stall counter received from the core.
     pub core_tshared: u64,

@@ -8,7 +8,7 @@ use stfm_dram::{
     AccessCategory, BankId, ClockRatio, CommandKind, CpuCycle, DramCommand, DramCycle,
     TimingParams, CPU_CYCLES_PER_DRAM_CYCLE,
 };
-use stfm_mc::policy::{PolicyWork, Rank, SchedQuery, SchedulerPolicy, SystemView};
+use stfm_mc::policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 use stfm_mc::request::{Request, RequestId, RequestState, ThreadId};
 use stfm_mc::{bank_slot, AccessKind, FrFcfs, BANK_SLOTS};
 
@@ -69,6 +69,22 @@ impl StfmConfig {
         let boosted = latency_cpu << self.gamma_shift;
         (boosted / u64::from(parallelism.max(1))) as i64
     }
+}
+
+/// The estimator's work counters ([`Stfm::work`]), cumulative over the
+/// scheduler's lifetime. Bookkeeping only: they never feed back into
+/// scheduling, and they let benches and regression tests assert that the
+/// estimator does O(events) work, not O(cycles).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StfmWork {
+    /// O(queue) walks over a request buffer (full estimator rebuilds).
+    pub full_rebuilds: u64,
+    /// O(1) incremental state updates driven by lifecycle transitions.
+    pub incremental_updates: u64,
+    /// Per-cycle decision passes that actually recomputed slowdowns.
+    pub decides_recomputed: u64,
+    /// Per-cycle decision passes served from the cached previous result.
+    pub decides_carried: u64,
 }
 
 /// The bookkeeping slot of `req`'s `(channel, bank)`.
@@ -330,8 +346,8 @@ pub struct Stfm {
     /// changed since the controller last asked
     /// ([`SchedulerPolicy::take_stale_banks`]).
     ranks_moved: bool,
-    /// Estimator work counters (see [`PolicyWork`]); bookkeeping only.
-    work: PolicyWork,
+    /// Estimator work counters; bookkeeping only.
+    work: StfmWork,
 }
 
 impl Stfm {
@@ -359,7 +375,7 @@ impl Stfm {
             est_gen: 0,
             last_decided_gen: None,
             ranks_moved: false,
-            work: PolicyWork::default(),
+            work: StfmWork::default(),
         }
     }
 
@@ -367,6 +383,16 @@ impl Stfm {
     /// `[bus, bank, own-thread]`, summed over all threads (diagnostics).
     pub fn charge_totals(&self) -> [i64; 3] {
         self.charge_totals
+    }
+
+    /// The estimator's cumulative work counters.
+    pub fn work(&self) -> StfmWork {
+        self.work
+    }
+
+    /// CPU cycle of the last interval reset.
+    pub fn last_interval_reset(&self) -> CpuCycle {
+        self.last_reset_cpu
     }
 
     /// Sets the maximum tolerable unfairness `α` (the privileged-instruction
@@ -894,17 +920,22 @@ impl Stfm {
         }
     }
 
-    /// Interval expiry check; returns `true` when a reset fired (the
-    /// caller bumps the estimator generation — every thread's registers
-    /// just moved).
-    fn maybe_reset_interval(&mut self, now: DramCycle) -> bool {
-        let now_cpu = ClockRatio::PAPER.dram_to_cpu(now);
-        if now_cpu.saturating_since(self.last_reset_cpu) >= self.config.interval_length {
-            self.regs.reset_all_intervals();
-            self.last_reset_cpu = now_cpu;
-            return true;
-        }
-        false
+    /// The next interval boundary: the first DRAM cycle whose CPU time
+    /// reaches `last_reset + interval_length`.
+    fn next_reset(&self) -> DramCycle {
+        let due_cpu = self
+            .last_reset_cpu
+            .get()
+            .saturating_add(self.config.interval_length);
+        DramCycle::new(due_cpu.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE))
+    }
+
+    /// The interval reset at DRAM cycle `at`: every thread's registers
+    /// move, so the estimator generation does too.
+    fn reset_interval(&mut self, at: DramCycle) {
+        self.regs.reset_all_intervals();
+        self.last_reset_cpu = ClockRatio::PAPER.dram_to_cpu(at);
+        self.est_gen += 1;
     }
 }
 
@@ -926,8 +957,8 @@ impl SchedulerPolicy for Stfm {
     }
 
     fn on_dram_cycle(&mut self, sys: &SystemView<'_>) {
-        if self.maybe_reset_interval(sys.now) {
-            self.est_gen += 1;
+        if sys.now >= self.next_reset() {
+            self.reset_interval(sys.now);
         }
         self.expire_accessing(sys.now);
         // Publish the hook-maintained aggregates and pace the drain in
@@ -948,21 +979,27 @@ impl SchedulerPolicy for Stfm {
         self.audit_incremental(sys);
     }
 
-    fn fast_forward(&mut self, _sys: &SystemView<'_>, cycles: u64) {
-        // Replicate the per-cycle pending-interference drain; interval
-        // resets are fenced by `next_event_hint`, and everything else
+    fn fast_forward(&mut self, sys: &SystemView<'_>, cycles: u64) {
+        // Replicate the pending-interference drain up to the span's first
+        // interval boundary, then the resets; everything else
         // `on_dram_cycle` touches is derived state the next real call
-        // recomputes before any ranking or sampling reads it. The drain
-        // set — threads with a waiting, not-yet-started read — is frozen
-        // with the buffers (and tracked live), and each thread's step
-        // reads only its own registers, so a per-thread loop of the
-        // exact stepped update is bit-identical to interleaved stepping.
+        // recomputes before any ranking or sampling reads it. Every cycle
+        // before the span was ticked or settled, and either resets when
+        // due, so no boundary is behind `sys.now` (with a zero interval
+        // every cycle is one). The drain set — threads with a waiting,
+        // not-yet-started read — is frozen with the buffers (and tracked
+        // live), and each thread's step reads only its own registers, so
+        // a per-thread loop of the exact stepped update is bit-identical
+        // to interleaved stepping.
+        let end = sys.now + cycles;
+        let first_reset = self.next_reset().max(sys.now);
+        let steps = first_reset.min(end).saturating_since(sys.now).get();
         let mut moved = false;
         for (regs, lt) in self.regs.dense_mut().iter_mut().zip(&self.live) {
             if lt.depth == 0 {
                 continue;
             }
-            for _ in 0..cycles {
+            for _ in 0..steps {
                 // Fixed point: no charges arrive mid-span and a step
                 // that moves nothing leaves the backlog at or under its
                 // cap, so all remaining steps are no-ops too.
@@ -975,15 +1012,18 @@ impl SchedulerPolicy for Stfm {
         if moved {
             self.est_gen += 1;
         }
-    }
-
-    fn next_event_hint(&self) -> Option<DramCycle> {
-        // The next interval-reset boundary: the first DRAM cycle whose CPU
-        // time reaches `last_reset + interval_length`. Fast-forwards never
-        // cross it, so `maybe_reset_interval` is a no-op on every skipped
-        // cycle and fires exactly on schedule at the resume tick.
-        let due_cpu = self.last_reset_cpu.get() + self.config.interval_length;
-        Some(DramCycle::new(due_cpu.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE)))
+        if first_reset < end {
+            // A boundary resets before its cycle's drain step and empties
+            // every bucket, so every later step is a no-op and every later
+            // boundary only moves the reset time.
+            let period = self
+                .config
+                .interval_length
+                .div_ceil(CPU_CYCLES_PER_DRAM_CYCLE)
+                .max(1);
+            let later = (end.get() - 1 - first_reset.get()) / period;
+            self.reset_interval(first_reset + later * period);
+        }
     }
 
     fn take_stale_banks(&mut self) -> u64 {
@@ -996,10 +1036,6 @@ impl SchedulerPolicy for Stfm {
         } else {
             0
         }
-    }
-
-    fn work_counters(&self) -> Option<PolicyWork> {
-        Some(self.work)
     }
 
     fn on_enqueue(&mut self, req: &Request, tshared: u64) {
@@ -1045,10 +1081,6 @@ impl SchedulerPolicy for Stfm {
             self.stale_waiters |= 1 << slot_of(req);
         }
         self.update_interference(cmd, req, q);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 
     fn record_interval(&self, now: DramCycle, sink: &mut dyn stfm_telemetry::Sink) {
@@ -1281,6 +1313,66 @@ mod tests {
         let q = harness::query(&channel, &requests);
         p.on_dram_cycle(&sys_view(q)); // now = 1000 DRAM = 10_000 CPU ≥ 1_000
         assert_eq!(p.slowdown_estimate(ThreadId(0)), 1.0);
+    }
+
+    /// One `fast_forward` over a frozen span equals stepping
+    /// `on_dram_cycle` through it — registers, reset time and mode
+    /// decision, after one real cycle past the span — whether the span
+    /// crosses no interval boundary, ends on one, or crosses one or three.
+    #[test]
+    fn fast_forward_across_resets_equals_stepping() {
+        let (channel, _) = harness::closed();
+        let requests = [0, 1].map(|t| req_to(t, ThreadId(t), 1, 0, t.into()));
+        let view = |cycle: u64| {
+            let mut q = harness::query(&channel, &requests);
+            q.now = DramCycle::new(cycle);
+            sys_view(q)
+        };
+        let step = |p: &mut Stfm, cycle| p.on_dram_cycle(&view(cycle));
+        // A 1,000-CPU-cycle interval is 100 DRAM cycles. The last reset
+        // was at `NOW`, so the boundaries are `NOW + 100`, `NOW + 200`, …
+        let now = harness::NOW;
+        let primed = || {
+            let mut p = Stfm::with_config(
+                TimingParams::ddr2_800(),
+                StfmConfig {
+                    interval_length: 1_000,
+                    ..StfmConfig::default()
+                },
+            );
+            for r in &requests {
+                p.on_enqueue(r, 20_000);
+            }
+            p.last_reset_cpu = ClockRatio::PAPER.dram_to_cpu(now);
+            // Thread 0 is slowed down, and its backlog takes 150 cycles
+            // to drain; thread 1's takes 4.
+            let t0 = p.regs.thread_mut(ThreadId(0));
+            t0.tinterference = 8_000;
+            t0.pending_interference = 1_500;
+            p.regs.thread_mut(ThreadId(1)).pending_interference = 35;
+            step(&mut p, now.get());
+            p
+        };
+        let state = |p: &Stfm| {
+            let regs: Vec<_> = p.regs.threads().map(|(t, r)| (t, r.clone())).collect();
+            (regs, p.last_interval_reset(), p.fairness_mode, p.tmax)
+        };
+        let start = now.get() + 1;
+        for (cycles, crossed) in [(50, 0), (100, 1), (150, 1), (350, 3)] {
+            let mut stepped = primed();
+            for c in start..start + cycles {
+                step(&mut stepped, c);
+            }
+            let mut jumped = primed();
+            jumped.fast_forward(&view(start), cycles);
+            for p in [&mut stepped, &mut jumped] {
+                step(p, start + cycles);
+            }
+            assert_eq!(state(&jumped), state(&stepped), "{cycles}-cycle span");
+            let last_reset = ClockRatio::PAPER.dram_to_cpu(now + crossed * 100);
+            assert_eq!(stepped.last_interval_reset(), last_reset);
+            assert_eq!(stepped.fairness_rule_active(), crossed == 0);
+        }
     }
 }
 

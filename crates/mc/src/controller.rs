@@ -822,29 +822,6 @@ impl MemorySystem {
         total
     }
 
-    /// Emits an [`Event::EstimatorWork`] snapshot of the controller's
-    /// scheduling-work counters and the policy's estimator counters (if
-    /// it tracks any) to the attached sink. Never called from the tick
-    /// path: counters differ between the event-driven and stepped loops
-    /// by design (that difference *is* the speedup), so they must stay
-    /// out of the streams the differential fuzz compares. Harnesses call
-    /// this explicitly at end of run.
-    pub fn record_work_counters(&mut self) {
-        let work = self.policy.work_counters().unwrap_or_default();
-        let sched = self.sched_counters();
-        self.sink.record(&Event::EstimatorWork {
-            dram_cycle: self.now,
-            scheduler: self.policy.name(),
-            full_rebuilds: work.full_rebuilds,
-            incremental_updates: work.incremental_updates,
-            decides_recomputed: work.decides_recomputed,
-            decides_carried: work.decides_carried,
-            sched_visits: sched.sched_visits,
-            rank_scans: sched.rank_scans,
-            rank_carried: sched.rank_carried,
-        });
-    }
-
     /// Advances the memory system to DRAM cycle `now`: housekeeping, policy
     /// cycle hook, at most one command per channel, and completion
     /// detection.
@@ -1074,17 +1051,11 @@ impl MemorySystem {
                 .min(),
             "cached channel edges diverged from a full scan at {now}"
         );
-        // The sample and policy-hint edges are global and cheap, so they
-        // are recomputed on every call.
-        let mut consider = |c: DramCycle| {
-            let c = c.max(now);
-            next = Some(next.map_or(c, |n| n.min(c)));
-        };
+        // The one global edge, the next telemetry sample (a real tick
+        // emits it), is cheap, so it is recomputed on every call.
         if self.sink.is_enabled() {
-            consider(self.next_sample);
-        }
-        if let Some(h) = self.policy.next_event_hint() {
-            consider(h);
+            let s = self.next_sample.max(now);
+            next = Some(next.map_or(s, |n| n.min(s)));
         }
         next
     }
@@ -1220,7 +1191,7 @@ impl MemorySystem {
                         let c = Self::cached_candidate(edges(bank), now, top, top_hit, slip);
                         debug_assert_eq!(
                             c,
-                            Self::scan_candidate(
+                            Self::fill_bank_cache(
                                 &ctrl.slots,
                                 &*policy,
                                 &q,
@@ -1228,7 +1199,8 @@ impl MemorySystem {
                                 eligible_kind,
                                 edges(bank),
                                 &mut Vec::new(),
-                            ),
+                            )
+                            .0,
                             "carried bank decision diverged from a fresh rank pass"
                         );
                         c
@@ -1320,56 +1292,19 @@ impl MemorySystem {
     }
 
     /// One bank's full selection pass: rank every eligible waiting
-    /// request, take the top by `(rank, older_first(id))`, and — when the
-    /// top's command class cannot issue yet (`edges`, the bank's class
-    /// edges at `q.now`) — fall back to the best-ranked row-hit if the
-    /// column command can. Returns the issuable candidate. The fresh
-    /// reference every carried decision is checked against in debug
-    /// builds.
-    fn scan_candidate(
-        slots: &[Request],
-        policy: &dyn SchedulerPolicy,
-        q: &SchedQuery<'_>,
-        bank_list: &[usize],
-        eligible_kind: AccessKind,
-        edges: ClassEdges,
-        scratch: &mut Vec<(usize, Rank)>,
-    ) -> Option<Pick> {
-        scratch.clear();
-        for &i in bank_list {
-            let r = &slots[i];
-            if r.kind == eligible_kind {
-                scratch.push((i, policy.rank(r, q)));
-            }
-        }
-        // Highest-priority waiting request for this bank. The bank
-        // scheduler drives this request's commands; while its next
-        // command is not ready (tRAS, tRP, bus...), lower-priority
-        // requests may slip in *row-hit column accesses only* — they
-        // keep the bank busy but never destroy row-buffer state against
-        // the selected request's interest. This mirrors hardware
-        // two-level schedulers that consider only ready commands (paper
-        // footnote 4).
-        let (top_idx, top_rank) = scratch
-            .iter()
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
-            .copied()?;
-        if edges.of(q.is_row_hit(&slots[top_idx])) <= q.now {
-            return Some((top_idx, top_rank, slots[top_idx].id));
-        }
-        if edges.of(true) > q.now {
-            return None; // no row hit can slip in either
-        }
-        scratch
-            .iter()
-            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&slots[*i]))
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
-            .map(|&(i, rank)| (i, rank, slots[i].id))
-    }
-
-    /// [`Self::scan_candidate`] plus cache construction: runs the full
-    /// rank pass once and records the bank's top and best-row-hit slip so
-    /// later ticks can skip the pass while the bank is unchanged.
+    /// request, take the top by `(rank, older_first(id))` and the
+    /// best-ranked other row hit (the slip), and return the bank's cache
+    /// entry with its issuable candidate at `q.now`
+    /// ([`Self::cached_candidate`] over `edges`, the bank's class edges).
+    /// Later ticks reuse the entry while the bank is unchanged; debug
+    /// builds check every reused one against a fresh pass.
+    ///
+    /// The bank scheduler drives the top request's commands; while its
+    /// next command is not ready (tRAS, tRP, bus...), lower-priority
+    /// requests may slip in *row-hit column accesses only* — they keep
+    /// the bank busy but never destroy row-buffer state against the
+    /// selected request's interest. This mirrors hardware two-level
+    /// schedulers that consider only ready commands (paper footnote 4).
     fn fill_bank_cache(
         slots: &[Request],
         policy: &dyn SchedulerPolicy,

@@ -49,6 +49,6 @@ pub use frfcfs::FrFcfs;
 pub use frfcfs_cap::FrFcfsCap;
 pub use nfq::Nfq;
 pub use parbs::ParBs;
-pub use policy::{PolicyWork, Rank, SchedQuery, SchedulerPolicy, SystemView};
+pub use policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 pub use request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 pub use stats::{SystemStats, ThreadStats};

@@ -13,22 +13,6 @@ use crate::request::Request;
 use stfm_dram::{Channel, ChannelId, DramCommand, DramCycle};
 use stfm_telemetry::{Event, Sink};
 
-/// Estimator work counters a policy may expose for performance
-/// accounting (see [`SchedulerPolicy::work_counters`]). All counts are
-/// cumulative over the policy's lifetime; they are bookkeeping only and
-/// never feed back into scheduling decisions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyWork {
-    /// O(queue) walks over a request buffer (full estimator rebuilds).
-    pub full_rebuilds: u64,
-    /// O(1) incremental state updates driven by lifecycle transitions.
-    pub incremental_updates: u64,
-    /// Per-cycle decision passes that actually recomputed slowdowns.
-    pub decides_recomputed: u64,
-    /// Per-cycle decision passes served from the cached previous result.
-    pub decides_carried: u64,
-}
-
 /// Lexicographic priority key; **larger compares as higher priority**.
 ///
 /// Conventional field usage (policies are free to deviate):
@@ -239,9 +223,13 @@ impl<'a> SystemView<'a> {
 /// A DRAM scheduling policy.
 ///
 /// Implementations: [`crate::FrFcfs`], [`crate::Fcfs`],
-/// [`crate::FrFcfsCap`], [`crate::Nfq`], and the STFM scheduler in the
-/// `stfm-core` crate.
-pub trait SchedulerPolicy {
+/// [`crate::FrFcfsCap`], [`crate::Nfq`], [`crate::ParBs`], and the STFM
+/// scheduler in the `stfm-core` crate.
+///
+/// The `Any` supertrait lets harnesses reach a concrete policy's own
+/// state (STFM's estimates) by upcasting `&dyn SchedulerPolicy` to
+/// `&dyn Any` and downcasting.
+pub trait SchedulerPolicy: std::any::Any {
     /// Short policy name for reports and telemetry events (e.g.
     /// `"FR-FCFS"`).
     fn name(&self) -> &'static str;
@@ -268,13 +256,6 @@ pub trait SchedulerPolicy {
     /// Called when a request's data burst completes.
     fn on_complete(&mut self, _req: &Request) {}
 
-    /// Optional introspection hook: policies that expose internal state
-    /// (e.g. STFM's slowdown estimates) return `Some(self)` so harnesses
-    /// can downcast. Default: no introspection.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
     /// Telemetry hook, called by the controller once per sampling
     /// interval when a trace sink is attached. The default reports only
     /// the policy name; policies with per-thread estimates (STFM's
@@ -299,11 +280,10 @@ pub trait SchedulerPolicy {
     /// (at `sys.now`, `sys.now + 1`, …) under the guarantee that the
     /// request buffers, device state, and request lifecycles in `sys`
     /// are frozen for the whole span (no command can issue, nothing
-    /// arrives or completes, and [`SchedulerPolicy::next_event_hint`] is
-    /// not crossed). The policy must end up **bit-identical** to `cycles`
-    /// stepped calls; derived state that the next real `on_dram_cycle`
-    /// recomputes from scratch before anything reads it may be left
-    /// stale.
+    /// arrives or completes). The policy must end up **bit-identical** to
+    /// `cycles` stepped calls; derived state that the next real
+    /// `on_dram_cycle` recomputes from scratch before anything reads it
+    /// may be left stale.
     ///
     /// The default runs the cycle hook once, which is exact for every
     /// policy whose hook is idempotent on frozen state: the first skipped
@@ -311,8 +291,8 @@ pub trait SchedulerPolicy {
     /// to prune against, a new bank head starting its timer at `sys.now`,
     /// an exhausted batch to re-form), and every further call would find
     /// the same buffers and rewrite the same persistent state. A policy
-    /// whose hook accumulates per cycle (STFM's interference drain) must
-    /// override this with the span's closed form.
+    /// whose hook accumulates per cycle (STFM's interference drain and
+    /// interval resets) must override this with the span's closed form.
     fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) {
         self.on_dram_cycle(sys);
     }
@@ -338,21 +318,6 @@ pub trait SchedulerPolicy {
     /// a fresh rank pass.
     fn take_stale_banks(&mut self) -> u64 {
         0
-    }
-
-    /// Cumulative estimator work counters, if the policy tracks them
-    /// (STFM does; see [`PolicyWork`]). Used by benches and regression
-    /// tests to assert the estimator does O(events) work, not O(cycles).
-    fn work_counters(&self) -> Option<PolicyWork> {
-        None
-    }
-
-    /// The next DRAM cycle at which this policy's per-cycle state
-    /// transitions in a way [`SchedulerPolicy::fast_forward`] cannot
-    /// replicate (e.g. STFM's interval reset). The controller never
-    /// elides the returned cycle. `None` means no such boundary.
-    fn next_event_hint(&self) -> Option<DramCycle> {
-        None
     }
 }
 

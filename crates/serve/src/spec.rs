@@ -18,7 +18,7 @@
 
 use stfm_dram::DramConfig;
 use stfm_sim::{digest, Experiment, SchedulerKind, DEFAULT_INSTRUCTIONS, MAX_BANKS};
-use stfm_workloads::{desktop, mix, spec as bench_spec, Profile};
+use stfm_workloads::{by_name, mix, Profile};
 
 use crate::json::{self, Value};
 
@@ -200,7 +200,7 @@ impl Cell {
         let profiles: Vec<Profile> = self
             .mix
             .iter()
-            .map(|n| lookup_benchmark(n))
+            .map(|n| by_name(n))
             .collect::<Result<_, _>>()?;
         let mut e = Experiment::new(profiles)
             .scheduler(self.scheduler.kind())
@@ -221,13 +221,6 @@ impl Cell {
         }
         Ok(e)
     }
-}
-
-/// Resolves a benchmark name against the SPEC and desktop suites.
-pub fn lookup_benchmark(name: &str) -> Result<Profile, String> {
-    bench_spec::by_name(name)
-        .or_else(|| desktop::workload().into_iter().find(|p| p.name == name))
-        .ok_or_else(|| format!("unknown benchmark '{name}' (see `stfm list`)"))
 }
 
 /// Resolves a named multiprogrammed mix from the paper's evaluation.
@@ -393,7 +386,7 @@ fn parse_one_mix(v: &Value) -> Result<Vec<String>, String> {
         ));
     }
     for n in &names {
-        lookup_benchmark(n)?;
+        by_name(n)?;
     }
     Ok(names)
 }

@@ -10,16 +10,17 @@ use crate::cancel::CancelToken;
 use crate::metrics::{ThreadMetrics, WorkloadMetrics};
 use crate::scheduler_kind::SchedulerKind;
 use crate::system::System;
+use std::any::Any;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use stfm_core::StfmConfig;
+use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
 use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
-use stfm_telemetry::Sink;
+use stfm_telemetry::{Event, Sink};
 use stfm_workloads::{Profile, SyntheticTrace};
 
 /// Default per-thread instruction budget. Deliberately modest so whole
@@ -570,16 +571,32 @@ impl Experiment {
             }
         }
         // End-of-run work-counter snapshot for sinks that want it (e.g.
-        // the throughput benchmark and the work-counter regression
-        // tests). Emitted after the run, never from the tick path, so
-        // the cycle-by-cycle event streams stay loop-agnostic.
-        sys.memory_mut().record_work_counters();
+        // the benchmark and the work-counter regression tests). Emitted
+        // after the run, never from the tick path: the counters differ
+        // between the event-driven and stepped loops by design, so the
+        // cycle-by-cycle event streams stay loop-agnostic.
+        let mem = sys.memory_mut();
+        let mut sink = mem.take_sink();
+        let sched = mem.sched_counters();
+        let stfm = (mem.policy() as &dyn Any).downcast_ref::<Stfm>();
+        let work = stfm.map(Stfm::work).unwrap_or_default();
+        sink.record(&Event::EstimatorWork {
+            dram_cycle: mem.now(),
+            scheduler: mem.policy().name(),
+            full_rebuilds: work.full_rebuilds,
+            incremental_updates: work.incremental_updates,
+            decides_recomputed: work.decides_recomputed,
+            decides_carried: work.decides_carried,
+            sched_visits: sched.sched_visits,
+            rank_scans: sched.rank_scans,
+            rank_carried: sched.rank_carried,
+        });
         TracedRun {
             metrics: WorkloadMetrics {
                 scheduler: kind.name().to_string(),
                 threads,
             },
-            sink: sys.memory_mut().take_sink(),
+            sink,
             final_dram_cycle: out.cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE,
             cancelled,
         }

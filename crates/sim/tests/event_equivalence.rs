@@ -76,9 +76,9 @@ fn draw_scheduler(rng: &mut SmallRng) -> SchedulerKind {
         3 => SchedulerKind::Nfq,
         4 => SchedulerKind::Stfm,
         // All four STFM parameters at once. The interval is drawn short
-        // enough to expire within a run, so the reset — and the
-        // `next_event_hint` fence that keeps elided spans from crossing
-        // it — is exercised, which the 2^24-cycle default never is here.
+        // enough to expire within a run, so the reset — on real ticks and
+        // inside elided spans, in `Stfm::fast_forward` — is exercised,
+        // which the 2^24-cycle default never is here.
         5 => SchedulerKind::StfmWith(StfmConfig {
             alpha: 1.0 + rng.random_range(5u32..200) as f64 / 100.0,
             interval_length: rng.random_range(5_000u64..100_000),
@@ -217,9 +217,13 @@ fn run_mode_with(
 /// O(queue) walk at every real tick, and identical decisions plus
 /// identical accumulators pin the slowdowns at every point they are
 /// consulted.
+///
+/// The reset time is hashed too: inside an elided span a reset on the
+/// wrong cycle leaves every register equal and moves only it.
 fn register_digest(policy: &dyn stfm_mc::SchedulerPolicy) -> Option<u64> {
-    let stfm = policy.as_any()?.downcast_ref::<stfm_core::Stfm>()?;
+    let stfm = (policy as &dyn std::any::Any).downcast_ref::<stfm_core::Stfm>()?;
     let mut h = Fnv64::new();
+    h.write_u64(stfm.last_interval_reset().get());
     for (thread, r) in stfm.registers().threads() {
         h.write_u64(u64::from(thread.0));
         h.write_u64(r.core_tshared);

@@ -51,8 +51,8 @@ fn traced(
 /// [`Event::EstimatorWork`] is excluded: it reports how much work the
 /// *loop* performed (scheduler visits, carried decisions), which differs
 /// between the event-driven and stepped loops by design — that difference
-/// is the speedup, not a simulated outcome. `work_counters.rs` asserts
-/// its expected shape instead.
+/// is the speedup, not a simulated outcome. The work-counter tests beside
+/// this file assert its expected shape instead.
 fn assert_streams_equal(kind: SchedulerKind, ff: &[Event], stepped: &[Event]) {
     let outcome = |events: &[Event]| -> Vec<Event> {
         events

@@ -13,19 +13,14 @@
 //! * the controller's per-bank rank cache carries decisions under the
 //!   stateful policies too (NFQ, FR-FCFS+Cap, PAR-BS).
 
-// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
-#![allow(clippy::expect_used)]
-
-use std::any::Any;
 use stfm_sim::{AloneCache, Experiment, SchedulerKind};
-use stfm_telemetry::{Event, Sink};
+use stfm_telemetry::{Event, RingSink};
 use stfm_workloads::{mix, spec, Profile};
 
 const INSTS: u64 = 20_000;
 
-/// The counter snapshot `MemorySystem::record_work_counters` emits at
-/// end of run.
-#[derive(Clone, Copy, Debug, Default)]
+/// The counter snapshot `Experiment::run_traced` emits at end of run.
+#[derive(Clone, Copy, Debug)]
 struct Work {
     full_rebuilds: u64,
     incremental_updates: u64,
@@ -34,42 +29,6 @@ struct Work {
     sched_visits: u64,
     rank_scans: u64,
     rank_carried: u64,
-}
-
-/// Sink that keeps only the final [`Event::EstimatorWork`] snapshot.
-#[derive(Default)]
-struct WorkSink {
-    work: Option<Work>,
-}
-
-impl Sink for WorkSink {
-    fn record(&mut self, event: &Event) {
-        if let Event::EstimatorWork {
-            full_rebuilds,
-            incremental_updates,
-            decides_recomputed,
-            decides_carried,
-            sched_visits,
-            rank_scans,
-            rank_carried,
-            ..
-        } = event
-        {
-            self.work = Some(Work {
-                full_rebuilds: *full_rebuilds,
-                incremental_updates: *incremental_updates,
-                decides_recomputed: *decides_recomputed,
-                decides_carried: *decides_carried,
-                sched_visits: *sched_visits,
-                rank_scans: *rank_scans,
-                rank_carried: *rank_carried,
-            });
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 fn streaming() -> Vec<Profile> {
@@ -85,17 +44,35 @@ fn streaming() -> Vec<Profile> {
 /// cycle). `event` selects the event-driven loop vs the stepped
 /// reference.
 fn run(kind: SchedulerKind, profiles: &[Profile], cache: &AloneCache, event: bool) -> (Work, u64) {
+    // A one-event ring keeps only the run's last event, the snapshot.
     let mut traced = Experiment::new(profiles.to_vec())
         .scheduler(kind)
         .instructions_per_thread(INSTS)
         .fast_forward(event)
-        .run_traced(cache, Box::new(WorkSink::default()));
-    let work = traced
-        .sink
-        .as_any_mut()
-        .downcast_mut::<WorkSink>()
-        .and_then(|s| s.work)
-        .expect("run emits an EstimatorWork snapshot");
+        .run_traced(cache, Box::new(RingSink::new(1)));
+    let ring = traced.sink.as_any_mut().downcast_mut::<RingSink>();
+    let Some(&Event::EstimatorWork {
+        full_rebuilds,
+        incremental_updates,
+        decides_recomputed,
+        decides_carried,
+        sched_visits,
+        rank_scans,
+        rank_carried,
+        ..
+    }) = ring.and_then(|r| r.events().last())
+    else {
+        panic!("run emits an EstimatorWork snapshot last");
+    };
+    let work = Work {
+        full_rebuilds,
+        incremental_updates,
+        decides_recomputed,
+        decides_carried,
+        sched_visits,
+        rank_scans,
+        rank_carried,
+    };
     (work, traced.final_dram_cycle)
 }
 

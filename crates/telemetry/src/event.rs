@@ -139,7 +139,8 @@ pub enum Event {
     /// (emitted only on explicit request — never from the tick path, so
     /// differential stream comparisons stay loop-agnostic). All counts
     /// are cumulative over the run; see `stfm-mc`'s `SchedCounters` and
-    /// `PolicyWork` for field semantics.
+    /// `stfm-core`'s `StfmWork` for field semantics (the estimator
+    /// counters are zero under every other policy).
     EstimatorWork {
         /// DRAM cycle of the snapshot (normally the final cycle).
         dram_cycle: DramCycle,

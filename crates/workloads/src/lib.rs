@@ -31,3 +31,14 @@ pub mod synthetic;
 
 pub use profile::{BurstSpec, Category, PaperTargets, Profile};
 pub use synthetic::SyntheticTrace;
+
+/// Looks a benchmark up by name in the SPEC suite, then the desktop one.
+///
+/// # Errors
+///
+/// A one-line message naming the unknown benchmark.
+pub fn by_name(name: &str) -> Result<Profile, String> {
+    spec::by_name(name)
+        .or_else(|| desktop::workload().into_iter().find(|p| p.name == name))
+        .ok_or_else(|| format!("unknown benchmark '{name}' (see `stfm list`)"))
+}

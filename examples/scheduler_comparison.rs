@@ -8,11 +8,7 @@
 //! ```
 
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind, Table};
-use stfm_repro::workloads::{desktop, mix, spec, Profile};
-
-fn lookup(name: &str) -> Option<Profile> {
-    spec::by_name(name).or_else(|| desktop::workload().into_iter().find(|p| p.name == name))
-}
+use stfm_repro::workloads::{by_name, mix, Profile};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,7 +16,7 @@ fn main() {
         mix::case_study_mixed()
     } else {
         args.iter()
-            .map(|n| lookup(n).unwrap_or_else(|| panic!("unknown benchmark '{n}'")))
+            .map(|n| by_name(n).unwrap_or_else(|e| panic!("{e}")))
             .collect()
     };
     let names: Vec<&str> = profiles.iter().map(|p| p.name).collect();

@@ -3,7 +3,7 @@
 //! in the root manifest, `clippy.toml`) from being escaped: every Rust
 //! file opens with a `//!` doc saying what it is for, no file carries a
 //! to-do or fix-me marker, and every member manifest opts in to the
-//! workspace lint tables.
+//! workspace lint tables and the workspace's toolchain floor.
 
 // `allow-unwrap-in-tests` covers `#[test]` fns only, not their helpers.
 #![allow(clippy::unwrap_used)]
@@ -88,17 +88,25 @@ fn every_member_inherits_the_workspace_lints() {
     let wanted = lint_entries(&root_manifest);
     assert!(wanted.lines().count() >= 10, "root lint tables:\n{wanted}");
     assert!(root().join("clippy.toml").is_file());
+    // The toolchain floor, so an older toolchain says so up front: trait
+    // upcasting needs 1.86 and `u64::is_multiple_of` 1.87 (clippy's
+    // `incompatible_msrv` flags any newer standard-library item).
+    assert!(root_manifest.contains("\nrust-version = \"1.87\"\n"));
     let mut members = vec![root_manifest];
     for dir in fs::read_dir(root().join("crates")).unwrap() {
         members.push(read(&dir.unwrap().path().join("Cargo.toml")));
     }
     for manifest in &members {
+        let name = manifest.lines().find(|l| l.starts_with("name = "));
+        assert!(
+            manifest.contains("\nrust-version.workspace = true\n"),
+            "{name:?} does not inherit the toolchain floor"
+        );
         if manifest.contains("\n[lints]\nworkspace = true\n") {
             continue;
         }
         // The one member that restates the tables (see its manifest for
         // why) may differ from them in exactly one level.
-        let name = manifest.lines().find(|l| l.starts_with("name = "));
         assert_eq!(name, Some("name = \"stfm-bench\""), "does not inherit");
         let own = lint_entries(manifest).replace("methods = \"allow\"", "methods = \"deny\"");
         assert_eq!(own, wanted, "{name:?} restates the lint tables wrongly");

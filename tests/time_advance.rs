@@ -11,6 +11,7 @@
 #![allow(clippy::expect_used)]
 
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind};
+use stfm_repro::stfm::StfmConfig;
 use stfm_repro::telemetry::{Event, RingSink};
 use stfm_repro::workloads::{mix, Profile};
 
@@ -107,10 +108,17 @@ fn assert_event_loop_matches_stepped(
     streams
 }
 
+/// With PAR-BS, and STFM on a 5,000-CPU-cycle interval: the run spans
+/// many intervals, so elided spans cross resets, which
+/// `Stfm::fast_forward` must settle exactly as stepping would.
 #[test]
 fn four_cores_one_channel() {
     let mut kinds = SchedulerKind::all().to_vec();
     kinds.push(SchedulerKind::ParBs);
+    kinds.push(SchedulerKind::StfmWith(StfmConfig {
+        interval_length: 5_000,
+        ..StfmConfig::default()
+    }));
     assert_event_loop_matches_stepped(&mix::case_study_intensive(), &kinds, INSTS);
 }
 
