@@ -3,15 +3,13 @@
 //! activation energy; this harness quantifies the cost using the
 //! Micron-power-calculator model in `stfm-dram::power`.
 
-use stfm_bench::Args;
-use stfm_cpu::Core;
-use stfm_dram::DramConfig;
-use stfm_mc::{MemorySystem, ThreadId};
-use stfm_sim::{SchedulerKind, System, Table};
-use stfm_workloads::{mix, SyntheticTrace};
+use stfm_bench::{cli::USAGE, Args};
+use stfm_sim::{SchedulerKind, Table};
+use stfm_workloads::mix;
 
 fn main() {
-    let args = Args::parse(100_000);
+    let (args, _) = Args::parse(USAGE, &[]);
+    let insts = args.insts.unwrap_or(100_000);
     let profiles = mix::case_study_intensive();
     let mut t = Table::new([
         "scheduler",
@@ -23,19 +21,9 @@ fn main() {
         "nJ per serviced request",
     ]);
     for kind in SchedulerKind::all() {
-        let dram = DramConfig::for_cores(profiles.len() as u32);
-        let mut mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
-        mem.enable_energy_model();
-        let cores: Vec<Core> = profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let tr = SyntheticTrace::new(p.clone(), &dram, i as u32, args.seed);
-                Core::new(ThreadId(i as u32), Box::new(tr))
-            })
-            .collect();
-        let mut sys = System::new(cores, mem);
-        let _ = sys.run(args.insts, args.insts * 4_000);
+        let mut sys = stfm_bench::system(&profiles, kind, args.seed);
+        sys.memory_mut().enable_energy_model();
+        let _ = sys.run(insts, insts * 4_000);
         let Some(e) = sys.memory().energy() else {
             panic!("ablation_energy: the energy model was not enabled on this system");
         };
@@ -46,7 +34,8 @@ fn main() {
             .map(|c| c.stats().cycles)
             .max()
             .unwrap_or(1);
-        let avg_power_mw = e.total_nj() / (cycles as f64 * 0.25) * 1e3 / f64::from(dram.channels);
+        let avg_power_mw = e.total_nj() / (cycles as f64 * 0.25) * 1e3
+            / f64::from(sys.memory().dram_config().channels);
         t.row([
             kind.name().to_string(),
             format!("{:.1}", e.activate_nj / 1e3),

@@ -5,15 +5,14 @@
 //! this harness quantifies it.
 
 use std::any::Any;
-use stfm_bench::Args;
+use stfm_bench::{cli::USAGE, Args};
 use stfm_core::{Stfm, StfmConfig};
-use stfm_cpu::Core;
 use stfm_dram::DramConfig;
-use stfm_mc::{MemorySystem, ThreadId};
-use stfm_sim::{run_alone, SchedulerKind, System, Table};
-use stfm_workloads::{mix, SyntheticTrace};
+use stfm_mc::ThreadId;
+use stfm_sim::{run_alone, SchedulerKind, Table};
+use stfm_workloads::mix;
 
-fn run_one(passive: bool, args: &Args) {
+fn run_one(passive: bool, insts: u64, seed: u64) {
     let profiles = mix::case_study_intensive();
     let dram = DramConfig::for_cores(profiles.len() as u32);
     let kind = if passive {
@@ -26,17 +25,8 @@ fn run_one(passive: bool, args: &Args) {
     } else {
         SchedulerKind::Stfm
     };
-    let mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
-    let cores: Vec<Core> = profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let tr = SyntheticTrace::new(p.clone(), &dram, i as u32, args.seed);
-            Core::new(ThreadId(i as u32), Box::new(tr))
-        })
-        .collect();
-    let mut sys = System::new(cores, mem);
-    let out = sys.run(args.insts, args.insts * 4_000);
+    let mut sys = stfm_bench::system(&profiles, kind, seed);
+    let out = sys.run(insts, insts * 4_000);
 
     let Some(stfm) = (sys.memory().policy() as &dyn Any).downcast_ref::<Stfm>() else {
         panic!("ablation_estimate: the system was not built with the STFM policy");
@@ -51,7 +41,7 @@ fn run_one(passive: bool, args: &Args) {
         "Tinterference",
     ]);
     for (i, p) in profiles.iter().enumerate() {
-        let alone = run_alone(p, &dram, args.insts, args.seed);
+        let alone = run_alone(p, &dram, insts, seed);
         let shared = &out.frozen[i];
         let measured = (shared.mcpi() + 0.005) / (alone.mcpi() + 0.005);
         let estimate = stfm.slowdown_estimate(ThreadId(i as u32));
@@ -79,7 +69,8 @@ fn run_one(passive: bool, args: &Args) {
 }
 
 fn main() {
-    let args = Args::parse(150_000);
-    run_one(true, &args);
-    run_one(false, &args);
+    let (args, _) = Args::parse(USAGE, &[]);
+    let insts = args.insts.unwrap_or(150_000);
+    run_one(true, insts, args.seed);
+    run_one(false, insts, args.seed);
 }

@@ -2,11 +2,11 @@
 //! weights 1-16-1-1 (left) and 1-4-8-1 (right), comparing FR-FCFS,
 //! NFQ with proportional bandwidth shares, and STFM with weights.
 
-use stfm_bench::Args;
+use stfm_bench::{cli::USAGE, Args};
 use stfm_sim::{AloneCache, Experiment, SchedulerKind, Table};
 use stfm_workloads::mix;
 
-fn run_weighted(weights: [u32; 4], args: &Args, cache: &AloneCache) {
+fn run_weighted(weights: [u32; 4], insts: u64, seed: u64, cache: &AloneCache) {
     let profiles = mix::fig14_weights();
     let mut t = Table::new([
         "scheduler",
@@ -23,8 +23,8 @@ fn run_weighted(weights: [u32; 4], args: &Args, cache: &AloneCache) {
     ] {
         let mut e = Experiment::new(profiles.clone())
             .scheduler(kind)
-            .instructions_per_thread(args.insts)
-            .seed(args.seed);
+            .instructions_per_thread(insts)
+            .seed(seed);
         for (i, w) in weights.iter().enumerate() {
             e = match kind {
                 SchedulerKind::Nfq => e.share(i as u32, *w),
@@ -43,15 +43,10 @@ fn run_weighted(weights: [u32; 4], args: &Args, cache: &AloneCache) {
             .collect();
         let unfair = equal.iter().cloned().fold(f64::MIN, f64::max)
             / equal.iter().cloned().fold(f64::MAX, f64::min);
+        let w = weights.map(|w| w.to_string()).join("-");
         let label = match kind {
-            SchedulerKind::Nfq => format!(
-                "NFQ-shares-{}-{}-{}-{}",
-                weights[0], weights[1], weights[2], weights[3]
-            ),
-            SchedulerKind::Stfm => format!(
-                "STFM-weights-{}-{}-{}-{}",
-                weights[0], weights[1], weights[2], weights[3]
-            ),
+            SchedulerKind::Nfq => format!("NFQ-shares-{w}"),
+            SchedulerKind::Stfm => format!("STFM-weights-{w}"),
             _ => "FR-FCFS".to_string(),
         };
         let mut row = vec![label];
@@ -63,8 +58,9 @@ fn run_weighted(weights: [u32; 4], args: &Args, cache: &AloneCache) {
 }
 
 fn main() {
-    let args = Args::parse(150_000);
+    let (args, _) = Args::parse(USAGE, &[]);
+    let insts = args.insts.unwrap_or(150_000);
     let cache = AloneCache::new();
-    run_weighted([1, 16, 1, 1], &args, &cache);
-    run_weighted([1, 4, 8, 1], &args, &cache);
+    run_weighted([1, 16, 1, 1], insts, args.seed, &cache);
+    run_weighted([1, 4, 8, 1], insts, args.seed, &cache);
 }

@@ -2,24 +2,14 @@
 //! synthetic benchmarks — measured MCPI, L2 MPKI and row-buffer hit rate
 //! against the paper's targets.
 
-use stfm_bench::Args;
-use stfm_cpu::Core;
-use stfm_dram::DramConfig;
-use stfm_mc::{MemorySystem, ThreadId};
-use stfm_sim::{run_alone, SchedulerKind, System, Table};
-use stfm_workloads::{desktop, spec, Profile, SyntheticTrace};
+use stfm_bench::{cli::USAGE, Args};
+use stfm_sim::{SchedulerKind, Table};
+use stfm_workloads::{desktop, spec, Profile};
 
 /// Measured alone-run characterization, including the controller-side
 /// row-buffer hit rate.
 fn characterize(p: &Profile, insts: u64, seed: u64) -> (f64, f64, f64) {
-    let dram = DramConfig::for_cores(1);
-    let mem = MemorySystem::new(
-        dram.clone(),
-        SchedulerKind::FrFcfs.build(dram.timing, &[], &[]),
-    );
-    let trace = SyntheticTrace::new(p.clone(), &dram, 0, seed);
-    let core = Core::new(ThreadId(0), Box::new(trace));
-    let mut sys = System::new(vec![core], mem);
+    let mut sys = stfm_bench::system(std::slice::from_ref(p), SchedulerKind::FrFcfs, seed);
     let out = sys.run_with_warmup(insts / 4, insts, insts.saturating_mul(4_000));
     let stats = out.frozen[0];
     let rb = out.frozen_mem[0].row_hit_rate();
@@ -27,7 +17,8 @@ fn characterize(p: &Profile, insts: u64, seed: u64) -> (f64, f64, f64) {
 }
 
 fn main() {
-    let args = Args::parse(120_000);
+    let (args, _) = Args::parse(USAGE, &[]);
+    let insts = args.insts.unwrap_or(120_000);
     let mut profiles = spec::all();
     if args.full {
         profiles.extend(desktop::workload());
@@ -43,7 +34,7 @@ fn main() {
         "RBhit(ours)",
     ]);
     for p in &profiles {
-        let (mcpi, mpki, rb) = characterize(p, args.insts, args.seed);
+        let (mcpi, mpki, rb) = characterize(p, insts, args.seed);
         t.row([
             p.name.to_string(),
             p.category.index().to_string(),
@@ -57,5 +48,4 @@ fn main() {
     }
     println!("== Table 3 (+ Table 4 with --full): alone-run characterization ==\n");
     println!("{t}");
-    let _ = run_alone; // re-exported path check
 }

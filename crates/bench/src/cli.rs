@@ -1,10 +1,14 @@
 //! Tiny argument parser shared by the harness binaries.
 
+use std::process::exit;
+use std::str::FromStr;
+
 /// Common harness options.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Per-thread instruction budget (`--insts N`).
-    pub insts: u64,
+    /// Per-thread instruction budget (`--insts N`; `None` = the harness's
+    /// own default).
+    pub insts: Option<u64>,
     /// Workload seed (`--seed N`).
     pub seed: u64,
     /// Run the full-scale sweep where the default subsamples (`--full`).
@@ -13,49 +17,63 @@ pub struct Args {
     pub jobs: Option<usize>,
 }
 
-impl Args {
-    /// Parses `std::env::args` with a per-binary default budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn parse(default_insts: u64) -> Args {
-        let mut args = Args {
-            insts: default_insts,
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            insts: None,
             seed: 1,
             full: false,
             jobs: None,
-        };
+        }
+    }
+}
+
+/// The usage line of a harness with no options of its own.
+pub const USAGE: &str = "usage: [--insts N] [--seed N] [--full] [--jobs N]";
+
+impl Args {
+    /// Parses `std::env::args`. `extra` names the caller's own options,
+    /// each taking one value; those given come back in command-line order.
+    /// `--help` prints `usage` and exits 0; an unknown argument or a
+    /// malformed value prints it on stderr and exits with status 2.
+    pub fn parse(usage: &str, extra: &[&'static str]) -> (Args, Vec<(&'static str, String)>) {
+        let mut args = Args::default();
+        let mut chosen = Vec::new();
         let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--insts" => {
-                    args.insts = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--insts needs a number"));
-                }
-                "--seed" => {
-                    args.seed = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--seed needs a number"));
-                }
+                "--insts" => args.insts = Some(number(&a, it.next(), usage)),
+                "--seed" => args.seed = number(&a, it.next(), usage),
                 "--full" => args.full = true,
                 "--jobs" => {
-                    let n: usize = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| panic!("--jobs needs a number"));
+                    let n: usize = number(&a, it.next(), usage);
                     args.jobs = (n > 0).then_some(n);
                 }
                 "--help" | "-h" => {
-                    println!("usage: [--insts N] [--seed N] [--full] [--jobs N]");
-                    std::process::exit(0);
+                    println!("{usage}");
+                    exit(0);
                 }
-                other => panic!("unknown argument: {other}"),
+                other => {
+                    let Some(&flag) = extra.iter().find(|&&flag| flag == other) else {
+                        usage_error(&format!("unknown argument: {other}"), usage)
+                    };
+                    let missing = || usage_error(&format!("{flag} needs a value"), usage);
+                    chosen.push((flag, it.next().unwrap_or_else(missing)));
+                }
             }
         }
-        args
+        (args, chosen)
     }
+}
+
+/// The value of a numeric flag, or a usage error.
+fn number<T: FromStr>(flag: &str, value: Option<String>, usage: &str) -> T {
+    let parsed = value.and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| usage_error(&format!("{flag} needs a number"), usage))
+}
+
+/// Prints `msg` and the usage line on stderr and exits with status 2.
+pub fn usage_error(msg: &str, usage: &str) -> ! {
+    eprintln!("error: {msg}\n{usage}");
+    exit(2)
 }

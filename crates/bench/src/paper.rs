@@ -1,0 +1,704 @@
+//! The paper's artefacts as records: Figs. 1, 5–13 and 15, Table 5, the
+//! PAR-BS extension and six ablations. Each [`Record`] names its mix set
+//! (with its `--full` rule), its schedulers, its default budget and its
+//! print layout; a [`Session`] renders it into a `String`.
+//!
+//! One session holds one [`AloneCache`] and one in-memory [`ResultCache`]
+//! for every record it renders, so a spec [`Cell`] is simulated at most
+//! once per invocation: fig9/11/12 print their sample mixes from the sweep
+//! they average, `extension_parbs`, `fig15` and `ablation_cap` reuse the
+//! case-study cells of fig6–8, and Table 5's default geometry is one set
+//! of cells for both of its rows. Runs a spec's scheduler cannot express
+//! (a cap value, a changed `StfmConfig`, prefetching, the row policy) are
+//! [`Experiment`]s on the same worker pool and the same alone cache.
+
+use std::fmt::{self, Write};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use stfm_core::StfmConfig;
+use stfm_cpu::PrefetchConfig;
+use stfm_serve::{run_cell, Cell, ResultCache, SchedSpec};
+use stfm_sim::{
+    gmean, run_ordered, AloneCache, Experiment, RowPolicy, SchedulerKind, Table, WorkloadMetrics,
+};
+use stfm_workloads::{desktop, micro, mix, Profile};
+
+use crate::Args;
+use Layout::{CaseStudy, Devices, Gmean, Grid, Pairs, Rows, Slowdowns};
+use SchedulerKind::{FrFcfs, FrFcfsCap, Nfq, ParBs, Stfm, StfmWith};
+
+/// A mix with the title of the section that prints it.
+type Mix = (String, Vec<Profile>);
+
+/// A reduction of one run's metrics.
+type Metric = fn(&WorkloadMetrics) -> f64;
+
+/// A named change to an experiment: one column pair of a [`Grid`].
+type Variant = (&'static str, fn(Experiment) -> Experiment);
+
+/// One shared run.
+enum Job {
+    Cell(Cell),
+    Run(Box<Experiment>),
+}
+
+fn experiment(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Experiment {
+    Experiment::new(profiles.to_vec())
+        .scheduler(kind)
+        .instructions_per_thread(insts)
+        .seed(seed)
+}
+
+/// `kind` on `profiles` as a spec cell when `kind` is a spec's scheduler,
+/// so the result cache shares it between records; else as an experiment.
+fn job(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Job {
+    let spec = SchedSpec::from_kind(kind);
+    if spec.kind() != kind {
+        return Job::Run(Box::new(experiment(kind, profiles, insts, seed)));
+    }
+    let names = profiles.iter().map(|p| p.name.to_string()).collect();
+    Job::Cell(Cell::new(spec, names).insts(insts).seed(seed))
+}
+
+/// STFM with one change to its default configuration.
+fn stfm(change: impl FnOnce(&mut StfmConfig)) -> SchedulerKind {
+    let mut cfg = StfmConfig::default();
+    change(&mut cfg);
+    StfmWith(cfg)
+}
+
+/// How a record prints its runs.
+enum Layout {
+    /// Fig. 1: each mix's per-thread memory slowdowns and unfairness.
+    Slowdowns,
+    /// One case-study table per mix: every scheduler's per-thread memory
+    /// slowdowns, unfairness and throughput.
+    CaseStudy,
+    /// Case-study tables of every `step(n)`th of the `n` mixes (at most
+    /// ten), then each scheduler's geometric means over all of them.
+    Gmean {
+        header: Option<fn(usize) -> String>,
+        step: fn(usize) -> usize,
+        title: &'static str,
+    },
+    /// Fig. 5: each mcf pair under FR-FCFS and STFM, and the mean gains.
+    Pairs,
+    /// Table 5: FR-FCFS's and STFM's geometric means at each device point
+    /// `(label, banks, row_kb)`, where `None` is the default geometry.
+    Devices(&'static [(&'static str, Option<u32>, Option<u32>)]),
+    /// One row of metrics per labelled scheduler, on the record's one mix.
+    Rows {
+        title: &'static str,
+        head: &'static str,
+        sum_ipc: bool,
+        rows: fn() -> Vec<(String, SchedulerKind)>,
+    },
+    /// Per mix, a table of scheduler × variant; `note` follows them all.
+    Grid {
+        variants: &'static [Variant],
+        note: &'static str,
+    },
+}
+
+/// One artefact of the paper.
+pub struct Record {
+    /// The artefact's id: `paper --figure <id>`, `<dir>/<id>.txt`.
+    pub id: &'static str,
+    /// Default per-thread instruction budget.
+    insts: u64,
+    /// The mixes, given `--full`.
+    mixes: fn(bool) -> Vec<Mix>,
+    kinds: &'static [SchedulerKind],
+    layout: Layout,
+}
+
+const ALL: &[SchedulerKind] = &[FrFcfs, SchedulerKind::Fcfs, FrFcfsCap { cap: 4 }, Nfq, Stfm];
+const PAIR: &[SchedulerKind] = &[FrFcfs, Stfm];
+
+fn one(title: &str, profiles: Vec<Profile>) -> Vec<Mix> {
+    vec![(title.to_string(), profiles)]
+}
+
+fn case_study_i(_: bool) -> Vec<Mix> {
+    one("", mix::case_study_intensive())
+}
+
+/// Every `every`th mix, titled by its benchmarks.
+fn sampled(mixes: Vec<Vec<Profile>>, every: usize) -> Vec<Mix> {
+    let names = |m: &[Profile]| m.iter().map(|p| p.name).collect::<Vec<_>>();
+    let sample = |m: Vec<Profile>| (format!("sample mix {:?}", names(&m)), m);
+    mixes.into_iter().step_by(every).map(sample).collect()
+}
+
+/// Every record, in `paper --all` order.
+pub const RECORDS: &[Record] = &[
+    Record {
+        id: "fig1",
+        insts: 100_000,
+        kinds: &[FrFcfs],
+        mixes: |_| {
+            vec![
+                (
+                    "Figure 1 (left): 4-core, FR-FCFS".into(),
+                    mix::fig1_four_core(),
+                ),
+                (
+                    "Figure 1 (right): 8-core, FR-FCFS".into(),
+                    mix::fig1_eight_core(),
+                ),
+            ]
+        },
+        layout: Slowdowns,
+    },
+    Record {
+        id: "fig5",
+        insts: 100_000,
+        kinds: PAIR,
+        mixes: |_| sampled(mix::mcf_pairs(), 1),
+        layout: Pairs,
+    },
+    Record {
+        id: "fig6",
+        insts: 150_000,
+        kinds: ALL,
+        mixes: |_| {
+            let title = "Figure 6: case study I - memory-intensive 4-core workload";
+            one(title, mix::case_study_intensive())
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "fig7",
+        insts: 150_000,
+        kinds: ALL,
+        mixes: |_| {
+            one(
+                "Figure 7: case study II - mixed 4-core workload",
+                mix::case_study_mixed(),
+            )
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "fig8",
+        insts: 150_000,
+        kinds: ALL,
+        mixes: |_| {
+            let title = "Figure 8: case study III - non-memory-intensive 4-core workload";
+            one(title, mix::case_study_non_intensive())
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "fig9",
+        insts: 50_000,
+        kinds: ALL,
+        mixes: |full| sampled(mix::category_combinations(4), if full { 1 } else { 8 }),
+        layout: Gmean {
+            header: Some(|n| format!("Figure 9: {n} of 256 4-core mixes (use --full for all)")),
+            step: |n| (n / 10).max(1),
+            title: "Figure 9 (right): geometric means over all mixes",
+        },
+    },
+    Record {
+        id: "fig10",
+        insts: 60_000,
+        kinds: ALL,
+        mixes: |_| {
+            one(
+                "Figure 10: non-memory-intensive 8-core workload",
+                mix::fig10_eight_core(),
+            )
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "fig11",
+        insts: 40_000,
+        kinds: ALL,
+        mixes: |_| sampled(mix::eight_core_mixes(), 1),
+        layout: Gmean {
+            header: None,
+            step: |_| 8,
+            title: "Figure 11: geometric means over the 32 8-core workloads",
+        },
+    },
+    Record {
+        id: "fig12",
+        insts: 30_000,
+        kinds: ALL,
+        mixes: |_| {
+            let mixes = mix::sixteen_core_mixes().into_iter();
+            mixes
+                .map(|(name, m)| (format!("Figure 12: 16-core workload {name}"), m))
+                .collect()
+        },
+        layout: Gmean {
+            header: None,
+            step: |_| 1,
+            title: "Figure 12: geometric means over the 3 workloads",
+        },
+    },
+    Record {
+        id: "fig13",
+        insts: 150_000,
+        kinds: ALL,
+        mixes: |_| {
+            one(
+                "Figure 13: desktop applications (4-core)",
+                desktop::workload(),
+            )
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "fig15",
+        insts: 150_000,
+        kinds: &[],
+        mixes: case_study_i,
+        layout: Rows {
+            title: "Figure 15: α sweep (case-study-I workload)",
+            head: "config",
+            sum_ipc: true,
+            rows: || {
+                let alphas = [1.0, 1.05, 1.1, 1.2, 2.0, 5.0, 20.0];
+                let mut rows: Vec<_> = alphas
+                    .map(|a: f64| (format!("Alpha={a}"), stfm(|c| c.alpha = a)))
+                    .into();
+                rows.push(("FR-FCFS".into(), FrFcfs));
+                rows
+            },
+        },
+    },
+    Record {
+        id: "table5",
+        insts: 30_000,
+        kinds: PAIR,
+        mixes: |full| sampled(mix::eight_core_mixes(), if full { 1 } else { 4 }),
+        layout: Devices(&[
+            ("4 banks / 2KB row", Some(4), None),
+            ("8 banks / 2KB row", None, None),
+            ("16 banks / 2KB row", Some(16), None),
+            ("8 banks / 1KB row", None, Some(1)),
+            ("8 banks / 2KB row", None, None),
+            ("8 banks / 4KB row", None, Some(4)),
+        ]),
+    },
+    Record {
+        id: "extension_parbs",
+        insts: 150_000,
+        kinds: &[FrFcfs, Nfq, Stfm, ParBs],
+        mixes: |_| {
+            let title = |study| format!("Extension: PAR-BS vs STFM — case study {study}");
+            vec![
+                (title("I (intensive)"), mix::case_study_intensive()),
+                (title("II (mixed)"), mix::case_study_mixed()),
+                (
+                    title("III (non-intensive)"),
+                    mix::case_study_non_intensive(),
+                ),
+            ]
+        },
+        layout: CaseStudy,
+    },
+    Record {
+        id: "ablation_cap",
+        insts: 150_000,
+        kinds: &[],
+        mixes: case_study_i,
+        layout: Rows {
+            title: "Ablation: FR-FCFS+Cap cap value",
+            head: "cap",
+            sum_ipc: false,
+            rows: || {
+                [1, 2, 4, 8, 16]
+                    .map(|cap| (cap.to_string(), FrFcfsCap { cap }))
+                    .into()
+            },
+        },
+    },
+    Record {
+        id: "ablation_gamma",
+        insts: 150_000,
+        kinds: &[],
+        mixes: case_study_i,
+        layout: Rows {
+            title: "Ablation: γ (bank-interference amortization)",
+            head: "gamma",
+            sum_ipc: false,
+            // γ = 2^-gamma_shift: ½ is the paper's value, 1 this
+            // reproduction's calibrated default (see `StfmConfig`).
+            rows: || {
+                let row = |label, shift| (format!("γ = {label}"), stfm(|c| c.gamma_shift = shift));
+                vec![row("1/4", 2), row("1/2 (paper)", 1), row("1 (ours)", 0)]
+            },
+        },
+    },
+    Record {
+        id: "ablation_interval",
+        insts: 150_000,
+        kinds: &[],
+        mixes: case_study_i,
+        layout: Rows {
+            title: "Ablation: IntervalLength",
+            head: "IntervalLength",
+            sum_ipc: false,
+            rows: || {
+                let row =
+                    |log2: u32| (format!("2^{log2}"), stfm(|c| c.interval_length = 1 << log2));
+                [14, 16, 18, 20, 24].map(row).into()
+            },
+        },
+    },
+    Record {
+        id: "ablation_parallelism",
+        insts: 150_000,
+        kinds: &[],
+        mixes: case_study_i,
+        layout: Rows {
+            title: "Ablation: interference-estimate parallelism awareness",
+            head: "estimator",
+            sum_ipc: false,
+            rows: || {
+                vec![
+                    ("with parallelism (paper)".into(), stfm(|_| ())),
+                    (
+                        "naive (no parallelism)".into(),
+                        stfm(|c| c.use_parallelism = false),
+                    ),
+                ]
+            },
+        },
+    },
+    Record {
+        id: "ablation_prefetch",
+        insts: 100_000,
+        kinds: PAIR,
+        mixes: |_| {
+            one(
+                "Extension: stream prefetching × scheduling (case study II)",
+                mix::case_study_mixed(),
+            )
+        },
+        layout: Grid {
+            variants: &[
+                ("no-pf", |e| e),
+                ("pf", |e| e.prefetch(PrefetchConfig::default())),
+            ],
+            note: "Alone baselines are re-run with prefetching for the prefetch rows, so\n\
+               slowdowns isolate the *sharing* effect, not the prefetcher's raw speedup.",
+        },
+    },
+    Record {
+        id: "ablation_row_policy",
+        insts: 100_000,
+        kinds: PAIR,
+        mixes: |_| {
+            vec![
+                (
+                    "Row policy: high locality: case study I".into(),
+                    mix::case_study_intensive(),
+                ),
+                (
+                    "Row policy: low locality: 4 random-access threads".into(),
+                    vec![
+                        micro::random(),
+                        micro::random(),
+                        micro::chase(),
+                        micro::random(),
+                    ],
+                ),
+            ]
+        },
+        layout: Grid {
+            variants: &[
+                ("open", |e| e.row_policy(RowPolicy::OpenPage)),
+                ("closed", |e| e.row_policy(RowPolicy::ClosedPage)),
+            ],
+            note: "note: alone baselines always use the paper's open-page FR-FCFS configuration.",
+        },
+    },
+];
+
+/// The record with this id.
+pub fn record(id: &str) -> Option<&'static Record> {
+    RECORDS.iter().find(|r| r.id == id)
+}
+
+fn f2(v: f64) -> String {
+    format!("{v:.2}")
+}
+
+/// `first`, then `"{name} {column}"` for each name and column, then `last`.
+fn headers<'a>(
+    first: &str,
+    names: impl IntoIterator<Item = &'a str>,
+    columns: &[&str],
+    last: &[&str],
+) -> Vec<String> {
+    let mut out = vec![first.to_string()];
+    for name in names {
+        out.extend(columns.iter().map(|c| format!("{name} {c}")));
+    }
+    out.extend(last.iter().map(|s| s.to_string()));
+    out
+}
+
+/// Each of the `k` schedulers' geometric mean of `metric`, over results
+/// laid out mix by mix.
+fn gmeans(results: &[WorkloadMetrics], k: usize, metric: Metric) -> Vec<f64> {
+    (0..k)
+        .map(|j| gmean(results.iter().skip(j).step_by(k).map(metric)))
+        .collect()
+}
+
+/// Unfairness, weighted speedup, (sum of IPCs,) hmean speedup.
+fn scores([unfair, ws, sum_ipc, hmean]: [f64; 4], with_sum_ipc: bool) -> Vec<String> {
+    let sum_ipc = with_sum_ipc.then(|| f2(sum_ipc));
+    let row = [f2(unfair), f2(ws)].into_iter().chain(sum_ipc);
+    row.chain([format!("{hmean:.3}")]).collect()
+}
+
+/// The metrics [`scores`] formats, in [`SCORES`] order.
+const METRICS: [Metric; 4] = [
+    WorkloadMetrics::unfairness,
+    WorkloadMetrics::weighted_speedup,
+    WorkloadMetrics::sum_of_ipcs,
+    WorkloadMetrics::hmean_speedup,
+];
+
+/// The case-study table: one row per scheduler.
+fn comparison(out: &mut String, mix: &Mix, results: &[WorkloadMetrics]) -> fmt::Result {
+    let (title, profiles) = mix;
+    writeln!(out, "== {title} ==\n")?;
+    let names = profiles.iter().map(|p| p.name).chain(SCORES);
+    let mut t = Table::new(["scheduler"].into_iter().chain(names));
+    for m in results {
+        let slowdowns = m.threads.iter().map(|x| f2(x.mem_slowdown()));
+        let row = slowdowns.chain(scores(METRICS.map(|f| f(m)), true));
+        t.row([m.scheduler.clone()].into_iter().chain(row));
+    }
+    writeln!(out, "{t}")
+}
+
+const SCORES: [&str; 4] = ["unfairness", "w-speedup", "sum-ipc", "hmean"];
+const PAIR_SCORES: [&str; 2] = ["unfairness", "w-speedup"];
+
+/// One invocation's options and caches.
+#[derive(Debug)]
+pub struct Session {
+    args: Args,
+    alone: AloneCache,
+    results: ResultCache,
+    simulated: AtomicUsize,
+}
+
+impl Session {
+    /// A session with empty caches.
+    pub fn new(args: Args) -> Session {
+        Session {
+            args,
+            alone: AloneCache::new(),
+            results: ResultCache::in_memory(),
+            simulated: AtomicUsize::new(0),
+        }
+    }
+
+    /// Shared runs simulated so far: cells the result cache missed, plus
+    /// experiments.
+    pub fn simulated(&self) -> usize {
+        self.simulated.load(Ordering::Relaxed)
+    }
+
+    /// Runs `jobs` on the worker pool; the metrics come back in job order.
+    /// A cell given twice in one batch would run twice: callers split
+    /// batches so that a repeat is a cache hit.
+    fn run(&self, jobs: &[Job]) -> Vec<WorkloadMetrics> {
+        let mut out = Vec::with_capacity(jobs.len());
+        let keep = |m| {
+            out.push(m);
+            ControlFlow::Continue(())
+        };
+        run_ordered(jobs.iter(), self.args.jobs, |j| self.run_one(j), keep);
+        out
+    }
+
+    fn run_one(&self, job: &Job) -> WorkloadMetrics {
+        let (metrics, simulated) = match job {
+            Job::Cell(c) => match run_cell(c, &self.alone, &self.results) {
+                Ok((_, metrics, hit)) => (metrics, !hit),
+                Err(e) => panic!("cell {}: {e}", c.canonical()),
+            },
+            Job::Run(e) => (e.run_with_cache(&self.alone), true),
+        };
+        let add = usize::from(simulated);
+        self.simulated.fetch_add(add, Ordering::Relaxed);
+        metrics
+    }
+
+    /// Renders `record` at this session's options.
+    pub fn render(&self, record: &Record) -> String {
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write(record, &mut out);
+        out
+    }
+
+    fn write(&self, r: &Record, out: &mut String) -> fmt::Result {
+        let (insts, seed) = (self.args.insts.unwrap_or(r.insts), self.args.seed);
+        let mixes = (r.mixes)(self.args.full);
+        let k = r.kinds.len();
+        let names = || r.kinds.iter().map(SchedulerKind::name);
+        // Every mix under every scheduler, mix by mix.
+        let grid = || {
+            let each = |m| r.kinds.iter().map(move |&kind| job(kind, m, insts, seed));
+            mixes.iter().flat_map(|(_, m)| each(m)).collect::<Vec<_>>()
+        };
+        match &r.layout {
+            Slowdowns => {
+                for ((title, _), m) in mixes.iter().zip(self.run(&grid())) {
+                    let mut t = Table::new(["benchmark", "memory slowdown"]);
+                    for x in &m.threads {
+                        t.row([x.name.clone(), f2(x.mem_slowdown())]);
+                    }
+                    t.row(["(unfairness)".to_string(), f2(m.unfairness())]);
+                    writeln!(out, "== {title} ==\n\n{t}")?;
+                }
+            }
+            CaseStudy => {
+                for (mix, results) in mixes.iter().zip(self.run(&grid()).chunks(k)) {
+                    comparison(out, mix, results)?;
+                }
+            }
+            Gmean {
+                header,
+                step,
+                title,
+            } => {
+                let results = self.run(&grid());
+                if let Some(header) = header {
+                    writeln!(out, "{}\n", header(mixes.len()))?;
+                }
+                let samples = mixes.iter().zip(results.chunks(k));
+                for (mix, results) in samples.step_by(step(mixes.len())).take(10) {
+                    comparison(out, mix, results)?;
+                }
+                let means = METRICS.map(|f| gmeans(&results, k, f));
+                let head = SCORES.map(|s| format!("GMEAN-{s}"));
+                let mut t = Table::new(["scheduler".to_string()].into_iter().chain(head));
+                for (j, name) in names().enumerate() {
+                    let row = scores(means.each_ref().map(|m| m[j]), true);
+                    t.row([name.to_string()].into_iter().chain(row));
+                }
+                writeln!(out, "== {title} ==\n\n{t}")?;
+            }
+            Pairs => {
+                let results = self.run(&grid());
+                let (columns, last) = (["mcf", "other", "unfair"], ["dWS%", "dHmean%"]);
+                let mut t = Table::new(headers("other benchmark", names(), &columns, &last));
+                let mut sums = [0.0; 2];
+                for ((_, pair), r) in mixes.iter().zip(results.chunks(k)) {
+                    let gain = |f: Metric| (f(&r[1]) / f(&r[0]) - 1.0) * 100.0;
+                    let ws = gain(WorkloadMetrics::weighted_speedup);
+                    let hm = gain(WorkloadMetrics::hmean_speedup);
+                    let slowdowns = r.iter().flat_map(|m| {
+                        let [a, b] = [&m.threads[0], &m.threads[1]].map(|x| x.mem_slowdown());
+                        [a, b, m.unfairness()].map(f2)
+                    });
+                    let other = [pair[1].name.to_string()].into_iter();
+                    t.row(
+                        other
+                            .chain(slowdowns)
+                            .chain([ws, hm].map(|d| format!("{d:+.1}"))),
+                    );
+                    (sums[0], sums[1]) = (sums[0] + ws, sums[1] + hm);
+                }
+                let fair = gmeans(&results, k, WorkloadMetrics::unfairness);
+                let [ws, hm] = sums.map(|sum| sum / mixes.len() as f64);
+                let title = "Figure 5: mcf paired with each benchmark (2-core)";
+                writeln!(out, "== {title} ==\n\n{t}")?;
+                let (fr, st) = (fair[0], fair[1]);
+                writeln!(out, "GMEAN unfairness: FR-FCFS {fr:.2} -> STFM {st:.2}")?;
+                write!(out, "mean weighted-speedup gain {ws:+.1}%, ")?;
+                writeln!(out, "mean hmean-speedup gain {hm:+.1}%")?;
+            }
+            Devices(points) => {
+                let n = mixes.len();
+                writeln!(
+                    out,
+                    "Table 5 over {n} 8-core mixes (use --full for all 32)\n"
+                )?;
+                let last = ["unfairness impr.", "w-speedup impr."];
+                let mut t = Table::new(headers("config", names(), &PAIR_SCORES, &last));
+                for &(label, banks, row_kb) in *points {
+                    let mut jobs = grid();
+                    for job in &mut jobs {
+                        if let Job::Cell(c) = job {
+                            (c.banks, c.row_kb) = (banks, row_kb);
+                        }
+                    }
+                    // A batch per point, so the repeated default geometry
+                    // is a cache hit.
+                    let results = self.run(&jobs);
+                    let u = gmeans(&results, k, WorkloadMetrics::unfairness);
+                    let w = gmeans(&results, k, WorkloadMetrics::weighted_speedup);
+                    // The paper's "Improvement" row: FR-FCFS / STFM unfairness.
+                    let impr = [
+                        format!("{:.2}X", u[0] / u[1]),
+                        format!("{:+.1}%", (w[1] / w[0] - 1.0) * 100.0),
+                    ];
+                    let means = [label.to_string(), f2(u[0]), f2(w[0]), f2(u[1]), f2(w[1])];
+                    t.row(means.into_iter().chain(impr));
+                }
+                writeln!(out, "{t}")?;
+            }
+            Rows {
+                title,
+                head,
+                sum_ipc,
+                rows,
+            } => {
+                let (labels, jobs): (Vec<_>, Vec<_>) = (rows().into_iter())
+                    .map(|(label, kind)| (label, job(kind, &mixes[0].1, insts, seed)))
+                    .unzip();
+                let metrics = SCORES.into_iter().filter(|&s| *sum_ipc || s != "sum-ipc");
+                let mut t = Table::new([*head].into_iter().chain(metrics));
+                for (label, m) in labels.into_iter().zip(self.run(&jobs)) {
+                    let row = scores(METRICS.map(|f| f(&m)), *sum_ipc);
+                    t.row([label].into_iter().chain(row));
+                }
+                writeln!(out, "== {title} ==\n\n{t}")?;
+            }
+            Grid { variants, note } => {
+                let mut jobs = Vec::new();
+                for (_, m) in &mixes {
+                    for &kind in r.kinds {
+                        for (_, change) in *variants {
+                            let e = change(experiment(kind, m, insts, seed));
+                            jobs.push(Job::Run(Box::new(e)));
+                        }
+                    }
+                }
+                let results = self.run(&jobs);
+                let head = headers("scheduler", variants.iter().map(|v| v.0), &PAIR_SCORES, &[]);
+                for ((title, _), results) in mixes.iter().zip(results.chunks(k * variants.len())) {
+                    let mut t = Table::new(head.clone());
+                    for (name, results) in names().zip(results.chunks(variants.len())) {
+                        let scores = results
+                            .iter()
+                            .map(|m| [m.unfairness(), m.weighted_speedup()]);
+                        t.row(
+                            [name.to_string()]
+                                .into_iter()
+                                .chain(scores.flatten().map(f2)),
+                        );
+                    }
+                    writeln!(out, "== {title} ==\n\n{t}")?;
+                }
+                writeln!(out, "{note}")?;
+            }
+        }
+        Ok(())
+    }
+}

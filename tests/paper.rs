@@ -1,0 +1,93 @@
+//! The `paper` records against pinned output: each record, rendered in
+//! process at `--insts 2000`, seed 1, must hash to the FNV-1a digest of
+//! what the standalone binary it replaced printed, and must simulate each
+//! of its runs once. A session shared across records must not simulate a
+//! cell twice.
+//!
+//! A debug build spends about a second on each record, so tier-1 renders
+//! only one record per layout that is cheap there (the slowdown list,
+//! the case-study table, label × metric rows from cells and from
+//! experiments, the scheduler × variant grid); the rest are `#[ignore]`d.
+//! Run them all with
+//! `cargo test --release --test paper -- --include-ignored`.
+
+use stfm_bench::paper::{record, Session};
+use stfm_bench::Args;
+use stfm_sim::digest::hex_digest;
+
+fn session() -> Session {
+    Session::new(Args {
+        insts: Some(2_000),
+        ..Args::default()
+    })
+}
+
+fn render(session: &Session, id: &str) -> String {
+    let r = record(id).unwrap_or_else(|| panic!("no record '{id}'"));
+    session.render(r)
+}
+
+/// One test per record: `id = (digest of its output, runs it simulates)`.
+macro_rules! pinned {
+    ($($(#[$attr:meta])* $id:ident = ($digest:literal, $runs:literal);)*) => {$(
+        #[test]
+        $(#[$attr])*
+        fn $id() {
+            let session = session();
+            let out = render(&session, stringify!($id));
+            assert_eq!(hex_digest(&out), $digest, "{}:\n{out}", stringify!($id));
+            assert_eq!(session.simulated(), $runs, "{}: runs simulated", stringify!($id));
+        }
+    )*};
+}
+
+pinned! {
+    fig1 = ("f77d3f17d86e1544", 2);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig5 = ("29710a13c2ce309a", 50);
+    #[ignore = "rendered in tier-1 by a_shared_session_simulates_each_cell_once"]
+    fig6 = ("b9369a15b1e60623", 5);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig7 = ("bd441c92acbf75ac", 5);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig8 = ("ed68a5f7d15c64b0", 5);
+    #[ignore = "release-only: minutes in a debug build"]
+    fig9 = ("3d25d9a39f4f0489", 160);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig10 = ("aa7099e90536c568", 5);
+    #[ignore = "release-only: minutes in a debug build"]
+    fig11 = ("eb291afa902f0e4e", 160);
+    #[ignore = "release-only: minutes in a debug build"]
+    fig12 = ("2f7bcebc400e1d78", 15);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig13 = ("532e5fe9c1b8de6e", 5);
+    #[ignore = "release-only: seconds in a debug build"]
+    fig15 = ("54b411f4fb07ed2c", 8);
+    #[ignore = "release-only: minutes in a debug build"]
+    table5 = ("647c53000a08aa70", 80);
+    #[ignore = "release-only: seconds in a debug build"]
+    extension_parbs = ("1321e1cfbf82d645", 12);
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_cap = ("c4c8690f2a557066", 5);
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_gamma = ("3c6d89828c466c45", 3);
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_interval = ("59934f3ed0b9177e", 5);
+    ablation_parallelism = ("16b2e409c96a90e6", 2);
+    ablation_prefetch = ("cabbb720affc3d20", 4);
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_row_policy = ("32305a7226b3d40a", 8);
+}
+
+#[test]
+fn a_shared_session_simulates_each_cell_once() {
+    let session = session();
+    let case_study = render(&session, "fig6");
+    assert_eq!(session.simulated(), 5);
+    // fig15's FR-FCFS baseline is fig6's cell; its seven α runs are new.
+    let alpha = render(&session, "fig15");
+    assert_eq!(session.simulated(), 12);
+    // A cached cell renders as a fresh one does.
+    assert_eq!(hex_digest(&case_study), "b9369a15b1e60623");
+    assert_eq!(hex_digest(&alpha), "54b411f4fb07ed2c");
+}
