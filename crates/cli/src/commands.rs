@@ -482,10 +482,11 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
             0.0
         };
         eprintln!(
-            "{} cells ({} cached, {} simulated, {} bad lines) on {} workers in {:.2}s ({:.1} cells/s)",
+            "{} cells ({} cached, {} simulated, {} quarantined, {} bad lines) on {} workers in {:.2}s ({:.1} cells/s)",
             summary.cells,
             summary.cache_hits,
             summary.cells - summary.cache_hits,
+            alone.quarantined_count() + results.quarantined_count(),
             bad_lines,
             summary.workers,
             wall,

@@ -110,17 +110,40 @@ impl CoreStats {
     /// Counter-wise difference `self − earlier`, for excluding a warmup
     /// window from measurements.
     pub fn minus(&self, earlier: &CoreStats) -> CoreStats {
+        let (now, then) = (self.counters(), earlier.counters());
+        CoreStats::from_counters(std::array::from_fn(|i| now[i] - then[i]))
+    }
+
+    /// The ten counters in their one serialization order, shared by
+    /// result lines and persisted alone baselines.
+    pub fn counters(&self) -> [u64; 10] {
+        [
+            self.cycles,
+            self.instructions,
+            self.mem_stall_cycles,
+            self.loads,
+            self.stores,
+            self.l2_misses,
+            self.l2_merged,
+            self.writebacks,
+            self.prefetches,
+            self.prefetch_hits,
+        ]
+    }
+
+    /// The inverse of [`CoreStats::counters`].
+    pub fn from_counters(c: [u64; 10]) -> CoreStats {
         CoreStats {
-            cycles: self.cycles - earlier.cycles,
-            instructions: self.instructions - earlier.instructions,
-            mem_stall_cycles: self.mem_stall_cycles - earlier.mem_stall_cycles,
-            loads: self.loads - earlier.loads,
-            stores: self.stores - earlier.stores,
-            l2_misses: self.l2_misses - earlier.l2_misses,
-            l2_merged: self.l2_merged - earlier.l2_merged,
-            writebacks: self.writebacks - earlier.writebacks,
-            prefetches: self.prefetches - earlier.prefetches,
-            prefetch_hits: self.prefetch_hits - earlier.prefetch_hits,
+            cycles: c[0],
+            instructions: c[1],
+            mem_stall_cycles: c[2],
+            loads: c[3],
+            stores: c[4],
+            l2_misses: c[5],
+            l2_merged: c[6],
+            writebacks: c[7],
+            prefetches: c[8],
+            prefetch_hits: c[9],
         }
     }
 

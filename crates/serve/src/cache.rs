@@ -7,46 +7,20 @@
 //! replayed directly onto the output stream without breaking the
 //! determinism guarantee.
 //!
-//! The cache has two tiers: an in-process memo (a mutex-guarded map,
-//! shared by all worker threads of a sweep or serve session) and an
-//! optional on-disk tier (`cell-<key>.json` files under a cache
-//! directory, written atomically via a uniquely named temp file and
-//! rename).
-//!
-//! # Crash safety
-//!
-//! The disk tier assumes it can be killed at any instruction and still
-//! never serve a wrong answer:
-//!
-//! - Every entry carries a checksum footer (`#fnv:<digest>` of the
-//!   result line), so a torn write — a crash between `write` and
-//!   `rename`, a filesystem that reordered the data and metadata — is
-//!   *detected*, not trusted.
-//! - An entry that fails the checksum, fails to parse, or is filed
-//!   under the wrong key is **quarantined**: renamed to `<file>.bad`
-//!   (for post-mortem inspection) and treated as a miss. The cell is
-//!   simply recomputed.
-//! - Footer-less files written by older versions still load (their
-//!   result line must parse and match the key, which is the same
-//!   self-validation they always had).
-//! - Opening a cache directory reaps stale `*.tmp*` files left behind
-//!   by crashed writers.
+//! The cache is a record over [`stfm_sim::store::Store`], which owns the
+//! memo, the `cell-<key>.json` files, their checksums, quarantine and
+//! temp-file reap. A stored line must parse and carry its own key.
 
-use std::collections::HashMap;
-use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+#[cfg(feature = "fault-inject")]
 use std::sync::{Mutex, PoisonError};
 
-use stfm_sim::digest::hex_digest;
+use stfm_sim::store::Store;
 use stfm_sim::WorkloadMetrics;
 
 use crate::result::parse_result_line;
-
-/// Checksum footer prefix: the line after the stored result line reads
-/// `#fnv:<hex_digest of the result line>`.
-const FOOTER_PREFIX: &str = "#fnv:";
 
 /// A validated cache hit: the stored line plus its parsed metrics.
 #[derive(Debug, Clone)]
@@ -76,12 +50,9 @@ impl std::fmt::Debug for WriteFault {
 /// worker threads.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    memo: Mutex<HashMap<String, String>>,
-    dir: Option<PathBuf>,
+    lines: Store<String>,
     hits: AtomicU64,
     misses: AtomicU64,
-    quarantined: AtomicU64,
-    reaped: AtomicU64,
     #[cfg(feature = "fault-inject")]
     write_fault: Mutex<Option<WriteFault>>,
 }
@@ -93,168 +64,45 @@ impl ResultCache {
         Self::default()
     }
 
-    /// A cache backed by `dir`, created if missing. Entries written by
-    /// earlier processes are visible immediately. Stale temp files left
-    /// by crashed writers are reaped before the cache is used.
+    /// A cache backed by `dir`, created if missing, after the store has
+    /// reaped crashed writers' temp files.
     ///
     /// # Errors
     ///
-    /// Propagates the error if the directory cannot be created.
+    /// Propagates the error if the directory cannot be created or listed.
     pub fn with_dir(dir: impl Into<PathBuf>) -> io::Result<Self> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        let cache = Self {
-            dir: Some(dir),
+        Ok(Self {
+            lines: Store::with_dir(dir, "cell-", "json")?,
             ..Self::default()
-        };
-        cache.reap_stale_temps();
-        Ok(cache)
+        })
     }
 
-    /// The backing directory, if this cache persists to disk.
-    #[must_use]
-    pub fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
-    }
-
-    fn entry_path(&self, key: &str) -> Option<PathBuf> {
-        self.dir
-            .as_ref()
-            .map(|d| d.join(format!("cell-{key}.json")))
-    }
-
-    /// Removes `cell-*.json.tmp*` files: a temp file only survives its
-    /// writer when that writer crashed mid-store, and its content may be
-    /// arbitrarily torn. Live writers use fresh unique names, so
-    /// deleting leftovers can never race a healthy store.
-    fn reap_stale_temps(&self) {
-        let Some(dir) = &self.dir else { return };
-        let Ok(entries) = fs::read_dir(dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("cell-")
-                && name.contains(".json.tmp")
-                && fs::remove_file(entry.path()).is_ok()
-            {
-                self.reaped.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Looks up a cell by content-address. Counts a hit or a miss.
+    /// Looks up a cell by content-address. Counts a hit or a miss. A
+    /// stored line that no longer parses, or is filed under the wrong
+    /// key, is a miss (and, on disk, quarantined), never an error.
     pub fn lookup(&self, key: &str) -> Option<CachedResult> {
-        let memo_line = self
-            .memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .cloned();
-        let line = memo_line.or_else(|| self.load_disk(key));
-        match line {
-            Some(line) => {
-                // A stored line that no longer parses (or was filed under
-                // the wrong key) is treated as a miss, not an error.
-                match parse_result_line(&line) {
-                    Ok(parsed) if parsed.key == key => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        Some(CachedResult {
-                            line,
-                            metrics: parsed.metrics,
-                        })
-                    }
-                    _ => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let mine = |line: &str| parse_result_line(line).ok().filter(|p| p.key == key);
+        let line = self.lines.get(key, |l| mine(l).map(|_| l.to_string()));
+        let hit = line.and_then(|line| {
+            let metrics = mine(&line)?.metrics;
+            Some(CachedResult { line, metrics })
+        });
+        if hit.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
+        hit
     }
 
-    /// Loads and fully validates a disk entry. Only a line that passes
-    /// the checksum (when present), parses, and matches `key` is
-    /// memoized and returned; anything else is quarantined to `*.bad`
-    /// and reported as a miss.
-    fn load_disk(&self, key: &str) -> Option<String> {
-        let path = self.entry_path(key)?;
-        let raw = fs::read_to_string(&path).ok()?;
-        match Self::validate(key, &raw) {
-            Some(line) => {
-                self.memo
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key.to_string(), line.clone());
-                Some(line)
-            }
-            None => {
-                self.quarantine(&path);
-                None
-            }
-        }
-    }
-
-    /// Extracts the result line from a raw cache file, or `None` if the
-    /// file is torn, corrupt, or filed under the wrong key.
-    fn validate(key: &str, raw: &str) -> Option<String> {
-        let mut lines = raw.lines();
-        let line = lines.next()?.to_string();
-        if let Some(footer) = lines.next() {
-            // Checksummed format: the footer must verify, and nothing may
-            // follow it (trailing garbage means a torn or doctored file).
-            let sum = footer.strip_prefix(FOOTER_PREFIX)?;
-            if sum != hex_digest(&line) || lines.next().is_some() {
-                return None;
-            }
-        }
-        let parsed = parse_result_line(&line).ok()?;
-        (parsed.key == key).then_some(line)
-    }
-
-    /// Moves a detected-bad entry aside as `<file>.bad` so the next
-    /// lookup misses cleanly and the evidence survives for inspection.
-    /// If the rename fails (exotic filesystems, permissions) the entry
-    /// is deleted instead — a bad entry must never stay on the hit path.
-    fn quarantine(&self, path: &Path) {
-        let mut bad = path.as_os_str().to_owned();
-        bad.push(".bad");
-        if fs::rename(path, PathBuf::from(bad)).is_err() {
-            let _ = fs::remove_file(path);
-        }
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Stores a freshly computed result line. Disk failures are
-    /// swallowed: persistence is an optimization, not a correctness
-    /// requirement.
+    /// Stores a freshly computed result line; disk failures are
+    /// swallowed, as persistence is only an optimization.
     pub fn store(&self, key: &str, line: &str) {
-        self.memo
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key.to_string(), line.to_string());
         #[cfg(feature = "fault-inject")]
         if self.write_fault_fires(key) {
-            return;
+            return self.lines.remember(key, line.to_string());
         }
-        if let Some(path) = self.entry_path(key) {
-            // Unique temp name per write: the pid alone is not enough,
-            // because two worker threads of one process storing the same
-            // key concurrently would share a temp path and could rename
-            // each other's half-written bytes.
-            static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-            let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-            let tmp = path.with_extension(format!("json.tmp{}-{}", std::process::id(), seq));
-            let body = format!("{line}\n{FOOTER_PREFIX}{}\n", hex_digest(line));
-            if fs::write(&tmp, body).is_ok() && fs::rename(&tmp, &path).is_err() {
-                let _ = fs::remove_file(&tmp);
-            }
-        }
+        self.lines.put(key, line.to_string(), line);
     }
 
     /// Installs a predicate that makes [`ResultCache::store`] silently
@@ -289,16 +137,16 @@ impl ResultCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of corrupt disk entries quarantined to `*.bad` so far.
+    /// Number of corrupt disk entries quarantined so far.
     #[must_use]
     pub fn quarantined_count(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
+        self.lines.quarantined_count()
     }
 
     /// Number of stale temp files reaped when the cache was opened.
     #[must_use]
     pub fn reaped_temp_count(&self) -> u64 {
-        self.reaped.load(Ordering::Relaxed)
+        self.lines.reaped_count()
     }
 }
 
@@ -306,7 +154,11 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::result::result_line;
+    use crate::runner::run_cell;
     use crate::spec::{Cell, SchedSpec};
+    use std::fs;
+    use stfm_sim::digest::hex_digest;
+    use stfm_sim::AloneCache;
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir =
@@ -315,8 +167,12 @@ mod tests {
         dir
     }
 
+    fn sample_cell() -> Cell {
+        Cell::new(SchedSpec::Fcfs, vec!["mcf".into()]).insts(1_000)
+    }
+
     fn sample_line() -> (String, String) {
-        let cell = Cell::new(SchedSpec::Fcfs, vec!["mcf".into()]).insts(1_000);
+        let cell = sample_cell();
         let metrics = cell.to_experiment().unwrap().run();
         (cell.key(), result_line(&cell, &metrics))
     }
@@ -358,7 +214,7 @@ mod tests {
         let raw = fs::read_to_string(dir.join(format!("cell-{key}.json"))).unwrap();
         assert_eq!(
             raw,
-            format!("{line}\n{FOOTER_PREFIX}{}\n", hex_digest(&line)),
+            format!("{line}\n#fnv:{}\n", hex_digest(&line)),
             "entry must be line + checksum footer"
         );
         let _ = fs::remove_dir_all(&dir);
@@ -378,26 +234,14 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The satellite coverage matrix: every corruption class the module
-    /// doc promises to tolerate degrades to a miss, quarantines the
-    /// file, and a subsequent store-and-lookup heals the entry.
+    /// The store's corruption matrix against this record: every damaged
+    /// entry (a footer-less one from before the checksum included) is a
+    /// miss, is quarantined exactly once, leaves nothing on the hit path,
+    /// and is recomputed into the identical line.
     #[test]
     fn corruption_matrix_degrades_to_misses_and_quarantines() {
         let (key, line) = sample_line();
-        let footer = format!("{FOOTER_PREFIX}{}", hex_digest(&line));
-        let half = &line[..line.len() / 2];
-        let cases: [(&str, String); 6] = [
-            ("truncated_mid_line", format!("{half}\n{footer}\n")),
-            ("garbage_json", "{\"type\":\"result\",oops}\n".to_string()),
-            ("empty_file", String::new()),
-            (
-                "wrong_checksum",
-                format!("{line}\n{FOOTER_PREFIX}{}\n", hex_digest("x")),
-            ),
-            ("footer_only", format!("{footer}\n")),
-            ("trailing_garbage", format!("{line}\n{footer}\nextra\n")),
-        ];
-        for (tag, content) in cases {
+        for (tag, content) in stfm_sim::store::corruptions(&line) {
             let dir = scratch_dir(tag);
             let cache = ResultCache::with_dir(&dir).unwrap();
             let path = dir.join(format!("cell-{key}.json"));
@@ -407,9 +251,13 @@ mod tests {
             assert!(!path.exists(), "{tag}: bad file left on the hit path");
             let bad = dir.join(format!("cell-{key}.json.bad"));
             assert!(bad.exists(), "{tag}: quarantine file missing");
-            // The entry heals: a fresh store replaces it and hits.
-            cache.store(&key, &line);
-            assert!(cache.lookup(&key).is_some(), "{tag}: store did not heal");
+            let (again, _, from_cache) =
+                run_cell(&sample_cell(), &AloneCache::new(), &cache).unwrap();
+            assert!(!from_cache, "{tag}: served without recomputing");
+            assert_eq!(again, line, "{tag}: recomputed line differs");
+            assert_eq!(cache.quarantined_count(), 1, "{tag}: quarantined twice");
+            let fresh = ResultCache::with_dir(&dir).unwrap();
+            assert_eq!(fresh.lookup(&key).unwrap().line, line, "{tag}: not healed");
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -422,29 +270,12 @@ mod tests {
         // A checksum-valid entry whose line belongs to a different cell:
         // the checksum passes but the key check must still reject it.
         let path = dir.join("cell-0000000000000000.json");
-        fs::write(
-            &path,
-            format!("{line}\n{FOOTER_PREFIX}{}\n", hex_digest(&line)),
-        )
-        .unwrap();
+        fs::write(&path, format!("{line}\n#fnv:{}\n", hex_digest(&line))).unwrap();
         assert!(cache.lookup("0000000000000000").is_none());
         assert_eq!(cache.quarantined_count(), 1);
         assert!(!path.exists());
         // The real key still resolves nothing (entry was never for it).
         assert!(cache.lookup(&key).is_none());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_footerless_entries_still_load() {
-        let dir = scratch_dir("legacy");
-        let (key, line) = sample_line();
-        fs::create_dir_all(&dir).unwrap();
-        fs::write(dir.join(format!("cell-{key}.json")), format!("{line}\n")).unwrap();
-        let cache = ResultCache::with_dir(&dir).unwrap();
-        let hit = cache.lookup(&key).expect("legacy entry must hit");
-        assert_eq!(hit.line, line);
-        assert_eq!(cache.quarantined_count(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -458,7 +289,7 @@ mod tests {
         let (key, line) = sample_line();
         fs::write(
             dir.join(format!("cell-{key}.json")),
-            format!("{line}\n{FOOTER_PREFIX}{}\n", hex_digest(&line)),
+            format!("{line}\n#fnv:{}\n", hex_digest(&line)),
         )
         .unwrap();
         let cache = ResultCache::with_dir(&dir).unwrap();

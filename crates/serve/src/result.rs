@@ -30,32 +30,9 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-/// The ten [`CoreStats`] counters, in serialization order.
-fn stats_fields(s: &CoreStats) -> [u64; 10] {
-    [
-        s.cycles,
-        s.instructions,
-        s.mem_stall_cycles,
-        s.loads,
-        s.stores,
-        s.l2_misses,
-        s.l2_merged,
-        s.writebacks,
-        s.prefetches,
-        s.prefetch_hits,
-    ]
-}
-
 fn stats_array(s: &CoreStats) -> String {
-    let mut out = String::from("[");
-    for (i, v) in stats_fields(s).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-    out
+    let counters: Vec<String> = s.counters().iter().map(u64::to_string).collect();
+    format!("[{}]", counters.join(","))
 }
 
 fn parse_stats(v: &Value, what: &str) -> Result<CoreStats, String> {
@@ -63,24 +40,11 @@ fn parse_stats(v: &Value, what: &str) -> Result<CoreStats, String> {
         .as_arr()
         .filter(|a| a.len() == 10)
         .ok_or_else(|| format!("{what} must be a 10-element integer array"))?;
-    let mut f = [0u64; 10];
-    for (slot, item) in f.iter_mut().zip(arr) {
-        *slot = item
-            .as_u64()
-            .ok_or_else(|| format!("{what} holds a non-integer"))?;
-    }
-    Ok(CoreStats {
-        cycles: f[0],
-        instructions: f[1],
-        mem_stall_cycles: f[2],
-        loads: f[3],
-        stores: f[4],
-        l2_misses: f[5],
-        l2_merged: f[6],
-        writebacks: f[7],
-        prefetches: f[8],
-        prefetch_hits: f[9],
-    })
+    let counters: Option<Vec<u64>> = arr.iter().map(Value::as_u64).collect();
+    let counters = counters.and_then(|c| c.try_into().ok());
+    counters
+        .map(CoreStats::from_counters)
+        .ok_or_else(|| format!("{what} holds a non-integer"))
 }
 
 /// Renders the canonical result line for one completed cell.

@@ -159,6 +159,9 @@ pub struct ServeTotals {
     pub panics: u64,
     /// `fault` lines emitted (retries, self-check divergences).
     pub faults: u64,
+    /// Corrupt cache files quarantined this session, alone baselines and
+    /// result lines together.
+    pub quarantined: u64,
     /// Whether the client disconnected mid-stream (the session still
     /// drained and ended gracefully).
     pub disconnected: bool,
@@ -210,8 +213,8 @@ fn wall_ms(wall: Duration) -> u64 {
 
 fn totals_fields(t: &ServeTotals) -> String {
     format!(
-        "\"lines\":{},\"cells\":{},\"cache_hits\":{},\"errors\":{},\"timeouts\":{},\"panics\":{},\"faults\":{}",
-        t.lines, t.cells, t.cache_hits, t.errors, t.timeouts, t.panics, t.faults
+        "\"lines\":{},\"cells\":{},\"cache_hits\":{},\"errors\":{},\"timeouts\":{},\"panics\":{},\"faults\":{},\"quarantined\":{}",
+        t.lines, t.cells, t.cache_hits, t.errors, t.timeouts, t.panics, t.faults, t.quarantined
     )
 }
 
@@ -516,6 +519,8 @@ pub fn serve(
         shutdown_requested: false,
     };
     let mut totals = ServeTotals::default();
+    let quarantined = || alone.quarantined_count() + results.quarantined_count();
+    let quarantined_before = quarantined();
     let mut write_err: Option<io::Error> = None;
     let mut line_agg = (0u64, Duration::ZERO);
     // Best-effort fault telemetry; a log that cannot be opened degrades
@@ -540,6 +545,7 @@ pub fn serve(
         // accounting: events already in flight still drain into totals, so
         // a disconnected client's `bye`-style bookkeeping stays exact.
         |event| {
+            totals.quarantined = quarantined() - quarantined_before;
             let rendered = render(event, &mut totals, &mut line_agg, &mut fault_sink);
             if totals.disconnected || write_err.is_some() {
                 return ControlFlow::Break(());

@@ -7,15 +7,14 @@
 //! and reduces everything to [`WorkloadMetrics`].
 
 use crate::cancel::CancelToken;
+use crate::digest::hex_digest;
 use crate::metrics::{ThreadMetrics, WorkloadMetrics};
 use crate::scheduler_kind::SchedulerKind;
+use crate::store::Store;
 use crate::system::System;
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::path::PathBuf;
 use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
 use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
@@ -32,27 +31,16 @@ pub const DEFAULT_INSTRUCTIONS: u64 = 30_000;
 /// `insts × MAX_CPI` CPU cycles per thread.
 const MAX_CPI: u64 = 4_000;
 
-/// Alone-run cache key: benchmark name, DRAM configuration, instruction
-/// budget, workload seed, and whether a prefetcher was enabled.
-type AloneKey = (String, DramConfig, u64, u64, bool);
-
-/// Memoizes alone-run baselines keyed by (benchmark, DRAM config, budget,
-/// seed). Thread-safe: the parallel runner shares one cache.
+/// Memoizes alone-run baselines, keyed by benchmark, DRAM configuration,
+/// instruction budget, workload seed and prefetcher configuration.
+/// Thread-safe: the parallel runner shares one cache.
 ///
-/// With [`AloneCache::with_dir`] the cache is additionally backed by a
-/// directory on disk, so baselines survive across process invocations
-/// (the sweep runner and `stfm serve` amortize them over thousands of
-/// cells). Disk entries are keyed by an FNV digest of the full cache key
-/// and self-validating: a file whose stored key string does not match is
-/// treated as a miss and rewritten.
+/// With [`AloneCache::with_dir`] each baseline is also a [`Store`] record,
+/// `alone-<hex_digest(key)>.txt`, so it survives across invocations. Its
+/// body is the key string, then the ten [`CoreStats::counters`] one per
+/// line; a file holding anything else is quarantined and recomputed.
 #[derive(Debug, Default)]
-pub struct AloneCache {
-    inner: Mutex<HashMap<AloneKey, CoreStats>>,
-    dir: Option<PathBuf>,
-}
-
-/// First line of every persisted baseline file (format version gate).
-const ALONE_FILE_HEADER: &str = "stfm-alone v1";
+pub struct AloneCache(Store<CoreStats>);
 
 impl AloneCache {
     /// Creates an empty cache.
@@ -60,35 +48,28 @@ impl AloneCache {
         Self::default()
     }
 
-    /// Creates a cache persisted under `dir` (created if missing):
-    /// baselines computed by any run land there and seed later
-    /// invocations.
+    /// Creates a cache persisted under `dir` (created if missing).
     ///
     /// # Errors
     ///
-    /// Fails if the directory cannot be created.
+    /// Fails if the directory cannot be created or listed.
     pub fn with_dir(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(AloneCache {
-            inner: Mutex::new(HashMap::new()),
-            dir: Some(dir),
-        })
+        Store::with_dir(dir, "alone-", "txt").map(AloneCache)
     }
 
     /// Number of memoized baselines.
     pub fn len(&self) -> usize {
-        // A poisoned lock only means another runner panicked mid-insert;
-        // the map itself is still a valid memo cache.
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.0.len()
     }
 
     /// True if no baseline has been computed yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
+    }
+
+    /// Number of corrupt baseline files quarantined so far.
+    pub fn quarantined_count(&self) -> u64 {
+        self.0.quarantined_count()
     }
 
     /// Returns the memoized/recomputed baseline, or `None` if `cancel`
@@ -104,126 +85,37 @@ impl AloneCache {
         prefetch: Option<PrefetchConfig>,
         cancel: Option<&CancelToken>,
     ) -> Option<CoreStats> {
-        let key = (
-            profile.name.to_string(),
-            dram.clone(),
-            insts,
-            seed,
-            prefetch.is_some(),
+        // The derived `Debug`s spell out every configuration field, so
+        // keys differ whenever the runs do.
+        let key = format!(
+            "alone-v2|{}|{dram:?}|insts={insts}|seed={seed}|prefetch={prefetch:?}",
+            profile.name
         );
-        if let Some(hit) = self
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            return Some(*hit);
-        }
-        let key_str = Self::key_string(&key);
-        if let Some(dir) = &self.dir {
-            if let Some(hit) = Self::load_disk(&Self::disk_path(dir, &key_str), &key_str) {
-                self.inner
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert(key, hit);
-                return Some(hit);
-            }
+        let name = hex_digest(&key);
+        if let Some(hit) = self.0.get(&name, |body| decode_alone(body, &key)) {
+            return Some(hit);
         }
         let (stats, cancelled) = run_alone_inner(profile, dram, insts, seed, prefetch, cancel);
         if cancelled {
             return None;
         }
-        if let Some(dir) = &self.dir {
-            Self::store_disk(&Self::disk_path(dir, &key_str), &key_str, &stats);
+        let mut body = key;
+        for c in stats.counters() {
+            let _ = write!(body, "\n{c}");
         }
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, stats);
+        self.0.put(&name, stats, &body);
         Some(stats)
     }
+}
 
-    /// Canonical one-line rendering of an [`AloneKey`]. The derived
-    /// `Debug` of `DramConfig` spells out every timing and geometry field,
-    /// so two keys collide only if the configurations are identical; a
-    /// format change across versions merely misses (and refreshes) the
-    /// disk entry.
-    fn key_string(key: &AloneKey) -> String {
-        format!(
-            "alone-v1|{}|{:?}|insts={}|seed={}|prefetch={}",
-            key.0, key.1, key.2, key.3, key.4
-        )
-    }
-
-    fn disk_path(dir: &Path, key_str: &str) -> PathBuf {
-        dir.join(format!("alone-{}.txt", crate::digest::hex_digest(key_str)))
-    }
-
-    /// Reads a persisted baseline; any mismatch (version, key string,
-    /// unknown field, parse failure, a counter missing or repeated — a
-    /// file cut short must not load as zeros) is a miss, never an error.
-    fn load_disk(path: &Path, key_str: &str) -> Option<CoreStats> {
-        let src = std::fs::read_to_string(path).ok()?;
-        let mut lines = src.lines();
-        if lines.next()? != ALONE_FILE_HEADER || lines.next()? != key_str {
-            return None;
-        }
-        let mut stats = CoreStats::default();
-        let mut seen = Vec::new();
-        for line in lines {
-            let (field, value) = line.split_once(' ')?;
-            let v: u64 = value.parse().ok()?;
-            if seen.contains(&field) {
-                return None;
-            }
-            seen.push(field);
-            match field {
-                "cycles" => stats.cycles = v,
-                "instructions" => stats.instructions = v,
-                "mem_stall_cycles" => stats.mem_stall_cycles = v,
-                "loads" => stats.loads = v,
-                "stores" => stats.stores = v,
-                "l2_misses" => stats.l2_misses = v,
-                "l2_merged" => stats.l2_merged = v,
-                "writebacks" => stats.writebacks = v,
-                "prefetches" => stats.prefetches = v,
-                "prefetch_hits" => stats.prefetch_hits = v,
-                _ => return None,
-            }
-        }
-        (seen.len() == 10).then_some(stats)
-    }
-
-    /// Persists a baseline via write-to-temp + rename, so concurrent
-    /// writers sharing a cache directory never observe a torn file. The
-    /// temp name carries the pid *and* a process-wide counter: two
-    /// threads of one process persisting the same key must not share a
-    /// temp path, or one can rename the other's half-written file.
-    /// Failures are swallowed: the disk layer is an optimization.
-    fn store_disk(path: &Path, key_str: &str, stats: &CoreStats) {
-        let mut s = format!("{ALONE_FILE_HEADER}\n{key_str}\n");
-        let fields = [
-            ("cycles", stats.cycles),
-            ("instructions", stats.instructions),
-            ("mem_stall_cycles", stats.mem_stall_cycles),
-            ("loads", stats.loads),
-            ("stores", stats.stores),
-            ("l2_misses", stats.l2_misses),
-            ("l2_merged", stats.l2_merged),
-            ("writebacks", stats.writebacks),
-            ("prefetches", stats.prefetches),
-            ("prefetch_hits", stats.prefetch_hits),
-        ];
-        for (name, v) in fields {
-            let _ = writeln!(s, "{name} {v}");
-        }
-        static STORE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = STORE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = path.with_extension(format!("tmp{}-{}", std::process::id(), seq));
-        if std::fs::write(&tmp, s).is_ok() && std::fs::rename(&tmp, path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-    }
+/// Reads an alone record's body: exactly `key`, then exactly ten counters.
+fn decode_alone(body: &str, key: &str) -> Option<CoreStats> {
+    let counters = body.strip_prefix(key)?.strip_prefix('\n')?;
+    let counters: Vec<u64> = counters
+        .split('\n')
+        .map(|c| c.parse().ok())
+        .collect::<Option<_>>()?;
+    counters.try_into().ok().map(CoreStats::from_counters)
 }
 
 /// Default warmup as a fraction of the instruction budget (cache cold
@@ -651,8 +543,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The store's corruption matrix, plus three torn alone files (cut
+    /// mid-line; cut cleanly after the first counter, where every later
+    /// one would read as zero; one counter written twice in place of
+    /// another, so the line count alone looks right), each miss
+    /// quarantined once and healed by the recomputed baseline.
     #[test]
-    fn corrupt_disk_entry_is_a_miss_not_an_error() {
+    fn corrupt_disk_entry_is_quarantined_and_recomputed() {
         let dir = scratch_dir("corrupt");
         let cache = AloneCache::with_dir(&dir).unwrap();
         let e = Experiment::new(vec![spec::omnetpp()]).instructions_per_thread(2_000);
@@ -665,24 +562,50 @@ mod tests {
             .path();
         let intact = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = intact.lines().collect();
-        assert_eq!(lines.len(), 12, "header, key, ten counters");
+        assert_eq!(lines.len(), 12, "key, ten counters, checksum footer");
+        let body = lines[..11].join("\n");
 
-        // Cut mid-line; cut cleanly after the first counter (every later
-        // one would read as zero); one counter written twice in place of
-        // another, so the line count alone looks right.
-        let cut_after_one = lines[..3].join("\n") + "\n";
+        let mid_line = intact[..intact.len() / 3].to_string();
+        let cut_after_one = lines[..2].join("\n") + "\n";
         let mut repeated = lines.clone();
-        repeated[4] = repeated[3];
+        repeated[2] = repeated[1];
         let repeated = repeated.join("\n") + "\n";
-        for corrupt in ["stfm-alone v1\ngarbage", &cut_after_one, &repeated] {
+        let torn = [mid_line, cut_after_one, repeated].map(|t| ("torn", t.into_bytes()));
+        for (tag, corrupt) in crate::store::corruptions(&body).into_iter().chain(torn) {
+            let bad = path.with_extension("txt.bad");
+            let _ = std::fs::remove_file(&bad);
             std::fs::write(&path, corrupt).unwrap();
             let fresh = AloneCache::with_dir(&dir).unwrap();
             let again = e.run_with_cache(&fresh).threads[0].alone;
-            assert_eq!(again, honest, "recomputed past {corrupt:?}");
+            assert_eq!(again, honest, "{tag}: recomputed baseline differs");
+            assert_eq!(fresh.quarantined_count(), 1, "{tag}: not quarantined");
+            assert!(bad.exists(), "{tag}: no quarantine file");
             assert_eq!(std::fs::read_to_string(&path).unwrap(), intact);
         }
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The key covers the whole prefetcher configuration, not just
+    /// whether one is on: two degrees through one cache are two
+    /// baselines.
+    #[test]
+    fn prefetch_configurations_get_their_own_baselines() {
+        let cache = AloneCache::new();
+        let alone = |degree| {
+            Experiment::new(vec![spec::libquantum()])
+                .instructions_per_thread(3_000)
+                .prefetch(PrefetchConfig {
+                    degree,
+                    ..PrefetchConfig::default()
+                })
+                .run_with_cache(&cache)
+                .threads[0]
+                .alone
+        };
+        let (two, four) = (alone(2), alone(4));
+        assert_eq!(cache.len(), 2);
+        assert_ne!(two, four, "degree 4 was served degree 2's baseline");
     }
 
     #[test]

@@ -29,6 +29,7 @@ pub mod experiment;
 pub mod metrics;
 pub mod runner;
 pub mod scheduler_kind;
+pub mod store;
 pub mod system;
 pub mod table;
 
