@@ -6,8 +6,8 @@ use crate::stats::{SystemStats, ThreadStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use stfm_dram::{
-    AccessCategory, AddressMapping, BankId, Channel, ChannelId, ClassEdges, ClockRatio, CpuCycle,
-    DramConfig, DramCycle, DramDelta, EnergyBreakdown, EnergyModel, PhysAddr, TimingChecker,
+    AccessCategory, AddressMapping, BankId, Channel, ChannelId, ClockRatio, CpuCycle, DramConfig,
+    DramCycle, DramDelta, EnergyBreakdown, EnergyModel, PhysAddr, TimingChecker,
 };
 use stfm_telemetry::{Event, NullSink, Sink};
 
@@ -113,42 +113,87 @@ pub struct SchedCounters {
     /// channel). The event loop's idle-channel skip makes this strictly
     /// smaller than in a stepped run of the same workload.
     pub sched_visits: u64,
-    /// Full per-bank rank passes (every eligible waiting request ranked).
+    /// Bank walks: passes over one bank's waiting list, at a scheduling
+    /// visit or in the edge scan, that yield its winner, slip and class
+    /// presence. A walk calls [`SchedulerPolicy::rank`] only for requests
+    /// whose rank is not cached; an arrival merged into a carried
+    /// decision is ranked without a walk.
     pub rank_scans: u64,
-    /// Per-bank decisions served from the cross-tick cache without a
-    /// rank pass.
+    /// Per-bank decisions at scheduling visits served from the cross-tick
+    /// cache without a walk.
     pub rank_carried: u64,
 }
 
-/// One bank's cached rank-pass outcome, carried across ticks.
-///
-/// Validity argument: a cached selection is exact while (a) the bank's
-/// waiting list and the row-buffer state of *this* bank are unchanged —
-/// enqueues, command issues and refreshes all invalidate; slots never
-/// move, so a reap does not — (b) the policy has not reported the bank
-/// through [`SchedulerPolicy::take_stale_banks`], and (c) the channel's
-/// eligible access kind is unchanged (checked via `cache_kind`).
-/// Readiness is never cached: the stored top/slip are re-checked at the
-/// current cycle against the bank's class edges
-/// ([`Channel::class_edges`]) — all row-hits of a bank share one command
-/// shape (as do all row-misses), so the stored class of the top and the
-/// best-row-hit fallback carry the issuability of every other candidate.
+/// One bank's carried selection: the outcome of its last walk, kept
+/// across ticks (see [`BankCache`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BankCache {
-    /// No cached selection; the next scheduling pass rebuilds it.
-    Invalid,
-    /// The waiting list holds no request of the eligible kind.
-    NoEligible,
-    /// Winner of the rank pass plus the best row-hit fallback.
+enum Decision {
+    /// Not known; the next scheduling visit walks the bank.
+    Stale,
+    /// No request of the entry's kind waits in the bank.
+    Empty,
+    /// The winner of the walk plus the best row-hit fallback.
     Top {
-        /// Highest-ranked eligible request of the bank.
+        /// Highest-ranked request of the entry's kind.
         top: Pick,
         /// Whether `top` hits the open row (its command class).
         top_hit: bool,
-        /// Best-ranked row-hit other than `top` (the "slip" candidate
+        /// Best-ranked row hit other than `top` (the "slip" candidate
         /// driven while `top`'s command is not ready), if any.
         slip: Option<Pick>,
     },
+}
+
+/// One bank's cache: what its last walk found, for one access kind.
+///
+/// A walk ([`walk`]) passes once over the bank's waiting requests of
+/// `kind` and yields the [`Decision`] and the class presence together.
+/// Each part is dropped by exactly what can change it:
+///
+/// * a row change on the bank (ACTIVATE, PRECHARGE, an auto-precharge, a
+///   refresh) drops all of it — every row-hit classification moves;
+/// * a column command without auto-precharge takes one request out of
+///   the list: it drops the decision and the class presence, and keeps
+///   the other requests' cached ranks, which read neither that request
+///   nor the row;
+/// * a policy report ([`SchedulerPolicy::take_stale_banks`]) drops the
+///   decision and the cached ranks, never the class presence, which
+///   carries timing shape, not rank;
+/// * an arrival of `kind` is folded in: its class becomes present, and
+///   while the ranks are cached it is ranked once and merged into the
+///   decision ([`ChannelCtrl::enqueue`]);
+/// * a channel whose eligible kind is no longer `kind` finds the entry
+///   stale as a whole.
+///
+/// Readiness is never cached: a carried decision is re-checked at the
+/// current cycle against the bank's class edges
+/// ([`Channel::class_edges`]) — all row hits of a bank share one command
+/// shape (as do all row misses), so the class of the top and of the
+/// slip carries the issuability of every other candidate.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BankCache {
+    /// The access kind the entry describes.
+    kind: AccessKind,
+    /// Whether the waiting list holds a `kind` row hit and a `kind` row
+    /// miss; `None` when unknown.
+    classes: Option<ClassPresence>,
+    /// Whether `ChannelCtrl::slot_rank` holds the current rank of every
+    /// waiting `kind` request of the bank.
+    ranked: bool,
+    /// The carried selection.
+    decision: Decision,
+}
+
+impl BankCache {
+    /// An entry for `kind` that knows nothing.
+    const fn stale(kind: AccessKind) -> Self {
+        BankCache {
+            kind,
+            classes: None,
+            ranked: false,
+            decision: Decision::Stale,
+        }
+    }
 }
 
 /// A selected request: `(slot, rank, id)`.
@@ -159,35 +204,72 @@ type Pick = (usize, Rank, RequestId);
 type InService = (DramCycle, RequestId, usize);
 
 /// Whether a bank's waiting list holds an eligible `(row-hit, row-miss)`.
-type ClassReps = (bool, bool);
+type ClassPresence = (bool, bool);
 
-/// One bank's cached class presence: whether its waiting list holds an
-/// eligible row-hit and an eligible row-miss (see
-/// [`MemorySystem::class_reps`]). *When* either class can issue is never
-/// cached — [`Channel::class_edges`] answers that from the device's
-/// threshold fields — so the cache holds no buffer index.
-///
-/// Unlike [`BankCache`], validity is purely *structural* — a cached
-/// pair is exact while the bank's waiting list and its row-buffer state
-/// are unchanged (command issues on the bank, refreshes, and the
-/// eligible access kind flipping all invalidate; an enqueue is folded
-/// in incrementally, since a newcomer can only make its own class
-/// present). Policy state does not matter here: classes carry timing
-/// shape, not rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RepCache {
-    /// Nothing cached; the next query rescans the list.
-    Invalid,
-    /// Cached class presence for the given eligible kind (a mismatched
-    /// kind reads as invalid).
-    Reps {
-        /// Eligible access kind the pair was computed under.
-        kind: AccessKind,
-        /// The waiting list holds an eligible row-hit.
-        hit: bool,
-        /// The waiting list holds an eligible row-miss.
-        miss: bool,
-    },
+/// The order a walk picks by: `(rank, older_first(id))`, unique per
+/// request, so a selection never depends on visiting order.
+#[inline]
+fn pick_key(p: &Pick) -> (Rank, u64) {
+    (p.1, Rank::older_first(p.2))
+}
+
+/// Folds one more `kind` request into a bank's selection: `pick` becomes
+/// the top if it outranks it, and otherwise the slip if it is a row hit
+/// that outranks the slip. Folding every candidate into
+/// [`Decision::Empty`] gives the walk's decision; folding an arrival
+/// into a carried one gives exactly what a walk with it would.
+#[inline]
+fn fold(decision: &mut Decision, pick: Pick, hit: bool) {
+    match decision {
+        Decision::Top { top, top_hit, slip } => {
+            if pick_key(&pick) > pick_key(top) {
+                // The old top outranks every other hit, so if it is a
+                // hit it is the new slip.
+                if *top_hit {
+                    *slip = Some(*top);
+                }
+                *top = pick;
+                *top_hit = hit;
+            } else if hit && slip.is_none_or(|s| pick_key(&pick) > pick_key(&s)) {
+                *slip = Some(pick);
+            }
+        }
+        Decision::Empty => {
+            *decision = Decision::Top {
+                top: pick,
+                top_hit: hit,
+                slip: None,
+            }
+        }
+        // What was unknown stays unknown.
+        Decision::Stale => {}
+    }
+}
+
+/// One pass over a bank's waiting list `list`: the [`Decision`] over its
+/// `kind` requests and their class presence, with `open` the bank's open
+/// row. `rank_of` supplies each candidate's rank — cached, or from the
+/// policy.
+fn walk(
+    slots: &[Request],
+    list: &[usize],
+    kind: AccessKind,
+    open: Option<u32>,
+    mut rank_of: impl FnMut(usize) -> Rank,
+) -> (Decision, ClassPresence) {
+    let mut decision = Decision::Empty;
+    let (mut any_hit, mut any_miss) = (false, false);
+    for &s in list {
+        let r = &slots[s];
+        if r.kind != kind {
+            continue;
+        }
+        let hit = open == Some(r.loc.row);
+        any_hit |= hit;
+        any_miss |= !hit;
+        fold(&mut decision, (s, rank_of(s), r.id), hit);
+    }
+    (decision, (any_hit, any_miss))
 }
 
 /// Per-channel controller state: the device plus its request buffer and
@@ -228,23 +310,16 @@ pub(crate) struct ChannelCtrl {
     queued_writes: usize,
     /// Buffered reads still waiting (no column command issued).
     waiting_reads: usize,
-    /// Scratch for per-bank candidate ranks, reused across cycles so the
-    /// hot path never allocates.
-    rank_scratch: Vec<(usize, Rank)>,
-    /// Per-bank cached rank-pass winners, carried across ticks;
-    /// see [`BankCache`].
+    /// Per-slot cached rank of the request in the slot, current for a
+    /// bank's waiting requests while its [`BankCache::ranked`] is set.
+    slot_rank: Vec<Rank>,
+    /// Per-bank cached walks, carried across ticks; see [`BankCache`].
     bank_cache: Vec<BankCache>,
-    /// Per-bank cached class presence for the edge scan; see
-    /// [`RepCache`].
-    rep_cache: Vec<RepCache>,
-    /// The eligible kind `bank_cache` was filled under; a flip wipes
-    /// every entry.
-    cache_kind: AccessKind,
     /// Scheduling passes over this channel.
     sched_visits: u64,
-    /// Full per-bank rank passes run.
+    /// Bank walks run.
     rank_scans: u64,
-    /// Bank decisions served from `bank_cache` without a rank pass.
+    /// Bank decisions served from `bank_cache` without a walk.
     rank_carried: u64,
 }
 
@@ -302,47 +377,155 @@ impl ChannelCtrl {
             .map(|Reverse((data_done, ..))| *data_done)
     }
 
-    /// Wipes the cached decisions of the banks set in `mask` (bit `b` for
-    /// bank `b`; `u64::MAX` for all of them).
-    fn invalidate_banks(&mut self, mask: u64) {
+    /// Drops the decisions and cached ranks of the banks set in `mask`
+    /// (bit `b` for bank `b`), whose ranks the policy reported moved.
+    /// Their class presence stands: it reads no rank.
+    fn drop_ranks(&mut self, mask: u64) {
         for (b, e) in self.bank_cache.iter_mut().enumerate() {
             if mask >> b & 1 == 1 {
-                *e = BankCache::Invalid;
+                e.ranked = false;
+                e.decision = Decision::Stale;
             }
         }
     }
 
-    /// The bank's class presence, served from [`RepCache`] when valid and
-    /// recomputed (and cached) from the waiting list otherwise.
-    fn reps(&mut self, bank: usize, eligible: AccessKind) -> ClassReps {
-        let fresh = |c: &Self| {
-            MemorySystem::class_reps(&c.slots, &c.channel, &c.bank_waiting[bank], eligible)
+    /// Walks `bank` for `kind` ([`walk`]), caches what it finds and
+    /// returns it. A candidate's rank comes from `slot_rank` while the
+    /// entry's ranks are cached, else from `policy`, and is cached for
+    /// the next walk.
+    fn walk_bank(
+        &mut self,
+        channel_id: ChannelId,
+        bank: usize,
+        kind: AccessKind,
+        policy: &dyn SchedulerPolicy,
+        now: DramCycle,
+    ) -> (Decision, ClassPresence) {
+        self.rank_scans += 1;
+        let ChannelCtrl {
+            channel,
+            slots,
+            bank_waiting,
+            slot_rank,
+            bank_cache,
+            ..
+        } = self;
+        let (slots, bank_waiting) = (&*slots, &*bank_waiting);
+        let q = SchedQuery {
+            channel_id,
+            now,
+            channel,
+            buffer: Buffer::Slots {
+                slots,
+                bank_waiting,
+            },
         };
-        if let RepCache::Reps { kind, hit, miss } = self.rep_cache[bank] {
-            if kind == eligible {
-                debug_assert_eq!(
-                    (hit, miss),
-                    fresh(self),
-                    "cached class presence diverged from a fresh scan"
-                );
-                return (hit, miss);
+        let entry = &mut bank_cache[bank];
+        let ranked = entry.kind == kind && entry.ranked;
+        let open = channel.bank(BankId(bank as u32)).open_row();
+        let (decision, classes) = walk(slots, &bank_waiting[bank], kind, open, |s| {
+            if !ranked {
+                slot_rank[s] = policy.rank(&slots[s], &q);
             }
-        }
-        let (hit, miss) = fresh(self);
-        self.rep_cache[bank] = RepCache::Reps {
-            kind: eligible,
-            hit,
-            miss,
+            slot_rank[s]
+        });
+        *entry = BankCache {
+            kind,
+            classes: Some(classes),
+            ranked: true,
+            decision,
         };
-        (hit, miss)
+        (decision, classes)
     }
+
+    /// The bank's class presence for `kind`: carried, or from a walk
+    /// (which caches the bank's decision too).
+    fn classes(
+        &mut self,
+        channel_id: ChannelId,
+        bank: usize,
+        kind: AccessKind,
+        policy: &dyn SchedulerPolicy,
+        now: DramCycle,
+    ) -> ClassPresence {
+        let entry = self.bank_cache[bank];
+        let carried = entry.classes.filter(|_| entry.kind == kind);
+        let classes = match carried {
+            Some(classes) => classes,
+            None => self.walk_bank(channel_id, bank, kind, policy, now).1,
+        };
+        self.audit_bank(channel_id, bank, policy, now, false);
+        classes
+    }
+
+    /// The bank's class presence for `kind` from its waiting list alone,
+    /// bypassing the cache (presence reads no rank).
+    fn fresh_classes(&self, bank: usize, kind: AccessKind) -> ClassPresence {
+        let open = self.channel.bank(BankId(bank as u32)).open_row();
+        walk(&self.slots, &self.bank_waiting[bank], kind, open, |_| {
+            Rank::MIN
+        })
+        .1
+    }
+
+    /// Debug-build check of `bank`'s cache entry against a walk that calls
+    /// `rank` on every request: the carried class presence always, and
+    /// with `ranks` — once the policy has reported every rank move, at a
+    /// scheduling visit — the carried decision and every cached rank.
+    #[cfg(debug_assertions)]
+    fn audit_bank(
+        &self,
+        channel_id: ChannelId,
+        bank: usize,
+        policy: &dyn SchedulerPolicy,
+        now: DramCycle,
+        ranks: bool,
+    ) {
+        let entry = &self.bank_cache[bank];
+        let q = self.query(channel_id, now);
+        let open = self.channel.bank(BankId(bank as u32)).open_row();
+        let list = &self.bank_waiting[bank];
+        let (decision, classes) = walk(&self.slots, list, entry.kind, open, |s| {
+            if !ranks {
+                return Rank::MIN;
+            }
+            let rank = policy.rank(&self.slots[s], &q);
+            assert!(
+                !entry.ranked || self.slot_rank[s] == rank,
+                "cached rank of slot {s} (bank {bank}) is stale at {now}"
+            );
+            rank
+        });
+        if let Some(carried) = entry.classes {
+            assert_eq!(
+                carried, classes,
+                "cached class presence of bank {bank} diverged from a fresh walk at {now}"
+            );
+        }
+        if ranks && entry.decision != Decision::Stale {
+            assert_eq!(
+                entry.decision, decision,
+                "carried decision of bank {bank} diverged from a fresh walk at {now}"
+            );
+        }
+    }
+
+    #[cfg(not(debug_assertions))]
+    fn audit_bank(&self, _: ChannelId, _: usize, _: &dyn SchedulerPolicy, _: DramCycle, _: bool) {}
 
     /// Puts a new request in a vacant slot (or a new one at the end) and
-    /// indexes it; returns the slot.
-    fn enqueue(&mut self, req: Request) -> usize {
+    /// indexes it; returns the slot. `policy` ranks it if its bank's
+    /// ranks are cached (see [`BankCache`]).
+    fn enqueue(
+        &mut self,
+        req: Request,
+        policy: &dyn SchedulerPolicy,
+        channel_id: ChannelId,
+        now: DramCycle,
+    ) -> usize {
         debug_assert!(req.is_waiting());
         let bank = req.loc.bank.0 as usize;
-        let kind = req.kind;
+        let (kind, id) = (req.kind, req.id);
         let is_hit = self.channel.bank(req.loc.bank).open_row() == Some(req.loc.row);
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -351,24 +534,27 @@ impl ChannelCtrl {
             }
             None => {
                 self.slots.push(req);
+                self.slot_rank.push(Rank::MIN);
                 self.slots.len() - 1
             }
         };
         // Ids ascend with arrival, so appending keeps the list in id
         // order whichever slot the newcomer took.
         self.bank_waiting[bank].push(slot);
-        // The newcomer may outrank the cached winner of its bank.
-        self.bank_cache[bank] = BankCache::Invalid;
-        // And it makes its own class present, whatever else waits.
-        if let RepCache::Reps {
-            kind: rep_kind,
-            hit,
-            miss,
-        } = &mut self.rep_cache[bank]
-        {
-            if *rep_kind == kind {
+        // The newcomer makes its own class present, and it is ranked once
+        // and folded into the carried decision: exactly what a walk with
+        // it would find.
+        let mut entry = self.bank_cache[bank];
+        if entry.kind == kind {
+            if let Some((hit, miss)) = &mut entry.classes {
                 *(if is_hit { hit } else { miss }) = true;
             }
+            if entry.ranked {
+                let rank = policy.rank(&self.slots[slot], &self.query(channel_id, now));
+                self.slot_rank[slot] = rank;
+                fold(&mut entry.decision, (slot, rank, id), is_hit);
+            }
+            self.bank_cache[bank] = entry;
         }
         match kind {
             AccessKind::Read => {
@@ -537,11 +723,9 @@ impl MemorySystem {
                 queued_reads: 0,
                 queued_writes: 0,
                 waiting_reads: 0,
-                rank_scratch: Vec::new(),
-                bank_cache: vec![BankCache::Invalid; config.banks as usize],
-                rep_cache: vec![RepCache::Invalid; config.banks as usize],
-                // Arbitrary: every entry starts invalid.
-                cache_kind: AccessKind::Read,
+                slot_rank: Vec::with_capacity(capacity),
+                // The kind is arbitrary: a stale entry knows nothing.
+                bank_cache: vec![BankCache::stale(AccessKind::Read); config.banks as usize],
                 sched_visits: 0,
                 rank_scans: 0,
                 rank_carried: 0,
@@ -748,7 +932,12 @@ impl MemorySystem {
                 is_write: kind == AccessKind::Write,
             });
         }
-        let slot = self.channels[loc.channel.0 as usize].enqueue(req);
+        let slot = self.channels[loc.channel.0 as usize].enqueue(
+            req,
+            &*self.policy,
+            loc.channel,
+            self.now,
+        );
         self.arrivals += 1;
         self.merge_arrival(loc.channel.0 as usize, slot);
         Some(id)
@@ -869,12 +1058,10 @@ impl MemorySystem {
                 continue;
             }
             if let Some((start, end)) = ctrl.channel.tick(now) {
-                // The refresh precharges every bank: all cached row-hit
-                // classifications (and thus rank winners and class
-                // representatives) are stale.
-                ctrl.invalidate_banks(u64::MAX);
-                for e in &mut ctrl.rep_cache {
-                    *e = RepCache::Invalid;
+                // The refresh precharges every bank: every cached row-hit
+                // classification, and so every walk, is stale.
+                for e in &mut ctrl.bank_cache {
+                    *e = BankCache::stale(e.kind);
                 }
                 if let Some(checker) = &mut ctrl.checker {
                     checker.observe_refresh(start, end);
@@ -899,12 +1086,12 @@ impl MemorySystem {
         // borrows the channel array directly — no per-cycle allocation.
         let view = SystemView::from_ctrls(now, &self.channels);
         self.policy.on_dram_cycle(&view);
-        // Drop the cached decisions of the banks whose ranks the policy's
-        // own state moved since the last tick.
+        // Drop the cached decisions and ranks of the banks whose ranks the
+        // policy's own state moved since the last tick.
         let stale = self.policy.take_stale_banks();
         if stale != 0 {
             for (i, ctrl) in self.channels.iter_mut().enumerate() {
-                ctrl.invalidate_banks(stale >> bank_slot(i as u32, 0));
+                ctrl.drop_ranks(stale >> bank_slot(i as u32, 0));
             }
         }
 
@@ -1022,17 +1209,20 @@ impl MemorySystem {
     /// whose outlook an arrival changed) since the last call are
     /// rescanned (`channel_edge`); clean channels reuse their
     /// `chan_next`. Debug builds re-derive every channel's edge from
-    /// scratch — bypassing the dirty bits and the class-representative
-    /// cache — and assert agreement.
+    /// scratch — bypassing the dirty bits and the banks' cached class
+    /// presence — and assert agreement.
     pub fn predict_next(&mut self, now: DramCycle) -> Option<DramCycle> {
         debug_assert_eq!(
             self.pending_elided, 0,
             "predict_next called with unsettled residue"
         );
-        let cfg = &self.ctrl_config;
+        let (cfg, policy) = (&self.ctrl_config, &*self.policy);
         for (i, ctrl) in self.channels.iter_mut().enumerate() {
             if std::mem::take(&mut self.chan_dirty[i]) {
-                self.chan_next[i] = Self::channel_edge(cfg, ctrl, now, ChannelCtrl::reps);
+                let id = ChannelId(i as u32);
+                self.chan_next[i] = Self::channel_edge(cfg, ctrl, now, |c, bank, kind| {
+                    c.classes(id, bank, kind, policy, now)
+                });
             }
         }
         // Clamp: a request that arrived mid-tick, after its channel's
@@ -1046,7 +1236,7 @@ impl MemorySystem {
             self.channels
                 .iter_mut()
                 .filter_map(|c| Self::channel_edge(cfg, c, now, |c, bank, kind| {
-                    Self::class_reps(&c.slots, &c.channel, &c.bank_waiting[bank], kind)
+                    c.fresh_classes(bank, kind)
                 }))
                 .min(),
             "cached channel edges diverged from a full scan at {now}"
@@ -1065,15 +1255,15 @@ impl MemorySystem {
     /// over its drain fence, the data-done watermark, each bank's class
     /// edges ([`Channel::class_edges`]) for the classes its waiting list
     /// holds, and the next refresh transition. Since the result is
-    /// clamped, the first edge that is already due ends the scan. `reps`
-    /// says which classes a bank holds: the caching [`ChannelCtrl::reps`]
-    /// on the live path, a fresh [`Self::class_reps`] scan in the debug
-    /// cross-check.
+    /// clamped, the first edge that is already due ends the scan.
+    /// `classes` says which classes a bank holds: the cached or walked
+    /// [`ChannelCtrl::classes`] on the live path,
+    /// [`ChannelCtrl::fresh_classes`] in the debug cross-check.
     fn channel_edge(
         cfg: &ControllerConfig,
         ctrl: &mut ChannelCtrl,
         now: DramCycle,
-        reps: fn(&mut ChannelCtrl, usize, AccessKind) -> ClassReps,
+        mut classes: impl FnMut(&mut ChannelCtrl, usize, AccessKind) -> ClassPresence,
     ) -> Option<DramCycle> {
         if ctrl.drain_will_flip(cfg) {
             return Some(now);
@@ -1088,7 +1278,7 @@ impl MemorySystem {
             if ctrl.bank_waiting[b].is_empty() {
                 continue;
             }
-            let (hit, miss) = reps(ctrl, b, eligible_kind);
+            let (hit, miss) = classes(ctrl, b, eligible_kind);
             let edges = ctrl.channel.class_edges(BankId(b as u32), write, now);
             if let Some(at) = edges.earliest(hit, miss) {
                 earliest = Some(earliest.map_or(at, |e| e.min(at)));
@@ -1132,6 +1322,13 @@ impl MemorySystem {
     }
 
     /// Selects and issues at most one command on `ctrl`'s channel.
+    ///
+    /// The bank scheduler drives each bank's top request; while its next
+    /// command is not ready (tRAS, tRP, bus...), lower-priority requests
+    /// may slip in *row-hit column accesses only* — they keep the bank
+    /// busy but never destroy row-buffer state against the selected
+    /// request's interest. This mirrors hardware two-level schedulers
+    /// that consider only ready commands (paper footnote 4).
     fn schedule_channel(
         channel_id: ChannelId,
         ctrl: &mut ChannelCtrl,
@@ -1144,100 +1341,46 @@ impl MemorySystem {
         ctrl.sched_visits += 1;
         let eligible_kind = ctrl.eligible_kind();
 
-        // Cross-tick decision carry: each bank's rank-pass winner is
-        // cached and reused until that bank changes, the policy reports
-        // it (`take_stale_banks`, applied in `tick`), or the eligible kind
-        // flips. Only the *selection* is carried; issuability is
-        // re-evaluated at `now` every cycle, so DRAM timing is never
-        // cached.
-        if eligible_kind != ctrl.cache_kind {
-            ctrl.invalidate_banks(u64::MAX);
-            ctrl.cache_kind = eligible_kind;
-        }
-
-        // Phase 1 (immutable): per-bank top request, then the globally
-        // best *ready* command. Each bank visits only its own waiting
-        // requests (the `bank_waiting` index), and every candidate's rank
-        // is computed at most once per cycle (the scratch buffer carries
-        // it into the hit-slip pass; a valid cache entry skips the pass
-        // entirely). Selection is order-independent: the comparison key
-        // `(rank, older_first(id))` is unique per request.
-        let mut scratch = std::mem::take(&mut ctrl.rank_scratch);
-        let mut bank_cache = std::mem::take(&mut ctrl.bank_cache);
-        let mut rank_scans = 0u64;
-        let mut rank_carried = 0u64;
-        let best = {
-            let q = ctrl.query(channel_id, now);
-            // When a bank's hit and miss commands can issue: readiness
-            // costs no command and no look at the buffer.
-            let write = eligible_kind == AccessKind::Write;
-            let edges = |bank: usize| ctrl.channel.class_edges(BankId(bank as u32), write, now);
-            let mut best: Option<usize> = None;
-            let mut best_key = (Rank::MIN, 0u64);
-            for (bank, bank_list) in ctrl.bank_waiting.iter().enumerate() {
-                if bank_list.is_empty() {
-                    continue;
-                }
-                let candidate = match bank_cache[bank] {
-                    BankCache::NoEligible => {
-                        rank_carried += 1;
-                        debug_assert!(bank_list
-                            .iter()
-                            .all(|&s| ctrl.slots[s].kind != eligible_kind));
-                        None
-                    }
-                    BankCache::Top { top, top_hit, slip } => {
-                        rank_carried += 1;
-                        let c = Self::cached_candidate(edges(bank), now, top, top_hit, slip);
-                        debug_assert_eq!(
-                            c,
-                            Self::fill_bank_cache(
-                                &ctrl.slots,
-                                &*policy,
-                                &q,
-                                bank_list,
-                                eligible_kind,
-                                edges(bank),
-                                &mut Vec::new(),
-                            )
-                            .0,
-                            "carried bank decision diverged from a fresh rank pass"
-                        );
-                        c
-                    }
-                    BankCache::Invalid => {
-                        rank_scans += 1;
-                        let (c, entry) = Self::fill_bank_cache(
-                            &ctrl.slots,
-                            &*policy,
-                            &q,
-                            bank_list,
-                            eligible_kind,
-                            edges(bank),
-                            &mut scratch,
-                        );
-                        bank_cache[bank] = entry;
-                        c
-                    }
-                };
-                let Some((slot, rank, id)) = candidate else {
-                    continue;
-                };
-                let key = (rank, Rank::older_first(id));
-                if best.is_none() || key > best_key {
-                    best = Some(slot);
-                    best_key = key;
+        // Phase 1: per-bank top request, then the globally best *ready*
+        // command. A bank's decision is carried across ticks in its cache
+        // entry ([`BankCache`]) and walked again only once dropped;
+        // issuability is re-evaluated at `now` every cycle against the
+        // bank's class edges, so DRAM timing is never cached. Selection
+        // is order-independent: the key `(rank, older_first(id))` is
+        // unique per request.
+        let write = eligible_kind == AccessKind::Write;
+        let mut best: Option<Pick> = None;
+        for bank in 0..ctrl.bank_waiting.len() {
+            if ctrl.bank_waiting[bank].is_empty() {
+                continue;
+            }
+            let entry = ctrl.bank_cache[bank];
+            let decision = if entry.kind == eligible_kind && entry.decision != Decision::Stale {
+                ctrl.rank_carried += 1;
+                entry.decision
+            } else {
+                ctrl.walk_bank(channel_id, bank, eligible_kind, &*policy, now)
+                    .0
+            };
+            ctrl.audit_bank(channel_id, bank, &*policy, now, true);
+            let Decision::Top { top, top_hit, slip } = decision else {
+                continue;
+            };
+            let edges = ctrl.channel.class_edges(BankId(bank as u32), write, now);
+            let candidate = if edges.of(top_hit) <= now {
+                Some(top)
+            } else {
+                // All row hits share one command shape: if the best one
+                // cannot issue, none can.
+                slip.filter(|_| edges.of(true) <= now)
+            };
+            if let Some(c) = candidate {
+                if best.is_none_or(|b| pick_key(&c) > pick_key(&b)) {
+                    best = Some(c);
                 }
             }
-            best
-        };
-        scratch.clear();
-        ctrl.rank_scratch = scratch;
-        ctrl.bank_cache = bank_cache;
-        ctrl.rank_scans += rank_scans;
-        ctrl.rank_carried += rank_carried;
-
-        let Some(slot) = best else {
+        }
+        let Some((slot, ..)) = best else {
             return;
         };
         // The one command built per visit: the winner's.
@@ -1281,118 +1424,20 @@ impl MemorySystem {
             ctrl.index_unwait(slot);
             ctrl.audit();
         }
-        // The issue changed this bank's row state and/or candidate set;
-        // its cached decision is stale. Other banks are untouched: their
-        // ranks depend only on their own state and on policy state,
-        // whose moves the policy reports.
-        ctrl.bank_cache[cmd.bank.0 as usize] = BankCache::Invalid;
-        ctrl.rep_cache[cmd.bank.0 as usize] = RepCache::Invalid;
+        // Other banks are untouched: their ranks depend only on their own
+        // state and on policy state, whose moves the policy reports.
+        let entry = &mut ctrl.bank_cache[cmd.bank.0 as usize];
+        if cmd.is_column() && !auto_pre {
+            // One request left the list; the row, and with it every other
+            // cached rank, stands.
+            entry.classes = None;
+            entry.decision = Decision::Stale;
+        } else {
+            // The row changed: every row-hit classification moved.
+            *entry = BankCache::stale(entry.kind);
+        }
         stats.record_command(&cmd);
         policy.on_command(&cmd, &ctrl.slots[slot], &ctrl.query(channel_id, now));
-    }
-
-    /// One bank's full selection pass: rank every eligible waiting
-    /// request, take the top by `(rank, older_first(id))` and the
-    /// best-ranked other row hit (the slip), and return the bank's cache
-    /// entry with its issuable candidate at `q.now`
-    /// ([`Self::cached_candidate`] over `edges`, the bank's class edges).
-    /// Later ticks reuse the entry while the bank is unchanged; debug
-    /// builds check every reused one against a fresh pass.
-    ///
-    /// The bank scheduler drives the top request's commands; while its
-    /// next command is not ready (tRAS, tRP, bus...), lower-priority
-    /// requests may slip in *row-hit column accesses only* — they keep
-    /// the bank busy but never destroy row-buffer state against the
-    /// selected request's interest. This mirrors hardware two-level
-    /// schedulers that consider only ready commands (paper footnote 4).
-    fn fill_bank_cache(
-        slots: &[Request],
-        policy: &dyn SchedulerPolicy,
-        q: &SchedQuery<'_>,
-        bank_list: &[usize],
-        eligible_kind: AccessKind,
-        edges: ClassEdges,
-        scratch: &mut Vec<(usize, Rank)>,
-    ) -> (Option<Pick>, BankCache) {
-        scratch.clear();
-        for &i in bank_list {
-            let r = &slots[i];
-            if r.kind == eligible_kind {
-                scratch.push((i, policy.rank(r, q)));
-            }
-        }
-        let Some((top_idx, top_rank)) = scratch
-            .iter()
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
-            .copied()
-        else {
-            return (None, BankCache::NoEligible);
-        };
-        let top = (top_idx, top_rank, slots[top_idx].id);
-        let top_hit = q.is_row_hit(&slots[top_idx]);
-        let slip = scratch
-            .iter()
-            .filter(|(i, _)| *i != top_idx && q.is_row_hit(&slots[*i]))
-            .max_by_key(|(i, rank)| (*rank, Rank::older_first(slots[*i].id)))
-            .map(|&(i, rank)| (i, rank, slots[i].id));
-        let candidate = Self::cached_candidate(edges, q.now, top, top_hit, slip);
-        (candidate, BankCache::Top { top, top_hit, slip })
-    }
-
-    /// Evaluates a cached bank selection at `now` against the bank's
-    /// class edges: the cached top if its class can issue, else the
-    /// cached best row-hit if the column command can. Exact because,
-    /// within a cache entry's validity window, the candidate set, ranks,
-    /// and row-hit classifications are unchanged — and all row-hits share
-    /// one command shape, so if the best one cannot issue, none can.
-    fn cached_candidate(
-        edges: ClassEdges,
-        now: DramCycle,
-        top: Pick,
-        top_hit: bool,
-        slip: Option<Pick>,
-    ) -> Option<Pick> {
-        if edges.of(top_hit) <= now {
-            return Some(top);
-        }
-        slip.filter(|_| edges.of(true) <= now)
-    }
-
-    /// Whether one bank's waiting list holds an `eligible`-kind row-hit
-    /// and an `eligible`-kind row-miss. DRAM timing depends only on the
-    /// command kind (the row value merely gates validity), and
-    /// [`Request::next_command`] maps every row-hit to the same
-    /// column-access shape and every row-miss to the same
-    /// precharge/activate shape — so the bank's two class edges
-    /// ([`Channel::class_edges`]) carry the exact issuability and
-    /// earliest-issue cycle of *all* the bank's candidates, making those
-    /// scans O(1) per bank instead of O(waiting).
-    fn class_reps(
-        slots: &[Request],
-        channel: &Channel,
-        list: &[usize],
-        eligible: AccessKind,
-    ) -> ClassReps {
-        let Some(&first) = list.first() else {
-            return (false, false);
-        };
-        let open = channel.bank(slots[first].loc.bank).open_row();
-        let (mut hit, mut miss) = (false, false);
-        for &i in list {
-            let r = &slots[i];
-            if r.kind != eligible {
-                continue;
-            }
-            if open == Some(r.loc.row) {
-                hit = true;
-            } else {
-                miss = true;
-            }
-            if miss && (hit || open.is_none()) {
-                break;
-            }
-        }
-        (hit, miss)
     }
 
     /// Reaps the requests whose data burst is over: pops them off the
@@ -1886,6 +1931,66 @@ mod scheduling_tests {
             conflict_pos < done.len() - 1,
             "top-ranked request was starved by slipping hits"
         );
+    }
+
+    /// Ranks row misses over row hits, and hits of higher threads over
+    /// older hits: the best-ranked hit is not the oldest one.
+    struct MissesThenThreads;
+
+    impl SchedulerPolicy for MissesThenThreads {
+        fn name(&self) -> &'static str {
+            "misses-then-threads"
+        }
+
+        fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank {
+            let miss = u64::from(!q.is_row_hit(req));
+            Rank([miss, u64::from(req.thread.0), Rank::older_first(req.id)])
+        }
+    }
+
+    /// While the top request, a row miss, waits out tRAS before its
+    /// PRECHARGE, the row hit that slips in is the best-ranked one, not
+    /// the oldest — whether it was walked with the others or arrived
+    /// after the bank's decision was carried and was merged into it.
+    #[test]
+    fn the_best_ranked_hit_slips_in_not_the_oldest() {
+        for merged in [false, true] {
+            let mut sys = MemorySystem::new(no_refresh_cfg(), Box::new(MissesThenThreads));
+            let row_stride = u64::from(sys.dram_config().row_bytes()) * 8 * 8;
+            let send = |sys: &mut MemorySystem, thread: u32, addr: u64| {
+                sys.try_enqueue(
+                    ThreadId(thread),
+                    AccessKind::Read,
+                    PhysAddr(addr),
+                    CpuCycle::ZERO,
+                    0,
+                )
+                .unwrap();
+            };
+            // Cycle 0 activates row 0 of bank 0: for tRCD no column
+            // command can issue there, and for tRAS no PRECHARGE.
+            send(&mut sys, 0, 0);
+            sys.tick(DramCycle::ZERO);
+            send(&mut sys, 0, row_stride); // the top: a conflict
+            send(&mut sys, 0, 64 * 8); // an older hit
+            let mut now = DramCycle::new(1);
+            if merged {
+                sys.tick(now);
+                let s = sys.stats();
+                assert_eq!((s.activates, s.column_commands), (1, 0), "cycle 1 issued");
+                now += 1;
+            }
+            send(&mut sys, 1, 2 * 64 * 8); // the best-ranked hit
+            let mut done = Vec::new();
+            while sys.outstanding() > 0 {
+                sys.tick(now);
+                done.extend(sys.drain_completions());
+                now += 1;
+                assert!(now < 100_000, "memory system wedged");
+            }
+            assert_eq!(done[0].thread, ThreadId(1), "merged: {merged}");
+            assert_eq!(done.len(), 4);
+        }
     }
 
     /// Row-hit statistics survive the hit-slip rule: a pure hit stream

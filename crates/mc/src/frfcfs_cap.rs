@@ -27,6 +27,9 @@ pub struct FrFcfsCap {
     cap: u32,
     /// Per-bank cap state, indexed by [`bank_slot`].
     banks: [BankCap; BANK_SLOTS],
+    /// Banks whose cap engaged or lifted since the last
+    /// [`SchedulerPolicy::take_stale_banks`], bit [`bank_slot`] each.
+    flipped: u64,
 }
 
 impl FrFcfsCap {
@@ -41,6 +44,7 @@ impl FrFcfsCap {
         FrFcfsCap {
             cap,
             banks: [BankCap::default(); BANK_SLOTS],
+            flipped: 0,
         }
     }
 
@@ -50,8 +54,22 @@ impl FrFcfsCap {
     }
 
     fn bank_capped(&self, channel: ChannelId, bank: u32) -> bool {
-        let b = &self.banks[bank_slot(channel.0, bank)];
+        self.capped(bank_slot(channel.0, bank))
+    }
+
+    fn capped(&self, slot: usize) -> bool {
+        let b = &self.banks[slot];
         b.victim.is_some() && b.bypasses >= self.cap
+    }
+
+    /// Sets slot `slot`'s cap state, noting the bank if its rank order
+    /// flips (the cap engages or lifts).
+    fn set(&mut self, slot: usize, state: BankCap) {
+        let was = self.capped(slot);
+        self.banks[slot] = state;
+        if self.capped(slot) != was {
+            self.flipped |= 1 << slot;
+        }
     }
 }
 
@@ -81,22 +99,15 @@ impl SchedulerPolicy for FrFcfsCap {
         // Drop victims that are no longer waiting (serviced or promoted to
         // row hits by a row change). A victim is recorded on its own bank,
         // so only that bank's waiting list is searched.
-        //
-        // No bank needs reporting (`take_stale_banks` keeps its default):
-        // only a command on the victim's bank (its column access, or the
-        // ACTIVATE of its row) ends its wait, so a cap is lifted here at
-        // the first cycle hook after such a command, before the controller
-        // ranks that bank again — and the command already dropped the
-        // bank's cached winner, as it does for `on_command`'s changes.
         for q in sys.channels() {
             for bank in 0..q.channel.num_banks() {
-                let entry = &mut self.banks[bank_slot(q.channel_id.0, bank)];
-                if let Some(victim) = entry.victim {
+                let slot = bank_slot(q.channel_id.0, bank);
+                if let Some(victim) = self.banks[slot].victim {
                     let still_waiting = q
                         .waiting_in_bank(bank)
                         .any(|r| r.id == victim && !q.is_row_hit(r));
                     if !still_waiting {
-                        *entry = BankCap::default();
+                        self.set(slot, BankCap::default());
                     }
                 }
             }
@@ -114,15 +125,26 @@ impl SchedulerPolicy for FrFcfsCap {
             .filter(|r| r.id < req.id && !q.is_row_hit(r))
             .min_by_key(|r| r.id)
             .map(|r| r.id);
-        let entry = &mut self.banks[bank_slot(q.channel_id.0, cmd.bank.0)];
-        match (bypassed, entry.victim) {
-            (Some(new), Some(old)) if new == old => entry.bypasses += 1,
-            (Some(new), _) => {
-                entry.victim = Some(new);
-                entry.bypasses = 1;
-            }
-            (None, _) => *entry = BankCap::default(),
-        }
+        let slot = bank_slot(q.channel_id.0, cmd.bank.0);
+        let entry = self.banks[slot];
+        let next = match (bypassed, entry.victim) {
+            (Some(new), Some(old)) if new == old => BankCap {
+                bypasses: entry.bypasses + 1,
+                ..entry
+            },
+            (Some(new), _) => BankCap {
+                victim: Some(new),
+                bypasses: 1,
+            },
+            (None, _) => BankCap::default(),
+        };
+        self.set(slot, next);
+    }
+
+    fn take_stale_banks(&mut self) -> u64 {
+        // The rank reads the bank's cap state only through
+        // `bank_capped`, so a bank's ranks move exactly when it flips.
+        std::mem::take(&mut self.flipped)
     }
 }
 
@@ -183,6 +205,45 @@ mod tests {
         let sys = SystemView::single(q);
         p.on_dram_cycle(&sys);
         assert!(!p.bank_capped(ChannelId(0), 0));
+    }
+
+    /// A bank's rank order flips exactly when its cap engages or lifts,
+    /// whichever hook moves it, and `take_stale_banks` names that bank
+    /// then and only then.
+    #[test]
+    fn reports_its_bank_when_the_cap_engages_and_lifts() {
+        let (channel, _cfg) = harness::open_row(3, 5);
+        let bank = 1 << bank_slot(0, 3);
+        let old_miss = req_to(3, ThreadId(0), 9, 0, 1);
+        let mut p = FrFcfsCap::with_cap(2);
+        let bypass = |p: &mut FrFcfsCap, id: u64, waiting: &[Request]| {
+            let hit = req_to(3, ThreadId(1), 5, 0, id);
+            let requests = [waiting, std::slice::from_ref(&hit)].concat();
+            let q = harness::query(&channel, &requests);
+            p.on_command(&DramCommand::read(hit.loc.bank, 5, 0), &hit, &q);
+            p.take_stale_banks()
+        };
+        let victim = [old_miss.clone()];
+        assert_eq!(bypass(&mut p, 2, &victim), 0, "one bypass, below the cap");
+        assert_eq!(bypass(&mut p, 3, &victim), bank, "the cap engages");
+        assert_eq!(bypass(&mut p, 4, &victim), 0, "a capped bank stays capped");
+        // The victim leaves the queue: the cycle hook lifts the cap.
+        let q = harness::query(&channel, &[]);
+        p.on_dram_cycle(&SystemView::single(q));
+        assert_eq!(
+            p.take_stale_banks(),
+            bank,
+            "the cap lifts in the cycle hook"
+        );
+        assert_eq!(p.take_stale_banks(), 0, "a report is taken once");
+        // Engage again, then lift it in `on_command`: a column access
+        // that bypassed nothing.
+        assert_eq!(bypass(&mut p, 5, &victim), 0);
+        assert_eq!(bypass(&mut p, 6, &victim), bank);
+        assert_eq!(bypass(&mut p, 7, &[]), bank, "the cap lifts in on_command");
+        // A cycle hook that finds nothing to prune reports nothing.
+        p.on_dram_cycle(&SystemView::single(harness::query(&channel, &[])));
+        assert_eq!(p.take_stale_banks(), 0);
     }
 
     #[test]

@@ -235,9 +235,10 @@ pub trait SchedulerPolicy: std::any::Any {
     fn name(&self) -> &'static str;
 
     /// Ranks a waiting request. The controller calls this for the
-    /// waiting requests of the eligible access kind when it ranks a
-    /// bank; the highest-ranked request per bank is driven, and the
-    /// highest-ranked ready command across banks issues.
+    /// waiting requests of the eligible access kind when it walks a bank
+    /// whose ranks are not cached, and once for an arrival to a bank
+    /// whose ranks are; the highest-ranked request per bank is driven,
+    /// and the highest-ranked ready command across banks issues.
     fn rank(&self, req: &Request, q: &SchedQuery<'_>) -> Rank;
 
     /// Called once per DRAM cycle, before any ranking, with a view of the
@@ -301,21 +302,22 @@ pub trait SchedulerPolicy: std::any::Any {
     /// changed since the last call: bit [`crate::bank_slot`] per
     /// `(channel, bank)`.
     ///
-    /// The controller caches each bank's rank-pass winner across ticks
-    /// and drops it itself when the bank's waiting list or row state
-    /// changes (an enqueue, a command, a refresh) or the eligible access
-    /// kind flips. It calls this once per DRAM cycle, right after
-    /// [`SchedulerPolicy::on_dram_cycle`] and before it ranks any bank,
-    /// and drops the reported banks' winners too. So a policy whose
-    /// [`SchedulerPolicy::rank`] reads its own state reports every bank
-    /// whose ranks that state moved, except where the move follows a
-    /// command on that bank and comes before the bank is ranked again
-    /// (the command dropped the winner); a hook other than
-    /// `on_dram_cycle` may only move ranks in its own request's channel.
-    /// A policy whose ranks read `q.now` reports every slot. The
-    /// default, `0`, is exact when ranks depend only on the request and
-    /// the bank's state. Debug builds check every carried winner against
-    /// a fresh rank pass.
+    /// The controller caches each bank's winner and the rank of each of
+    /// its waiting requests across ticks. It drops the ranks itself only
+    /// when the bank's row changes (ACTIVATE, PRECHARGE, an
+    /// auto-precharge, a refresh) or the eligible access kind flips; an
+    /// arrival is ranked once and merged, and a column command keeps
+    /// every other request's rank. It calls this once per DRAM cycle,
+    /// right after [`SchedulerPolicy::on_dram_cycle`] and before it
+    /// ranks any bank, and drops the reported banks' winners and ranks.
+    /// So a policy whose [`SchedulerPolicy::rank`] reads its own state
+    /// reports every bank whose ranks that state moved, whichever hook
+    /// moved them; a hook other than `on_dram_cycle` may only move ranks
+    /// in its own request's channel. A policy whose ranks read `q.now`
+    /// reports every slot. The default, `0`, is exact when ranks depend
+    /// only on the request and the bank's state. Debug builds check every
+    /// carried winner and cached rank against a walk that calls
+    /// [`SchedulerPolicy::rank`] on every request.
     fn take_stale_banks(&mut self) -> u64 {
         0
     }

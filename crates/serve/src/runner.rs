@@ -13,12 +13,16 @@
 use std::ops::ControlFlow;
 use std::time::Duration;
 
-use stfm_sim::{run_ordered, AloneCache, CancelToken, WorkloadMetrics};
+use stfm_sim::{run_ordered, AloneCache, CancelToken, RunStop, WorkloadMetrics};
 
 use crate::cache::ResultCache;
 use crate::result::result_line;
 use crate::serve::{CellRunner, ServeConfig};
 use crate::spec::Cell;
+
+/// A cell's answer: its result line, its metrics, and whether the result
+/// cache supplied them.
+pub type CellAnswer = (String, WorkloadMetrics, bool);
 
 /// One completed cell, as observed by the emit hook.
 #[derive(Debug)]
@@ -54,16 +58,17 @@ pub struct SweepSummary {
 ///
 /// Returns the message if the cell references an unknown benchmark
 /// (unreachable for cells produced by `spec::expand_line`, which
-/// validates names up front).
+/// validates names up front) or its run was truncated.
 pub fn run_cell(
     cell: &Cell,
     alone: &AloneCache,
     results: &ResultCache,
-) -> Result<(String, WorkloadMetrics, bool), String> {
-    match run_cell_cancellable(cell, alone, results, None, false)? {
-        Some(done) => Ok(done),
+) -> Result<CellAnswer, String> {
+    match run_cell_cancellable(cell, alone, results, None, false) {
+        Ok(Some(done)) => Ok(done),
         // Unreachable without a token, but never worth a panic path.
-        None => Err("cell run cancelled".to_string()),
+        Ok(None) => Err("cell run cancelled".to_string()),
+        Err((_, message)) => Err(message),
     }
 }
 
@@ -78,25 +83,28 @@ pub fn run_cell(
 ///
 /// # Errors
 ///
-/// Returns the message if the cell references an unknown benchmark.
+/// Returns the error line's kind and message: `"spec"` if the cell
+/// references an unknown benchmark, `"truncated"` if its shared run or an
+/// alone baseline hit the cycle cap (nothing is stored then either).
 pub fn run_cell_cancellable(
     cell: &Cell,
     alone: &AloneCache,
     results: &ResultCache,
     cancel: Option<&CancelToken>,
     force_stepped: bool,
-) -> Result<Option<(String, WorkloadMetrics, bool)>, String> {
+) -> Result<Option<CellAnswer>, (&'static str, String)> {
     let key = cell.key();
     if let Some(hit) = results.lookup(&key) {
         return Ok(Some((hit.line, hit.metrics, true)));
     }
-    let experiment = cell.to_experiment()?.fast_forward(!force_stepped);
-    let metrics = match cancel {
-        Some(token) => match experiment.run_cancellable(alone, token) {
-            Some(metrics) => metrics,
-            None => return Ok(None),
-        },
-        None => experiment.run_with_cache(alone),
+    let experiment = cell
+        .to_experiment()
+        .map_err(|message| ("spec", message))?
+        .fast_forward(!force_stepped);
+    let metrics = match experiment.try_run(alone, cancel) {
+        Ok(metrics) => metrics,
+        Err(RunStop::Cancelled) => return Ok(None),
+        Err(stop @ RunStop::Truncated) => return Err(("truncated", format!("cell run {stop}"))),
     };
     let line = result_line(cell, &metrics);
     results.store(&key, &line);

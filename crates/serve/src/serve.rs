@@ -38,6 +38,9 @@
 //!   [`stfm_sim::CancelToken`] into the simulation loops. A cell that
 //!   overruns is retried once (after [`ServeConfig::retry_backoff`]),
 //!   then reported as `{"type":"error","kind":"timeout",...}`.
+//! * **Truncation** — a cell whose shared run or alone baseline hits the
+//!   simulator's cycle cap is reported as
+//!   `{"type":"error","kind":"truncated",...}`; neither cache stores it.
 //! * **Self-check** — [`ServeConfig::self_check`] re-runs 1-in-N fresh
 //!   cells on the stepped oracle loop. On divergence the oracle's line
 //!   wins, a `{"type":"fault",...}` line is emitted, and that
@@ -67,7 +70,7 @@ use stfm_telemetry::{Event as TelemetryEvent, JsonLinesSink, Sink};
 use crate::cache::ResultCache;
 use crate::json::{self, escape};
 use crate::result::result_line;
-use crate::runner::run_cell_cancellable;
+use crate::runner::{run_cell_cancellable, CellAnswer};
 use crate::spec::{expand_line, Cell};
 
 /// Configuration for one [`serve`] session (and, via [`serve_tcp`], for
@@ -183,7 +186,7 @@ pub(crate) struct CellOutput {
     pub(crate) key: String,
     /// The result line, its metrics and whether the cache answered; or
     /// the error line's `kind` and message.
-    pub(crate) result: Result<(String, WorkloadMetrics, bool), (&'static str, String)>,
+    pub(crate) result: Result<CellAnswer, (&'static str, String)>,
     faults: Vec<FaultNote>,
     /// Wall-clock time spent on the cell, retries and checks included.
     pub(crate) wall: Duration,
@@ -316,7 +319,7 @@ impl<'a> CellRunner<'a> {
                     "panic",
                     format!("cell panicked: {}", panic_message(payload)),
                 ),
-                Ok(Err(message)) => ("spec", message),
+                Ok(Err(error)) => error,
                 Ok(Ok(None)) => {
                     let budget_ms = wall_ms(self.cfg.cell_timeout.unwrap_or_default());
                     if attempt == 0 {
@@ -373,12 +376,9 @@ impl<'a> CellRunner<'a> {
         }
         let experiment = cell.to_experiment().ok()?.fast_forward(false);
         let token = self.cfg.cell_timeout.map(CancelToken::with_timeout);
-        let oracle = match &token {
-            // An oracle that runs out of budget skips the check rather
-            // than stall the pipeline further.
-            Some(t) => experiment.run_cancellable(self.alone, t)?,
-            None => experiment.run_with_cache(self.alone),
-        };
+        // An oracle that runs out of budget skips the check rather than
+        // stall the pipeline further.
+        let oracle = experiment.try_run(self.alone, token.as_ref()).ok()?;
         let oracle_line = result_line(cell, &oracle);
         #[cfg(feature = "fault-inject")]
         let forced = self

@@ -11,7 +11,7 @@ use crate::digest::hex_digest;
 use crate::metrics::{ThreadMetrics, WorkloadMetrics};
 use crate::scheduler_kind::SchedulerKind;
 use crate::store::Store;
-use crate::system::System;
+use crate::system::{RunOutcome, System};
 use std::any::Any;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -72,10 +72,10 @@ impl AloneCache {
         self.0.quarantined_count()
     }
 
-    /// Returns the memoized/recomputed baseline, or `None` if `cancel`
-    /// fired while the baseline was being simulated. A cancelled baseline
-    /// is never stored — neither in memory nor on disk — so a later retry
-    /// recomputes it in full.
+    /// Returns the memoized/recomputed baseline, or why there is none:
+    /// `cancel` fired while the baseline was being simulated, or the run
+    /// hit its cycle cap. Neither is ever stored — in memory or on disk —
+    /// so a later retry recomputes the baseline in full.
     fn get_or_run(
         &self,
         profile: &Profile,
@@ -84,7 +84,7 @@ impl AloneCache {
         seed: u64,
         prefetch: Option<PrefetchConfig>,
         cancel: Option<&CancelToken>,
-    ) -> Option<CoreStats> {
+    ) -> Result<CoreStats, RunStop> {
         // The derived `Debug`s spell out every configuration field, so
         // keys differ whenever the runs do.
         let key = format!(
@@ -93,18 +93,15 @@ impl AloneCache {
         );
         let name = hex_digest(&key);
         if let Some(hit) = self.0.get(&name, |body| decode_alone(body, &key)) {
-            return Some(hit);
+            return Ok(hit);
         }
-        let (stats, cancelled) = run_alone_inner(profile, dram, insts, seed, prefetch, cancel);
-        if cancelled {
-            return None;
-        }
+        let stats = run_alone_inner(profile, dram, insts, seed, prefetch, cancel)?;
         let mut body = key;
         for c in stats.counters() {
             let _ = write!(body, "\n{c}");
         }
         self.0.put(&name, stats, &body);
-        Some(stats)
+        Ok(stats)
     }
 }
 
@@ -126,6 +123,10 @@ pub fn default_warmup(insts: u64) -> u64 {
 
 /// Runs `profile` alone on `dram` under FR-FCFS (the paper's baseline for
 /// `T_alone` and `MCPI_alone`).
+///
+/// # Panics
+///
+/// Panics if the run hits its cycle cap (`insts × MAX_CPI` CPU cycles).
 pub fn run_alone(profile: &Profile, dram: &DramConfig, insts: u64, seed: u64) -> CoreStats {
     run_alone_with(profile, dram, insts, seed, None)
 }
@@ -138,12 +139,14 @@ pub fn run_alone_with(
     seed: u64,
     prefetch: Option<PrefetchConfig>,
 ) -> CoreStats {
-    run_alone_inner(profile, dram, insts, seed, prefetch, None).0
+    match run_alone_inner(profile, dram, insts, seed, prefetch, None) {
+        Ok(stats) => stats,
+        Err(stop) => panic!("{} alone run stopped: {stop}", profile.name),
+    }
 }
 
-/// Shared body of the alone-run paths. Returns the (possibly partial)
-/// stats plus whether `cancel` stopped the run; partial stats must not be
-/// used as a baseline.
+/// Shared body of the alone-run paths: the baseline, or why the run
+/// stopped short of it (partial stats are never a baseline).
 fn run_alone_inner(
     profile: &Profile,
     dram: &DramConfig,
@@ -151,7 +154,7 @@ fn run_alone_inner(
     seed: u64,
     prefetch: Option<PrefetchConfig>,
     cancel: Option<&CancelToken>,
-) -> (CoreStats, bool) {
+) -> Result<CoreStats, RunStop> {
     let mem = MemorySystem::new(
         dram.clone(),
         SchedulerKind::FrFcfs.build(dram.timing, &[], &[]),
@@ -167,7 +170,42 @@ fn run_alone_inner(
         sys.set_cancel_token(t.clone());
     }
     let out = sys.run_with_warmup(default_warmup(insts), insts, insts.saturating_mul(MAX_CPI));
-    (out.frozen[0], out.cancelled)
+    RunStop::of(&out).map_or(Ok(out.frozen[0]), Err)
+}
+
+/// Why a run returned no metrics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunStop {
+    /// A [`CancelToken`] fired.
+    Cancelled,
+    /// The shared run or an alone baseline hit its cycle cap
+    /// (`insts × MAX_CPI` CPU cycles) before every thread finished.
+    Truncated,
+}
+
+impl RunStop {
+    /// Why `out` stopped short, if it did.
+    fn of(out: &RunOutcome) -> Option<Self> {
+        if out.cancelled {
+            Some(RunStop::Cancelled)
+        } else if out.truncated {
+            Some(RunStop::Truncated)
+        } else {
+            None
+        }
+    }
+}
+
+impl std::fmt::Display for RunStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunStop::Cancelled => f.write_str("cancelled"),
+            RunStop::Truncated => write!(
+                f,
+                "truncated: it hit the cycle cap of {MAX_CPI} CPU cycles per instruction"
+            ),
+        }
+    }
 }
 
 /// One workload × scheduler run (builder style).
@@ -217,6 +255,10 @@ pub struct TracedRun {
     /// `metrics.threads` is empty — partial statistics are never reduced
     /// into reportable metrics.
     pub cancelled: bool,
+    /// Whether the shared run or an alone baseline hit its cycle cap
+    /// before every thread finished. When set, `metrics.threads` is
+    /// empty, as for a cancelled run.
+    pub truncated: bool,
 }
 
 impl Experiment {
@@ -355,29 +397,52 @@ impl Experiment {
     }
 
     /// Runs the experiment with a private alone-run cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is truncated (see [`Experiment::try_run`]).
     pub fn run(&self) -> WorkloadMetrics {
         self.run_with_cache(&AloneCache::new())
     }
 
     /// Runs the experiment, memoizing / reusing alone baselines in
     /// `cache`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run is truncated (see [`Experiment::try_run`]).
     pub fn run_with_cache(&self, cache: &AloneCache) -> WorkloadMetrics {
-        self.run_inner(cache, None, None).metrics
+        match self.try_run(cache, None) {
+            Ok(metrics) => metrics,
+            Err(stop) => panic!("{} run {stop}", self.scheduler.name()),
+        }
     }
 
-    /// Runs the experiment under a cooperative [`CancelToken`]: the shared
-    /// run and any uncached alone baselines poll it between DRAM cycles.
-    /// Returns `None` if the token fired before the run completed; a
-    /// cancelled run stores nothing in `cache`, and the metrics of an
-    /// uncancelled run are bit-identical to [`Experiment::run_with_cache`]
-    /// (the token is only ever *read* on the happy path).
-    pub fn run_cancellable(
+    /// Runs the experiment, optionally under a cooperative
+    /// [`CancelToken`] that the shared run and any uncached alone
+    /// baselines poll between DRAM cycles. Errs if the token fired
+    /// before the run completed, or if the shared run or a baseline hit
+    /// its cycle cap: such a run stores nothing in `cache` and reduces
+    /// nothing into metrics. The metrics of a completed run are
+    /// bit-identical with or without a token (it is only ever *read* on
+    /// the happy path).
+    ///
+    /// # Errors
+    ///
+    /// [`RunStop::Cancelled`] or [`RunStop::Truncated`].
+    pub fn try_run(
         &self,
         cache: &AloneCache,
-        cancel: &CancelToken,
-    ) -> Option<WorkloadMetrics> {
-        let run = self.run_inner(cache, None, Some(cancel));
-        (!run.cancelled).then_some(run.metrics)
+        cancel: Option<&CancelToken>,
+    ) -> Result<WorkloadMetrics, RunStop> {
+        let run = self.run_inner(cache, None, cancel);
+        if run.cancelled {
+            Err(RunStop::Cancelled)
+        } else if run.truncated {
+            Err(RunStop::Truncated)
+        } else {
+            Ok(run.metrics)
+        }
     }
 
     /// Runs the experiment with `sink` attached to the shared memory
@@ -437,25 +502,21 @@ impl Experiment {
         if self.timing_checker && !out.cancelled {
             sys.memory().assert_timing_clean();
         }
-        debug_assert!(
-            out.cancelled || !out.truncated,
-            "run truncated: raise MAX_CPI?"
-        );
 
-        let mut cancelled = out.cancelled;
+        let mut stop = RunStop::of(&out);
         let mut threads = Vec::with_capacity(self.profiles.len());
-        if !cancelled {
+        if stop.is_none() {
             for (p, shared) in self.profiles.iter().zip(&out.frozen) {
                 match cache.get_or_run(p, &dram, self.insts, self.seed, self.prefetch, cancel) {
-                    Some(alone) => threads.push(ThreadMetrics {
+                    Ok(alone) => threads.push(ThreadMetrics {
                         name: p.name.to_string(),
                         shared: *shared,
                         alone,
                     }),
-                    None => {
-                        // The token fired mid-baseline: the whole run is
-                        // cancelled, partial metrics are discarded.
-                        cancelled = true;
+                    Err(why) => {
+                        // A baseline stopped short: so does the whole
+                        // run, and partial metrics are discarded.
+                        stop = Some(why);
                         threads.clear();
                         break;
                     }
@@ -490,7 +551,8 @@ impl Experiment {
             },
             sink,
             final_dram_cycle: out.cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE,
-            cancelled,
+            cancelled: stop == Some(RunStop::Cancelled),
+            truncated: stop == Some(RunStop::Truncated),
         }
     }
 }
@@ -516,6 +578,49 @@ mod tests {
             std::env::temp_dir().join(format!("stfm-alone-cache-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// A DRAM whose activates take a million cycles: no request
+    /// completes within any run's cycle cap.
+    fn glacial_dram() -> DramConfig {
+        let mut dram = DramConfig::for_cores(2);
+        dram.timing.t_rcd = DramDelta::new(1_000_000);
+        dram
+    }
+
+    /// A run that hits its cycle cap is an error, never metrics: in a
+    /// release build too, where it used to be reduced as if complete.
+    #[test]
+    fn a_truncated_run_is_an_error_and_reduces_nothing() {
+        let cache = AloneCache::new();
+        let e = Experiment::new(vec![spec::mcf(), spec::libquantum()])
+            .dram_config(glacial_dram())
+            .instructions_per_thread(20);
+        assert!(matches!(e.try_run(&cache, None), Err(RunStop::Truncated)));
+        let traced = e.run_traced(&cache, Box::new(stfm_telemetry::NullSink));
+        assert!(traced.truncated && !traced.cancelled);
+        assert!(
+            traced.metrics.threads.is_empty(),
+            "a truncated run was reduced"
+        );
+        let panicked = std::panic::catch_unwind(|| e.run_with_cache(&cache));
+        assert!(
+            panicked.is_err(),
+            "run_with_cache returned truncated metrics"
+        );
+    }
+
+    /// A truncated alone baseline is stored neither in memory nor on disk.
+    #[test]
+    fn a_truncated_baseline_is_never_stored() {
+        let dir = scratch_dir("truncated");
+        let cache = AloneCache::with_dir(&dir).unwrap();
+        let got = cache.get_or_run(&spec::mcf(), &glacial_dram(), 20, 1, None, None);
+        assert!(matches!(got, Err(RunStop::Truncated)), "{got:?}");
+        assert!(cache.is_empty(), "a truncated baseline was memoized");
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 0, "a truncated baseline was persisted");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

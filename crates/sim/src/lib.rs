@@ -35,7 +35,7 @@ pub mod table;
 
 pub use cancel::CancelToken;
 pub use experiment::{
-    run_alone, run_alone_with, AloneCache, Experiment, TracedRun, DEFAULT_INSTRUCTIONS,
+    run_alone, run_alone_with, AloneCache, Experiment, RunStop, TracedRun, DEFAULT_INSTRUCTIONS,
 };
 pub use metrics::{gmean, unfairness_from_slowdowns, ThreadMetrics, WorkloadMetrics};
 pub use runner::run_ordered;

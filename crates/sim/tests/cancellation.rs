@@ -5,7 +5,7 @@
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
-use stfm_sim::{AloneCache, CancelToken, Experiment, SchedulerKind};
+use stfm_sim::{AloneCache, CancelToken, Experiment, RunStop, SchedulerKind};
 use stfm_workloads::spec;
 
 fn experiment() -> Experiment {
@@ -21,9 +21,9 @@ fn pre_cancelled_token_stops_both_loops() {
         token.cancel();
         let out = experiment()
             .fast_forward(fast_forward)
-            .run_cancellable(&AloneCache::new(), &token);
+            .try_run(&AloneCache::new(), Some(&token));
         assert!(
-            out.is_none(),
+            matches!(out, Err(RunStop::Cancelled)),
             "pre-cancelled run completed (fast_forward={fast_forward})"
         );
     }
@@ -36,9 +36,9 @@ fn expired_deadline_stops_both_loops() {
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         let out = experiment()
             .fast_forward(fast_forward)
-            .run_cancellable(&AloneCache::new(), &token);
+            .try_run(&AloneCache::new(), Some(&token));
         assert!(
-            out.is_none(),
+            matches!(out, Err(RunStop::Cancelled)),
             "past-deadline run completed (fast_forward={fast_forward})"
         );
     }
@@ -54,8 +54,8 @@ fn cross_thread_cancel_terminates_a_long_run() {
     let worker = std::thread::spawn(move || {
         let out = Experiment::new(vec![spec::mcf(), spec::libquantum()])
             .instructions_per_thread(2_000_000_000)
-            .run_cancellable(&AloneCache::new(), &token);
-        let _ = tx.send(out.is_none());
+            .try_run(&AloneCache::new(), Some(&token));
+        let _ = tx.send(matches!(out, Err(RunStop::Cancelled)));
     });
     std::thread::sleep(Duration::from_millis(50));
     cancel_handle.cancel();
@@ -71,7 +71,10 @@ fn cancelled_runs_store_no_baselines() {
     let cache = AloneCache::new();
     let token = CancelToken::new();
     token.cancel();
-    assert!(experiment().run_cancellable(&cache, &token).is_none());
+    assert!(matches!(
+        experiment().try_run(&cache, Some(&token)),
+        Err(RunStop::Cancelled)
+    ));
     assert!(cache.is_empty(), "cancelled run polluted the alone cache");
 }
 
@@ -80,7 +83,7 @@ fn inert_token_is_bit_identical_to_no_token() {
     let plain = experiment().run_with_cache(&AloneCache::new());
     let token = CancelToken::with_timeout(Duration::from_secs(3600));
     let tokened = experiment()
-        .run_cancellable(&AloneCache::new(), &token)
+        .try_run(&AloneCache::new(), Some(&token))
         .expect("inert token cancelled the run");
     assert_eq!(plain.scheduler, tokened.scheduler);
     assert_eq!(plain.threads.len(), tokened.threads.len());

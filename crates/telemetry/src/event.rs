@@ -156,9 +156,13 @@ pub enum Event {
         decides_carried: u64,
         /// Channel scheduling passes run.
         sched_visits: u64,
-        /// Full per-bank rank passes run.
+        /// Bank walks run: passes over one bank's waiting list that pick
+        /// its winner and slip and find its class presence. A walk calls
+        /// the policy's `rank` only for requests whose rank is not
+        /// cached.
         rank_scans: u64,
-        /// Per-bank decisions served from the cross-tick cache.
+        /// Per-bank decisions served from the cross-tick cache without a
+        /// walk.
         rank_carried: u64,
     },
     /// A fault the serve layer detected and degraded around (it lives in

@@ -4,7 +4,7 @@
 //! channel and on two, and for STFM, FR-FCFS+Cap and NFQ on four — and it
 //! must actually elide something. In a debug build (`cargo test -q`) the
 //! controller also checks every carried bank decision against a fresh
-//! rank pass here. The seeded fuzz suite in `crates/sim/tests/` goes
+//! walk here. The seeded fuzz suite in `crates/sim/tests/` goes
 //! deeper; this is the slice `cargo test -q` sees.
 
 // `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
