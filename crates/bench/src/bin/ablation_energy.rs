@@ -4,7 +4,8 @@
 //! Micron-power-calculator model in `stfm-dram::power`.
 
 use stfm_bench::{cli::USAGE, Args};
-use stfm_sim::{SchedulerKind, Table};
+use stfm_dram::{EnergyModel, PowerParams};
+use stfm_sim::{RunStop, SchedulerKind, Table};
 use stfm_workloads::mix;
 
 fn main() {
@@ -22,11 +23,17 @@ fn main() {
     ]);
     for kind in SchedulerKind::all() {
         let mut sys = stfm_bench::system(&profiles, kind, args.seed);
-        sys.memory_mut().enable_energy_model();
-        let _ = sys.run(insts, insts * 4_000);
-        let Some(e) = sys.memory().energy() else {
-            panic!("ablation_energy: the energy model was not enabled on this system");
+        let model = EnergyModel::new(sys.memory().dram_config(), PowerParams::default());
+        sys.memory_mut().set_sink(Box::new(model));
+        let out = sys.run(insts, insts * 4_000);
+        if let Some(stop) = RunStop::of(&out) {
+            panic!("{} run {stop}", kind.name());
+        }
+        let mut sink = sys.memory_mut().take_sink();
+        let Some(model) = sink.as_any_mut().downcast_mut::<EnergyModel>() else {
+            unreachable!("the energy model is the sink this run attached");
         };
+        let e = model.breakdown(sys.memory().now());
         let serviced = sys.memory().stats().completed.max(1);
         let cycles: u64 = sys
             .cores()

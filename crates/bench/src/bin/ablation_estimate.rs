@@ -9,7 +9,7 @@ use stfm_bench::{cli::USAGE, Args};
 use stfm_core::{Stfm, StfmConfig};
 use stfm_dram::DramConfig;
 use stfm_mc::ThreadId;
-use stfm_sim::{run_alone, SchedulerKind, Table};
+use stfm_sim::{run_alone, RunStop, SchedulerKind, Table};
 use stfm_workloads::mix;
 
 fn run_one(passive: bool, insts: u64, seed: u64) {
@@ -27,6 +27,9 @@ fn run_one(passive: bool, insts: u64, seed: u64) {
     };
     let mut sys = stfm_bench::system(&profiles, kind, seed);
     let out = sys.run(insts, insts * 4_000);
+    if let Some(stop) = RunStop::of(&out) {
+        panic!("{} run {stop}", kind.name());
+    }
 
     let Some(stfm) = (sys.memory().policy() as &dyn Any).downcast_ref::<Stfm>() else {
         panic!("ablation_estimate: the system was not built with the STFM policy");

@@ -174,7 +174,7 @@ impl Channel {
     /// DRAM cycle before scheduling.
     ///
     /// Returns `Some((start, end))` when a refresh begins this cycle, so
-    /// auditors like [`crate::TimingChecker`] can be informed.
+    /// the controller can report it as an `Event::RefreshIssued`.
     pub fn tick(&mut self, now: DramCycle) -> Option<(DramCycle, DramCycle)> {
         self.refresh.retire(now);
         if self.refresh.due(now) && self.drained(now) {
@@ -399,11 +399,6 @@ impl Channel {
         #[cfg(debug_assertions)]
         self.audit_with(|chk| chk.observe(cmd, now));
         self.banks[cmd.bank.0 as usize].issue(cmd, now, &t)
-    }
-
-    /// Number of banks with an open row (for background-power accounting).
-    pub fn open_banks(&self) -> u32 {
-        self.banks.iter().filter(|b| b.open_row().is_some()).count() as u32
     }
 
     /// Issues a column command with auto-precharge (DDR2 RDA/WRA). Same

@@ -1,16 +1,21 @@
 //! Independent timing auditor.
 //!
 //! [`TimingChecker`] re-derives every DDR2 constraint from the raw command
-//! stream, with no code shared with [`crate::Bank`] / [`crate::Channel`].
-//! Feeding it each issued command catches scheduler or device-model bugs
-//! that would otherwise silently produce physically impossible schedules.
-//! It is used in integration tests and can be left on in debug simulations.
+//! stream of one channel, with no code shared with [`crate::Bank`] /
+//! [`crate::Channel`]. Feeding it each issued command catches scheduler or
+//! device-model bugs that would otherwise silently produce physically
+//! impossible schedules. [`TimingAudit`] is the same rule engine as a
+//! passive [`Sink`]: one checker per channel, fed from the telemetry
+//! event stream, which is how whole runs (`stfm run --check`) are audited.
 
-use crate::command::{CommandKind, DramCommand};
+use crate::command::{BankId, CommandKind, DramCommand};
+use crate::config::DramConfig;
 use crate::timing::TimingParams;
 use crate::DramCycle;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
+use stfm_telemetry::{CmdKind, Event, Sink};
 
 /// A detected violation of a DDR2 timing or state constraint.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,6 +307,91 @@ impl TimingChecker {
     }
 }
 
+/// The [`TimingChecker`] as a [`Sink`]: one checker per channel, fed the
+/// `DramCommandIssued` and `RefreshIssued` events of its channel.
+#[derive(Debug, Clone)]
+pub struct TimingAudit {
+    channels: Vec<TimingChecker>,
+}
+
+impl TimingAudit {
+    /// Creates an audit of every channel of `config`.
+    pub fn new(config: &DramConfig) -> Self {
+        TimingAudit {
+            channels: (0..config.channels)
+                .map(|_| TimingChecker::new(config.banks, config.timing))
+                .collect(),
+        }
+    }
+
+    /// Channel `channel`'s checker.
+    pub fn channel(&self, channel: u32) -> &TimingChecker {
+        &self.channels[channel as usize]
+    }
+
+    /// Asserts that no channel recorded a violation.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the first violation of the lowest-numbered channel
+    /// that recorded any.
+    pub fn assert_clean(&self) {
+        for (i, c) in self.channels.iter().enumerate() {
+            if let Some(v) = c.violations().first() {
+                panic!(
+                    "timing violation on channel {i}: {v} ({} total)",
+                    c.violations().len()
+                );
+            }
+        }
+    }
+}
+
+impl Sink for TimingAudit {
+    fn record(&mut self, event: &Event) {
+        match *event {
+            Event::DramCommandIssued {
+                dram_cycle,
+                channel,
+                bank,
+                cmd,
+                row,
+                auto_precharge,
+                ..
+            } => {
+                let (bank, row) = (BankId(bank), row.unwrap_or_default());
+                // The event carries no column; no rule reads it.
+                let cmd = match cmd {
+                    CmdKind::Activate => DramCommand::activate(bank, row),
+                    CmdKind::Precharge => DramCommand::precharge(bank),
+                    CmdKind::Read => DramCommand::read(bank, row, 0),
+                    CmdKind::Write => DramCommand::write(bank, row, 0),
+                    CmdKind::Refresh => DramCommand {
+                        bank,
+                        kind: CommandKind::Refresh,
+                    },
+                };
+                let checker = &mut self.channels[channel as usize];
+                if auto_precharge {
+                    checker.observe_auto_precharge(&cmd, dram_cycle);
+                } else {
+                    checker.observe(&cmd, dram_cycle);
+                }
+            }
+            Event::RefreshIssued {
+                dram_cycle,
+                channel,
+                end_cycle,
+            } => self.channels[channel as usize].observe_refresh(dram_cycle, end_cycle),
+            _ => {}
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,5 +480,49 @@ mod tests {
         let mut c = checker();
         c.observe(&DramCommand::read(BankId(0), 0, 0), DramCycle::ZERO);
         c.assert_clean();
+    }
+
+    fn on(channel: u32, cycle: u64, bank: u32, cmd: CmdKind) -> Event {
+        Event::DramCommandIssued {
+            dram_cycle: DramCycle::new(cycle),
+            channel,
+            bank,
+            cmd,
+            row: Some(3),
+            thread: None,
+            auto_precharge: false,
+        }
+    }
+
+    /// Each channel has its own command bus and tRRD window: a same-cycle
+    /// and a back-to-back pair of ACTs across two channels is legal, and a
+    /// tRCD-violating READ is charged to the channel it was issued on.
+    #[test]
+    fn the_audit_demultiplexes_channels() {
+        let cfg = DramConfig {
+            channels: 2,
+            ..DramConfig::ddr2_800()
+        };
+        let mut audit = TimingAudit::new(&cfg);
+        // tRRD = 3 cycles: 13 and 14 are back to back across channels.
+        let act = CmdKind::Activate;
+        for event in [
+            on(0, 10, 0, act),
+            on(1, 10, 0, act),
+            on(0, 13, 1, act),
+            on(1, 14, 1, act),
+        ] {
+            audit.record(&event);
+        }
+        audit.assert_clean();
+        // tRCD = 6 cycles: a READ at 15 is one early for the ACT at 10.
+        audit.record(&on(1, 15, 0, CmdKind::Read));
+        assert!(audit.channel(0).violations().is_empty());
+        let v = audit.channel(1).violations();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].constraint, "tRCD");
+        let panic = std::panic::catch_unwind(|| audit.assert_clean());
+        let msg = panic.err().and_then(|p| p.downcast::<String>().ok());
+        assert!(msg.is_some_and(|m| m.starts_with("timing violation on channel 1: ")));
     }
 }

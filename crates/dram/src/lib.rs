@@ -4,8 +4,10 @@
 //! (Mutlu & Moscibroda, *Stall-Time Fair Memory Access Scheduling for Chip
 //! Multiprocessors*, MICRO 2007): banks with row buffers, per-channel
 //! command/address/data buses, the full DDR2 timing-constraint set, an
-//! XOR-permuted address mapping, periodic refresh, and an independent
-//! [`TimingChecker`] that audits every issued command.
+//! XOR-permuted address mapping, periodic refresh, and two passive
+//! auditors of the telemetry event stream: the independent
+//! [`TimingChecker`] rules (as the [`TimingAudit`] sink) and the
+//! [`EnergyModel`].
 //!
 //! The model is *command accurate*: a memory controller drives it by issuing
 //! [`DramCommand`]s ([`CommandKind::Activate`], [`CommandKind::Precharge`],
@@ -52,7 +54,7 @@ pub mod timing;
 pub use address::{AddressMapping, DecodedAddr, PhysAddr};
 pub use bank::{Bank, BankState};
 pub use channel::{Channel, ClassEdges};
-pub use checker::{TimingChecker, TimingViolation};
+pub use checker::{TimingAudit, TimingChecker, TimingViolation};
 pub use command::{BankId, ChannelId, CommandKind, DramCommand};
 pub use config::DramConfig;
 pub use latency::{command_bank_latency, AccessCategory};

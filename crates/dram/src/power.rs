@@ -2,14 +2,19 @@
 //! calculator: per-command energies derived from the datasheet IDD values,
 //! plus state-dependent background power.
 //!
-//! The model is an *auditor*, like [`crate::TimingChecker`]: feed it every
-//! issued command with [`EnergyModel::observe`] and advance it every DRAM
-//! cycle with [`EnergyModel::tick`]; read the totals at the end. It never
-//! influences timing, so it can be attached to any run.
+//! [`EnergyModel`] is a passive [`Sink`], like [`crate::TimingAudit`]: a
+//! fold over the telemetry event stream. Per channel it counts commands
+//! by class and DRAM cycles spent with a bank open or with every bank
+//! closed, tracking the open banks from ACTIVATE, PRECHARGE,
+//! auto-precharge CAS and refresh events; [`EnergyModel::breakdown`]
+//! multiplies the counts by [`PowerParams`] once. Attach it with
+//! `MemorySystem::set_sink`; it never influences timing.
 
-use crate::command::{CommandKind, DramCommand};
+use crate::config::DramConfig;
 use crate::timing::TimingParams;
-use crate::DramDelta;
+use crate::{DramCycle, DramDelta};
+use std::any::Any;
+use stfm_telemetry::{CmdKind, Event, Sink};
 
 /// Per-DIMM energy parameters in nanojoules / milliwatts.
 ///
@@ -90,93 +95,161 @@ impl EnergyBreakdown {
     }
 }
 
-/// Energy auditor for one channel.
+/// One channel's fold: integer tallies, the open banks, and the first
+/// DRAM cycle not yet counted.
+#[derive(Debug, Clone, Copy, Default)]
+struct ChannelFold {
+    activates: u64,
+    reads: u64,
+    writes: u64,
+    refreshes: u64,
+    /// DRAM cycles with at least one bank open (active standby).
+    open_cycles: u64,
+    /// DRAM cycles with every bank precharged (precharge standby).
+    closed_cycles: u64,
+    /// Bit `b` set while bank `b` has a row open.
+    open: u64,
+    next: DramCycle,
+}
+
+impl ChannelFold {
+    /// Counts the cycles `self.next..until` under the current open set.
+    fn advance(&mut self, until: DramCycle) {
+        let n = until.saturating_since(self.next).get();
+        if self.open == 0 {
+            self.closed_cycles += n;
+        } else {
+            self.open_cycles += n;
+        }
+        self.next = self.next.max(until);
+    }
+}
+
+/// Energy auditor: a [`Sink`] folding the event stream of every channel,
+/// counted from DRAM cycle zero.
+///
+/// Each DRAM cycle is counted open or closed after that cycle's refresh
+/// and before its commands, the order of a controller tick.
 #[derive(Debug, Clone)]
 pub struct EnergyModel {
     params: PowerParams,
-    breakdown: EnergyBreakdown,
-    cycles: u64,
+    channels: Vec<ChannelFold>,
 }
 
 impl EnergyModel {
-    /// Creates an auditor with the given parameters.
-    pub fn new(params: PowerParams) -> Self {
+    /// Creates an auditor for every channel of `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` has more than 64 banks per channel.
+    pub fn new(config: &DramConfig, params: PowerParams) -> Self {
+        assert!(config.banks <= 64, "{} banks: at most 64", config.banks);
         EnergyModel {
             params,
-            breakdown: EnergyBreakdown::default(),
-            cycles: 0,
+            channels: vec![ChannelFold::default(); config.channels as usize],
         }
     }
 
-    /// Books the energy of one issued command.
-    pub fn observe(&mut self, cmd: &DramCommand) {
-        match cmd.kind {
-            CommandKind::Activate { .. } => self.breakdown.activate_nj += self.params.e_act_pre_nj,
-            CommandKind::Precharge => {} // booked with the ACTIVATE
-            CommandKind::Read { .. } => self.breakdown.read_nj += self.params.e_read_nj,
-            CommandKind::Write { .. } => self.breakdown.write_nj += self.params.e_write_nj,
-            CommandKind::Refresh => self.breakdown.refresh_nj += self.params.e_refresh_nj,
+    /// The energy of every channel from cycle zero through `end_cycle`
+    /// (inclusive; after a run, `MemorySystem::now`).
+    pub fn breakdown(&self, end_cycle: DramCycle) -> EnergyBreakdown {
+        let mut t = ChannelFold::default();
+        for fold in &self.channels {
+            let mut f = *fold;
+            f.advance(end_cycle + 1);
+            t.activates += f.activates;
+            t.reads += f.reads;
+            t.writes += f.writes;
+            t.refreshes += f.refreshes;
+            t.open_cycles += f.open_cycles;
+            t.closed_cycles += f.closed_cycles;
         }
-    }
-
-    /// Books one all-bank refresh performed internally by the channel.
-    pub fn observe_refresh(&mut self) {
-        self.breakdown.refresh_nj += self.params.e_refresh_nj;
-    }
-
-    /// Advances one DRAM cycle (2.5 ns) of background power; `any_open`
-    /// selects active vs precharge standby.
-    pub fn tick(&mut self, any_open: bool) {
-        let p_mw = if any_open {
-            self.params.p_active_standby_mw
-        } else {
-            self.params.p_precharge_standby_mw
-        };
-        // mW × ns = pJ; /1000 → nJ.
-        self.breakdown.background_nj += p_mw * 2.5 * 1e-3;
-        self.cycles += 1;
-    }
-
-    /// Advances `n` DRAM cycles with a constant row-buffer state: the
-    /// fast-forward path's replacement for `n` [`EnergyModel::tick`] calls.
-    /// Implemented as the literal loop so the floating-point accumulation
-    /// (and thus the booked energy) is bit-identical to stepping.
-    pub fn tick_n(&mut self, n: u64, any_open: bool) {
-        for _ in 0..n {
-            self.tick(any_open);
+        let p = &self.params;
+        // mW × 2.5 ns = pJ; /1000 → nJ per cycle.
+        let e_open = p.p_active_standby_mw * 2.5 * 1e-3;
+        let e_closed = p.p_precharge_standby_mw * 2.5 * 1e-3;
+        EnergyBreakdown {
+            activate_nj: t.activates as f64 * p.e_act_pre_nj,
+            read_nj: t.reads as f64 * p.e_read_nj,
+            write_nj: t.writes as f64 * p.e_write_nj,
+            refresh_nj: t.refreshes as f64 * p.e_refresh_nj,
+            background_nj: t.open_cycles as f64 * e_open + t.closed_cycles as f64 * e_closed,
         }
-    }
-
-    /// The accumulated breakdown.
-    pub fn breakdown(&self) -> &EnergyBreakdown {
-        &self.breakdown
-    }
-
-    /// Average power over the observed interval, in milliwatts.
-    pub fn average_power_mw(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.breakdown.total_nj() / (self.cycles as f64 * 2.5) * 1e3
-        }
-    }
-
-    /// DRAM cycles observed.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
     }
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        Self::new(PowerParams::default())
+impl Sink for EnergyModel {
+    fn record(&mut self, event: &Event) {
+        match *event {
+            Event::DramCommandIssued {
+                dram_cycle,
+                channel,
+                bank,
+                cmd,
+                auto_precharge,
+                ..
+            } => {
+                let fold = &mut self.channels[channel as usize];
+                // The issue cycle is counted before its command.
+                fold.advance(dram_cycle + 1);
+                let bit = 1u64 << bank;
+                match cmd {
+                    CmdKind::Activate => {
+                        fold.activates += 1;
+                        fold.open |= bit;
+                    }
+                    CmdKind::Precharge => fold.open &= !bit,
+                    CmdKind::Read => fold.reads += 1,
+                    CmdKind::Write => fold.writes += 1,
+                    CmdKind::Refresh => fold.refreshes += 1,
+                }
+                if auto_precharge {
+                    fold.open &= !bit;
+                }
+            }
+            Event::RefreshIssued {
+                dram_cycle,
+                channel,
+                ..
+            } => {
+                let fold = &mut self.channels[channel as usize];
+                // The refresh closes every bank before its own cycle is
+                // counted.
+                fold.advance(dram_cycle);
+                fold.refreshes += 1;
+                fold.open = 0;
+            }
+            _ => {}
+        }
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::BankId;
+    use crate::channel::Channel;
+    use crate::command::{BankId, DramCommand};
+    use crate::rng::SmallRng;
+
+    fn model() -> EnergyModel {
+        EnergyModel::new(&DramConfig::ddr2_800(), PowerParams::default())
+    }
+
+    fn command(cycle: u64, bank: u32, cmd: CmdKind) -> Event {
+        Event::DramCommandIssued {
+            dram_cycle: DramCycle::new(cycle),
+            channel: 0,
+            bank,
+            cmd,
+            row: None,
+            thread: None,
+            auto_precharge: false,
+        }
+    }
 
     #[test]
     fn derived_energies_are_plausible() {
@@ -191,31 +264,30 @@ mod tests {
 
     #[test]
     fn idle_channel_consumes_only_background() {
-        let mut e = EnergyModel::default();
-        for _ in 0..1000 {
-            e.tick(false);
-        }
-        let b = e.breakdown();
+        let e = model();
+        let b = e.breakdown(DramCycle::new(999));
         assert_eq!(b.activate_nj + b.read_nj + b.write_nj + b.refresh_nj, 0.0);
         // 1000 cycles × 2.5 ns at 504 mW = 1260 nJ.
         assert!((b.background_nj - 1260.0).abs() < 1.0);
         // Average power equals precharge standby.
-        assert!((e.average_power_mw() - 504.0).abs() < 1.0);
+        assert!((b.total_nj() / (1000.0 * 2.5) * 1e3 - 504.0).abs() < 1.0);
     }
 
     #[test]
     fn commands_book_their_class() {
-        let mut e = EnergyModel::default();
-        e.observe(&DramCommand::activate(BankId(0), 1));
-        e.observe(&DramCommand::read(BankId(0), 1, 0));
-        e.observe(&DramCommand::write(BankId(0), 1, 1));
-        e.observe(&DramCommand::precharge(BankId(0)));
-        let b = e.breakdown();
+        let mut e = model();
+        e.record(&command(0, 0, CmdKind::Activate));
+        e.record(&command(6, 0, CmdKind::Read));
+        e.record(&command(10, 0, CmdKind::Write));
+        e.record(&command(30, 0, CmdKind::Precharge));
+        let b = e.breakdown(DramCycle::new(30));
         assert!(b.activate_nj > 0.0 && b.read_nj > 0.0 && b.write_nj > 0.0);
         assert_eq!(b.refresh_nj, 0.0);
         let expected = PowerParams::default();
         assert!(
-            (b.total_nj() - (expected.e_act_pre_nj + expected.e_read_nj + expected.e_write_nj))
+            (b.total_nj()
+                - b.background_nj
+                - (expected.e_act_pre_nj + expected.e_read_nj + expected.e_write_nj))
                 .abs()
                 < 1e-9
         );
@@ -223,12 +295,98 @@ mod tests {
 
     #[test]
     fn active_standby_costs_more() {
-        let mut open = EnergyModel::default();
-        let mut closed = EnergyModel::default();
-        for _ in 0..100 {
-            open.tick(true);
-            closed.tick(false);
+        let mut open = model();
+        let closed = model();
+        open.record(&command(0, 0, CmdKind::Activate));
+        let end = DramCycle::new(99);
+        assert!(open.breakdown(end).background_nj > closed.breakdown(end).background_nj);
+    }
+
+    /// The fold's integer counts equal a per-cycle oracle's exactly: two
+    /// channels under a seeded random stream of ACT, PRE, CAS,
+    /// auto-precharge CAS and refreshes, the oracle sampling every bank's
+    /// open row each cycle after `tick` and before issue, and taking the
+    /// per-class counts from the channels' own statistics.
+    #[test]
+    fn fold_counts_match_a_per_cycle_oracle() {
+        let cfg = DramConfig {
+            channels: 2,
+            timing: TimingParams {
+                t_refi: DramDelta::new(300),
+                ..TimingParams::ddr2_800()
+            },
+            ..DramConfig::ddr2_800()
+        };
+        let end = DramCycle::new(3_000);
+        let mut refreshes = 0;
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0xE4E2_0000 ^ seed);
+            let mut model = EnergyModel::new(&cfg, PowerParams::default());
+            let mut chans = [Channel::new(&cfg), Channel::new(&cfg)];
+            let mut open_closed = [[0u64; 2]; 2];
+            for c in 0..=end.get() {
+                let now = DramCycle::new(c);
+                for (i, ch) in chans.iter_mut().enumerate() {
+                    let channel = i as u32;
+                    if let Some((start, end_cycle)) = ch.tick(now) {
+                        model.record(&Event::RefreshIssued {
+                            dram_cycle: start,
+                            channel,
+                            end_cycle,
+                        });
+                    }
+                    let any_open = (0..cfg.banks).any(|b| ch.bank(BankId(b)).open_row().is_some());
+                    open_closed[i][usize::from(!any_open)] += 1;
+                    // Quiet stretches let the channel drain, so due
+                    // refreshes start.
+                    if c % 400 >= 300 || rng.random_range(0u32..3) != 0 {
+                        continue;
+                    }
+                    let bank = BankId(rng.random_range(0u32..8));
+                    let row = rng.random_range(0u32..4);
+                    let cmd = match (rng.random_range(0u32..4), ch.bank(bank).open_row()) {
+                        (_, None) => DramCommand::activate(bank, row),
+                        (0, Some(_)) => DramCommand::precharge(bank),
+                        (1, Some(r)) => DramCommand::write(bank, r, row),
+                        (_, Some(r)) => DramCommand::read(bank, r, row),
+                    };
+                    if !ch.can_issue(&cmd, now) {
+                        continue;
+                    }
+                    if cmd.is_column() && rng.random_bool(0.5) {
+                        ch.issue_auto_precharge_traced(&cmd, now, channel, None, &mut model);
+                    } else {
+                        ch.issue_traced(&cmd, now, channel, None, &mut model);
+                    }
+                }
+            }
+            for (i, ch) in chans.iter().enumerate() {
+                let mut f = model.channels[i];
+                f.advance(end + 1);
+                let s = ch.stats();
+                assert_eq!(
+                    [
+                        f.activates,
+                        f.reads,
+                        f.writes,
+                        f.refreshes,
+                        f.open_cycles,
+                        f.closed_cycles
+                    ],
+                    [
+                        s.activates,
+                        s.reads,
+                        s.writes,
+                        s.refreshes,
+                        open_closed[i][0],
+                        open_closed[i][1]
+                    ],
+                    "seed {seed} channel {i}"
+                );
+                assert!(f.open_cycles > 0 && f.closed_cycles > 0);
+                refreshes += s.refreshes;
+            }
         }
-        assert!(open.breakdown().background_nj > closed.breakdown().background_nj);
+        assert!(refreshes > 100, "only {refreshes} refreshes exercised");
     }
 }

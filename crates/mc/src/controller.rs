@@ -7,7 +7,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use stfm_dram::{
     AccessCategory, AddressMapping, BankId, Channel, ChannelId, ClockRatio, CpuCycle, DramConfig,
-    DramCycle, DramDelta, EnergyBreakdown, EnergyModel, PhysAddr, TimingChecker,
+    DramCycle, DramDelta, PhysAddr,
 };
 use stfm_telemetry::{Event, NullSink, Sink};
 
@@ -300,8 +300,6 @@ pub(crate) struct ChannelCtrl {
     /// come out in completion-stream order.
     in_service: BinaryHeap<Reverse<InService>>,
     drain_active: bool,
-    checker: Option<TimingChecker>,
-    energy: Option<EnergyModel>,
     /// Per-bank waiting-request slots, in id order.
     bank_waiting: Vec<Vec<usize>>,
     /// Buffered reads (any state).
@@ -676,8 +674,8 @@ pub struct MemorySystem {
     /// epoch `e` provably repeats until the epoch changes — the cores'
     /// retry gates key on this to stay inert across back-pressured spans.
     reap_epoch: u64,
-    /// Elided ticks whose per-cycle policy/energy residue is still
-    /// deferred (see [`MemorySystem::elide_tick`]).
+    /// Elided ticks whose per-cycle policy residue is still deferred (see
+    /// [`MemorySystem::elide_tick`]).
     pending_elided: u64,
     /// First cycle of the deferred residue span.
     residue_start: DramCycle,
@@ -717,8 +715,6 @@ impl MemorySystem {
                 free: Vec::with_capacity(capacity),
                 in_service: BinaryHeap::with_capacity(capacity),
                 drain_active: false,
-                checker: None,
-                energy: None,
                 bank_waiting: (0..config.banks).map(|_| Vec::new()).collect(),
                 queued_reads: 0,
                 queued_writes: 0,
@@ -773,57 +769,6 @@ impl MemorySystem {
     /// clamped to 1.
     pub fn set_sample_interval(&mut self, interval: DramDelta) {
         self.sample_interval = interval.max(DramDelta::new(1));
-    }
-
-    /// Enables the independent [`TimingChecker`] on every channel. All
-    /// subsequently issued commands are audited; use
-    /// [`MemorySystem::assert_timing_clean`] at the end of a run.
-    pub fn enable_timing_checker(&mut self) {
-        for c in &mut self.channels {
-            c.checker = Some(TimingChecker::new(self.config.banks, self.config.timing));
-        }
-    }
-
-    /// Enables per-channel energy accounting (Micron-power-calculator
-    /// style). Read the aggregate with [`MemorySystem::energy`].
-    pub fn enable_energy_model(&mut self) {
-        for c in &mut self.channels {
-            c.energy = Some(EnergyModel::default());
-        }
-    }
-
-    /// Aggregate energy breakdown across channels, if accounting was
-    /// enabled with [`MemorySystem::enable_energy_model`].
-    pub fn energy(&self) -> Option<EnergyBreakdown> {
-        let mut total = EnergyBreakdown::default();
-        let mut any = false;
-        for c in &self.channels {
-            if let Some(e) = &c.energy {
-                let b = e.breakdown();
-                total.activate_nj += b.activate_nj;
-                total.read_nj += b.read_nj;
-                total.write_nj += b.write_nj;
-                total.refresh_nj += b.refresh_nj;
-                total.background_nj += b.background_nj;
-                any = true;
-            }
-        }
-        any.then_some(total)
-    }
-
-    /// Asserts that no audited command violated a DDR2 constraint.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the first recorded violation, or if the checker was
-    /// never enabled.
-    pub fn assert_timing_clean(&self) {
-        for c in &self.channels {
-            match &c.checker {
-                Some(checker) => checker.assert_clean(),
-                None => panic!("timing checker not enabled"),
-            }
-        }
     }
 
     /// The current DRAM cycle (the `now` of the last
@@ -1042,19 +987,16 @@ impl MemorySystem {
         // A clean channel whose earliest agenda edge lies strictly ahead
         // provably does nothing this cycle — the per-channel slice of the
         // elision soundness argument: no refresh transition, no drain
-        // flip, no issuable command, no completion before the edge. Only
-        // its background-energy residue runs. Stepped runs never clear
-        // `chan_dirty`, so this fast path is exclusive to the event loop
-        // and the stepped oracle is byte-for-byte unaffected.
+        // flip, no issuable command, no completion before the edge.
+        // Stepped runs never clear `chan_dirty`, so this fast path is
+        // exclusive to the event loop and the stepped oracle is
+        // byte-for-byte unaffected.
         let chan_idle = |dirty: &[bool], next: &[Option<DramCycle>], i: usize| -> bool {
             !dirty[i] && next[i].is_none_or(|e| e > now)
         };
 
         for (i, ctrl) in self.channels.iter_mut().enumerate() {
             if chan_idle(&self.chan_dirty, &self.chan_next, i) {
-                if let Some(energy) = &mut ctrl.energy {
-                    energy.tick(ctrl.channel.open_banks() > 0);
-                }
                 continue;
             }
             if let Some((start, end)) = ctrl.channel.tick(now) {
@@ -1063,12 +1005,6 @@ impl MemorySystem {
                 for e in &mut ctrl.bank_cache {
                     *e = BankCache::stale(e.kind);
                 }
-                if let Some(checker) = &mut ctrl.checker {
-                    checker.observe_refresh(start, end);
-                }
-                if let Some(energy) = &mut ctrl.energy {
-                    energy.observe_refresh();
-                }
                 if self.sink.is_enabled() {
                     self.sink.record(&Event::RefreshIssued {
                         dram_cycle: start,
@@ -1076,9 +1012,6 @@ impl MemorySystem {
                         end_cycle: end,
                     });
                 }
-            }
-            if let Some(energy) = &mut ctrl.energy {
-                energy.tick(ctrl.channel.open_banks() > 0);
             }
         }
 
@@ -1148,9 +1081,9 @@ impl MemorySystem {
     /// Records DRAM cycle `now` as *elided*: the caller — the event-driven
     /// run loop — has established via [`MemorySystem::predict_next`] that
     /// a [`MemorySystem::tick`] at `now` would change nothing except the
-    /// per-cycle policy and background-energy residue. That residue is
-    /// deferred and settled by [`MemorySystem::flush_residue`] before any
-    /// observer (an enqueue, the next real tick) can tell the difference.
+    /// policy's per-cycle hook. That residue is deferred and settled by
+    /// [`MemorySystem::flush_residue`] before any observer (an enqueue,
+    /// the next real tick) can tell the difference.
     /// `self.now` still advances so telemetry timestamps on concurrent
     /// enqueues stay exact.
     pub fn elide_tick(&mut self, now: DramCycle) {
@@ -1176,13 +1109,12 @@ impl MemorySystem {
 
     /// Settles the deferred per-cycle residue of elided ticks: the
     /// policy's cycle hook, in closed form via
-    /// [`SchedulerPolicy::fast_forward`], and background-energy
-    /// accounting. Both are bit-identical to having stepped, because the
-    /// channel state was frozen across the span (per-cycle views differ
-    /// only in `now`). Runs automatically at the top of
-    /// [`MemorySystem::tick`] and [`MemorySystem::try_enqueue`]; public so
-    /// the run loop can force it at the end of a run before the policy or
-    /// energy model is inspected.
+    /// [`SchedulerPolicy::fast_forward`]. That is bit-identical to having
+    /// stepped, because the channel state was frozen across the span
+    /// (per-cycle views differ only in `now`). Runs automatically at the
+    /// top of [`MemorySystem::tick`] and [`MemorySystem::try_enqueue`];
+    /// public so the run loop can force it at the end of a run before the
+    /// policy is inspected.
     pub fn flush_residue(&mut self) {
         if self.pending_elided == 0 {
             return;
@@ -1190,11 +1122,6 @@ impl MemorySystem {
         let n = std::mem::take(&mut self.pending_elided);
         let view = SystemView::from_ctrls(self.residue_start, &self.channels);
         self.policy.fast_forward(&view, n);
-        for ctrl in &mut self.channels {
-            if let Some(energy) = &mut ctrl.energy {
-                energy.tick_n(n, ctrl.channel.open_banks() > 0);
-            }
-        }
     }
 
     /// The exact next DRAM cycle at which [`MemorySystem::tick`] would do
@@ -1403,16 +1330,6 @@ impl MemorySystem {
             ctrl.channel
                 .issue_traced(&cmd, now, channel_id.0, thread, sink)
         };
-        if let Some(checker) = &mut ctrl.checker {
-            if auto_pre {
-                checker.observe_auto_precharge(&cmd, now);
-            } else {
-                checker.observe(&cmd, now);
-            }
-        }
-        if let Some(energy) = &mut ctrl.energy {
-            energy.observe(&cmd);
-        }
         let req = &mut ctrl.slots[slot];
         if req.service_started.is_none() {
             req.service_started = Some(now);
@@ -1513,6 +1430,7 @@ impl std::fmt::Debug for MemorySystem {
 mod tests {
     use super::*;
     use crate::frfcfs::FrFcfs;
+    use crate::test_util::{assert_timing_clean, audit_timing};
     fn no_refresh_cfg() -> DramConfig {
         DramConfig {
             refresh_enabled: false,
@@ -1546,7 +1464,7 @@ mod tests {
         // Paper Table 2: round-trip L2 miss latency for a 64-byte line:
         // row hit 35 ns (140 cycles), closed 50 ns (200), conflict 70 ns (280).
         let mut sys = system();
-        sys.enable_timing_checker();
+        audit_timing(&mut sys);
 
         // Closed: very first access to a bank.
         let id0 = sys
@@ -1592,7 +1510,7 @@ mod tests {
         // tRP + tRCD + tCL + BL/2 + overhead = 15+15+15+10+10 = 65 ns; we
         // match the parameters (see EXPERIMENTS.md).
         assert_eq!(done[0].finish_cpu - t1, 65 * 4);
-        sys.assert_timing_clean();
+        assert_timing_clean(&mut sys);
     }
 
     #[test]
@@ -1859,7 +1777,7 @@ mod tests {
 mod scheduling_tests {
     use super::*;
     use crate::fcfs::Fcfs;
-    use stfm_dram::DramConfig;
+    use stfm_dram::{DramConfig, EnergyModel, PowerParams};
 
     fn no_refresh_cfg() -> DramConfig {
         DramConfig {
@@ -2017,12 +1935,12 @@ mod scheduling_tests {
         assert!(sys.thread_stats(ThreadId(0)).row_hit_rate() > 0.9);
     }
 
-    /// Energy accounting is exposed through the controller.
+    /// Energy accounting folds the controller's event stream.
     #[test]
     fn energy_model_accumulates() {
-        let mut sys = MemorySystem::new(no_refresh_cfg(), Box::new(FrFcfs::new()));
-        assert!(sys.energy().is_none());
-        sys.enable_energy_model();
+        let cfg = no_refresh_cfg();
+        let mut sys = MemorySystem::new(cfg.clone(), Box::new(FrFcfs::new()));
+        sys.set_sink(Box::new(EnergyModel::new(&cfg, PowerParams::default())));
         sys.try_enqueue(
             ThreadId(0),
             AccessKind::Read,
@@ -2034,7 +1952,9 @@ mod scheduling_tests {
         for now in 0..40 {
             sys.tick(DramCycle::new(now));
         }
-        let e = sys.energy().unwrap();
+        let mut sink = sys.take_sink();
+        let model = sink.as_any_mut().downcast_mut::<EnergyModel>().unwrap();
+        let e = model.breakdown(sys.now());
         assert!(e.activate_nj > 0.0, "ACT energy missing");
         assert!(e.read_nj > 0.0, "read energy missing");
         assert!(e.background_nj > 0.0, "background energy missing");
@@ -2047,6 +1967,7 @@ mod scheduling_tests {
 mod row_policy_tests {
     use super::*;
     use crate::frfcfs::FrFcfs;
+    use crate::test_util::{assert_timing_clean, audit_timing};
     use stfm_dram::DramConfig;
 
     fn system_with(policy: RowPolicy) -> MemorySystem {
@@ -2062,7 +1983,7 @@ mod row_policy_tests {
             },
             Box::new(FrFcfs::new()),
         );
-        sys.enable_timing_checker();
+        audit_timing(&mut sys);
         sys
     }
 
@@ -2084,7 +2005,7 @@ mod row_policy_tests {
             now += 1;
             assert!(now < 1_000_000);
         }
-        sys.assert_timing_clean();
+        assert_timing_clean(sys);
         (now, sys.thread_stats(ThreadId(0)).row_hit_rate())
     }
 
@@ -2112,7 +2033,7 @@ mod row_policy_tests {
                     now += 1;
                 }
             }
-            sys.assert_timing_clean();
+            assert_timing_clean(sys);
         }
         assert!(open_sys.thread_stats(ThreadId(0)).row_hit_rate() > 0.9);
         assert_eq!(closed_sys.thread_stats(ThreadId(0)).row_hit_rate(), 0.0);
@@ -2154,7 +2075,7 @@ mod row_policy_tests {
                     now += 1;
                 }
             }
-            sys.assert_timing_clean();
+            assert_timing_clean(sys);
             times.push(now);
         }
         assert!(

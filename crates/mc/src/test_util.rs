@@ -1,8 +1,11 @@
 //! Support utilities for policy unit tests (also used by the `stfm-core`
 //! crate's tests). Not intended for production use.
 
+use crate::controller::MemorySystem;
 use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
-use stfm_dram::{BankId, ChannelId, CpuCycle, DecodedAddr, DramConfig, DramCycle, PhysAddr};
+use stfm_dram::{
+    BankId, ChannelId, CpuCycle, DecodedAddr, DramConfig, DramCycle, PhysAddr, TimingAudit,
+};
 
 /// Builds a queued read request to (`bank`, `row`, `col`) with the given
 /// arrival id (smaller = older). The address is synthesized from the
@@ -68,6 +71,28 @@ pub mod harness {
             buffer: Buffer::Slice(requests),
         }
     }
+}
+
+/// Attaches a [`TimingAudit`] of every channel to `mem` as its sink.
+pub fn audit_timing(mem: &mut MemorySystem) {
+    let audit = TimingAudit::new(mem.dram_config());
+    mem.set_sink(Box::new(audit));
+}
+
+/// Asserts that the [`TimingAudit`] attached by [`audit_timing`] has
+/// recorded no violation. The audit stays attached.
+///
+/// # Panics
+///
+/// Panics with the first violation, or if `mem`'s sink is not a
+/// [`TimingAudit`].
+pub fn assert_timing_clean(mem: &mut MemorySystem) {
+    let mut sink = mem.take_sink();
+    match sink.as_any_mut().downcast_mut::<TimingAudit>() {
+        Some(audit) => audit.assert_clean(),
+        None => panic!("the memory system's sink is not a TimingAudit"),
+    }
+    mem.set_sink(sink);
 }
 
 /// A deliberately erratic scheduling policy for stress tests: ranks

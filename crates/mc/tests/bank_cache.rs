@@ -15,13 +15,14 @@ use std::any::Any;
 use std::cell::Cell;
 use stfm_core::Stfm;
 use stfm_dram::{
-    BankId, ChannelId, CpuCycle, DecodedAddr, DramCommand, DramConfig, DramCycle, TimingParams,
+    BankId, ChannelId, CpuCycle, DecodedAddr, DramCommand, DramConfig, DramCycle, TimingAudit,
+    TimingParams,
 };
 use stfm_mc::{
     AccessKind, ControllerConfig, Fcfs, FrFcfs, FrFcfsCap, MemorySystem, Nfq, ParBs, Rank, Request,
     RowPolicy, SchedCounters, SchedQuery, SchedulerPolicy, SystemView, ThreadId,
 };
-use stfm_telemetry::{Event, RingSink, Sink};
+use stfm_telemetry::{Event, RingSink, Sink, TeeSink};
 
 /// Wraps a policy, counts its `rank` calls and, when `uncached`, reports
 /// every bank stale on every tick.
@@ -107,9 +108,9 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
         row_policy,
         ..ControllerConfig::paper_baseline()
     };
+    let audit = TimingAudit::new(&dram);
     let mut mem = MemorySystem::with_controller_config(dram, ctrl, Box::new(probe));
-    mem.enable_timing_checker();
-    mem.set_sink(Box::new(RingSink::new(1 << 16)));
+    mem.set_sink(Box::new(TeeSink::new(RingSink::new(1 << 16), audit)));
     let mut to_main_row = 0;
     let mut now = DramCycle::ZERO;
     for n in 0u32..160 {
@@ -142,12 +143,13 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
         now += 1;
         assert!(now.get() < 1_000_000, "memory system wedged");
     }
-    mem.assert_timing_clean();
     let mut sink = mem.take_sink();
-    let ring = sink
+    let tee = sink
         .as_any_mut()
-        .downcast_mut::<RingSink>()
-        .expect("RingSink comes back out");
+        .downcast_mut::<TeeSink<RingSink, TimingAudit>>()
+        .expect("the tee comes back out");
+    tee.second.assert_clean();
+    let ring = &tee.first;
     assert_eq!(ring.dropped(), 0, "ring too small for the run");
     let rank_calls = (mem.policy() as &dyn Any)
         .downcast_ref::<Probe>()

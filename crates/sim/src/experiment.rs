@@ -17,9 +17,9 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
-use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
+use stfm_dram::{DramConfig, DramDelta, TimingAudit, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
-use stfm_telemetry::{Event, Sink};
+use stfm_telemetry::{Event, NullSink, Sink, TeeSink};
 use stfm_workloads::{Profile, SyntheticTrace};
 
 /// Default per-thread instruction budget. Deliberately modest so whole
@@ -30,6 +30,10 @@ pub const DEFAULT_INSTRUCTIONS: u64 = 30_000;
 /// Cycle-cap safety factor: a run aborts (with `truncated = true`) after
 /// `insts × MAX_CPI` CPU cycles per thread.
 const MAX_CPI: u64 = 4_000;
+
+/// The sink of a run under [`Experiment::timing_checker`]: the caller's
+/// sink (a [`NullSink`] when none) teed with the timing audit.
+type AuditTee = TeeSink<Box<dyn Sink>, TimingAudit>;
 
 /// Memoizes alone-run baselines, keyed by benchmark, DRAM configuration,
 /// instruction budget, workload seed and prefetcher configuration.
@@ -185,7 +189,7 @@ pub enum RunStop {
 
 impl RunStop {
     /// Why `out` stopped short, if it did.
-    fn of(out: &RunOutcome) -> Option<Self> {
+    pub fn of(out: &RunOutcome) -> Option<Self> {
         if out.cancelled {
             Some(RunStop::Cancelled)
         } else if out.truncated {
@@ -340,8 +344,9 @@ impl Experiment {
         self
     }
 
-    /// Enables the DDR2 timing auditor for the run (panics on violation at
-    /// the end of the run).
+    /// Audits the shared run's DDR2 command stream with a [`TimingAudit`]
+    /// sink, teed with the caller's sink if there is one; the run panics
+    /// at its end on any violation.
     pub fn timing_checker(mut self, on: bool) -> Self {
         self.timing_checker = on;
         self
@@ -467,14 +472,14 @@ impl Experiment {
             ..ControllerConfig::paper_baseline()
         };
         let mut mem = MemorySystem::with_controller_config(dram.clone(), ctrl, policy);
-        if let Some(sink) = sink {
+        let sink = sink.unwrap_or_else(|| Box::new(NullSink));
+        if self.timing_checker {
+            mem.set_sink(Box::new(TeeSink::new(sink, TimingAudit::new(&dram))));
+        } else {
             mem.set_sink(sink);
         }
         if let Some(interval) = self.sample_interval {
             mem.set_sample_interval(DramDelta::new(interval));
-        }
-        if self.timing_checker {
-            mem.enable_timing_checker();
         }
         let core_cfg = CoreConfig {
             prefetch: self.prefetch,
@@ -499,8 +504,15 @@ impl Experiment {
             self.insts,
             self.insts.saturating_mul(MAX_CPI),
         );
-        if self.timing_checker && !out.cancelled {
-            sys.memory().assert_timing_clean();
+        let mut sink = sys.memory_mut().take_sink();
+        if self.timing_checker {
+            let Some(tee) = sink.as_any_mut().downcast_mut::<AuditTee>() else {
+                unreachable!("a checked run's sink is the audit tee");
+            };
+            if !out.cancelled {
+                tee.second.assert_clean();
+            }
+            sink = std::mem::replace(&mut tee.first, Box::new(NullSink));
         }
 
         let mut stop = RunStop::of(&out);
@@ -528,8 +540,7 @@ impl Experiment {
         // after the run, never from the tick path: the counters differ
         // between the event-driven and stepped loops by design, so the
         // cycle-by-cycle event streams stay loop-agnostic.
-        let mem = sys.memory_mut();
-        let mut sink = mem.take_sink();
+        let mem = sys.memory();
         let sched = mem.sched_counters();
         let stfm = (mem.policy() as &dyn Any).downcast_ref::<Stfm>();
         let work = stfm.map(Stfm::work).unwrap_or_default();

@@ -16,16 +16,16 @@
 //!   bookkeeping call per core plus a deferred memory residue.
 //! - **Per-cycle elision** — when cores still execute (the common case in
 //!   busy streaming phases), each elided cycle runs only the core steps;
-//!   the memory tick is skipped and its per-cycle policy/energy residue
-//!   deferred ([`MemorySystem::elide_tick`]). Cores that are inert for
+//!   the memory tick is skipped and the policy's per-cycle hook deferred
+//!   ([`MemorySystem::elide_tick`]). Cores that are inert for
 //!   just that one cycle take the O(1) path too. If a core issues a new
 //!   memory request mid-span, the span is cut short — the arrival
 //!   invalidates the no-event premise — and a real tick follows.
 //!
 //! Elision is sound because the memory system's state is frozen between
-//! events: the deferred residue (policy cycle hook, background energy) is
-//! settled before anything can observe it, and settling it replays
-//! exactly what stepping would have done. The differential fuzz suite
+//! events: the deferred residue (the policy's cycle hook) is settled
+//! before anything can observe it, and settling it replays exactly what
+//! stepping would have done. The differential fuzz suite
 //! (`crates/sim/tests/event_equivalence.rs`) proves the two loops
 //! bit-identical — same stats, same telemetry streams, same digests.
 
@@ -262,7 +262,7 @@ impl System {
         let truncated = exit == LoopExit::Truncated;
         let cancelled = exit == LoopExit::Cancelled;
         // A mid-span stop can leave elided-cycle residue deferred; settle
-        // it before the policy or energy model can be inspected.
+        // it before the policy can be inspected.
         self.mem.flush_residue();
         if truncated || cancelled {
             for i in 0..n {

@@ -49,6 +49,31 @@ pub trait Sink: Any {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
+/// A boxed sink is a sink, so a [`TeeSink`] can carry one whose concrete
+/// type is known only at run time. Every method forwards to the box's
+/// contents, downcasting included.
+impl Sink for Box<dyn Sink> {
+    #[inline]
+    fn record(&mut self, event: &Event) {
+        (**self).record(event);
+    }
+
+    #[inline]
+    fn flush(&mut self) -> std::io::Result<()> {
+        (**self).flush()
+    }
+
+    #[inline]
+    fn is_enabled(&self) -> bool {
+        (**self).is_enabled()
+    }
+
+    #[inline]
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        (**self).as_any_mut()
+    }
+}
+
 /// Discards every event; [`Sink::is_enabled`] is `false`, so guarded
 /// emission sites don't even construct them. This is the default sink —
 /// an untraced simulation pays one virtual call per guard at most.

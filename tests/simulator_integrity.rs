@@ -3,12 +3,13 @@
 
 use stfm_repro::cpu::Core;
 use stfm_repro::dram::{ClockRatio, DramConfig, DramCycle};
+use stfm_repro::mc::test_util::{assert_timing_clean, audit_timing};
 use stfm_repro::mc::{MemorySystem, ThreadId};
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind, System};
 use stfm_repro::workloads::{mix, spec, SyntheticTrace};
 
 /// Every scheduler must produce DDR2-legal command streams end to end.
-/// The independent TimingChecker audits every issued command.
+/// The independent timing audit checks every issued command.
 #[test]
 fn all_schedulers_are_timing_clean() {
     for kind in SchedulerKind::all() {
@@ -69,7 +70,7 @@ fn memory_system_conserves_requests() {
     for kind in SchedulerKind::all() {
         let cfg = DramConfig::for_cores(4);
         let mut mem = MemorySystem::new(cfg.clone(), kind.build(cfg.timing, &[], &[]));
-        mem.enable_timing_checker();
+        audit_timing(&mut mem);
         let mut accepted = 0u64;
         let mut completed = 0u64;
         let mut now = DramCycle::ZERO;
@@ -105,7 +106,7 @@ fn memory_system_conserves_requests() {
             "{}: lost/duplicated requests",
             kind.name()
         );
-        mem.assert_timing_clean();
+        assert_timing_clean(&mut mem);
     }
 }
 
@@ -180,7 +181,7 @@ fn chaos_policy_cannot_break_the_controller() {
     for seed in [1u64, 7, 42] {
         let cfg = DramConfig::for_cores(4);
         let mut mem = MemorySystem::new(cfg.clone(), Box::new(ChaosPolicy { seed }));
-        mem.enable_timing_checker();
+        audit_timing(&mut mem);
         let mut accepted = 0u64;
         let mut completed = 0u64;
         let mut now = DramCycle::ZERO;
@@ -216,6 +217,6 @@ fn chaos_policy_cannot_break_the_controller() {
             assert!(guard < 3_000_000, "chaos seed {seed} wedged the controller");
         }
         assert_eq!(accepted, completed, "chaos seed {seed} lost requests");
-        mem.assert_timing_clean();
+        assert_timing_clean(&mut mem);
     }
 }
