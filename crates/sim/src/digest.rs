@@ -3,8 +3,9 @@
 //! One 64-bit FNV-1a hasher serves three consumers that all need the same
 //! property — a cheap, dependency-free, platform-stable fingerprint:
 //!
-//! * the cross-scheduler golden-digest tests (`tests/golden_digest.rs`),
-//!   which pin the serviced-request stream of fixed workloads;
+//! * [`crate::oracle::completion_digest`], whose values over the
+//!   serviced-request streams of fixed workloads are pinned in
+//!   `crates/sim/tests/event_equivalence.rs` and `tests/rank_cache.rs`;
 //! * the sweep runner's content-addressed result cache, which keys
 //!   persisted results by the digest of the canonicalized spec cell;
 //! * the service-scale determinism tests, which compare whole result-line

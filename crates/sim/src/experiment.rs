@@ -294,8 +294,7 @@ impl Experiment {
 
     /// Selects the shared run's loop: the event-driven loop (`true`, the
     /// default) or the stepped cycle-by-cycle oracle (`false`). Results
-    /// are bit-identical either way; the equivalence tests use this to
-    /// pit the two against each other.
+    /// are bit-identical either way, which [`crate::oracle`] checks.
     pub fn fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
         self
@@ -458,26 +457,19 @@ impl Experiment {
         self.run_inner(cache, Some(sink), None)
     }
 
-    fn run_inner(
-        &self,
-        cache: &AloneCache,
-        sink: Option<Box<dyn Sink>>,
-        cancel: Option<&CancelToken>,
-    ) -> TracedRun {
+    /// The shared run's system, as [`Experiment::run`] and
+    /// [`crate::oracle::Case::experiment`] both build it: no sink, no
+    /// cancellation token, and the event-driven loop selected.
+    pub(crate) fn shared_system(&self) -> System {
         let dram = self.effective_dram();
-        let kind = self.effective_scheduler();
-        let policy = kind.build(dram.timing, &self.weights, &self.shares);
+        let policy = self
+            .effective_scheduler()
+            .build(dram.timing, &self.weights, &self.shares);
         let ctrl = ControllerConfig {
             row_policy: self.row_policy,
             ..ControllerConfig::paper_baseline()
         };
         let mut mem = MemorySystem::with_controller_config(dram.clone(), ctrl, policy);
-        let sink = sink.unwrap_or_else(|| Box::new(NullSink));
-        if self.timing_checker {
-            mem.set_sink(Box::new(TeeSink::new(sink, TimingAudit::new(&dram))));
-        } else {
-            mem.set_sink(sink);
-        }
         if let Some(interval) = self.sample_interval {
             mem.set_sample_interval(DramDelta::new(interval));
         }
@@ -494,16 +486,37 @@ impl Experiment {
                 Core::with_config(ThreadId(i as u32), Box::new(trace), core_cfg)
             })
             .collect();
-        let mut sys = System::new(cores, mem);
+        System::new(cores, mem)
+    }
+
+    /// The shared run's limits: warm-up and measured instructions per
+    /// thread, and the CPU-cycle cap.
+    pub(crate) fn limits(&self) -> (u64, u64, u64) {
+        let insts = self.insts;
+        (default_warmup(insts), insts, insts.saturating_mul(MAX_CPI))
+    }
+
+    fn run_inner(
+        &self,
+        cache: &AloneCache,
+        sink: Option<Box<dyn Sink>>,
+        cancel: Option<&CancelToken>,
+    ) -> TracedRun {
+        let dram = self.effective_dram();
+        let mut sys = self.shared_system();
+        let sink = sink.unwrap_or_else(|| Box::new(NullSink));
+        if self.timing_checker {
+            let audit = TeeSink::new(sink, TimingAudit::new(&dram));
+            sys.memory_mut().set_sink(Box::new(audit));
+        } else {
+            sys.memory_mut().set_sink(sink);
+        }
         sys.set_fast_forward(self.fast_forward);
         if let Some(t) = cancel {
             sys.set_cancel_token(t.clone());
         }
-        let out = sys.run_with_warmup(
-            default_warmup(self.insts),
-            self.insts,
-            self.insts.saturating_mul(MAX_CPI),
-        );
+        let (warmup, insts, max_cpu_cycles) = self.limits();
+        let out = sys.run_with_warmup(warmup, insts, max_cpu_cycles);
         let mut sink = sys.memory_mut().take_sink();
         if self.timing_checker {
             let Some(tee) = sink.as_any_mut().downcast_mut::<AuditTee>() else {
@@ -557,7 +570,7 @@ impl Experiment {
         });
         TracedRun {
             metrics: WorkloadMetrics {
-                scheduler: kind.name().to_string(),
+                scheduler: self.effective_scheduler().name().to_string(),
                 threads,
             },
             sink,
@@ -618,6 +631,35 @@ mod tests {
         assert!(
             panicked.is_err(),
             "run_with_cache returned truncated metrics"
+        );
+    }
+
+    /// `fast_forward(false)` selects the stepped loop, which visits the
+    /// scheduler more often, and either loop's traced run ends with the
+    /// `EstimatorWork` snapshot.
+    #[test]
+    fn the_loop_choice_reaches_the_run_and_work_is_reported_last() {
+        let cache = AloneCache::new();
+        let e =
+            Experiment::new(vec![spec::mcf(), spec::libquantum()]).instructions_per_thread(3_000);
+        let visits = |fast_forward: bool| {
+            let mut run = e
+                .clone()
+                .fast_forward(fast_forward)
+                .run_traced(&cache, Box::new(stfm_telemetry::RingSink::new(1)));
+            let ring = run
+                .sink
+                .as_any_mut()
+                .downcast_mut::<stfm_telemetry::RingSink>();
+            match ring.and_then(|r| r.events().last()) {
+                Some(&Event::EstimatorWork { sched_visits, .. }) => sched_visits,
+                last => panic!("the run ended with {last:?}, not an EstimatorWork snapshot"),
+            }
+        };
+        let (event, stepped) = (visits(true), visits(false));
+        assert!(
+            event < stepped,
+            "event loop {event} visits, stepped {stepped}"
         );
     }
 

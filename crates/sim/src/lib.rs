@@ -27,6 +27,7 @@ pub mod cancel;
 pub mod digest;
 pub mod experiment;
 pub mod metrics;
+pub mod oracle;
 pub mod runner;
 pub mod scheduler_kind;
 pub mod store;

@@ -25,9 +25,11 @@
 //! Elision is sound because the memory system's state is frozen between
 //! events: the deferred residue (the policy's cycle hook) is settled
 //! before anything can observe it, and settling it replays exactly what
-//! stepping would have done. The differential fuzz suite
-//! (`crates/sim/tests/event_equivalence.rs`) proves the two loops
-//! bit-identical — same stats, same telemetry streams, same digests.
+//! stepping would have done. [`crate::oracle`] holds the two loops
+//! bit-identical (same statistics, verdicts, telemetry streams and STFM
+//! registers) over the case lists in `crates/sim/tests/event_equivalence.rs`
+//! (the seeded fuzz among them), `tests/time_advance.rs` and
+//! `tests/rank_cache.rs`.
 
 use crate::cancel::CancelToken;
 use stfm_cpu::{Core, CoreStats};
@@ -165,18 +167,10 @@ impl System {
 
     /// Enables or disables the event-driven loop (on by default).
     /// Simulated results are bit-identical either way; turning it off
-    /// forces the reference cycle-by-cycle path (the oracle of the
-    /// differential equivalence tests, and a debugging aid).
+    /// forces the reference cycle-by-cycle path (the loop
+    /// [`crate::oracle`] compares against, and a debugging aid).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-    }
-
-    /// DRAM cycles whose memory tick was avoided by the event-driven loop
-    /// (0 when disabled): whole-system jumps plus per-cycle elisions.
-    /// Lets tests and benchmarks confirm the optimization engages rather
-    /// than merely doing no harm.
-    pub fn fast_forwarded_cycles(&self) -> u64 {
-        self.jumped + self.elided
     }
 
     /// DRAM cycles skipped in whole-system jumps (every core inert).
@@ -457,28 +451,12 @@ mod tests {
     }
 
     #[test]
-    fn truncation_is_loop_invariant() {
-        let cycles = |ff: bool| {
-            let mut sys = tiny_system(2);
-            sys.set_fast_forward(ff);
-            let out = sys.run(u64::MAX, 10_000);
-            assert!(out.truncated);
-            out.cpu_cycles
-        };
-        assert_eq!(cycles(true), cycles(false));
-    }
-
-    #[test]
     fn event_loop_engages_both_elision_modes() {
         let mut sys = tiny_system(2);
         let out = sys.run(2_000, 50_000_000);
         assert!(!out.truncated);
         assert!(sys.jumped_cycles() > 0, "no whole-system jumps happened");
         assert!(sys.elided_cycles() > 0, "no per-cycle elisions happened");
-        assert_eq!(
-            sys.fast_forwarded_cycles(),
-            sys.jumped_cycles() + sys.elided_cycles()
-        );
     }
 
     #[test]

@@ -2,17 +2,17 @@
 //! ticks, the deferred policy residue) must leave every simulated outcome
 //! bit-identical to the stepped oracle, for every scheduler, on one
 //! channel and on two, and for STFM, FR-FCFS+Cap and NFQ on four — and it
-//! must actually elide something. In a debug build (`cargo test -q`) the
-//! controller also checks every carried bank decision against a fresh
-//! walk here. The seeded fuzz suite in `crates/sim/tests/` goes
-//! deeper; this is the slice `cargo test -q` sees.
+//! must actually elide something. [`stfm_repro::sim::oracle`] runs each
+//! case on both loops and holds every observable equal. In a debug build
+//! (`cargo test -q`) the controller also checks every carried bank
+//! decision against a fresh walk here. The seeded fuzz in
+//! `crates/sim/tests/event_equivalence.rs` goes deeper; this is the
+//! slice `cargo test -q` sees.
 
-// `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
-#![allow(clippy::expect_used)]
-
-use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind};
+use stfm_repro::sim::oracle::{compare, Case, Run};
+use stfm_repro::sim::{Experiment, RunStop, SchedulerKind};
 use stfm_repro::stfm::StfmConfig;
-use stfm_repro::telemetry::{Event, RingSink};
+use stfm_repro::telemetry::Event;
 use stfm_repro::workloads::{mix, Profile};
 
 const INSTS: u64 = 2_000;
@@ -22,90 +22,36 @@ const INSTS: u64 = 2_000;
 /// and 10 leaves a margin.
 const SIXTEEN_CORE_INSTS: u64 = 10;
 
-/// What one run leaves behind: the loop-agnostic event stream, the
-/// scheduling passes the loop paid for, metric bits, and the run length.
-struct Observed {
-    stream: Vec<Event>,
-    sched_visits: u64,
-    metrics: Vec<u64>,
-    final_dram_cycle: u64,
-}
-
-fn observe(
-    profiles: &[Profile],
-    kind: SchedulerKind,
-    insts: u64,
-    event_loop: bool,
-    cache: &AloneCache,
-) -> Observed {
-    let run = Experiment::new(profiles.to_vec())
-        .scheduler(kind)
-        .instructions_per_thread(insts)
-        .fast_forward(event_loop)
-        .run_traced(cache, Box::new(RingSink::new(1 << 21)));
-    let mut sink = run.sink;
-    let ring = sink
-        .as_any_mut()
-        .downcast_mut::<RingSink>()
-        .expect("RingSink comes back out");
-    assert_eq!(ring.dropped(), 0, "ring too small for the run");
-    // `EstimatorWork` reports loop work, which differs between the loops
-    // by design; everything else in the stream is a simulated outcome.
-    let (work, stream): (Vec<Event>, Vec<Event>) = ring
-        .events()
-        .cloned()
-        .partition(|e| matches!(e, Event::EstimatorWork { .. }));
-    let Some(Event::EstimatorWork { sched_visits, .. }) = work.last() else {
-        panic!("{kind:?}: run_traced emitted no trailing EstimatorWork snapshot");
-    };
-    let m = &run.metrics;
-    let mut metrics = vec![m.unfairness().to_bits(), m.weighted_speedup().to_bits()];
-    for t in &m.threads {
-        metrics.extend([t.mem_slowdown().to_bits(), t.shared.cycles]);
-        metrics.extend([t.shared.instructions, t.shared.mem_stall_cycles]);
-    }
-    Observed {
-        stream,
-        sched_visits: *sched_visits,
-        metrics,
-        final_dram_cycle: run.final_dram_cycle,
-    }
-}
-
-/// Runs each of `kinds` on both loops and holds them equal; returns the
+/// Compares each of `kinds` on both loops, requires each run to complete
+/// and the event loop to pay for fewer scheduling passes; returns the
 /// event loop's streams, one per kind.
 fn assert_event_loop_matches_stepped(
     profiles: &[Profile],
     kinds: &[SchedulerKind],
     insts: u64,
 ) -> Vec<Vec<Event>> {
-    let cache = AloneCache::new();
-    let mut streams = Vec::new();
-    for &kind in kinds {
-        let event = observe(profiles, kind, insts, true, &cache);
-        let stepped = observe(profiles, kind, insts, false, &cache);
-        assert_eq!(event.metrics, stepped.metrics, "{kind:?}: metrics diverge");
-        assert_eq!(
-            event.final_dram_cycle, stepped.final_dram_cycle,
-            "{kind:?}: run length diverges"
-        );
-        for (i, (a, b)) in event.stream.iter().zip(&stepped.stream).enumerate() {
-            assert_eq!(a, b, "{kind:?}: event {i} diverges (event loop vs stepped)");
-        }
-        assert_eq!(
-            event.stream.len(),
-            stepped.stream.len(),
-            "{kind:?}: event counts diverge after a common prefix"
-        );
-        assert!(
-            event.sched_visits < stepped.sched_visits,
-            "{kind:?}: the event loop elided nothing ({} scheduling passes vs {} stepped)",
-            event.sched_visits,
-            stepped.sched_visits
-        );
-        streams.push(event.stream);
-    }
-    streams
+    let visits = |run: &Run| run.system.memory().sched_counters().sched_visits;
+    kinds
+        .iter()
+        .map(|&kind| {
+            let exp = Experiment::new(profiles.to_vec())
+                .scheduler(kind)
+                .instructions_per_thread(insts);
+            let (event, stepped) = compare(&Case::experiment(format!("{kind:?}"), &exp));
+            assert_eq!(
+                RunStop::of(&event.outcome),
+                None,
+                "{kind:?}: the run did not complete"
+            );
+            assert!(
+                visits(&event) < visits(&stepped),
+                "{kind:?}: the event loop elided nothing ({} scheduling passes vs {} stepped)",
+                visits(&event),
+                visits(&stepped)
+            );
+            event.stream
+        })
+        .collect()
 }
 
 /// With PAR-BS, and STFM on a 5,000-CPU-cycle interval: the run spans
