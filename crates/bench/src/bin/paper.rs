@@ -1,5 +1,5 @@
-//! `paper`: regenerates the paper's figures, Table 5, the PAR-BS extension
-//! and the ablations from the records in `stfm_bench::paper`.
+//! `paper`: regenerates the paper's figures, Tables 3 and 5, the PAR-BS
+//! extension and the ablations from the records in `stfm_bench::paper`.
 //!
 //! `paper --figure <id>` prints one record on stdout; `paper --all <dir>`
 //! writes `<dir>/<id>.txt` for every record. Both take `--insts N` (default:

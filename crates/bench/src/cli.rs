@@ -1,13 +1,13 @@
-//! Tiny argument parser shared by the harness binaries.
+//! The `paper` binary's argument parser.
 
 use std::process::exit;
 use std::str::FromStr;
 
-/// Common harness options.
+/// The options every record reads.
 #[derive(Debug, Clone)]
 pub struct Args {
-    /// Per-thread instruction budget (`--insts N`; `None` = the harness's
-    /// own default).
+    /// Per-thread instruction budget (`--insts N`; `None` = each
+    /// record's own default).
     pub insts: Option<u64>,
     /// Workload seed (`--seed N`).
     pub seed: u64,
@@ -27,9 +27,6 @@ impl Default for Args {
         }
     }
 }
-
-/// The usage line of a harness with no options of its own.
-pub const USAGE: &str = "usage: [--insts N] [--seed N] [--full] [--jobs N]";
 
 impl Args {
     /// Parses `std::env::args`. `extra` names the caller's own options,

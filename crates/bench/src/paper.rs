@@ -1,5 +1,5 @@
-//! The paper's artefacts as records: Figs. 1, 5–13 and 15, Table 5, the
-//! PAR-BS extension and six ablations. Each [`Record`] names its mix set
+//! The paper's artefacts as records: Figs. 1 and 5–15, Tables 3 and 5, the
+//! PAR-BS extension and eight ablations. Each [`Record`] names its mix set
 //! (with its `--full` rule), its schedulers, its default budget and its
 //! print layout; a [`Session`] renders it into a `String`.
 //!
@@ -9,23 +9,33 @@
 //! they average, `extension_parbs`, `fig15` and `ablation_cap` reuse the
 //! case-study cells of fig6–8, and Table 5's default geometry is one set
 //! of cells for both of its rows. Runs a spec's scheduler cannot express
-//! (a cap value, a changed `StfmConfig`, prefetching, the row policy) are
-//! [`Experiment`]s on the same worker pool and the same alone cache.
+//! (a cap value, a changed `StfmConfig`, prefetching, the row policy,
+//! weights and shares) are [`Experiment`]s on the same worker pool and the
+//! same alone cache. The layouts that read what an experiment does not
+//! report (Table 3's row-buffer hit rates, STFM's registers, the energy
+//! model's sink) build a [`System`] of their own, on the same pool.
 
+use std::any::Any;
 use std::fmt::{self, Write};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stfm_core::StfmConfig;
-use stfm_cpu::PrefetchConfig;
+use stfm_cpu::{Core, PrefetchConfig};
+use stfm_dram::{DramConfig, EnergyModel, PowerParams};
+use stfm_mc::{MemorySystem, ThreadId};
 use stfm_serve::{run_cell, Cell, ResultCache, SchedSpec};
 use stfm_sim::{
-    gmean, run_ordered, AloneCache, Experiment, RowPolicy, SchedulerKind, Table, WorkloadMetrics,
+    gmean, run_ordered, AloneCache, Experiment, RowPolicy, RunOutcome, RunStop, SchedulerKind,
+    System, Table, WorkloadMetrics,
 };
-use stfm_workloads::{desktop, micro, mix, Profile};
+use stfm_workloads::{desktop, micro, mix, spec, Profile, SyntheticTrace};
 
 use crate::Args;
-use Layout::{CaseStudy, Devices, Gmean, Grid, Pairs, Rows, Slowdowns};
+use Layout::{
+    CaseStudy, Characterization, Devices, Energy, Estimates, Gmean, Grid, Pairs, Rows, Slowdowns,
+    Weights,
+};
 use SchedulerKind::{FrFcfs, FrFcfsCap, Nfq, ParBs, Stfm, StfmWith};
 
 /// A mix with the title of the section that prints it.
@@ -59,6 +69,19 @@ fn job(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Job 
     }
     let names = profiles.iter().map(|p| p.name.to_string()).collect();
     Job::Cell(Cell::new(spec, names).insts(insts).seed(seed))
+}
+
+/// A system that runs `profiles[i]` on core `i` under `kind`, on the DRAM
+/// [`DramConfig::for_cores`] gives that many cores: what the layouts that
+/// read a run's internals build instead of an [`Experiment`].
+fn system(profiles: &[Profile], kind: SchedulerKind, seed: u64) -> System {
+    let dram = DramConfig::for_cores(profiles.len() as u32);
+    let mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
+    let cores = profiles.iter().zip(0..).map(|(p, i)| {
+        let trace = SyntheticTrace::new(p.clone(), &dram, i, seed);
+        Core::new(ThreadId(i), Box::new(trace))
+    });
+    System::new(cores.collect(), mem)
 }
 
 /// STFM with one change to its default configuration.
@@ -99,6 +122,20 @@ enum Layout {
         variants: &'static [Variant],
         note: &'static str,
     },
+    /// Fig. 14: per weight vector, each scheduler's per-thread memory
+    /// slowdowns and the unfairness among the weight-1 threads, the
+    /// vector given as STFM's weights and as NFQ's shares.
+    Weights(&'static [[u32; 4]]),
+    /// Table 3: each benchmark's alone-run MCPI, L2 MPKI and row-buffer
+    /// hit rate beside the paper's.
+    Characterization,
+    /// Per labelled STFM configuration, each thread's measured memory
+    /// slowdown against STFM's own estimate and registers, then the
+    /// estimator's charge totals.
+    Estimates(fn() -> Vec<(&'static str, SchedulerKind)>),
+    /// Each scheduler's DRAM energy breakdown from the `EnergyModel` sink;
+    /// `note` follows it.
+    Energy { note: &'static str },
 }
 
 /// One artefact of the paper.
@@ -253,6 +290,13 @@ pub const RECORDS: &[Record] = &[
         layout: CaseStudy,
     },
     Record {
+        id: "fig14",
+        insts: 150_000,
+        kinds: &[FrFcfs, Nfq, Stfm],
+        mixes: |_| one("Figure 14", mix::fig14_weights()),
+        layout: Weights(&[[1, 16, 1, 1], [1, 4, 8, 1]]),
+    },
+    Record {
         id: "fig15",
         insts: 150_000,
         kinds: &[],
@@ -270,6 +314,20 @@ pub const RECORDS: &[Record] = &[
                 rows
             },
         },
+    },
+    Record {
+        id: "table3",
+        insts: 120_000,
+        kinds: &[FrFcfs],
+        mixes: |full| {
+            let mut profiles = spec::all();
+            if full {
+                profiles.extend(desktop::workload());
+            }
+            let title = "Table 3 (+ Table 4 with --full): alone-run characterization";
+            one(title, profiles)
+        },
+        layout: Characterization,
     },
     Record {
         id: "table5",
@@ -317,6 +375,38 @@ pub const RECORDS: &[Record] = &[
                     .into()
             },
         },
+    },
+    Record {
+        id: "ablation_energy",
+        insts: 100_000,
+        kinds: ALL,
+        mixes: |_| {
+            let title = "Extension: DRAM energy by scheduler (case-study-I workload)";
+            one(title, mix::case_study_intensive())
+        },
+        layout: Energy {
+            note: "Fairness policies that sacrifice row-buffer locality pay in ACT energy;\n\
+                   policies that stretch the run pay in background energy.",
+        },
+    },
+    Record {
+        id: "ablation_estimate",
+        insts: 150_000,
+        // The cell whose alone baselines the measured slowdowns divide by.
+        kinds: &[FrFcfs],
+        mixes: |_| {
+            let title = "Ablation: STFM slowdown-estimate accuracy";
+            one(title, mix::case_study_intensive())
+        },
+        layout: Estimates(|| {
+            vec![
+                // An enormous α keeps STFM in FR-FCFS mode, so its
+                // estimates are checked open loop against measured
+                // slowdowns.
+                ("open loop, fairness rule off", stfm(|c| c.alpha = 1e6)),
+                ("closed loop", Stfm),
+            ]
+        }),
     },
     Record {
         id: "ablation_gamma",
@@ -511,16 +601,33 @@ impl Session {
         self.simulated.load(Ordering::Relaxed)
     }
 
+    /// Runs `work` on each item on the worker pool; the results come back
+    /// in item order.
+    fn pool<T: Sync, R: Send>(&self, items: &[T], work: impl Fn(&T) -> R + Sync) -> Vec<R> {
+        let mut out = Vec::with_capacity(items.len());
+        let keep = |r| {
+            out.push(r);
+            ControlFlow::Continue(())
+        };
+        run_ordered(items.iter(), self.args.jobs, work, keep);
+        out
+    }
+
     /// Runs `jobs` on the worker pool; the metrics come back in job order.
     /// A cell given twice in one batch would run twice: callers split
     /// batches so that a repeat is a cache hit.
     fn run(&self, jobs: &[Job]) -> Vec<WorkloadMetrics> {
-        let mut out = Vec::with_capacity(jobs.len());
-        let keep = |m| {
-            out.push(m);
-            ControlFlow::Continue(())
-        };
-        run_ordered(jobs.iter(), self.args.jobs, |j| self.run_one(j), keep);
+        self.pool(jobs, |j| self.run_one(j))
+    }
+
+    /// Runs a [`system`] to `insts` instructions per thread after `warmup`,
+    /// under an experiment's cycle cap; a run stopped short panics.
+    fn simulate(&self, sys: &mut System, warmup: u64, insts: u64) -> RunOutcome {
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        let out = sys.run_with_warmup(warmup, insts, insts.saturating_mul(4_000));
+        if let Some(stop) = RunStop::of(&out) {
+            panic!("{} run {stop}", sys.memory().policy().name());
+        }
         out
     }
 
@@ -697,6 +804,163 @@ impl Session {
                     writeln!(out, "== {title} ==\n\n{t}")?;
                 }
                 writeln!(out, "{note}")?;
+            }
+            Weights(sets) => {
+                let (title, profiles) = &mixes[0];
+                let mut jobs = Vec::new();
+                for w in *sets {
+                    for &kind in r.kinds {
+                        // Only STFM reads weights and only NFQ reads shares.
+                        let e = experiment(kind, profiles, insts, seed);
+                        let e =
+                            (w.iter().zip(0..)).fold(e, |e, (&w, i)| e.weight(i, w).share(i, w));
+                        jobs.push(Job::Run(Box::new(e)));
+                    }
+                }
+                let names = profiles.iter().map(|p| p.name);
+                let head: Vec<_> = (["scheduler"].into_iter().chain(names))
+                    .chain(["unfairness(equal-pri)"])
+                    .collect();
+                for (w, results) in sets.iter().zip(self.run(&jobs).chunks(k)) {
+                    let label = w.map(|w| w.to_string()).join("-");
+                    let mut t = Table::new(head.clone());
+                    for (&kind, m) in r.kinds.iter().zip(results) {
+                        let slowdowns = m.threads.iter().map(|x| x.mem_slowdown());
+                        // Unfairness among the equal-priority (weight-1)
+                        // threads only.
+                        let equal = slowdowns.clone().zip(w).filter(|(_, &w)| w == 1);
+                        let (hi, lo) = equal.fold((f64::MIN, f64::MAX), |(hi, lo), (x, _)| {
+                            (hi.max(x), lo.min(x))
+                        });
+                        let label = match kind {
+                            Nfq => format!("NFQ-shares-{label}"),
+                            Stfm => format!("STFM-weights-{label}"),
+                            _ => kind.name().to_string(),
+                        };
+                        let row = slowdowns.map(f2).chain([f2(hi / lo)]);
+                        t.row([label].into_iter().chain(row));
+                    }
+                    writeln!(out, "== {title}: weights {w:?} ==\n\n{t}")?;
+                }
+            }
+            Characterization => {
+                let (title, profiles) = &mixes[0];
+                let measured = self.pool(profiles, |p| {
+                    let mut sys = system(std::slice::from_ref(p), r.kinds[0], seed);
+                    let out = self.simulate(&mut sys, insts / 4, insts);
+                    let (stats, rb) = (out.frozen[0], out.frozen_mem[0].row_hit_rate());
+                    [stats.mcpi(), stats.l2_mpki(), rb]
+                });
+                let mut t = Table::new([
+                    "benchmark",
+                    "cat",
+                    "MCPI(paper)",
+                    "MCPI(ours)",
+                    "MPKI(paper)",
+                    "MPKI(ours)",
+                    "RBhit(paper)",
+                    "RBhit(ours)",
+                ]);
+                for (p, [mcpi, mpki, rb]) in profiles.iter().zip(measured) {
+                    let percent = |x: f64| format!("{:.1}%", x * 100.0);
+                    t.row([
+                        p.name.to_string(),
+                        p.category.index().to_string(),
+                        f2(p.targets.mcpi),
+                        f2(mcpi),
+                        f2(p.targets.mpki),
+                        f2(mpki),
+                        percent(p.targets.rb_hit),
+                        percent(rb),
+                    ]);
+                }
+                writeln!(out, "== {title} ==\n\n{t}")?;
+            }
+            Estimates(configs) => {
+                let (title, profiles) = &mixes[0];
+                // The alone baselines: the session's, through the cell of
+                // `r.kinds[0]` on this mix (fig6's, under `--all`).
+                let baseline = self.run(&grid()).remove(0);
+                let blocks = self.pool(&configs(), |&(label, kind)| {
+                    let mut sys = system(profiles, kind, seed);
+                    let shared = self.simulate(&mut sys, 0, insts).frozen;
+                    let policy = sys.memory().policy() as &dyn Any;
+                    let Some(stfm) = policy.downcast_ref::<stfm_core::Stfm>() else {
+                        panic!("{}: {} is not STFM", r.id, kind.name());
+                    };
+                    let mut t = Table::new([
+                        "benchmark",
+                        "measured slowdown",
+                        "STFM estimate",
+                        "error %",
+                        "Tshared",
+                        "Tinterference",
+                    ]);
+                    for ((x, shared), i) in baseline.threads.iter().zip(&shared).zip(0..) {
+                        let measured = (shared.mcpi() + 0.005) / (x.alone.mcpi() + 0.005);
+                        let estimate = stfm.slowdown_estimate(ThreadId(i));
+                        let regs = stfm.registers().thread(ThreadId(i));
+                        t.row([
+                            x.name.clone(),
+                            f2(measured),
+                            f2(estimate),
+                            format!("{:+.1}", (estimate / measured - 1.0) * 100.0),
+                            regs.map(|r| r.tshared().to_string()).unwrap_or_default(),
+                            regs.map(|r| r.tinterference.to_string())
+                                .unwrap_or_default(),
+                        ]);
+                    }
+                    let [bus, bank, own] = stfm.charge_totals();
+                    format!(
+                        "== {title} ({label}) ==\n\n{t}\n\
+                         charge totals: bus {bus}, bank {bank}, own {own}\n\n"
+                    )
+                });
+                out.push_str(&blocks.concat());
+            }
+            Energy { note } => {
+                let (title, profiles) = &mixes[0];
+                let rows = self.pool(r.kinds, |&kind| {
+                    let mut sys = system(profiles, kind, seed);
+                    let dram = sys.memory().dram_config();
+                    let channels = f64::from(dram.channels);
+                    let model = EnergyModel::new(dram, PowerParams::default());
+                    sys.memory_mut().set_sink(Box::new(model));
+                    self.simulate(&mut sys, 0, insts);
+                    let mut sink = sys.memory_mut().take_sink();
+                    let Some(model) = sink.as_any_mut().downcast_mut::<EnergyModel>() else {
+                        unreachable!("the energy model is the sink this run attached");
+                    };
+                    let e = model.breakdown(sys.memory().now());
+                    let serviced = sys.memory().stats().completed.max(1);
+                    let cycles = sys.cores().iter().map(|c| c.stats().cycles).max();
+                    // nJ per ns (0.25 ns a CPU cycle) is W; in mW per channel.
+                    let avg_power_mw =
+                        e.total_nj() / (cycles.unwrap_or(1) as f64 * 0.25) * 1e3 / channels;
+                    let uj = |nj: f64| format!("{:.1}", nj / 1e3);
+                    [
+                        kind.name().to_string(),
+                        uj(e.activate_nj),
+                        uj(e.read_nj + e.write_nj),
+                        uj(e.background_nj),
+                        uj(e.total_nj()),
+                        format!("{avg_power_mw:.0}"),
+                        format!("{:.0}", e.total_nj() / serviced as f64),
+                    ]
+                });
+                let mut t = Table::new([
+                    "scheduler",
+                    "ACT energy (µJ)",
+                    "RD/WR energy (µJ)",
+                    "background (µJ)",
+                    "total (µJ)",
+                    "avg power (mW)",
+                    "nJ per serviced request",
+                ]);
+                for row in rows {
+                    t.row(row);
+                }
+                writeln!(out, "== {title} ==\n\n{t}\n{note}")?;
             }
         }
         Ok(())

@@ -8,7 +8,7 @@ use std::path::Path;
 use stfm_cpu::{trace_io, Core, FileTrace};
 use stfm_dram::DramConfig;
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
-use stfm_serve::{expand_line, run_sweep, ResultCache, ServeConfig};
+use stfm_serve::{expand_line, run_sweep, ResultCache, SchedSpec, ServeConfig};
 use stfm_sim::{
     run_ordered, AloneCache, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
@@ -21,10 +21,10 @@ pub const USAGE: &str = "\
 stfm — Stall-Time Fair Memory scheduling reproduction
 
 USAGE:
-  stfm run --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|all]
+  stfm run --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs|all]
            [--insts N] [--seed N] [--alpha X] [--weights w1,w2,...]
            [--banks N] [--row-kb N] [--jobs N] [--check]
-  stfm trace --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm]
+  stfm trace --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs]
            [--insts N] [--seed N] [--epoch N] [--sample N] [--out-dir DIR]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
   stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
@@ -62,16 +62,13 @@ snapshot spacing, both in DRAM cycles.
 Benchmark names come from `stfm list` (the paper's Table 3 + Table 4).
 ";
 
+/// A `--scheduler` value: any spec token (`SchedSpec::parse`), or `all`
+/// for the paper's five-way comparison.
 fn parse_scheduler(s: &str) -> Result<Vec<SchedulerKind>, String> {
-    Ok(match s {
-        "frfcfs" | "fr-fcfs" => vec![SchedulerKind::FrFcfs],
-        "fcfs" => vec![SchedulerKind::Fcfs],
-        "cap" | "frfcfs+cap" => vec![SchedulerKind::FrFcfsCap { cap: 4 }],
-        "nfq" => vec![SchedulerKind::Nfq],
-        "stfm" => vec![SchedulerKind::Stfm],
-        "all" => SchedulerKind::all().to_vec(),
-        other => return Err(format!("unknown scheduler '{other}'")),
-    })
+    if s == "all" {
+        return Ok(SchedulerKind::all().to_vec());
+    }
+    SchedSpec::parse(s).map(|spec| vec![spec.kind()])
 }
 
 fn print_metrics(profile_names: &[String], results: &[WorkloadMetrics]) {
@@ -568,5 +565,16 @@ mod tests {
             let err = run(&argv(&line)).expect_err(&line);
             assert!(err.contains("power of two, at most 16"), "{line}: {err}");
         }
+    }
+
+    /// `run`, `trace` and `replay` take the same scheduler tokens as a
+    /// spec line, PAR-BS included.
+    #[test]
+    fn every_spec_token_is_a_cli_scheduler() {
+        for spec in SchedSpec::all().into_iter().chain([SchedSpec::ParBs]) {
+            assert_eq!(parse_scheduler(spec.token()), Ok(vec![spec.kind()]));
+        }
+        assert_eq!(parse_scheduler("all"), Ok(SchedulerKind::all().to_vec()));
+        assert!(parse_scheduler("bogus").is_err());
     }
 }

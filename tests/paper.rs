@@ -2,16 +2,20 @@
 //! process at `--insts 2000`, seed 1, must hash to the FNV-1a digest of
 //! what the standalone binary it replaced printed, and must simulate each
 //! of its runs once. A session shared across records must not simulate a
-//! cell twice.
+//! cell twice. Every record writes one file of `results/`, and every file
+//! there is a record's.
 //!
 //! A debug build spends about a second on each record, so tier-1 renders
 //! only one record per layout that is cheap there (the slowdown list,
 //! the case-study table, label × metric rows from cells and from
-//! experiments, the scheduler × variant grid); the rest are `#[ignore]`d.
-//! Run them all with
+//! experiments, the scheduler × variant grid, the alone-run
+//! characterization); the rest are `#[ignore]`d. Run them all with
 //! `cargo test --release --test paper -- --include-ignored`.
 
-use stfm_bench::paper::{record, Session};
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use stfm_bench::paper::{record, Session, RECORDS};
 use stfm_bench::Args;
 use stfm_sim::digest::hex_digest;
 
@@ -62,13 +66,21 @@ pinned! {
     #[ignore = "release-only: seconds in a debug build"]
     fig13 = ("532e5fe9c1b8de6e", 5);
     #[ignore = "release-only: seconds in a debug build"]
+    fig14 = ("ca2430f4ca312373", 6);
+    #[ignore = "release-only: seconds in a debug build"]
     fig15 = ("54b411f4fb07ed2c", 8);
+    table3 = ("f0a33343b627f224", 26);
     #[ignore = "release-only: minutes in a debug build"]
     table5 = ("647c53000a08aa70", 80);
     #[ignore = "release-only: seconds in a debug build"]
     extension_parbs = ("1321e1cfbf82d645", 12);
     #[ignore = "release-only: seconds in a debug build"]
     ablation_cap = ("c4c8690f2a557066", 5);
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_energy = ("da60c6f0ad382ea3", 5);
+    // Two STFM runs and the FR-FCFS cell that brings the alone baselines.
+    #[ignore = "release-only: seconds in a debug build"]
+    ablation_estimate = ("c9b994434921bf98", 3);
     #[ignore = "release-only: seconds in a debug build"]
     ablation_gamma = ("3c6d89828c466c45", 3);
     #[ignore = "release-only: seconds in a debug build"]
@@ -90,4 +102,40 @@ fn a_shared_session_simulates_each_cell_once() {
     // A cached cell renders as a fresh one does.
     assert_eq!(hex_digest(&case_study), "b9369a15b1e60623");
     assert_eq!(hex_digest(&alpha), "54b411f4fb07ed2c");
+}
+
+/// `--full` adds Table 4's desktop benchmarks to Table 3.
+#[test]
+#[ignore = "release-only: seconds in a debug build"]
+fn table3_full() {
+    let session = Session::new(Args {
+        insts: Some(2_000),
+        full: true,
+        ..Args::default()
+    });
+    let out = render(&session, "table3");
+    assert_eq!(
+        hex_digest(&out),
+        "f02e26407a980cec",
+        "table3 --full:\n{out}"
+    );
+}
+
+/// `paper --all results` writes exactly the checked-in files: no artefact
+/// lives outside the records, and no file outlives its record.
+#[test]
+fn the_records_are_the_results_directory() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    let stems: BTreeSet<String> = entries
+        .map(|e| {
+            e.unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+                .path()
+        })
+        .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+        .filter_map(|p| Some(p.file_stem()?.to_str()?.to_string()))
+        .collect();
+    let ids: BTreeSet<String> = RECORDS.iter().map(|r| r.id.to_string()).collect();
+    assert_eq!(ids.len(), RECORDS.len(), "two records share an id");
+    assert_eq!(ids, stems);
 }
