@@ -13,7 +13,7 @@
 //! weights and shares) are [`Experiment`]s on the same worker pool and the
 //! same alone cache. The layouts that read what an experiment does not
 //! report (Table 3's row-buffer hit rates, STFM's registers, the energy
-//! model's sink) build a [`System`] of their own, on the same pool.
+//! model's sink) run an experiment's [`System`] directly, on the same pool.
 
 use std::any::Any;
 use std::fmt::{self, Write};
@@ -21,15 +21,15 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use stfm_core::StfmConfig;
-use stfm_cpu::{Core, PrefetchConfig};
-use stfm_dram::{DramConfig, EnergyModel, PowerParams};
-use stfm_mc::{MemorySystem, ThreadId};
+use stfm_cpu::PrefetchConfig;
+use stfm_dram::{EnergyModel, PowerParams};
+use stfm_mc::ThreadId;
 use stfm_serve::{run_cell, Cell, ResultCache, SchedSpec};
 use stfm_sim::{
-    gmean, run_ordered, AloneCache, Experiment, RowPolicy, RunOutcome, RunStop, SchedulerKind,
-    System, Table, WorkloadMetrics,
+    gmean, run_ordered, AloneCache, Budget, Experiment, RowPolicy, RunOutcome, RunStop,
+    SchedulerKind, System, Table, WorkloadMetrics,
 };
-use stfm_workloads::{desktop, micro, mix, spec, Profile, SyntheticTrace};
+use stfm_workloads::{desktop, micro, mix, spec, Profile};
 
 use crate::Args;
 use Layout::{
@@ -69,19 +69,6 @@ fn job(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Job 
     }
     let names = profiles.iter().map(|p| p.name.to_string()).collect();
     Job::Cell(Cell::new(spec, names).insts(insts).seed(seed))
-}
-
-/// A system that runs `profiles[i]` on core `i` under `kind`, on the DRAM
-/// [`DramConfig::for_cores`] gives that many cores: what the layouts that
-/// read a run's internals build instead of an [`Experiment`].
-fn system(profiles: &[Profile], kind: SchedulerKind, seed: u64) -> System {
-    let dram = DramConfig::for_cores(profiles.len() as u32);
-    let mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
-    let cores = profiles.iter().zip(0..).map(|(p, i)| {
-        let trace = SyntheticTrace::new(p.clone(), &dram, i, seed);
-        Core::new(ThreadId(i), Box::new(trace))
-    });
-    System::new(cores.collect(), mem)
 }
 
 /// STFM with one change to its default configuration.
@@ -620,11 +607,11 @@ impl Session {
         self.pool(jobs, |j| self.run_one(j))
     }
 
-    /// Runs a [`system`] to `insts` instructions per thread after `warmup`,
-    /// under an experiment's cycle cap; a run stopped short panics.
-    fn simulate(&self, sys: &mut System, warmup: u64, insts: u64) -> RunOutcome {
+    /// Runs an experiment's [`Experiment::shared_system`] over `budget`; a
+    /// run stopped short panics.
+    fn simulate(&self, sys: &mut System, budget: Budget) -> RunOutcome {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let out = sys.run_with_warmup(warmup, insts, insts.saturating_mul(4_000));
+        let out = sys.run(&[budget]).remove(0);
         if let Some(stop) = RunStop::of(&out) {
             panic!("{} run {stop}", sys.memory().policy().name());
         }
@@ -654,6 +641,11 @@ impl Session {
 
     fn write(&self, r: &Record, out: &mut String) -> fmt::Result {
         let (insts, seed) = (self.args.insts.unwrap_or(r.insts), self.args.seed);
+        // The estimator and energy ablations measure the whole run.
+        let from_zero = Budget {
+            warmup: 0,
+            ..Budget::of(insts)
+        };
         let mixes = (r.mixes)(self.args.full);
         let k = r.kinds.len();
         let names = || r.kinds.iter().map(SchedulerKind::name);
@@ -846,8 +838,8 @@ impl Session {
             Characterization => {
                 let (title, profiles) = &mixes[0];
                 let measured = self.pool(profiles, |p| {
-                    let mut sys = system(std::slice::from_ref(p), r.kinds[0], seed);
-                    let out = self.simulate(&mut sys, insts / 4, insts);
+                    let exp = experiment(r.kinds[0], std::slice::from_ref(p), insts, seed);
+                    let out = self.simulate(&mut exp.shared_system(), Budget::of(insts));
                     let (stats, rb) = (out.frozen[0], out.frozen_mem[0].row_hit_rate());
                     [stats.mcpi(), stats.l2_mpki(), rb]
                 });
@@ -882,8 +874,8 @@ impl Session {
                 // `r.kinds[0]` on this mix (fig6's, under `--all`).
                 let baseline = self.run(&grid()).remove(0);
                 let blocks = self.pool(&configs(), |&(label, kind)| {
-                    let mut sys = system(profiles, kind, seed);
-                    let shared = self.simulate(&mut sys, 0, insts).frozen;
+                    let mut sys = experiment(kind, profiles, insts, seed).shared_system();
+                    let shared = self.simulate(&mut sys, from_zero).frozen;
                     let policy = sys.memory().policy() as &dyn Any;
                     let Some(stfm) = policy.downcast_ref::<stfm_core::Stfm>() else {
                         panic!("{}: {} is not STFM", r.id, kind.name());
@@ -921,12 +913,12 @@ impl Session {
             Energy { note } => {
                 let (title, profiles) = &mixes[0];
                 let rows = self.pool(r.kinds, |&kind| {
-                    let mut sys = system(profiles, kind, seed);
+                    let mut sys = experiment(kind, profiles, insts, seed).shared_system();
                     let dram = sys.memory().dram_config();
                     let channels = f64::from(dram.channels);
                     let model = EnergyModel::new(dram, PowerParams::default());
                     sys.memory_mut().set_sink(Box::new(model));
-                    self.simulate(&mut sys, 0, insts);
+                    self.simulate(&mut sys, from_zero);
                     let mut sink = sys.memory_mut().take_sink();
                     let Some(model) = sink.as_any_mut().downcast_mut::<EnergyModel>() else {
                         unreachable!("the energy model is the sink this run attached");

@@ -5,12 +5,12 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::ops::ControlFlow;
 use std::path::Path;
-use stfm_cpu::{trace_io, Core, FileTrace};
+use stfm_cpu::{trace_io, Core, CoreStats, FileTrace};
 use stfm_dram::DramConfig;
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
 use stfm_serve::{expand_line, run_sweep, ResultCache, SchedSpec, ServeConfig};
 use stfm_sim::{
-    run_ordered, AloneCache, Experiment, SchedulerKind, System, Table, ThreadMetrics,
+    run_ordered, AloneCache, Budget, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
 };
 use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
@@ -272,21 +272,11 @@ pub fn list(args: &[String]) -> Result<(), String> {
         }
         v.join(" ")
     };
-    for p in spec::all() {
+    let suites = spec::all().into_iter().map(|p| (p, "SPEC2006"));
+    for (p, suite) in suites.chain(desktop::workload().into_iter().map(|p| (p, "desktop"))) {
         t.row([
             p.name.to_string(),
-            "SPEC2006".into(),
-            p.category.index().to_string(),
-            format!("{:.2}", p.targets.mcpi),
-            format!("{:.2}", p.targets.mpki),
-            format!("{:.1}%", p.targets.rb_hit * 100.0),
-            traits(&p),
-        ]);
-    }
-    for p in desktop::workload() {
-        t.row([
-            p.name.to_string(),
-            "desktop".into(),
+            suite.into(),
             p.category.index().to_string(),
             format!("{:.2}", p.targets.mcpi),
             format!("{:.2}", p.targets.mpki),
@@ -323,47 +313,35 @@ pub fn replay(args: &[String]) -> Result<(), String> {
     let insts: u64 = f.num("insts", 100_000)?;
     let dram = DramConfig::for_cores(files.len() as u32);
 
-    let load = |path: &str| FileTrace::open(path).map_err(|e| format!("{path}: {e}"));
-
-    // Alone baselines, one per file.
-    let mut alone_stats = Vec::new();
-    for path in &files {
-        let trace = load(path)?;
-        let mem = MemorySystem::new(
-            dram.clone(),
-            SchedulerKind::FrFcfs.build(dram.timing, &[], &[]),
-        );
-        let core = Core::new(ThreadId(0), Box::new(trace));
-        let mut sys = System::new(vec![core], mem);
-        let out = sys.run_with_warmup(insts / 4, insts, insts.saturating_mul(4_000));
-        alone_stats.push(out.frozen[0]);
-    }
-
-    let names: Vec<String> = files.clone();
-    let mut results = Vec::new();
-    for kind in &kinds {
+    // `paths[i]` on core `i` under `kind`: each core's measured window.
+    let run = |kind: SchedulerKind, paths: &[String]| -> Result<Vec<CoreStats>, String> {
         let mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
-        let cores: Vec<Core> = files
-            .iter()
-            .enumerate()
-            .map(|(i, path)| Ok(Core::new(ThreadId(i as u32), Box::new(load(path)?))))
-            .collect::<Result<_, String>>()?;
-        let mut sys = System::new(cores, mem);
-        let out = sys.run_with_warmup(insts / 4, insts, insts.saturating_mul(4_000));
+        let cores = paths.iter().zip(0..).map(|(path, i)| {
+            let trace = FileTrace::open(path).map_err(|e| format!("{path}: {e}"))?;
+            Ok(Core::new(ThreadId(i), Box::new(trace)))
+        });
+        let mut sys = System::new(cores.collect::<Result<_, String>>()?, mem);
+        Ok(sys.run(&[Budget::of(insts)]).remove(0).frozen)
+    };
+    // Alone baselines, one per file.
+    let alone = files
+        .iter()
+        .map(|p| Ok(run(SchedulerKind::FrFcfs, std::slice::from_ref(p))?[0]));
+    let alone: Vec<CoreStats> = alone.collect::<Result<_, String>>()?;
+    let mut results = Vec::new();
+    for &kind in &kinds {
+        let threads = files.iter().zip(run(kind, &files)?).zip(&alone);
+        let threads = threads.map(|((name, shared), &alone)| ThreadMetrics {
+            name: name.clone(),
+            shared,
+            alone,
+        });
         results.push(WorkloadMetrics {
             scheduler: kind.name().to_string(),
-            threads: files
-                .iter()
-                .zip(out.frozen.iter().zip(&alone_stats))
-                .map(|(name, (shared, alone))| ThreadMetrics {
-                    name: name.clone(),
-                    shared: *shared,
-                    alone: *alone,
-                })
-                .collect(),
+            threads: threads.collect(),
         });
     }
-    print_metrics(&names, &results);
+    print_metrics(&files, &results);
     Ok(())
 }
 

@@ -40,9 +40,13 @@ impl ThreadStats {
     /// `max_read_latency_cpu` is a running maximum, not a counter, so it
     /// cannot be differenced; it is taken from `self`, which is only a
     /// valid windowed maximum if [`SystemStats::reset_max_read_latency`]
-    /// was called when the window opened (the system runner does this at
-    /// each thread's warmup boundary — otherwise a warmup latency spike
-    /// would leak into every later window).
+    /// was called when the window opened — otherwise a warmup latency
+    /// spike would leak into every later window. The system runner
+    /// measures several overlapping windows in one run, which share no
+    /// single reset point: it resets at every instruction mark (a
+    /// window's warm-up or end) a thread crosses, so each snapshot holds
+    /// the max of the segment since the previous mark, and sets a
+    /// window's max to the max over the segments it spans.
     pub fn minus(&self, earlier: &ThreadStats) -> ThreadStats {
         ThreadStats {
             reads: self.reads - earlier.reads,

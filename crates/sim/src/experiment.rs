@@ -11,9 +11,8 @@ use crate::digest::hex_digest;
 use crate::metrics::{ThreadMetrics, WorkloadMetrics};
 use crate::scheduler_kind::SchedulerKind;
 use crate::store::Store;
-use crate::system::{RunOutcome, System};
+use crate::system::{Budget, RunStop, System};
 use std::any::Any;
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
@@ -23,13 +22,9 @@ use stfm_telemetry::{Event, NullSink, Sink, TeeSink};
 use stfm_workloads::{Profile, SyntheticTrace};
 
 /// Default per-thread instruction budget. Deliberately modest so whole
-/// figure sweeps finish in minutes; harness binaries raise it via
+/// figure sweeps finish in minutes; the `paper` records raise it via
 /// [`Experiment::instructions_per_thread`].
 pub const DEFAULT_INSTRUCTIONS: u64 = 30_000;
-
-/// Cycle-cap safety factor: a run aborts (with `truncated = true`) after
-/// `insts × MAX_CPI` CPU cycles per thread.
-const MAX_CPI: u64 = 4_000;
 
 /// The sink of a run under [`Experiment::timing_checker`]: the caller's
 /// sink (a [`NullSink`] when none) teed with the timing audit.
@@ -76,36 +71,59 @@ impl AloneCache {
         self.0.quarantined_count()
     }
 
-    /// Returns the memoized/recomputed baseline, or why there is none:
-    /// `cancel` fired while the baseline was being simulated, or the run
-    /// hit its cycle cap. Neither is ever stored — in memory or on disk —
-    /// so a later retry recomputes the baseline in full.
+    /// Returns the memoized/recomputed baseline at each instruction
+    /// budget of `insts`, or why there is none: `cancel` fired while the
+    /// baseline was being simulated, or the run hit its cycle cap. The
+    /// missing baselines come from one run of a one-core [`Experiment`]
+    /// under FR-FCFS. A stopped baseline is never stored — in memory or
+    /// on disk — so a later retry recomputes it in full.
     fn get_or_run(
         &self,
         profile: &Profile,
         dram: &DramConfig,
-        insts: u64,
+        insts: &[u64],
         seed: u64,
         prefetch: Option<PrefetchConfig>,
         cancel: Option<&CancelToken>,
-    ) -> Result<CoreStats, RunStop> {
-        // The derived `Debug`s spell out every configuration field, so
-        // keys differ whenever the runs do.
-        let key = format!(
-            "alone-v2|{}|{dram:?}|insts={insts}|seed={seed}|prefetch={prefetch:?}",
-            profile.name
-        );
-        let name = hex_digest(&key);
-        if let Some(hit) = self.0.get(&name, |body| decode_alone(body, &key)) {
-            return Ok(hit);
+    ) -> Vec<Result<CoreStats, RunStop>> {
+        let name = profile.name;
+        let (mut looked, mut missing) = (Vec::new(), Vec::new());
+        for &n in insts {
+            // The derived `Debug`s spell out every configuration field, so
+            // keys differ whenever the runs do.
+            let key =
+                format!("alone-v2|{name}|{dram:?}|insts={n}|seed={seed}|prefetch={prefetch:?}");
+            let hit = self.0.get(&hex_digest(&key), |b| decode_alone(b, &key));
+            if hit.is_none() {
+                missing.push(Budget::of(n));
+            }
+            looked.push((key, hit));
         }
-        let stats = run_alone_inner(profile, dram, insts, seed, prefetch, cancel)?;
-        let mut body = key;
-        for c in stats.counters() {
-            let _ = write!(body, "\n{c}");
+        let mut ran = Vec::new().into_iter();
+        if !missing.is_empty() {
+            let mut alone = Experiment::new(vec![profile.clone()]).seed(seed);
+            (alone.dram, alone.prefetch) = (Some(dram.clone()), prefetch);
+            let mut sys = alone.shared_system();
+            if let Some(t) = cancel {
+                sys.set_cancel_token(t.clone());
+            }
+            ran = sys.run(&missing).into_iter();
         }
-        self.0.put(&name, stats, &body);
-        Ok(stats)
+        // `ran` holds one outcome per miss, in order.
+        let results = looked.into_iter().filter_map(|(key, hit)| {
+            if hit.is_some() {
+                return hit.map(Ok);
+            }
+            let out = ran.next()?;
+            let got = RunStop::of(&out).map_or(Ok(out.frozen[0]), Err);
+            if let Ok(stats) = got {
+                let counters = stats.counters().map(|c| c.to_string());
+                let body = format!("{key}\n{}", counters.join("\n"));
+                self.0.put(&hex_digest(&key), stats, &body);
+            }
+            Some(got)
+        });
+        results.collect()
     }
 }
 
@@ -120,9 +138,10 @@ fn decode_alone(body: &str, key: &str) -> Option<CoreStats> {
 }
 
 /// Default warmup as a fraction of the instruction budget (cache cold
-/// misses and generator start-up are excluded from measurements).
+/// misses and generator start-up are excluded from measurements): that of
+/// [`Budget::of`].
 pub fn default_warmup(insts: u64) -> u64 {
-    insts / 4
+    Budget::of(insts).warmup
 }
 
 /// Runs `profile` alone on `dram` under FR-FCFS (the paper's baseline for
@@ -130,85 +149,15 @@ pub fn default_warmup(insts: u64) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if the run hits its cycle cap (`insts × MAX_CPI` CPU cycles).
+/// Panics if the run hits its cycle cap (that of [`Budget::of`]).
 pub fn run_alone(profile: &Profile, dram: &DramConfig, insts: u64, seed: u64) -> CoreStats {
-    run_alone_with(profile, dram, insts, seed, None)
-}
-
-/// [`run_alone`] with an optional per-core prefetcher.
-pub fn run_alone_with(
-    profile: &Profile,
-    dram: &DramConfig,
-    insts: u64,
-    seed: u64,
-    prefetch: Option<PrefetchConfig>,
-) -> CoreStats {
-    match run_alone_inner(profile, dram, insts, seed, prefetch, None) {
+    let cache = AloneCache::new();
+    match cache
+        .get_or_run(profile, dram, &[insts], seed, None, None)
+        .remove(0)
+    {
         Ok(stats) => stats,
         Err(stop) => panic!("{} alone run stopped: {stop}", profile.name),
-    }
-}
-
-/// Shared body of the alone-run paths: the baseline, or why the run
-/// stopped short of it (partial stats are never a baseline).
-fn run_alone_inner(
-    profile: &Profile,
-    dram: &DramConfig,
-    insts: u64,
-    seed: u64,
-    prefetch: Option<PrefetchConfig>,
-    cancel: Option<&CancelToken>,
-) -> Result<CoreStats, RunStop> {
-    let mem = MemorySystem::new(
-        dram.clone(),
-        SchedulerKind::FrFcfs.build(dram.timing, &[], &[]),
-    );
-    let trace = SyntheticTrace::new(profile.clone(), dram, 0, seed);
-    let core_cfg = CoreConfig {
-        prefetch,
-        ..CoreConfig::paper_baseline()
-    };
-    let core = Core::with_config(ThreadId(0), Box::new(trace), core_cfg);
-    let mut sys = System::new(vec![core], mem);
-    if let Some(t) = cancel {
-        sys.set_cancel_token(t.clone());
-    }
-    let out = sys.run_with_warmup(default_warmup(insts), insts, insts.saturating_mul(MAX_CPI));
-    RunStop::of(&out).map_or(Ok(out.frozen[0]), Err)
-}
-
-/// Why a run returned no metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunStop {
-    /// A [`CancelToken`] fired.
-    Cancelled,
-    /// The shared run or an alone baseline hit its cycle cap
-    /// (`insts × MAX_CPI` CPU cycles) before every thread finished.
-    Truncated,
-}
-
-impl RunStop {
-    /// Why `out` stopped short, if it did.
-    pub fn of(out: &RunOutcome) -> Option<Self> {
-        if out.cancelled {
-            Some(RunStop::Cancelled)
-        } else if out.truncated {
-            Some(RunStop::Truncated)
-        } else {
-            None
-        }
-    }
-}
-
-impl std::fmt::Display for RunStop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RunStop::Cancelled => f.write_str("cancelled"),
-            RunStop::Truncated => write!(
-                f,
-                "truncated: it hit the cycle cap of {MAX_CPI} CPU cycles per instruction"
-            ),
-        }
     }
 }
 
@@ -231,7 +180,7 @@ pub struct Experiment {
     profiles: Vec<Profile>,
     scheduler: SchedulerKind,
     dram: Option<DramConfig>,
-    insts: u64,
+    pub(crate) insts: u64,
     seed: u64,
     alpha: Option<f64>,
     weights: Vec<(u32, u32)>,
@@ -255,14 +204,10 @@ pub struct TracedRun {
     /// The last DRAM cycle simulated; pass to
     /// [`stfm_telemetry::EpochSampler::finish`] to close the final epoch.
     pub final_dram_cycle: u64,
-    /// Whether a [`CancelToken`] stopped the run early. When set,
-    /// `metrics.threads` is empty — partial statistics are never reduced
-    /// into reportable metrics.
-    pub cancelled: bool,
-    /// Whether the shared run or an alone baseline hit its cycle cap
-    /// before every thread finished. When set, `metrics.threads` is
-    /// empty, as for a cancelled run.
-    pub truncated: bool,
+    /// Why the shared run or an alone baseline stopped short, if one
+    /// did. Then `metrics.threads` is empty: partial statistics are never
+    /// reduced into reportable metrics.
+    pub stop: Option<RunStop>,
 }
 
 impl Experiment {
@@ -439,14 +384,21 @@ impl Experiment {
         cache: &AloneCache,
         cancel: Option<&CancelToken>,
     ) -> Result<WorkloadMetrics, RunStop> {
-        let run = self.run_inner(cache, None, cancel);
-        if run.cancelled {
-            Err(RunStop::Cancelled)
-        } else if run.truncated {
-            Err(RunStop::Truncated)
-        } else {
-            Ok(run.metrics)
-        }
+        self.try_run_budgets(&[self.insts], cache, cancel).remove(0)
+    }
+
+    /// [`Experiment::try_run`] at every instruction budget of `insts` in
+    /// place of [`Experiment::instructions_per_thread`], one result per
+    /// budget, in order. One shared run measures every budget
+    /// ([`System::run`]), and one alone run per profile every baseline
+    /// `cache` lacks; each result equals `try_run` at that budget.
+    pub fn try_run_budgets(
+        &self,
+        insts: &[u64],
+        cache: &AloneCache,
+        cancel: Option<&CancelToken>,
+    ) -> Vec<Result<WorkloadMetrics, RunStop>> {
+        self.run_inner(insts, cache, None, cancel).0
     }
 
     /// Runs the experiment with `sink` attached to the shared memory
@@ -454,13 +406,24 @@ impl Experiment {
     /// untraced (they are cached and shared across runs). The metrics are
     /// bit-identical to an untraced run: sinks only observe.
     pub fn run_traced(&self, cache: &AloneCache, sink: Box<dyn Sink>) -> TracedRun {
-        self.run_inner(cache, Some(sink), None)
+        let (mut results, sink, final_dram_cycle) =
+            self.run_inner(&[self.insts], cache, Some(sink), None);
+        let result = results.remove(0);
+        TracedRun {
+            stop: result.as_ref().err().copied(),
+            metrics: result.unwrap_or_else(|_| WorkloadMetrics {
+                scheduler: self.effective_scheduler().name().to_string(),
+                threads: Vec::new(),
+            }),
+            sink,
+            final_dram_cycle,
+        }
     }
 
-    /// The shared run's system, as [`Experiment::run`] and
-    /// [`crate::oracle::Case::experiment`] both build it: no sink, no
-    /// cancellation token, and the event-driven loop selected.
-    pub(crate) fn shared_system(&self) -> System {
+    /// The shared run's system, as [`Experiment::run`],
+    /// [`crate::oracle::Case::experiment`] and the alone runs build it: no
+    /// sink, no cancellation token, and the event-driven loop selected.
+    pub fn shared_system(&self) -> System {
         let dram = self.effective_dram();
         let policy = self
             .effective_scheduler()
@@ -489,19 +452,16 @@ impl Experiment {
         System::new(cores, mem)
     }
 
-    /// The shared run's limits: warm-up and measured instructions per
-    /// thread, and the CPU-cycle cap.
-    pub(crate) fn limits(&self) -> (u64, u64, u64) {
-        let insts = self.insts;
-        (default_warmup(insts), insts, insts.saturating_mul(MAX_CPI))
-    }
-
+    /// The shared run at each budget of `insts`, reduced against its
+    /// alone baselines; also the sink, handed back, and the last DRAM
+    /// cycle simulated.
     fn run_inner(
         &self,
+        insts: &[u64],
         cache: &AloneCache,
         sink: Option<Box<dyn Sink>>,
         cancel: Option<&CancelToken>,
-    ) -> TracedRun {
+    ) -> (Vec<Result<WorkloadMetrics, RunStop>>, Box<dyn Sink>, u64) {
         let dram = self.effective_dram();
         let mut sys = self.shared_system();
         let sink = sink.unwrap_or_else(|| Box::new(NullSink));
@@ -515,36 +475,37 @@ impl Experiment {
         if let Some(t) = cancel {
             sys.set_cancel_token(t.clone());
         }
-        let (warmup, insts, max_cpu_cycles) = self.limits();
-        let out = sys.run_with_warmup(warmup, insts, max_cpu_cycles);
+        let outs = sys.run(&insts.iter().map(|&n| Budget::of(n)).collect::<Vec<_>>());
         let mut sink = sys.memory_mut().take_sink();
         if self.timing_checker {
             let Some(tee) = sink.as_any_mut().downcast_mut::<AuditTee>() else {
                 unreachable!("a checked run's sink is the audit tee");
             };
-            if !out.cancelled {
+            if !outs.iter().any(|o| o.cancelled) {
                 tee.second.assert_clean();
             }
             sink = std::mem::replace(&mut tee.first, Box::new(NullSink));
         }
 
-        let mut stop = RunStop::of(&out);
-        let mut threads = Vec::with_capacity(self.profiles.len());
-        if stop.is_none() {
-            for (p, shared) in self.profiles.iter().zip(&out.frozen) {
-                match cache.get_or_run(p, &dram, self.insts, self.seed, self.prefetch, cancel) {
-                    Ok(alone) => threads.push(ThreadMetrics {
+        let stops = outs
+            .iter()
+            .map(|o| RunStop::of(o).map_or(Ok(Vec::new()), Err));
+        let mut threads: Vec<Result<Vec<ThreadMetrics>, RunStop>> = stops.collect();
+        for (i, p) in self.profiles.iter().enumerate() {
+            let live: Vec<usize> = (0..insts.len()).filter(|&j| threads[j].is_ok()).collect();
+            let at: Vec<u64> = live.iter().map(|&j| insts[j]).collect();
+            let alone = cache.get_or_run(p, &dram, &at, self.seed, self.prefetch, cancel);
+            for (&j, alone) in live.iter().zip(alone) {
+                // A baseline stopped short: so does that budget's run,
+                // and its partial metrics are discarded.
+                match (&mut threads[j], alone) {
+                    (Ok(t), Ok(alone)) => t.push(ThreadMetrics {
                         name: p.name.to_string(),
-                        shared: *shared,
+                        shared: outs[j].frozen[i],
                         alone,
                     }),
-                    Err(why) => {
-                        // A baseline stopped short: so does the whole
-                        // run, and partial metrics are discarded.
-                        stop = Some(why);
-                        threads.clear();
-                        break;
-                    }
+                    (_, Err(why)) => threads[j] = Err(why),
+                    (Err(_), Ok(_)) => {}
                 }
             }
         }
@@ -568,16 +529,15 @@ impl Experiment {
             rank_scans: sched.rank_scans,
             rank_carried: sched.rank_carried,
         });
-        TracedRun {
-            metrics: WorkloadMetrics {
-                scheduler: self.effective_scheduler().name().to_string(),
+        let scheduler = self.effective_scheduler().name();
+        let metrics = threads.into_iter().map(|t| {
+            t.map(|threads| WorkloadMetrics {
+                scheduler: scheduler.to_string(),
                 threads,
-            },
-            sink,
-            final_dram_cycle: out.cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE,
-            cancelled: stop == Some(RunStop::Cancelled),
-            truncated: stop == Some(RunStop::Truncated),
-        }
+            })
+        });
+        let last = outs.iter().map(|o| o.cpu_cycles).max().unwrap_or(0);
+        (metrics.collect(), sink, last / CPU_CYCLES_PER_DRAM_CYCLE)
     }
 }
 
@@ -622,7 +582,7 @@ mod tests {
             .instructions_per_thread(20);
         assert!(matches!(e.try_run(&cache, None), Err(RunStop::Truncated)));
         let traced = e.run_traced(&cache, Box::new(stfm_telemetry::NullSink));
-        assert!(traced.truncated && !traced.cancelled);
+        assert_eq!(traced.stop, Some(RunStop::Truncated));
         assert!(
             traced.metrics.threads.is_empty(),
             "a truncated run was reduced"
@@ -668,8 +628,8 @@ mod tests {
     fn a_truncated_baseline_is_never_stored() {
         let dir = scratch_dir("truncated");
         let cache = AloneCache::with_dir(&dir).unwrap();
-        let got = cache.get_or_run(&spec::mcf(), &glacial_dram(), 20, 1, None, None);
-        assert!(matches!(got, Err(RunStop::Truncated)), "{got:?}");
+        let got = cache.get_or_run(&spec::mcf(), &glacial_dram(), &[20], 1, None, None);
+        assert!(matches!(got[..], [Err(RunStop::Truncated)]), "{got:?}");
         assert!(cache.is_empty(), "a truncated baseline was memoized");
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 0, "a truncated baseline was persisted");

@@ -35,12 +35,10 @@ pub mod system;
 pub mod table;
 
 pub use cancel::CancelToken;
-pub use experiment::{
-    run_alone, run_alone_with, AloneCache, Experiment, RunStop, TracedRun, DEFAULT_INSTRUCTIONS,
-};
+pub use experiment::{run_alone, AloneCache, Experiment, TracedRun, DEFAULT_INSTRUCTIONS};
 pub use metrics::{gmean, unfairness_from_slowdowns, ThreadMetrics, WorkloadMetrics};
 pub use runner::run_ordered;
 pub use scheduler_kind::SchedulerKind;
 pub use stfm_mc::{RowPolicy, MAX_BANKS};
-pub use system::{RunOutcome, System};
+pub use system::{Budget, RunOutcome, RunStop, System};
 pub use table::Table;

@@ -8,7 +8,7 @@ use stfm_cpu::CoreStats;
 const MCPI_EPSILON: f64 = 0.005;
 
 /// One thread's shared-run / alone-run measurement pair.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThreadMetrics {
     /// Benchmark name.
     pub name: String,
@@ -35,7 +35,7 @@ impl ThreadMetrics {
 }
 
 /// Metrics of one multiprogrammed workload under one scheduler.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMetrics {
     /// Scheduler name.
     pub scheduler: String,

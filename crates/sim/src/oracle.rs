@@ -9,8 +9,8 @@
 //!
 //! * the telemetry stream, element by element and in length
 //!   ([`first_divergence`]);
-//! * the frozen core and controller statistics;
-//! * the run length and the truncation and cancellation verdicts;
+//! * each budget's frozen core and controller statistics, run length,
+//!   and truncation and cancellation verdicts;
 //! * the STFM register digest ([`register_digest`]).
 //!
 //! A case runs at [`System`] level, so no alone baseline runs and the
@@ -22,7 +22,7 @@
 
 use crate::digest::Fnv64;
 use crate::experiment::Experiment;
-use crate::system::{RunOutcome, System};
+use crate::system::{Budget, RunOutcome, System};
 use std::any::Any;
 use stfm_core::Stfm;
 use stfm_telemetry::{Event, RingSink};
@@ -31,46 +31,35 @@ use stfm_telemetry::{Event, RingSink};
 const RING_CAPACITY: usize = 1 << 21;
 
 /// One simulation to run on both loops: a label for failure messages,
-/// a [`System`] builder and the run limits.
+/// a [`System`] builder and the budgets it is run for.
 pub struct Case {
     /// Names the case in every failure message.
     pub label: String,
-    /// Warm-up instructions per thread, excluded from the frozen stats.
-    warmup: u64,
-    /// Measured instructions per thread.
-    insts: u64,
-    /// The CPU-cycle cap; a run that reaches it is truncated.
-    max_cpu_cycles: u64,
+    budgets: Vec<Budget>,
     build: Box<dyn Fn() -> System>,
 }
 
 impl Case {
     /// A case over the systems `build` returns, fresh on every call, run
-    /// for `warmup` then `insts` instructions per thread, or until
-    /// `max_cpu_cycles` elapse.
+    /// for `budgets` in one [`System::run`].
     pub fn new(
         label: impl Into<String>,
-        warmup: u64,
-        insts: u64,
-        max_cpu_cycles: u64,
+        budgets: Vec<Budget>,
         build: impl Fn() -> System + 'static,
     ) -> Case {
         Case {
             label: label.into(),
-            warmup,
-            insts,
-            max_cpu_cycles,
+            budgets,
             build: Box::new(build),
         }
     }
 
-    /// The shared run of `exp`, built and limited exactly as
-    /// [`Experiment::run`] builds and limits it. Its loop choice, sink and
-    /// timing checker are not part of the case.
+    /// The shared run of `exp`, built and budgeted exactly as
+    /// [`Experiment::run`] builds and budgets it. Its loop choice, sink
+    /// and timing checker are not part of the case.
     pub fn experiment(label: impl Into<String>, exp: &Experiment) -> Case {
-        let (warmup, insts, max_cpu_cycles) = exp.limits();
         let exp = exp.clone();
-        Case::new(label, warmup, insts, max_cpu_cycles, move || {
+        Case::new(label, vec![Budget::of(exp.insts)], move || {
             exp.shared_system()
         })
     }
@@ -78,8 +67,8 @@ impl Case {
 
 /// What one loop left behind.
 pub struct Run {
-    /// The run's outcome: frozen statistics, length and verdicts.
-    pub outcome: RunOutcome,
+    /// Each budget's outcome: frozen statistics, length and verdicts.
+    pub outcomes: Vec<RunOutcome>,
     /// Every event the run emitted, in order.
     pub stream: Vec<Event>,
     /// The finished system, for its work counters and policy state.
@@ -105,14 +94,14 @@ pub fn observe(case: &Case, fast_forward: bool) -> Run {
     system
         .memory_mut()
         .set_sink(Box::new(RingSink::new(RING_CAPACITY)));
-    let outcome = system.run_with_warmup(case.warmup, case.insts, case.max_cpu_cycles);
+    let outcomes = system.run(&case.budgets);
     let mut sink = system.memory_mut().take_sink();
     let Some(ring) = sink.as_any_mut().downcast_mut::<RingSink>() else {
         unreachable!("the ring installed above comes back out");
     };
     assert_eq!(ring.dropped(), 0, "{}: the ring overflowed", case.label);
     Run {
-        outcome,
+        outcomes,
         stream: ring.events().cloned().collect(),
         system,
     }
@@ -131,15 +120,10 @@ pub fn compare(case: &Case) -> (Run, Run) {
     if let Some((i, a, b)) = first_divergence(&event.stream, &stepped.stream) {
         panic!("{label}: event {i} diverges\n  event loop: {a:?}\n  stepped:    {b:?}");
     }
-    let (e, s) = (&event.outcome, &stepped.outcome);
-    assert_eq!(e.frozen, s.frozen, "{label}: core stats diverge");
     assert_eq!(
-        e.frozen_mem, s.frozen_mem,
-        "{label}: controller stats diverge"
+        event.outcomes, stepped.outcomes,
+        "{label}: budget outcomes diverge"
     );
-    assert_eq!(e.cpu_cycles, s.cpu_cycles, "{label}: run length diverges");
-    assert_eq!(e.truncated, s.truncated, "{label}: truncation diverges");
-    assert_eq!(e.cancelled, s.cancelled, "{label}: cancellation diverges");
     assert_eq!(
         register_digest(&event),
         register_digest(&stepped),

@@ -1,6 +1,6 @@
 //! The ordered worker pool every parallel path runs on.
 //!
-//! Figure binaries run hundreds of independent experiments, `stfm sweep`
+//! The `paper` records run hundreds of independent experiments, `stfm sweep`
 //! and `stfm serve` thousands of cells, all in one shape: pull work from
 //! a sequence, run it on the host's cores, hand the results back **in
 //! input order**. [`run_ordered`] is that shape, once. Every unit of work

@@ -56,19 +56,77 @@ pub struct System {
     cancel: Option<CancelToken>,
 }
 
-/// Why a run loop returned: the distinction [`RunOutcome`] reports.
+/// The cycle-cap factor of [`Budget::of`]: a run is truncated after
+/// `insts × MAX_CPI` CPU cycles.
+const MAX_CPI: u64 = 4_000;
+
+/// One measurement window: each core is measured from its `warmup`th
+/// committed instruction to its `warmup + insts`th, unless
+/// `max_cpu_cycles` elapse first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LoopExit {
-    /// Every core crossed its instruction budget.
-    Completed,
-    /// The CPU-cycle cap was hit first.
-    Truncated,
-    /// The [`CancelToken`] fired (explicit cancel or deadline).
-    Cancelled,
+pub struct Budget {
+    /// Instructions per thread run before the window opens (cold caches,
+    /// generator start-up); 0 measures from the first instruction.
+    pub warmup: u64,
+    /// Measured instructions per thread.
+    pub insts: u64,
+    /// The CPU-cycle cap; a window still open then is truncated.
+    pub max_cpu_cycles: u64,
 }
 
-/// Outcome of [`System::run`].
-#[derive(Debug, Clone)]
+impl Budget {
+    /// The experiments' window for `insts` measured instructions: a
+    /// warm-up of a quarter of them, under a cap of 4,000 CPU cycles per
+    /// measured instruction.
+    pub fn of(insts: u64) -> Budget {
+        Budget {
+            warmup: insts / 4,
+            insts,
+            max_cpu_cycles: insts.saturating_mul(MAX_CPI),
+        }
+    }
+
+    /// The instruction mark at which the window closes.
+    fn end(&self) -> u64 {
+        self.warmup.saturating_add(self.insts)
+    }
+}
+
+/// Why a run stopped short of a budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RunStop {
+    /// A [`CancelToken`] fired.
+    Cancelled,
+    /// The shared run or an alone baseline hit its cycle cap before
+    /// every thread finished.
+    Truncated,
+}
+
+impl RunStop {
+    /// Why `out` stopped short, if it did.
+    pub fn of(out: &RunOutcome) -> Option<Self> {
+        match (out.cancelled, out.truncated) {
+            (true, _) => Some(RunStop::Cancelled),
+            (_, true) => Some(RunStop::Truncated),
+            _ => None,
+        }
+    }
+}
+
+impl std::fmt::Display for RunStop {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunStop::Cancelled => f.write_str("cancelled"),
+            RunStop::Truncated => write!(
+                f,
+                "truncated: it hit the cycle cap of {MAX_CPI} CPU cycles per instruction"
+            ),
+        }
+    }
+}
+
+/// One budget's outcome of [`System::run`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutcome {
     /// Per-core statistics over the measurement window (warmup excluded;
     /// index = core/thread id), frozen when the core crossed its budget.
@@ -76,7 +134,8 @@ pub struct RunOutcome {
     /// Per-thread controller statistics over the same window (row-buffer
     /// hit rates etc.).
     pub frozen_mem: Vec<ThreadStats>,
-    /// Total CPU cycles simulated (= slowest thread's completion time).
+    /// CPU cycles simulated when the budget closed (= its slowest
+    /// thread's completion time).
     pub cpu_cycles: u64,
     /// Whether the cycle cap was hit before every thread finished.
     pub truncated: bool,
@@ -87,44 +146,112 @@ pub struct RunOutcome {
 }
 
 /// Measurement-window bookkeeping shared by the stepped and event-driven
-/// loops: per-core warmup baselines and budget freezes.
+/// loops, for every budget of a run: each core is snapshotted at every
+/// instruction mark (a budget's warm-up or end) it crosses, and a
+/// budget's window is the difference of two snapshots.
 struct WindowTracker {
-    baseline: Vec<Option<(CoreStats, ThreadStats)>>,
-    frozen: Vec<Option<(CoreStats, ThreadStats)>>,
-    warmup: u64,
-    budget: u64,
-    remaining: usize,
+    budgets: Vec<Budget>,
+    outcomes: Vec<Option<RunOutcome>>,
+    /// Every nonzero warm-up and every end, ascending, once per budget (a
+    /// budget's two marks are distinct entries even when equal).
+    marks: Vec<u64>,
+    /// Per core, its snapshot at each mark it has crossed.
+    snaps: Vec<Vec<(CoreStats, ThreadStats)>>,
+    /// Per core, the next mark it will cross (`u64::MAX` past the last).
+    next: Vec<u64>,
+    /// The highest mark every core has crossed.
+    reached: Option<u64>,
 }
 
 impl WindowTracker {
-    fn new(n: usize, warmup: u64, budget: u64) -> Self {
-        let seeded = (warmup == 0).then(|| (CoreStats::default(), ThreadStats::default()));
+    fn new(n: usize, budgets: &[Budget]) -> Self {
+        let warmups = budgets.iter().map(|b| b.warmup).filter(|&w| w > 0);
+        let mut marks: Vec<u64> = warmups.chain(budgets.iter().map(Budget::end)).collect();
+        marks.sort_unstable();
         WindowTracker {
-            baseline: vec![seeded; n],
-            frozen: vec![None; n],
-            warmup,
-            budget,
-            remaining: n,
+            budgets: budgets.to_vec(),
+            outcomes: vec![None; budgets.len()],
+            snaps: vec![Vec::with_capacity(marks.len()); n],
+            next: vec![marks.first().map_or(u64::MAX, |&m| m); n],
+            marks,
+            reached: None,
         }
     }
 
-    /// Captures baselines/freezes for cores that crossed their
-    /// instruction marks. Must run after every cycle in which any core
-    /// executed (cores that were fast-forwarded cannot cross a mark).
+    /// Snapshots cores that crossed instruction marks. Must run after
+    /// every cycle in which any core executed (cores that were
+    /// fast-forwarded cannot cross a mark).
     fn observe(&mut self, cores: &[Core], mem: &mut MemorySystem) {
+        let mut crossed = false;
         for (i, core) in cores.iter().enumerate() {
-            let insts = core.stats().instructions;
-            if self.baseline[i].is_none() && insts >= self.warmup {
-                self.baseline[i] = Some((*core.stats(), mem.thread_stats(ThreadId(i as u32))));
-                // Max latency is not differenceable: restart it at the
-                // window boundary so warmup spikes don't leak into the
-                // measured window (ThreadStats::minus).
-                mem.reset_max_read_latency(ThreadId(i as u32));
+            while core.stats().instructions >= self.next[i] {
+                let t = ThreadId(i as u32);
+                self.snaps[i].push((*core.stats(), mem.thread_stats(t)));
+                // Restart the running max at every mark, so that each
+                // segment between marks keeps its own (ThreadStats::minus).
+                mem.reset_max_read_latency(t);
+                self.next[i] = self.marks.get(self.snaps[i].len()).map_or(u64::MAX, |&m| m);
+                crossed = true;
             }
-            if self.frozen[i].is_none() && insts >= self.budget {
-                self.frozen[i] = Some((*core.stats(), mem.thread_stats(ThreadId(i as u32))));
-                self.remaining -= 1;
-            }
+        }
+        if crossed {
+            let fewest = self.snaps.iter().map(Vec::len).min().unwrap_or(0);
+            self.reached = fewest.checked_sub(1).map(|k| self.marks[k]);
+        }
+    }
+
+    /// Closes each open budget that has stopped: every one if
+    /// `cancelled`, else at its cap (truncated) or once every core has
+    /// crossed its end (completed), checked in that order. Returns the
+    /// first DRAM cycle count at which a still open budget's cap fires,
+    /// or `None` once all are closed.
+    fn settle(&mut self, sys: &System, cancelled: bool) -> Option<u64> {
+        let cpu = ClockRatio::PAPER.dram_to_cpu(sys.dram_cycle);
+        let mut trunc_at = None;
+        for (j, &b) in self.budgets.iter().enumerate() {
+            let stop = if self.outcomes[j].is_some() {
+                continue;
+            } else if cancelled {
+                Some(RunStop::Cancelled)
+            } else if cpu >= b.max_cpu_cycles {
+                Some(RunStop::Truncated)
+            } else if self.reached >= Some(b.end()) {
+                None
+            } else {
+                let cap = b.max_cpu_cycles.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE);
+                trunc_at = Some(trunc_at.map_or(cap, |t: u64| t.min(cap)));
+                continue;
+            };
+            self.outcomes[j] = Some(self.close(b, stop, sys));
+        }
+        trunc_at
+    }
+
+    /// Budget `b`'s outcome as it closes now. A core short of its warm-up
+    /// is measured from 0, and one short of its end to where it stands.
+    fn close(&self, b: Budget, stop: Option<RunStop>, sys: &System) -> RunOutcome {
+        let to = self.marks.partition_point(|&m| m <= b.end()) - 1;
+        let from = (b.warmup > 0).then(|| self.marks.partition_point(|&m| m < b.warmup));
+        let (mut frozen, mut frozen_mem) = (Vec::new(), Vec::new());
+        for (i, snaps) in self.snaps.iter().enumerate() {
+            let t = ThreadId(i as u32);
+            let now = (*sys.cores[i].stats(), sys.mem.thread_stats(t));
+            let (hi, (end, mut end_mem)) = snaps.get(to).map_or((snaps.len(), now), |&e| (to, e));
+            let (lo, (base, base_mem)) = from
+                .and_then(|k| Some((k + 1, *snaps.get(k)?)))
+                .unwrap_or_default();
+            // Each snapshot holds the max of the segment it closes.
+            let segments = snaps[lo..hi].iter().map(|s| s.1.max_read_latency_cpu);
+            end_mem.max_read_latency_cpu = segments.fold(end_mem.max_read_latency_cpu, u64::max);
+            frozen.push(end.minus(&base));
+            frozen_mem.push(end_mem.minus(&base_mem));
+        }
+        RunOutcome {
+            frozen,
+            frozen_mem,
+            cpu_cycles: ClockRatio::PAPER.dram_to_cpu(sys.dram_cycle).get(),
+            truncated: stop == Some(RunStop::Truncated),
+            cancelled: stop == Some(RunStop::Cancelled),
         }
     }
 }
@@ -228,114 +355,79 @@ impl System {
         self.dram_cycle += 1;
     }
 
-    /// Runs until every core has committed `insts_per_thread` instructions
-    /// (statistics freeze per core at that point; cores keep executing to
-    /// preserve contention, per the standard multiprogrammed methodology),
-    /// or until `max_cpu_cycles` elapse.
-    pub fn run(&mut self, insts_per_thread: u64, max_cpu_cycles: u64) -> RunOutcome {
-        self.run_with_warmup(0, insts_per_thread, max_cpu_cycles)
+    /// Runs until every budget has closed and returns one outcome per
+    /// budget, in order. A budget completes when every core has committed
+    /// its `warmup + insts` instructions (statistics freeze per core at
+    /// that point; cores keep executing to preserve contention, per the
+    /// standard multiprogrammed methodology), and is truncated if its
+    /// cycle cap comes first. Nothing in the loop reads a budget except
+    /// these two tests, so each outcome equals that budget's own
+    /// single-budget run, its `cpu_cycles` included.
+    pub fn run(&mut self, budgets: &[Budget]) -> Vec<RunOutcome> {
+        let mut window = WindowTracker::new(self.cores.len(), budgets);
+        match (budgets.is_empty(), self.fast_forward) {
+            (true, _) => {}
+            (false, true) => self.run_events(&mut window),
+            (false, false) => self.run_stepped(&mut window),
+        }
+        // A mid-span stop can leave elided-cycle residue deferred; settle
+        // it before the policy can be inspected.
+        self.mem.flush_residue();
+        // Both loops return only once every budget has closed.
+        window.outcomes.into_iter().flatten().collect()
     }
 
-    /// Like [`System::run`], but each core first executes
-    /// `warmup_insts` instructions whose statistics (cache cold misses,
-    /// generator start-up transients) are excluded from the reported
-    /// window.
+    /// [`System::run`] over one budget.
     pub fn run_with_warmup(
         &mut self,
         warmup_insts: u64,
         insts_per_thread: u64,
         max_cpu_cycles: u64,
     ) -> RunOutcome {
-        let n = self.cores.len();
-        let mut window = WindowTracker::new(n, warmup_insts, warmup_insts + insts_per_thread);
-        let exit = if self.fast_forward {
-            self.run_events(&mut window, max_cpu_cycles)
-        } else {
-            self.run_stepped(&mut window, max_cpu_cycles)
+        let budget = Budget {
+            warmup: warmup_insts,
+            insts: insts_per_thread,
+            max_cpu_cycles,
         };
-        let truncated = exit == LoopExit::Truncated;
-        let cancelled = exit == LoopExit::Cancelled;
-        // A mid-span stop can leave elided-cycle residue deferred; settle
-        // it before the policy can be inspected.
-        self.mem.flush_residue();
-        if truncated || cancelled {
-            for i in 0..n {
-                if window.baseline[i].is_none() {
-                    window.baseline[i] = Some((CoreStats::default(), ThreadStats::default()));
-                }
-                if window.frozen[i].is_none() {
-                    window.frozen[i] = Some((
-                        *self.cores[i].stats(),
-                        self.mem.thread_stats(ThreadId(i as u32)),
-                    ));
-                    window.remaining -= 1;
-                }
-            }
-        }
-        let mut frozen_core = Vec::with_capacity(n);
-        let mut frozen_mem = Vec::with_capacity(n);
-        // Every slot was filled by the loop above and baselines precede
-        // freeze; `filter_map` states that invariant without a panic path.
-        for ((fc, fm), (bc, bm)) in window
-            .frozen
-            .into_iter()
-            .zip(window.baseline)
-            .filter_map(|(f, b)| f.zip(b))
-        {
-            frozen_core.push(fc.minus(&bc));
-            frozen_mem.push(fm.minus(&bm));
-        }
-        RunOutcome {
-            frozen: frozen_core,
-            frozen_mem,
-            cpu_cycles: ClockRatio::PAPER.dram_to_cpu(self.dram_cycle).get(),
-            truncated,
-            cancelled,
-        }
+        self.run(&[budget]).remove(0)
+    }
+
+    /// Polls the cancellation token, if any; when it fires, every open
+    /// budget closes as cancelled.
+    fn cancelled(&self, window: &mut WindowTracker, polls: &mut u32) -> bool {
+        *polls = polls.wrapping_add(1);
+        let stop = self.cancel.as_ref().is_some_and(|t| t.should_stop(*polls));
+        // A cancelled settle closes every open budget.
+        stop && window.settle(self, true).is_none()
     }
 
     /// The stepped reference loop: every DRAM cycle is a real tick.
-    fn run_stepped(&mut self, window: &mut WindowTracker, max_cpu_cycles: u64) -> LoopExit {
+    fn run_stepped(&mut self, window: &mut WindowTracker) {
         let mut polls: u32 = 0;
-        while window.remaining > 0 {
+        loop {
             self.tick();
             window.observe(&self.cores, &mut self.mem);
-            if ClockRatio::PAPER.dram_to_cpu(self.dram_cycle) >= max_cpu_cycles {
-                return LoopExit::Truncated;
-            }
-            if let Some(t) = &self.cancel {
-                polls = polls.wrapping_add(1);
-                if t.should_stop(polls) {
-                    return LoopExit::Cancelled;
-                }
+            if window.settle(self, false).is_none() || self.cancelled(window, &mut polls) {
+                return;
             }
         }
-        LoopExit::Completed
     }
 
-    /// The event-driven loop. Returns why the run stopped.
-    fn run_events(&mut self, window: &mut WindowTracker, max_cpu_cycles: u64) -> LoopExit {
-        // First DRAM cycle count at which the truncation check fires;
-        // elision spans must stop short of it so `cpu_cycles` stays
-        // bit-identical to the stepped loop.
-        let trunc_at = max_cpu_cycles.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE);
+    /// The event-driven loop.
+    fn run_events(&mut self, window: &mut WindowTracker) {
         let mut wakes: Vec<Option<CpuCycle>> = Vec::with_capacity(self.cores.len());
         let mut polls: u32 = 0;
-        'run: while window.remaining > 0 {
+        loop {
             self.tick_event();
             window.observe(&self.cores, &mut self.mem);
-            if ClockRatio::PAPER.dram_to_cpu(self.dram_cycle) >= max_cpu_cycles {
-                return LoopExit::Truncated;
+            let Some(trunc_at) = window.settle(self, false) else {
+                return;
+            };
+            if self.cancelled(window, &mut polls) {
+                return;
             }
-            if window.remaining == 0 {
-                return LoopExit::Completed;
-            }
-            if let Some(t) = &self.cancel {
-                polls = polls.wrapping_add(1);
-                if t.should_stop(polls) {
-                    return LoopExit::Cancelled;
-                }
-            }
+            // Elision spans stop short of the first open cap, so
+            // `cpu_cycles` stays bit-identical to the stepped loop.
             let d = self.dram_cycle;
             let limit = trunc_at.saturating_sub(d.get() + 1);
             let span = match self.mem.predict_next(d) {
@@ -365,11 +457,8 @@ impl System {
             // change through a memory completion, and there are none
             // before the span ends); stepped cores refresh theirs.
             for _ in 0..span {
-                if let Some(t) = &self.cancel {
-                    polls = polls.wrapping_add(1);
-                    if t.should_stop(polls) {
-                        return LoopExit::Cancelled;
-                    }
+                if self.cancelled(window, &mut polls) {
+                    return;
                 }
                 let c = self.dram_cycle;
                 self.mem.elide_tick(c);
@@ -389,10 +478,10 @@ impl System {
                 self.elided += 1;
                 if any_stepped {
                     window.observe(&self.cores, &mut self.mem);
-                    if window.remaining == 0 {
+                    if window.settle(self, false).is_none() {
                         // Finished mid-span: stop exactly where the
                         // stepped loop would, without a trailing tick.
-                        break 'run;
+                        return;
                     }
                     if self.mem.arrivals() != arrivals {
                         // A core issued a request: the no-event premise
@@ -402,7 +491,6 @@ impl System {
                 }
             }
         }
-        LoopExit::Completed
     }
 }
 
@@ -434,7 +522,7 @@ mod tests {
     #[test]
     fn run_freezes_stats_at_budget() {
         let mut sys = tiny_system(2);
-        let out = sys.run(2_000, 50_000_000);
+        let out = sys.run_with_warmup(0, 2_000, 50_000_000);
         assert!(!out.truncated);
         for f in &out.frozen {
             assert!(f.instructions >= 2_000);
@@ -446,14 +534,14 @@ mod tests {
     #[test]
     fn truncation_reports() {
         let mut sys = tiny_system(2);
-        let out = sys.run(u64::MAX, 10_000);
+        let out = sys.run_with_warmup(0, u64::MAX, 10_000);
         assert!(out.truncated);
     }
 
     #[test]
     fn event_loop_engages_both_elision_modes() {
         let mut sys = tiny_system(2);
-        let out = sys.run(2_000, 50_000_000);
+        let out = sys.run_with_warmup(0, 2_000, 50_000_000);
         assert!(!out.truncated);
         assert!(sys.jumped_cycles() > 0, "no whole-system jumps happened");
         assert!(sys.elided_cycles() > 0, "no per-cycle elisions happened");

@@ -7,9 +7,12 @@
 //!   names the case and its configuration, and re-running replays it
 //!   exactly. 200 cases run in four shards; the `--ignored` deep tier
 //!   adds 800 more;
+//! * 50 of those configurations again, each run for two or three
+//!   budgets at once, every budget held equal to its own single run;
 //! * cancelled runs, each an exact prefix of its uncancelled oracle;
 //! * every scheduler on a streaming mix, a pointer chase the event loop
-//!   skips most of, and two runs cut by their cycle cap;
+//!   skips most of, two runs cut by their cycle cap, and one run whose
+//!   first budget is cut by its cap while a later one completes;
 //! * the work counters: the event loop must do less work, not merely
 //!   the same;
 //! * golden completion digests of the event loop on a streaming and a
@@ -23,7 +26,7 @@ use stfm_dram::{DramConfig, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, SchedCounters, ThreadId};
 use stfm_sim::digest::Fnv64;
 use stfm_sim::oracle::{compare, completion_digest, observe, Case, Run};
-use stfm_sim::{CancelToken, Experiment, RunStop, SchedulerKind, System};
+use stfm_sim::{Budget, CancelToken, Experiment, RunStop, SchedulerKind, System};
 use stfm_telemetry::Event;
 use stfm_workloads::{micro, mix, spec, Profile, SyntheticTrace};
 
@@ -165,10 +168,15 @@ fn fuzz_system(cfg: &CaseConfig) -> System {
 /// Fuzz case `case`; with `cancel`, every run of it carries a token
 /// whose deadline has already passed.
 fn fuzz_case(case: u64, cancel: bool) -> Case {
+    let budgets = vec![Budget::of(draw_case(case).insts)];
+    budgets_case(case, cancel, budgets)
+}
+
+/// Fuzz case `case`'s system, run for `budgets`.
+fn budgets_case(case: u64, cancel: bool, budgets: Vec<Budget>) -> Case {
     let cfg = draw_case(case);
-    let label = format!("case {case} (cancelled: {cancel}), config {cfg:#?}");
-    let insts = cfg.insts;
-    Case::new(label, insts / 4, insts, insts * 4_000, move || {
+    let label = format!("case {case} (cancelled: {cancel}), {budgets:?}, config {cfg:#?}");
+    Case::new(label, budgets, move || {
         let mut sys = fuzz_system(&cfg);
         if cancel {
             #[allow(clippy::disallowed_methods)] // an already-past deadline needs a clock reading
@@ -191,6 +199,58 @@ fn sweep(from: u64, to: u64) {
     assert!(
         nonempty * 2 >= to - from,
         "sweep {from}..{to}: only {nonempty} cases produced completions"
+    );
+}
+
+/// Two or three budgets for fuzz case `case`, drawn from an RNG of their
+/// own so that the case's configuration stays as [`draw_case`] draws it.
+/// Warm-ups, ends and caps overlap freely; one cap in four is tight
+/// enough to cut its budget short.
+fn draw_budgets(case: u64) -> Vec<Budget> {
+    let mut rng = SmallRng::seed_from_u64(0xB1D6_E7ED ^ (case * 0x9E37_79B9));
+    (0..rng.random_range(2usize..4))
+        .map(|_| {
+            let insts = rng.random_range(50u64..400);
+            let warmup = match rng.random_range(0u32..4) {
+                0 => 0,
+                _ => rng.random_range(0..insts),
+            };
+            let max_cpu_cycles = match rng.random_range(0u32..4) {
+                0 => rng.random_range(2_000u64..100_000),
+                _ => insts * 4_000,
+            };
+            Budget {
+                warmup,
+                insts,
+                max_cpu_cycles,
+            }
+        })
+        .collect()
+}
+
+/// Fuzz cases `[0, 50)` again, each for [`draw_budgets`] in one run: the
+/// loops agree on every budget, and every budget's outcome equals its
+/// own single-budget run. Not vacuous: some budgets must be truncated
+/// while others complete.
+#[test]
+fn fuzz_budgets_0_to_50() {
+    let (mut truncated, mut completed) = (0, 0);
+    for case in 0..50 {
+        let budgets = draw_budgets(case);
+        let (event, _) = compare(&budgets_case(case, false, budgets.clone()));
+        for (budget, outcome) in budgets.into_iter().zip(&event.outcomes) {
+            let alone = observe(&budgets_case(case, false, vec![budget]), true);
+            assert_eq!(
+                &alone.outcomes[0], outcome,
+                "case {case}, {budget:?}: one run of several budgets differs from its own run"
+            );
+            truncated += u32::from(outcome.truncated);
+            completed += u32::from(!outcome.truncated);
+        }
+    }
+    assert!(
+        truncated >= 5 && completed >= 50,
+        "{truncated} truncated, {completed} completed"
     );
 }
 
@@ -260,7 +320,7 @@ fn cancelled_runs_are_prefixes_of_the_oracle() {
                 "{} (fast_forward={fast_forward}): not an oracle prefix",
                 stopped.label
             );
-            cancelled += u64::from(run.outcome.cancelled);
+            cancelled += u64::from(run.outcomes[0].cancelled);
         }
     }
     // Not vacuous: most cases must actually stop early (a case short
@@ -288,7 +348,7 @@ fn every_scheduler_matches_on_the_streaming_mix() {
             .seed(7);
         let (event, _) = compare(&Case::experiment(format!("{kind:?}"), &exp));
         assert_eq!(
-            RunStop::of(&event.outcome),
+            RunStop::of(&event.outcomes[0]),
             None,
             "{kind:?}: the run did not complete"
         );
@@ -324,12 +384,12 @@ fn loads_system(n: usize, loads: u64, bubbles: u32, dependent: bool) -> System {
 
 #[test]
 fn a_pointer_chase_matches_and_skips_cycles() {
-    let case = Case::new("pointer chase", 0, 1_200, 50_000_000, || {
+    let case = Case::new("pointer chase", vec![from_zero(1_200, 50_000_000)], || {
         loads_system(2, 400, 2, true)
     });
     let (event, stepped) = compare(&case);
     assert_eq!(
-        RunStop::of(&event.outcome),
+        RunStop::of(&event.outcomes[0]),
         None,
         "the pointer chase did not complete"
     );
@@ -339,21 +399,52 @@ fn a_pointer_chase_matches_and_skips_cycles() {
     assert_eq!(skipped(&stepped), 0, "the stepped loop skipped cycles");
 }
 
+/// A budget measured from instruction 0.
+fn from_zero(insts: u64, max_cpu_cycles: u64) -> Budget {
+    Budget {
+        warmup: 0,
+        insts,
+        max_cpu_cycles,
+    }
+}
+
 /// The cap fires on the same cycle whether or not dead spans are
 /// skipped, so the run length and the verdict stay bit-identical.
 #[test]
 fn truncation_is_loop_invariant() {
     let cases = [
-        Case::new("independent loads", 0, u64::MAX, 10_000, || {
-            loads_system(2, 64, 6, false)
-        }),
-        Case::new("pointer chase", 0, u64::MAX, 10_000, || {
+        Case::new(
+            "independent loads",
+            vec![from_zero(u64::MAX, 10_000)],
+            || loads_system(2, 64, 6, false),
+        ),
+        Case::new("pointer chase", vec![from_zero(u64::MAX, 10_000)], || {
             loads_system(1, 400, 2, true)
         }),
     ];
     for case in &cases {
         let (event, _) = compare(case);
-        assert!(event.outcome.truncated, "{}: not truncated", case.label);
+        assert!(event.outcomes[0].truncated, "{}: not truncated", case.label);
+    }
+}
+
+/// The pointer chase for two budgets: the first is cut by its own cap
+/// on the cycle its single run would be, and the run goes on until the
+/// second, with a later cap, completes. The elision spans stop short of
+/// the first cap, then reach past it.
+#[test]
+fn a_budget_cut_by_its_cap_leaves_a_later_one_running() {
+    let budgets = vec![from_zero(1_200, 20_000), from_zero(1_200, 50_000_000)];
+    let build = || loads_system(2, 400, 2, true);
+    let (event, _) = compare(&Case::new("cut, then complete", budgets.clone(), build));
+    let [cut, done] = &event.outcomes[..] else {
+        panic!("two budgets, {} outcomes", event.outcomes.len());
+    };
+    assert!(cut.truncated && cut.cpu_cycles == 20_000, "{cut:?}");
+    assert!(!done.truncated && done.cpu_cycles > 20_000, "{done:?}");
+    for (budget, outcome) in budgets.into_iter().zip([cut, done]) {
+        let alone = observe(&Case::new("one budget", vec![budget], build), true);
+        assert_eq!(&alone.outcomes[0], outcome, "{budget:?}");
     }
 }
 
@@ -372,13 +463,13 @@ fn work_case(kind: SchedulerKind, profiles: Vec<Profile>) -> Case {
 /// policies), the controller's, and the DRAM cycles simulated.
 fn work(run: &Run) -> (StfmWork, SchedCounters, u64) {
     assert_eq!(
-        RunStop::of(&run.outcome),
+        RunStop::of(&run.outcomes[0]),
         None,
         "a work-counter run did not complete"
     );
     let stfm = run.stfm().map(Stfm::work).unwrap_or_default();
     let sched = run.system.memory().sched_counters();
-    let cycles = run.outcome.cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE;
+    let cycles = run.outcomes[0].cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE;
     (stfm, sched, cycles)
 }
 
@@ -503,7 +594,7 @@ fn check_goldens(profiles: Vec<Profile>, golden: &[(SchedulerKind, u64)]) {
             .seed(11);
         let run = observe(&Case::experiment(format!("{kind:?}"), &exp), true);
         assert_eq!(
-            RunStop::of(&run.outcome),
+            RunStop::of(&run.outcomes[0]),
             None,
             "{kind:?}: the run did not complete"
         );

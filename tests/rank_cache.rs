@@ -43,7 +43,7 @@ fn check(profiles: &[Profile], seed: u64) -> Vec<Vec<Event>> {
                 .seed(seed);
             let (event, _) = compare(&Case::experiment(format!("{kind:?} seed {seed}"), &exp));
             assert_eq!(
-                RunStop::of(&event.outcome),
+                RunStop::of(&event.outcomes[0]),
                 None,
                 "{kind:?} seed {seed}: did not complete"
             );

@@ -39,7 +39,7 @@ fn assert_event_loop_matches_stepped(
                 .instructions_per_thread(insts);
             let (event, stepped) = compare(&Case::experiment(format!("{kind:?}"), &exp));
             assert_eq!(
-                RunStop::of(&event.outcome),
+                RunStop::of(&event.outcomes[0]),
                 None,
                 "{kind:?}: the run did not complete"
             );
