@@ -1,8 +1,9 @@
 //! The harness that regenerates the paper's evaluation.
 //!
 //! [`paper`] holds every figure, Tables 3 and 5, the PAR-BS extension and
-//! the ablations as records, run by the one `paper` binary (`paper
-//! --figure fig12`, `paper --all results`). It accepts:
+//! the ablations as records, rendered by a [`paper::Session`] and run from
+//! the command line as `stfm paper --figure fig12` or `stfm paper --all
+//! results`. A session's [`Args`] are:
 //!
 //! * `--insts N` — per-thread instruction budget (defaults chosen per
 //!   record so a full regeneration finishes in minutes);
@@ -14,7 +15,6 @@
 //! Speed is measured by `src/bin/benchmark/` (contract: `BENCHMARK.json`);
 //! its `kernels.rs` holds the per-layer ns/op micro-measurements.
 
-pub mod cli;
 pub mod paper;
 
-pub use cli::Args;
+pub use paper::Args;

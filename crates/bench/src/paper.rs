@@ -3,35 +3,35 @@
 //! (with its `--full` rule), its schedulers, its default budget and its
 //! print layout; a [`Session`] renders it into a `String`.
 //!
-//! One session holds one [`AloneCache`] and one in-memory [`ResultCache`]
-//! for every record it renders, so a spec [`Cell`] is simulated at most
-//! once per invocation: fig9/11/12 print their sample mixes from the sweep
-//! they average, `extension_parbs`, `fig15` and `ablation_cap` reuse the
-//! case-study cells of fig6–8, and Table 5's default geometry is one set
-//! of cells for both of its rows. Runs a spec's scheduler cannot express
-//! (a cap value, a changed `StfmConfig`, prefetching, the row policy,
-//! weights and shares) are [`Experiment`]s on the same worker pool and the
-//! same alone cache. The layouts that read what an experiment does not
-//! report (Table 3's row-buffer hit rates, STFM's registers, the energy
-//! model's sink) run an experiment's [`System`] directly, on the same pool.
+//! Every run a record prints is an [`Experiment`]. One session holds one
+//! [`AloneCache`] and one experiment memo, keyed by the experiment's
+//! derived `Debug`, for every record it renders, so an experiment is
+//! simulated at most once per invocation: fig9/11/12 print their sample
+//! mixes from the sweep they average, `extension_parbs`, `fig15` and
+//! `ablation_cap` reuse the case-study runs of fig6–8, STFM's default
+//! configuration is one run for `fig15` and three ablations, and Table 5's
+//! default geometry is one set of runs for both of its rows. The layouts
+//! that read what an experiment does not report (Table 3's row-buffer hit
+//! rates, STFM's registers, the energy model's sink) run an experiment's
+//! [`System`] directly, on the same worker pool.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::fmt::{self, Write};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use stfm_core::StfmConfig;
 use stfm_cpu::PrefetchConfig;
 use stfm_dram::{EnergyModel, PowerParams};
 use stfm_mc::ThreadId;
-use stfm_serve::{run_cell, Cell, ResultCache, SchedSpec};
 use stfm_sim::{
     gmean, run_ordered, AloneCache, Budget, Experiment, RowPolicy, RunOutcome, RunStop,
     SchedulerKind, System, Table, WorkloadMetrics,
 };
 use stfm_workloads::{desktop, micro, mix, spec, Profile};
 
-use crate::Args;
 use Layout::{
     CaseStudy, Characterization, Devices, Energy, Estimates, Gmean, Grid, Pairs, Rows, Slowdowns,
     Weights,
@@ -47,28 +47,11 @@ type Metric = fn(&WorkloadMetrics) -> f64;
 /// A named change to an experiment: one column pair of a [`Grid`].
 type Variant = (&'static str, fn(Experiment) -> Experiment);
 
-/// One shared run.
-enum Job {
-    Cell(Cell),
-    Run(Box<Experiment>),
-}
-
 fn experiment(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Experiment {
     Experiment::new(profiles.to_vec())
         .scheduler(kind)
         .instructions_per_thread(insts)
         .seed(seed)
-}
-
-/// `kind` on `profiles` as a spec cell when `kind` is a spec's scheduler,
-/// so the result cache shares it between records; else as an experiment.
-fn job(kind: SchedulerKind, profiles: &[Profile], insts: u64, seed: u64) -> Job {
-    let spec = SchedSpec::from_kind(kind);
-    if spec.kind() != kind {
-        return Job::Run(Box::new(experiment(kind, profiles, insts, seed)));
-    }
-    let names = profiles.iter().map(|p| p.name.to_string()).collect();
-    Job::Cell(Cell::new(spec, names).insts(insts).seed(seed))
 }
 
 /// STFM with one change to its default configuration.
@@ -127,7 +110,7 @@ enum Layout {
 
 /// One artefact of the paper.
 pub struct Record {
-    /// The artefact's id: `paper --figure <id>`, `<dir>/<id>.txt`.
+    /// The artefact's id: `stfm paper --figure <id>`, `<dir>/<id>.txt`.
     pub id: &'static str,
     /// Default per-thread instruction budget.
     insts: u64,
@@ -155,7 +138,7 @@ fn sampled(mixes: Vec<Vec<Profile>>, every: usize) -> Vec<Mix> {
     mixes.into_iter().step_by(every).map(sample).collect()
 }
 
-/// Every record, in `paper --all` order.
+/// Every record, in `stfm paper --all` order.
 pub const RECORDS: &[Record] = &[
     Record {
         id: "fig1",
@@ -379,7 +362,7 @@ pub const RECORDS: &[Record] = &[
     Record {
         id: "ablation_estimate",
         insts: 150_000,
-        // The cell whose alone baselines the measured slowdowns divide by.
+        // The run whose alone baselines the measured slowdowns divide by.
         kinds: &[FrFcfs],
         mixes: |_| {
             let title = "Ablation: STFM slowdown-estimate accuracy";
@@ -562,12 +545,39 @@ fn comparison(out: &mut String, mix: &Mix, results: &[WorkloadMetrics]) -> fmt::
 const SCORES: [&str; 4] = ["unfairness", "w-speedup", "sum-ipc", "hmean"];
 const PAIR_SCORES: [&str; 2] = ["unfairness", "w-speedup"];
 
+/// A session's options: `stfm paper`'s flags.
+#[derive(Debug, Clone)]
+pub struct Args {
+    /// Per-thread instruction budget (`--insts N`; `None` = each
+    /// record's own default).
+    pub insts: Option<u64>,
+    /// Workload seed (`--seed N`).
+    pub seed: u64,
+    /// Run the full-scale sweep where the default subsamples (`--full`).
+    pub full: bool,
+    /// Worker-thread cap (`--jobs N`; `None` = all cores).
+    pub jobs: Option<usize>,
+}
+
+impl Default for Args {
+    fn default() -> Args {
+        Args {
+            insts: None,
+            seed: 1,
+            full: false,
+            jobs: None,
+        }
+    }
+}
+
 /// One invocation's options and caches.
 #[derive(Debug)]
 pub struct Session {
     args: Args,
     alone: AloneCache,
-    results: ResultCache,
+    /// Each experiment's metrics, keyed by its derived `Debug`, which
+    /// spells out every configuration field.
+    memo: Mutex<HashMap<String, WorkloadMetrics>>,
     simulated: AtomicUsize,
 }
 
@@ -577,13 +587,13 @@ impl Session {
         Session {
             args,
             alone: AloneCache::new(),
-            results: ResultCache::in_memory(),
+            memo: Mutex::default(),
             simulated: AtomicUsize::new(0),
         }
     }
 
-    /// Shared runs simulated so far: cells the result cache missed, plus
-    /// experiments.
+    /// Shared runs simulated so far: experiments the memo missed, plus
+    /// the systems the direct layouts run.
     pub fn simulated(&self) -> usize {
         self.simulated.load(Ordering::Relaxed)
     }
@@ -600,11 +610,11 @@ impl Session {
         out
     }
 
-    /// Runs `jobs` on the worker pool; the metrics come back in job order.
-    /// A cell given twice in one batch would run twice: callers split
-    /// batches so that a repeat is a cache hit.
-    fn run(&self, jobs: &[Job]) -> Vec<WorkloadMetrics> {
-        self.pool(jobs, |j| self.run_one(j))
+    /// Runs `experiments` on the worker pool; the metrics come back in
+    /// experiment order. An experiment given twice in one batch would run
+    /// twice: callers split batches so that a repeat is a memo hit.
+    fn run(&self, experiments: &[Experiment]) -> Vec<WorkloadMetrics> {
+        self.pool(experiments, |e| self.run_one(e))
     }
 
     /// Runs an experiment's [`Experiment::shared_system`] over `budget`; a
@@ -618,17 +628,22 @@ impl Session {
         out
     }
 
-    fn run_one(&self, job: &Job) -> WorkloadMetrics {
-        let (metrics, simulated) = match job {
-            Job::Cell(c) => match run_cell(c, &self.alone, &self.results) {
-                Ok((_, metrics, hit)) => (metrics, !hit),
-                Err(e) => panic!("cell {}: {e}", c.canonical()),
-            },
-            Job::Run(e) => (e.run_with_cache(&self.alone), true),
-        };
-        let add = usize::from(simulated);
-        self.simulated.fetch_add(add, Ordering::Relaxed);
+    /// `e`'s metrics: the memo's, or one simulated run's.
+    fn run_one(&self, e: &Experiment) -> WorkloadMetrics {
+        let key = format!("{e:?}");
+        if let Some(hit) = self.memo().get(&key) {
+            return hit.clone();
+        }
+        self.simulated.fetch_add(1, Ordering::Relaxed);
+        let metrics = e.run_with_cache(&self.alone);
+        self.memo().insert(key, metrics.clone());
         metrics
+    }
+
+    /// The memo, also after a worker panicked holding it: every entry is
+    /// a whole run's metrics.
+    fn memo(&self) -> MutexGuard<'_, HashMap<String, WorkloadMetrics>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Renders `record` at this session's options.
@@ -651,7 +666,7 @@ impl Session {
         let names = || r.kinds.iter().map(SchedulerKind::name);
         // Every mix under every scheduler, mix by mix.
         let grid = || {
-            let each = |m| r.kinds.iter().map(move |&kind| job(kind, m, insts, seed));
+            let each = |m| (r.kinds.iter()).map(move |&kind| experiment(kind, m, insts, seed));
             mixes.iter().flat_map(|(_, m)| each(m)).collect::<Vec<_>>()
         };
         match &r.layout {
@@ -731,15 +746,25 @@ impl Session {
                 let last = ["unfairness impr.", "w-speedup impr."];
                 let mut t = Table::new(headers("config", names(), &PAIR_SCORES, &last));
                 for &(label, banks, row_kb) in *points {
-                    let mut jobs = grid();
-                    for job in &mut jobs {
-                        if let Job::Cell(c) = job {
-                            (c.banks, c.row_kb) = (banks, row_kb);
+                    let at_point = |e: Experiment| {
+                        // A point that overrides nothing keeps the plain
+                        // experiment, and so its memo key.
+                        if banks.is_none() && row_kb.is_none() {
+                            return e;
                         }
-                    }
+                        let mut dram = e.effective_dram();
+                        if let Some(banks) = banks {
+                            dram = dram.with_banks(banks);
+                        }
+                        if let Some(kb) = row_kb {
+                            dram = dram.with_row_buffer_bytes_per_chip(kb * 1024);
+                        }
+                        e.dram_config(dram)
+                    };
+                    let experiments: Vec<_> = grid().into_iter().map(at_point).collect();
                     // A batch per point, so the repeated default geometry
-                    // is a cache hit.
-                    let results = self.run(&jobs);
+                    // is a memo hit.
+                    let results = self.run(&experiments);
                     let u = gmeans(&results, k, WorkloadMetrics::unfairness);
                     let w = gmeans(&results, k, WorkloadMetrics::weighted_speedup);
                     // The paper's "Improvement" row: FR-FCFS / STFM unfairness.
@@ -758,28 +783,27 @@ impl Session {
                 sum_ipc,
                 rows,
             } => {
-                let (labels, jobs): (Vec<_>, Vec<_>) = (rows().into_iter())
-                    .map(|(label, kind)| (label, job(kind, &mixes[0].1, insts, seed)))
+                let (labels, experiments): (Vec<_>, Vec<_>) = (rows().into_iter())
+                    .map(|(label, kind)| (label, experiment(kind, &mixes[0].1, insts, seed)))
                     .unzip();
                 let metrics = SCORES.into_iter().filter(|&s| *sum_ipc || s != "sum-ipc");
                 let mut t = Table::new([*head].into_iter().chain(metrics));
-                for (label, m) in labels.into_iter().zip(self.run(&jobs)) {
+                for (label, m) in labels.into_iter().zip(self.run(&experiments)) {
                     let row = scores(METRICS.map(|f| f(&m)), *sum_ipc);
                     t.row([label].into_iter().chain(row));
                 }
                 writeln!(out, "== {title} ==\n\n{t}")?;
             }
             Grid { variants, note } => {
-                let mut jobs = Vec::new();
+                let mut experiments = Vec::new();
                 for (_, m) in &mixes {
                     for &kind in r.kinds {
                         for (_, change) in *variants {
-                            let e = change(experiment(kind, m, insts, seed));
-                            jobs.push(Job::Run(Box::new(e)));
+                            experiments.push(change(experiment(kind, m, insts, seed)));
                         }
                     }
                 }
-                let results = self.run(&jobs);
+                let results = self.run(&experiments);
                 let head = headers("scheduler", variants.iter().map(|v| v.0), &PAIR_SCORES, &[]);
                 for ((title, _), results) in mixes.iter().zip(results.chunks(k * variants.len())) {
                     let mut t = Table::new(head.clone());
@@ -799,21 +823,21 @@ impl Session {
             }
             Weights(sets) => {
                 let (title, profiles) = &mixes[0];
-                let mut jobs = Vec::new();
+                let mut experiments = Vec::new();
                 for w in *sets {
                     for &kind in r.kinds {
                         // Only STFM reads weights and only NFQ reads shares.
                         let e = experiment(kind, profiles, insts, seed);
                         let e =
                             (w.iter().zip(0..)).fold(e, |e, (&w, i)| e.weight(i, w).share(i, w));
-                        jobs.push(Job::Run(Box::new(e)));
+                        experiments.push(e);
                     }
                 }
                 let names = profiles.iter().map(|p| p.name);
                 let head: Vec<_> = (["scheduler"].into_iter().chain(names))
                     .chain(["unfairness(equal-pri)"])
                     .collect();
-                for (w, results) in sets.iter().zip(self.run(&jobs).chunks(k)) {
+                for (w, results) in sets.iter().zip(self.run(&experiments).chunks(k)) {
                     let label = w.map(|w| w.to_string()).join("-");
                     let mut t = Table::new(head.clone());
                     for (&kind, m) in r.kinds.iter().zip(results) {
@@ -870,7 +894,7 @@ impl Session {
             }
             Estimates(configs) => {
                 let (title, profiles) = &mixes[0];
-                // The alone baselines: the session's, through the cell of
+                // The alone baselines: the session's, through the run of
                 // `r.kinds[0]` on this mix (fig6's, under `--all`).
                 let baseline = self.run(&grid()).remove(0);
                 let blocks = self.pool(&configs(), |&(label, kind)| {

@@ -10,7 +10,7 @@ pub struct Flags {
 }
 
 /// Flags that take no value.
-const SWITCHES: &[&str] = &["check", "quiet"];
+const SWITCHES: &[&str] = &["check", "quiet", "full"];
 
 impl Flags {
     /// Parses an argument list for a subcommand that reads the flags in

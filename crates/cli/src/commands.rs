@@ -4,16 +4,18 @@ use crate::args::Flags;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Write as _};
 use std::ops::ControlFlow;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use stfm_bench::paper::{record, Record, Session, RECORDS};
+use stfm_bench::Args;
 use stfm_cpu::{trace_io, Core, CoreStats, FileTrace};
-use stfm_dram::DramConfig;
+use stfm_dram::{DramConfig, TimingAudit};
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
 use stfm_serve::{expand_line, run_sweep, ResultCache, SchedSpec, ServeConfig};
 use stfm_sim::{
     run_ordered, AloneCache, Budget, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
 };
-use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
+use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, NullSink, Sink, TeeSink};
 use stfm_workloads::{by_name, desktop, spec, Profile, SyntheticTrace};
 
 /// Top-level usage text.
@@ -26,6 +28,7 @@ USAGE:
            [--banks N] [--row-kb N] [--jobs N] [--check]
   stfm trace --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs]
            [--insts N] [--seed N] [--epoch N] [--sample N] [--out-dir DIR]
+  stfm paper (--figure ID | --all DIR) [--insts N] [--seed N] [--full] [--jobs N]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
   stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
            [--retry-backoff MS] [--self-check N] [--fault-log FILE]
@@ -58,6 +61,16 @@ stream) and <out-dir>/epochs.csv (fixed-width time series: per-thread
 estimated slowdowns, bandwidth, row-hit rate, bus utilization, queue
 depth). --epoch sets the CSV row width and --sample the scheduler
 snapshot spacing, both in DRAM cycles.
+
+`run --check` audits every shared run's DDR2 command stream and fails on
+the first timing violation.
+
+`paper` renders the paper's figures, tables, extension and ablations:
+--figure ID prints one record on stdout, --all DIR writes <DIR>/<ID>.txt
+for every record (results/ is `--all results`). --insts overrides each
+record's own budget; --full runs the sweeps the default subsamples. The
+records of one invocation share their runs; stderr says how many each
+simulated.
 
 Benchmark names come from `stfm list` (the paper's Table 3 + Table 4).
 ";
@@ -135,8 +148,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             .scheduler(*kind)
             .dram_config(dram.clone())
             .instructions_per_thread(insts)
-            .seed(seed)
-            .timing_checker(f.has("check"));
+            .seed(seed);
         if let Some(alpha) = f.get("alpha") {
             e = e.alpha(alpha.parse().map_err(|_| "bad --alpha")?);
         }
@@ -152,12 +164,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     run_ordered(
         experiments.iter(),
         jobs_flag(&f)?,
-        |e| e.run_with_cache(&cache),
+        |e| run_checked(e, &cache, f.has("check")),
         |metrics| {
             results.push(metrics);
             ControlFlow::Continue(())
         },
     );
+    let results = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     if !f.has("quiet") {
         println!(
             "workload {:?}, {} instructions/thread, seed {}\n",
@@ -165,6 +178,69 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
     print_metrics(&names, &results);
+    Ok(())
+}
+
+/// `e`'s metrics, or why its run stopped short. With `check`, a
+/// [`TimingAudit`] observes the shared run and its first violation is the
+/// error.
+fn run_checked(e: &Experiment, cache: &AloneCache, check: bool) -> Result<WorkloadMetrics, String> {
+    let sink: Box<dyn Sink> = if check {
+        Box::new(TimingAudit::new(&e.effective_dram()))
+    } else {
+        Box::new(NullSink)
+    };
+    let mut run = e.run_traced(cache, sink);
+    if let Some(stop) = run.stop {
+        return Err(format!("{} run {stop}", run.metrics.scheduler));
+    }
+    if let Some(audit) = run.sink.as_any_mut().downcast_mut::<TimingAudit>() {
+        audit.check()?;
+    }
+    Ok(run.metrics)
+}
+
+/// What `stfm paper` renders: the session's options, the records, and the
+/// directory they are written to (`None`: stdout).
+fn paper_args(args: &[String]) -> Result<(Args, &'static [Record], Option<PathBuf>), String> {
+    let f = Flags::parse(args, "figure all insts seed full jobs")?;
+    let records = match (f.get("figure"), f.get("all")) {
+        (Some(id), None) => std::slice::from_ref(record(id).ok_or_else(|| {
+            let ids: Vec<_> = RECORDS.iter().map(|r| r.id).collect();
+            format!("unknown figure '{id}'; one of: {}", ids.join(" "))
+        })?),
+        (None, Some(_)) => RECORDS,
+        _ => return Err("give one of --figure ID and --all DIR".into()),
+    };
+    let args = Args {
+        insts: f.get("insts").map(|_| f.num("insts", 0)).transpose()?,
+        seed: f.num("seed", 1)?,
+        full: f.has("full"),
+        jobs: jobs_flag(&f)?,
+    };
+    Ok((args, records, f.get("all").map(PathBuf::from)))
+}
+
+/// `stfm paper`: renders records of the paper's evaluation, sharing one
+/// session's runs between them.
+pub fn paper(args: &[String]) -> Result<(), String> {
+    let (args, records, dir) = paper_args(args)?;
+    let session = Session::new(args);
+    for r in records {
+        let before = session.simulated();
+        let out = session.render(r);
+        match &dir {
+            None => print!("{out}"),
+            Some(dir) => {
+                let path = dir.join(format!("{}.txt", r.id));
+                let written =
+                    std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, out));
+                written.map_err(|e| format!("{}: {e}", path.display()))?;
+            }
+        }
+        let runs = session.simulated() - before;
+        eprintln!("paper: {}: {runs} runs simulated", r.id);
+    }
     Ok(())
 }
 
@@ -554,5 +630,63 @@ mod tests {
         }
         assert_eq!(parse_scheduler("all"), Ok(SchedulerKind::all().to_vec()));
         assert!(parse_scheduler("bogus").is_err());
+    }
+
+    fn paper_err(line: &str) -> String {
+        match paper_args(&argv(line)) {
+            Ok(_) => panic!("{line}: accepted"),
+            Err(e) => e,
+        }
+    }
+
+    /// An unknown record id is an error that lists every valid id.
+    #[test]
+    fn paper_rejects_an_unknown_id_and_lists_the_ids() {
+        let err = paper_err("--figure fig99");
+        assert!(err.contains("unknown figure 'fig99'"), "{err}");
+        for r in RECORDS {
+            assert!(err.contains(r.id), "{} missing: {err}", r.id);
+        }
+    }
+
+    /// `stfm paper` renders one record or all of them, never neither or
+    /// both.
+    #[test]
+    fn paper_takes_exactly_one_of_figure_and_all() {
+        for line in ["", "--insts 2000", "--figure fig6 --all out"] {
+            let err = paper_err(line);
+            assert!(
+                err.contains("give one of --figure ID and --all DIR"),
+                "{line}: {err}"
+            );
+        }
+        let (_, records, dir) = paper_args(&argv("--figure fig6")).unwrap();
+        assert_eq!(records.iter().map(|r| r.id).collect::<Vec<_>>(), ["fig6"]);
+        assert_eq!(dir, None);
+        let (_, records, dir) = paper_args(&argv("--all out")).unwrap();
+        assert_eq!(records.len(), RECORDS.len());
+        assert_eq!(dir, Some(PathBuf::from("out")));
+    }
+
+    /// `--full` takes no value: the flag after it still parses as a flag.
+    #[test]
+    fn paper_full_is_a_switch() {
+        let line = "--figure table3 --full --insts 2000 --seed 3 --jobs 2";
+        let (args, ..) = paper_args(&argv(line)).unwrap();
+        assert!(args.full);
+        assert_eq!(
+            (args.insts, args.seed, args.jobs),
+            (Some(2_000), 3, Some(2))
+        );
+        let (args, ..) = paper_args(&argv("--figure table3")).unwrap();
+        assert!(!args.full);
+        assert_eq!((args.insts, args.seed, args.jobs), (None, 1, None));
+    }
+
+    /// A budget that is not a number is an error naming the flag.
+    #[test]
+    fn paper_rejects_a_non_numeric_budget() {
+        let err = paper_err("--figure fig6 --insts lots");
+        assert!(err.contains("--insts"), "{err}");
     }
 }

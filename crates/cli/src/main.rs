@@ -6,6 +6,8 @@
 //! stfm sweep experiments.jsonl --jobs 8 --cache-dir .stfm-cache
 //! stfm serve --cache-dir .stfm-cache < spec.jsonl
 //! stfm trace --workload mcf,libquantum --out-dir trace-out
+//! stfm paper --figure fig6
+//! stfm paper --all results
 //! stfm list
 //! stfm capture --benchmark mcf --ops 50000 --out mcf.trace
 //! stfm replay --traces a.trace,b.trace --scheduler stfm
@@ -23,6 +25,7 @@ fn main() {
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
         Some("trace") => commands::trace(&argv[1..]),
+        Some("paper") => commands::paper(&argv[1..]),
         Some("list") => commands::list(&argv[1..]),
         Some("capture") => commands::capture(&argv[1..]),
         Some("replay") => commands::replay(&argv[1..]),

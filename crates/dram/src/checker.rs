@@ -329,21 +329,22 @@ impl TimingAudit {
         &self.channels[channel as usize]
     }
 
-    /// Asserts that no channel recorded a violation.
+    /// Checks that no channel recorded a violation.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with the first violation of the lowest-numbered channel
-    /// that recorded any.
-    pub fn assert_clean(&self) {
+    /// The first violation of the lowest-numbered channel that recorded
+    /// any.
+    pub fn check(&self) -> Result<(), String> {
         for (i, c) in self.channels.iter().enumerate() {
             if let Some(v) = c.violations().first() {
-                panic!(
-                    "timing violation on channel {i}: {v} ({} total)",
-                    c.violations().len()
-                );
+                let total = c.violations().len();
+                return Err(format!(
+                    "timing violation on channel {i}: {v} ({total} total)"
+                ));
             }
         }
+        Ok(())
     }
 }
 
@@ -514,15 +515,14 @@ mod tests {
         ] {
             audit.record(&event);
         }
-        audit.assert_clean();
+        assert_eq!(audit.check(), Ok(()));
         // tRCD = 6 cycles: a READ at 15 is one early for the ACT at 10.
         audit.record(&on(1, 15, 0, CmdKind::Read));
         assert!(audit.channel(0).violations().is_empty());
         let v = audit.channel(1).violations();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].constraint, "tRCD");
-        let panic = std::panic::catch_unwind(|| audit.assert_clean());
-        let msg = panic.err().and_then(|p| p.downcast::<String>().ok());
-        assert!(msg.is_some_and(|m| m.starts_with("timing violation on channel 1: ")));
+        let msg = audit.check().unwrap_err();
+        assert!(msg.starts_with("timing violation on channel 1: "), "{msg}");
     }
 }

@@ -89,7 +89,11 @@ pub fn audit_timing(mem: &mut MemorySystem) {
 pub fn assert_timing_clean(mem: &mut MemorySystem) {
     let mut sink = mem.take_sink();
     match sink.as_any_mut().downcast_mut::<TimingAudit>() {
-        Some(audit) => audit.assert_clean(),
+        Some(audit) => {
+            if let Err(violation) = audit.check() {
+                panic!("{violation}");
+            }
+        }
         None => panic!("the memory system's sink is not a TimingAudit"),
     }
     mem.set_sink(sink);

@@ -148,7 +148,7 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
         .as_any_mut()
         .downcast_mut::<TeeSink<RingSink, TimingAudit>>()
         .expect("the tee comes back out");
-    tee.second.assert_clean();
+    assert_eq!(tee.second.check(), Ok(()));
     let ring = &tee.first;
     assert_eq!(ring.dropped(), 0, "ring too small for the run");
     let rank_calls = (mem.policy() as &dyn Any)

@@ -100,19 +100,6 @@ impl SchedSpec {
             SchedSpec::ParBs => SchedulerKind::ParBs,
         }
     }
-
-    /// The spec token for a [`SchedulerKind`] (used when porting
-    /// `Experiment`-shaped harness code onto the data-driven runner).
-    pub fn from_kind(kind: SchedulerKind) -> SchedSpec {
-        match kind {
-            SchedulerKind::FrFcfs => SchedSpec::FrFcfs,
-            SchedulerKind::Fcfs => SchedSpec::Fcfs,
-            SchedulerKind::FrFcfsCap { .. } => SchedSpec::Cap,
-            SchedulerKind::Nfq => SchedSpec::Nfq,
-            SchedulerKind::Stfm | SchedulerKind::StfmWith(_) => SchedSpec::Stfm,
-            SchedulerKind::ParBs => SchedSpec::ParBs,
-        }
-    }
 }
 
 /// One fully-resolved experiment cell.

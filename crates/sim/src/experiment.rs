@@ -16,19 +16,15 @@ use std::any::Any;
 use std::path::PathBuf;
 use stfm_core::{Stfm, StfmConfig};
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
-use stfm_dram::{DramConfig, DramDelta, TimingAudit, CPU_CYCLES_PER_DRAM_CYCLE};
+use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
-use stfm_telemetry::{Event, NullSink, Sink, TeeSink};
+use stfm_telemetry::{Event, NullSink, Sink};
 use stfm_workloads::{Profile, SyntheticTrace};
 
 /// Default per-thread instruction budget. Deliberately modest so whole
 /// figure sweeps finish in minutes; the `paper` records raise it via
 /// [`Experiment::instructions_per_thread`].
 pub const DEFAULT_INSTRUCTIONS: u64 = 30_000;
-
-/// The sink of a run under [`Experiment::timing_checker`]: the caller's
-/// sink (a [`NullSink`] when none) teed with the timing audit.
-type AuditTee = TeeSink<Box<dyn Sink>, TimingAudit>;
 
 /// Memoizes alone-run baselines, keyed by benchmark, DRAM configuration,
 /// instruction budget, workload seed and prefetcher configuration.
@@ -185,7 +181,6 @@ pub struct Experiment {
     alpha: Option<f64>,
     weights: Vec<(u32, u32)>,
     shares: Vec<(u32, u32)>,
-    timing_checker: bool,
     row_policy: RowPolicy,
     prefetch: Option<PrefetchConfig>,
     sample_interval: Option<u64>,
@@ -229,7 +224,6 @@ impl Experiment {
             alpha: None,
             weights: Vec::new(),
             shares: Vec::new(),
-            timing_checker: false,
             row_policy: RowPolicy::OpenPage,
             prefetch: None,
             sample_interval: None,
@@ -285,14 +279,6 @@ impl Experiment {
     /// Sets thread `t`'s NFQ bandwidth share (ignored by other schedulers).
     pub fn share(mut self, thread: u32, share: u32) -> Self {
         self.shares.push((thread, share));
-        self
-    }
-
-    /// Audits the shared run's DDR2 command stream with a [`TimingAudit`]
-    /// sink, teed with the caller's sink if there is one; the run panics
-    /// at its end on any violation.
-    pub fn timing_checker(mut self, on: bool) -> Self {
-        self.timing_checker = on;
         self
     }
 
@@ -464,28 +450,14 @@ impl Experiment {
     ) -> (Vec<Result<WorkloadMetrics, RunStop>>, Box<dyn Sink>, u64) {
         let dram = self.effective_dram();
         let mut sys = self.shared_system();
-        let sink = sink.unwrap_or_else(|| Box::new(NullSink));
-        if self.timing_checker {
-            let audit = TeeSink::new(sink, TimingAudit::new(&dram));
-            sys.memory_mut().set_sink(Box::new(audit));
-        } else {
-            sys.memory_mut().set_sink(sink);
-        }
+        sys.memory_mut()
+            .set_sink(sink.unwrap_or_else(|| Box::new(NullSink)));
         sys.set_fast_forward(self.fast_forward);
         if let Some(t) = cancel {
             sys.set_cancel_token(t.clone());
         }
         let outs = sys.run(&insts.iter().map(|&n| Budget::of(n)).collect::<Vec<_>>());
         let mut sink = sys.memory_mut().take_sink();
-        if self.timing_checker {
-            let Some(tee) = sink.as_any_mut().downcast_mut::<AuditTee>() else {
-                unreachable!("a checked run's sink is the audit tee");
-            };
-            if !outs.iter().any(|o| o.cancelled) {
-                tee.second.assert_clean();
-            }
-            sink = std::mem::replace(&mut tee.first, Box::new(NullSink));
-        }
 
         let stops = outs
             .iter()
@@ -544,6 +516,7 @@ impl Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stfm_mc::test_util::{assert_timing_clean, audit_timing};
     use stfm_workloads::spec;
 
     #[test]
@@ -755,10 +728,12 @@ mod tests {
 
     #[test]
     fn timing_checker_clean_end_to_end() {
-        let _ = Experiment::new(vec![spec::libquantum(), spec::gems_fdtd()])
+        let mut sys = Experiment::new(vec![spec::libquantum(), spec::gems_fdtd()])
             .scheduler(SchedulerKind::Stfm)
-            .instructions_per_thread(3_000)
-            .timing_checker(true)
-            .run();
+            .shared_system();
+        audit_timing(sys.memory_mut());
+        let out = sys.run(&[Budget::of(3_000)]).remove(0);
+        assert_eq!(RunStop::of(&out), None);
+        assert_timing_clean(sys.memory_mut());
     }
 }

@@ -55,8 +55,8 @@ impl Case {
     }
 
     /// The shared run of `exp`, built and budgeted exactly as
-    /// [`Experiment::run`] builds and budgets it. Its loop choice, sink
-    /// and timing checker are not part of the case.
+    /// [`Experiment::run`] builds and budgets it. Its loop choice and sink
+    /// are not part of the case; a caller that audits attaches its own.
     pub fn experiment(label: impl Into<String>, exp: &Experiment) -> Case {
         let exp = exp.clone();
         Case::new(label, vec![Budget::of(exp.insts)], move || {

@@ -1,15 +1,15 @@
-//! The `paper` records against pinned output: each record, rendered in
-//! process at `--insts 2000`, seed 1, must hash to the FNV-1a digest of
+//! The `stfm paper` records against pinned output: each record, rendered
+//! in process at `--insts 2000`, seed 1, must hash to the FNV-1a digest of
 //! what the standalone binary it replaced printed, and must simulate each
-//! of its runs once. A session shared across records must not simulate a
-//! cell twice. Every record writes one file of `results/`, and every file
-//! there is a record's.
+//! of its runs once. A session shared across records must not simulate an
+//! experiment twice. Every record writes one file of `results/`, and every
+//! file there is a record's.
 //!
 //! A debug build spends about a second on each record, so tier-1 renders
 //! only one record per layout that is cheap there (the slowdown list,
-//! the case-study table, label × metric rows from cells and from
-//! experiments, the scheduler × variant grid, the alone-run
-//! characterization); the rest are `#[ignore]`d. Run them all with
+//! the case-study table, label × metric rows, the scheduler × variant
+//! grid, the alone-run characterization) and the two shared-session
+//! cases; the rest are `#[ignore]`d. Run them all with
 //! `cargo test --release --test paper -- --include-ignored`.
 
 use std::collections::BTreeSet;
@@ -78,7 +78,7 @@ pinned! {
     ablation_cap = ("c4c8690f2a557066", 5);
     #[ignore = "release-only: seconds in a debug build"]
     ablation_energy = ("da60c6f0ad382ea3", 5);
-    // Two STFM runs and the FR-FCFS cell that brings the alone baselines.
+    // Two STFM runs and the FR-FCFS run that brings the alone baselines.
     #[ignore = "release-only: seconds in a debug build"]
     ablation_estimate = ("c9b994434921bf98", 3);
     #[ignore = "release-only: seconds in a debug build"]
@@ -96,12 +96,25 @@ fn a_shared_session_simulates_each_cell_once() {
     let session = session();
     let case_study = render(&session, "fig6");
     assert_eq!(session.simulated(), 5);
-    // fig15's FR-FCFS baseline is fig6's cell; its seven α runs are new.
+    // fig15's FR-FCFS baseline is fig6's run; its seven α runs are new.
     let alpha = render(&session, "fig15");
     assert_eq!(session.simulated(), 12);
-    // A cached cell renders as a fresh one does.
+    // A memoized run renders as a fresh one does.
     assert_eq!(hex_digest(&case_study), "b9369a15b1e60623");
     assert_eq!(hex_digest(&alpha), "54b411f4fb07ed2c");
+}
+
+/// STFM's default configuration is one run for every record that prints
+/// it: `ablation_parallelism`'s paper row is `ablation_gamma`'s "1 (ours)".
+#[test]
+fn a_shared_session_runs_stfm_defaults_once() {
+    let session = session();
+    let gamma = render(&session, "ablation_gamma");
+    assert_eq!(session.simulated(), 3);
+    let parallelism = render(&session, "ablation_parallelism");
+    assert_eq!(session.simulated(), 4);
+    assert_eq!(hex_digest(&gamma), "3c6d89828c466c45");
+    assert_eq!(hex_digest(&parallelism), "16b2e409c96a90e6");
 }
 
 /// `--full` adds Table 4's desktop benchmarks to Table 3.
@@ -121,7 +134,7 @@ fn table3_full() {
     );
 }
 
-/// `paper --all results` writes exactly the checked-in files: no artefact
+/// `stfm paper --all results` writes exactly the checked-in files: no artefact
 /// lives outside the records, and no file outlives its record.
 #[test]
 fn the_records_are_the_results_directory() {

@@ -5,20 +5,27 @@ use stfm_repro::cpu::Core;
 use stfm_repro::dram::{ClockRatio, DramConfig, DramCycle};
 use stfm_repro::mc::test_util::{assert_timing_clean, audit_timing};
 use stfm_repro::mc::{MemorySystem, ThreadId};
-use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind, System};
+use stfm_repro::sim::{AloneCache, Budget, Experiment, RunStop, SchedulerKind, System};
 use stfm_repro::workloads::{mix, spec, SyntheticTrace};
 
+/// Runs `exp`'s shared system over `insts` instructions per thread under
+/// the independent timing audit, which checks every issued command.
+fn assert_audited_run_clean(exp: Experiment, insts: u64) {
+    let mut sys = exp.shared_system();
+    audit_timing(sys.memory_mut());
+    let out = sys.run(&[Budget::of(insts)]).remove(0);
+    assert_eq!(RunStop::of(&out), None, "{}", sys.memory().policy().name());
+    assert_timing_clean(sys.memory_mut());
+}
+
 /// Every scheduler must produce DDR2-legal command streams end to end.
-/// The independent timing audit checks every issued command.
 #[test]
 fn all_schedulers_are_timing_clean() {
     for kind in SchedulerKind::all() {
-        let _ = Experiment::new(mix::case_study_mixed())
-            .scheduler(kind)
-            .instructions_per_thread(8_000)
-            .timing_checker(true)
-            .run();
-        // run() panics internally on a violation; reaching here is a pass.
+        assert_audited_run_clean(
+            Experiment::new(mix::case_study_mixed()).scheduler(kind),
+            8_000,
+        );
     }
 }
 
@@ -30,12 +37,10 @@ fn timing_clean_across_geometries() {
             let cfg = DramConfig::for_cores(4)
                 .with_banks(banks)
                 .with_row_buffer_bytes_per_chip(row_kb * 1024);
-            let _ = Experiment::new(mix::case_study_non_intensive())
+            let exp = Experiment::new(mix::case_study_non_intensive())
                 .scheduler(SchedulerKind::Stfm)
-                .dram_config(cfg)
-                .instructions_per_thread(5_000)
-                .timing_checker(true)
-                .run();
+                .dram_config(cfg);
+            assert_audited_run_clean(exp, 5_000);
         }
     }
 }

@@ -40,9 +40,10 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
 fn every_source_file_has_a_module_doc_and_no_placeholder() {
     let mut files = Vec::new();
     for tree in ["src", "crates", "tests", "examples"] {
+        let before = files.len();
         rust_files(&root().join(tree), &mut files);
+        assert!(files.len() > before, "the walk found no file under {tree}/");
     }
-    assert!(files.len() > 100, "the walk found {} files", files.len());
     let mut bad = Vec::new();
     for path in files {
         let src = read(&path);
