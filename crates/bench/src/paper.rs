@@ -750,18 +750,13 @@ impl Session {
                         // A point that overrides nothing keeps the plain
                         // experiment, and so its memo key.
                         if banks.is_none() && row_kb.is_none() {
-                            return e;
+                            return Ok(e);
                         }
-                        let mut dram = e.effective_dram();
-                        if let Some(banks) = banks {
-                            dram = dram.with_banks(banks);
-                        }
-                        if let Some(kb) = row_kb {
-                            dram = dram.with_row_buffer_bytes_per_chip(kb * 1024);
-                        }
-                        e.dram_config(dram)
+                        let dram = e.effective_dram().with_geometry(banks, row_kb);
+                        Ok(e.dram_config(dram.map_err(|_| fmt::Error)?))
                     };
-                    let experiments: Vec<_> = grid().into_iter().map(at_point).collect();
+                    let experiments: Vec<_> =
+                        grid().into_iter().map(at_point).collect::<Result<_, _>>()?;
                     // A batch per point, so the repeated default geometry
                     // is a memo hit.
                     let results = self.run(&experiments);

@@ -112,19 +112,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let insts: u64 = f.num("insts", 100_000)?;
     let seed: u64 = f.num("seed", 1)?;
 
-    let mut dram = DramConfig::for_cores(profiles.len() as u32);
-    if let Some(v) = f.get("banks") {
-        let banks = power_of_two(v).filter(|&b| b <= MAX_BANKS).ok_or_else(|| {
-            format!("bad --banks '{v}': must be a power of two, at most {MAX_BANKS}")
-        })?;
-        dram = dram.with_banks(banks);
-    }
-    if let Some(v) = f.get("row-kb") {
-        let bytes = power_of_two(v)
-            .and_then(|kb| kb.checked_mul(1024))
-            .ok_or_else(|| format!("bad --row-kb '{v}': must be a power of two"))?;
-        dram = dram.with_row_buffer_bytes_per_chip(bytes);
-    }
+    let banks = f.get("banks").map(|v| match v.parse::<u32>() {
+        Ok(b) if b.is_power_of_two() && b <= MAX_BANKS => Ok(b),
+        _ => Err(format!(
+            "bad --banks '{v}': must be a power of two, at most {MAX_BANKS}"
+        )),
+    });
+    let row_kb = f.get("row-kb").map(|v| {
+        v.parse()
+            .map_err(|_| format!("bad --row-kb '{v}': must be a power of two"))
+    });
+    let dram = DramConfig::for_cores(profiles.len() as u32)
+        .with_geometry(banks.transpose()?, row_kb.transpose()?)?;
+    let stfm = f.get("alpha").map(|v| {
+        let alpha = v.parse().map_err(|_| format!("bad --alpha '{v}'"))?;
+        SchedulerKind::stfm_alpha(alpha)
+    });
+    let stfm = stfm.transpose()?;
 
     let weights: Vec<u32> = match f.get("weights") {
         None => vec![],
@@ -144,14 +148,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let cache = AloneCache::new();
     let mut experiments = Vec::new();
     for kind in &kinds {
+        let kind = match (kind, stfm) {
+            (SchedulerKind::Stfm, Some(with_alpha)) => with_alpha,
+            _ => *kind,
+        };
         let mut e = Experiment::new(profiles.clone())
-            .scheduler(*kind)
+            .scheduler(kind)
             .dram_config(dram.clone())
             .instructions_per_thread(insts)
             .seed(seed);
-        if let Some(alpha) = f.get("alpha") {
-            e = e.alpha(alpha.parse().map_err(|_| "bad --alpha")?);
-        }
         for (i, w) in weights.iter().enumerate() {
             e = match kind {
                 SchedulerKind::Nfq => e.share(i as u32, *w),
@@ -421,11 +426,6 @@ pub fn replay(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `v` as a power of two, if it is one.
-fn power_of_two(v: &str) -> Option<u32> {
-    v.parse::<u32>().ok().filter(|n| n.is_power_of_two())
-}
-
 /// Resolves `--jobs` (0 or absent means "all cores").
 fn jobs_flag(f: &Flags) -> Result<Option<usize>, String> {
     let n: usize = f.num("jobs", 0)?;
@@ -618,6 +618,25 @@ mod tests {
             let line = format!("--workload mcf,mcf,mcf,mcf,mcf --scheduler cap --banks {banks}");
             let err = run(&argv(&line)).expect_err(&line);
             assert!(err.contains("power of two, at most 16"), "{line}: {err}");
+        }
+    }
+
+    /// An α that is not a finite number >= 1, and a row whose 8-chip size
+    /// overflows 32 bits, are usage errors too, as they are on a spec
+    /// line.
+    #[test]
+    fn run_refuses_alphas_and_rows_a_spec_line_refuses() {
+        for (flag, needle) in [
+            ("--alpha 0.5", "alpha must be a finite number >= 1"),
+            ("--alpha NaN", "alpha must be a finite number >= 1"),
+            ("--alpha -3", "alpha must be a finite number >= 1"),
+            ("--alpha x", "bad --alpha"),
+            ("--row-kb 524288", "row_kb must be"),
+            ("--row-kb 3", "row_kb must be"),
+        ] {
+            let line = format!("--workload mcf --scheduler stfm {flag}");
+            let err = run(&argv(&line)).expect_err(&line);
+            assert!(err.contains(needle), "{line}: {err}");
         }
     }
 

@@ -403,11 +403,18 @@ impl Core {
         );
         self.now += cycles;
         self.stats.cycles += cycles;
-        if let Some(Entry::Mem(e)) = self.window.front() {
-            if !e.done && e.dram && e.kind == MemOpKind::Load {
-                self.stats.mem_stall_cycles += cycles;
-            }
+        if self.stalled_on_memory() {
+            self.stats.mem_stall_cycles += cycles;
         }
+    }
+
+    /// The paper's memory-stall condition (its Tshared) for a cycle that
+    /// commits nothing: the oldest instruction is a load waiting on DRAM.
+    fn stalled_on_memory(&self) -> bool {
+        matches!(
+            self.window.front(),
+            Some(Entry::Mem(e)) if !e.done && e.dram && e.kind == MemOpKind::Load
+        )
     }
 
     /// Advances the core by one DRAM cycle's worth of CPU cycles
@@ -614,14 +621,9 @@ impl Core {
         self.window_count -= committed as usize;
         self.stats.instructions += u64::from(committed);
 
-        // 4. Memory-stall accounting (the paper's Tshared): no commit this
-        //    cycle and the oldest instruction is a load waiting on DRAM.
-        if committed == 0 {
-            if let Some(Entry::Mem(e)) = self.window.front() {
-                if !e.done && e.dram && e.kind == MemOpKind::Load {
-                    self.stats.mem_stall_cycles += 1;
-                }
-            }
+        // 4. Memory-stall accounting (the paper's Tshared).
+        if committed == 0 && self.stalled_on_memory() {
+            self.stats.mem_stall_cycles += 1;
         }
 
         self.fold_prefetch_hits();

@@ -244,7 +244,9 @@ mod randomized_tests {
             let raw = rng.random_range(0u64..(2u64 << 30));
             let banks_log = rng.random_range(2u32..5);
             let xor = rng.random_bool(0.5);
-            let cfg = DramConfig::ddr2_800().with_banks(1 << banks_log);
+            let cfg = DramConfig::ddr2_800()
+                .with_geometry(Some(1 << banks_log), None)
+                .unwrap();
             let m = AddressMapping::with_xor(&cfg, xor);
             let addr = PhysAddr(raw & !(63) & ((1u64 << m.address_bits()) - 1));
             let d = m.decode(addr);

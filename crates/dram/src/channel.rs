@@ -363,6 +363,34 @@ impl Channel {
     ///
     /// Panics if `cmd` is not ready ([`Channel::can_issue`] is false).
     pub fn issue(&mut self, cmd: &DramCommand, now: DramCycle) -> DramCycle {
+        self.occupy_buses(cmd, now);
+        #[cfg(debug_assertions)]
+        self.audit_with(|chk| chk.observe(cmd, now));
+        self.banks[cmd.bank.0 as usize].issue(cmd, now, &self.timing)
+    }
+
+    /// Issues a column command with auto-precharge (DDR2 RDA/WRA). Same
+    /// channel-level effects as [`Channel::issue`], plus the device-side
+    /// precharge of [`Bank::issue_auto_precharge`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the command is not ready, or is not a column command.
+    pub fn issue_auto_precharge(&mut self, cmd: &DramCommand, now: DramCycle) -> DramCycle {
+        assert!(
+            cmd.kind.is_column(),
+            "auto-precharge needs a column command"
+        );
+        self.occupy_buses(cmd, now);
+        self.stats.precharges += 1;
+        #[cfg(debug_assertions)]
+        self.audit_with(|chk| chk.observe_auto_precharge(cmd, now));
+        self.banks[cmd.bank.0 as usize].issue_auto_precharge(cmd, now, &self.timing)
+    }
+
+    /// The channel-level effects of issuing `cmd` at `now`: the command
+    /// and data buses, the activate windows, and the command counts.
+    fn occupy_buses(&mut self, cmd: &DramCommand, now: DramCycle) {
         assert!(
             self.can_issue(cmd, now),
             "illegal {cmd} at DRAM cycle {now}"
@@ -396,60 +424,17 @@ impl Channel {
             }
             CommandKind::Refresh => self.stats.refreshes += 1,
         }
-        #[cfg(debug_assertions)]
-        self.audit_with(|chk| chk.observe(cmd, now));
-        self.banks[cmd.bank.0 as usize].issue(cmd, now, &t)
     }
 
-    /// Issues a column command with auto-precharge (DDR2 RDA/WRA). Same
-    /// channel-level effects as [`Channel::issue`], plus the device-side
-    /// precharge of [`Bank::issue_auto_precharge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the command is not ready, or is not a column command.
-    pub fn issue_auto_precharge(&mut self, cmd: &DramCommand, now: DramCycle) -> DramCycle {
-        assert!(
-            cmd.kind.is_column(),
-            "auto-precharge needs a column command"
-        );
-        assert!(
-            self.can_issue(cmd, now),
-            "illegal {cmd} at DRAM cycle {now}"
-        );
-        self.cmd_bus_free = now + 1;
-        let t = self.timing;
-        match cmd.kind {
-            CommandKind::Read { .. } => {
-                let data_start = now + t.t_cl;
-                self.data_bus_free = data_start + t.burst_cycles();
-                self.next_write_issue = self
-                    .next_write_issue
-                    .max(self.data_bus_free.saturating_sub(t.t_cwl));
-                self.stats.reads += 1;
-            }
-            CommandKind::Write { .. } => {
-                let data_start = now + t.t_cwl;
-                let data_end = data_start + t.burst_cycles();
-                self.data_bus_free = data_end;
-                self.next_read_issue = self.next_read_issue.max(data_end + t.t_wtr);
-                self.stats.writes += 1;
-            }
-            _ => unreachable!("checked above"),
-        }
-        self.stats.precharges += 1;
-        #[cfg(debug_assertions)]
-        self.audit_with(|chk| chk.observe_auto_precharge(cmd, now));
-        self.banks[cmd.bank.0 as usize].issue_auto_precharge(cmd, now, &t)
-    }
-
-    /// [`Channel::issue`] plus telemetry: reports the command to `sink`
-    /// as an [`Event::DramCommandIssued`] before issuing it. The channel
-    /// does not know its own index or the owning thread, so the
-    /// controller supplies both.
+    /// [`Channel::issue`], or with `auto_precharge`
+    /// [`Channel::issue_auto_precharge`], plus telemetry: reports the
+    /// command to `sink` as an [`Event::DramCommandIssued`] before issuing
+    /// it. The channel does not know its own index or the owning thread,
+    /// so the controller supplies both.
     pub fn issue_traced(
         &mut self,
         cmd: &DramCommand,
+        auto_precharge: bool,
         now: DramCycle,
         channel: u32,
         thread: Option<u32>,
@@ -464,35 +449,14 @@ impl Channel {
                 cmd: kind,
                 row,
                 thread,
-                auto_precharge: false,
+                auto_precharge,
             });
         }
-        self.issue(cmd, now)
-    }
-
-    /// [`Channel::issue_auto_precharge`] plus telemetry; see
-    /// [`Channel::issue_traced`].
-    pub fn issue_auto_precharge_traced(
-        &mut self,
-        cmd: &DramCommand,
-        now: DramCycle,
-        channel: u32,
-        thread: Option<u32>,
-        sink: &mut dyn Sink,
-    ) -> DramCycle {
-        if sink.is_enabled() {
-            let (kind, row) = trace_parts(&cmd.kind);
-            sink.record(&Event::DramCommandIssued {
-                dram_cycle: now,
-                channel,
-                bank: cmd.bank.0,
-                cmd: kind,
-                row,
-                thread,
-                auto_precharge: true,
-            });
+        if auto_precharge {
+            self.issue_auto_precharge(cmd, now)
+        } else {
+            self.issue(cmd, now)
         }
-        self.issue_auto_precharge(cmd, now)
     }
 
     /// Banks currently servicing an in-flight operation at `now`.

@@ -13,10 +13,8 @@ use crate::DramDelta;
 /// round-trip L2-miss latencies are 35 / 50 / 70 ns for row hit / closed /
 /// conflict.
 ///
-/// Construct with [`DramConfig::ddr2_800`] and adjust fields, or use the
-/// sweep helpers [`DramConfig::with_banks`] and
-/// [`DramConfig::with_row_buffer_bytes_per_chip`] used by the Table 5
-/// sensitivity experiments.
+/// Construct with [`DramConfig::ddr2_800`] and adjust fields, or apply
+/// the Table 5 sensitivity overrides with [`DramConfig::with_geometry`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DramConfig {
     /// Number of independent channels (each with its own controller).
@@ -76,22 +74,33 @@ impl DramConfig {
         }
     }
 
-    /// Returns a copy with a different bank count (Table 5 sweep).
-    pub fn with_banks(mut self, banks: u32) -> Self {
-        assert!(banks.is_power_of_two(), "bank count must be a power of two");
-        self.banks = banks;
-        self
-    }
-
-    /// Returns a copy with a different per-chip row-buffer size (Table 5
-    /// sweep: 1 KB / 2 KB / 4 KB).
-    pub fn with_row_buffer_bytes_per_chip(mut self, bytes: u32) -> Self {
-        assert!(
-            bytes.is_power_of_two(),
-            "row-buffer size must be a power of two"
-        );
-        self.row_buffer_bytes_per_chip = bytes;
-        self
+    /// Returns a copy with `banks` banks per channel and a `row_kb` KB row
+    /// buffer per chip, each where given (the Table 5 sweep).
+    ///
+    /// # Errors
+    ///
+    /// A count that is not a power of two, or a row whose DIMM-level bytes
+    /// (`row_kb * 1024 * chips_per_dimm`) overflow a `u32`.
+    pub fn with_geometry(
+        mut self,
+        banks: Option<u32>,
+        row_kb: Option<u32>,
+    ) -> Result<Self, String> {
+        if let Some(banks) = banks {
+            if !banks.is_power_of_two() {
+                return Err(format!("banks must be a power of two, got {banks}"));
+            }
+            self.banks = banks;
+        }
+        if let Some(kb) = row_kb {
+            let fits =
+                |b: &u32| b.is_power_of_two() && b.checked_mul(self.chips_per_dimm).is_some();
+            self.row_buffer_bytes_per_chip =
+                kb.checked_mul(1024).filter(fits).ok_or_else(|| {
+                    format!("row_kb must be a power of two whose row fits in 32 bits, got {kb}")
+                })?;
+        }
+        Ok(self)
     }
 
     /// DIMM-level row size in bytes (per-chip row buffer × chips).
@@ -104,13 +113,6 @@ impl DramConfig {
     #[inline]
     pub fn columns(&self) -> u32 {
         self.row_bytes() / self.line_bytes
-    }
-
-    /// Row-hit requests a streaming thread can service back to back from one
-    /// row (paper Section 2.5's `2KB * 8 / 64B = 256` example).
-    #[inline]
-    pub fn row_hit_streak(&self) -> u32 {
-        self.columns()
     }
 
     /// Total physical address space covered by the configuration, in bytes.
@@ -137,8 +139,8 @@ mod tests {
         let c = DramConfig::ddr2_800();
         assert_eq!(c.banks, 8);
         assert_eq!(c.row_bytes(), 16 * 1024);
+        // The row-hit streak of paper Section 2.5's 2KB*8/64B example.
         assert_eq!(c.columns(), 256);
-        assert_eq!(c.row_hit_streak(), 256); // paper's 2KB*8/64B example
     }
 
     #[test]
@@ -150,13 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_helpers() {
+    fn geometry_overrides() {
         let c = DramConfig::ddr2_800()
-            .with_banks(16)
-            .with_row_buffer_bytes_per_chip(4096);
+            .with_geometry(Some(16), Some(4))
+            .unwrap();
         assert_eq!(c.banks, 16);
         assert_eq!(c.row_bytes(), 32 * 1024);
         assert_eq!(c.columns(), 512);
+        assert_eq!(c.clone().with_geometry(None, None), Ok(c));
     }
 
     #[test]
@@ -166,9 +169,26 @@ mod tests {
         assert_eq!(c.capacity_bytes(), 2 * 1024 * 1024 * 1024);
     }
 
+    /// Every override that is not a power of two, and every row whose
+    /// 8-chip size overflows a `u32`, is an error rather than a panic or
+    /// a wrapped size; the largest row that fits is 256 MB per chip.
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn rejects_non_power_of_two_banks() {
-        let _ = DramConfig::ddr2_800().with_banks(6);
+    fn geometry_errors_name_the_override() {
+        let base = DramConfig::ddr2_800();
+        let largest = base.clone().with_geometry(None, Some(262_144)).unwrap();
+        assert_eq!(largest.row_bytes(), 1 << 31);
+        assert!(largest.columns().is_power_of_two());
+        for (banks, row_kb, needle) in [
+            (Some(6), None, "banks must be a power of two"),
+            (Some(0), None, "banks must be a power of two"),
+            (None, Some(3), "row_kb must be"),
+            (None, Some(0), "row_kb must be"),
+            (None, Some(524_288), "row_kb must be"),
+            (None, Some(4_194_304), "row_kb must be"),
+            (None, Some(1 << 31), "row_kb must be"),
+        ] {
+            let err = base.clone().with_geometry(banks, row_kb).unwrap_err();
+            assert!(err.contains(needle), "{banks:?} {row_kb:?}: {err}");
+        }
     }
 }

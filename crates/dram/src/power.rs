@@ -353,11 +353,8 @@ mod tests {
                     if !ch.can_issue(&cmd, now) {
                         continue;
                     }
-                    if cmd.is_column() && rng.random_bool(0.5) {
-                        ch.issue_auto_precharge_traced(&cmd, now, channel, None, &mut model);
-                    } else {
-                        ch.issue_traced(&cmd, now, channel, None, &mut model);
-                    }
+                    let auto_pre = cmd.is_column() && rng.random_bool(0.5);
+                    ch.issue_traced(&cmd, auto_pre, now, channel, None, &mut model);
                 }
             }
             for (i, ch) in chans.iter().enumerate() {

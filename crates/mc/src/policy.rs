@@ -210,7 +210,7 @@ impl<'a> SystemView<'a> {
                 assert!(i == 0, "channel {i} out of range");
                 *q
             }
-            ViewBacking::Ctrls(cs) => cs[i].query(ChannelId(i as u32), self.now),
+            ViewBacking::Ctrls(cs) => cs[i].query(self.now),
         }
     }
 

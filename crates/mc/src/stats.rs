@@ -2,7 +2,7 @@
 
 use crate::request::{AccessKind, Request, ThreadId};
 use std::collections::BTreeMap;
-use stfm_dram::{AccessCategory, CpuCycle, DramCommand};
+use stfm_dram::{AccessCategory, CpuCycle};
 
 /// Per-thread DRAM service statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -69,16 +69,11 @@ impl ThreadStats {
     }
 }
 
-/// Whole-memory-system statistics.
+/// Whole-memory-system statistics. The commands issued are counted by
+/// each channel's device ([`stfm_dram::Channel::stats`]).
 #[derive(Debug, Clone, Default)]
 pub struct SystemStats {
     threads: BTreeMap<ThreadId, ThreadStats>,
-    /// Total DRAM commands issued, by class.
-    pub activates: u64,
-    /// PRECHARGE commands issued.
-    pub precharges: u64,
-    /// Column commands issued (reads + writes).
-    pub column_commands: u64,
     /// Requests enqueued.
     pub enqueued: u64,
     /// Requests completed.
@@ -101,20 +96,6 @@ impl SystemStats {
     pub fn reset_max_read_latency(&mut self, thread: ThreadId) {
         if let Some(ts) = self.threads.get_mut(&thread) {
             ts.max_read_latency_cpu = 0;
-        }
-    }
-
-    pub(crate) fn record_enqueue(&mut self, _req: &Request) {
-        self.enqueued += 1;
-    }
-
-    pub(crate) fn record_command(&mut self, cmd: &DramCommand) {
-        use stfm_dram::CommandKind::*;
-        match cmd.kind {
-            Activate { .. } => self.activates += 1,
-            Precharge => self.precharges += 1,
-            Read { .. } | Write { .. } => self.column_commands += 1,
-            Refresh => {}
         }
     }
 

@@ -181,32 +181,25 @@ impl Cell {
     ///
     /// # Errors
     ///
-    /// Unknown benchmark names (cells built by hand; spec expansion
-    /// validates earlier, with line numbers).
+    /// Unknown benchmark names, an α below 1 or a geometry
+    /// [`DramConfig::with_geometry`] refuses (cells built by hand; spec
+    /// expansion validates earlier, with line numbers).
     pub fn to_experiment(&self) -> Result<Experiment, String> {
         let profiles: Vec<Profile> = self
             .mix
             .iter()
             .map(|n| by_name(n))
             .collect::<Result<_, _>>()?;
-        let mut e = Experiment::new(profiles)
-            .scheduler(self.scheduler.kind())
+        let scheduler = match (self.scheduler, self.alpha) {
+            (SchedSpec::Stfm, Some(alpha)) => SchedulerKind::stfm_alpha(alpha)?,
+            (spec, _) => spec.kind(),
+        };
+        let dram = DramConfig::for_cores(self.mix.len() as u32);
+        Ok(Experiment::new(profiles)
+            .scheduler(scheduler)
+            .dram_config(dram.with_geometry(self.banks, self.row_kb)?)
             .instructions_per_thread(self.insts)
-            .seed(self.seed);
-        if self.banks.is_some() || self.row_kb.is_some() {
-            let mut dram = DramConfig::for_cores(self.mix.len() as u32);
-            if let Some(b) = self.banks {
-                dram = dram.with_banks(b);
-            }
-            if let Some(kb) = self.row_kb {
-                dram = dram.with_row_buffer_bytes_per_chip(kb * 1024);
-            }
-            e = e.dram_config(dram);
-        }
-        if let Some(a) = self.alpha {
-            e = e.alpha(a);
-        }
-        Ok(e)
+            .seed(self.seed))
     }
 }
 
@@ -272,24 +265,18 @@ pub fn expand_value(v: &Value) -> Result<Vec<Cell>, String> {
         None => vec![None],
         Some(x) => parse_f64_axis(x, "alpha")?.into_iter().map(Some).collect(),
     };
-    if alpha_axis
-        .iter()
-        .flatten()
-        .any(|&a| !a.is_finite() || a < 1.0)
-    {
-        return Err("alpha must be a finite number >= 1".into());
+    for &alpha in alpha_axis.iter().flatten() {
+        SchedulerKind::stfm_alpha(alpha)?;
     }
     let banks_axis = parse_opt_u32_axis(v.get("banks"), "banks")?;
-    if banks_axis
-        .iter()
-        .flatten()
-        .any(|b| !b.is_power_of_two() || *b > MAX_BANKS)
-    {
-        return Err(format!("banks must be a power of two, at most {MAX_BANKS}"));
+    if banks_axis.iter().flatten().any(|&b| b > MAX_BANKS) {
+        return Err(format!("banks must be at most {MAX_BANKS}"));
     }
     let row_kb_axis = parse_opt_u32_axis(v.get("row_kb"), "row_kb")?;
-    if row_kb_axis.iter().flatten().any(|kb| !kb.is_power_of_two()) {
-        return Err("row_kb must be a power of two".into());
+    for &banks in &banks_axis {
+        for &row_kb in &row_kb_axis {
+            DramConfig::ddr2_800().with_geometry(banks, row_kb)?;
+        }
     }
 
     let total = mixes.len()
@@ -564,6 +551,19 @@ mod tests {
             (r#"{"mix": ["mcf"], "alpha": 0.5}"#, "alpha must be"),
             (r#"{"mix": ["mcf"], "banks": 6}"#, "power of two"),
             (r#"{"mix": ["mcf"], "banks": 32}"#, "at most 16"),
+            (r#"{"mix": ["mcf"], "row_kb": 3}"#, "row_kb must be"),
+            // 512 MB per chip makes a 4 GB row, one past `u32`.
+            (r#"{"mix": ["mcf"], "row_kb": 524288}"#, "row_kb must be"),
+            // 2^31 KB overflows before the chips are counted.
+            (
+                r#"{"mix": ["mcf"], "row_kb": 2147483648}"#,
+                "row_kb must be",
+            ),
+            // Every value of an axis is checked, whatever the other axis.
+            (
+                r#"{"mix": ["mcf"], "banks": [4, 8], "row_kb": [1, 524288]}"#,
+                "row_kb must be",
+            ),
             (
                 r#"{"mix": [], "scheduler": "stfm"}"#,
                 "at least one benchmark",
@@ -581,6 +581,16 @@ mod tests {
             let err = expand_line(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+    }
+
+    /// 256 MB per chip, the largest row whose 8-chip size fits in a
+    /// `u32`, still expands and builds a system.
+    #[test]
+    fn the_largest_row_that_fits_is_accepted() {
+        let line = r#"{"scheduler": "fcfs", "mix": ["mcf"], "insts": 500, "row_kb": 262144}"#;
+        let cell = expand_line(line).unwrap().remove(0);
+        let system = cell.to_experiment().unwrap().shared_system();
+        assert_eq!(system.memory().dram_config().row_bytes(), 1 << 31);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! abandoned work.
 
 use std::io::Cursor;
+use std::path::Path;
+use std::time::Duration;
 
-use stfm_serve::{expand_line, serve, ResultCache, ServeConfig};
+use stfm_serve::{expand_line, json, serve, ResultCache, ServeConfig, ServeTotals};
 use stfm_sim::AloneCache;
 
 const BAD_LINES: [usize; 3] = [17, 500, 999];
@@ -101,4 +103,61 @@ fn sweep_style_expansion_skips_bad_lines_and_keeps_the_rest() {
     for (_, message) in &errors {
         assert!(!message.is_empty());
     }
+}
+
+/// Two cells that cannot finish in a zero budget: each times out, is
+/// retried once, and times out again.
+const SLOW_SPEC: &str =
+    "{\"scheduler\": [\"fcfs\", \"stfm\"], \"mix\": [\"mcf\"], \"insts\": 5000000}\n";
+
+/// Serves [`SLOW_SPEC`] under a zero-ms budget with the fault log at
+/// `log`; returns the output lines and the totals.
+fn serve_timeouts(log: &Path) -> (Vec<String>, ServeTotals) {
+    let cfg = ServeConfig::with_jobs(Some(2))
+        .cell_timeout(Duration::ZERO)
+        .retry_backoff(Duration::ZERO)
+        .fault_log(log);
+    let mut out = Vec::new();
+    let (alone, results) = (AloneCache::new(), ResultCache::in_memory());
+    let totals = serve(Cursor::new(SLOW_SPEC), &mut out, &alone, &results, &cfg)
+        .unwrap_or_else(|e| panic!("serve failed: {e}"));
+    let text = String::from_utf8(out).unwrap_or_else(|e| panic!("non-UTF-8 output: {e}"));
+    (text.lines().map(String::from).collect(), totals)
+}
+
+/// `--fault-log`: every detected fault lands in the log as one
+/// `serve_fault` record that parses as JSON — per timed-out cell exactly
+/// a `timeout_retry` and a `timeout`.
+#[test]
+fn the_fault_log_records_each_timeout_and_its_retry() {
+    let log = std::env::temp_dir().join(format!("stfm-fault-log-{}.jsonl", std::process::id()));
+    let (lines, totals) = serve_timeouts(&log);
+    assert_eq!((totals.cells, totals.timeouts), (2, 2), "{lines:?}");
+    let records = std::fs::read_to_string(&log).unwrap_or_else(|e| panic!("no fault log: {e}"));
+    let _ = std::fs::remove_file(&log);
+    let mut kinds: Vec<String> = records
+        .lines()
+        .map(|r| {
+            let v = json::parse(r).unwrap_or_else(|e| panic!("{r}: {e}"));
+            let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
+            assert_eq!(field("event").as_deref(), Some("serve_fault"), "{r}");
+            field("kind").unwrap_or_default()
+        })
+        .collect();
+    kinds.sort();
+    assert_eq!(
+        kinds,
+        ["timeout", "timeout", "timeout_retry", "timeout_retry"]
+    );
+}
+
+/// A fault log that cannot be created — here the path is a directory —
+/// costs the log, never the session: every cell is still answered.
+#[test]
+fn an_unwritable_fault_log_still_serves_every_cell() {
+    let (lines, totals) = serve_timeouts(&std::env::temp_dir());
+    assert_eq!((totals.cells, totals.timeouts), (2, 2), "{lines:?}");
+    let errors = lines.iter().filter(|l| l.contains("\"kind\":\"timeout\""));
+    assert_eq!(errors.count(), 2, "{lines:?}");
+    assert!(lines.last().is_some_and(|l| l.contains("\"type\":\"bye\"")));
 }

@@ -1,7 +1,8 @@
 //! Seeded malformed-input fuzz for the hand-rolled parsers a client's
 //! bytes reach: `json::parse`, `expand_line` and `parse_result_line` must
 //! return — `Ok` or a message, never a panic, an overflowed stack or a
-//! hang — on anything derived from real lines by byte-level damage, and a
+//! hang — on anything derived from real lines by byte-level damage, every
+//! cell `expand_line` accepts must build its system, and a
 //! `serve` session fed such lines between good ones must answer each and
 //! still say `bye`. The dynamic partner of the crate's static
 //! `clippy::indexing_slicing` gate.
@@ -83,7 +84,13 @@ fn damaged_lines_never_panic_the_parsers() {
     for _ in 0..CASES {
         let line = mutate(&mut rng, &seeds);
         json_ok += u32::from(json::parse(&line).is_ok());
-        spec_ok += u32::from(expand_line(&line).is_ok());
+        let cells = expand_line(&line);
+        spec_ok += u32::from(cells.is_ok());
+        // An accepted cell builds its whole system, memory system
+        // included, without a panic.
+        for cell in cells.iter().flatten() {
+            drop(cell.to_experiment().unwrap().shared_system());
+        }
         result_ok += u32::from(parse_result_line(&line).is_ok());
     }
     // Neither all-rejected nor all-accepted: the damage lands on both

@@ -14,7 +14,7 @@ use crate::store::Store;
 use crate::system::{Budget, RunStop, System};
 use std::any::Any;
 use std::path::PathBuf;
-use stfm_core::{Stfm, StfmConfig};
+use stfm_core::Stfm;
 use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
 use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
@@ -178,7 +178,6 @@ pub struct Experiment {
     dram: Option<DramConfig>,
     pub(crate) insts: u64,
     seed: u64,
-    alpha: Option<f64>,
     weights: Vec<(u32, u32)>,
     shares: Vec<(u32, u32)>,
     row_policy: RowPolicy,
@@ -221,7 +220,6 @@ impl Experiment {
             dram: None,
             insts: DEFAULT_INSTRUCTIONS,
             seed: 1,
-            alpha: None,
             weights: Vec::new(),
             shares: Vec::new(),
             row_policy: RowPolicy::OpenPage,
@@ -261,12 +259,6 @@ impl Experiment {
     /// Sets the workload seed (traces are deterministic per seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets STFM's `α` (ignored by other schedulers).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = Some(alpha);
         self
     }
 
@@ -315,20 +307,6 @@ impl Experiment {
     /// The profiles, in core order.
     pub fn profiles(&self) -> &[Profile] {
         &self.profiles
-    }
-
-    fn effective_scheduler(&self) -> SchedulerKind {
-        match (self.scheduler, self.alpha) {
-            (SchedulerKind::Stfm, Some(a)) => SchedulerKind::StfmWith(StfmConfig {
-                alpha: a,
-                ..StfmConfig::default()
-            }),
-            (SchedulerKind::StfmWith(mut cfg), Some(a)) => {
-                cfg.alpha = a;
-                SchedulerKind::StfmWith(cfg)
-            }
-            (kind, _) => kind,
-        }
     }
 
     /// Runs the experiment with a private alone-run cache.
@@ -398,7 +376,7 @@ impl Experiment {
         TracedRun {
             stop: result.as_ref().err().copied(),
             metrics: result.unwrap_or_else(|_| WorkloadMetrics {
-                scheduler: self.effective_scheduler().name().to_string(),
+                scheduler: self.scheduler.name().to_string(),
                 threads: Vec::new(),
             }),
             sink,
@@ -412,7 +390,7 @@ impl Experiment {
     pub fn shared_system(&self) -> System {
         let dram = self.effective_dram();
         let policy = self
-            .effective_scheduler()
+            .scheduler
             .build(dram.timing, &self.weights, &self.shares);
         let ctrl = ControllerConfig {
             row_policy: self.row_policy,
@@ -501,7 +479,7 @@ impl Experiment {
             rank_scans: sched.rank_scans,
             rank_carried: sched.rank_carried,
         });
-        let scheduler = self.effective_scheduler().name();
+        let scheduler = self.scheduler.name();
         let metrics = threads.into_iter().map(|t| {
             t.map(|threads| WorkloadMetrics {
                 scheduler: scheduler.to_string(),

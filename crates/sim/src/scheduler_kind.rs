@@ -51,6 +51,22 @@ impl SchedulerKind {
         }
     }
 
+    /// STFM with unfairness threshold `alpha` and every other parameter
+    /// at its default (`stfm run --alpha`, a spec line's `alpha`).
+    ///
+    /// # Errors
+    ///
+    /// `alpha` is not a finite number ≥ 1.
+    pub fn stfm_alpha(alpha: f64) -> Result<SchedulerKind, String> {
+        if !alpha.is_finite() || alpha < 1.0 {
+            return Err(format!("alpha must be a finite number >= 1, got {alpha}"));
+        }
+        Ok(SchedulerKind::StfmWith(StfmConfig {
+            alpha,
+            ..StfmConfig::default()
+        }))
+    }
+
     /// Instantiates the policy. `weights` are STFM thread weights and
     /// `shares` NFQ bandwidth shares (both indexed by thread id); they are
     /// ignored by policies without the corresponding notion.

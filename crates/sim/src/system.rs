@@ -17,7 +17,7 @@
 //! - **Per-cycle elision** — when cores still execute (the common case in
 //!   busy streaming phases), each elided cycle runs only the core steps;
 //!   the memory tick is skipped and the policy's per-cycle hook deferred
-//!   ([`MemorySystem::elide_tick`]). Cores that are inert for
+//!   ([`MemorySystem::elide_span`] over one cycle). Cores that are inert for
 //!   just that one cycle take the O(1) path too. If a core issues a new
 //!   memory request mid-span, the span is cut short — the arrival
 //!   invalidates the no-event premise — and a real tick follows.
@@ -461,7 +461,7 @@ impl System {
                     return;
                 }
                 let c = self.dram_cycle;
-                self.mem.elide_tick(c);
+                self.mem.elide_span(c, 1);
                 let arrivals = self.mem.arrivals();
                 let cpu_end = CPU_CYCLES_PER_DRAM_CYCLE * (c.get() + 1);
                 let mut any_stepped = false;

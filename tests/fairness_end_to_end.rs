@@ -2,6 +2,7 @@
 //! claims, validated on the full simulator.
 
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind};
+use stfm_repro::stfm::StfmConfig;
 use stfm_repro::workloads::{mix, spec};
 
 const INSTS: u64 = 40_000;
@@ -147,8 +148,10 @@ fn huge_alpha_recovers_frfcfs_behavior() {
         .instructions_per_thread(INSTS)
         .run_with_cache(&cache);
     let stfm = Experiment::new(mix::case_study_intensive())
-        .scheduler(SchedulerKind::Stfm)
-        .alpha(1e6)
+        .scheduler(SchedulerKind::StfmWith(StfmConfig {
+            alpha: 1e6,
+            ..StfmConfig::default()
+        }))
         .instructions_per_thread(INSTS)
         .run_with_cache(&cache);
     // Scheduling decisions are identical, so the metrics must match to

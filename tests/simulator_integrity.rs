@@ -35,8 +35,8 @@ fn timing_clean_across_geometries() {
     for banks in [4u32, 16] {
         for row_kb in [1u32, 4] {
             let cfg = DramConfig::for_cores(4)
-                .with_banks(banks)
-                .with_row_buffer_bytes_per_chip(row_kb * 1024);
+                .with_geometry(Some(banks), Some(row_kb))
+                .unwrap();
             let exp = Experiment::new(mix::case_study_non_intensive())
                 .scheduler(SchedulerKind::Stfm)
                 .dram_config(cfg);
