@@ -31,7 +31,7 @@ USAGE:
   stfm paper (--figure ID | --all DIR) [--insts N] [--seed N] [--full] [--jobs N]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
   stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
-           [--retry-backoff MS] [--self-check N] [--fault-log FILE]
+           [--fault-log FILE]
   stfm list
   stfm capture --benchmark <name> --ops N --out <file> [--seed N] [--cores N]
   stfm replay --traces <f1,f2,...> [--scheduler ...] [--insts N]
@@ -49,11 +49,9 @@ accepts sequential connections with --tcp host:port), streams result
 lines plus per-line `epoch` telemetry, answers {\"cmd\":\"ping\"|\"stats\"}
 in stream order, and exits gracefully on {\"cmd\":\"shutdown\"} or EOF.
 Cells are panic-isolated; --cell-timeout caps each cell's wall-clock
-budget in milliseconds (one retry after --retry-backoff ms, default 25,
-then a structured timeout error); --self-check N re-runs 1-in-N fresh
-cells on the stepped oracle loop and demotes a diverging scheduler/mix
-class to that loop for the session; --fault-log FILE mirrors detected
-faults as telemetry JSONL. See DESIGN.md section 11.
+budget in milliseconds (one retry after a 25 ms pause, then a
+structured timeout error); --fault-log FILE mirrors detected faults as
+telemetry JSONL. See DESIGN.md section 11.
 
 `trace` runs one workload under one scheduler (default: stfm) with the
 telemetry sink attached and writes <out-dir>/events.jsonl (full event
@@ -548,17 +546,14 @@ pub fn sweep(args: &[String]) -> Result<(), String> {
 }
 
 /// Builds the fault-tolerance configuration for `stfm serve` from its
-/// flags (`--cell-timeout`/`--retry-backoff` in milliseconds,
-/// `--self-check` as a 1-in-N rate, `--fault-log` as a JSONL path).
+/// flags (`--cell-timeout` in milliseconds, `--fault-log` as a JSONL
+/// path).
 fn serve_config(f: &Flags) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::with_jobs(jobs_flag(f)?);
     let timeout_ms: u64 = f.num("cell-timeout", 0)?;
     if timeout_ms > 0 {
         cfg = cfg.cell_timeout(std::time::Duration::from_millis(timeout_ms));
     }
-    let backoff_ms: u64 = f.num("retry-backoff", 25)?;
-    cfg = cfg.retry_backoff(std::time::Duration::from_millis(backoff_ms));
-    cfg = cfg.self_check(f.num("self-check", 0)?);
     if let Some(path) = f.get("fault-log") {
         cfg = cfg.fault_log(path);
     }
@@ -568,10 +563,7 @@ fn serve_config(f: &Flags) -> Result<ServeConfig, String> {
 /// `stfm serve`: the long-running experiment service (stdin/stdout line
 /// protocol, or sequential TCP connections with `--tcp`).
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(
-        args,
-        "jobs cache-dir tcp cell-timeout retry-backoff self-check fault-log",
-    )?;
+    let f = Flags::parse(args, "jobs cache-dir tcp cell-timeout fault-log")?;
     let (alone, results) = sweep_caches(&f)?;
     let cfg = serve_config(&f)?;
     if let Some(addr) = f.get("tcp") {

@@ -84,7 +84,9 @@ impl ThreadRegs {
     /// observed stall time; physically a thread's extra stall cannot
     /// exceed its total stall, so the denominator is floored at
     /// `Tshared / 16`, capping the estimated slowdown at 16× — a sanity
-    /// clamp a hardware divider would implement as saturation.
+    /// clamp a hardware divider would implement as saturation. The paper
+    /// has no such ceiling, and it binds often (DESIGN.md §2.4,
+    /// deviation 6).
     pub fn compute_slowdown(&mut self) -> Fx8 {
         let tshared = self.tshared();
         self.slowdown = if tshared == 0 {

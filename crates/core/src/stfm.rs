@@ -18,11 +18,13 @@ pub const DEFAULT_ALPHA: f64 = 1.10;
 /// Default register-reset interval in CPU cycles (paper Section 6.3: 2^24).
 pub const DEFAULT_INTERVAL_LENGTH: u64 = 1 << 24;
 
-/// Minimum `Tshared` (CPU cycles) before a thread's slowdown estimate
-/// participates in the unfairness decision. A thread that has barely
-/// stalled cannot meaningfully be "slowed down", and acting on the noisy
-/// ratio of two tiny counters makes the fairness rule fire spuriously on
-/// lightly loaded workloads.
+/// Minimum interval `Tshared` (CPU cycles) below which a thread counts
+/// as slowdown exactly 1 in the unfairness decision. The paper has no
+/// such rule (DESIGN.md §2.4, deviation 5). It was meant to keep the
+/// ratio of two small counters from firing the rule, but measured on
+/// Fig. 9 it does the opposite: a light thread held at 1 can never be
+/// `Tmax` and lowers `Smin`, and removing the floor makes STFM fairer
+/// there (ROADMAP finding 3).
 pub const TSHARED_NOISE_FLOOR: u64 = 2_000;
 
 /// Cap on a thread's pending-charge backlog (CPU cycles): overcharge

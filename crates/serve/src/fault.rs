@@ -3,7 +3,7 @@
 //!
 //! A [`FaultPlan`] decides, purely from a seed and a cell's
 //! content-address key, which faults strike which cells: worker panics,
-//! slow cells (timeouts), cache write failures, and self-check lies.
+//! slow cells (timeouts) and cache write failures.
 //! Decisions are per-key hashes, so they are independent of worker
 //! count, completion order, and retry interleaving — the injected run is
 //! exactly reproducible, which is what lets the harness assert that the
@@ -11,7 +11,7 @@
 //!
 //! The plan never touches the code under test directly: the serve worker
 //! loop consults it at explicit injection points (`should_panic`,
-//! `slow_ms`, `self_check_lies`), and the cache exposes a write-fault
+//! `slow_attempt_ms`), and the cache exposes a write-fault
 //! hook wired from [`FaultPlan::fails_cache_write`]. Mid-stream client
 //! disconnects are injected at the harness level (a writer that starts
 //! failing), not here.
@@ -36,10 +36,6 @@ pub struct FaultPlan {
     pub slow_ms: u64,
     /// 1-in-N cells whose result-cache disk write is dropped.
     pub cache_write_fail_1_in: u64,
-    /// 1-in-N self-checked cells where the comparison is forced to
-    /// report divergence (exercising the demotion path without needing a
-    /// real event-loop bug).
-    pub self_check_lie_1_in: u64,
 }
 
 /// splitmix64 finalizer: a cheap, well-mixed hash for decision bits.
@@ -99,13 +95,6 @@ impl FaultPlan {
     pub fn fails_cache_write(&self, key: &str) -> bool {
         self.fires(key, 0x04, self.cache_write_fail_1_in)
     }
-
-    /// Whether the self-check comparison for this cell is forced to
-    /// report a divergence.
-    #[must_use]
-    pub fn self_check_lies(&self, key: &str) -> bool {
-        self.fires(key, 0x05, self.self_check_lie_1_in)
-    }
 }
 
 #[cfg(test)]
@@ -119,14 +108,12 @@ mod tests {
             slow_once_1_in: 3,
             slow_ms: 10,
             cache_write_fail_1_in: 2,
-            self_check_lie_1_in: 4,
             ..FaultPlan::new(42)
         };
         for key in ["00aa", "bb11", "cc22", "dd33"] {
             assert_eq!(plan.should_panic(key), plan.should_panic(key));
             assert_eq!(plan.slow_attempt_ms(key, 0), plan.slow_attempt_ms(key, 0));
             assert_eq!(plan.fails_cache_write(key), plan.fails_cache_write(key));
-            assert_eq!(plan.self_check_lies(key), plan.self_check_lies(key));
         }
     }
 

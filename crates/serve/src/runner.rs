@@ -9,6 +9,11 @@
 //! observes them **in input order** regardless of completion order or
 //! worker count. That ordering is what makes the output stream
 //! byte-identical for every `--jobs` setting.
+//!
+//! A fresh cell always runs on the event-driven loop. Its equality with
+//! the stepped loop is proven in CI through `stfm_sim::oracle` (the
+//! simulator's fuzz, and one case per cell shape in this crate's
+//! `tests/determinism.rs`), not re-checked at run time.
 
 use std::ops::ControlFlow;
 use std::time::Duration;
@@ -64,7 +69,7 @@ pub fn run_cell(
     alone: &AloneCache,
     results: &ResultCache,
 ) -> Result<CellAnswer, String> {
-    match run_cell_cancellable(cell, alone, results, None, false) {
+    match run_cell_cancellable(cell, alone, results, None) {
         Ok(Some(done)) => Ok(done),
         // Unreachable without a token, but never worth a panic path.
         Ok(None) => Err("cell run cancelled".to_string()),
@@ -72,14 +77,10 @@ pub fn run_cell(
     }
 }
 
-/// [`run_cell`] under a cooperative cancellation token and an optional
-/// forced-stepped-loop mode (the self-check degradation path).
+/// [`run_cell`] under a cooperative cancellation token.
 ///
 /// Returns `Ok(None)` when `cancel` fired before the cell finished; a
-/// cancelled cell stores nothing in either cache. `force_stepped` runs
-/// the simulation on the stepped oracle loop instead of the event-driven
-/// one (bit-identical by contract; used both to *verify* that contract
-/// and to keep serving after a verification failure).
+/// cancelled cell stores nothing in either cache.
 ///
 /// # Errors
 ///
@@ -91,16 +92,12 @@ pub fn run_cell_cancellable(
     alone: &AloneCache,
     results: &ResultCache,
     cancel: Option<&CancelToken>,
-    force_stepped: bool,
 ) -> Result<Option<CellAnswer>, (&'static str, String)> {
     let key = cell.key();
     if let Some(hit) = results.lookup(&key) {
         return Ok(Some((hit.line, hit.metrics, true)));
     }
-    let experiment = cell
-        .to_experiment()
-        .map_err(|message| ("spec", message))?
-        .fast_forward(!force_stepped);
+    let experiment = cell.to_experiment().map_err(|message| ("spec", message))?;
     let metrics = match experiment.try_run(alone, cancel) {
         Ok(metrics) => metrics,
         Err(RunStop::Cancelled) => return Ok(None),
@@ -115,9 +112,9 @@ pub fn run_cell_cancellable(
 /// cell **in input order**.
 ///
 /// `jobs = None` (or `Some(0)`) uses the host's available parallelism.
-/// Cells run inside `serve`'s envelope with no timeout and no self-check,
-/// which leaves its panic isolation: a panicking cell is that cell's
-/// error, not the end of the process.
+/// Cells run inside `serve`'s envelope with no timeout, which leaves its
+/// panic isolation: a panicking cell is that cell's error, not the end of
+/// the process.
 ///
 /// # Errors
 ///

@@ -36,15 +36,11 @@
 //!   the worker keeps serving.
 //! * **Timeouts** — [`ServeConfig::cell_timeout`] threads a deadline
 //!   [`stfm_sim::CancelToken`] into the simulation loops. A cell that
-//!   overruns is retried once (after [`ServeConfig::retry_backoff`]),
-//!   then reported as `{"type":"error","kind":"timeout",...}`.
+//!   overruns is retried once (after a fixed 25 ms backoff), then
+//!   reported as `{"type":"error","kind":"timeout",...}`.
 //! * **Truncation** — a cell whose shared run or alone baseline hits the
 //!   simulator's cycle cap is reported as
 //!   `{"type":"error","kind":"truncated",...}`; neither cache stores it.
-//! * **Self-check** — [`ServeConfig::self_check`] re-runs 1-in-N fresh
-//!   cells on the stepped oracle loop. On divergence the oracle's line
-//!   wins, a `{"type":"fault",...}` line is emitted, and that
-//!   scheduler/mix class is demoted to the stepped loop for the session.
 //! * **Client disconnects** — a write failure that looks like a gone
 //!   peer (broken pipe & friends) ends the session gracefully: the
 //!   pipeline drains, totals record the disconnect, and the caller gets
@@ -54,56 +50,39 @@
 //! [`stfm_telemetry::Event::ServeFault`] records into an optional JSONL
 //! fault log ([`ServeConfig::fault_log`]).
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpListener;
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use stfm_sim::{run_ordered, AloneCache, CancelToken, WorkloadMetrics};
+use stfm_sim::{run_ordered, AloneCache, CancelToken};
 use stfm_telemetry::{Event as TelemetryEvent, JsonLinesSink, Sink};
 
 use crate::cache::ResultCache;
 use crate::json::{self, escape};
-use crate::result::result_line;
 use crate::runner::{run_cell_cancellable, CellAnswer};
 use crate::spec::{expand_line, Cell};
 
+/// Pause before a timed-out cell's single retry.
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
+
 /// Configuration for one [`serve`] session (and, via [`serve_tcp`], for
 /// every connection of a TCP service).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServeConfig {
     /// Worker threads; `None`/`Some(0)` = available parallelism.
     pub jobs: Option<usize>,
     /// Per-cell wall-clock budget; `None` = unbounded.
     pub cell_timeout: Option<Duration>,
-    /// Pause before the single timeout retry.
-    pub retry_backoff: Duration,
-    /// Re-run 1-in-N fresh cells on the stepped oracle loop; `None` = off.
-    pub self_check: Option<u64>,
     /// Mirror detected faults as telemetry JSONL into this file.
     pub fault_log: Option<PathBuf>,
     /// Seeded fault-injection plan (test builds only).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            jobs: None,
-            cell_timeout: None,
-            retry_backoff: Duration::from_millis(25),
-            self_check: None,
-            fault_log: None,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: None,
-        }
-    }
 }
 
 impl ServeConfig {
@@ -120,20 +99,6 @@ impl ServeConfig {
     #[must_use]
     pub fn cell_timeout(mut self, budget: Duration) -> Self {
         self.cell_timeout = Some(budget);
-        self
-    }
-
-    /// Sets the retry backoff (builder style).
-    #[must_use]
-    pub fn retry_backoff(mut self, backoff: Duration) -> Self {
-        self.retry_backoff = backoff;
-        self
-    }
-
-    /// Enables 1-in-`n` self-check sampling (builder style; `0` = off).
-    #[must_use]
-    pub fn self_check(mut self, n: u64) -> Self {
-        self.self_check = (n > 0).then_some(n);
         self
     }
 
@@ -160,7 +125,7 @@ pub struct ServeTotals {
     pub timeouts: u64,
     /// Cells whose simulation panicked.
     pub panics: u64,
-    /// `fault` lines emitted (retries, self-check divergences).
+    /// `fault` lines emitted (one per timeout retry).
     pub faults: u64,
     /// Corrupt cache files quarantined this session, alone baselines and
     /// result lines together.
@@ -173,22 +138,17 @@ pub struct ServeTotals {
     pub shutdown_requested: bool,
 }
 
-/// A tolerated fault worth a `{"type":"fault"}` line (and a telemetry
-/// record): the cell still got its one response line.
-struct FaultNote {
-    domain: &'static str,
-    kind: &'static str,
-    detail: String,
-}
-
 /// Everything the envelope produced for one cell.
 pub(crate) struct CellOutput {
     pub(crate) key: String,
     /// The result line, its metrics and whether the cache answered; or
     /// the error line's `kind` and message.
     pub(crate) result: Result<CellAnswer, (&'static str, String)>,
-    faults: Vec<FaultNote>,
-    /// Wall-clock time spent on the cell, retries and checks included.
+    /// The detail of the `timeout_retry` fault line, if the first attempt
+    /// timed out: a tolerated fault, since the cell still gets its one
+    /// response line.
+    retry: Option<String>,
+    /// Wall-clock time spent on the cell, its retry and backoff included.
     pub(crate) wall: Duration,
 }
 
@@ -252,15 +212,6 @@ pub(crate) struct CellRunner<'a> {
     alone: &'a AloneCache,
     results: &'a ResultCache,
     cfg: &'a ServeConfig,
-    /// Scheduler/mix classes demoted to the stepped loop after a
-    /// self-check divergence (session-lifetime).
-    demoted: Mutex<HashSet<String>>,
-}
-
-/// The demotion granularity: one event-loop divergence demotes every
-/// cell of the same scheduler × mix class.
-fn cell_class(cell: &Cell) -> String {
-    format!("{}|{}", cell.scheduler.token(), cell.mix.join("+"))
 }
 
 impl<'a> CellRunner<'a> {
@@ -273,27 +224,21 @@ impl<'a> CellRunner<'a> {
             alone,
             results,
             cfg,
-            demoted: Mutex::new(HashSet::new()),
         }
     }
 
-    fn demoted(&self) -> MutexGuard<'_, HashSet<String>> {
-        self.demoted.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Runs one cell under the full fault-tolerance envelope: panic
-    /// isolation, timeout + one retry, and opt-in self-check sampling.
-    /// Always produces exactly one [`CellOutput`].
+    /// isolation and timeout + one retry. Always produces exactly one
+    /// [`CellOutput`].
     pub(crate) fn execute_cell(&self, cell: &Cell) -> CellOutput {
         // Reported as latency only (the `epoch` line's `wall_ms`, `stfm
         // sweep`'s progress on stderr); never in a result line or a cache.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let key = cell.key();
-        let force_stepped = self.demoted().contains(&cell_class(cell));
-        let mut faults = Vec::new();
+        let mut retry = None;
         let mut attempt: u32 = 0;
-        let mut result = loop {
+        let result = loop {
             // The deadline starts *before* any injected delay: a slow
             // cell burns its own budget, exactly like a slow simulation.
             let token = self.cfg.cell_timeout.map(CancelToken::with_timeout);
@@ -305,13 +250,7 @@ impl<'a> CellRunner<'a> {
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-inject")]
                 self.injected_panic(&key, attempt);
-                run_cell_cancellable(
-                    cell,
-                    self.alone,
-                    self.results,
-                    token.as_ref(),
-                    force_stepped,
-                )
+                run_cell_cancellable(cell, self.alone, self.results, token.as_ref())
             }));
             let error = match run {
                 Ok(Ok(Some(done))) => break Ok(done),
@@ -323,15 +262,11 @@ impl<'a> CellRunner<'a> {
                 Ok(Ok(None)) => {
                     let budget_ms = wall_ms(self.cfg.cell_timeout.unwrap_or_default());
                     if attempt == 0 {
-                        faults.push(FaultNote {
-                            domain: "worker",
-                            kind: "timeout_retry",
-                            detail: format!(
-                                "attempt 1 exceeded the {budget_ms}ms budget; retrying after {}ms",
-                                wall_ms(self.cfg.retry_backoff)
-                            ),
-                        });
-                        std::thread::sleep(self.cfg.retry_backoff);
+                        retry = Some(format!(
+                            "attempt 1 exceeded the {budget_ms}ms budget; retrying after {}ms",
+                            wall_ms(RETRY_BACKOFF)
+                        ));
+                        std::thread::sleep(RETRY_BACKOFF);
                         attempt += 1;
                         continue;
                     }
@@ -343,66 +278,12 @@ impl<'a> CellRunner<'a> {
             };
             break Err(error);
         };
-        if let (Ok((line, metrics, false)), false) = (&mut result, force_stepped) {
-            faults.extend(self.self_check(cell, &key, line, metrics));
-        }
         CellOutput {
             key,
             result,
-            faults,
+            retry,
             wall: start.elapsed(),
         }
-    }
-
-    /// Re-runs a sampled fresh cell on the stepped oracle loop and
-    /// compares transcripts. On divergence the oracle's line wins (it is
-    /// the differential-test reference), the stored cache entry is
-    /// corrected, the cell's scheduler/mix class is demoted to the
-    /// stepped loop for the rest of the session, and the note to emit is
-    /// returned.
-    fn self_check(
-        &self,
-        cell: &Cell,
-        key: &str,
-        line: &mut String,
-        metrics: &mut WorkloadMetrics,
-    ) -> Option<FaultNote> {
-        let n = self.cfg.self_check?;
-        let sampled = u64::from_str_radix(key, 16)
-            .map(|v| v.is_multiple_of(n))
-            .unwrap_or(false);
-        if !sampled {
-            return None;
-        }
-        let experiment = cell.to_experiment().ok()?.fast_forward(false);
-        let token = self.cfg.cell_timeout.map(CancelToken::with_timeout);
-        // An oracle that runs out of budget skips the check rather than
-        // stall the pipeline further.
-        let oracle = experiment.try_run(self.alone, token.as_ref()).ok()?;
-        let oracle_line = result_line(cell, &oracle);
-        #[cfg(feature = "fault-inject")]
-        let forced = self
-            .cfg
-            .fault_plan
-            .as_ref()
-            .is_some_and(|p| p.self_check_lies(key));
-        #[cfg(not(feature = "fault-inject"))]
-        let forced = false;
-        if oracle_line == *line && !forced {
-            return None;
-        }
-        let class = cell_class(cell);
-        self.demoted().insert(class.clone());
-        // The oracle is the reference: its line replaces the fast
-        // path's in the cache and on the stream.
-        self.results.store(key, &oracle_line);
-        *line = oracle_line;
-        *metrics = oracle;
-        Some(FaultNote {
-            domain: "self_check",
-            kind: "divergence",
-            detail: format!("event loop diverged from stepped oracle; class {class} demoted"),
-        })
     }
 
     #[cfg(feature = "fault-inject")]
@@ -618,18 +499,15 @@ fn render(
             totals.cache_hits += u64::from(from_cache);
             line_agg.0 += u64::from(from_cache);
             line_agg.1 += out.wall;
-            let mut lines = Vec::with_capacity(1 + out.faults.len());
-            // Fault lines first (a retry precedes the answer it enabled;
-            // a divergence note precedes the corrected line it explains).
-            for note in &out.faults {
+            let mut lines = Vec::with_capacity(2);
+            // A retry's fault line precedes the answer it enabled.
+            if let Some(detail) = &out.retry {
                 totals.faults += 1;
-                record_fault(fault_sink, note.domain, note.kind, &out.key, &note.detail);
+                record_fault(fault_sink, "worker", "timeout_retry", &out.key, detail);
                 lines.push(format!(
-                    "{{\"type\":\"fault\",\"line\":{line_no},\"domain\":\"{}\",\"kind\":\"{}\",\"cell\":\"{}\",\"detail\":\"{}\"}}",
-                    note.domain,
-                    note.kind,
+                    "{{\"type\":\"fault\",\"line\":{line_no},\"domain\":\"worker\",\"kind\":\"timeout_retry\",\"cell\":\"{}\",\"detail\":\"{}\"}}",
                     out.key,
-                    escape(&note.detail)
+                    escape(detail)
                 ));
             }
             match out.result {
@@ -868,9 +746,7 @@ mod tests {
         );
         let alone = AloneCache::new();
         let results = ResultCache::in_memory();
-        let cfg = ServeConfig::with_jobs(Some(2))
-            .cell_timeout(Duration::ZERO)
-            .retry_backoff(Duration::ZERO);
+        let cfg = ServeConfig::with_jobs(Some(2)).cell_timeout(Duration::ZERO);
         let (lines, totals) = run_with(input, &cfg, &alone, &results);
         let kinds: Vec<_> = lines.iter().map(|l| kind(l)).collect();
         // Per cell: one retry fault note, then one timeout error line.
@@ -913,26 +789,6 @@ mod tests {
         assert_eq!(t_plain.cells, t_timed.cells);
         assert_eq!(t_timed.timeouts, 0);
         assert_eq!(t_timed.faults, 0);
-    }
-
-    #[test]
-    fn self_check_clean_pass_is_transcript_identical() {
-        let input = "{\"scheduler\": \"all\", \"mix\": [\"mcf\", \"hmmer\"], \"insts\": 500}\n";
-        let (plain, _) = run(input, Some(2));
-        let alone = AloneCache::new();
-        let results = ResultCache::in_memory();
-        // Check *every* fresh cell against the stepped oracle.
-        let cfg = ServeConfig::with_jobs(Some(2)).self_check(1);
-        let (checked, totals) = run_with(input, &cfg, &alone, &results);
-        let strip_epochs = |v: &[String]| -> Vec<String> {
-            v.iter().filter(|l| kind(l) != "epoch").cloned().collect()
-        };
-        assert_eq!(
-            strip_epochs(&plain),
-            strip_epochs(&checked),
-            "event loop diverged from its oracle"
-        );
-        assert_eq!(totals.faults, 0);
     }
 
     /// A writer that fails like a vanished client after `ok_writes`

@@ -4,12 +4,17 @@
 //! stdin), and direct in-process per-cell runs — at any worker count and
 //! from cold or warm caches. The streams are compared both line-by-line
 //! and as FNV-1a digests (the same machinery as the golden-digest tests).
+//! Underneath them all, every shape of cell serve runs is held equal to
+//! the stepped loop by `stfm_sim::oracle`.
 
 use std::io::Cursor;
 
-use stfm_serve::{expand_line, run_cell, run_sweep, serve, Cell, ResultCache, ServeConfig};
+use stfm_serve::{
+    expand_line, run_cell, run_sweep, serve, Cell, ResultCache, SchedSpec, ServeConfig,
+};
 use stfm_sim::digest::Fnv64;
-use stfm_sim::AloneCache;
+use stfm_sim::oracle::{compare, Case};
+use stfm_sim::{AloneCache, RunStop};
 
 const SPEC: &str = concat!(
     "{\"scheduler\": \"all\", \"mix\": [\"mcf\", \"libquantum\"], \"insts\": 600}\n",
@@ -112,4 +117,44 @@ fn warm_cache_replays_the_cold_stream_verbatim() {
     let warm = serve_lines(Some(4), &alone, &results);
     assert_eq!(results.hit_count(), cold.len() as u64);
     assert_eq!(digest_of(&cold), digest_of(&warm));
+}
+
+/// A served cell runs only on the event-driven loop, so each shape it
+/// can take is checked here against the stepped one: every scheduler
+/// (PAR-BS included), an α override and a geometry override.
+#[test]
+fn every_cell_shape_matches_the_stepped_oracle() {
+    let mix = || ["mcf", "libquantum", "hmmer"].map(String::from).to_vec();
+    let cell = |sched| Cell::new(sched, mix()).insts(2_000);
+    let mut cells: Vec<Cell> = [
+        SchedSpec::FrFcfs,
+        SchedSpec::Fcfs,
+        SchedSpec::Cap,
+        SchedSpec::Nfq,
+        SchedSpec::Stfm,
+        SchedSpec::ParBs,
+    ]
+    .into_iter()
+    .map(cell)
+    .collect();
+    cells.push(cell(SchedSpec::Stfm).alpha(1.2));
+    cells.push(Cell {
+        banks: Some(4),
+        row_kb: Some(4),
+        ..cell(SchedSpec::Stfm)
+    });
+    for cell in &cells {
+        let label = cell.canonical();
+        let exp = cell
+            .to_experiment()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (event, _) = compare(&Case::experiment(label.clone(), &exp));
+        assert_eq!(
+            RunStop::of(&event.outcomes[0]),
+            None,
+            "{label}: the run did not complete"
+        );
+        let skipped = event.system.jumped_cycles() + event.system.elided_cycles();
+        assert!(skipped > 0, "{label}: the event loop skipped nothing");
+    }
 }

@@ -115,7 +115,6 @@ const SLOW_SPEC: &str =
 fn serve_timeouts(log: &Path) -> (Vec<String>, ServeTotals) {
     let cfg = ServeConfig::with_jobs(Some(2))
         .cell_timeout(Duration::ZERO)
-        .retry_backoff(Duration::ZERO)
         .fault_log(log);
     let mut out = Vec::new();
     let (alone, results) = (AloneCache::new(), ResultCache::in_memory());

@@ -1,8 +1,8 @@
 //! The fault-injection resilience suite (PR 8 tentpole harness).
 //!
 //! Drives the serve loop through seeded [`FaultPlan`]s — worker panics,
-//! slow cells, cache write failures, poisoned cache entries, self-check
-//! lies, and mid-stream client disconnects — and asserts the service
+//! slow cells, cache write failures, poisoned cache entries and
+//! mid-stream client disconnects — and asserts the service
 //! contract under fire: the session never errors out, every accepted
 //! cell gets exactly one response line, totals are exact, and the
 //! `"type":"result"` transcript of *unaffected* cells is byte-identical
@@ -174,9 +174,7 @@ fn slow_first_attempt_recovers_through_the_bounded_retry() {
     let spec = "{\"scheduler\": \"fcfs\", \"mix\": [\"mcf\"], \"insts\": 400}\n";
     let (clean, _) = run_serve(spec, &ServeConfig::default(), &ResultCache::in_memory());
 
-    let mut cfg = ServeConfig::with_jobs(Some(1))
-        .cell_timeout(Duration::from_millis(400))
-        .retry_backoff(Duration::ZERO);
+    let mut cfg = ServeConfig::with_jobs(Some(1)).cell_timeout(Duration::from_millis(400));
     cfg.fault_plan = Some(Arc::new(FaultPlan {
         slow_once_1_in: 1,
         slow_ms: 900,
@@ -196,9 +194,7 @@ fn slow_first_attempt_recovers_through_the_bounded_retry() {
 #[test]
 fn persistently_slow_cell_times_out_after_its_retry() {
     let spec = "{\"scheduler\": \"stfm\", \"mix\": [\"hmmer\"], \"insts\": 400}\n";
-    let mut cfg = ServeConfig::with_jobs(Some(1))
-        .cell_timeout(Duration::from_millis(300))
-        .retry_backoff(Duration::ZERO);
+    let mut cfg = ServeConfig::with_jobs(Some(1)).cell_timeout(Duration::from_millis(300));
     cfg.fault_plan = Some(Arc::new(FaultPlan {
         slow_always_1_in: 1,
         slow_ms: 700,
@@ -308,41 +304,6 @@ fn poisoned_cache_entries_quarantine_and_rerun_identically() {
         .count() as u64;
     assert_eq!(bad_files, poisoned);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn self_check_lie_demotes_the_class_once_per_session() {
-    // Three cells of one scheduler/mix class plus one of another.
-    let spec = concat!(
-        "{\"scheduler\": \"stfm\", \"mix\": [\"mcf\"], \"seed\": [1, 2, 3], \"insts\": 400}\n",
-        "{\"scheduler\": \"fcfs\", \"mix\": [\"hmmer\"], \"insts\": 400}\n",
-    );
-    let (clean, _) = run_serve(
-        spec,
-        &ServeConfig::with_jobs(Some(1)),
-        &ResultCache::in_memory(),
-    );
-
-    let mut cfg = ServeConfig::with_jobs(Some(1)).self_check(1);
-    cfg.fault_plan = Some(Arc::new(FaultPlan {
-        self_check_lie_1_in: 1,
-        ..FaultPlan::new(3)
-    }));
-    let (lines, totals) = run_serve(spec, &cfg, &ResultCache::in_memory());
-    // At jobs=1 the order is deterministic: the first cell of each class
-    // "diverges" and demotes its class, so the remaining stfm|mcf cells
-    // run on the stepped loop unchecked — exactly two fault lines total.
-    let faults: Vec<&String> = lines.iter().filter(|l| line_type(l) == "fault").collect();
-    assert_eq!(faults.len(), 2, "one divergence per class, then demotion");
-    for f in &faults {
-        assert_eq!(field(f, "domain").as_deref(), Some("self_check"));
-        assert_eq!(field(f, "kind").as_deref(), Some("divergence"));
-    }
-    assert_eq!(totals.faults, 2);
-    assert_eq!(totals.errors, 0);
-    // The stepped oracle and the event loop agree, so even a lying
-    // self-check never changes the result stream.
-    assert_eq!(result_lines(&lines), result_lines(&clean));
 }
 
 /// A writer that starts failing like a vanished client partway through.

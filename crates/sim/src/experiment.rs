@@ -232,6 +232,11 @@ impl Experiment {
     /// Selects the shared run's loop: the event-driven loop (`true`, the
     /// default) or the stepped cycle-by-cycle oracle (`false`). Results
     /// are bit-identical either way, which [`crate::oracle`] checks.
+    ///
+    /// No production path asks for the stepped loop: its callers are the
+    /// benchmark's stepped pass, which times the two loops against each
+    /// other, and tests. The oracle itself selects the loop on the
+    /// [`System`] it builds.
     pub fn fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
         self

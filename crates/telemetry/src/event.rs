@@ -171,14 +171,15 @@ pub enum Event {
         /// Always [`DramCycle::ZERO`]: serve faults are not simulator
         /// occurrences, but sinks and samplers require a stamp.
         dram_cycle: DramCycle,
-        /// Which resilience mechanism fired: `"worker"`, `"cache"`,
-        /// `"self_check"`, `"client"`.
+        /// Which resilience mechanism fired: `"worker"` (a cell's run)
+        /// or `"client"` (the output stream).
         domain: &'static str,
-        /// Fault kind within the domain, e.g. `"panic"`, `"timeout"`,
-        /// `"quarantined"`, `"divergence"`, `"disconnect"`.
+        /// Fault kind within the domain: a worker's `"timeout_retry"`,
+        /// `"timeout"`, `"panic"`, `"truncated"` or `"spec"`; a client's
+        /// `"disconnect"`.
         kind: &'static str,
-        /// What the fault hit: a cell key, a cache file name, an
-        /// address — empty when nothing more specific than the domain.
+        /// What the fault hit: a worker fault's cell key; empty for a
+        /// client fault.
         subject: String,
         /// Free-form context (panic message, retry disposition, ...).
         detail: String,
