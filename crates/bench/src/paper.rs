@@ -30,6 +30,7 @@ use stfm_sim::{
     gmean, run_ordered, AloneCache, Budget, Experiment, RowPolicy, RunOutcome, RunStop,
     SchedulerKind, System, Table, WorkloadMetrics,
 };
+use stfm_telemetry::{NullSink, Sink};
 use stfm_workloads::{desktop, micro, mix, spec, Profile};
 
 use Layout::{
@@ -617,15 +618,17 @@ impl Session {
         self.pool(experiments, |e| self.run_one(e))
     }
 
-    /// Runs an experiment's [`Experiment::shared_system`] over `budget`; a
-    /// run stopped short panics.
-    fn simulate(&self, sys: &mut System, budget: Budget) -> RunOutcome {
+    /// Runs an experiment's [`Experiment::shared_system`] over `budget`
+    /// with `sink` observing, and hands the sink back; a run stopped
+    /// short panics.
+    fn simulate<S: Sink>(&self, sys: &mut System, budget: Budget, sink: S) -> (RunOutcome, S) {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let out = sys.run(&[budget]).remove(0);
+        let (mut outs, sink) = sys.run_observed(&[budget], sink);
+        let out = outs.remove(0);
         if let Some(stop) = RunStop::of(&out) {
             panic!("{} run {stop}", sys.memory().policy().name());
         }
-        out
+        (out, sink)
     }
 
     /// `e`'s metrics: the memo's, or one simulated run's.
@@ -858,7 +861,8 @@ impl Session {
                 let (title, profiles) = &mixes[0];
                 let measured = self.pool(profiles, |p| {
                     let exp = experiment(r.kinds[0], std::slice::from_ref(p), insts, seed);
-                    let out = self.simulate(&mut exp.shared_system(), Budget::of(insts));
+                    let sys = &mut exp.shared_system();
+                    let (out, _) = self.simulate(sys, Budget::of(insts), NullSink);
                     let (stats, rb) = (out.frozen[0], out.frozen_mem[0].row_hit_rate());
                     [stats.mcpi(), stats.l2_mpki(), rb]
                 });
@@ -894,7 +898,7 @@ impl Session {
                 let baseline = self.run(&grid()).remove(0);
                 let blocks = self.pool(&configs(), |&(label, kind)| {
                     let mut sys = experiment(kind, profiles, insts, seed).shared_system();
-                    let shared = self.simulate(&mut sys, from_zero).frozen;
+                    let shared = self.simulate(&mut sys, from_zero, NullSink).0.frozen;
                     let policy = sys.memory().policy() as &dyn Any;
                     let Some(stfm) = policy.downcast_ref::<stfm_core::Stfm>() else {
                         panic!("{}: {} is not STFM", r.id, kind.name());
@@ -936,12 +940,7 @@ impl Session {
                     let dram = sys.memory().dram_config();
                     let channels = f64::from(dram.channels);
                     let model = EnergyModel::new(dram, PowerParams::default());
-                    sys.memory_mut().set_sink(Box::new(model));
-                    self.simulate(&mut sys, from_zero);
-                    let mut sink = sys.memory_mut().take_sink();
-                    let Some(model) = sink.as_any_mut().downcast_mut::<EnergyModel>() else {
-                        unreachable!("the energy model is the sink this run attached");
-                    };
+                    let (_, model) = self.simulate(&mut sys, from_zero, model);
                     let e = model.breakdown(sys.memory().now());
                     let serviced = sys.memory().stats().completed.max(1);
                     let cycles = sys.cores().iter().map(|c| c.stats().cycles).max();

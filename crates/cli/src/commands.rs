@@ -15,7 +15,7 @@ use stfm_sim::{
     run_ordered, AloneCache, Budget, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
 };
-use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, NullSink, Sink, TeeSink};
+use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
 use stfm_workloads::{by_name, desktop, spec, Profile, SyntheticTrace};
 
 /// Top-level usage text.
@@ -26,8 +26,7 @@ USAGE:
   stfm run --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs|all]
            [--insts N] [--seed N] [--alpha X] [--weights w1,w2,...]
            [--banks N] [--row-kb N] [--jobs N] [--check]
-  stfm trace --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs]
-           [--insts N] [--seed N] [--epoch N] [--sample N] [--out-dir DIR]
+           [--trace DIR [--epoch N] [--sample N]]
   stfm paper (--figure ID | --all DIR) [--insts N] [--seed N] [--full] [--jobs N]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
   stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
@@ -53,15 +52,15 @@ budget in milliseconds (one retry after a 25 ms pause, then a
 structured timeout error); --fault-log FILE mirrors detected faults as
 telemetry JSONL. See DESIGN.md section 11.
 
-`trace` runs one workload under one scheduler (default: stfm) with the
-telemetry sink attached and writes <out-dir>/events.jsonl (full event
-stream) and <out-dir>/epochs.csv (fixed-width time series: per-thread
-estimated slowdowns, bandwidth, row-hit rate, bus utilization, queue
-depth). --epoch sets the CSV row width and --sample the scheduler
-snapshot spacing, both in DRAM cycles.
-
 `run --check` audits every shared run's DDR2 command stream and fails on
 the first timing violation.
+
+`run --trace DIR` observes the shared run of one scheduler and writes
+DIR/events.jsonl (full event stream) and DIR/epochs.csv (fixed-width
+time series: per-thread estimated slowdowns, bandwidth, row-hit rate,
+bus utilization, queue depth). --epoch sets the CSV row width (default
+10000) and --sample the scheduler snapshot spacing, both in DRAM cycles.
+A run that stops short still writes both files, then fails.
 
 `paper` renders the paper's figures, tables, extension and ablations:
 --figure ID prints one record on stdout, --all DIR writes <DIR>/<ID>.txt
@@ -102,11 +101,13 @@ fn print_metrics(profile_names: &[String], results: &[WorkloadMetrics]) {
 pub fn run(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(
         args,
-        "workload scheduler insts seed alpha weights banks row-kb jobs check quiet",
+        "workload scheduler insts seed alpha weights banks row-kb jobs check quiet trace epoch \
+         sample",
     )?;
     let names = f.list("workload")?;
     let profiles: Vec<Profile> = names.iter().map(|n| by_name(n)).collect::<Result<_, _>>()?;
     let kinds = parse_scheduler(f.get("scheduler").unwrap_or("all"))?;
+    let trace = trace_flags(&f, kinds.len())?;
     let insts: u64 = f.num("insts", 100_000)?;
     let seed: u64 = f.num("seed", 1)?;
 
@@ -161,13 +162,16 @@ pub fn run(args: &[String]) -> Result<(), String> {
                 _ => e.weight(i as u32, *w),
             };
         }
+        if let Some(t) = &trace {
+            e = e.sample_interval(t.sample);
+        }
         experiments.push(e);
     }
     let mut results = Vec::with_capacity(experiments.len());
     run_ordered(
         experiments.iter(),
         jobs_flag(&f)?,
-        |e| run_checked(e, &cache, f.has("check")),
+        |e| run_checked(e, &cache, f.has("check"), trace.as_ref()),
         |metrics| {
             results.push(metrics);
             ControlFlow::Continue(())
@@ -186,21 +190,94 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 /// `e`'s metrics, or why its run stopped short. With `check`, a
 /// [`TimingAudit`] observes the shared run and its first violation is the
-/// error.
-fn run_checked(e: &Experiment, cache: &AloneCache, check: bool) -> Result<WorkloadMetrics, String> {
-    let sink: Box<dyn Sink> = if check {
-        Box::new(TimingAudit::new(&e.effective_dram()))
-    } else {
-        Box::new(NullSink)
-    };
-    let mut run = e.run_traced(cache, sink);
+/// error; with `trace`, the run's telemetry is written out first, also
+/// for a run that stopped short.
+fn run_checked(
+    e: &Experiment,
+    cache: &AloneCache,
+    check: bool,
+    trace: Option<&TraceOut>,
+) -> Result<WorkloadMetrics, String> {
+    let audit = check.then(|| TimingAudit::new(&e.effective_dram()));
+    let tracer = trace.map(|t| t.sink(e)).transpose()?;
+    let run = e.run_traced(cache, TeeSink::new(audit, tracer));
+    if let (Some(t), Some(tracer)) = (trace, run.sink.second) {
+        t.write(tracer, run.final_dram_cycle)?;
+    }
     if let Some(stop) = run.stop {
         return Err(format!("{} run {stop}", run.metrics.scheduler));
     }
-    if let Some(audit) = run.sink.as_any_mut().downcast_mut::<TimingAudit>() {
+    if let Some(audit) = &run.sink.first {
         audit.check()?;
     }
     Ok(run.metrics)
+}
+
+/// What `run --trace` records: every event as JSON lines, and the epoch
+/// time series.
+type TraceSink = TeeSink<JsonLinesSink<BufWriter<File>>, EpochSampler>;
+
+/// `run --trace DIR [--epoch N] [--sample N]`: where the trace goes, its
+/// epoch width and the scheduler snapshot spacing, in DRAM cycles.
+struct TraceOut {
+    dir: PathBuf,
+    epoch_len: u64,
+    sample: u64,
+}
+
+/// The `--trace` options of a run over `schedulers` schedulers, if it
+/// traces. Tracing takes one scheduler, and `--epoch` and `--sample` are
+/// errors without it.
+fn trace_flags(f: &Flags, schedulers: usize) -> Result<Option<TraceOut>, String> {
+    let Some(dir) = f.get("trace") else {
+        if f.get("epoch").or(f.get("sample")).is_some() {
+            return Err("--epoch and --sample need --trace DIR".into());
+        }
+        return Ok(None);
+    };
+    if schedulers != 1 {
+        return Err("--trace takes a single scheduler, not 'all'".into());
+    }
+    Ok(Some(TraceOut {
+        dir: PathBuf::from(dir),
+        epoch_len: f.num("epoch", 10_000)?,
+        sample: f.num("sample", DEFAULT_SAMPLE_INTERVAL.get())?,
+    }))
+}
+
+impl TraceOut {
+    /// The sinks for `e`'s shared run. `events.jsonl` is created here, so
+    /// an unwritable directory fails before anything runs.
+    fn sink(&self, e: &Experiment) -> Result<TraceSink, String> {
+        let dram = e.effective_dram();
+        let sampler = EpochSampler::new(EpochConfig {
+            epoch_len: self.epoch_len,
+            threads: e.profiles().len(),
+            cas_data_cycles: dram.timing.burst_cycles().get(),
+            line_bytes: u64::from(dram.line_bytes),
+        });
+        let events = create(&self.dir.join("events.jsonl"))?;
+        Ok(TeeSink::new(JsonLinesSink::new(events), sampler))
+    }
+
+    /// Flushes `events.jsonl`, closes the last epoch at
+    /// `final_dram_cycle` and writes `epochs.csv`.
+    fn write(&self, mut sink: TraceSink, final_dram_cycle: u64) -> Result<(), String> {
+        sink.second.finish(final_dram_cycle);
+        let mut epochs = create(&self.dir.join("epochs.csv"))?;
+        let written = (sink.first.flush())
+            .and_then(|()| sink.second.write_csv(&mut epochs))
+            .and_then(|()| epochs.flush());
+        written.map_err(|e| format!("{}: {e}", self.dir.display()))
+    }
+}
+
+/// A new buffered file at `path`, its directory created if missing.
+fn create(path: &Path) -> Result<BufWriter<File>, String> {
+    let dir = path.parent().unwrap_or(path);
+    let file = std::fs::create_dir_all(dir).and_then(|()| File::create(path));
+    file.map(BufWriter::new)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// What `stfm paper` renders: the session's options, the records, and the
@@ -243,82 +320,6 @@ pub fn paper(args: &[String]) -> Result<(), String> {
         }
         let runs = session.simulated() - before;
         eprintln!("paper: {}: {runs} runs simulated", r.id);
-    }
-    Ok(())
-}
-
-/// `stfm trace`: one traced run, dumping `events.jsonl` + `epochs.csv`.
-pub fn trace(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(
-        args,
-        "workload scheduler insts seed epoch sample out-dir quiet",
-    )?;
-    let names = f.list("workload")?;
-    let profiles: Vec<Profile> = names.iter().map(|n| by_name(n)).collect::<Result<_, _>>()?;
-    let kinds = parse_scheduler(f.get("scheduler").unwrap_or("stfm"))?;
-    let [kind] = kinds[..] else {
-        return Err("trace takes a single scheduler, not 'all'".into());
-    };
-    let insts: u64 = f.num("insts", 100_000)?;
-    let seed: u64 = f.num("seed", 1)?;
-    let epoch_len: u64 = f.num("epoch", 10_000)?;
-    let sample: u64 = f.num("sample", DEFAULT_SAMPLE_INTERVAL.get())?;
-    let out_dir = f.get("out-dir").unwrap_or("trace-out");
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("{out_dir}: {e}"))?;
-
-    let dram = DramConfig::for_cores(profiles.len() as u32);
-    let events_path = Path::new(out_dir).join("events.jsonl");
-    let epochs_path = Path::new(out_dir).join("epochs.csv");
-    let events_file =
-        File::create(&events_path).map_err(|e| format!("{}: {e}", events_path.display()))?;
-    let sampler = EpochSampler::new(EpochConfig {
-        epoch_len,
-        threads: profiles.len(),
-        cas_data_cycles: dram.timing.burst_cycles().get(),
-        line_bytes: u64::from(dram.line_bytes),
-    });
-    let tee: TeeSink<JsonLinesSink<BufWriter<File>>, EpochSampler> =
-        TeeSink::new(JsonLinesSink::new(BufWriter::new(events_file)), sampler);
-
-    let experiment = Experiment::new(profiles)
-        .scheduler(kind)
-        .dram_config(dram)
-        .instructions_per_thread(insts)
-        .seed(seed)
-        .sample_interval(sample);
-    let mut run = experiment.run_traced(&AloneCache::new(), Box::new(tee));
-
-    let Some(tee) = run
-        .sink
-        .as_any_mut()
-        .downcast_mut::<TeeSink<JsonLinesSink<BufWriter<File>>, EpochSampler>>()
-    else {
-        return Err("internal error: run_traced returned a different sink type".into());
-    };
-    tee.first
-        .flush()
-        .map_err(|e| format!("events.jsonl: {e}"))?;
-    let events = tee.first.lines_written();
-    tee.second.finish(run.final_dram_cycle);
-    let epochs_file =
-        File::create(&epochs_path).map_err(|e| format!("{}: {e}", epochs_path.display()))?;
-    tee.second
-        .write_csv(BufWriter::new(epochs_file))
-        .map_err(|e| format!("epochs.csv: {e}"))?;
-
-    if !f.has("quiet") {
-        println!(
-            "workload {:?} under {}, {insts} instructions/thread, seed {seed}",
-            names,
-            kind.name()
-        );
-        println!(
-            "{}: {events} events\n{}: {} epochs of {epoch_len} DRAM cycles",
-            events_path.display(),
-            epochs_path.display(),
-            tee.second.rows().len()
-        );
-        print_metrics(&names, std::slice::from_ref(&run.metrics));
     }
     Ok(())
 }
@@ -632,8 +633,44 @@ mod tests {
         }
     }
 
-    /// `run`, `trace` and `replay` take the same scheduler tokens as a
-    /// spec line, PAR-BS included.
+    /// `--trace` observes one scheduler's run, and its `--epoch` and
+    /// `--sample` mean nothing without it: usage errors, caught before
+    /// anything runs.
+    #[test]
+    fn run_refuses_trace_options_it_cannot_honour() {
+        for (line, needle) in [
+            ("--epoch 5000", "need --trace DIR"),
+            ("--scheduler stfm --sample 2000", "need --trace DIR"),
+            ("--trace out", "single scheduler"),
+            ("--scheduler all --trace out", "single scheduler"),
+        ] {
+            let line = format!("--workload mcf {line}");
+            let err = run(&argv(&line)).expect_err(&line);
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+    }
+
+    /// A traced run that stops short (a zero budget is truncated at once)
+    /// still writes both files, then fails naming the stop.
+    #[test]
+    fn a_traced_run_that_stops_short_writes_both_files() {
+        let dir = std::env::temp_dir().join(format!("stfm-cli-trace-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let line = format!(
+            "--workload mcf,libquantum --scheduler stfm --insts 0 --epoch 1 --trace {}",
+            dir.display()
+        );
+        let err = run(&argv(&line)).expect_err(&line);
+        assert!(err.contains("STFM run truncated"), "{err}");
+        let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
+        assert!(events.lines().count() > 0, "no events written");
+        let epochs = std::fs::read_to_string(dir.join("epochs.csv")).unwrap();
+        assert!(epochs.starts_with("epoch,"), "{epochs}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `run` and `replay` take the same scheduler tokens as a spec line,
+    /// PAR-BS included.
     #[test]
     fn every_spec_token_is_a_cli_scheduler() {
         for spec in SchedSpec::all().into_iter().chain([SchedSpec::ParBs]) {

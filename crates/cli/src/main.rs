@@ -3,9 +3,9 @@
 //! ```text
 //! stfm run --workload mcf,libquantum,GemsFDTD,astar --scheduler stfm
 //! stfm run --workload mcf,libquantum --scheduler all --insts 100000
+//! stfm run --workload mcf,libquantum --scheduler stfm --trace trace-out
 //! stfm sweep experiments.jsonl --jobs 8 --cache-dir .stfm-cache
 //! stfm serve --cache-dir .stfm-cache < spec.jsonl
-//! stfm trace --workload mcf,libquantum --out-dir trace-out
 //! stfm paper --figure fig6
 //! stfm paper --all results
 //! stfm list
@@ -24,7 +24,6 @@ fn main() {
         Some("run") => commands::run(&argv[1..]),
         Some("sweep") => commands::sweep(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
-        Some("trace") => commands::trace(&argv[1..]),
         Some("paper") => commands::paper(&argv[1..]),
         Some("list") => commands::list(&argv[1..]),
         Some("capture") => commands::capture(&argv[1..]),

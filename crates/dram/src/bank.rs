@@ -108,7 +108,6 @@ impl Bank {
             CommandKind::Write { row, .. } => {
                 (self.open_row == Some(row)).then_some(self.next_write)
             }
-            CommandKind::Refresh => self.open_row.is_none().then_some(self.next_activate),
         }
     }
 
@@ -119,7 +118,6 @@ impl Bank {
             CommandKind::Precharge => self.open_row.is_some() && now >= self.next_precharge,
             CommandKind::Read { row, .. } => self.open_row == Some(row) && now >= self.next_read,
             CommandKind::Write { row, .. } => self.open_row == Some(row) && now >= self.next_write,
-            CommandKind::Refresh => self.open_row.is_none() && now >= self.next_activate,
         }
     }
 
@@ -159,12 +157,6 @@ impl Bank {
                 // Write recovery: data end + tWR before precharge.
                 self.next_precharge = self.next_precharge.max(now + t.write_latency() + t.t_wr);
                 now + t.write_latency()
-            }
-            CommandKind::Refresh => {
-                // Bank-level effect of an all-bank refresh; the channel
-                // coordinates the cross-bank blocking.
-                self.next_activate = self.next_activate.max(now + t.t_rfc);
-                now + t.t_rfc
             }
         };
         self.busy_until = self.busy_until.max(done);

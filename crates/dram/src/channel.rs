@@ -17,7 +17,6 @@ fn trace_parts(kind: &CommandKind) -> (CmdKind, Option<u32>) {
         CommandKind::Precharge => (CmdKind::Precharge, None),
         CommandKind::Read { row, .. } => (CmdKind::Read, Some(row)),
         CommandKind::Write { row, .. } => (CmdKind::Write, Some(row)),
-        CommandKind::Refresh => (CmdKind::Refresh, None),
     }
 }
 
@@ -231,7 +230,7 @@ impl Channel {
             CommandKind::Write { .. } => {
                 now >= self.next_write_issue && now + self.timing.t_cwl >= self.data_bus_free
             }
-            CommandKind::Precharge | CommandKind::Refresh => true,
+            CommandKind::Precharge => true,
         }
     }
 
@@ -265,7 +264,7 @@ impl Channel {
                     .max(self.next_write_issue)
                     .max(self.data_bus_free.saturating_sub(t.t_cwl));
             }
-            CommandKind::Precharge | CommandKind::Refresh => {}
+            CommandKind::Precharge => {}
         }
         Some(at)
     }
@@ -422,7 +421,6 @@ impl Channel {
                 self.next_read_issue = self.next_read_issue.max(data_end + t.t_wtr);
                 self.stats.writes += 1;
             }
-            CommandKind::Refresh => self.stats.refreshes += 1,
         }
     }
 

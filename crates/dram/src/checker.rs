@@ -145,7 +145,6 @@ impl TimingChecker {
     /// Audits one issued command. Any violated constraint is recorded (the
     /// checker keeps going so a full run can be audited in one pass).
     pub fn observe(&mut self, cmd: &DramCommand, now: DramCycle) {
-        let t = self.t;
         if let Some(last) = self.last_cmd {
             if now <= last {
                 // Command bus carries one command per cycle, in time order.
@@ -178,10 +177,6 @@ impl TimingChecker {
             CommandKind::Precharge => self.observe_precharge(cmd, now),
             CommandKind::Read { row, .. } => self.observe_read(cmd, now, row),
             CommandKind::Write { row, .. } => self.observe_write(cmd, now, row),
-            CommandKind::Refresh => {
-                let end = now + t.t_rfc;
-                self.observe_refresh(now, end + t.t_rp);
-            }
         }
         self.last_cmd = Some(now);
     }
@@ -367,10 +362,9 @@ impl Sink for TimingAudit {
                     CmdKind::Precharge => DramCommand::precharge(bank),
                     CmdKind::Read => DramCommand::read(bank, row, 0),
                     CmdKind::Write => DramCommand::write(bank, row, 0),
-                    CmdKind::Refresh => DramCommand {
-                        bank,
-                        kind: CommandKind::Refresh,
-                    },
+                    // Refreshes are not commands here: they arrive as
+                    // `RefreshIssued`, below.
+                    CmdKind::Refresh => return,
                 };
                 let checker = &mut self.channels[channel as usize];
                 if auto_precharge {

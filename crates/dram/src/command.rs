@@ -46,8 +46,6 @@ pub enum CommandKind {
         /// Line-sized column index within the row.
         col: u32,
     },
-    /// All-bank auto refresh.
-    Refresh,
 }
 
 impl CommandKind {
@@ -125,7 +123,6 @@ impl fmt::Display for DramCommand {
             CommandKind::Write { row, col } => {
                 write!(f, "WRIT {} row{row} col{col}", self.bank)
             }
-            CommandKind::Refresh => write!(f, "REF  {}", self.bank),
         }
     }
 }
@@ -141,7 +138,6 @@ mod tests {
         assert!(!DramCommand::activate(BankId(0), 1).is_column());
         assert!(DramCommand::activate(BankId(0), 1).kind.is_row());
         assert!(DramCommand::precharge(BankId(0)).kind.is_row());
-        assert!(!CommandKind::Refresh.is_row());
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl AccessCategory {
 /// Bank-occupancy latency contributed by a single DRAM command, used by the
 /// STFM interference updates (`Latency(R)` in the paper's Section 3.2.2):
 /// `tRCD` for ACTIVATE, `tRP` for PRECHARGE, `tCL + BL/2` / `tCWL + BL/2`
-/// for READ / WRITE, `tRFC` for REFRESH.
+/// for READ / WRITE.
 #[inline]
 pub fn command_bank_latency(cmd: &DramCommand, t: &TimingParams) -> DramDelta {
     match cmd.kind {
@@ -64,7 +64,6 @@ pub fn command_bank_latency(cmd: &DramCommand, t: &TimingParams) -> DramDelta {
         CommandKind::Precharge => t.t_rp,
         CommandKind::Read { .. } => t.read_latency(),
         CommandKind::Write { .. } => t.write_latency(),
-        CommandKind::Refresh => t.t_rfc,
     }
 }
 

@@ -7,8 +7,9 @@
 //! by class and DRAM cycles spent with a bank open or with every bank
 //! closed, tracking the open banks from ACTIVATE, PRECHARGE,
 //! auto-precharge CAS and refresh events; [`EnergyModel::breakdown`]
-//! multiplies the counts by [`PowerParams`] once. Attach it with
-//! `MemorySystem::set_sink`; it never influences timing.
+//! multiplies the counts by [`PowerParams`] once. Attach it for a run
+//! with `System::run_observed`, which hands it back; it never influences
+//! timing.
 
 use crate::config::DramConfig;
 use crate::timing::TimingParams;

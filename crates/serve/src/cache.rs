@@ -154,7 +154,7 @@ impl ResultCache {
 mod tests {
     use super::*;
     use crate::result::result_line;
-    use crate::runner::run_cell;
+    use crate::runner::run_cell_cancellable;
     use crate::spec::{Cell, SchedSpec};
     use std::fs;
     use stfm_sim::digest::hex_digest;
@@ -251,8 +251,8 @@ mod tests {
             assert!(!path.exists(), "{tag}: bad file left on the hit path");
             let bad = dir.join(format!("cell-{key}.json.bad"));
             assert!(bad.exists(), "{tag}: quarantine file missing");
-            let (again, _, from_cache) =
-                run_cell(&sample_cell(), &AloneCache::new(), &cache).unwrap();
+            let run = run_cell_cancellable(&sample_cell(), &AloneCache::new(), &cache, None);
+            let (again, _, from_cache) = run.unwrap().unwrap();
             assert!(!from_cache, "{tag}: served without recomputing");
             assert_eq!(again, line, "{tag}: recomputed line differs");
             assert_eq!(cache.quarantined_count(), 1, "{tag}: quarantined twice");

@@ -43,8 +43,6 @@ pub use cache::{CachedResult, ResultCache};
 #[cfg(feature = "fault-inject")]
 pub use fault::FaultPlan;
 pub use result::{parse_result_line, result_line, ParsedResult};
-pub use runner::{
-    run_cell, run_cell_cancellable, run_sweep, CellAnswer, CellOutcome, SweepSummary,
-};
+pub use runner::{run_cell_cancellable, run_sweep, CellAnswer, CellOutcome, SweepSummary};
 pub use serve::{serve, serve_listener, serve_tcp, ServeConfig, ServeTotals};
 pub use spec::{expand_line, Cell, SchedSpec, MAX_CELLS_PER_LINE, MAX_THREADS_PER_MIX};

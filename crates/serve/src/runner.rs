@@ -1,8 +1,8 @@
 //! Running cells: one at a time, and swept across the worker pool.
 //!
-//! [`run_cell`] is the unit of work — consult the [`ResultCache`] first
-//! (a hit replays the stored line verbatim and skips the simulation
-//! entirely, which is how resumed sweeps fast-forward over
+//! [`run_cell_cancellable`] is the unit of work — consult the
+//! [`ResultCache`] first (a hit replays the stored line verbatim and skips
+//! the simulation entirely, which is how resumed sweeps fast-forward over
 //! already-completed cells), else simulate and store. [`run_sweep`] puts
 //! a slice of cells through the ordered pool in `stfm_sim::runner`, each
 //! inside the same envelope `serve` uses, so the caller's emit hook
@@ -57,27 +57,8 @@ pub struct SweepSummary {
     pub workers: usize,
 }
 
-/// Runs one cell to completion: cache lookup, else simulate and store.
-///
-/// # Errors
-///
-/// Returns the message if the cell references an unknown benchmark
-/// (unreachable for cells produced by `spec::expand_line`, which
-/// validates names up front) or its run was truncated.
-pub fn run_cell(
-    cell: &Cell,
-    alone: &AloneCache,
-    results: &ResultCache,
-) -> Result<CellAnswer, String> {
-    match run_cell_cancellable(cell, alone, results, None) {
-        Ok(Some(done)) => Ok(done),
-        // Unreachable without a token, but never worth a panic path.
-        Ok(None) => Err("cell run cancelled".to_string()),
-        Err((_, message)) => Err(message),
-    }
-}
-
-/// [`run_cell`] under a cooperative cancellation token.
+/// Runs one cell to completion: cache lookup, else simulate and store,
+/// optionally under a cooperative cancellation token.
 ///
 /// Returns `Ok(None)` when `cancel` fired before the cell finished; a
 /// cancelled cell stores nothing in either cache.

@@ -426,7 +426,12 @@ pub fn serve(
         // accounting: events already in flight still drain into totals, so
         // a disconnected client's `bye`-style bookkeeping stays exact.
         |event| {
-            totals.quarantined = quarantined() - quarantined_before;
+            let now_quarantined = quarantined() - quarantined_before;
+            if now_quarantined > totals.quarantined {
+                let detail = format!("{now_quarantined} quarantined this session");
+                record_fault(&mut fault_sink, "cache", "quarantined", "", &detail);
+            }
+            totals.quarantined = now_quarantined;
             let rendered = render(event, &mut totals, &mut line_agg, &mut fault_sink);
             if totals.disconnected || write_err.is_some() {
                 return ControlFlow::Break(());

@@ -10,7 +10,7 @@
 use std::io::Cursor;
 
 use stfm_serve::{
-    expand_line, run_cell, run_sweep, serve, Cell, ResultCache, SchedSpec, ServeConfig,
+    expand_line, run_cell_cancellable, run_sweep, serve, Cell, ResultCache, SchedSpec, ServeConfig,
 };
 use stfm_sim::digest::Fnv64;
 use stfm_sim::oracle::{compare, Case};
@@ -76,10 +76,12 @@ fn in_process_lines() -> Vec<String> {
     let results = ResultCache::in_memory();
     spec_cells()
         .iter()
-        .map(|cell| match run_cell(cell, &alone, &results) {
-            Ok((line, _, _)) => line,
-            Err(e) => panic!("run_cell failed: {e}"),
-        })
+        .map(
+            |cell| match run_cell_cancellable(cell, &alone, &results, None) {
+                Ok(Some((line, _, _))) => line,
+                other => panic!("the cell did not run: {other:?}"),
+            },
+        )
         .collect()
 }
 

@@ -160,3 +160,49 @@ fn an_unwritable_fault_log_still_serves_every_cell() {
     assert_eq!(errors.count(), 2, "{lines:?}");
     assert!(lines.last().is_some_and(|l| l.contains("\"type\":\"bye\"")));
 }
+
+/// A poisoned alone baseline is quarantined and recomputed, and the
+/// quarantine lands in the fault log as a `cache` fault giving the count;
+/// the answers stay those of the clean pass.
+#[test]
+fn a_quarantined_cache_file_reaches_the_fault_log() {
+    let dir = std::env::temp_dir().join(format!("stfm-quarantine-log-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let spec = "{\"scheduler\": \"fcfs\", \"mix\": [\"mcf\"], \"insts\": 500}\n";
+    let pass = |log: &Path| {
+        let alone = AloneCache::with_dir(dir.join("alone")).unwrap();
+        let results = ResultCache::in_memory();
+        let cfg = ServeConfig::with_jobs(Some(1)).fault_log(log);
+        let mut out = Vec::new();
+        let totals = serve(Cursor::new(spec), &mut out, &alone, &results, &cfg).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let result = text.lines().find(|l| l.contains("\"type\":\"result\""));
+        (result.map(String::from), totals.quarantined)
+    };
+    let (clean_log, log) = (dir.join("clean.jsonl"), dir.join("faults.jsonl"));
+    let (clean, none) = pass(&clean_log);
+    assert_eq!(none, 0);
+    assert_eq!(std::fs::read_to_string(&clean_log).unwrap(), "");
+
+    let baselines: Vec<_> = std::fs::read_dir(dir.join("alone"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(baselines.len(), 1, "{baselines:?}");
+    std::fs::write(&baselines[0], "garbage").unwrap();
+    let (healed, quarantined) = pass(&log);
+    assert_eq!((healed.is_some(), quarantined), (true, 1));
+    assert_eq!(healed, clean, "the recomputed answer differs");
+
+    let records = std::fs::read_to_string(&log).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let records: Vec<_> = records.lines().collect();
+    assert_eq!(records.len(), 1, "{records:?}");
+    let v = json::parse(records[0]).unwrap_or_else(|e| panic!("{}: {e}", records[0]));
+    let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
+    assert_eq!(field("event").as_deref(), Some("serve_fault"));
+    assert_eq!(field("domain").as_deref(), Some("cache"));
+    assert_eq!(field("kind").as_deref(), Some("quarantined"));
+    let detail = field("detail").unwrap_or_default();
+    assert!(detail.starts_with("1 "), "{detail}");
+}

@@ -13,7 +13,7 @@
 use std::io::Cursor;
 
 use stfm_dram::rng::SmallRng;
-use stfm_serve::{expand_line, json, parse_result_line, run_cell, serve};
+use stfm_serve::{expand_line, json, parse_result_line, run_cell_cancellable, serve};
 use stfm_serve::{ResultCache, ServeConfig};
 use stfm_sim::AloneCache;
 
@@ -64,7 +64,8 @@ fn mutate(rng: &mut SmallRng, seeds: &[String]) -> String {
 /// The valid lines damage starts from, one real result line included.
 fn seed_lines() -> Vec<String> {
     let cell = expand_line(SPECS[0]).unwrap().remove(0);
-    let (result, ..) = run_cell(&cell, &AloneCache::new(), &ResultCache::in_memory()).unwrap();
+    let run = run_cell_cancellable(&cell, &AloneCache::new(), &ResultCache::in_memory(), None);
+    let (result, ..) = run.unwrap().unwrap();
     assert!(parse_result_line(&result).is_ok());
     let mut lines: Vec<String> = SPECS
         .iter()

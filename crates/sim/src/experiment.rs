@@ -187,14 +187,13 @@ pub struct Experiment {
 }
 
 /// Result of [`Experiment::run_traced`]: the usual metrics plus the sink
-/// that observed the run, handed back so callers can downcast and extract
-/// what it recorded.
-pub struct TracedRun {
+/// that observed the run, handed back by type.
+pub struct TracedRun<S> {
     /// The run's reduced metrics, identical to what [`Experiment::run`]
     /// would have produced (sinks only observe).
     pub metrics: WorkloadMetrics,
-    /// The telemetry sink, detached from the memory system after the run.
-    pub sink: Box<dyn Sink>,
+    /// The sink the run was given, detached after the run.
+    pub sink: S,
     /// The last DRAM cycle simulated; pass to
     /// [`stfm_telemetry::EpochSampler::finish`] to close the final epoch.
     pub final_dram_cycle: u64,
@@ -367,16 +366,16 @@ impl Experiment {
         cache: &AloneCache,
         cancel: Option<&CancelToken>,
     ) -> Vec<Result<WorkloadMetrics, RunStop>> {
-        self.run_inner(insts, cache, None, cancel).0
+        self.run_inner(insts, cache, NullSink, cancel).0
     }
 
     /// Runs the experiment with `sink` attached to the shared memory
     /// system, recording the full event stream. Alone baselines stay
     /// untraced (they are cached and shared across runs). The metrics are
     /// bit-identical to an untraced run: sinks only observe.
-    pub fn run_traced(&self, cache: &AloneCache, sink: Box<dyn Sink>) -> TracedRun {
+    pub fn run_traced<S: Sink>(&self, cache: &AloneCache, sink: S) -> TracedRun<S> {
         let (mut results, sink, final_dram_cycle) =
-            self.run_inner(&[self.insts], cache, Some(sink), None);
+            self.run_inner(&[self.insts], cache, sink, None);
         let result = results.remove(0);
         TracedRun {
             stop: result.as_ref().err().copied(),
@@ -424,23 +423,21 @@ impl Experiment {
     /// The shared run at each budget of `insts`, reduced against its
     /// alone baselines; also the sink, handed back, and the last DRAM
     /// cycle simulated.
-    fn run_inner(
+    fn run_inner<S: Sink>(
         &self,
         insts: &[u64],
         cache: &AloneCache,
-        sink: Option<Box<dyn Sink>>,
+        sink: S,
         cancel: Option<&CancelToken>,
-    ) -> (Vec<Result<WorkloadMetrics, RunStop>>, Box<dyn Sink>, u64) {
+    ) -> (Vec<Result<WorkloadMetrics, RunStop>>, S, u64) {
         let dram = self.effective_dram();
         let mut sys = self.shared_system();
-        sys.memory_mut()
-            .set_sink(sink.unwrap_or_else(|| Box::new(NullSink)));
         sys.set_fast_forward(self.fast_forward);
         if let Some(t) = cancel {
             sys.set_cancel_token(t.clone());
         }
-        let outs = sys.run(&insts.iter().map(|&n| Budget::of(n)).collect::<Vec<_>>());
-        let mut sink = sys.memory_mut().take_sink();
+        let budgets: Vec<Budget> = insts.iter().map(|&n| Budget::of(n)).collect();
+        let (outs, mut sink) = sys.run_observed(&budgets, sink);
 
         let stops = outs
             .iter()
@@ -465,7 +462,7 @@ impl Experiment {
             }
         }
         // End-of-run work-counter snapshot for sinks that want it (e.g.
-        // the benchmark and the work-counter regression tests). Emitted
+        // the benchmark and the work-counter regression tests). Recorded
         // after the run, never from the tick path: the counters differ
         // between the event-driven and stepped loops by design, so the
         // cycle-by-cycle event streams stay loop-agnostic.
@@ -537,7 +534,7 @@ mod tests {
             .dram_config(glacial_dram())
             .instructions_per_thread(20);
         assert!(matches!(e.try_run(&cache, None), Err(RunStop::Truncated)));
-        let traced = e.run_traced(&cache, Box::new(stfm_telemetry::NullSink));
+        let traced = e.run_traced(&cache, NullSink);
         assert_eq!(traced.stop, Some(RunStop::Truncated));
         assert!(
             traced.metrics.threads.is_empty(),
@@ -559,15 +556,11 @@ mod tests {
         let e =
             Experiment::new(vec![spec::mcf(), spec::libquantum()]).instructions_per_thread(3_000);
         let visits = |fast_forward: bool| {
-            let mut run = e
+            let run = e
                 .clone()
                 .fast_forward(fast_forward)
-                .run_traced(&cache, Box::new(stfm_telemetry::RingSink::new(1)));
-            let ring = run
-                .sink
-                .as_any_mut()
-                .downcast_mut::<stfm_telemetry::RingSink>();
-            match ring.and_then(|r| r.events().last()) {
+                .run_traced(&cache, stfm_telemetry::RingSink::new(1));
+            match run.sink.events().last() {
                 Some(&Event::EstimatorWork { sched_visits, .. }) => sched_visits,
                 last => panic!("the run ended with {last:?}, not an EstimatorWork snapshot"),
             }

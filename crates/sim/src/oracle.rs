@@ -91,14 +91,7 @@ impl Run {
 pub fn observe(case: &Case, fast_forward: bool) -> Run {
     let mut system = (case.build)();
     system.set_fast_forward(fast_forward);
-    system
-        .memory_mut()
-        .set_sink(Box::new(RingSink::new(RING_CAPACITY)));
-    let outcomes = system.run(&case.budgets);
-    let mut sink = system.memory_mut().take_sink();
-    let Some(ring) = sink.as_any_mut().downcast_mut::<RingSink>() else {
-        unreachable!("the ring installed above comes back out");
-    };
+    let (outcomes, ring) = system.run_observed(&case.budgets, RingSink::new(RING_CAPACITY));
     assert_eq!(ring.dropped(), 0, "{}: the ring overflowed", case.label);
     Run {
         outcomes,

@@ -32,9 +32,11 @@
 //! `tests/rank_cache.rs`.
 
 use crate::cancel::CancelToken;
+use std::any::Any;
 use stfm_cpu::{Core, CoreStats};
 use stfm_dram::{ClockRatio, CpuCycle, DramCycle, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{MemorySystem, ThreadId, ThreadStats};
+use stfm_telemetry::Sink;
 
 /// A complete simulated CMP: cores plus the shared DRAM memory system.
 ///
@@ -377,6 +379,22 @@ impl System {
         window.outcomes.into_iter().flatten().collect()
     }
 
+    /// [`System::run`] with `sink` observing the memory system, handed
+    /// back by value with the outcomes. The sink attached before stays
+    /// attached after; sinks only observe, so the outcomes equal
+    /// `run`'s.
+    pub fn run_observed<S: Sink>(&mut self, budgets: &[Budget], sink: S) -> (Vec<RunOutcome>, S) {
+        let outer = self.mem.take_sink();
+        self.mem.set_sink(Box::new(sink));
+        let outcomes = self.run(budgets);
+        let ours: Box<dyn Any> = self.mem.take_sink();
+        self.mem.set_sink(outer);
+        match ours.downcast::<S>() {
+            Ok(sink) => (outcomes, *sink),
+            Err(_) => unreachable!("the sink attached above comes back out"),
+        }
+    }
+
     /// [`System::run`] over one budget.
     pub fn run_with_warmup(
         &mut self,
@@ -501,6 +519,7 @@ mod tests {
     use stfm_cpu::VecTrace;
     use stfm_dram::DramConfig;
     use stfm_mc::{FrFcfs, ThreadId};
+    use stfm_telemetry::RingSink;
 
     fn tiny_system(n: usize) -> System {
         let cfg = DramConfig::for_cores(n as u32);
@@ -545,6 +564,29 @@ mod tests {
         assert!(!out.truncated);
         assert!(sys.jumped_cycles() > 0, "no whole-system jumps happened");
         assert!(sys.elided_cycles() > 0, "no per-cycle elisions happened");
+    }
+
+    /// The sink comes back as given, a box as the same box, and the sink
+    /// attached before the run is attached again after it.
+    #[test]
+    fn run_observed_hands_back_the_sink_it_was_given() {
+        let mut sys = tiny_system(2);
+        sys.memory_mut().set_sink(Box::new(RingSink::new(8)));
+        let budget = Budget {
+            warmup: 0,
+            insts: 500,
+            max_cpu_cycles: 50_000_000,
+        };
+        let (outs, mut ring) = sys.run_observed(&[budget], Box::new(RingSink::new(1 << 16)));
+        assert!(!outs[0].truncated);
+        assert!(ring.total_recorded() > 0, "the given sink saw nothing");
+        assert!(Sink::as_any_mut(&mut ring).is::<RingSink>());
+        let mut outer = sys.memory_mut().take_sink();
+        assert!(
+            outer.as_any_mut().is::<RingSink>(),
+            "the outer sink is gone"
+        );
+        assert!(outer.is_enabled(), "a null sink took the outer one's place");
     }
 
     #[test]

@@ -171,15 +171,18 @@ pub enum Event {
         /// Always [`DramCycle::ZERO`]: serve faults are not simulator
         /// occurrences, but sinks and samplers require a stamp.
         dram_cycle: DramCycle,
-        /// Which resilience mechanism fired: `"worker"` (a cell's run)
-        /// or `"client"` (the output stream).
+        /// Which resilience mechanism fired: `"worker"` (a cell's run),
+        /// `"client"` (the output stream) or `"cache"` (the on-disk
+        /// caches).
         domain: &'static str,
         /// Fault kind within the domain: a worker's `"timeout_retry"`,
         /// `"timeout"`, `"panic"`, `"truncated"` or `"spec"`; a client's
-        /// `"disconnect"`.
+        /// `"disconnect"`; the cache's `"quarantined"`, recorded each
+        /// time the session's count of quarantined files grows, with the
+        /// new count in `detail`.
         kind: &'static str,
         /// What the fault hit: a worker fault's cell key; empty for a
-        /// client fault.
+        /// client or cache fault.
         subject: String,
         /// Free-form context (panic message, retry disposition, ...).
         detail: String,

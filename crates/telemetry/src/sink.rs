@@ -44,15 +44,17 @@ pub trait Sink: Any {
         true
     }
 
-    /// Downcast support, so owners of a `Box<dyn Sink>` can recover the
-    /// concrete sink (e.g. an `EpochSampler`) after a run.
+    /// The concrete sink behind a `dyn Sink`, for code that holds one
+    /// only as a trait object. Runs hand back the sink they were given by
+    /// type (`System::run_observed`, `Experiment::run_traced`), so their
+    /// callers need no downcast.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// A boxed sink is a sink, so a [`TeeSink`] can carry one whose concrete
-/// type is known only at run time. Every method forwards to the box's
-/// contents, downcasting included.
-impl Sink for Box<dyn Sink> {
+/// A boxed sink is a sink, whether its contents are known by type or only
+/// at run time (`Box<dyn Sink>`). Every method forwards to the contents,
+/// downcasting included, so a box is transparent to `as_any_mut`.
+impl<S: Sink + ?Sized> Sink for Box<S> {
     #[inline]
     fn record(&mut self, event: &Event) {
         (**self).record(event);
@@ -71,6 +73,31 @@ impl Sink for Box<dyn Sink> {
     #[inline]
     fn as_any_mut(&mut self) -> &mut dyn Any {
         (**self).as_any_mut()
+    }
+}
+
+/// An optional sink: `Some` forwards every event to its contents, and
+/// `None` is disabled like [`NullSink`], so a [`TeeSink`] can carry a sink
+/// that only some runs attach.
+impl<S: Sink + 'static> Sink for Option<S> {
+    #[inline]
+    fn record(&mut self, event: &Event) {
+        if let Some(sink) = self {
+            sink.record(event);
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.as_mut().map_or(Ok(()), Sink::flush)
+    }
+
+    #[inline]
+    fn is_enabled(&self) -> bool {
+        self.as_ref().is_some_and(Sink::is_enabled)
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -156,8 +183,8 @@ impl Sink for RingSink {
 }
 
 /// Fans every event out to two sinks. Nest (`TeeSink<A, TeeSink<B, C>>`)
-/// for wider fan-out. Fields are public so owners can recover both
-/// halves after a run without downcasting twice.
+/// for wider fan-out. Fields are public so the owner of a finished run's
+/// tee takes both halves back by type.
 #[derive(Debug, Clone, Default)]
 pub struct TeeSink<A, B> {
     /// First destination.
@@ -249,6 +276,20 @@ mod tests {
     }
 
     #[test]
+    fn an_absent_sink_is_disabled_and_a_present_one_records() {
+        let mut none: Option<RingSink> = None;
+        assert!(!none.is_enabled());
+        none.record(&refresh(1));
+        assert!(none.flush().is_ok());
+
+        let mut some = Some(RingSink::new(2));
+        assert!(some.is_enabled());
+        some.record(&refresh(2));
+        assert_eq!(some.map(|r| r.len()), Some(1));
+        assert!(!Some(NullSink).is_enabled(), "a disabled sink stays so");
+    }
+
+    #[test]
     fn downcast_recovers_concrete_sink() {
         let mut boxed: Box<dyn Sink> = Box::new(RingSink::new(2));
         boxed.record(&refresh(4));
@@ -257,5 +298,9 @@ mod tests {
             .downcast_mut::<RingSink>()
             .expect("downcast");
         assert_eq!(ring.len(), 1);
+        // A box known by type is as transparent as a trait object.
+        let mut typed = Box::new(RingSink::new(2));
+        typed.record(&refresh(5));
+        assert!(Sink::as_any_mut(&mut typed).is::<RingSink>());
     }
 }

@@ -13,7 +13,7 @@ use std::fs;
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
-use stfm_serve::{run_cell, Cell, ResultCache, SchedSpec};
+use stfm_serve::{run_cell_cancellable, Cell, CellAnswer, ResultCache, SchedSpec};
 use stfm_sim::AloneCache;
 
 /// Each file of `dir` with its inode, sorted: a rewrite (temp file plus
@@ -38,6 +38,14 @@ fn caches(dir: &Path) -> (AloneCache, ResultCache) {
     )
 }
 
+/// `cell` run to completion through both caches.
+fn run(cell: &Cell, alone: &AloneCache, results: &ResultCache) -> CellAnswer {
+    match run_cell_cancellable(cell, alone, results, None) {
+        Ok(Some(answer)) => answer,
+        other => panic!("the cell did not run: {other:?}"),
+    }
+}
+
 #[test]
 fn a_served_cell_survives_restarts_and_poisoned_files() {
     let dir = std::env::temp_dir().join(format!("stfm-cache-store-{}", std::process::id()));
@@ -46,7 +54,7 @@ fn a_served_cell_survives_restarts_and_poisoned_files() {
 
     // 1. Cold: simulated, one result file and two alone files written.
     let (alone, results) = caches(&dir);
-    let (line, _, from_cache) = run_cell(&cell, &alone, &results).unwrap();
+    let (line, _, from_cache) = run(&cell, &alone, &results);
     assert!(!from_cache);
     let alone_files = files(&dir.join("alone"));
     let cell_files = files(&dir.join("cells"));
@@ -56,10 +64,10 @@ fn a_served_cell_survives_restarts_and_poisoned_files() {
     // for byte; with the result cache bypassed, both baselines come from
     // their files, which are left as they were.
     let (alone, results) = caches(&dir);
-    let (warm, _, from_cache) = run_cell(&cell, &alone, &results).unwrap();
+    let (warm, _, from_cache) = run(&cell, &alone, &results);
     assert!(from_cache);
     assert_eq!(warm, line);
-    let (resimulated, _, from_cache) = run_cell(&cell, &alone, &ResultCache::in_memory()).unwrap();
+    let (resimulated, _, from_cache) = run(&cell, &alone, &ResultCache::in_memory());
     assert!(!from_cache);
     assert_eq!(resimulated, line);
     assert_eq!(alone.len(), 2);
@@ -74,7 +82,7 @@ fn a_served_cell_survives_restarts_and_poisoned_files() {
     fs::write(&alone_files[0].0, "torn").unwrap();
     fs::write(&cell_files[0].0, "torn").unwrap();
     let (alone, results) = caches(&dir);
-    let (healed, _, from_cache) = run_cell(&cell, &alone, &results).unwrap();
+    let (healed, _, from_cache) = run(&cell, &alone, &results);
     assert!(!from_cache);
     assert_eq!(healed, line);
     assert_eq!(alone.quarantined_count(), 1);

@@ -36,15 +36,11 @@ fn fingerprint(m: &WorkloadMetrics) -> Vec<u64> {
 fn traced_run_is_bit_identical_to_untraced() {
     let cache = AloneCache::new();
     let untraced = experiment().run_with_cache(&cache);
-    let traced = experiment().run_traced(&cache, Box::new(RingSink::new(4096)));
+    let traced = experiment().run_traced(&cache, RingSink::new(4096));
     assert_eq!(fingerprint(&untraced), fingerprint(&traced.metrics));
 
     // And the sink did actually observe the run.
-    let mut sink = traced.sink;
-    let ring = sink
-        .as_any_mut()
-        .downcast_mut::<RingSink>()
-        .expect("sink comes back as given");
+    let ring = traced.sink;
     assert!(ring.total_recorded() > 0, "ring sink saw no events");
     assert!(ring
         .events()
@@ -63,12 +59,8 @@ fn epoch_slowdowns_track_final_metrics() {
     });
     let mut run = experiment()
         .sample_interval(500)
-        .run_traced(&cache, Box::new(sampler));
-    let sampler = run
-        .sink
-        .as_any_mut()
-        .downcast_mut::<EpochSampler>()
-        .expect("sink comes back as given");
+        .run_traced(&cache, sampler);
+    let sampler = &mut run.sink;
     sampler.finish(run.final_dram_cycle);
 
     let rows = sampler.rows();
