@@ -35,12 +35,6 @@ impl Fx8 {
         self.0
     }
 
-    /// Converts an integer, saturating on overflow.
-    #[inline]
-    pub fn from_int(v: u32) -> Self {
-        Fx8(v.checked_shl(Self::FRAC_BITS).unwrap_or(u32::MAX))
-    }
-
     /// Converts from `f64`, saturating to `[0, MAX]`.
     ///
     /// Intended for configuration values like `α = 1.10`; the slowdown
@@ -134,7 +128,7 @@ mod tests {
     fn one_and_zero() {
         assert_eq!(Fx8::ONE.to_f64(), 1.0);
         assert_eq!(Fx8::ZERO.to_f64(), 0.0);
-        assert_eq!(Fx8::from_int(5).to_f64(), 5.0);
+        assert_eq!(Fx8::from_f64(5.0).to_f64(), 5.0);
     }
 
     #[test]
@@ -155,8 +149,8 @@ mod tests {
     fn arithmetic_saturates() {
         assert_eq!(Fx8::MAX.saturating_add(Fx8::ONE), Fx8::MAX);
         assert_eq!(Fx8::ZERO.saturating_sub(Fx8::ONE), Fx8::ZERO);
-        assert_eq!(Fx8::MAX.saturating_mul(Fx8::from_int(2)), Fx8::MAX);
-        assert_eq!(Fx8::from_int(1).saturating_div(Fx8::ZERO), Fx8::MAX);
+        assert_eq!(Fx8::MAX.saturating_mul(Fx8::from_f64(2.0)), Fx8::MAX);
+        assert_eq!(Fx8::ONE.saturating_div(Fx8::ZERO), Fx8::MAX);
     }
 
     #[test]

@@ -70,23 +70,18 @@ impl ThreadRegs {
         self.core_tshared.saturating_sub(self.tshared_base)
     }
 
-    /// `Talone = Tshared − Tinterference` estimate, floored at zero.
-    #[inline]
-    pub fn talone(&self) -> u64 {
-        let t = self.tshared() as i64 - self.tinterference;
-        t.max(0) as u64
-    }
-
     /// Recomputes `Slowdown = Tshared / (Tshared − Tinterference)`.
     ///
     /// A thread with no stall time has slowdown 1. Because the
     /// interference estimate is approximate, it can transiently exceed the
     /// observed stall time; physically a thread's extra stall cannot
     /// exceed its total stall, so the denominator is floored at
-    /// `Tshared / 16`, capping the estimated slowdown at 16× — a sanity
-    /// clamp a hardware divider would implement as saturation. The paper
-    /// has no such ceiling, and it binds often (DESIGN.md §2.4,
-    /// deviation 6).
+    /// `max(1, ⌊Tshared / 16⌋)` — a sanity clamp a hardware divider would
+    /// implement as saturation. The estimate's ceiling is therefore
+    /// `Tshared / max(1, ⌊Tshared / 16⌋)`: exactly 16 when `Tshared` is a
+    /// multiple of 16, slightly above 16 otherwise, and `Tshared` itself
+    /// below 32. The paper has no such ceiling, and it binds often
+    /// (DESIGN.md §2.4, deviation 6).
     pub fn compute_slowdown(&mut self) -> Fx8 {
         let tshared = self.tshared();
         self.slowdown = if tshared == 0 {
@@ -294,7 +289,6 @@ mod tests {
         r.core_tshared = 3000;
         r.tinterference = 1000;
         assert_eq!(r.compute_slowdown().to_f64(), 1.5);
-        assert_eq!(r.talone(), 2000);
 
         // All stall time attributed to interference: clamped near 16×.
         r.tinterference = 3000;
@@ -304,6 +298,19 @@ mod tests {
         // Negative interference (thread benefits from sharing): below 1.
         r.tinterference = -1000;
         assert!(r.compute_slowdown() < Fx8::ONE);
+    }
+
+    /// The ceiling is `Tshared / max(1, ⌊Tshared / 16⌋)`, not 16.
+    #[test]
+    fn slowdown_ceiling_follows_the_floored_denominator() {
+        for (tshared, ceiling) in [(31, 31.0), (47, 23.5), (3200, 16.0)] {
+            let mut r = ThreadRegs {
+                core_tshared: tshared,
+                tinterference: tshared as i64,
+                ..Default::default()
+            };
+            assert_eq!(r.compute_slowdown().to_f64(), ceiling, "Tshared {tshared}");
+        }
     }
 
     #[test]

@@ -1116,14 +1116,16 @@ impl std::fmt::Debug for Stfm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stfm_mc::test_util::{harness, req_to};
+    use stfm_mc::test_util::harness::{self, Queue};
+    use stfm_mc::test_util::req_to;
 
     fn stfm() -> Stfm {
         Stfm::new(TimingParams::ddr2_800())
     }
 
-    fn sys_view<'a>(q: SchedQuery<'a>) -> SystemView<'a> {
-        SystemView::single(q)
+    /// One cycle hook over `q`'s channel alone.
+    fn on_cycle(p: &mut Stfm, q: SchedQuery<'_>) {
+        p.on_dram_cycle(&SystemView::new(q.now, &[q]));
     }
 
     #[test]
@@ -1140,8 +1142,8 @@ mod tests {
         let p = stfm();
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1);
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2);
-        let requests = [old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         assert!(!p.fairness_rule_active());
         assert!(p.rank(&young_hit, &q) > p.rank(&old_miss, &q));
     }
@@ -1158,13 +1160,13 @@ mod tests {
         p.regs.thread_mut(ThreadId(0)).tinterference = 8_000;
         p.regs.thread_mut(ThreadId(1)).tinterference = 0;
 
-        let requests = [r0.clone(), r1.clone()];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q));
+        let queue = Queue::new([r0.clone(), r1.clone()]);
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q);
         assert!(p.fairness_rule_active());
         assert!(p.unfairness_estimate() > 4.0);
 
-        let q = harness::query(&channel, &requests);
+        let q = queue.query(&channel);
         // Thread 0's row-conflict request must now beat thread 1's row hit.
         assert!(p.rank(&r0, &q) > p.rank(&r1, &q));
     }
@@ -1179,14 +1181,14 @@ mod tests {
         p.on_enqueue(&r1, 10_000);
         p.regs.thread_mut(ThreadId(0)).tinterference = 2_000; // S ≈ 1.25
 
-        let requests = [r0.clone(), r1.clone()];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q));
+        let queue = Queue::new([r0.clone(), r1.clone()]);
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q);
         assert!(p.fairness_rule_active(), "1.25 > α = 1.10");
 
         p.set_alpha(20.0); // system software disables fairness enforcement
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q));
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q);
         assert!(!p.fairness_rule_active());
     }
 
@@ -1201,19 +1203,19 @@ mod tests {
         p.on_enqueue(&victim_bus, 0);
         p.on_enqueue(&culprit, 0);
 
-        let requests = [
+        let queue = Queue::new([
             victim_same_bank.clone(),
             victim_bus.clone(),
             culprit.clone(),
-        ];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q));
+        ]);
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q);
 
         // Culprit's read issues on bank 0 (row hit).
         let mut served = culprit.clone();
         served.category = Some(AccessCategory::Hit);
         let cmd = DramCommand::read(served.loc.bank, 5, 0);
-        let q = harness::query(&channel, &requests);
+        let q = queue.query(&channel);
         p.on_command(&cmd, &served, &q);
 
         let t = TimingParams::ddr2_800();
@@ -1248,8 +1250,8 @@ mod tests {
         p.regs.last_row.insert((ThreadId(0), 0, 0), 9);
         let mut spoiled = req_to(0, ThreadId(0), 9, 0, 4);
         spoiled.category = Some(AccessCategory::Conflict);
-        let requests = [spoiled.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([spoiled.clone()]);
+        let q = queue.query(&channel);
         p.on_command(&DramCommand::read(spoiled.loc.bank, 9, 0), &spoiled, &q);
         let expected = ClockRatio::PAPER.dram_delta_to_cpu(t.t_rp + t.t_rcd).get() as i64; // BAP = 1
         assert_eq!(
@@ -1267,8 +1269,8 @@ mod tests {
         p.regs.last_row.insert((ThreadId(0), 0, 0), 9);
         let mut lucky = req_to(0, ThreadId(0), 5, 0, 4);
         lucky.category = Some(AccessCategory::Hit);
-        let requests = [lucky.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([lucky.clone()]);
+        let q = queue.query(&channel);
         p.on_command(&DramCommand::read(lucky.loc.bank, 5, 0), &lucky, &q);
         assert!(
             p.registers().thread(ThreadId(0)).unwrap().tinterference < 0,
@@ -1290,11 +1292,11 @@ mod tests {
         p.regs.thread_mut(ThreadId(1)).tinterference = 1_667;
         p.set_weight(ThreadId(1), 10);
 
-        let requests = [r0.clone(), r1.clone()];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q));
+        let queue = Queue::new([r0.clone(), r1.clone()]);
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q);
         assert!(p.fairness_rule_active());
-        let q = harness::query(&channel, &requests);
+        let q = queue.query(&channel);
         assert!(p.rank(&r1, &q) > p.rank(&r0, &q));
     }
 
@@ -1311,9 +1313,9 @@ mod tests {
         let r0 = req_to(0, ThreadId(0), 1, 0, 1);
         p.on_enqueue(&r0, 50_000);
         p.regs.thread_mut(ThreadId(0)).tinterference = 25_000;
-        let requests = [r0.clone()];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&sys_view(q)); // now = 1000 DRAM = 10_000 CPU ≥ 1_000
+        let queue = Queue::new([r0.clone()]);
+        let q = queue.query(&channel);
+        on_cycle(&mut p, q); // now = 1000 DRAM = 10_000 CPU ≥ 1_000
         assert_eq!(p.slowdown_estimate(ThreadId(0)), 1.0);
     }
 
@@ -1325,12 +1327,13 @@ mod tests {
     fn fast_forward_across_resets_equals_stepping() {
         let (channel, _) = harness::closed();
         let requests = [0, 1].map(|t| req_to(t, ThreadId(t), 1, 0, t.into()));
-        let view = |cycle: u64| {
-            let mut q = harness::query(&channel, &requests);
+        let queue = Queue::new(requests.clone());
+        let at = |cycle: u64| {
+            let mut q = queue.query(&channel);
             q.now = DramCycle::new(cycle);
-            sys_view(q)
+            q
         };
-        let step = |p: &mut Stfm, cycle| p.on_dram_cycle(&view(cycle));
+        let step = |p: &mut Stfm, cycle| on_cycle(p, at(cycle));
         // A 1,000-CPU-cycle interval is 100 DRAM cycles. The last reset
         // was at `NOW`, so the boundaries are `NOW + 100`, `NOW + 200`, …
         let now = harness::NOW;
@@ -1366,7 +1369,8 @@ mod tests {
                 step(&mut stepped, c);
             }
             let mut jumped = primed();
-            jumped.fast_forward(&view(start), cycles);
+            let q = at(start);
+            jumped.fast_forward(&SystemView::new(q.now, &[q]), cycles);
             for p in [&mut stepped, &mut jumped] {
                 step(p, start + cycles);
             }
@@ -1382,7 +1386,8 @@ mod tests {
 #[cfg(test)]
 mod charge_rule_tests {
     use super::*;
-    use stfm_mc::test_util::{harness, req_to};
+    use stfm_mc::test_util::harness::{self, Queue};
+    use stfm_mc::test_util::req_to;
 
     /// ¾ of the DDR2-800 read bank latency, in CPU cycles.
     fn three_quarter_read() -> i64 {
@@ -1401,11 +1406,12 @@ mod charge_rule_tests {
         for r in &requests {
             p.on_enqueue(r, 0);
         }
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&SystemView::single(q));
+        let queue = Queue::new(requests);
+        let q = queue.query(&channel);
+        p.on_dram_cycle(&SystemView::new(q.now, &[q]));
         let mut served = culprit;
         served.category = Some(AccessCategory::Hit);
-        let q = harness::query(&channel, &requests);
+        let q = queue.query(&channel);
         p.on_command(&DramCommand::read(served.loc.bank, 5, 0), &served, &q);
         p.registers().thread(ThreadId(1)).unwrap().clone()
     }
@@ -1442,17 +1448,17 @@ mod charge_rule_tests {
         let mut p = Stfm::new(TimingParams::ddr2_800());
         let victim = req_to(0, ThreadId(1), 9, 0, 1);
         p.on_enqueue(&victim, 0);
-        let requests = [victim.clone()];
+        let queue = Queue::new([victim.clone()]);
         // Charge far faster than one DRAM cycle per cycle drains.
         let mut charged = 0;
         for i in 0..100u64 {
             let mut served = req_to(0, ThreadId(0), 5, 0, 100 + i);
             served.category = Some(AccessCategory::Hit);
-            let q = harness::query(&channel, &requests);
+            let q = queue.query(&channel);
             p.on_command(&DramCommand::read(served.loc.bank, 5, 0), &served, &q);
             charged += three_quarter_read();
-            let q = harness::query(&channel, &requests);
-            p.on_dram_cycle(&SystemView::single(q));
+            let q = queue.query(&channel);
+            p.on_dram_cycle(&SystemView::new(q.now, &[q]));
             let regs = p.registers().thread(ThreadId(1)).unwrap();
             assert!(regs.pending_interference <= PENDING_CAP);
         }
@@ -1560,7 +1566,8 @@ mod charge_rule_tests {
                     requests.push(r);
                 }
             }
-            let q = harness::query(&channel, &requests);
+            let queue = Queue::new(requests);
+            let q = queue.query(&channel);
             let mut p = Stfm::new(TimingParams::ddr2_800());
             for bank in (0..5).map(BankId) {
                 let cmds = match channel.bank(bank).open_row() {
@@ -1575,7 +1582,7 @@ mod charge_rule_tests {
                     for culprit in [ThreadId(0), ThreadId(16)] {
                         let sets = Stfm::walk_victims(cmd, culprit, &q);
                         let got = sets.map(|s| s.iter().collect::<Vec<_>>());
-                        let want = vec_victims(cmd, culprit, &q, &requests);
+                        let want = vec_victims(cmd, culprit, &q, queue.requests());
                         assert_eq!(got, want, "seed {seed}, {cmd} for {culprit}");
                         let cached = p.classify_victims(cmd, culprit, &q);
                         assert_eq!(cached, sets, "seed {seed}, {cmd} for {culprit}");
@@ -1605,19 +1612,20 @@ mod charge_rule_tests {
 mod victim_cache_tests {
     use super::*;
     use stfm_dram::{Channel, DramConfig};
-    use stfm_mc::test_util::{harness, req_to};
+    use stfm_mc::test_util::harness::Queue;
+    use stfm_mc::test_util::req_to;
 
     /// One channel with refresh on, its request buffer, and the STFM
     /// instance its hooks feed.
     struct Rig {
         p: Stfm,
         channel: Channel,
-        requests: Vec<Request>,
+        queue: Queue,
         now: DramCycle,
     }
 
-    fn query<'a>(channel: &'a Channel, requests: &'a [Request], now: DramCycle) -> SchedQuery<'a> {
-        let mut q = harness::query(channel, requests);
+    fn query<'a>(queue: &'a Queue, channel: &'a Channel, now: DramCycle) -> SchedQuery<'a> {
+        let mut q = queue.query(channel);
         q.now = now;
         q
     }
@@ -1629,14 +1637,14 @@ mod victim_cache_tests {
             Rig {
                 p: Stfm::new(cfg.timing),
                 channel: Channel::new(&cfg),
-                requests: Vec::new(),
+                queue: Queue::new(Vec::new()),
                 now: DramCycle::new(1),
             }
         }
 
         fn enqueue(&mut self, r: Request) {
             self.p.on_enqueue(&r, 0);
-            self.requests.push(r);
+            self.queue.push(r);
         }
 
         /// Issues `cmd` for request `i` at its earliest legal cycle, as
@@ -1647,14 +1655,16 @@ mod victim_cache_tests {
                 .channel
                 .earliest_issue(&cmd, self.now)
                 .unwrap_or_else(|| panic!("{cmd} can never issue"));
-            let done = self.channel.issue(&cmd, self.now);
-            let r = &mut self.requests[i];
-            r.service_started.get_or_insert(self.now);
-            if cmd.is_column() {
-                r.state = RequestState::InService { data_done: done };
-            }
-            let q = query(&self.channel, &self.requests, self.now);
-            self.p.on_command(&cmd, &self.requests[i], &q);
+            let now = self.now;
+            let done = self.channel.issue(&cmd, now);
+            self.queue.update(i, |r| {
+                r.service_started.get_or_insert(now);
+                if cmd.is_column() {
+                    r.state = RequestState::InService { data_done: done };
+                }
+            });
+            let q = query(&self.queue, &self.channel, now);
+            self.p.on_command(&cmd, &self.queue.requests()[i], &q);
         }
 
         /// Ticks the channel until a refresh starts (closing every row).
@@ -1670,7 +1680,7 @@ mod victim_cache_tests {
         /// The cached sets equal the walk for a column and a row command
         /// on every bank in use, for a culprit that never waits.
         fn check(&mut self, step: &str) {
-            let q = query(&self.channel, &self.requests, self.now);
+            let q = query(&self.queue, &self.channel, self.now);
             for b in (0..3).map(BankId) {
                 for cmd in [DramCommand::read(b, 0, 0), DramCommand::activate(b, 0)] {
                     let culprit = ThreadId(9);

@@ -200,12 +200,6 @@ impl Channel {
         now >= self.data_bus_free && self.banks.iter().all(|b| !b.is_busy(now))
     }
 
-    /// True while a refresh blocks the channel at `now`.
-    #[inline]
-    pub fn refresh_blocking(&self, now: DramCycle) -> bool {
-        self.refresh.blocking(now)
-    }
-
     /// Checks every channel- and bank-level constraint for issuing `cmd` at
     /// cycle `now`. A command for which this returns `true` is *ready* in
     /// the paper's sense (Section 2.4, footnote 4).
@@ -456,15 +450,6 @@ impl Channel {
             self.issue(cmd, now)
         }
     }
-
-    /// Banks currently servicing an in-flight operation at `now`.
-    pub fn busy_banks(&self, now: DramCycle) -> impl Iterator<Item = BankId> + '_ {
-        self.banks
-            .iter()
-            .enumerate()
-            .filter(move |(_, b)| b.is_busy(now))
-            .map(|(i, _)| BankId(i as u32))
-    }
 }
 
 #[cfg(test)]
@@ -573,23 +558,24 @@ mod tests {
         // Run past tREFI with the channel idle; tick should start a refresh.
         let due = t.t_refi.after_zero();
         ch.tick(due);
-        assert!(ch.refresh_blocking(due));
         assert_eq!(ch.bank(BankId(0)).open_row(), None);
         assert!(!ch.can_issue(&DramCommand::activate(BankId(0), 1), due));
         let end = due + t.t_rp + t.t_rfc;
         ch.tick(end);
-        assert!(!ch.refresh_blocking(end));
         assert!(ch.can_issue(&DramCommand::activate(BankId(0), 1), end));
     }
 
     #[test]
-    fn busy_banks_reports_in_flight_operations() {
+    fn banks_are_busy_during_in_flight_operations() {
         let cfg = no_refresh();
         let mut ch = Channel::new(&cfg);
         ch.issue(&DramCommand::activate(BankId(2), 1), DramCycle::ZERO);
-        let busy: Vec<_> = ch.busy_banks(DramCycle::new(1)).collect();
-        assert_eq!(busy, vec![BankId(2)]);
-        assert_eq!(ch.busy_banks(DramCycle::new(1000)).count(), 0);
+        let busy = |c: u64| -> Vec<u32> {
+            let at = DramCycle::new(c);
+            (0..8).filter(|&b| ch.bank(BankId(b)).is_busy(at)).collect()
+        };
+        assert_eq!(busy(1), [2]);
+        assert!(busy(1000).is_empty());
     }
 }
 

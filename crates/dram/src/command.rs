@@ -55,12 +55,6 @@ impl CommandKind {
     pub fn is_column(&self) -> bool {
         matches!(self, CommandKind::Read { .. } | CommandKind::Write { .. })
     }
-
-    /// True for row commands (activate and precharge).
-    #[inline]
-    pub fn is_row(&self) -> bool {
-        matches!(self, CommandKind::Activate { .. } | CommandKind::Precharge)
-    }
 }
 
 /// A fully-addressed DRAM command: what to do, and on which bank.
@@ -136,8 +130,7 @@ mod tests {
         assert!(DramCommand::read(BankId(0), 1, 2).is_column());
         assert!(DramCommand::write(BankId(0), 1, 2).is_column());
         assert!(!DramCommand::activate(BankId(0), 1).is_column());
-        assert!(DramCommand::activate(BankId(0), 1).kind.is_row());
-        assert!(DramCommand::precharge(BankId(0)).kind.is_row());
+        assert!(!DramCommand::precharge(BankId(0)).is_column());
     }
 
     #[test]

@@ -182,6 +182,12 @@ impl EnergyModel {
 impl Sink for EnergyModel {
     fn record(&mut self, event: &Event) {
         match *event {
+            // Refreshes are folded from `RefreshIssued`, below: counting a
+            // refresh command too would count it twice.
+            Event::DramCommandIssued {
+                cmd: CmdKind::Refresh,
+                ..
+            } => {}
             Event::DramCommandIssued {
                 dram_cycle,
                 channel,
@@ -202,7 +208,7 @@ impl Sink for EnergyModel {
                     CmdKind::Precharge => fold.open &= !bit,
                     CmdKind::Read => fold.reads += 1,
                     CmdKind::Write => fold.writes += 1,
-                    CmdKind::Refresh => fold.refreshes += 1,
+                    CmdKind::Refresh => {} // matched above
                 }
                 if auto_precharge {
                     fold.open &= !bit;

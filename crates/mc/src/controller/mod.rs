@@ -99,9 +99,16 @@ pub(crate) struct ChannelCtrl {
 
 impl ChannelCtrl {
     /// The query policies see this channel through at `now`.
-    pub(crate) fn query(&self, now: DramCycle) -> SchedQuery<'_> {
+    fn query(&self, now: DramCycle) -> SchedQuery<'_> {
         self.queue.query(self.id, &self.channel, now)
     }
+}
+
+/// Every channel's query at `now`, in a fixed array so that a cycle
+/// hook's [`SystemView`] allocates nothing: the view borrows the first
+/// `ctrls.len()` entries, and the rest repeat the last channel.
+fn queries(ctrls: &[ChannelCtrl], now: DramCycle) -> [SchedQuery<'_>; MAX_CHANNELS as usize] {
+    std::array::from_fn(|i| ctrls[i.min(ctrls.len() - 1)].query(now))
 }
 
 /// The shared DRAM memory system: one controller per channel, driven by a
@@ -385,9 +392,9 @@ impl MemorySystem {
             }
         }
 
-        // Global per-cycle policy hook (slowdown updates, etc.). The view
-        // borrows the channel array directly — no per-cycle allocation.
-        let view = SystemView::from_ctrls(now, &self.channels);
+        // Global per-cycle policy hook (slowdown updates, etc.).
+        let queries = queries(&self.channels, now);
+        let view = SystemView::new(now, &queries[..self.channels.len()]);
         self.policy.on_dram_cycle(&view);
         let stale = self.policy.take_stale_banks();
         if stale != 0 {

@@ -3,7 +3,7 @@
 //! fields no other module sees; the [`MemorySystem`] methods here are the
 //! event loop's interface to it.
 
-use super::{ChannelCtrl, MemorySystem};
+use super::{queries, ChannelCtrl, MemorySystem};
 use crate::policy::{SchedulerPolicy, SystemView};
 use crate::request::AccessKind;
 use stfm_dram::{BankId, DramCycle};
@@ -111,7 +111,8 @@ impl MemorySystem {
     /// policy is inspected.
     pub fn flush_residue(&mut self) {
         if let Some((start, n)) = self.outlook.residue.take() {
-            let view = SystemView::from_ctrls(start, &self.channels);
+            let queries = queries(&self.channels, start);
+            let view = SystemView::new(start, &queries[..self.channels.len()]);
             self.policy.fast_forward(&view, n);
         }
     }

@@ -2,7 +2,7 @@
 //! policies. State: [`RequestBuffer`], whose fields no other module sees:
 //! a request enters by `insert`, is `issued` and leaves by `reap`.
 
-use crate::policy::{Buffer, SchedQuery};
+use crate::policy::SchedQuery;
 use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -107,10 +107,8 @@ impl RequestBuffer {
             channel_id,
             now,
             channel,
-            buffer: Buffer::Slots {
-                slots: &self.slots,
-                bank_waiting: &self.bank_waiting,
-            },
+            slots: &self.slots,
+            bank_waiting: &self.bank_waiting,
         }
     }
 

@@ -33,15 +33,16 @@ impl SchedulerPolicy for Fcfs {
 mod tests {
     use super::*;
     use crate::request::ThreadId;
-    use crate::test_util::{harness, req_to};
+    use crate::test_util::harness::{self, Queue};
+    use crate::test_util::req_to;
 
     #[test]
     fn oldest_wins_even_against_row_hit() {
         let (channel, _cfg) = harness::open_row(0, 5);
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1);
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2);
-        let requests = [old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         let p = Fcfs::new();
         assert!(p.rank(&old_miss, &q) > p.rank(&young_hit, &q));
     }

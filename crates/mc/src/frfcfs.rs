@@ -41,15 +41,16 @@ impl SchedulerPolicy for FrFcfs {
 mod tests {
     use super::*;
     use crate::request::ThreadId;
-    use crate::test_util::{harness, req_to};
+    use crate::test_util::harness::{self, Queue};
+    use crate::test_util::req_to;
 
     #[test]
     fn row_hits_beat_older_row_misses() {
         let (channel, _cfg) = harness::open_row(0, 5);
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1); // row 9, id 1
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2); // row 5, id 2
-        let requests = [old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         let p = FrFcfs::new();
         assert!(p.rank(&young_hit, &q) > p.rank(&old_miss, &q));
     }
@@ -59,8 +60,8 @@ mod tests {
         let (channel, _cfg) = harness::open_row(0, 5);
         let a = req_to(0, ThreadId(0), 5, 0, 1);
         let b = req_to(0, ThreadId(1), 5, 1, 2);
-        let requests = [a.clone(), b.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([a.clone(), b.clone()]);
+        let q = queue.query(&channel);
         let p = FrFcfs::new();
         assert!(p.rank(&a, &q) > p.rank(&b, &q));
     }

@@ -152,15 +152,16 @@ impl SchedulerPolicy for FrFcfsCap {
 mod tests {
     use super::*;
     use crate::request::ThreadId;
-    use crate::test_util::{harness, req_to};
+    use crate::test_util::harness::{self, Queue};
+    use crate::test_util::req_to;
 
     #[test]
     fn behaves_like_frfcfs_below_cap() {
         let (channel, _cfg) = harness::open_row(0, 5);
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1);
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2);
-        let requests = [old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         let p = FrFcfsCap::new();
         assert!(p.rank(&young_hit, &q) > p.rank(&old_miss, &q));
     }
@@ -173,14 +174,14 @@ mod tests {
         // Two younger hits get serviced while the old miss waits.
         for id in [2u64, 3] {
             let hit = req_to(0, ThreadId(1), 5, 0, id);
-            let requests = [old_miss.clone(), hit.clone()];
-            let q = harness::query(&channel, &requests);
+            let queue = Queue::new([old_miss.clone(), hit.clone()]);
+            let q = queue.query(&channel);
             let cmd = DramCommand::read(hit.loc.bank, 5, 0);
             p.on_command(&cmd, &hit, &q);
         }
         let young_hit = req_to(0, ThreadId(1), 5, 0, 4);
-        let requests = [old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         assert!(
             p.rank(&old_miss, &q) > p.rank(&young_hit, &q),
             "after the cap, the bypassed row access must win"
@@ -194,16 +195,15 @@ mod tests {
         let mut p = FrFcfsCap::with_cap(1);
         let hit = req_to(0, ThreadId(1), 5, 0, 2);
         {
-            let requests = [old_miss.clone(), hit.clone()];
-            let q = harness::query(&channel, &requests);
+            let queue = Queue::new([old_miss.clone(), hit.clone()]);
+            let q = queue.query(&channel);
             p.on_command(&DramCommand::read(hit.loc.bank, 5, 0), &hit, &q);
             assert!(p.bank_capped(q.channel_id, 0));
         }
         // The victim got serviced and left the queue: cap state clears.
-        let remaining = [hit.clone()];
-        let q = harness::query(&channel, &remaining);
-        let sys = SystemView::single(q);
-        p.on_dram_cycle(&sys);
+        let remaining = Queue::new([hit.clone()]);
+        let q = remaining.query(&channel);
+        p.on_dram_cycle(&SystemView::new(q.now, &[q]));
         assert!(!p.bank_capped(ChannelId(0), 0));
     }
 
@@ -218,8 +218,8 @@ mod tests {
         let mut p = FrFcfsCap::with_cap(2);
         let bypass = |p: &mut FrFcfsCap, id: u64, waiting: &[Request]| {
             let hit = req_to(3, ThreadId(1), 5, 0, id);
-            let requests = [waiting, std::slice::from_ref(&hit)].concat();
-            let q = harness::query(&channel, &requests);
+            let queue = Queue::new([waiting, std::slice::from_ref(&hit)].concat());
+            let q = queue.query(&channel);
             p.on_command(&DramCommand::read(hit.loc.bank, 5, 0), &hit, &q);
             p.take_stale_banks()
         };
@@ -228,8 +228,9 @@ mod tests {
         assert_eq!(bypass(&mut p, 3, &victim), bank, "the cap engages");
         assert_eq!(bypass(&mut p, 4, &victim), 0, "a capped bank stays capped");
         // The victim leaves the queue: the cycle hook lifts the cap.
-        let q = harness::query(&channel, &[]);
-        p.on_dram_cycle(&SystemView::single(q));
+        let empty = Queue::new(Vec::new());
+        let idle = empty.query(&channel);
+        p.on_dram_cycle(&SystemView::new(idle.now, &[idle]));
         assert_eq!(
             p.take_stale_banks(),
             bank,
@@ -242,7 +243,7 @@ mod tests {
         assert_eq!(bypass(&mut p, 6, &victim), bank);
         assert_eq!(bypass(&mut p, 7, &[]), bank, "the cap lifts in on_command");
         // A cycle hook that finds nothing to prune reports nothing.
-        p.on_dram_cycle(&SystemView::single(harness::query(&channel, &[])));
+        p.on_dram_cycle(&SystemView::new(idle.now, &[idle]));
         assert_eq!(p.take_stale_banks(), 0);
     }
 
@@ -256,10 +257,10 @@ mod tests {
         let hit = req_to(7, ThreadId(1), 5, 0, 2);
         let mut p = FrFcfsCap::with_cap(1);
         assert!(!p.bank_capped(ch3, 7), "an unwritten slot is uncapped");
-        let requests = [old_miss.clone(), hit.clone()];
+        let queue = Queue::new([old_miss.clone(), hit.clone()]);
         let q = SchedQuery {
             channel_id: ch3,
-            ..harness::query(&channel, &requests)
+            ..queue.query(&channel)
         };
         p.on_command(&DramCommand::read(hit.loc.bank, 5, 0), &hit, &q);
         assert!(p.bank_capped(ch3, 7));
@@ -268,12 +269,12 @@ mod tests {
             assert!(!p.bank_capped(ChannelId(c), b), "ch{c} bank {b} capped");
         }
         // The victim got serviced and left the queue: cap state clears.
-        let remaining = [hit.clone()];
+        let remaining = Queue::new([hit.clone()]);
         let q = SchedQuery {
             channel_id: ch3,
-            ..harness::query(&channel, &remaining)
+            ..remaining.query(&channel)
         };
-        p.on_dram_cycle(&SystemView::single(q));
+        p.on_dram_cycle(&SystemView::new(q.now, &[q]));
         assert!(!p.bank_capped(ch3, 7));
     }
 }

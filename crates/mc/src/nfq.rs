@@ -220,7 +220,8 @@ impl SchedulerPolicy for Nfq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{harness, req_to};
+    use crate::test_util::harness::{self, Queue};
+    use crate::test_util::req_to;
     use stfm_dram::AccessCategory;
 
     fn nfq() -> Nfq {
@@ -246,8 +247,8 @@ mod tests {
         // bank's ranks.
         complete(&mut p, req_to(0, ThreadId(0), 1, 0, 0), AccessCategory::Hit);
         assert_eq!(p.take_stale_banks(), 1 << bank_slot(0, 0));
-        let requests = [a.clone(), b.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([a.clone(), b.clone()]);
+        let q = queue.query(&channel);
         assert!(
             p.rank(&b, &q) > p.rank(&a, &q),
             "thread with lower VFT wins"
@@ -287,13 +288,16 @@ mod tests {
         let mut p = nfq();
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1);
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2);
-        let requests = [old_miss.clone(), young_hit.clone()];
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
         let t_ras = TimingParams::ddr2_800().t_ras;
+        let at = |now| SchedQuery {
+            now,
+            ..queue.query(&channel)
+        };
 
         // Cycle N: old_miss becomes the bank head; bypass still allowed.
-        let mk = |now| SystemView::single(stfm_mc_sched_query(&channel, &requests, now));
-        p.on_dram_cycle(&mk(harness::NOW));
-        let q = harness::query(&channel, &requests);
+        p.on_dram_cycle(&SystemView::new(harness::NOW, &[at(harness::NOW)]));
+        let q = queue.query(&channel);
         assert!(
             p.rank(&young_hit, &q) > p.rank(&old_miss, &q),
             "within the tRAS window hits still bypass"
@@ -302,24 +306,13 @@ mod tests {
 
         // tRAS + 1 cycles later the bank must be blocked for bypass, and
         // the flip reported.
-        p.on_dram_cycle(&mk(harness::NOW + t_ras + 1));
+        let later = harness::NOW + t_ras + 1;
+        p.on_dram_cycle(&SystemView::new(later, &[at(later)]));
         assert_eq!(p.take_stale_banks(), 1 << bank_slot(0, 0));
-        let q = harness::query(&channel, &requests);
         assert!(
             p.rank(&old_miss, &q) > p.rank(&young_hit, &q),
             "inversion prevention must stop endless hit bypass"
         );
-    }
-
-    fn stfm_mc_sched_query<'a>(
-        channel: &'a stfm_dram::Channel,
-        requests: &'a [Request],
-        now: DramCycle,
-    ) -> crate::policy::SchedQuery<'a> {
-        crate::policy::SchedQuery {
-            now,
-            ..harness::query(channel, requests)
-        }
     }
 
     #[test]
@@ -339,8 +332,8 @@ mod tests {
         }
         let busy = req_to(0, ThreadId(0), 1, 0, 200);
         let woke = req_to(0, ThreadId(1), 2, 0, 201);
-        let requests = [busy.clone(), woke.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([busy.clone(), woke.clone()]);
+        let q = queue.query(&channel);
         assert!(p.rank(&woke, &q) > p.rank(&busy, &q));
     }
 }

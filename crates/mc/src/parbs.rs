@@ -161,10 +161,13 @@ impl SchedulerPolicy for ParBs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{harness, req_to};
+    use crate::test_util::harness::{self, Queue};
+    use crate::test_util::req_to;
 
-    fn view<'a>(q: crate::policy::SchedQuery<'a>) -> SystemView<'a> {
-        SystemView::single(q)
+    /// One cycle hook over `queue` on `channel`.
+    fn cycle(p: &mut ParBs, queue: &Queue, channel: &stfm_dram::Channel) {
+        let q = queue.query(channel);
+        p.on_dram_cycle(&SystemView::new(q.now, &[q]));
     }
 
     #[test]
@@ -174,8 +177,7 @@ mod tests {
         // Thread 0 floods bank 0 with 5 requests; thread 1 has one.
         let mut requests: Vec<_> = (0..5u64).map(|i| req_to(0, ThreadId(0), 1, 0, i)).collect();
         requests.push(req_to(0, ThreadId(1), 2, 0, 99));
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&view(q));
+        cycle(&mut p, &Queue::new(requests.clone()), &channel);
         let marked: Vec<bool> = requests.iter().map(|r| p.is_marked(r.id)).collect();
         assert_eq!(marked, [true, true, false, false, false, true]);
         assert_eq!(p.batches_formed(), 1);
@@ -186,14 +188,12 @@ mod tests {
         let (channel, _) = harness::open_row(0, 5);
         let mut p = ParBs::with_marking_cap(1);
         let old_miss = req_to(0, ThreadId(0), 9, 0, 1);
-        let requests = vec![old_miss.clone()];
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&view(q));
+        cycle(&mut p, &Queue::new([old_miss.clone()]), &channel);
         assert!(p.is_marked(old_miss.id));
         // A younger unmarked row hit arrives after batch formation.
         let young_hit = req_to(0, ThreadId(1), 5, 0, 2);
-        let requests = vec![old_miss.clone(), young_hit.clone()];
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new([old_miss.clone(), young_hit.clone()]);
+        let q = queue.query(&channel);
         assert!(
             p.rank(&old_miss, &q) > p.rank(&young_hit, &q),
             "batch boundary must beat row-hit bypass"
@@ -207,9 +207,9 @@ mod tests {
         // Thread 0: 4 requests on one bank (heavy). Thread 1: 1 request.
         let mut requests: Vec<_> = (0..4u64).map(|i| req_to(0, ThreadId(0), 1, 0, i)).collect();
         requests.push(req_to(1, ThreadId(1), 3, 0, 50));
-        let q = harness::query(&channel, &requests);
-        p.on_dram_cycle(&view(q));
-        let q = harness::query(&channel, &requests);
+        let queue = Queue::new(requests.clone());
+        cycle(&mut p, &queue, &channel);
+        let q = queue.query(&channel);
         assert!(
             p.rank(&requests[4], &q) > p.rank(&requests[0], &q),
             "shortest job (thread 1) first"
@@ -221,17 +221,16 @@ mod tests {
         let (channel, _) = harness::closed();
         let mut p = ParBs::new();
         let a = req_to(0, ThreadId(0), 1, 0, 1);
-        let requests = [a.clone()];
-        p.on_dram_cycle(&view(harness::query(&channel, &requests)));
+        let queue = Queue::new([a.clone()]);
+        cycle(&mut p, &queue, &channel);
         assert_eq!(p.batches_formed(), 1);
         assert_eq!(p.take_stale_banks(), u64::MAX, "a batch moves every rank");
         // While the batch lasts, no rank moves.
-        p.on_dram_cycle(&view(harness::query(&channel, &requests)));
+        cycle(&mut p, &queue, &channel);
         assert_eq!(p.take_stale_banks(), 0);
         // Request got serviced: buffer now holds only a new request.
         let b = req_to(0, ThreadId(0), 2, 0, 7);
-        let requests = [b.clone()];
-        p.on_dram_cycle(&view(harness::query(&channel, &requests)));
+        cycle(&mut p, &Queue::new([b.clone()]), &channel);
         assert_eq!(p.batches_formed(), 2);
         assert!(p.is_marked(b.id));
     }

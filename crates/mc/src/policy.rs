@@ -46,21 +46,11 @@ pub struct SchedQuery<'a> {
     pub now: DramCycle,
     /// Device state (bank open rows, bus occupancy, ...).
     pub channel: &'a Channel,
-    pub(crate) buffer: Buffer<'a>,
-}
-
-/// Where a [`SchedQuery`]'s requests live.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Buffer<'a> {
-    /// The controller's slot buffer (vacant slots hold completed
-    /// requests) and its per-bank waiting lists of slot indices, each in
-    /// arrival order.
-    Slots {
-        slots: &'a [Request],
-        bank_waiting: &'a [Vec<usize>],
-    },
-    /// A hand-built request slice (policy unit tests), scanned.
-    Slice(&'a [Request]),
+    /// The request buffer's slots; a vacant slot holds the completed
+    /// request it last carried.
+    pub(crate) slots: &'a [Request],
+    /// Per bank, the slots of its waiting requests in arrival order.
+    pub(crate) bank_waiting: &'a [Vec<usize>],
 }
 
 impl SchedQuery<'_> {
@@ -83,25 +73,12 @@ impl SchedQuery<'_> {
 
 impl<'a> SchedQuery<'a> {
     /// Iterates this channel's *waiting* requests targeting `bank`, in
-    /// arrival (= id) order. Served from the controller's per-bank list,
-    /// or by scanning a hand-built test slice; the yielded sequence is
-    /// the same either way.
+    /// arrival (= id) order.
     #[inline]
     pub fn waiting_in_bank(&self, bank: u32) -> WaitingInBank<'a> {
         WaitingInBank {
-            inner: match self.buffer {
-                Buffer::Slots {
-                    slots,
-                    bank_waiting,
-                } => BankIter::Indexed {
-                    idx: bank_waiting[bank as usize].iter(),
-                    slots,
-                },
-                Buffer::Slice(requests) => BankIter::Scan {
-                    iter: requests.iter(),
-                    bank,
-                },
-            },
+            idx: self.bank_waiting[bank as usize].iter(),
+            slots: self.slots,
         }
     }
 
@@ -117,27 +94,15 @@ impl<'a> SchedQuery<'a> {
     /// — in no particular order. A whole-buffer walk: for debug audits,
     /// not for per-cycle or per-command paths.
     pub fn live(&self) -> impl Iterator<Item = &'a Request> + 'a {
-        let (Buffer::Slots { slots: all, .. } | Buffer::Slice(all)) = self.buffer;
-        // A vacant slot holds the completed request it last carried.
-        all.iter().filter(|r| !r.is_completed())
+        self.slots.iter().filter(|r| !r.is_completed())
     }
 }
 
 /// Iterator over one bank's waiting requests; see
 /// [`SchedQuery::waiting_in_bank`].
 pub struct WaitingInBank<'a> {
-    inner: BankIter<'a>,
-}
-
-enum BankIter<'a> {
-    Indexed {
-        idx: std::slice::Iter<'a, usize>,
-        slots: &'a [Request],
-    },
-    Scan {
-        iter: std::slice::Iter<'a, Request>,
-        bank: u32,
-    },
+    idx: std::slice::Iter<'a, usize>,
+    slots: &'a [Request],
 }
 
 impl<'a> Iterator for WaitingInBank<'a> {
@@ -145,78 +110,29 @@ impl<'a> Iterator for WaitingInBank<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<&'a Request> {
-        match &mut self.inner {
-            BankIter::Indexed { idx, slots } => idx.next().map(|&i| &slots[i]),
-            BankIter::Scan { iter, bank } => iter
-                .by_ref()
-                .find(|r| r.is_waiting() && r.loc.bank.0 == *bank),
-        }
+        self.idx.next().map(|&i| &self.slots[i])
     }
 }
 
-/// Read-only view of the whole memory system (all channels), handed to
-/// policies once per DRAM cycle for global bookkeeping such as STFM's
-/// `BankWaitingParallelism` recomputation.
-///
-/// The view is backed either by the controller's channel array directly
-/// (the hot path — no per-cycle allocation) or by one caller-provided
-/// [`SchedQuery`] (policy unit tests). Iterate with
-/// [`SystemView::channels`]; queries are `Copy` and constructed on demand.
+/// Read-only view of the whole memory system, handed to policies once per
+/// DRAM cycle for global bookkeeping such as STFM's
+/// `BankWaitingParallelism` recomputation: every channel's
+/// [`SchedQuery`], in channel-id order.
 pub struct SystemView<'a> {
     /// Current DRAM cycle.
     pub now: DramCycle,
-    backing: ViewBacking<'a>,
-}
-
-enum ViewBacking<'a> {
-    /// A single channel, stored inline (test convenience).
-    One(SchedQuery<'a>),
-    /// The controller's channel array, viewed without allocating.
-    Ctrls(&'a [crate::controller::ChannelCtrl]),
+    channels: &'a [SchedQuery<'a>],
 }
 
 impl<'a> SystemView<'a> {
-    /// A view of a single channel (the common case in policy unit tests).
-    pub fn single(q: SchedQuery<'a>) -> Self {
-        SystemView {
-            now: q.now,
-            backing: ViewBacking::One(q),
-        }
-    }
-
-    pub(crate) fn from_ctrls(now: DramCycle, ctrls: &'a [crate::controller::ChannelCtrl]) -> Self {
-        SystemView {
-            now,
-            backing: ViewBacking::Ctrls(ctrls),
-        }
-    }
-
-    /// Number of channels in the view.
-    pub fn num_channels(&self) -> usize {
-        match &self.backing {
-            ViewBacking::One(_) => 1,
-            ViewBacking::Ctrls(cs) => cs.len(),
-        }
-    }
-
-    /// The scheduling query for channel `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range.
-    pub fn channel(&self, i: usize) -> SchedQuery<'a> {
-        match &self.backing {
-            ViewBacking::One(q) => {
-                assert!(i == 0, "channel {i} out of range");
-                *q
-            }
-            ViewBacking::Ctrls(cs) => cs[i].query(self.now),
-        }
+    /// A view of `channels` at `now`.
+    pub fn new(now: DramCycle, channels: &'a [SchedQuery<'a>]) -> Self {
+        SystemView { now, channels }
     }
 
     /// Iterates over all channels' queries in channel-id order.
-    pub fn channels(&self) -> impl Iterator<Item = SchedQuery<'a>> + '_ {
-        (0..self.num_channels()).map(|i| self.channel(i))
+    pub fn channels(&self) -> impl Iterator<Item = SchedQuery<'a>> + 'a {
+        self.channels.iter().copied()
     }
 }
 

@@ -58,15 +58,6 @@ impl ThreadStats {
             max_read_latency_cpu: self.max_read_latency_cpu,
         }
     }
-
-    /// Mean read round-trip latency in CPU cycles.
-    pub fn avg_read_latency(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.total_read_latency_cpu as f64 / self.reads as f64
-        }
-    }
 }
 
 /// Whole-memory-system statistics. The commands issued are counted by
@@ -129,7 +120,6 @@ mod tests {
         let s = SystemStats::default();
         assert_eq!(s.thread(ThreadId(9)), ThreadStats::default());
         assert_eq!(s.thread(ThreadId(9)).row_hit_rate(), 0.0);
-        assert_eq!(s.thread(ThreadId(9)).avg_read_latency(), 0.0);
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub fn req_to(bank: u32, thread: ThreadId, row: u32, col: u32, id: u64) -> Reque
 /// Builders for device state and scheduler queries.
 pub mod harness {
     use super::*;
-    use crate::policy::{Buffer, SchedQuery};
+    use crate::controller::MAX_BANKS;
+    use crate::policy::SchedQuery;
     use stfm_dram::{Channel, DramCommand};
 
     /// Query timestamp used by the harness (late enough that all timing
@@ -60,15 +61,71 @@ pub mod harness {
         (Channel::new(&cfg), cfg)
     }
 
-    /// Wraps a channel and request slice into a [`SchedQuery`] at
-    /// [`NOW`]. The query scans the slice for its waiting requests, so
-    /// the slice must be in arrival (id) order, as a buffer would be.
-    pub fn query<'a>(channel: &'a Channel, requests: &'a [Request]) -> SchedQuery<'a> {
-        SchedQuery {
-            channel_id: ChannelId(0),
-            now: NOW,
-            channel,
-            buffer: Buffer::Slice(requests),
+    /// A hand-built request buffer in the controller's own form: the
+    /// requests in slots, in arrival order, and per bank the slots of its
+    /// waiting requests. The lists are rebuilt whenever a request
+    /// changes.
+    #[derive(Debug)]
+    pub struct Queue {
+        slots: Vec<Request>,
+        bank_waiting: Vec<Vec<usize>>,
+    }
+
+    impl Queue {
+        /// A buffer holding `requests`.
+        ///
+        /// # Panics
+        ///
+        /// Panics unless the ids ascend, as arrivals do.
+        pub fn new(requests: impl Into<Vec<Request>>) -> Self {
+            let mut q = Queue {
+                slots: requests.into(),
+                bank_waiting: Vec::new(),
+            };
+            q.index();
+            q
+        }
+
+        /// The requests, in arrival order.
+        pub fn requests(&self) -> &[Request] {
+            &self.slots
+        }
+
+        /// Appends an arrival.
+        pub fn push(&mut self, req: Request) {
+            self.slots.push(req);
+            self.index();
+        }
+
+        /// Changes request `i` (its state, say) through `f`.
+        pub fn update(&mut self, i: usize, f: impl FnOnce(&mut Request)) {
+            f(&mut self.slots[i]);
+            self.index();
+        }
+
+        /// The query over this buffer on `channel`, as channel 0 at
+        /// [`NOW`].
+        pub fn query<'a>(&'a self, channel: &'a Channel) -> SchedQuery<'a> {
+            SchedQuery {
+                channel_id: ChannelId(0),
+                now: NOW,
+                channel,
+                slots: &self.slots,
+                bank_waiting: &self.bank_waiting,
+            }
+        }
+
+        fn index(&mut self) {
+            assert!(
+                self.slots.windows(2).all(|w| w[0].id < w[1].id),
+                "requests must be in arrival (id) order"
+            );
+            self.bank_waiting = vec![Vec::new(); MAX_BANKS as usize];
+            for (s, r) in self.slots.iter().enumerate() {
+                if r.is_waiting() {
+                    self.bank_waiting[r.loc.bank.0 as usize].push(s);
+                }
+            }
         }
     }
 }

@@ -101,7 +101,7 @@ impl AloneCache {
             (alone.dram, alone.prefetch) = (Some(dram.clone()), prefetch);
             let mut sys = alone.shared_system();
             if let Some(t) = cancel {
-                sys.set_cancel_token(t.clone());
+                sys.set_cancel_token(*t);
             }
             ran = sys.run(&missing).into_iter();
         }
@@ -434,7 +434,7 @@ impl Experiment {
         let mut sys = self.shared_system();
         sys.set_fast_forward(self.fast_forward);
         if let Some(t) = cancel {
-            sys.set_cancel_token(t.clone());
+            sys.set_cancel_token(*t);
         }
         let budgets: Vec<Budget> = insts.iter().map(|&n| Budget::of(n)).collect();
         let (outs, mut sink) = sys.run_observed(&budgets, sink);

@@ -286,7 +286,7 @@ impl System {
     }
 
     /// Installs a cooperative cancellation token. Both run loops poll it
-    /// between DRAM cycles (flag every poll, deadline sparsely per
+    /// between DRAM cycles (its deadline is read sparsely, per
     /// [`crate::cancel::DEADLINE_POLL_MASK`]); when it fires the run
     /// returns with [`RunOutcome::cancelled`] set. A token left over from
     /// a previous run can be cleared by installing a fresh one.

@@ -1,7 +1,7 @@
 //! Cooperative cancellation contract of the run loops and the experiment
-//! harness: a fired token stops both loops, a cross-thread cancel
-//! terminates a long run, cancelled runs pollute no cache, and an inert
-//! token leaves results bit-identical to an untokened run.
+//! harness: a past deadline stops both loops and pollutes no cache, a
+//! deadline terminates a long run, and an inert token leaves results
+//! bit-identical to an untokened run.
 
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -15,41 +15,27 @@ fn experiment() -> Experiment {
 }
 
 #[test]
-fn pre_cancelled_token_stops_both_loops() {
-    for fast_forward in [true, false] {
-        let token = CancelToken::new();
-        token.cancel();
-        let out = experiment()
-            .fast_forward(fast_forward)
-            .try_run(&AloneCache::new(), Some(&token));
-        assert!(
-            matches!(out, Err(RunStop::Cancelled)),
-            "pre-cancelled run completed (fast_forward={fast_forward})"
-        );
-    }
-}
-
-#[test]
 #[allow(clippy::disallowed_methods)] // an already-past deadline needs a clock reading
 fn expired_deadline_stops_both_loops() {
     for fast_forward in [true, false] {
+        let cache = AloneCache::new();
         let token = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         let out = experiment()
             .fast_forward(fast_forward)
-            .try_run(&AloneCache::new(), Some(&token));
+            .try_run(&cache, Some(&token));
         assert!(
             matches!(out, Err(RunStop::Cancelled)),
             "past-deadline run completed (fast_forward={fast_forward})"
         );
+        assert!(cache.is_empty(), "cancelled run polluted the alone cache");
     }
 }
 
 #[test]
-fn cross_thread_cancel_terminates_a_long_run() {
-    // A budget far beyond what CI should ever simulate; only the cancel
-    // can end this run in reasonable time.
-    let token = CancelToken::new();
-    let cancel_handle = token.clone();
+fn a_deadline_terminates_a_long_run() {
+    // A budget far beyond what CI should ever simulate; only the
+    // deadline can end this run in reasonable time.
+    let token = CancelToken::with_timeout(Duration::from_millis(50));
     let (tx, rx) = mpsc::channel();
     let worker = std::thread::spawn(move || {
         let out = Experiment::new(vec![spec::mcf(), spec::libquantum()])
@@ -57,25 +43,11 @@ fn cross_thread_cancel_terminates_a_long_run() {
             .try_run(&AloneCache::new(), Some(&token));
         let _ = tx.send(matches!(out, Err(RunStop::Cancelled)));
     });
-    std::thread::sleep(Duration::from_millis(50));
-    cancel_handle.cancel();
     let cancelled = rx
         .recv_timeout(Duration::from_secs(60))
-        .expect("run did not stop within 60s of cancel");
+        .expect("run did not stop within 60s of its deadline");
     assert!(cancelled, "cancelled run reported metrics");
     worker.join().expect("worker panicked");
-}
-
-#[test]
-fn cancelled_runs_store_no_baselines() {
-    let cache = AloneCache::new();
-    let token = CancelToken::new();
-    token.cancel();
-    assert!(matches!(
-        experiment().try_run(&cache, Some(&token)),
-        Err(RunStop::Cancelled)
-    ));
-    assert!(cache.is_empty(), "cancelled run polluted the alone cache");
 }
 
 #[test]

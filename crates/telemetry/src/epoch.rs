@@ -64,7 +64,8 @@ pub struct EpochRow {
     /// Latest per-thread estimated slowdowns (carried forward across
     /// epochs; `None` until a scheduler reports one for the thread).
     pub slowdowns: Vec<Option<f64>>,
-    /// Latest scheduler unfairness estimate, carried forward.
+    /// Largest unfairness estimate any scheduler snapshot reported during
+    /// the epoch; an epoch without one carries the latest value forward.
     pub unfairness: Option<f64>,
     /// Whether any interval update during the epoch reported the
     /// fairness rule active (`None` if the scheduler never said).
@@ -279,7 +280,7 @@ impl EpochSampler {
         let mut row = std::mem::replace(&mut self.cur, next);
         row.end = end;
         row.slowdowns = self.last_slowdowns.clone();
-        row.unfairness = self.last_unfairness;
+        row.unfairness = row.unfairness.or(self.last_unfairness);
         self.rows.push(row);
     }
 
@@ -312,7 +313,8 @@ impl EpochSampler {
                         self.cur.cas += 1;
                         self.cur.bus_busy_cycles += self.config.cas_data_cycles;
                     }
-                    CmdKind::Refresh => self.cur.refreshes += 1,
+                    // Refreshes are counted from `RefreshIssued`, below.
+                    CmdKind::Refresh => return,
                 }
                 if *auto_precharge {
                     self.cur.precharges += 1;
@@ -343,8 +345,9 @@ impl EpochSampler {
                     }
                     self.last_slowdowns[t] = Some(*slowdown);
                 }
-                if unfairness.is_some() {
-                    self.last_unfairness = *unfairness;
+                if let Some(u) = *unfairness {
+                    self.last_unfairness = Some(u);
+                    self.cur.unfairness = Some(self.cur.unfairness.map_or(u, |m| m.max(u)));
                 }
                 if let Some(active) = fairness_rule_active {
                     let so_far = self.cur.fairness_rule_active.unwrap_or(false);
@@ -510,8 +513,19 @@ mod tests {
             unfairness: Some(4.0 / 3.0),
             fairness_rule_active: Some(true),
         });
+        // Epoch 2 fires the rule once and ends calm: its row keeps the
+        // worst unfairness beside the flag.
+        for (cycle, unfairness, active) in [(210, 1.5, true), (240, 1.0, false)] {
+            s.record(&Event::SchedulerIntervalUpdate {
+                dram_cycle: DramCycle::new(cycle),
+                scheduler: "stfm",
+                slowdowns: Vec::new(),
+                unfairness: Some(unfairness),
+                fairness_rule_active: Some(active),
+            });
+        }
         s.record(&cas(250));
-        s.finish(300);
+        s.finish(400);
         let rows = s.rows();
         assert_eq!(rows[0].slowdowns, vec![Some(1.5), Some(2.0)]);
         assert_eq!(
@@ -521,8 +535,15 @@ mod tests {
         );
         assert_eq!(rows[0].fairness_rule_active, Some(true));
         assert_eq!(rows[1].fairness_rule_active, None, "per-epoch flag");
+        assert_eq!(rows[1].unfairness, Some(4.0 / 3.0), "carried forward");
+        assert_eq!(rows[3].unfairness, Some(1.0), "the latest carries");
         let header = s.csv_header();
         assert!(header.ends_with("slowdown_t0,slowdown_t1"), "{header}");
+        let mut csv = Vec::new();
+        s.write_csv(&mut csv).unwrap();
+        let csv = String::from_utf8(csv).unwrap();
+        let row2 = csv.lines().nth(3).unwrap();
+        assert!(row2.contains(",1.5000,true,"), "{row2}");
     }
 
     #[test]
