@@ -166,11 +166,72 @@ enum Entry {
 
 #[derive(Debug)]
 struct MemEntry {
-    id: u64,
     kind: MemOpKind,
     done: bool,
     /// The access missed the L2 and waits on (or waited on) DRAM.
     dram: bool,
+}
+
+/// The instruction window, oldest entry first. An entry's id is its push
+/// sequence number: ids ascend toward the tail, and a live entry sits at
+/// index `id - popped`, so a completion finds its op without a search.
+#[derive(Debug)]
+struct Window {
+    entries: VecDeque<Entry>,
+    /// Entries popped from the front so far.
+    popped: u64,
+}
+
+impl Window {
+    fn with_capacity(capacity: usize) -> Self {
+        Window {
+            entries: VecDeque::with_capacity(capacity),
+            popped: 0,
+        }
+    }
+
+    /// The id the next pushed entry gets.
+    fn next_id(&self) -> u64 {
+        self.popped + self.entries.len() as u64
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn front(&self) -> Option<&Entry> {
+        self.entries.front()
+    }
+
+    fn front_mut(&mut self) -> Option<&mut Entry> {
+        self.entries.front_mut()
+    }
+
+    fn back_mut(&mut self) -> Option<&mut Entry> {
+        self.entries.back_mut()
+    }
+
+    fn push_back(&mut self, entry: Entry) {
+        self.entries.push_back(entry);
+    }
+
+    fn pop_front(&mut self) {
+        if self.entries.pop_front().is_some() {
+            self.popped += 1;
+        }
+    }
+
+    /// Marks memory op `id` complete. An id below the front committed
+    /// already (e.g. a store), and there is nothing to do.
+    fn mark_done(&mut self, id: u64) {
+        let Some(index) = id.checked_sub(self.popped) else {
+            return;
+        };
+        match self.entries.get_mut(index as usize) {
+            Some(Entry::Mem(m)) => m.done = true,
+            other => debug_assert!(false, "entry {id} is {other:?}, not a memory op"),
+        }
+    }
 }
 
 /// One CMP core: window, caches, MSHRs, and a trace to execute.
@@ -181,9 +242,8 @@ pub struct Core {
     l1: Cache,
     l2: Cache,
     mshrs: MshrFile,
-    window: VecDeque<Entry>,
+    window: Window,
     window_count: usize,
-    next_entry_id: u64,
     /// (ready_time, entry id) for L1/L2 hits completing locally.
     local_done: BinaryHeap<Reverse<(CpuCycle, u64)>>,
     /// DRAM fills waiting for their delivery time, with the line each
@@ -246,9 +306,8 @@ impl Core {
             l1: Cache::new(32 * 1024, 4, cfg.line_bytes),
             l2: Cache::new(512 * 1024, 8, cfg.line_bytes),
             mshrs: MshrFile::new(cfg.mshrs, cfg.line_bytes),
-            window: VecDeque::with_capacity(cfg.window),
+            window: Window::with_capacity(cfg.window),
             window_count: 0,
-            next_entry_id: 0,
             local_done: BinaryHeap::new(),
             dram_done: BinaryHeap::new(),
             pending_writebacks: VecDeque::new(),
@@ -544,7 +603,9 @@ impl Core {
                 break;
             }
             self.local_done.pop();
-            self.mark_done(id);
+            // A cache hit never heads the dependence chain: only fills
+            // (`finish_fill`) can complete `last_dram_id`.
+            self.window.mark_done(id);
         }
         // ... and due DRAM completions.
         while let Some(&Reverse((t, _, line))) = self.dram_done.peek() {
@@ -688,8 +749,7 @@ impl Core {
         // invalidate the memoized stall probe.
         self.mem_epoch += 1;
 
-        let id = self.next_entry_id;
-        self.next_entry_id += 1;
+        let id = self.window.next_id();
         if is_store {
             self.stats.stores += 1;
         } else {
@@ -697,7 +757,6 @@ impl Core {
         }
 
         let mut entry = MemEntry {
-            id,
             kind: op.kind,
             done: is_store, // stores retire via the store buffer
             dram: false,
@@ -810,16 +869,28 @@ impl Core {
 
     /// Handles the DRAM fill of `line` that reached its delivery time.
     fn finish_fill(&mut self, line: PhysAddr) {
-        let Some(fill) = self.mshrs.complete(line) else {
+        let Core {
+            mshrs,
+            window,
+            last_dram_id,
+            last_dram_done,
+            ..
+        } = self;
+        let wake = |id| {
+            *last_dram_done |= *last_dram_id == Some(id);
+            window.mark_done(id);
+        };
+        let Some(fill) = mshrs.complete(line, wake) else {
             return;
         };
-        // The MSHR is freed and the caches install below.
+        // The MSHR is freed, its waiters are done, and the caches install
+        // below.
         self.mem_epoch += 1;
         // An untouched prefetch installs into the L2 only, tagged so a
         // later demand hit counts it as useful. A prefetch that a demand
         // access merged into was *late but useful*: credit it directly.
-        let untouched_prefetch = fill.prefetch && fill.waiters.is_empty();
-        if fill.prefetch && !fill.waiters.is_empty() {
+        let untouched_prefetch = fill.prefetch && fill.waiters == 0;
+        if fill.prefetch && fill.waiters > 0 {
             self.stats.prefetch_hits += 1;
         }
         if let Some(ev) = self
@@ -833,29 +904,6 @@ impl Core {
         }
         if !untouched_prefetch {
             self.fill_l1(line, fill.any_store);
-        }
-        for w in fill.waiters {
-            self.mark_done(w);
-        }
-    }
-
-    fn mark_done(&mut self, id: u64) {
-        if self.last_dram_id == Some(id) {
-            self.last_dram_done = true;
-        }
-        // Ids ascend toward the tail and an op that completes soon after
-        // its fetch (an L1 hit) sits near it: search from the back, and
-        // stop at the first older op — `id` then committed already (e.g.
-        // a store), and there is nothing to do.
-        for e in self.window.iter_mut().rev() {
-            if let Entry::Mem(m) = e {
-                if m.id == id {
-                    m.done = true;
-                }
-                if m.id <= id {
-                    return;
-                }
-            }
         }
     }
 }

@@ -4,8 +4,11 @@
 //! memory-level parallelism. Secondary misses to a line that is already
 //! being fetched merge into the existing entry instead of generating
 //! another DRAM request.
+//!
+//! The file is a flat array of entries allocated once at its capacity;
+//! lookups scan it. An entry holds its first waiter inline. Merges are
+//! rare, so the second and later waiters of every entry share one list.
 
-use std::collections::BTreeMap;
 use stfm_dram::PhysAddr;
 
 /// Token identifying a waiter (a window entry) attached to an MSHR.
@@ -22,9 +25,14 @@ pub enum MshrAlloc {
     Full,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    waiters: Vec<WaiterId>,
+    /// Line address divided by the line size.
+    line: u64,
+    /// The first waiter, when `waiters > 0`.
+    first: WaiterId,
+    /// Waiters attached: `first`, then `waiters - 1` in the merged list.
+    waiters: u32,
     /// Whether any merged access was a store (the fill installs dirty).
     any_store: bool,
     /// Whether the fill request has actually been accepted by the memory
@@ -35,11 +43,11 @@ struct Entry {
 }
 
 /// A completed fill returned by [`MshrFile::complete`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FillOutcome {
-    /// Window entries waiting on the line (empty for an untouched
-    /// prefetch).
-    pub waiters: Vec<WaiterId>,
+    /// Window entries that waited on the line (0 for an untouched
+    /// prefetch); `complete` has handed each to its `wake` callback.
+    pub waiters: u32,
     /// Whether any merged access was a store.
     pub any_store: bool,
     /// Whether the fetch originated as a hardware prefetch (demand merges
@@ -51,12 +59,15 @@ pub struct FillOutcome {
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    entries: BTreeMap<u64, Entry>,
     line_bytes: u32,
-    /// Line keys of entries with `sent == false`, kept sorted (the
-    /// deterministic retry order) and maintained incrementally so the
-    /// per-cycle retry path neither allocates nor scans the file.
-    unsent_lines: Vec<u64>,
+    /// The live entries, in no particular order; never longer than
+    /// `capacity`, so never reallocated.
+    entries: Vec<Entry>,
+    /// `(line, waiter)` for every waiter after an entry's first, in
+    /// arrival order.
+    merged: Vec<(u64, WaiterId)>,
+    /// Entries whose fill request has not been accepted yet.
+    unsent: usize,
     /// Bumped whenever a line *enters* the unsent set. The core's
     /// once-per-DRAM-cycle retry gate keys on this so a newly stalled
     /// fill reopens the gate instead of waiting behind a stale stamp.
@@ -68,9 +79,10 @@ impl MshrFile {
     pub fn new(capacity: usize, line_bytes: u32) -> Self {
         MshrFile {
             capacity,
-            entries: BTreeMap::new(),
             line_bytes,
-            unsent_lines: Vec::new(),
+            entries: Vec::with_capacity(capacity),
+            merged: Vec::new(),
+            unsent: 0,
             unsent_epoch: 0,
         }
     }
@@ -78,6 +90,12 @@ impl MshrFile {
     #[inline]
     fn key(&self, addr: PhysAddr) -> u64 {
         addr.0 / u64::from(self.line_bytes)
+    }
+
+    #[inline]
+    fn position(&self, addr: PhysAddr) -> Option<usize> {
+        let key = self.key(addr);
+        self.entries.iter().position(|e| e.line == key)
     }
 
     /// Number of live entries.
@@ -98,78 +116,62 @@ impl MshrFile {
     /// True if an allocation for `addr` would merge into an existing entry
     /// (and therefore succeed even when the file is full).
     pub fn would_merge(&self, addr: PhysAddr) -> bool {
-        self.entries.contains_key(&self.key(addr))
+        self.position(addr).is_some()
     }
 
     /// Tries to track a miss on `addr` for `waiter`.
     pub fn allocate(&mut self, addr: PhysAddr, waiter: WaiterId, store: bool) -> MshrAlloc {
-        let key = self.key(addr);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.waiters.push(waiter);
+        if let Some(i) = self.position(addr) {
+            let e = &mut self.entries[i];
+            if e.waiters == 0 {
+                e.first = waiter;
+            } else {
+                self.merged.push((e.line, waiter));
+            }
+            e.waiters += 1;
             e.any_store |= store;
             return MshrAlloc::Merged;
         }
-        if self.entries.len() >= self.capacity {
-            return MshrAlloc::Full;
+        if self.push(addr, Some(waiter), store) {
+            MshrAlloc::NewEntry
+        } else {
+            MshrAlloc::Full
         }
-        self.entries.insert(
-            key,
-            Entry {
-                waiters: vec![waiter],
-                any_store: store,
-                sent: false,
-                prefetch: false,
-            },
-        );
-        self.note_unsent(key);
-        MshrAlloc::NewEntry
     }
 
     /// Allocates an entry with no waiters for a hardware prefetch of
     /// `addr`. Returns `true` if a new fill should be requested; `false`
     /// when the line is already being fetched or the file is full.
     pub fn allocate_prefetch(&mut self, addr: PhysAddr) -> bool {
-        let key = self.key(addr);
-        if self.entries.contains_key(&key) || self.entries.len() >= self.capacity {
+        !self.would_merge(addr) && self.push(addr, None, false)
+    }
+
+    /// Adds an unsent entry for `addr`, a demand miss of `waiter` or a
+    /// prefetch; `false` when the file is full.
+    fn push(&mut self, addr: PhysAddr, waiter: Option<WaiterId>, store: bool) -> bool {
+        if self.is_full() {
             return false;
         }
-        self.entries.insert(
-            key,
-            Entry {
-                prefetch: true,
-                ..Entry::default()
-            },
-        );
-        self.note_unsent(key);
-        true
-    }
-
-    /// Registers `key` in the sorted unsent list and bumps the epoch.
-    fn note_unsent(&mut self, key: u64) {
-        let found = self.unsent_lines.binary_search(&key);
-        debug_assert!(found.is_err(), "line already tracked as unsent");
-        let (Ok(pos) | Err(pos)) = found;
-        self.unsent_lines.insert(pos, key);
+        self.entries.push(Entry {
+            line: self.key(addr),
+            first: waiter.unwrap_or(0),
+            waiters: u32::from(waiter.is_some()),
+            any_store: store,
+            sent: false,
+            prefetch: waiter.is_none(),
+        });
+        self.unsent += 1;
         self.unsent_epoch += 1;
-    }
-
-    /// Drops `key` from the sorted unsent list (it was sent or completed).
-    fn forget_unsent(&mut self, key: u64) {
-        match self.unsent_lines.binary_search(&key) {
-            Ok(pos) => {
-                self.unsent_lines.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "line missing from unsent list"),
-        }
+        true
     }
 
     /// Marks the fill request for `addr` as accepted by the memory system.
     pub fn mark_sent(&mut self, addr: PhysAddr) {
-        let key = self.key(addr);
-        if let Some(e) = self.entries.get_mut(&key) {
+        if let Some(i) = self.position(addr) {
+            let e = &mut self.entries[i];
             if !e.sent {
                 e.sent = true;
-                self.forget_unsent(key);
+                self.unsent -= 1;
             }
         }
     }
@@ -177,11 +179,8 @@ impl MshrFile {
     /// True if any entry's fill request is still waiting to be accepted
     /// (cheap emptiness probe).
     pub fn has_unsent(&self) -> bool {
-        debug_assert_eq!(
-            self.unsent_lines.len(),
-            self.entries.values().filter(|e| !e.sent).count()
-        );
-        !self.unsent_lines.is_empty()
+        debug_assert_eq!(self.unsent, self.entries.iter().filter(|e| !e.sent).count());
+        self.unsent > 0
     }
 
     /// The lowest-addressed line whose fill request has not been accepted
@@ -189,8 +188,14 @@ impl MshrFile {
     /// the retry loop alternates `first_unsent` / [`MshrFile::mark_sent`]
     /// until it drains or hits back-pressure.
     pub fn first_unsent(&self) -> Option<PhysAddr> {
-        self.unsent_lines
-            .first()
+        if self.unsent == 0 {
+            return None;
+        }
+        self.entries
+            .iter()
+            .filter(|e| !e.sent)
+            .map(|e| e.line)
+            .min()
             .map(|k| PhysAddr(k * u64::from(self.line_bytes)))
     }
 
@@ -201,29 +206,34 @@ impl MshrFile {
         self.unsent_epoch
     }
 
-    /// Line addresses whose fill request has not been accepted yet
-    /// (needing a retry after back-pressure), in retry order.
-    pub fn unsent(&self) -> Vec<PhysAddr> {
-        let line = u64::from(self.line_bytes);
-        self.unsent_lines
-            .iter()
-            .map(|k| PhysAddr(k * line))
-            .collect()
-    }
-
-    /// Completes the fill of the line containing `addr`, returning the
-    /// waiters to wake and the fill's provenance.
-    pub fn complete(&mut self, addr: PhysAddr) -> Option<FillOutcome> {
-        let key = self.key(addr);
-        self.entries.remove(&key).map(|e| {
-            if !e.sent {
-                self.forget_unsent(key);
-            }
-            FillOutcome {
-                waiters: e.waiters,
-                any_store: e.any_store,
-                prefetch: e.prefetch,
-            }
+    /// Completes the fill of the line containing `addr`: frees its entry,
+    /// hands each waiter to `wake` in arrival order, and returns the
+    /// fill's provenance.
+    pub fn complete(
+        &mut self,
+        addr: PhysAddr,
+        mut wake: impl FnMut(WaiterId),
+    ) -> Option<FillOutcome> {
+        let e = self.entries.swap_remove(self.position(addr)?);
+        if !e.sent {
+            self.unsent -= 1;
+        }
+        if e.waiters > 0 {
+            wake(e.first);
+        }
+        if e.waiters > 1 {
+            self.merged.retain(|&(line, w)| {
+                let mine = line == e.line;
+                if mine {
+                    wake(w);
+                }
+                !mine
+            });
+        }
+        Some(FillOutcome {
+            waiters: e.waiters,
+            any_store: e.any_store,
+            prefetch: e.prefetch,
         })
     }
 }
@@ -231,6 +241,12 @@ impl MshrFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Completes `addr`, returning the outcome and the woken waiters.
+    pub(super) fn complete(m: &mut MshrFile, addr: PhysAddr) -> Option<(FillOutcome, Vec<u64>)> {
+        let mut woken = Vec::new();
+        m.complete(addr, |w| woken.push(w)).map(|f| (f, woken))
+    }
 
     #[test]
     fn allocate_merge_complete() {
@@ -241,28 +257,60 @@ mod tests {
         assert!(m.is_full());
         assert_eq!(m.allocate(PhysAddr(0x300), 4, false), MshrAlloc::Full);
 
-        let fill = m.complete(PhysAddr(0x100)).unwrap();
-        assert_eq!(fill.waiters, vec![1, 2]);
+        let (fill, woken) = complete(&mut m, PhysAddr(0x100)).unwrap();
+        assert_eq!(woken, vec![1, 2]);
+        assert_eq!(fill.waiters, 2);
         assert!(fill.any_store);
         assert!(!fill.prefetch);
         assert!(!m.is_full());
-        assert!(m.complete(PhysAddr(0x100)).is_none());
+        assert!(complete(&mut m, PhysAddr(0x100)).is_none());
     }
 
     #[test]
     fn unsent_tracking() {
         let mut m = MshrFile::new(4, 64);
-        m.allocate(PhysAddr(0x100), 1, false);
         m.allocate(PhysAddr(0x200), 2, false);
-        assert_eq!(m.unsent().len(), 2);
+        m.allocate(PhysAddr(0x100), 1, false);
+        assert_eq!(m.first_unsent(), Some(PhysAddr(0x100)));
         m.mark_sent(PhysAddr(0x100));
-        assert_eq!(m.unsent(), vec![PhysAddr(0x200)]);
+        assert_eq!(m.first_unsent(), Some(PhysAddr(0x200)));
+        m.mark_sent(PhysAddr(0x200));
+        assert!(!m.has_unsent());
+        assert_eq!(m.first_unsent(), None);
+    }
+
+    /// The file is sized once: a seeded sweep of allocations, merges,
+    /// prefetches and completions never reallocates its entry array.
+    #[test]
+    fn entries_never_outgrow_the_capacity() {
+        use stfm_dram::rng::SmallRng;
+        let mut rng = SmallRng::seed_from_u64(0x3542001);
+        let mut m = MshrFile::new(64, 64);
+        let capacity = m.entries.capacity();
+        for waiter in 0..20_000u64 {
+            let addr = PhysAddr(rng.random_range(0u64..256) * 64);
+            match rng.random_range(0u32..4) {
+                0 => {
+                    complete(&mut m, addr);
+                }
+                1 => {
+                    m.allocate_prefetch(addr);
+                }
+                _ => {
+                    m.allocate(addr, waiter, false);
+                }
+            }
+            assert!(m.len() <= 64);
+            assert_eq!(m.entries.capacity(), capacity, "step {waiter}");
+        }
     }
 }
 
 #[cfg(test)]
 mod randomized_tests {
+    use super::tests::complete;
     use super::*;
+    use std::collections::BTreeMap;
     use stfm_dram::rng::SmallRng;
 
     /// Every allocated waiter is returned exactly once by `complete`,
@@ -274,7 +322,7 @@ mod randomized_tests {
             let count = rng.random_range(1usize..100);
             let lines: Vec<u64> = (0..count).map(|_| rng.random_range(0u64..16)).collect();
             let mut m = MshrFile::new(8, 64);
-            let mut expected: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
+            let mut expected: BTreeMap<u64, Vec<u64>> = Default::default();
             let mut rejected = 0u64;
             for (i, line) in lines.iter().enumerate() {
                 let waiter = i as u64;
@@ -286,12 +334,128 @@ mod randomized_tests {
             }
             let mut woken = 0usize;
             for (line, waiters) in expected {
-                let got = m.complete(PhysAddr(line * 64)).unwrap().waiters;
+                let (_, got) = complete(&mut m, PhysAddr(line * 64)).unwrap();
                 assert_eq!(&got, &waiters, "seed {seed}");
                 woken += got.len();
             }
             assert!(m.is_empty());
             assert_eq!(woken as u64 + rejected, lines.len() as u64);
+        }
+    }
+
+    /// One entry of the reference model.
+    #[derive(Debug, Default)]
+    struct ModelEntry {
+        waiters: Vec<WaiterId>,
+        any_store: bool,
+        sent: bool,
+        prefetch: bool,
+    }
+
+    /// Runs `ops` random operations against a `BTreeMap` model of the
+    /// file, which keys entries by line and keeps a `Vec` of waiters each.
+    fn check_against_model(seed: u64, ops: usize) {
+        let mut rng = SmallRng::seed_from_u64(0x3542E00 ^ seed);
+        let capacity = rng.random_range(1usize..12);
+        let lines = rng.random_range(1u64..3 * capacity as u64 + 2);
+        let mut m = MshrFile::new(capacity, 64);
+        let mut model: BTreeMap<u64, ModelEntry> = BTreeMap::new();
+        for step in 0..ops {
+            let line = rng.random_range(0..lines);
+            let addr = PhysAddr(line * 64 + rng.random_range(0u64..64));
+            let ctx = format!("seed {seed} step {step} cap {capacity} line {line}");
+            let full = model.len() >= capacity;
+            let epoch = m.unsent_epoch();
+            let mut entered_unsent = false;
+            match rng.random_range(0u32..10) {
+                0..=3 => {
+                    let store = rng.random_bool(0.3);
+                    let want = match model.get_mut(&line) {
+                        Some(e) => {
+                            e.waiters.push(step as u64);
+                            e.any_store |= store;
+                            MshrAlloc::Merged
+                        }
+                        None if full => MshrAlloc::Full,
+                        None => {
+                            let e = ModelEntry {
+                                waiters: vec![step as u64],
+                                any_store: store,
+                                ..ModelEntry::default()
+                            };
+                            model.insert(line, e);
+                            entered_unsent = true;
+                            MshrAlloc::NewEntry
+                        }
+                    };
+                    assert_eq!(m.allocate(addr, step as u64, store), want, "{ctx}");
+                }
+                4 => {
+                    let want = !full && !model.contains_key(&line);
+                    if want {
+                        let e = ModelEntry {
+                            prefetch: true,
+                            ..ModelEntry::default()
+                        };
+                        model.insert(line, e);
+                        entered_unsent = true;
+                    }
+                    assert_eq!(m.allocate_prefetch(addr), want, "{ctx}: prefetch");
+                }
+                5 | 6 => {
+                    // Send the head of the retry order, or a random line.
+                    let target = match rng.random_bool(0.5) {
+                        true => m.first_unsent().unwrap_or(addr),
+                        false => addr,
+                    };
+                    if let Some(e) = model.get_mut(&(target.0 / 64)) {
+                        e.sent = true;
+                    }
+                    m.mark_sent(target);
+                }
+                _ => {
+                    let want = model.remove(&line).map(|e| {
+                        let fill = FillOutcome {
+                            waiters: e.waiters.len() as u32,
+                            any_store: e.any_store,
+                            prefetch: e.prefetch,
+                        };
+                        (fill, e.waiters)
+                    });
+                    assert_eq!(complete(&mut m, addr), want, "{ctx}: complete");
+                }
+            }
+            assert_eq!(m.unsent_epoch() != epoch, entered_unsent, "{ctx}: epoch");
+            let first_unsent = model.iter().find(|(_, e)| !e.sent).map(|(&k, _)| k);
+            assert_eq!(
+                m.first_unsent(),
+                first_unsent.map(|k| PhysAddr(k * 64)),
+                "{ctx}"
+            );
+            assert_eq!(m.has_unsent(), first_unsent.is_some(), "{ctx}");
+            assert_eq!(m.len(), model.len(), "{ctx}");
+            assert_eq!(m.is_full(), model.len() >= capacity, "{ctx}");
+            assert_eq!(m.would_merge(addr), model.contains_key(&line), "{ctx}");
+        }
+    }
+
+    /// The flat file behaves exactly like a `BTreeMap` of entries with a
+    /// `Vec` of waiters each: merge, prefetch, full, the lowest-line-first
+    /// retry order, the unsent epoch, and `complete`'s waiters in arrival
+    /// order. Deterministic seeded sweep.
+    #[test]
+    fn reference_model() {
+        for seed in 0..64u64 {
+            check_against_model(seed, 2_000);
+        }
+    }
+
+    /// [`reference_model`] over many more seeds and longer sequences.
+    #[test]
+    #[ignore = "deep tier: run with --include-ignored"]
+    fn reference_model_deep() {
+        for seed in 64..2_064u64 {
+            check_against_model(seed, 10_000);
         }
     }
 }

@@ -442,9 +442,11 @@ impl MemorySystem {
         }
     }
 
-    /// Returns (and clears) the requests completed since the last call.
-    pub fn drain_completions(&mut self) -> Vec<Completion> {
-        std::mem::take(&mut self.completions)
+    /// Drains the requests completed since the last call, in completion
+    /// order. The buffer is kept, so reaping allocates nothing; dropping
+    /// the iterator early still clears it.
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, Completion> {
+        self.completions.drain(..)
     }
 
     /// Number of live (not yet completed) requests across all channels.
