@@ -23,7 +23,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use stfm_core::StfmConfig;
-use stfm_cpu::PrefetchConfig;
 use stfm_dram::{EnergyModel, PowerParams};
 use stfm_mc::ThreadId;
 use stfm_sim::{
@@ -443,10 +442,7 @@ pub const RECORDS: &[Record] = &[
             )
         },
         layout: Grid {
-            variants: &[
-                ("no-pf", |e| e),
-                ("pf", |e| e.prefetch(PrefetchConfig::default())),
-            ],
+            variants: &[("no-pf", |e| e), ("pf", |e| e.prefetch(true))],
             note: "Alone baselines are re-run with prefetching for the prefetch rows, so\n\
                slowdowns isolate the *sharing* effect, not the prefetcher's raw speedup.",
         },

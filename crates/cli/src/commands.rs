@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 use stfm_bench::paper::{record, Record, Session, RECORDS};
 use stfm_bench::Args;
 use stfm_cpu::{trace_io, Core, CoreStats, FileTrace};
-use stfm_dram::{DramConfig, TimingAudit};
+use stfm_dram::{DramConfig, TimingAudit, LINE_BYTES};
 use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
 use stfm_serve::{expand_line, run_sweep, ResultCache, SchedSpec, ServeConfig};
 use stfm_sim::{
@@ -254,7 +254,7 @@ impl TraceOut {
             epoch_len: self.epoch_len,
             threads: e.profiles().len(),
             cas_data_cycles: dram.timing.burst_cycles().get(),
-            line_bytes: u64::from(dram.line_bytes),
+            line_bytes: u64::from(LINE_BYTES),
         });
         let events = create(&self.dir.join("events.jsonl"))?;
         Ok(TeeSink::new(JsonLinesSink::new(events), sampler))

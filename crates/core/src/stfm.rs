@@ -514,8 +514,10 @@ impl Stfm {
     /// One thread's paced-drain step for one DRAM cycle: moves up to one
     /// cycle's worth of pending charge into `Tinterference`, then caps
     /// the backlog at [`PENDING_CAP`]. A victim cannot lose more than one
-    /// cycle per wall-clock cycle, so attributed interference is bounded
-    /// by elapsed stall time. Returns the amount moved.
+    /// cycle per wall-clock cycle in which it has a read waiting, so
+    /// attributed interference is bounded by elapsed *waiting* time, not
+    /// by stall time: a thread with memory-level parallelism waits
+    /// without stalling. Returns the amount moved.
     fn drain_step(regs: &mut ThreadRegs) -> i64 {
         let take = regs
             .pending_interference

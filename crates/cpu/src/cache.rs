@@ -9,7 +9,7 @@
 //! recency stamp that orders the lines of its set only. Both arrays start
 //! zeroed, so a fresh cache is all invalid without writing a byte.
 
-use stfm_dram::PhysAddr;
+use stfm_dram::{PhysAddr, LINE_BYTES};
 
 /// Outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +45,6 @@ const MAX_WAYS: usize = 64;
 pub struct Cache {
     sets: usize,
     ways: usize,
-    line_bytes: u32,
     /// Per line, `tag << FLAG_BITS | flags`; 0 is an invalid line.
     words: Vec<u64>,
     /// Per line, the recency stamp of its last touch: within a set, a
@@ -62,20 +61,19 @@ pub struct Cache {
 
 impl Cache {
     /// Creates a cache of `size_bytes` with `ways`-way associativity and
-    /// `line_bytes` lines.
+    /// [`LINE_BYTES`] lines.
     ///
     /// # Panics
     ///
-    /// Panics unless `size_bytes / (ways * line_bytes)` is a power of two
+    /// Panics unless `size_bytes / (ways * LINE_BYTES)` is a power of two
     /// and `ways` is between 1 and 64.
-    pub fn new(size_bytes: u32, ways: usize, line_bytes: u32) -> Self {
+    pub fn new(size_bytes: u32, ways: usize) -> Self {
         assert!((1..=MAX_WAYS).contains(&ways), "ways must be 1..=64");
-        let sets = (size_bytes as usize) / (ways * line_bytes as usize);
+        let sets = (size_bytes as usize) / (ways * LINE_BYTES as usize);
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             sets,
             ways,
-            line_bytes,
             words: vec![0; sets * ways],
             stamps: vec![0; sets * ways],
             hits: 0,
@@ -84,21 +82,21 @@ impl Cache {
         }
     }
 
-    /// The paper's L1: 32 KB, 4-way, 64-byte lines.
+    /// The paper's L1: 32 KB, 4-way.
     pub fn l1_paper() -> Self {
-        Cache::new(32 * 1024, 4, 64)
+        Cache::new(32 * 1024, 4)
     }
 
-    /// The paper's L2: 512 KB, 8-way, 64-byte lines.
+    /// The paper's L2: 512 KB, 8-way.
     pub fn l2_paper() -> Self {
-        Cache::new(512 * 1024, 8, 64)
+        Cache::new(512 * 1024, 8)
     }
 
     /// The set of `addr`, and the word of its line with the dirty and
     /// prefetched bits clear: the key [`Cache::find`] matches.
     #[inline]
     fn set_and_key(&self, addr: PhysAddr) -> (usize, u64) {
-        let line = addr.0 / u64::from(self.line_bytes);
+        let line = addr.0 / u64::from(LINE_BYTES);
         let tag = line / self.sets as u64;
         debug_assert!(tag >> (64 - FLAG_BITS) == 0, "tag overflows the line word");
         ((line as usize) & (self.sets - 1), tag << FLAG_BITS | VALID)
@@ -210,7 +208,7 @@ impl Cache {
         (victim != 0).then(|| {
             let line = (victim >> FLAG_BITS) * self.sets as u64 + set as u64;
             Eviction {
-                addr: PhysAddr(line * u64::from(self.line_bytes)),
+                addr: PhysAddr(line * u64::from(LINE_BYTES)),
                 dirty: victim & DIRTY != 0,
             }
         })
@@ -224,11 +222,6 @@ impl Cache {
         let word = std::mem::take(&mut self.words[i]);
         Some(word & DIRTY != 0)
     }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.sets as u64 * self.ways as u64 * u64::from(self.line_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +230,7 @@ mod tests {
 
     fn tiny() -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.
-        Cache::new(512, 2, 64)
+        Cache::new(512, 2)
     }
 
     #[test]
@@ -305,8 +298,9 @@ mod tests {
 
     #[test]
     fn paper_configs() {
-        assert_eq!(Cache::l1_paper().capacity_bytes(), 32 * 1024);
-        assert_eq!(Cache::l2_paper().capacity_bytes(), 512 * 1024);
+        let (l1, l2) = (Cache::l1_paper(), Cache::l2_paper());
+        assert_eq!((l1.sets, l1.ways), (128, 4));
+        assert_eq!((l2.sets, l2.ways), (1024, 8));
     }
 
     /// The footprint the model promises: 9 bytes of state per line (a
@@ -401,7 +395,7 @@ mod randomized_tests {
         let mut rng = SmallRng::seed_from_u64(0xCAC4E00 ^ seed);
         let ways = [1usize, 2, 4, 8][rng.random_range(0usize..4)];
         let sets = [1usize, 2, 4][rng.random_range(0usize..3)];
-        let mut c = Cache::new((sets * ways * 64) as u32, ways, 64);
+        let mut c = Cache::new((sets * ways * 64) as u32, ways);
         let mut model = Model::new(sets, ways);
         let mut touches = vec![0usize; sets];
         // Three lines per way keep both hits and evictions frequent.

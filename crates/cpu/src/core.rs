@@ -10,55 +10,38 @@
 
 use crate::cache::{Cache, CacheAccess};
 use crate::mshr::{MshrAlloc, MshrFile};
-use crate::prefetch::{PrefetchConfig, StreamPrefetcher};
+use crate::prefetch::StreamPrefetcher;
 use crate::trace::{MemOpKind, TraceOp, TraceSource};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use stfm_dram::{CpuCycle, CpuDelta, PhysAddr, CPU_CYCLES_PER_DRAM_CYCLE};
+use stfm_dram::{CpuCycle, CpuDelta, PhysAddr, CPU_CYCLES_PER_DRAM_CYCLE, LINE_BYTES};
 use stfm_mc::{AccessKind, Completion, MemorySystem, RequestId, ThreadId};
 
-/// Core microarchitecture parameters (defaults = paper Table 2).
+/// Instruction-window (ROB) capacity.
+const WINDOW: usize = 128;
+/// Instructions fetched, and instructions committed, per cycle.
+const WIDTH: u32 = 3;
+/// L1 load-to-use latency in CPU cycles.
+const L1_LATENCY: CpuDelta = CpuDelta::new(2);
+/// L2 hit latency in CPU cycles.
+const L2_LATENCY: CpuDelta = CpuDelta::new(12);
+/// Miss-status holding registers (bounds memory-level parallelism).
+const MSHRS: usize = 64;
+
+/// What a core adds to the paper's Table 2 microarchitecture (a
+/// 128-entry window, 3-wide fetch and commit, 2-cycle L1, 12-cycle L2
+/// and 64 MSHRs, which are fixed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
-    /// Instruction-window (ROB) capacity.
-    pub window: usize,
-    /// Instructions fetched per cycle.
-    pub fetch_width: u32,
-    /// Instructions committed per cycle.
-    pub commit_width: u32,
-    /// L1 load-to-use latency in CPU cycles.
-    pub l1_latency: CpuDelta,
-    /// L2 hit latency in CPU cycles.
-    pub l2_latency: CpuDelta,
-    /// Miss-status holding registers (bounds memory-level parallelism).
-    pub mshrs: usize,
-    /// Cache-line size in bytes.
-    pub line_bytes: u32,
-    /// Optional hardware stream prefetcher (extension; the paper's
-    /// baseline has none).
-    pub prefetch: Option<PrefetchConfig>,
+    /// Whether the core has the hardware stream prefetcher (extension;
+    /// the paper's baseline has none).
+    pub prefetch: bool,
 }
 
 impl CoreConfig {
-    /// The paper's configuration: 128-entry window, 3-wide, 2-cycle L1,
-    /// 12-cycle L2, 64 MSHRs, 64-byte lines.
+    /// The paper's configuration: no prefetcher.
     pub const fn paper_baseline() -> Self {
-        CoreConfig {
-            window: 128,
-            fetch_width: 3,
-            commit_width: 3,
-            l1_latency: CpuDelta::new(2),
-            l2_latency: CpuDelta::new(12),
-            mshrs: 64,
-            line_bytes: 64,
-            prefetch: None,
-        }
-    }
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        Self::paper_baseline()
+        CoreConfig { prefetch: false }
     }
 }
 
@@ -237,7 +220,6 @@ impl Window {
 /// One CMP core: window, caches, MSHRs, and a trace to execute.
 pub struct Core {
     thread: ThreadId,
-    cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
     l1: Cache,
     l2: Cache,
@@ -301,12 +283,11 @@ impl Core {
     pub fn with_config(thread: ThreadId, trace: Box<dyn TraceSource>, cfg: CoreConfig) -> Self {
         Core {
             thread,
-            cfg,
             trace,
-            l1: Cache::new(32 * 1024, 4, cfg.line_bytes),
-            l2: Cache::new(512 * 1024, 8, cfg.line_bytes),
-            mshrs: MshrFile::new(cfg.mshrs, cfg.line_bytes),
-            window: Window::with_capacity(cfg.window),
+            l1: Cache::l1_paper(),
+            l2: Cache::l2_paper(),
+            mshrs: MshrFile::new(MSHRS),
+            window: Window::with_capacity(WINDOW),
             window_count: 0,
             local_done: BinaryHeap::new(),
             dram_done: BinaryHeap::new(),
@@ -315,7 +296,7 @@ impl Core {
             wb_gate: None,
             mem_epoch: 0,
             fetch_stall: None,
-            prefetcher: cfg.prefetch.map(StreamPrefetcher::new),
+            prefetcher: cfg.prefetch.then(StreamPrefetcher::default),
             prefetch_hits_seen: 0,
             cur_op: None,
             last_dram_id: None,
@@ -397,7 +378,7 @@ impl Core {
             Some(Entry::Mem(e)) if !e.done => {}
             Some(_) => return None, // bubbles or a done op would commit
         }
-        if self.window_count < self.cfg.window {
+        if self.window_count < WINDOW {
             let Some(op) = &self.cur_op else {
                 return None; // would pull a fresh trace record
             };
@@ -408,7 +389,7 @@ impl Core {
             let mshr_blocked = || {
                 // Memoized verdict first (pure probe, unchanged inputs).
                 self.fetch_stall == Some(self.mem_epoch) || {
-                    let line = op.addr.line_aligned(self.cfg.line_bytes);
+                    let line = op.addr.line_aligned();
                     !self.l1.probe(op.addr)
                         && !self.l2.probe(op.addr)
                         && self.mshrs.is_full()
@@ -514,8 +495,8 @@ impl Core {
     }
 
     /// Replicates up to `max` consecutive [`Core::step`] calls that only
-    /// move bubbles — `width` committed from the head of the window and
-    /// `width` fetched onto its tail per cycle, nothing else — as one
+    /// move bubbles — [`WIDTH`] committed from the head of the window and
+    /// [`WIDTH`] fetched onto its tail per cycle, nothing else — as one
     /// update, and returns how many cycles it covered (0 when the next
     /// cycle is not of that kind). A cycle qualifies when, stage by stage
     /// of `step`: (1) no local or DRAM completion is due; (2) no send
@@ -525,25 +506,21 @@ impl Core {
     /// commit width, so no memory op commits and (4) no stall is charged;
     /// (5) the trace record being fetched still has a full fetch width of
     /// bubbles, so no memory op is initiated. The window's occupancy is
-    /// unchanged by such a cycle (fetch width = commit width is required),
-    /// so fetch always has room. The prefetch-hit fold between stages 4
+    /// unchanged by such a cycle (it fetches as many as it commits), so
+    /// fetch always has room. The prefetch-hit fold between stages 4
     /// and 5 does run, once: no cache is touched during the run, so the
     /// later folds would add zero.
     fn compute_run(&mut self, max: u64, mem: &MemorySystem) -> u64 {
-        let width = self.cfg.commit_width;
         let (Some(&Entry::Bubbles(head)), Some(op)) = (self.window.front(), self.cur_op) else {
             return 0;
         };
-        if width == 0 || width != self.cfg.fetch_width {
-            return 0;
-        }
         // A lone bubble run is head and tail at once: it only needs to
         // cover one cycle's commit, since fetch refills it every cycle.
         let lone = self.window.len() == 1;
         let head_cycles = match lone {
-            true if head >= width => max,
+            true if head >= WIDTH => max,
             true => 0,
-            false => u64::from(head / width),
+            false => u64::from(head / WIDTH),
         };
         // A completion at `t` is delivered by the cycle that reaches `t`:
         // the cycles strictly before it are free of them.
@@ -552,14 +529,14 @@ impl Core {
             .map_or(max, |t| t.get().saturating_sub(self.now.get() + 1));
         let cycles = max
             .min(head_cycles)
-            .min(u64::from(op.bubbles / width))
+            .min(u64::from(op.bubbles / WIDTH))
             .min(undisturbed);
         if cycles == 0 || self.retry_due(mem) {
             return 0;
         }
 
         // `cycles <= max <= CPU_CYCLES_PER_DRAM_CYCLE`, so this fits.
-        let moved = cycles as u32 * width;
+        let moved = cycles as u32 * WIDTH;
         self.cur_op = Some(TraceOp {
             bubbles: op.bubbles - moved,
             ..op
@@ -661,11 +638,11 @@ impl Core {
 
         // 3. In-order commit.
         let mut committed = 0u32;
-        while committed < self.cfg.commit_width {
+        while committed < WIDTH {
             match self.window.front_mut() {
                 None => break,
                 Some(Entry::Bubbles(n)) => {
-                    let take = (*n).min(self.cfg.commit_width - committed);
+                    let take = (*n).min(WIDTH - committed);
                     *n -= take;
                     committed += take;
                     if *n == 0 {
@@ -692,13 +669,13 @@ impl Core {
         // 5. Fetch.
         let mut fetched = 0u32;
         let mut mem_fetched = false;
-        while fetched < self.cfg.fetch_width && self.window_count < self.cfg.window {
+        while fetched < WIDTH && self.window_count < WINDOW {
             let op = self.cur_op.get_or_insert_with(|| self.trace.next_op());
             if op.bubbles > 0 {
                 let take = op
                     .bubbles
-                    .min(self.cfg.fetch_width - fetched)
-                    .min((self.cfg.window - self.window_count) as u32);
+                    .min(WIDTH - fetched)
+                    .min((WINDOW - self.window_count) as u32);
                 op.bubbles -= take;
                 fetched += take;
                 self.window_count += take as usize;
@@ -735,7 +712,7 @@ impl Core {
     /// is exhausted and the op cannot enter the window yet.
     fn initiate_mem(&mut self, op: TraceOp, mem: &mut MemorySystem) -> bool {
         let is_store = op.kind == MemOpKind::Store;
-        let line = op.addr.line_aligned(self.cfg.line_bytes);
+        let line = op.addr.line_aligned();
 
         // Decide the path without mutating, so an MSHR-full stall does not
         // double-count cache statistics on retry.
@@ -765,16 +742,14 @@ impl Core {
         match self.l1.access(op.addr, is_store) {
             CacheAccess::Hit => {
                 if !is_store {
-                    self.local_done
-                        .push(Reverse((self.now + self.cfg.l1_latency, id)));
+                    self.local_done.push(Reverse((self.now + L1_LATENCY, id)));
                 }
             }
             CacheAccess::Miss => match self.l2.access(op.addr, false) {
                 CacheAccess::Hit => {
                     self.fill_l1(op.addr, is_store);
                     if !is_store {
-                        self.local_done
-                            .push(Reverse((self.now + self.cfg.l2_latency, id)));
+                        self.local_done.push(Reverse((self.now + L2_LATENCY, id)));
                     }
                 }
                 CacheAccess::Miss => {
@@ -820,7 +795,7 @@ impl Core {
         let Some(pf) = &mut self.prefetcher else {
             return;
         };
-        let lb = u64::from(self.cfg.line_bytes);
+        let lb = u64::from(LINE_BYTES);
         let targets = pf.train(miss_line.0 / lb);
         for line_idx in targets {
             let addr = PhysAddr(line_idx * lb);
@@ -1107,11 +1082,8 @@ mod prefetch_integration_tests {
     use stfm_dram::DramConfig;
     use stfm_mc::FrFcfs;
 
-    fn run_core(prefetch: Option<PrefetchConfig>, ops: Vec<TraceOp>, budget: u64) -> CoreStats {
-        let cfg = CoreConfig {
-            prefetch,
-            ..CoreConfig::paper_baseline()
-        };
+    fn run_core(prefetch: bool, ops: Vec<TraceOp>, budget: u64) -> CoreStats {
+        let cfg = CoreConfig { prefetch };
         let mut core = Core::with_config(ThreadId(0), Box::new(VecTrace::new("p", ops)), cfg);
         let mut mem = MemorySystem::new(
             DramConfig {
@@ -1142,8 +1114,8 @@ mod prefetch_integration_tests {
         let ops: Vec<_> = (0..50_000u64)
             .map(|i| TraceOp::load(i * 64, 10).dependent())
             .collect();
-        let off = run_core(None, ops.clone(), 40_000);
-        let on = run_core(Some(PrefetchConfig::default()), ops, 40_000);
+        let off = run_core(false, ops.clone(), 40_000);
+        let on = run_core(true, ops, 40_000);
         assert!(on.prefetches > 100, "prefetches = {}", on.prefetches);
         assert!(
             on.prefetch_hits * 2 > on.prefetches,
@@ -1164,7 +1136,7 @@ mod prefetch_integration_tests {
         let ops: Vec<_> = (0..50_000u64)
             .map(|i| TraceOp::load(((i.wrapping_mul(2654435761)) % (1 << 30)) & !63, 10))
             .collect();
-        let on = run_core(Some(PrefetchConfig::default()), ops, 30_000);
+        let on = run_core(true, ops, 30_000);
         // A handful of accidental stride pairs are fine; a flood is not.
         assert!(
             on.prefetches < on.l2_misses / 4,
@@ -1256,8 +1228,7 @@ mod compute_run_tests {
 
     fn system(shape: Shape, ops: Vec<TraceOp>) -> (Core, MemorySystem) {
         let cfg = CoreConfig {
-            prefetch: (shape == Shape::Prefetched).then(PrefetchConfig::default),
-            ..CoreConfig::paper_baseline()
+            prefetch: shape == Shape::Prefetched,
         };
         let ctrl = match shape {
             Shape::StoreBursts => ControllerConfig {

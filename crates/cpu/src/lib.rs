@@ -22,6 +22,6 @@ pub mod trace_io;
 pub use crate::core::{Core, CoreConfig, CoreStats};
 pub use cache::{Cache, CacheAccess, Eviction};
 pub use mshr::{FillOutcome, MshrAlloc, MshrFile};
-pub use prefetch::{PrefetchConfig, StreamPrefetcher};
+pub use prefetch::StreamPrefetcher;
 pub use trace::{MemOpKind, TraceOp, TraceSource, VecTrace};
 pub use trace_io::{write_trace, FileTrace, TraceIoError};

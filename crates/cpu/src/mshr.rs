@@ -9,7 +9,7 @@
 //! lookups scan it. An entry holds its first waiter inline. Merges are
 //! rare, so the second and later waiters of every entry share one list.
 
-use stfm_dram::PhysAddr;
+use stfm_dram::{PhysAddr, LINE_BYTES};
 
 /// Token identifying a waiter (a window entry) attached to an MSHR.
 pub type WaiterId = u64;
@@ -59,7 +59,6 @@ pub struct FillOutcome {
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    line_bytes: u32,
     /// The live entries, in no particular order; never longer than
     /// `capacity`, so never reallocated.
     entries: Vec<Entry>,
@@ -75,11 +74,10 @@ pub struct MshrFile {
 }
 
 impl MshrFile {
-    /// Creates a file with `capacity` registers for `line_bytes` lines.
-    pub fn new(capacity: usize, line_bytes: u32) -> Self {
+    /// Creates a file with `capacity` registers.
+    pub fn new(capacity: usize) -> Self {
         MshrFile {
             capacity,
-            line_bytes,
             entries: Vec::with_capacity(capacity),
             merged: Vec::new(),
             unsent: 0,
@@ -89,7 +87,7 @@ impl MshrFile {
 
     #[inline]
     fn key(&self, addr: PhysAddr) -> u64 {
-        addr.0 / u64::from(self.line_bytes)
+        addr.0 / u64::from(LINE_BYTES)
     }
 
     #[inline]
@@ -196,7 +194,7 @@ impl MshrFile {
             .filter(|e| !e.sent)
             .map(|e| e.line)
             .min()
-            .map(|k| PhysAddr(k * u64::from(self.line_bytes)))
+            .map(|k| PhysAddr(k * u64::from(LINE_BYTES)))
     }
 
     /// Generation stamp of the unsent set: changes whenever a line joins
@@ -250,7 +248,7 @@ mod tests {
 
     #[test]
     fn allocate_merge_complete() {
-        let mut m = MshrFile::new(2, 64);
+        let mut m = MshrFile::new(2);
         assert_eq!(m.allocate(PhysAddr(0x100), 1, false), MshrAlloc::NewEntry);
         assert_eq!(m.allocate(PhysAddr(0x104), 2, true), MshrAlloc::Merged);
         assert_eq!(m.allocate(PhysAddr(0x200), 3, false), MshrAlloc::NewEntry);
@@ -268,7 +266,7 @@ mod tests {
 
     #[test]
     fn unsent_tracking() {
-        let mut m = MshrFile::new(4, 64);
+        let mut m = MshrFile::new(4);
         m.allocate(PhysAddr(0x200), 2, false);
         m.allocate(PhysAddr(0x100), 1, false);
         assert_eq!(m.first_unsent(), Some(PhysAddr(0x100)));
@@ -285,7 +283,7 @@ mod tests {
     fn entries_never_outgrow_the_capacity() {
         use stfm_dram::rng::SmallRng;
         let mut rng = SmallRng::seed_from_u64(0x3542001);
-        let mut m = MshrFile::new(64, 64);
+        let mut m = MshrFile::new(64);
         let capacity = m.entries.capacity();
         for waiter in 0..20_000u64 {
             let addr = PhysAddr(rng.random_range(0u64..256) * 64);
@@ -321,7 +319,7 @@ mod randomized_tests {
             let mut rng = SmallRng::seed_from_u64(0x3542000 ^ seed);
             let count = rng.random_range(1usize..100);
             let lines: Vec<u64> = (0..count).map(|_| rng.random_range(0u64..16)).collect();
-            let mut m = MshrFile::new(8, 64);
+            let mut m = MshrFile::new(8);
             let mut expected: BTreeMap<u64, Vec<u64>> = Default::default();
             let mut rejected = 0u64;
             for (i, line) in lines.iter().enumerate() {
@@ -358,7 +356,7 @@ mod randomized_tests {
         let mut rng = SmallRng::seed_from_u64(0x3542E00 ^ seed);
         let capacity = rng.random_range(1usize..12);
         let lines = rng.random_range(1u64..3 * capacity as u64 + 2);
-        let mut m = MshrFile::new(capacity, 64);
+        let mut m = MshrFile::new(capacity);
         let mut model: BTreeMap<u64, ModelEntry> = BTreeMap::new();
         for step in 0..ops {
             let line = rng.random_range(0..lines);

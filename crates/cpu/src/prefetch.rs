@@ -2,7 +2,7 @@
 //!
 //! A classic per-core stream prefetcher: it watches the demand L2-miss
 //! line stream, detects ascending or descending unit-stride streams, and
-//! once confident issues prefetches `degree` lines ahead. Prefetch fills
+//! once confident issues prefetches `DEGREE` lines ahead. Prefetch fills
 //! install into the caches without waking any instruction.
 //!
 //! The paper's baseline has no prefetcher (Table 2); this is the
@@ -10,26 +10,12 @@
 //! prefetch traffic competes with demand traffic for exactly the DRAM
 //! resources the schedulers arbitrate, visible in `ablation_prefetch`.
 
-/// Configuration of the stream prefetcher.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrefetchConfig {
-    /// Concurrent streams tracked (LRU-replaced).
-    pub streams: usize,
-    /// Lines prefetched ahead once a stream is confirmed.
-    pub degree: u32,
-    /// Misses with a consistent stride required before prefetching.
-    pub confidence: u32,
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig {
-            streams: 8,
-            degree: 2,
-            confidence: 2,
-        }
-    }
-}
+/// Concurrent streams tracked (LRU-replaced).
+const STREAMS: usize = 8;
+/// Lines prefetched ahead once a stream is confirmed.
+const DEGREE: u64 = 2;
+/// Misses with a consistent stride required before prefetching.
+const CONFIDENCE: u32 = 2;
 
 #[derive(Debug, Clone, Copy)]
 struct StreamEntry {
@@ -45,9 +31,8 @@ struct StreamEntry {
 
 /// Detects unit-stride streams in the demand-miss line sequence and emits
 /// prefetch candidates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct StreamPrefetcher {
-    cfg: PrefetchConfig,
     entries: Vec<StreamEntry>,
     clock: u64,
     /// Prefetch lines emitted (statistics).
@@ -55,22 +40,11 @@ pub struct StreamPrefetcher {
 }
 
 impl StreamPrefetcher {
-    /// Creates a prefetcher.
-    pub fn new(cfg: PrefetchConfig) -> Self {
-        StreamPrefetcher {
-            cfg,
-            entries: Vec::with_capacity(cfg.streams),
-            clock: 0,
-            issued: 0,
-        }
-    }
-
     /// Trains on a demand-miss `line` index and returns the line indices
     /// to prefetch (possibly empty).
     pub fn train(&mut self, line: u64) -> Vec<u64> {
         self.clock += 1;
         let clock = self.clock;
-        let cfg = self.cfg;
 
         // Continue an existing stream?
         for e in &mut self.entries {
@@ -91,9 +65,9 @@ impl StreamPrefetcher {
             e.hits += 1;
             e.last_line = line;
             e.lru = clock;
-            if e.hits >= cfg.confidence {
-                let mut out = Vec::with_capacity(cfg.degree as usize);
-                for k in 1..=u64::from(cfg.degree) {
+            if e.hits >= CONFIDENCE {
+                let mut out = Vec::with_capacity(DEGREE as usize);
+                for k in 1..=DEGREE {
                     let target = if dir > 0 {
                         line.wrapping_add(k)
                     } else {
@@ -114,7 +88,7 @@ impl StreamPrefetcher {
             hits: 0,
             lru: clock,
         };
-        if self.entries.len() < cfg.streams {
+        if self.entries.len() < STREAMS {
             self.entries.push(entry);
         } else if let Some(victim) = self.entries.iter_mut().min_by_key(|e| e.lru) {
             *victim = entry;
@@ -128,7 +102,7 @@ mod tests {
     use super::*;
 
     fn pf() -> StreamPrefetcher {
-        StreamPrefetcher::new(PrefetchConfig::default())
+        StreamPrefetcher::default()
     }
 
     #[test]
@@ -171,14 +145,12 @@ mod tests {
 
     #[test]
     fn lru_replacement_bounds_table() {
-        let mut p = StreamPrefetcher::new(PrefetchConfig {
-            streams: 2,
-            ..PrefetchConfig::default()
-        });
+        let mut p = pf();
         p.train(10);
-        p.train(2_000);
-        p.train(30_000); // evicts line-10 stream
-        assert_eq!(p.entries.len(), 2);
+        for k in 1..=STREAMS as u64 {
+            p.train(k * 2_000); // the last one evicts the line-10 stream
+        }
+        assert_eq!(p.entries.len(), STREAMS);
         // The evicted stream must retrain from scratch.
         p.train(11);
         assert!(p.train(12).is_empty());

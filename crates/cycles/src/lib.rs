@@ -394,10 +394,10 @@ define_domain! {
 /// The frequency ratio between the CPU and DRAM clock domains — the
 /// single, explicit point where values cross domains.
 ///
-/// The ratio is constrained to an integral number of CPU cycles per DRAM
-/// cycle, matching the paper's setup (4 GHz core, 400 MHz DDR2-800 bus:
-/// exactly 10). DRAM→CPU conversions are exact; CPU→DRAM conversions
-/// round *down* to the DRAM cycle in which the CPU instant falls.
+/// The ratio is the paper's setup (4 GHz core, 400 MHz DDR2-800 bus:
+/// exactly [`CPU_CYCLES_PER_DRAM_CYCLE`] = 10). DRAM→CPU conversions are
+/// exact; CPU→DRAM conversions round *down* to the DRAM cycle in which
+/// the CPU instant falls.
 ///
 /// ```
 /// use stfm_cycles::{ClockRatio, CpuCycle, DramCycle};
@@ -406,66 +406,35 @@ define_domain! {
 /// assert_eq!(r.cpu_to_dram(CpuCycle::new(79)), DramCycle::new(7));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ClockRatio {
-    cpu_per_dram: u64,
-}
+pub struct ClockRatio;
 
 impl ClockRatio {
     /// The paper's configuration: 4 GHz cores over a DDR2-800 bus.
-    pub const PAPER: ClockRatio = ClockRatio::new(10);
-
-    /// A ratio of `cpu_per_dram` CPU cycles per DRAM cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics (at compile time in const contexts) if `cpu_per_dram` is 0.
-    #[inline]
-    pub const fn new(cpu_per_dram: u64) -> Self {
-        assert!(cpu_per_dram > 0, "clock ratio must be positive");
-        ClockRatio { cpu_per_dram }
-    }
-
-    /// CPU cycles per DRAM cycle, as a raw factor.
-    #[inline]
-    pub const fn cpu_per_dram(self) -> u64 {
-        self.cpu_per_dram
-    }
+    pub const PAPER: ClockRatio = ClockRatio;
 
     /// The CPU-clock instant of the start of DRAM cycle `t` (exact).
     #[inline]
     pub const fn dram_to_cpu(self, t: DramCycle) -> CpuCycle {
-        CpuCycle(t.0 * self.cpu_per_dram)
+        CpuCycle(t.0 * CPU_CYCLES_PER_DRAM_CYCLE)
     }
 
     /// The DRAM cycle containing CPU instant `t` (rounds down).
     #[inline]
     pub const fn cpu_to_dram(self, t: CpuCycle) -> DramCycle {
-        DramCycle(t.0 / self.cpu_per_dram)
+        DramCycle(t.0 / CPU_CYCLES_PER_DRAM_CYCLE)
     }
 
     /// A DRAM-domain duration expressed in CPU cycles (exact).
     #[inline]
     pub const fn dram_delta_to_cpu(self, d: DramDelta) -> CpuDelta {
-        CpuDelta(d.0 * self.cpu_per_dram)
-    }
-
-    /// A CPU-domain duration expressed in whole DRAM cycles (rounds down).
-    #[inline]
-    pub const fn cpu_delta_to_dram(self, d: CpuDelta) -> DramDelta {
-        DramDelta(d.0 / self.cpu_per_dram)
-    }
-
-    /// True when CPU instant `t` lands exactly on a DRAM clock edge.
-    #[inline]
-    pub const fn is_dram_edge(self, t: CpuCycle) -> bool {
-        t.0.is_multiple_of(self.cpu_per_dram)
+        CpuDelta(d.0 * CPU_CYCLES_PER_DRAM_CYCLE)
     }
 }
 
 /// CPU cycles per DRAM cycle in the paper's configuration (Table 2:
 /// 4 GHz cores, DDR2-800). Kept as a raw factor for loop bounds; actual
 /// domain conversions go through [`ClockRatio`].
-pub const CPU_CYCLES_PER_DRAM_CYCLE: u64 = ClockRatio::PAPER.cpu_per_dram();
+pub const CPU_CYCLES_PER_DRAM_CYCLE: u64 = 10;
 
 #[cfg(test)]
 mod tests {
@@ -509,14 +478,10 @@ mod tests {
     #[test]
     fn conversions_are_exact_and_floor() {
         let r = ClockRatio::PAPER;
-        assert_eq!(r.cpu_per_dram(), CPU_CYCLES_PER_DRAM_CYCLE);
         assert_eq!(r.dram_to_cpu(DramCycle::new(3)), CpuCycle::new(30));
         assert_eq!(r.cpu_to_dram(CpuCycle::new(30)), DramCycle::new(3));
         assert_eq!(r.cpu_to_dram(CpuCycle::new(39)), DramCycle::new(3));
         assert_eq!(r.dram_delta_to_cpu(DramDelta::new(4)), CpuDelta::new(40));
-        assert_eq!(r.cpu_delta_to_dram(CpuDelta::new(45)), DramDelta::new(4));
-        assert!(r.is_dram_edge(CpuCycle::new(40)));
-        assert!(!r.is_dram_edge(CpuCycle::new(41)));
         // Round trip through CPU domain is exact for DRAM-born values.
         let t = DramCycle::new(12345);
         assert_eq!(r.cpu_to_dram(r.dram_to_cpu(t)), t);

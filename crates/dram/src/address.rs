@@ -14,7 +14,7 @@
 //! ```
 
 use crate::command::{BankId, ChannelId};
-use crate::config::DramConfig;
+use crate::config::{DramConfig, LINE_BYTES, ROWS};
 use std::fmt;
 
 /// A physical byte address.
@@ -24,8 +24,8 @@ pub struct PhysAddr(pub u64);
 impl PhysAddr {
     /// Returns the address of the cache line containing this address.
     #[inline]
-    pub fn line_aligned(self, line_bytes: u32) -> PhysAddr {
-        PhysAddr(self.0 & !(u64::from(line_bytes) - 1))
+    pub fn line_aligned(self) -> PhysAddr {
+        PhysAddr(self.0 & !(u64::from(LINE_BYTES) - 1))
     }
 }
 
@@ -72,31 +72,20 @@ pub struct AddressMapping {
     column_bits: u32,
     bank_bits: u32,
     row_bits: u32,
-    xor_banks: bool,
 }
 
 impl AddressMapping {
-    /// Builds the mapping for `config`, with XOR bank permutation enabled.
+    /// Builds the mapping for `config`.
     pub fn new(config: &DramConfig) -> Self {
-        Self::with_xor(config, true)
-    }
-
-    /// Builds the mapping with the XOR bank permutation explicitly enabled
-    /// or disabled (disabled is useful for ablations and adversarial
-    /// bank-conflict workloads).
-    pub fn with_xor(config: &DramConfig, xor_banks: bool) -> Self {
         assert!(config.channels.is_power_of_two());
         assert!(config.banks.is_power_of_two());
-        assert!(config.rows.is_power_of_two());
         assert!(config.columns().is_power_of_two());
-        assert!(config.line_bytes.is_power_of_two());
         AddressMapping {
-            offset_bits: config.line_bytes.trailing_zeros(),
+            offset_bits: LINE_BYTES.trailing_zeros(),
             channel_bits: config.channels.trailing_zeros(),
             column_bits: config.columns().trailing_zeros(),
             bank_bits: config.banks.trailing_zeros(),
-            row_bits: config.rows.trailing_zeros(),
-            xor_banks,
+            row_bits: ROWS.trailing_zeros(),
         }
     }
 
@@ -127,11 +116,7 @@ impl AddressMapping {
         let bank_field = (a & Self::mask(self.bank_bits)) as u32;
         a >>= self.bank_bits;
         let row = (a & Self::mask(self.row_bits)) as u32;
-        let bank = if self.xor_banks {
-            bank_field ^ (row & Self::mask(self.bank_bits) as u32)
-        } else {
-            bank_field
-        };
+        let bank = bank_field ^ (row & Self::mask(self.bank_bits) as u32);
         DecodedAddr {
             channel: ChannelId(channel),
             bank: BankId(bank),
@@ -144,11 +129,7 @@ impl AddressMapping {
     /// address. Inverse of [`AddressMapping::decode`] on line-aligned
     /// addresses within the configured capacity.
     pub fn encode(&self, d: DecodedAddr) -> PhysAddr {
-        let bank_field = if self.xor_banks {
-            d.bank.0 ^ (d.row & Self::mask(self.bank_bits) as u32)
-        } else {
-            d.bank.0
-        };
+        let bank_field = d.bank.0 ^ (d.row & Self::mask(self.bank_bits) as u32);
         let mut a = u64::from(d.row);
         a = (a << self.bank_bits) | u64::from(bank_field);
         a = (a << self.column_bits) | u64::from(d.col);
@@ -194,16 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn no_xor_keeps_bank_field() {
-        let m = AddressMapping::with_xor(&DramConfig::ddr2_800(), false);
-        let cfg = DramConfig::ddr2_800();
-        let row_stride = u64::from(cfg.row_bytes()) * u64::from(cfg.banks);
-        let d0 = m.decode(PhysAddr(0));
-        let d1 = m.decode(PhysAddr(row_stride));
-        assert_eq!(d1.bank, d0.bank);
-    }
-
-    #[test]
     fn multi_channel_interleaves_lines() {
         let cfg = DramConfig::for_cores(16); // 4 channels
         let m = AddressMapping::new(&cfg);
@@ -227,7 +198,7 @@ mod tests {
 
     #[test]
     fn line_alignment() {
-        assert_eq!(PhysAddr(0x12345).line_aligned(64), PhysAddr(0x12340));
+        assert_eq!(PhysAddr(0x12345).line_aligned(), PhysAddr(0x12340));
     }
 }
 
@@ -243,15 +214,14 @@ mod randomized_tests {
         for _ in 0..2_000 {
             let raw = rng.random_range(0u64..(2u64 << 30));
             let banks_log = rng.random_range(2u32..5);
-            let xor = rng.random_bool(0.5);
             let cfg = DramConfig::ddr2_800()
                 .with_geometry(Some(1 << banks_log), None)
                 .unwrap();
-            let m = AddressMapping::with_xor(&cfg, xor);
+            let m = AddressMapping::new(&cfg);
             let addr = PhysAddr(raw & !(63) & ((1u64 << m.address_bits()) - 1));
             let d = m.decode(addr);
             assert!(d.bank.0 < cfg.banks);
-            assert!(d.row < cfg.rows);
+            assert!(d.row < ROWS);
             assert!(d.col < cfg.columns());
             assert_eq!(m.encode(d), addr);
         }

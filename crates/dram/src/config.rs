@@ -3,15 +3,28 @@
 use crate::timing::TimingParams;
 use crate::DramDelta;
 
-/// Configuration of the DRAM memory system: geometry, timing, and
-/// controller-side constants.
+/// Cache-line (and DRAM burst) size in bytes (paper Table 2).
+pub const LINE_BYTES: u32 = 64;
+
+/// Rows per bank (paper Table 2: 2^14).
+pub const ROWS: u32 = 1 << 14;
+
+/// DRAM chips ganged on the DIMM (eight x8 chips → 64-bit interface).
+pub const CHIPS_PER_DIMM: u32 = 8;
+
+/// Extra uncontended controller + on-chip/off-chip bus overhead added to
+/// every request's round trip, in DRAM cycles (10 ns = 4 cycles), so that
+/// the round-trip L2-miss latencies are 35 / 50 / 70 ns for row hit /
+/// closed / conflict.
+pub const CONTROLLER_OVERHEAD: DramDelta = DramDelta::new(4);
+
+/// Configuration of the DRAM memory system: the geometry and timing that
+/// experiments vary.
 ///
 /// The default matches the paper's Table 2 baseline: a single-rank DIMM of
-/// eight DDR2-800 x8 chips (64-bit data interface), 8 banks, 2 KB row buffer
-/// per chip (16 KB per bank at DIMM level), 2^14 rows per bank, 64-byte cache
-/// lines, and a 10 ns uncontended controller + bus overhead so that the
-/// round-trip L2-miss latencies are 35 / 50 / 70 ns for row hit / closed /
-/// conflict.
+/// [`CHIPS_PER_DIMM`] DDR2-800 x8 chips (64-bit data interface), 8 banks,
+/// 2 KB row buffer per chip (16 KB per bank at DIMM level) and [`ROWS`]
+/// rows per bank, carrying [`LINE_BYTES`] cache lines.
 ///
 /// Construct with [`DramConfig::ddr2_800`] and adjust fields, or apply
 /// the Table 5 sensitivity overrides with [`DramConfig::with_geometry`].
@@ -21,18 +34,9 @@ pub struct DramConfig {
     pub channels: u32,
     /// Banks per channel. Paper baseline: 8.
     pub banks: u32,
-    /// Rows per bank. Paper baseline: 2^14.
-    pub rows: u32,
     /// Row-buffer size per DRAM chip in bytes (2 KB baseline). The DIMM-level
-    /// row is `chips_per_dimm` times larger.
+    /// row is [`CHIPS_PER_DIMM`] times larger.
     pub row_buffer_bytes_per_chip: u32,
-    /// DRAM chips ganged on the DIMM (8 x8 chips → 64-bit interface).
-    pub chips_per_dimm: u32,
-    /// Cache-line (and DRAM burst) size in bytes. Paper baseline: 64.
-    pub line_bytes: u32,
-    /// Extra uncontended controller + on-chip/off-chip bus overhead added to
-    /// every request's round trip, in DRAM cycles (10 ns = 4 cycles).
-    pub controller_overhead: DramDelta,
     /// Whether periodic refresh is modeled.
     pub refresh_enabled: bool,
     /// DDR timing constraints.
@@ -45,11 +49,7 @@ impl DramConfig {
         DramConfig {
             channels: 1,
             banks: 8,
-            rows: 1 << 14,
             row_buffer_bytes_per_chip: 2048,
-            chips_per_dimm: 8,
-            line_bytes: 64,
-            controller_overhead: DramDelta::new(4), // 10 ns
             refresh_enabled: true,
             timing: TimingParams::ddr2_800(),
         }
@@ -80,7 +80,7 @@ impl DramConfig {
     /// # Errors
     ///
     /// A count that is not a power of two, or a row whose DIMM-level bytes
-    /// (`row_kb * 1024 * chips_per_dimm`) overflow a `u32`.
+    /// (`row_kb * 1024 * CHIPS_PER_DIMM`) overflow a `u32`.
     pub fn with_geometry(
         mut self,
         banks: Option<u32>,
@@ -93,8 +93,7 @@ impl DramConfig {
             self.banks = banks;
         }
         if let Some(kb) = row_kb {
-            let fits =
-                |b: &u32| b.is_power_of_two() && b.checked_mul(self.chips_per_dimm).is_some();
+            let fits = |b: &u32| b.is_power_of_two() && b.checked_mul(CHIPS_PER_DIMM).is_some();
             self.row_buffer_bytes_per_chip =
                 kb.checked_mul(1024).filter(fits).ok_or_else(|| {
                     format!("row_kb must be a power of two whose row fits in 32 bits, got {kb}")
@@ -106,21 +105,13 @@ impl DramConfig {
     /// DIMM-level row size in bytes (per-chip row buffer × chips).
     #[inline]
     pub fn row_bytes(&self) -> u32 {
-        self.row_buffer_bytes_per_chip * self.chips_per_dimm
+        self.row_buffer_bytes_per_chip * CHIPS_PER_DIMM
     }
 
     /// Cache lines per DIMM-level row (= number of line-sized columns).
     #[inline]
     pub fn columns(&self) -> u32 {
-        self.row_bytes() / self.line_bytes
-    }
-
-    /// Total physical address space covered by the configuration, in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        u64::from(self.channels)
-            * u64::from(self.banks)
-            * u64::from(self.rows)
-            * u64::from(self.row_bytes())
+        self.row_bytes() / LINE_BYTES
     }
 }
 
@@ -160,13 +151,6 @@ mod tests {
         assert_eq!(c.row_bytes(), 32 * 1024);
         assert_eq!(c.columns(), 512);
         assert_eq!(c.clone().with_geometry(None, None), Ok(c));
-    }
-
-    #[test]
-    fn capacity_is_consistent() {
-        let c = DramConfig::ddr2_800();
-        // 8 banks * 2^14 rows * 16 KB rows = 2 GiB per channel.
-        assert_eq!(c.capacity_bytes(), 2 * 1024 * 1024 * 1024);
     }
 
     /// Every override that is not a power of two, and every row whose

@@ -56,7 +56,7 @@ pub use bank::{Bank, BankState};
 pub use channel::{Channel, ClassEdges};
 pub use checker::{TimingAudit, TimingChecker, TimingViolation};
 pub use command::{BankId, ChannelId, CommandKind, DramCommand};
-pub use config::DramConfig;
+pub use config::{DramConfig, CHIPS_PER_DIMM, CONTROLLER_OVERHEAD, LINE_BYTES, ROWS};
 pub use latency::{command_bank_latency, AccessCategory};
 pub use power::{EnergyBreakdown, EnergyModel, PowerParams};
 pub use refresh::RefreshState;

@@ -278,7 +278,7 @@ impl MemorySystem {
         // per-cycle residue before the policy observes the new request, so
         // hook ordering matches the stepped loop exactly.
         self.flush_residue();
-        let line = addr.line_aligned(self.config.line_bytes);
+        let line = addr.line_aligned();
         let loc = self.mapping.decode(line);
         let cap = match kind {
             AccessKind::Read => self.ctrl_config.read_capacity,
@@ -409,7 +409,6 @@ impl MemorySystem {
             self.next_sample = now + self.sample_interval;
         }
 
-        let overhead = self.config.controller_overhead;
         let (policy, stats, sink) = (&mut *self.policy, &mut self.stats, &mut *self.sink);
         let mut reaped = false;
         for ctrl in &mut self.channels {
@@ -420,7 +419,7 @@ impl MemorySystem {
             ctrl.drain.update(&ctrl.queue, channel, now, sink);
             ctrl.schedule(policy, now, self.ctrl_config.row_policy, sink);
             let out = &mut self.completions;
-            reaped |= ctrl.queue.reap(now, overhead, out, |req, finish_cpu| {
+            reaped |= ctrl.queue.reap(now, out, |req, finish_cpu| {
                 stats.record_completion(req, finish_cpu);
                 policy.on_complete(req);
                 if sink.is_enabled() {

@@ -7,8 +7,8 @@ use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use stfm_dram::{
-    AccessCategory, Channel, ChannelId, ClockRatio, CpuCycle, DramCommand, DramCycle, DramDelta,
-    PhysAddr,
+    AccessCategory, Channel, ChannelId, ClockRatio, CpuCycle, DramCommand, DramCycle, PhysAddr,
+    CONTROLLER_OVERHEAD,
 };
 
 /// A serviced request handed back to the requesting core.
@@ -186,12 +186,11 @@ impl RequestBuffer {
 
     /// Reaps the requests whose data burst is over by `now`, in
     /// completion-stream order `(data_done, id)`: each is completed
-    /// `overhead` after its data, shown to `done`, appended to `out` and
-    /// its slot freed. Returns whether any was reaped.
+    /// [`CONTROLLER_OVERHEAD`] after its data, shown to `done`, appended
+    /// to `out` and its slot freed. Returns whether any was reaped.
     pub(super) fn reap(
         &mut self,
         now: DramCycle,
-        overhead: DramDelta,
         out: &mut Vec<Completion>,
         mut done: impl FnMut(&Request, CpuCycle),
     ) -> bool {
@@ -202,7 +201,7 @@ impl RequestBuffer {
             }
             self.in_service.pop();
             reaped = true;
-            let finish_cpu = ClockRatio::PAPER.dram_to_cpu(data_done + overhead);
+            let finish_cpu = ClockRatio::PAPER.dram_to_cpu(data_done + CONTROLLER_OVERHEAD);
             let req = &mut self.slots[slot];
             req.state = RequestState::Completed { finish_cpu };
             self.queued[req.kind as usize] -= 1;

@@ -98,7 +98,7 @@ struct Flood {
 /// the buffer drains. Ticks every cycle, as the stepped loop does.
 fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool) -> Flood {
     let dram = DramConfig::ddr2_800();
-    let lines_per_row = dram.row_bytes() / dram.line_bytes;
+    let lines_per_row = dram.columns();
     let probe = Probe {
         inner: policy,
         uncached,

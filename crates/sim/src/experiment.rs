@@ -15,7 +15,7 @@ use crate::system::{Budget, RunStop, System};
 use std::any::Any;
 use std::path::PathBuf;
 use stfm_core::Stfm;
-use stfm_cpu::{Core, CoreConfig, CoreStats, PrefetchConfig};
+use stfm_cpu::{Core, CoreConfig, CoreStats};
 use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
 use stfm_telemetry::{Event, NullSink, Sink};
@@ -27,7 +27,7 @@ use stfm_workloads::{Profile, SyntheticTrace};
 pub const DEFAULT_INSTRUCTIONS: u64 = 30_000;
 
 /// Memoizes alone-run baselines, keyed by benchmark, DRAM configuration,
-/// instruction budget, workload seed and prefetcher configuration.
+/// instruction budget, workload seed and whether the prefetcher is on.
 /// Thread-safe: the parallel runner shares one cache.
 ///
 /// With [`AloneCache::with_dir`] each baseline is also a [`Store`] record,
@@ -79,16 +79,15 @@ impl AloneCache {
         dram: &DramConfig,
         insts: &[u64],
         seed: u64,
-        prefetch: Option<PrefetchConfig>,
+        prefetch: bool,
         cancel: Option<&CancelToken>,
     ) -> Vec<Result<CoreStats, RunStop>> {
         let name = profile.name;
         let (mut looked, mut missing) = (Vec::new(), Vec::new());
         for &n in insts {
-            // The derived `Debug`s spell out every configuration field, so
+            // `DramConfig`'s derived `Debug` spells out every field, so
             // keys differ whenever the runs do.
-            let key =
-                format!("alone-v2|{name}|{dram:?}|insts={n}|seed={seed}|prefetch={prefetch:?}");
+            let key = format!("alone-v3|{name}|{dram:?}|insts={n}|seed={seed}|prefetch={prefetch}");
             let hit = self.0.get(&hex_digest(&key), |b| decode_alone(b, &key));
             if hit.is_none() {
                 missing.push(Budget::of(n));
@@ -135,7 +134,8 @@ fn decode_alone(body: &str, key: &str) -> Option<CoreStats> {
 
 /// Default warmup as a fraction of the instruction budget (cache cold
 /// misses and generator start-up are excluded from measurements): that of
-/// [`Budget::of`].
+/// [`Budget::of`]. Only the frozen benchmark calls it; ROADMAP item 16 (a
+/// benchmark change) deletes it.
 pub fn default_warmup(insts: u64) -> u64 {
     Budget::of(insts).warmup
 }
@@ -149,7 +149,7 @@ pub fn default_warmup(insts: u64) -> u64 {
 pub fn run_alone(profile: &Profile, dram: &DramConfig, insts: u64, seed: u64) -> CoreStats {
     let cache = AloneCache::new();
     match cache
-        .get_or_run(profile, dram, &[insts], seed, None, None)
+        .get_or_run(profile, dram, &[insts], seed, false, None)
         .remove(0)
     {
         Ok(stats) => stats,
@@ -181,7 +181,7 @@ pub struct Experiment {
     weights: Vec<(u32, u32)>,
     shares: Vec<(u32, u32)>,
     row_policy: RowPolicy,
-    prefetch: Option<PrefetchConfig>,
+    prefetch: bool,
     sample_interval: Option<u64>,
     fast_forward: bool,
 }
@@ -222,7 +222,7 @@ impl Experiment {
             weights: Vec::new(),
             shares: Vec::new(),
             row_policy: RowPolicy::OpenPage,
-            prefetch: None,
+            prefetch: false,
             sample_interval: None,
             fast_forward: true,
         }
@@ -285,11 +285,11 @@ impl Experiment {
         self
     }
 
-    /// Enables the per-core stream prefetcher (extension; the paper's
-    /// baseline has none). Applies to the shared run *and* the alone
-    /// baselines, which are cached separately per configuration.
-    pub fn prefetch(mut self, cfg: PrefetchConfig) -> Self {
-        self.prefetch = Some(cfg);
+    /// Turns the per-core stream prefetcher on or off (extension; the
+    /// paper's baseline has none). Applies to the shared run *and* the
+    /// alone baselines, which are cached separately for each setting.
+    pub fn prefetch(mut self, on: bool) -> Self {
+        self.prefetch = on;
         self
     }
 
@@ -406,7 +406,6 @@ impl Experiment {
         }
         let core_cfg = CoreConfig {
             prefetch: self.prefetch,
-            ..CoreConfig::paper_baseline()
         };
         let cores: Vec<Core> = self
             .profiles
@@ -577,7 +576,7 @@ mod tests {
     fn a_truncated_baseline_is_never_stored() {
         let dir = scratch_dir("truncated");
         let cache = AloneCache::with_dir(&dir).unwrap();
-        let got = cache.get_or_run(&spec::mcf(), &glacial_dram(), &[20], 1, None, None);
+        let got = cache.get_or_run(&spec::mcf(), &glacial_dram(), &[20], 1, false, None);
         assert!(matches!(got[..], [Err(RunStop::Truncated)]), "{got:?}");
         assert!(cache.is_empty(), "a truncated baseline was memoized");
         let files = std::fs::read_dir(&dir).unwrap().count();
@@ -653,26 +652,22 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The key covers the whole prefetcher configuration, not just
-    /// whether one is on: two degrees through one cache are two
-    /// baselines.
+    /// The key covers the prefetcher: a run with it and one without
+    /// through one cache are two baselines.
     #[test]
     fn prefetch_configurations_get_their_own_baselines() {
         let cache = AloneCache::new();
-        let alone = |degree| {
+        let alone = |on| {
             Experiment::new(vec![spec::libquantum()])
                 .instructions_per_thread(3_000)
-                .prefetch(PrefetchConfig {
-                    degree,
-                    ..PrefetchConfig::default()
-                })
+                .prefetch(on)
                 .run_with_cache(&cache)
                 .threads[0]
                 .alone
         };
-        let (two, four) = (alone(2), alone(4));
+        let (off, on) = (alone(false), alone(true));
         assert_eq!(cache.len(), 2);
-        assert_ne!(two, four, "degree 4 was served degree 2's baseline");
+        assert_ne!(off, on, "the prefetching run was served the plain baseline");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!   the new values from the failure message.
 
 use stfm_core::{Stfm, StfmConfig, StfmWork};
-use stfm_cpu::{Core, CoreConfig, PrefetchConfig, TraceOp, VecTrace};
+use stfm_cpu::{Core, CoreConfig, TraceOp, VecTrace};
 use stfm_dram::rng::SmallRng;
 use stfm_dram::{DramConfig, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, SchedCounters, ThreadId};
@@ -38,7 +38,7 @@ struct CaseConfig {
     profiles: Vec<Profile>,
     dram: DramConfig,
     ctrl: ControllerConfig,
-    prefetch: Option<PrefetchConfig>,
+    prefetch: bool,
     insts: u64,
     trace_seed: u64,
 }
@@ -137,7 +137,7 @@ fn draw_case(case: u64) -> CaseConfig {
         profiles,
         dram,
         ctrl,
-        prefetch: (rng.random_range(0u32..4) == 0).then(PrefetchConfig::default),
+        prefetch: rng.random_range(0u32..4) == 0,
         // Short measured windows: equivalence bugs are configuration
         // bugs, not length bugs, and even 150 instructions crosses
         // multiple refresh intervals and drain flips.
@@ -151,7 +151,6 @@ fn fuzz_system(cfg: &CaseConfig) -> System {
     let mem = MemorySystem::with_controller_config(cfg.dram.clone(), cfg.ctrl, policy);
     let core_cfg = CoreConfig {
         prefetch: cfg.prefetch,
-        ..CoreConfig::paper_baseline()
     };
     let cores = cfg
         .profiles

@@ -14,7 +14,7 @@ use crate::profile::Profile;
 use std::collections::VecDeque;
 use stfm_cpu::{TraceOp, TraceSource};
 use stfm_dram::rng::SmallRng;
-use stfm_dram::{AddressMapping, BankId, ChannelId, DecodedAddr, DramConfig};
+use stfm_dram::{AddressMapping, BankId, ChannelId, DecodedAddr, DramConfig, LINE_BYTES, ROWS};
 
 /// Hot-set size in lines (16 KiB: fits the L1).
 const HOT_LINES: u64 = 256;
@@ -27,8 +27,6 @@ pub struct SyntheticTrace {
     mapping: AddressMapping,
     channels: u32,
     columns: u32,
-    rows: u32,
-    line_bytes: u64,
     region_base: u64,
     hot_base: u64,
     slot: u32,
@@ -53,7 +51,7 @@ impl SyntheticTrace {
     pub fn new(profile: Profile, config: &DramConfig, slot: u32, seed: u64) -> Self {
         let mapping = AddressMapping::new(config);
         let region_base = u64::from(slot) << 28;
-        let footprint_bytes = profile.footprint_lines * u64::from(config.line_bytes);
+        let footprint_bytes = profile.footprint_lines * u64::from(LINE_BYTES);
         let name_salt = profile.name.bytes().fold(0u64, |acc, b| {
             acc.wrapping_mul(131).wrapping_add(u64::from(b))
         });
@@ -65,8 +63,6 @@ impl SyntheticTrace {
             mapping,
             channels: config.channels,
             columns: config.columns(),
-            rows: config.rows,
-            line_bytes: u64::from(config.line_bytes),
             region_base,
             hot_base: region_base + footprint_bytes,
             slot,
@@ -95,7 +91,7 @@ impl SyntheticTrace {
 
     fn hot_addr(&mut self) -> u64 {
         self.hot_idx = (self.hot_idx + 1) % HOT_LINES;
-        self.hot_base + self.hot_idx * self.line_bytes
+        self.hot_base + self.hot_idx * u64::from(LINE_BYTES)
     }
 
     /// Next miss address in linear (unskewed) mode.
@@ -105,14 +101,14 @@ impl SyntheticTrace {
         } else {
             self.cur_line = self.rng.random_range(0..self.profile.footprint_lines);
         }
-        self.region_base + self.cur_line * self.line_bytes
+        self.region_base + self.cur_line * u64::from(LINE_BYTES)
     }
 
     /// Next miss address in bank-skewed mode: coordinates restricted to
     /// `skew` banks and this slot's private row range.
     fn skewed_miss_addr(&mut self, skew: u32) -> u64 {
         // 16 slots partition the row space.
-        let rows_per_slot = (self.rows / 16).max(1);
+        let rows_per_slot = ROWS / 16;
         let row_base = (self.slot % 16) * rows_per_slot;
         if self.rng.random_bool(self.profile.stream_prob) {
             // Continue the stream: next column, wrapping into the next row

@@ -134,7 +134,13 @@ fn writeback_heavy_system_makes_progress() {
         })
         .collect();
     let mut sys = System::new(cores, mem);
-    let out = sys.run_with_warmup(0, 15_000, 500_000_000);
+    let out = sys
+        .run(&[Budget {
+            warmup: 0,
+            insts: 15_000,
+            max_cpu_cycles: 500_000_000,
+        }])
+        .remove(0);
     assert!(!out.truncated, "system wedged under writeback pressure");
     for f in &out.frozen {
         assert!(f.instructions >= 15_000);
