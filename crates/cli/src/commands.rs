@@ -8,9 +8,11 @@ use std::path::{Path, PathBuf};
 use stfm_bench::paper::{record, Record, Session, RECORDS};
 use stfm_bench::Args;
 use stfm_cpu::{trace_io, Core, CoreStats, FileTrace};
-use stfm_dram::{DramConfig, TimingAudit, LINE_BYTES};
-use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL, MAX_BANKS};
-use stfm_serve::{expand_line, run_sweep, ResultCache, SchedSpec, ServeConfig};
+use stfm_dram::{DramConfig, TimingAudit};
+use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL};
+use stfm_serve::json::Value;
+use stfm_serve::spec::expand_value;
+use stfm_serve::{expand_line, run_sweep, Cell, ResultCache, SchedSpec, ServeConfig};
 use stfm_sim::{
     run_ordered, AloneCache, Budget, Experiment, SchedulerKind, System, Table, ThreadMetrics,
     WorkloadMetrics,
@@ -23,9 +25,9 @@ pub const USAGE: &str = "\
 stfm — Stall-Time Fair Memory scheduling reproduction
 
 USAGE:
-  stfm run --workload <b1,b2,...> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs|all]
+  stfm run --workload <b1,b2,...|mix> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs|all]
            [--insts N] [--seed N] [--alpha X] [--weights w1,w2,...]
-           [--banks N] [--row-kb N] [--jobs N] [--check]
+           [--banks N] [--row-kb N] [--jobs N] [--check] [--quiet]
            [--trace DIR [--epoch N] [--sample N]]
   stfm paper (--figure ID | --all DIR) [--insts N] [--seed N] [--full] [--jobs N]
   stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
@@ -52,6 +54,10 @@ budget in milliseconds (one retry after a 25 ms pause, then a
 structured timeout error); --fault-log FILE mirrors detected faults as
 telemetry JSONL. See DESIGN.md section 11.
 
+`run` is one spec line: --workload is its `mix` (benchmark names, or one
+named mix such as case_study_intensive), the other cell flags its fields.
+It refuses what a spec line refuses, with the same message.
+
 `run --check` audits every shared run's DDR2 command stream and fails on
 the first timing violation.
 
@@ -72,8 +78,8 @@ simulated.
 Benchmark names come from `stfm list` (the paper's Table 3 + Table 4).
 ";
 
-/// A `--scheduler` value: any spec token (`SchedSpec::parse`), or `all`
-/// for the paper's five-way comparison.
+/// A `replay --scheduler` value: any spec token (`SchedSpec::parse`), or
+/// `all` for the paper's five-way comparison.
 fn parse_scheduler(s: &str) -> Result<Vec<SchedulerKind>, String> {
     if s == "all" {
         return Ok(SchedulerKind::all().to_vec());
@@ -97,37 +103,46 @@ fn print_metrics(profile_names: &[String], results: &[WorkloadMetrics]) {
     println!("{t}");
 }
 
+/// The flags `stfm run` takes.
+const RUN_FLAGS: &str = "workload scheduler insts seed alpha weights banks row-kb jobs check \
+                         quiet trace epoch sample";
+
+/// The cells `stfm run`'s flags spell: the spec line they stand for
+/// (DESIGN.md section 10), expanded, so a run refuses what a line refuses
+/// and builds what a line builds. Numbers go in as raw tokens, as the
+/// JSON parser keeps them.
+fn run_cells(f: &Flags) -> Result<Vec<Cell>, String> {
+    let mut names = f.list("workload")?;
+    // One name may be a named mix; several are a mix of benchmarks.
+    let mix = match names.len() {
+        1 => Value::Str(names.remove(0)),
+        _ => Value::Arr(names.into_iter().map(Value::Str).collect()),
+    };
+    let scheduler = f.get("scheduler").unwrap_or("all");
+    let mut line = vec![
+        ("mix".to_string(), mix),
+        ("scheduler".into(), Value::Str(scheduler.into())),
+        (
+            "insts".into(),
+            Value::Num(f.get("insts").unwrap_or("100000").into()),
+        ),
+    ];
+    // Each field is named as its flag, in snake case.
+    for flag in ["seed", "alpha", "banks", "row-kb"] {
+        if let Some(v) = f.get(flag) {
+            line.push((flag.replace('-', "_"), Value::Num(v.into())));
+        }
+    }
+    expand_value(&Value::Obj(line))
+}
+
 /// `stfm run`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(
-        args,
-        "workload scheduler insts seed alpha weights banks row-kb jobs check quiet trace epoch \
-         sample",
-    )?;
-    let names = f.list("workload")?;
-    let profiles: Vec<Profile> = names.iter().map(|n| by_name(n)).collect::<Result<_, _>>()?;
-    let kinds = parse_scheduler(f.get("scheduler").unwrap_or("all"))?;
-    let trace = trace_flags(&f, kinds.len())?;
-    let insts: u64 = f.num("insts", 100_000)?;
-    let seed: u64 = f.num("seed", 1)?;
-
-    let banks = f.get("banks").map(|v| match v.parse::<u32>() {
-        Ok(b) if b.is_power_of_two() && b <= MAX_BANKS => Ok(b),
-        _ => Err(format!(
-            "bad --banks '{v}': must be a power of two, at most {MAX_BANKS}"
-        )),
-    });
-    let row_kb = f.get("row-kb").map(|v| {
-        v.parse()
-            .map_err(|_| format!("bad --row-kb '{v}': must be a power of two"))
-    });
-    let dram = DramConfig::for_cores(profiles.len() as u32)
-        .with_geometry(banks.transpose()?, row_kb.transpose()?)?;
-    let stfm = f.get("alpha").map(|v| {
-        let alpha = v.parse().map_err(|_| format!("bad --alpha '{v}'"))?;
-        SchedulerKind::stfm_alpha(alpha)
-    });
-    let stfm = stfm.transpose()?;
+    let f = Flags::parse(args, RUN_FLAGS)?;
+    let cells = run_cells(&f)?;
+    let trace = trace_flags(&f, cells.len())?;
+    // Every cell of a run shares its mix, budget and seed.
+    let head = &cells[0];
 
     let weights: Vec<u32> = match f.get("weights") {
         None => vec![],
@@ -136,29 +151,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
             .map(|x| x.trim().parse().map_err(|_| format!("bad weight '{x}'")))
             .collect::<Result<_, _>>()?,
     };
-    if !weights.is_empty() && weights.len() != profiles.len() {
+    if !weights.is_empty() && weights.len() != head.mix.len() {
         return Err(format!(
             "--weights needs {} entries, got {}",
-            profiles.len(),
+            head.mix.len(),
             weights.len()
         ));
     }
 
     let cache = AloneCache::new();
-    let mut experiments = Vec::new();
-    for kind in &kinds {
-        let kind = match (kind, stfm) {
-            (SchedulerKind::Stfm, Some(with_alpha)) => with_alpha,
-            _ => *kind,
-        };
-        let mut e = Experiment::new(profiles.clone())
-            .scheduler(kind)
-            .dram_config(dram.clone())
-            .instructions_per_thread(insts)
-            .seed(seed);
+    let mut experiments = Vec::with_capacity(cells.len());
+    for cell in &cells {
+        let mut e = cell.to_experiment()?;
         for (i, w) in weights.iter().enumerate() {
-            e = match kind {
-                SchedulerKind::Nfq => e.share(i as u32, *w),
+            e = match cell.scheduler {
+                SchedSpec::Nfq => e.share(i as u32, *w),
                 _ => e.weight(i as u32, *w),
             };
         }
@@ -181,10 +188,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if !f.has("quiet") {
         println!(
             "workload {:?}, {} instructions/thread, seed {}\n",
-            names, insts, seed
+            head.mix, head.insts, head.seed
         );
     }
-    print_metrics(&names, &results);
+    print_metrics(&head.mix, &results);
     Ok(())
 }
 
@@ -249,12 +256,9 @@ impl TraceOut {
     /// The sinks for `e`'s shared run. `events.jsonl` is created here, so
     /// an unwritable directory fails before anything runs.
     fn sink(&self, e: &Experiment) -> Result<TraceSink, String> {
-        let dram = e.effective_dram();
         let sampler = EpochSampler::new(EpochConfig {
             epoch_len: self.epoch_len,
             threads: e.profiles().len(),
-            cas_data_cycles: dram.timing.burst_cycles().get(),
-            line_bytes: u64::from(LINE_BYTES),
         });
         let events = create(&self.dir.join("events.jsonl"))?;
         Ok(TeeSink::new(JsonLinesSink::new(events), sampler))
@@ -450,27 +454,10 @@ fn sweep_caches(f: &Flags) -> Result<(AloneCache, ResultCache), String> {
 /// `stfm sweep`: expand a JSONL spec file and run every cell through the
 /// shared work-stealing runner, streaming result lines to stdout.
 pub fn sweep(args: &[String]) -> Result<(), String> {
-    // The spec file is the one positional argument; accept it anywhere
-    // relative to the flags.
-    let mut flag_args: Vec<String> = Vec::new();
-    let mut positionals: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            flag_args.push(a.clone());
-            if a != "--quiet" {
-                if let Some(v) = it.next() {
-                    flag_args.push(v.clone());
-                }
-            }
-        } else {
-            positionals.push(a);
-        }
-    }
-    let [path] = positionals[..] else {
+    let (f, positional) = Flags::parse_positional(args, "jobs cache-dir quiet")?;
+    let [path] = &positional[..] else {
         return Err("usage: stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]".into());
     };
-    let f = Flags::parse(&flag_args, "jobs cache-dir quiet")?;
     let (alone, results) = sweep_caches(&f)?;
     let quiet = f.has("quiet");
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -603,6 +590,66 @@ mod tests {
         s.split_whitespace().map(String::from).collect()
     }
 
+    fn cells(line: &str) -> Result<Vec<Cell>, String> {
+        run_cells(&Flags::parse(&argv(line), RUN_FLAGS).unwrap())
+    }
+
+    /// A run's flags build exactly the cells of the spec line they spell,
+    /// and are refused with its message: every field, `all`, a named mix,
+    /// and `run`'s own budget default.
+    #[test]
+    fn run_builds_the_cells_of_its_spec_line() {
+        for (flags, line) in [
+            (
+                "--workload mcf,libquantum",
+                r#"{"mix": ["mcf", "libquantum"], "scheduler": "all", "insts": 100000}"#,
+            ),
+            (
+                "--workload mcf,libquantum --scheduler all --insts 5000 --seed 3 --alpha 1.2 \
+                 --banks 4 --row-kb 1",
+                r#"{"mix": ["mcf", "libquantum"], "scheduler": "all", "insts": 5000, "seed": 3,
+                    "alpha": 1.2, "banks": 4, "row_kb": 1}"#,
+            ),
+            (
+                "--workload case_study_intensive --scheduler stfm --alpha 5",
+                r#"{"mix": "case_study_intensive", "scheduler": "stfm", "insts": 100000,
+                    "alpha": 5}"#,
+            ),
+            (
+                "--workload mcf --scheduler parbs --insts 700 --banks 16 --row-kb 262144",
+                r#"{"mix": ["mcf"], "scheduler": "parbs", "insts": 700, "banks": 16,
+                    "row_kb": 262144}"#,
+            ),
+            (
+                "--workload mcf --insts 0",
+                r#"{"mix": ["mcf"], "scheduler": "all", "insts": 0}"#,
+            ),
+            (
+                "--workload mcf,nosuchbench --scheduler stfm",
+                r#"{"mix": ["mcf", "nosuchbench"], "scheduler": "stfm", "insts": 100000}"#,
+            ),
+            (
+                "--workload mcf --scheduler lru",
+                r#"{"mix": ["mcf"], "scheduler": "lru", "insts": 100000}"#,
+            ),
+        ] {
+            assert_eq!(cells(flags), expand_line(line), "{flags}");
+        }
+        assert_eq!(cells("--workload case_study_intensive").unwrap().len(), 5);
+    }
+
+    /// A mix past STFM's 64-thread register file is refused before any
+    /// run starts; a run would panic in the register file.
+    #[test]
+    fn run_refuses_a_mix_wider_than_the_register_file() {
+        let line = format!(
+            "--workload {} --scheduler stfm --insts 200",
+            vec!["gromacs"; 65].join(",")
+        );
+        let err = run(&argv(&line)).expect_err("65 threads");
+        assert_eq!(err, "mix has 65 threads (limit 64)");
+    }
+
     /// Bank counts the controller cannot pack are usage errors, caught
     /// before anything runs.
     #[test]
@@ -610,7 +657,7 @@ mod tests {
         for banks in ["32", "6", "0", "x"] {
             let line = format!("--workload mcf,mcf,mcf,mcf,mcf --scheduler cap --banks {banks}");
             let err = run(&argv(&line)).expect_err(&line);
-            assert!(err.contains("power of two, at most 16"), "{line}: {err}");
+            assert!(err.contains("banks must be"), "{line}: {err}");
         }
     }
 
@@ -623,7 +670,7 @@ mod tests {
             ("--alpha 0.5", "alpha must be a finite number >= 1"),
             ("--alpha NaN", "alpha must be a finite number >= 1"),
             ("--alpha -3", "alpha must be a finite number >= 1"),
-            ("--alpha x", "bad --alpha"),
+            ("--alpha x", "alpha must be a number"),
             ("--row-kb 524288", "row_kb must be"),
             ("--row-kb 3", "row_kb must be"),
         ] {
@@ -656,11 +703,16 @@ mod tests {
     fn a_traced_run_that_stops_short_writes_both_files() {
         let dir = std::env::temp_dir().join(format!("stfm-cli-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let line = format!(
-            "--workload mcf,libquantum --scheduler stfm --insts 0 --epoch 1 --trace {}",
-            dir.display()
-        );
-        let err = run(&argv(&line)).expect_err(&line);
+        let trace = TraceOut {
+            dir: dir.clone(),
+            epoch_len: 1,
+            sample: DEFAULT_SAMPLE_INTERVAL.get(),
+        };
+        let e = Experiment::new(vec![spec::mcf(), spec::libquantum()])
+            .scheduler(SchedulerKind::Stfm)
+            .instructions_per_thread(0)
+            .sample_interval(trace.sample);
+        let err = run_checked(&e, &AloneCache::new(), false, Some(&trace)).expect_err("0 insts");
         assert!(err.contains("STFM run truncated"), "{err}");
         let events = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
         assert!(events.lines().count() > 0, "no events written");
@@ -669,8 +721,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `run` and `replay` take the same scheduler tokens as a spec line,
-    /// PAR-BS included.
+    /// `replay` takes the same scheduler tokens as a spec line, PAR-BS
+    /// included.
     #[test]
     fn every_spec_token_is_a_cli_scheduler() {
         for spec in SchedSpec::all().into_iter().chain([SchedSpec::ParBs]) {

@@ -472,6 +472,7 @@ mod tests {
     use super::*;
     use crate::frfcfs::FrFcfs;
     use crate::test_util::{assert_timing_clean, audit_timing};
+    use std::any::Any;
     use stfm_dram::ClockRatio;
     fn no_refresh_cfg() -> DramConfig {
         DramConfig {
@@ -588,11 +589,8 @@ mod tests {
             now += 1;
             assert!(now < 1_000_000, "memory system wedged");
         }
-        let mut sink = sys.take_sink();
-        let ring = sink
-            .as_any_mut()
-            .downcast_mut::<RingSink>()
-            .expect("ring sink");
+        let sink: Box<dyn Any> = sys.take_sink();
+        let ring = sink.downcast_ref::<RingSink>().expect("ring sink");
         assert_eq!(ring.dropped(), 0);
         let serviced: Vec<(u64, u32, u64)> = ring
             .events()
@@ -824,6 +822,7 @@ mod scheduling_tests {
     use super::*;
     use crate::fcfs::Fcfs;
     use crate::policy::Rank;
+    use std::any::Any;
     use stfm_dram::{ClockRatio, DramConfig, EnergyModel, PowerParams};
 
     fn no_refresh_cfg() -> DramConfig {
@@ -999,8 +998,8 @@ mod scheduling_tests {
         for now in 0..40 {
             sys.tick(DramCycle::new(now));
         }
-        let mut sink = sys.take_sink();
-        let model = sink.as_any_mut().downcast_mut::<EnergyModel>().unwrap();
+        let sink: Box<dyn Any> = sys.take_sink();
+        let model = sink.downcast_ref::<EnergyModel>().unwrap();
         let e = model.breakdown(sys.now());
         assert!(e.activate_nj > 0.0, "ACT energy missing");
         assert!(e.read_nj > 0.0, "read energy missing");

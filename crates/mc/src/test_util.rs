@@ -3,6 +3,7 @@
 
 use crate::controller::MemorySystem;
 use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
+use std::any::Any;
 use stfm_dram::{
     BankId, ChannelId, CpuCycle, DecodedAddr, DramConfig, DramCycle, PhysAddr, TimingAudit,
 };
@@ -145,7 +146,7 @@ pub fn audit_timing(mem: &mut MemorySystem) {
 /// [`TimingAudit`].
 pub fn assert_timing_clean(mem: &mut MemorySystem) {
     let mut sink = mem.take_sink();
-    match sink.as_any_mut().downcast_mut::<TimingAudit>() {
+    match (&mut *sink as &mut dyn Any).downcast_mut::<TimingAudit>() {
         Some(audit) => {
             if let Err(violation) = audit.check() {
                 panic!("{violation}");

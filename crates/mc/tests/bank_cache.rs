@@ -143,10 +143,9 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
         now += 1;
         assert!(now.get() < 1_000_000, "memory system wedged");
     }
-    let mut sink = mem.take_sink();
+    let sink: Box<dyn Any> = mem.take_sink();
     let tee = sink
-        .as_any_mut()
-        .downcast_mut::<TeeSink<RingSink, TimingAudit>>()
+        .downcast_ref::<TeeSink<RingSink, TimingAudit>>()
         .expect("the tee comes back out");
     assert_eq!(tee.second.check(), Ok(()));
     let ring = &tee.first;

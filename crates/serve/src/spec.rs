@@ -26,8 +26,7 @@ use crate::json::{self, Value};
 /// the service.
 pub const MAX_CELLS_PER_LINE: usize = 65_536;
 
-/// Ceiling on threads per mix (the DRAM configuration scales to 16 cores;
-/// beyond 64 is certainly a spec mistake).
+/// Ceiling on threads per mix: STFM's register file holds 64 threads.
 pub const MAX_THREADS_PER_MIX: usize = 64;
 
 /// The spec-level scheduler names (lower-case tokens, one per evaluated
@@ -181,10 +180,12 @@ impl Cell {
     ///
     /// # Errors
     ///
-    /// Unknown benchmark names, an α below 1 or a geometry
-    /// [`DramConfig::with_geometry`] refuses (cells built by hand; spec
-    /// expansion validates earlier, with line numbers).
+    /// Whatever a spec line refuses in one cell: unknown benchmark names,
+    /// a mix or bank count past the ceilings both check, an α below 1 or
+    /// a geometry [`DramConfig::with_geometry`] refuses (cells built by
+    /// hand; spec expansion validates earlier, with line numbers).
     pub fn to_experiment(&self) -> Result<Experiment, String> {
+        check_ceilings(self.mix.len(), self.banks)?;
         let profiles: Vec<Profile> = self
             .mix
             .iter()
@@ -201,6 +202,24 @@ impl Cell {
             .instructions_per_thread(self.insts)
             .seed(self.seed))
     }
+}
+
+/// The sizes one cell must fit, for a line and a hand-built cell alike: a
+/// mix of 1 to [`MAX_THREADS_PER_MIX`] threads, and at most [`MAX_BANKS`]
+/// banks (the controller packs per-bank state as `channel * 16 + bank`).
+fn check_ceilings(threads: usize, banks: Option<u32>) -> Result<(), String> {
+    if threads == 0 {
+        return Err("mix must name at least one benchmark".into());
+    }
+    if threads > MAX_THREADS_PER_MIX {
+        return Err(format!(
+            "mix has {threads} threads (limit {MAX_THREADS_PER_MIX})"
+        ));
+    }
+    if banks.is_some_and(|b| b > MAX_BANKS) {
+        return Err(format!("banks must be at most {MAX_BANKS}"));
+    }
+    Ok(())
 }
 
 /// Resolves a named multiprogrammed mix from the paper's evaluation.
@@ -269,8 +288,10 @@ pub fn expand_value(v: &Value) -> Result<Vec<Cell>, String> {
         SchedulerKind::stfm_alpha(alpha)?;
     }
     let banks_axis = parse_opt_u32_axis(v.get("banks"), "banks")?;
-    if banks_axis.iter().flatten().any(|&b| b > MAX_BANKS) {
-        return Err(format!("banks must be at most {MAX_BANKS}"));
+    for mix_names in &mixes {
+        for &banks in &banks_axis {
+            check_ceilings(mix_names.len(), banks)?;
+        }
     }
     let row_kb_axis = parse_opt_u32_axis(v.get("row_kb"), "row_kb")?;
     for &banks in &banks_axis {
@@ -350,15 +371,6 @@ fn parse_one_mix(v: &Value) -> Result<Vec<String>, String> {
             ))
         }
     };
-    if names.is_empty() {
-        return Err("mix must name at least one benchmark".into());
-    }
-    if names.len() > MAX_THREADS_PER_MIX {
-        return Err(format!(
-            "mix has {} threads (limit {MAX_THREADS_PER_MIX})",
-            names.len()
-        ));
-    }
     for n in &names {
         by_name(n)?;
     }
@@ -604,6 +616,33 @@ mod tests {
         ))
         .expect_err("5 schedulers x 20000 seeds must exceed the limit");
         assert!(err.contains("limit"), "{err}");
+    }
+
+    /// A hand-built cell is refused what a line is refused, with the
+    /// line's message, rather than panicking in the controller or in
+    /// STFM's register file once it runs.
+    #[test]
+    fn to_experiment_refuses_what_a_line_refuses() {
+        let mut banked = Cell::new(SchedSpec::Cap, vec!["mcf".into()]);
+        banked.banks = Some(32);
+        let wide = Cell::new(SchedSpec::Stfm, vec!["gromacs".into(); 65]);
+        let empty = Cell::new(SchedSpec::Fcfs, vec![]);
+        for (cell, line) in [
+            (
+                banked,
+                r#"{"mix": ["mcf"], "scheduler": "cap", "banks": 32}"#,
+            ),
+            (
+                wide,
+                &format!(r#"{{"mix": [{}]}}"#, vec![r#""gromacs""#; 65].join(",")),
+            ),
+            (empty, r#"{"mix": []}"#),
+        ] {
+            let refused = expand_line(line).expect_err(line);
+            assert_eq!(cell.to_experiment().err(), Some(refused), "{line}");
+        }
+        let full = Cell::new(SchedSpec::Stfm, vec!["gromacs".into(); MAX_THREADS_PER_MIX]);
+        assert!(full.to_experiment().is_ok());
     }
 
     #[test]

@@ -6,6 +6,13 @@ use std::io::Write;
 use crate::event::{CmdKind, Event};
 use crate::sink::Sink;
 
+/// Data-bus cycles one CAS burst occupies: DDR2-800's BL8 moves a line in
+/// 4 DRAM cycles (`stfm_dram::TimingParams::ddr2_800().burst_cycles()`).
+pub const CAS_DATA_CYCLES: u64 = 4;
+
+/// Bytes one CAS burst moves: a cache line (`stfm_dram::LINE_BYTES`).
+pub const LINE_BYTES: u64 = 64;
+
 /// Configuration for an [`EpochSampler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochConfig {
@@ -15,22 +22,6 @@ pub struct EpochConfig {
     /// updates naming higher thread indices grow the columns anyway;
     /// this sets the minimum.
     pub threads: usize,
-    /// Data-bus cycles occupied by one CAS burst (DDR2 BL8 at the
-    /// paper's configuration transfers a 64B line in 4 DRAM cycles).
-    pub cas_data_cycles: u64,
-    /// Bytes transferred per CAS burst.
-    pub line_bytes: u64,
-}
-
-impl Default for EpochConfig {
-    fn default() -> Self {
-        EpochConfig {
-            epoch_len: 10_000,
-            threads: 0,
-            cas_data_cycles: 4,
-            line_bytes: 64,
-        }
-    }
 }
 
 /// One closed epoch of aggregated activity.
@@ -57,7 +48,7 @@ pub struct EpochRow {
     pub cas: u64,
     /// All-bank refreshes begun.
     pub refreshes: u64,
-    /// DRAM cycles the data bus carried bursts (`cas * cas_data_cycles`).
+    /// DRAM cycles the data bus carried bursts (`cas * CAS_DATA_CYCLES`).
     pub bus_busy_cycles: u64,
     /// Integral of request-queue depth over the epoch's DRAM cycles.
     pub queue_depth_area: u64,
@@ -176,11 +167,6 @@ impl EpochSampler {
         }
     }
 
-    /// The sampler's configuration.
-    pub fn config(&self) -> &EpochConfig {
-        &self.config
-    }
-
     /// Closed epochs, oldest first. Only complete (and, after
     /// [`EpochSampler::finish`], the final partial) epochs appear.
     pub fn rows(&self) -> &[EpochRow] {
@@ -240,7 +226,7 @@ impl EpochSampler {
                 row.serviced(),
                 row.serviced_reads,
                 row.serviced_writes,
-                row.serviced() * self.config.line_bytes,
+                row.serviced() * LINE_BYTES,
                 row.activates,
                 row.precharges,
                 row.cas,
@@ -311,7 +297,7 @@ impl EpochSampler {
                     CmdKind::Precharge => self.cur.precharges += 1,
                     CmdKind::Read | CmdKind::Write => {
                         self.cur.cas += 1;
-                        self.cur.bus_busy_cycles += self.config.cas_data_cycles;
+                        self.cur.bus_busy_cycles += CAS_DATA_CYCLES;
                     }
                     // Refreshes are counted from `RefreshIssued`, below.
                     CmdKind::Refresh => return,
@@ -387,11 +373,7 @@ mod tests {
     use stfm_cycles::{CpuCycle, CpuDelta, DramCycle};
 
     fn sampler(epoch_len: u64, threads: usize) -> EpochSampler {
-        EpochSampler::new(EpochConfig {
-            epoch_len,
-            threads,
-            ..EpochConfig::default()
-        })
+        EpochSampler::new(EpochConfig { epoch_len, threads })
     }
 
     fn enqueue(cycle: u64, thread: u32, request: u64) -> Event {

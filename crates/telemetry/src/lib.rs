@@ -38,7 +38,7 @@ mod event;
 mod sink;
 mod writer;
 
-pub use epoch::{EpochConfig, EpochRow, EpochSampler};
+pub use epoch::{EpochConfig, EpochRow, EpochSampler, CAS_DATA_CYCLES, LINE_BYTES};
 pub use event::{CmdKind, Event};
 pub use sink::{NullSink, RingSink, Sink, TeeSink};
 pub use writer::JsonLinesSink;

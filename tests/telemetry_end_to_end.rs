@@ -1,8 +1,9 @@
 //! Telemetry end-to-end properties: sinks must observe without perturbing,
 //! and the epoch sampler's time series must agree with the final metrics.
 
+use stfm_repro::dram::TimingParams;
 use stfm_repro::sim::{AloneCache, Experiment, SchedulerKind, WorkloadMetrics};
-use stfm_repro::telemetry::{EpochConfig, EpochSampler, Event, RingSink};
+use stfm_repro::telemetry::{self, EpochConfig, EpochSampler, Event, RingSink};
 use stfm_repro::workloads::spec;
 
 const INSTS: u64 = 30_000;
@@ -55,7 +56,6 @@ fn epoch_slowdowns_track_final_metrics() {
     let sampler = EpochSampler::new(EpochConfig {
         epoch_len: 5_000,
         threads: 2,
-        ..EpochConfig::default()
     });
     let mut run = experiment()
         .sample_interval(500)
@@ -86,4 +86,18 @@ fn epoch_slowdowns_track_final_metrics() {
             "thread {t}: estimated {estimated:.2} vs measured {measured:.2}"
         );
     }
+}
+
+/// The epoch sampler's burst constants are the simulated machine's: a
+/// CAS moves one cache line and holds the data bus for DDR2-800's burst.
+#[test]
+fn epoch_burst_constants_match_the_dram_model() {
+    assert_eq!(
+        telemetry::LINE_BYTES,
+        u64::from(stfm_repro::dram::LINE_BYTES)
+    );
+    assert_eq!(
+        telemetry::CAS_DATA_CYCLES,
+        TimingParams::ddr2_800().burst_cycles().get()
+    );
 }
