@@ -233,8 +233,8 @@ struct TraceOut {
 }
 
 /// The `--trace` options of a run over `schedulers` schedulers, if it
-/// traces. Tracing takes one scheduler, and `--epoch` and `--sample` are
-/// errors without it.
+/// traces. Tracing takes one scheduler and an epoch of at least one
+/// cycle, and `--epoch` and `--sample` are errors without it.
 fn trace_flags(f: &Flags, schedulers: usize) -> Result<Option<TraceOut>, String> {
     let Some(dir) = f.get("trace") else {
         if f.get("epoch").or(f.get("sample")).is_some() {
@@ -245,9 +245,13 @@ fn trace_flags(f: &Flags, schedulers: usize) -> Result<Option<TraceOut>, String>
     if schedulers != 1 {
         return Err("--trace takes a single scheduler, not 'all'".into());
     }
+    let epoch_len = f.num("epoch", 10_000)?;
+    if epoch_len == 0 {
+        return Err("--epoch must be >= 1".into());
+    }
     Ok(Some(TraceOut {
         dir: PathBuf::from(dir),
-        epoch_len: f.num("epoch", 10_000)?,
+        epoch_len,
         sample: f.num("sample", DEFAULT_SAMPLE_INTERVAL.get())?,
     }))
 }
@@ -296,8 +300,12 @@ fn paper_args(args: &[String]) -> Result<(Args, &'static [Record], Option<PathBu
         (None, Some(_)) => RECORDS,
         _ => return Err("give one of --figure ID and --all DIR".into()),
     };
+    let insts = f.get("insts").map(|_| f.num("insts", 0)).transpose()?;
+    if insts == Some(0) {
+        return Err("insts must be >= 1".into());
+    }
     let args = Args {
-        insts: f.get("insts").map(|_| f.num("insts", 0)).transpose()?,
+        insts,
         seed: f.num("seed", 1)?,
         full: f.has("full"),
         jobs: jobs_flag(&f)?,
@@ -680,9 +688,9 @@ mod tests {
         }
     }
 
-    /// `--trace` observes one scheduler's run, and its `--epoch` and
-    /// `--sample` mean nothing without it: usage errors, caught before
-    /// anything runs.
+    /// `--trace` observes one scheduler's run in epochs of at least one
+    /// cycle, and its `--epoch` and `--sample` mean nothing without it:
+    /// usage errors, caught before anything runs.
     #[test]
     fn run_refuses_trace_options_it_cannot_honour() {
         for (line, needle) in [
@@ -690,6 +698,10 @@ mod tests {
             ("--scheduler stfm --sample 2000", "need --trace DIR"),
             ("--trace out", "single scheduler"),
             ("--scheduler all --trace out", "single scheduler"),
+            (
+                "--scheduler stfm --trace out --epoch 0",
+                "--epoch must be >= 1",
+            ),
         ] {
             let line = format!("--workload mcf {line}");
             let err = run(&argv(&line)).expect_err(&line);
@@ -783,10 +795,13 @@ mod tests {
         assert_eq!((args.insts, args.seed, args.jobs), (None, 1, None));
     }
 
-    /// A budget that is not a number is an error naming the flag.
+    /// A budget that is not a number is an error naming the flag, and a
+    /// zero budget is refused as a spec line refuses it.
     #[test]
     fn paper_rejects_a_non_numeric_budget() {
         let err = paper_err("--figure fig6 --insts lots");
         assert!(err.contains("--insts"), "{err}");
+        let err = paper_err("--all out --insts 0");
+        assert!(err.contains("insts must be >= 1"), "{err}");
     }
 }

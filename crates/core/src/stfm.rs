@@ -83,10 +83,8 @@ pub struct StfmWork {
     pub full_rebuilds: u64,
     /// O(1) incremental state updates driven by lifecycle transitions.
     pub incremental_updates: u64,
-    /// Per-cycle decision passes that actually recomputed slowdowns.
+    /// Per-cycle decision passes (one per real DRAM cycle).
     pub decides_recomputed: u64,
-    /// Per-cycle decision passes served from the cached previous result.
-    pub decides_carried: u64,
 }
 
 /// The bookkeeping slot of `req`'s `(channel, bank)`.
@@ -299,16 +297,18 @@ impl Default for StfmConfig {
 ///
 /// The paper's per-cycle register updates are maintained
 /// *incrementally*: request-lifecycle hooks keep per-thread
-/// waiting/accessing aggregates exact, one pass per cycle publishes them
-/// into the register file (reproducing the original walk's tick-start
-/// snapshot) and paces the drain, and the slowdowns and mode decision are
-/// recomputed, in a second pass, only when an estimator generation
-/// counter shows one of their inputs actually moved. The per-command
-/// charge reads per-bank waiting-thread sets that are rebuilt only when
-/// their bank's waiting list or open row changed. The restructuring is
-/// pinned bit-identical to the per-cycle recomputation by the golden
-/// digests, the event-equivalence fuzz, and — in builds with debug
-/// assertions — a fresh request-buffer walk compared against the
+/// waiting/accessing aggregates exact, so no cycle walks the request
+/// buffers. A real cycle settles itself as a one-cycle span
+/// ([`SchedulerPolicy::fast_forward`]: the interval reset when due, else
+/// one paced-drain step), retires due expiries, and runs one decision
+/// pass that publishes the aggregates into the register file
+/// (reproducing the original walk's tick-start snapshot) and recomputes
+/// every slowdown and the mode, as the paper does on every DRAM cycle.
+/// The per-command charge reads per-bank waiting-thread sets that are
+/// rebuilt only when their bank's waiting list or open row changed. The
+/// restructuring is pinned bit-identical to the per-cycle recomputation
+/// by the golden digests, the event-equivalence fuzz, and — in builds
+/// with debug assertions — a fresh request-buffer walk compared against the
 /// published registers on every real tick and against the victim sets on
 /// every command.
 pub struct Stfm {
@@ -339,11 +339,6 @@ pub struct Stfm {
     /// Slots whose waiting list lost a request since their `waiters`
     /// entry was built, bit `slot` per slot. Every slot starts stale.
     stale_waiters: u64,
-    /// Estimator generation: bumped whenever any input of the mode
-    /// decision may have moved; the decision is carried while unchanged.
-    est_gen: u64,
-    /// Generation at which the mode decision last ran.
-    last_decided_gen: Option<u64>,
     /// The decision outputs that feed ranking (`fairness_mode`, `tmax`)
     /// changed since the controller last asked
     /// ([`SchedulerPolicy::take_stale_banks`]).
@@ -374,8 +369,6 @@ impl Stfm {
             expiries: BinaryHeap::new(),
             waiters: [BankWaiters::default(); BANK_SLOTS],
             stale_waiters: u64::MAX,
-            est_gen: 0,
-            last_decided_gen: None,
             ranks_moved: false,
             work: StfmWork::default(),
         }
@@ -403,7 +396,6 @@ impl Stfm {
     pub fn set_alpha(&mut self, alpha: f64) {
         self.config.alpha = alpha;
         self.alpha = Fx8::from_f64(alpha);
-        self.est_gen += 1;
     }
 
     /// Current `α`.
@@ -423,7 +415,6 @@ impl Stfm {
         assert!(weight > 0, "thread weight must be positive");
         let t = self.grow_to(thread);
         self.live[t].weight = weight;
-        self.est_gen += 1;
     }
 
     /// The weight of `thread` (default 1).
@@ -507,7 +498,6 @@ impl Stfm {
                 }
             }
         }
-        self.est_gen += 1;
         self.work.incremental_updates += 1;
     }
 
@@ -529,38 +519,22 @@ impl Stfm {
 
     /// The per-cycle pass over every thread: publishes the live
     /// aggregates into the two parallelism registers — what the paper's
-    /// per-DRAM-cycle walk over the request buffers would recompute — and
-    /// takes one paced-drain step for each thread with a read waiting.
-    /// Per-thread steps are independent, so the order is immaterial;
-    /// bumps the decision generation when any `Tinterference` moved.
-    fn publish_and_drain(&mut self) {
-        let regs = self.regs.dense_mut();
-        debug_assert_eq!(regs.len(), self.live.len());
-        let mut moved = false;
-        for (r, lt) in regs.iter_mut().zip(&self.live) {
-            r.bank_waiting_parallelism = lt.waiting_mask.count_ones();
-            r.bank_access_parallelism = lt.accessing_mask.count_ones();
-            if lt.depth > 0 {
-                moved |= Self::drain_step(r) != 0;
-            }
-        }
-        if moved {
-            self.est_gen += 1;
-        }
-    }
-
-    /// The slowdown-and-decision pass: recomputes every thread's
-    /// slowdown and determines the scheduling mode (paper Section 3.2.1
-    /// steps 1, 2a, 2b) over the threads with at least one buffered
-    /// request, in ascending id order — O(threads), with a walk over the
-    /// waiting requests needed only to break exact `Smax` ties in the
-    /// order a per-request walk would meet them.
+    /// per-DRAM-cycle walk over the request buffers would recompute —
+    /// recomputes every thread's slowdown, and determines the scheduling
+    /// mode (paper Section 3.2.1 steps 1, 2a, 2b) over the threads with at
+    /// least one buffered request, in ascending id order — O(threads),
+    /// with a walk over the waiting requests needed only to break exact
+    /// `Smax` ties in the order a per-request walk would meet them.
     fn decide(&mut self, sys: &SystemView<'_>) {
+        self.work.decides_recomputed += 1;
         let mut smax: Option<(ThreadId, Fx8)> = None;
         let mut max_count = 0u32;
         let mut smin: Option<Fx8> = None;
-        let threads = self.regs.dense_mut().iter_mut().zip(&self.live);
-        for (t, (regs, lt)) in threads.enumerate() {
+        let dense = self.regs.dense_mut();
+        debug_assert_eq!(dense.len(), self.live.len());
+        for (t, (regs, lt)) in dense.iter_mut().zip(&self.live).enumerate() {
+            regs.bank_waiting_parallelism = lt.waiting_mask.count_ones();
+            regs.bank_access_parallelism = lt.accessing_mask.count_ones();
             regs.compute_slowdown();
             if lt.queued == 0 {
                 continue;
@@ -933,14 +907,6 @@ impl Stfm {
             .saturating_add(self.config.interval_length);
         DramCycle::new(due_cpu.div_ceil(CPU_CYCLES_PER_DRAM_CYCLE))
     }
-
-    /// The interval reset at DRAM cycle `at`: every thread's registers
-    /// move, so the estimator generation does too.
-    fn reset_interval(&mut self, at: DramCycle) {
-        self.regs.reset_all_intervals();
-        self.last_reset_cpu = ClockRatio::PAPER.dram_to_cpu(at);
-        self.est_gen += 1;
-    }
 }
 
 impl SchedulerPolicy for Stfm {
@@ -961,24 +927,13 @@ impl SchedulerPolicy for Stfm {
     }
 
     fn on_dram_cycle(&mut self, sys: &SystemView<'_>) {
-        if sys.now >= self.next_reset() {
-            self.reset_interval(sys.now);
-        }
+        // One cycle is a span of one: the drain step, or the reset at a
+        // boundary (which empties every bucket, so the step would move
+        // nothing). Expiries touch only the accessing counts, which the
+        // drain does not read, so the order of the two is immaterial.
+        self.fast_forward(sys, 1);
         self.expire_accessing(sys.now);
-        // Publish the hook-maintained aggregates and pace the drain in
-        // one O(threads) pass, no buffer walk; recompute the slowdowns and
-        // the mode decision only when the estimator generation shows one
-        // of their inputs moved since the last decision — otherwise every
-        // slowdown, the unfairness, and the mode are provably unchanged
-        // and the previous outputs are carried.
-        self.publish_and_drain();
-        if self.last_decided_gen != Some(self.est_gen) {
-            self.decide(sys);
-            self.last_decided_gen = Some(self.est_gen);
-            self.work.decides_recomputed += 1;
-        } else {
-            self.work.decides_carried += 1;
-        }
+        self.decide(sys);
         #[cfg(debug_assertions)]
         self.audit_incremental(sys);
     }
@@ -998,7 +953,6 @@ impl SchedulerPolicy for Stfm {
         let end = sys.now + cycles;
         let first_reset = self.next_reset().max(sys.now);
         let steps = first_reset.min(end).saturating_since(sys.now).get();
-        let mut moved = false;
         for (regs, lt) in self.regs.dense_mut().iter_mut().zip(&self.live) {
             if lt.depth == 0 {
                 continue;
@@ -1010,11 +964,7 @@ impl SchedulerPolicy for Stfm {
                 if Self::drain_step(regs) == 0 {
                     break;
                 }
-                moved = true;
             }
-        }
-        if moved {
-            self.est_gen += 1;
         }
         if first_reset < end {
             // A boundary resets before its cycle's drain step and empties
@@ -1026,7 +976,8 @@ impl SchedulerPolicy for Stfm {
                 .div_ceil(CPU_CYCLES_PER_DRAM_CYCLE)
                 .max(1);
             let later = (end.get() - 1 - first_reset.get()) / period;
-            self.reset_interval(first_reset + later * period);
+            self.regs.reset_all_intervals();
+            self.last_reset_cpu = ClockRatio::PAPER.dram_to_cpu(first_reset + later * period);
         }
     }
 
@@ -1073,7 +1024,6 @@ impl SchedulerPolicy for Stfm {
             lt.add_waiting(slot);
         }
         self.waiters[slot].add(req);
-        self.est_gen += 1;
         self.work.incremental_updates += 1;
     }
 

@@ -25,7 +25,9 @@ use stfm_mc::{
 use stfm_telemetry::{Event, RingSink, Sink, TeeSink};
 
 /// Wraps a policy, counts its `rank` calls and, when `uncached`, reports
-/// every bank stale on every tick.
+/// every bank stale on every tick. Every other hook is forwarded, the
+/// span hook too: the trait's default would settle a span with one
+/// cycle hook, which is inexact for STFM.
 struct Probe {
     inner: Box<dyn SchedulerPolicy>,
     uncached: bool,
@@ -44,6 +46,10 @@ impl SchedulerPolicy for Probe {
 
     fn on_dram_cycle(&mut self, sys: &SystemView<'_>) {
         self.inner.on_dram_cycle(sys);
+    }
+
+    fn fast_forward(&mut self, sys: &SystemView<'_>, cycles: u64) {
+        self.inner.fast_forward(sys, cycles);
     }
 
     fn on_enqueue(&mut self, req: &Request, tshared: u64) {

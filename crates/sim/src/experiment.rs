@@ -475,7 +475,7 @@ impl Experiment {
             full_rebuilds: work.full_rebuilds,
             incremental_updates: work.incremental_updates,
             decides_recomputed: work.decides_recomputed,
-            decides_carried: work.decides_carried,
+            decides_carried: 0,
             sched_visits: sched.sched_visits,
             rank_scans: sched.rank_scans,
             rank_carried: sched.rank_carried,

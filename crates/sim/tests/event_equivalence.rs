@@ -26,8 +26,8 @@ use stfm_dram::{DramConfig, CPU_CYCLES_PER_DRAM_CYCLE};
 use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, SchedCounters, ThreadId};
 use stfm_sim::digest::Fnv64;
 use stfm_sim::oracle::{compare, completion_digest, observe, Case, Run};
-use stfm_sim::{Budget, CancelToken, Experiment, RunStop, SchedulerKind, System};
-use stfm_telemetry::Event;
+use stfm_sim::{AloneCache, Budget, CancelToken, Experiment, RunStop, SchedulerKind, System};
+use stfm_telemetry::{Event, RingSink};
 use stfm_workloads::{micro, mix, spec, Profile, SyntheticTrace};
 
 /// Everything that defines one fuzz case, drawn from the case seed.
@@ -451,11 +451,15 @@ fn a_budget_cut_by_its_cap_leaves_a_later_one_running() {
 const WORK_INSTS: u64 = 20_000;
 
 /// `kind` on `profiles` at [`WORK_INSTS`], seed 1.
-fn work_case(kind: SchedulerKind, profiles: Vec<Profile>) -> Case {
-    let exp = Experiment::new(profiles)
+fn work_experiment(kind: SchedulerKind, profiles: Vec<Profile>) -> Experiment {
+    Experiment::new(profiles)
         .scheduler(kind)
-        .instructions_per_thread(WORK_INSTS);
-    Case::experiment(format!("{kind:?}"), &exp)
+        .instructions_per_thread(WORK_INSTS)
+}
+
+/// [`work_experiment`]'s shared run as an oracle case.
+fn work_case(kind: SchedulerKind, profiles: Vec<Profile>) -> Case {
+    Case::experiment(format!("{kind:?}"), &work_experiment(kind, profiles))
 }
 
 /// A completed run's work counters: the estimator's (zero under other
@@ -470,6 +474,13 @@ fn work(run: &Run) -> (StfmWork, SchedCounters, u64) {
     let sched = run.system.memory().sched_counters();
     let cycles = run.outcomes[0].cpu_cycles / CPU_CYCLES_PER_DRAM_CYCLE;
     (stfm, sched, cycles)
+}
+
+/// The DRAM cycles `run` ticked for real: every cycle it simulated but
+/// those the event loop jumped or elided.
+fn real_ticks(run: &Run) -> u64 {
+    let sys = &run.system;
+    sys.memory().now().get() + 1 - sys.jumped_cycles() - sys.elided_cycles()
 }
 
 /// STFM on the streaming mix, one run per loop, held equal by the oracle.
@@ -502,11 +513,28 @@ fn stfm_streaming_rebuilds_track_events_and_the_event_loop_schedules_less() {
         stfm.incremental_updates > 0,
         "incremental estimator updates never ran"
     );
-    // The gen-gated decision cache must fire: quiet ticks reuse the
-    // previous slowdown ranking instead of recomputing it.
-    assert!(
-        stfm.decides_carried > 0,
-        "decision cache never carried a decision"
+    // Every real tick decides, as the paper's estimator does on every
+    // DRAM cycle; only the event loop's skipped cycles go undecided. The
+    // traced run's trailing work event reports the same shared run.
+    let real_ticks = real_ticks(&event);
+    assert_eq!(
+        stfm.decides_recomputed, real_ticks,
+        "not one decision pass per real tick"
+    );
+    let traced = work_experiment(SchedulerKind::Stfm, streaming())
+        .run_traced(&AloneCache::new(), RingSink::new(1));
+    let Some(&Event::EstimatorWork {
+        decides_recomputed,
+        decides_carried,
+        ..
+    }) = traced.sink.events().last()
+    else {
+        panic!("the traced run ended without its work event");
+    };
+    assert_eq!(
+        (decides_recomputed, decides_carried),
+        (real_ticks, 0),
+        "the work event must report every decision pass as recomputed"
     );
     assert!(
         sched.sched_visits < stepped_sched.sched_visits,
@@ -524,12 +552,11 @@ fn stfm_streaming_rebuilds_track_events_and_the_event_loop_schedules_less() {
 /// cycles are elided before the scheduler is ever consulted — the
 /// decision carry there happens at the elision level (an elided cycle is
 /// an implicitly carried decision), and the real ticks that remain are
-/// exactly the busy ones, where the paced interference drain
-/// legitimately moves the estimator generation. The invariants are
+/// exactly the busy ones, each deciding once. The invariants are
 /// therefore: rebuilds stay O(events), the scheduler is visited on
-/// strictly fewer cycles than the run has, at most one mode decision is
-/// recomputed per visit, and the per-bank rank cache carries more often
-/// than it scans.
+/// strictly fewer cycles than the run has, exactly one mode decision is
+/// recomputed per real tick, and the per-bank rank cache carries more
+/// often than it scans.
 #[test]
 fn pointer_chase_elides_and_carries() {
     let run = observe(&work_case(SchedulerKind::Stfm, mix::pointer_chase()), true);
@@ -546,11 +573,10 @@ fn pointer_chase_elides_and_carries() {
         "latency-bound mix elided no cycles: {} visits over {cycles} cycles",
         sched.sched_visits
     );
-    assert!(
-        stfm.decides_recomputed <= sched.sched_visits,
-        "more than one mode recompute per scheduler visit: {} vs {}",
+    assert_eq!(
         stfm.decides_recomputed,
-        sched.sched_visits
+        real_ticks(&run),
+        "not one mode decision per real tick"
     );
     assert!(
         sched.rank_carried > sched.rank_scans,

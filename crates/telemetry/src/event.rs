@@ -150,9 +150,12 @@ pub enum Event {
         full_rebuilds: u64,
         /// O(1) incremental estimator updates.
         incremental_updates: u64,
-        /// Decision passes that recomputed per-thread slowdowns.
+        /// Decision passes that recomputed per-thread slowdowns: one per
+        /// real DRAM cycle.
         decides_recomputed: u64,
-        /// Decision passes served from the cached previous result.
+        /// Always 0: every decision pass recomputes. Kept only because
+        /// the frozen benchmark reads the field; ROADMAP item 16 removes
+        /// it.
         decides_carried: u64,
         /// Channel scheduling passes run.
         sched_visits: u64,
