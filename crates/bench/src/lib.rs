@@ -1,9 +1,9 @@
 //! The harness that regenerates the paper's evaluation.
 //!
-//! [`paper`] holds every figure, Tables 3 and 5, the PAR-BS extension and
-//! the ablations as records, rendered by a [`paper::Session`] and run from
-//! the command line as `stfm paper --figure fig12` or `stfm paper --all
-//! results`. A session's [`Args`] are:
+//! [`paper`] holds every figure, Tables 3 and 5 and the ablations as
+//! records, rendered by a [`paper::Session`] and run from the command line
+//! as `stfm paper --figure fig12` or `stfm paper --all results`. A
+//! session's [`Args`] are:
 //!
 //! * `--insts N` — per-thread instruction budget (defaults chosen per
 //!   record so a full regeneration finishes in minutes);

@@ -1,19 +1,18 @@
-//! The paper's artefacts as records: Figs. 1 and 5–15, Tables 3 and 5, the
-//! PAR-BS extension and eight ablations. Each [`Record`] names its mix set
-//! (with its `--full` rule), its schedulers, its default budget and its
-//! print layout; a [`Session`] renders it into a `String`.
+//! The paper's artefacts as records: Figs. 1 and 5–15, Tables 3 and 5, and
+//! six ablations. Each [`Record`] names its mix set (with its `--full`
+//! rule), its schedulers, its default budget and its print layout; a
+//! [`Session`] renders it into a `String`.
 //!
 //! Every run a record prints is an [`Experiment`]. One session holds one
 //! [`AloneCache`] and one experiment memo, keyed by the experiment's
 //! derived `Debug`, for every record it renders, so an experiment is
 //! simulated at most once per invocation: fig9/11/12 print their sample
-//! mixes from the sweep they average, `extension_parbs`, `fig15` and
-//! `ablation_cap` reuse the case-study runs of fig6–8, STFM's default
-//! configuration is one run for `fig15` and three ablations, and Table 5's
-//! default geometry is one set of runs for both of its rows. The layouts
-//! that read what an experiment does not report (Table 3's row-buffer hit
-//! rates, STFM's registers, the energy model's sink) run an experiment's
-//! [`System`] directly, on the same worker pool.
+//! mixes from the sweep they average, `fig15` and `ablation_cap` reuse
+//! fig6's case-study runs, STFM's default configuration is one run for
+//! `fig15` and three ablations, and Table 5's default geometry is one set
+//! of runs for both of its rows. The layouts that read what an experiment
+//! does not report (Table 3's row-buffer hit rates, STFM's registers) run
+//! an experiment's [`System`] directly, on the same worker pool.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -23,20 +22,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use stfm_core::StfmConfig;
-use stfm_dram::{EnergyModel, PowerParams};
 use stfm_mc::ThreadId;
 use stfm_sim::{
-    gmean, run_ordered, AloneCache, Budget, Experiment, RowPolicy, RunOutcome, RunStop,
-    SchedulerKind, System, Table, WorkloadMetrics,
+    gmean, run_ordered, AloneCache, Budget, Experiment, RunOutcome, RunStop, SchedulerKind, System,
+    Table, WorkloadMetrics,
 };
-use stfm_telemetry::{NullSink, Sink};
-use stfm_workloads::{desktop, micro, mix, spec, Profile};
+use stfm_workloads::{desktop, mix, spec, Profile};
 
 use Layout::{
-    CaseStudy, Characterization, Devices, Energy, Estimates, Gmean, Grid, Pairs, Rows, Slowdowns,
-    Weights,
+    CaseStudy, Characterization, Devices, Estimates, Gmean, Grid, Pairs, Rows, Slowdowns, Weights,
 };
-use SchedulerKind::{FrFcfs, FrFcfsCap, Nfq, ParBs, Stfm, StfmWith};
+use SchedulerKind::{FrFcfs, FrFcfsCap, Nfq, Stfm, StfmWith};
 
 /// A mix with the title of the section that prints it.
 type Mix = (String, Vec<Profile>);
@@ -103,9 +99,6 @@ enum Layout {
     /// slowdown against STFM's own estimate and registers, then the
     /// estimator's charge totals.
     Estimates(fn() -> Vec<(&'static str, SchedulerKind)>),
-    /// Each scheduler's DRAM energy breakdown from the `EnergyModel` sink;
-    /// `note` follows it.
-    Energy { note: &'static str },
 }
 
 /// One artefact of the paper.
@@ -314,23 +307,6 @@ pub const RECORDS: &[Record] = &[
         ]),
     },
     Record {
-        id: "extension_parbs",
-        insts: 150_000,
-        kinds: &[FrFcfs, Nfq, Stfm, ParBs],
-        mixes: |_| {
-            let title = |study| format!("Extension: PAR-BS vs STFM — case study {study}");
-            vec![
-                (title("I (intensive)"), mix::case_study_intensive()),
-                (title("II (mixed)"), mix::case_study_mixed()),
-                (
-                    title("III (non-intensive)"),
-                    mix::case_study_non_intensive(),
-                ),
-            ]
-        },
-        layout: CaseStudy,
-    },
-    Record {
         id: "ablation_cap",
         insts: 150_000,
         kinds: &[],
@@ -344,19 +320,6 @@ pub const RECORDS: &[Record] = &[
                     .map(|cap| (cap.to_string(), FrFcfsCap { cap }))
                     .into()
             },
-        },
-    },
-    Record {
-        id: "ablation_energy",
-        insts: 100_000,
-        kinds: ALL,
-        mixes: |_| {
-            let title = "Extension: DRAM energy by scheduler (case-study-I workload)";
-            one(title, mix::case_study_intensive())
-        },
-        layout: Energy {
-            note: "Fairness policies that sacrifice row-buffer locality pay in ACT energy;\n\
-                   policies that stretch the run pay in background energy.",
         },
     },
     Record {
@@ -445,35 +408,6 @@ pub const RECORDS: &[Record] = &[
             variants: &[("no-pf", |e| e), ("pf", |e| e.prefetch(true))],
             note: "Alone baselines are re-run with prefetching for the prefetch rows, so\n\
                slowdowns isolate the *sharing* effect, not the prefetcher's raw speedup.",
-        },
-    },
-    Record {
-        id: "ablation_row_policy",
-        insts: 100_000,
-        kinds: PAIR,
-        mixes: |_| {
-            vec![
-                (
-                    "Row policy: high locality: case study I".into(),
-                    mix::case_study_intensive(),
-                ),
-                (
-                    "Row policy: low locality: 4 random-access threads".into(),
-                    vec![
-                        micro::random(),
-                        micro::random(),
-                        micro::chase(),
-                        micro::random(),
-                    ],
-                ),
-            ]
-        },
-        layout: Grid {
-            variants: &[
-                ("open", |e| e.row_policy(RowPolicy::OpenPage)),
-                ("closed", |e| e.row_policy(RowPolicy::ClosedPage)),
-            ],
-            note: "note: alone baselines always use the paper's open-page FR-FCFS configuration.",
         },
     },
 ];
@@ -614,17 +548,15 @@ impl Session {
         self.pool(experiments, |e| self.run_one(e))
     }
 
-    /// Runs an experiment's [`Experiment::shared_system`] over `budget`
-    /// with `sink` observing, and hands the sink back; a run stopped
-    /// short panics.
-    fn simulate<S: Sink>(&self, sys: &mut System, budget: Budget, sink: S) -> (RunOutcome, S) {
+    /// Runs an experiment's [`Experiment::shared_system`] over `budget`;
+    /// a run stopped short panics.
+    fn simulate(&self, sys: &mut System, budget: Budget) -> RunOutcome {
         self.simulated.fetch_add(1, Ordering::Relaxed);
-        let (mut outs, sink) = sys.run_observed(&[budget], sink);
-        let out = outs.remove(0);
+        let out = sys.run(&[budget]).remove(0);
         if let Some(stop) = RunStop::of(&out) {
             panic!("{} run {stop}", sys.memory().policy().name());
         }
-        (out, sink)
+        out
     }
 
     /// `e`'s metrics: the memo's, or one simulated run's.
@@ -655,11 +587,6 @@ impl Session {
 
     fn write(&self, r: &Record, out: &mut String) -> fmt::Result {
         let (insts, seed) = (self.args.insts.unwrap_or(r.insts), self.args.seed);
-        // The estimator and energy ablations measure the whole run.
-        let from_zero = Budget {
-            warmup: 0,
-            ..Budget::of(insts)
-        };
         let mixes = (r.mixes)(self.args.full);
         let k = r.kinds.len();
         let names = || r.kinds.iter().map(SchedulerKind::name);
@@ -858,7 +785,7 @@ impl Session {
                 let measured = self.pool(profiles, |p| {
                     let exp = experiment(r.kinds[0], std::slice::from_ref(p), insts, seed);
                     let sys = &mut exp.shared_system();
-                    let (out, _) = self.simulate(sys, Budget::of(insts), NullSink);
+                    let out = self.simulate(sys, Budget::of(insts));
                     let (stats, rb) = (out.frozen[0], out.frozen_mem[0].row_hit_rate());
                     [stats.mcpi(), stats.l2_mpki(), rb]
                 });
@@ -892,9 +819,14 @@ impl Session {
                 // The alone baselines: the session's, through the run of
                 // `r.kinds[0]` on this mix (fig6's, under `--all`).
                 let baseline = self.run(&grid()).remove(0);
+                // The estimator ablation measures the whole run.
+                let from_zero = Budget {
+                    warmup: 0,
+                    ..Budget::of(insts)
+                };
                 let blocks = self.pool(&configs(), |&(label, kind)| {
                     let mut sys = experiment(kind, profiles, insts, seed).shared_system();
-                    let shared = self.simulate(&mut sys, from_zero, NullSink).0.frozen;
+                    let shared = self.simulate(&mut sys, from_zero).frozen;
                     let policy = sys.memory().policy() as &dyn Any;
                     let Some(stfm) = policy.downcast_ref::<stfm_core::Stfm>() else {
                         panic!("{}: {} is not STFM", r.id, kind.name());
@@ -928,45 +860,6 @@ impl Session {
                     )
                 });
                 out.push_str(&blocks.concat());
-            }
-            Energy { note } => {
-                let (title, profiles) = &mixes[0];
-                let rows = self.pool(r.kinds, |&kind| {
-                    let mut sys = experiment(kind, profiles, insts, seed).shared_system();
-                    let dram = sys.memory().dram_config();
-                    let channels = f64::from(dram.channels);
-                    let model = EnergyModel::new(dram, PowerParams::default());
-                    let (_, model) = self.simulate(&mut sys, from_zero, model);
-                    let e = model.breakdown(sys.memory().now());
-                    let serviced = sys.memory().stats().completed.max(1);
-                    let cycles = sys.cores().iter().map(|c| c.stats().cycles).max();
-                    // nJ per ns (0.25 ns a CPU cycle) is W; in mW per channel.
-                    let avg_power_mw =
-                        e.total_nj() / (cycles.unwrap_or(1) as f64 * 0.25) * 1e3 / channels;
-                    let uj = |nj: f64| format!("{:.1}", nj / 1e3);
-                    [
-                        kind.name().to_string(),
-                        uj(e.activate_nj),
-                        uj(e.read_nj + e.write_nj),
-                        uj(e.background_nj),
-                        uj(e.total_nj()),
-                        format!("{avg_power_mw:.0}"),
-                        format!("{:.0}", e.total_nj() / serviced as f64),
-                    ]
-                });
-                let mut t = Table::new([
-                    "scheduler",
-                    "ACT energy (µJ)",
-                    "RD/WR energy (µJ)",
-                    "background (µJ)",
-                    "total (µJ)",
-                    "avg power (mW)",
-                    "nJ per serviced request",
-                ]);
-                for row in rows {
-                    t.row(row);
-                }
-                writeln!(out, "== {title} ==\n\n{t}\n{note}")?;
             }
         }
         Ok(())

@@ -7,25 +7,21 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use stfm_bench::paper::{record, Record, Session, RECORDS};
 use stfm_bench::Args;
-use stfm_cpu::{trace_io, Core, CoreStats, FileTrace};
-use stfm_dram::{DramConfig, TimingAudit};
-use stfm_mc::{MemorySystem, ThreadId, DEFAULT_SAMPLE_INTERVAL};
+use stfm_dram::TimingAudit;
+use stfm_mc::DEFAULT_SAMPLE_INTERVAL;
 use stfm_serve::json::Value;
 use stfm_serve::spec::expand_value;
 use stfm_serve::{expand_line, run_sweep, Cell, ResultCache, SchedSpec, ServeConfig};
-use stfm_sim::{
-    run_ordered, AloneCache, Budget, Experiment, SchedulerKind, System, Table, ThreadMetrics,
-    WorkloadMetrics,
-};
+use stfm_sim::{run_ordered, AloneCache, Experiment, Table, WorkloadMetrics};
 use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
-use stfm_workloads::{by_name, desktop, spec, Profile, SyntheticTrace};
+use stfm_workloads::{desktop, spec, Profile};
 
 /// Top-level usage text.
 pub const USAGE: &str = "\
 stfm — Stall-Time Fair Memory scheduling reproduction
 
 USAGE:
-  stfm run --workload <b1,b2,...|mix> [--scheduler frfcfs|fcfs|cap|nfq|stfm|parbs|all]
+  stfm run --workload <b1,b2,...|mix> [--scheduler frfcfs|fcfs|cap|nfq|stfm|all]
            [--insts N] [--seed N] [--alpha X] [--weights w1,w2,...]
            [--banks N] [--row-kb N] [--jobs N] [--check] [--quiet]
            [--trace DIR [--epoch N] [--sample N]]
@@ -34,8 +30,6 @@ USAGE:
   stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
            [--fault-log FILE]
   stfm list
-  stfm capture --benchmark <name> --ops N --out <file> [--seed N] [--cores N]
-  stfm replay --traces <f1,f2,...> [--scheduler ...] [--insts N]
   stfm help
 
 `sweep` expands a JSONL spec file (one experiment grid per line; see
@@ -68,7 +62,7 @@ bus utilization, queue depth). --epoch sets the CSV row width (default
 10000) and --sample the scheduler snapshot spacing, both in DRAM cycles.
 A run that stops short still writes both files, then fails.
 
-`paper` renders the paper's figures, tables, extension and ablations:
+`paper` renders the paper's figures, tables and ablations:
 --figure ID prints one record on stdout, --all DIR writes <DIR>/<ID>.txt
 for every record (results/ is `--all results`). --insts overrides each
 record's own budget; --full runs the sweeps the default subsamples. The
@@ -77,15 +71,6 @@ simulated.
 
 Benchmark names come from `stfm list` (the paper's Table 3 + Table 4).
 ";
-
-/// A `replay --scheduler` value: any spec token (`SchedSpec::parse`), or
-/// `all` for the paper's five-way comparison.
-fn parse_scheduler(s: &str) -> Result<Vec<SchedulerKind>, String> {
-    if s == "all" {
-        return Ok(SchedulerKind::all().to_vec());
-    }
-    SchedSpec::parse(s).map(|spec| vec![spec.kind()])
-}
 
 fn print_metrics(profile_names: &[String], results: &[WorkloadMetrics]) {
     let mut headers = vec!["scheduler".to_string()];
@@ -380,63 +365,6 @@ pub fn list(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `stfm capture`.
-pub fn capture(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, "benchmark ops out seed cores")?;
-    let profile = by_name(f.require("benchmark")?)?;
-    let out = f.require("out")?;
-    let ops: usize = f.num("ops", 50_000usize)?;
-    let seed: u64 = f.num("seed", 1)?;
-    let cores: u32 = f.num("cores", 4u32)?;
-    let dram = DramConfig::for_cores(cores);
-    let mut trace = SyntheticTrace::new(profile, &dram, 0, seed);
-    let records = trace_io::capture(&mut trace, ops);
-    trace_io::write_trace(out, &records).map_err(|e| e.to_string())?;
-    println!("wrote {} records to {out}", records.len());
-    Ok(())
-}
-
-/// `stfm replay`: run trace files (one per core) through the simulator and
-/// report per-thread shared-vs-alone metrics.
-pub fn replay(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, "traces scheduler insts")?;
-    let files = f.list("traces")?;
-    let kinds = parse_scheduler(f.get("scheduler").unwrap_or("stfm"))?;
-    let insts: u64 = f.num("insts", 100_000)?;
-    let dram = DramConfig::for_cores(files.len() as u32);
-
-    // `paths[i]` on core `i` under `kind`: each core's measured window.
-    let run = |kind: SchedulerKind, paths: &[String]| -> Result<Vec<CoreStats>, String> {
-        let mem = MemorySystem::new(dram.clone(), kind.build(dram.timing, &[], &[]));
-        let cores = paths.iter().zip(0..).map(|(path, i)| {
-            let trace = FileTrace::open(path).map_err(|e| format!("{path}: {e}"))?;
-            Ok(Core::new(ThreadId(i), Box::new(trace)))
-        });
-        let mut sys = System::new(cores.collect::<Result<_, String>>()?, mem);
-        Ok(sys.run(&[Budget::of(insts)]).remove(0).frozen)
-    };
-    // Alone baselines, one per file.
-    let alone = files
-        .iter()
-        .map(|p| Ok(run(SchedulerKind::FrFcfs, std::slice::from_ref(p))?[0]));
-    let alone: Vec<CoreStats> = alone.collect::<Result<_, String>>()?;
-    let mut results = Vec::new();
-    for &kind in &kinds {
-        let threads = files.iter().zip(run(kind, &files)?).zip(&alone);
-        let threads = threads.map(|((name, shared), &alone)| ThreadMetrics {
-            name: name.clone(),
-            shared,
-            alone,
-        });
-        results.push(WorkloadMetrics {
-            scheduler: kind.name().to_string(),
-            threads: threads.collect(),
-        });
-    }
-    print_metrics(&files, &results);
-    Ok(())
-}
-
 /// Resolves `--jobs` (0 or absent means "all cores").
 fn jobs_flag(f: &Flags) -> Result<Option<usize>, String> {
     let n: usize = f.num("jobs", 0)?;
@@ -593,6 +521,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stfm_sim::SchedulerKind;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -624,8 +553,8 @@ mod tests {
                     "alpha": 5}"#,
             ),
             (
-                "--workload mcf --scheduler parbs --insts 700 --banks 16 --row-kb 262144",
-                r#"{"mix": ["mcf"], "scheduler": "parbs", "insts": 700, "banks": 16,
+                "--workload mcf --scheduler nfq --insts 700 --banks 16 --row-kb 262144",
+                r#"{"mix": ["mcf"], "scheduler": "nfq", "insts": 700, "banks": 16,
                     "row_kb": 262144}"#,
             ),
             (
@@ -640,9 +569,18 @@ mod tests {
                 "--workload mcf --scheduler lru",
                 r#"{"mix": ["mcf"], "scheduler": "lru", "insts": 100000}"#,
             ),
+            (
+                "--workload mcf --scheduler parbs",
+                r#"{"mix": ["mcf"], "scheduler": "parbs", "insts": 100000}"#,
+            ),
         ] {
             assert_eq!(cells(flags), expand_line(line), "{flags}");
         }
+        let refused = "unknown scheduler 'parbs' (expected frfcfs, fcfs, cap, nfq, stfm, or all)";
+        assert_eq!(
+            run(&argv("--workload mcf --scheduler parbs")),
+            Err(refused.into())
+        );
         assert_eq!(cells("--workload case_study_intensive").unwrap().len(), 5);
     }
 
@@ -733,17 +671,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// `replay` takes the same scheduler tokens as a spec line, PAR-BS
-    /// included.
-    #[test]
-    fn every_spec_token_is_a_cli_scheduler() {
-        for spec in SchedSpec::all().into_iter().chain([SchedSpec::ParBs]) {
-            assert_eq!(parse_scheduler(spec.token()), Ok(vec![spec.kind()]));
-        }
-        assert_eq!(parse_scheduler("all"), Ok(SchedulerKind::all().to_vec()));
-        assert!(parse_scheduler("bogus").is_err());
-    }
-
     fn paper_err(line: &str) -> String {
         match paper_args(&argv(line)) {
             Ok(_) => panic!("{line}: accepted"),
@@ -754,10 +681,12 @@ mod tests {
     /// An unknown record id is an error that lists every valid id.
     #[test]
     fn paper_rejects_an_unknown_id_and_lists_the_ids() {
-        let err = paper_err("--figure fig99");
-        assert!(err.contains("unknown figure 'fig99'"), "{err}");
-        for r in RECORDS {
-            assert!(err.contains(r.id), "{} missing: {err}", r.id);
+        for id in ["fig99", "extension_parbs"] {
+            let err = paper_err(&format!("--figure {id}"));
+            assert!(err.contains(&format!("unknown figure '{id}'")), "{err}");
+            for r in RECORDS {
+                assert!(err.contains(r.id), "{} missing: {err}", r.id);
+            }
         }
     }
 

@@ -9,8 +9,6 @@
 //! stfm paper --figure fig6
 //! stfm paper --all results
 //! stfm list
-//! stfm capture --benchmark mcf --ops 50000 --out mcf.trace
-//! stfm replay --traces a.trace,b.trace --scheduler stfm
 //! ```
 
 mod args;
@@ -26,8 +24,6 @@ fn main() {
         Some("serve") => commands::serve(&argv[1..]),
         Some("paper") => commands::paper(&argv[1..]),
         Some("list") => commands::list(&argv[1..]),
-        Some("capture") => commands::capture(&argv[1..]),
-        Some("replay") => commands::replay(&argv[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
             print!("{}", commands::USAGE);
             Ok(())

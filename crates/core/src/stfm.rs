@@ -147,9 +147,9 @@ impl ThreadSet {
 /// only, so they stay exact while both do. The list grows at an enqueue,
 /// which adds the newcomer in place, and shrinks at a column command,
 /// which marks the slot stale (`Stfm::stale_waiters`) for a rebuild. The
-/// row, which ACTIVATE, PRECHARGE, auto-precharge and refresh move, is
-/// compared with `row` at every use: a closed row turns every request
-/// into a miss, any other change means a rebuild.
+/// row, which ACTIVATE, PRECHARGE and refresh move, is compared with
+/// `row` at every use: a closed row turns every request into a miss, any
+/// other change means a rebuild.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankWaiters {
     row: Option<u32>,

@@ -1238,7 +1238,6 @@ mod compute_run_tests {
                 // the reads to run out and the writebacks queue up.
                 drain_high: 3,
                 drain_low: 1,
-                ..ControllerConfig::paper_baseline()
             },
             _ => ControllerConfig::paper_baseline(),
         };

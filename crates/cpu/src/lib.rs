@@ -17,11 +17,9 @@ pub mod core;
 pub mod mshr;
 pub mod prefetch;
 pub mod trace;
-pub mod trace_io;
 
 pub use crate::core::{Core, CoreConfig, CoreStats};
 pub use cache::{Cache, CacheAccess, Eviction};
 pub use mshr::{FillOutcome, MshrAlloc, MshrFile};
 pub use prefetch::StreamPrefetcher;
 pub use trace::{MemOpKind, TraceOp, TraceSource, VecTrace};
-pub use trace_io::{write_trace, FileTrace, TraceIoError};

@@ -163,32 +163,6 @@ impl Bank {
         done
     }
 
-    /// Issues a column command with auto-precharge (DDR2 RDA/WRA): the
-    /// device precharges the row itself at the earliest legal time, with
-    /// no extra command-bus slot. Returns the data-burst completion cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if the column command is not issuable.
-    pub fn issue_auto_precharge(
-        &mut self,
-        cmd: &DramCommand,
-        now: DramCycle,
-        t: &TimingParams,
-    ) -> DramCycle {
-        debug_assert!(
-            cmd.kind.is_column(),
-            "auto-precharge needs a column command"
-        );
-        let done = self.issue(cmd, now, t);
-        // Internal precharge at the earliest point tRTP / write recovery
-        // allows; the row is no longer usable for further column accesses.
-        let pre_at = self.next_precharge.max(now);
-        self.open_row = None;
-        self.next_activate = self.next_activate.max(pre_at + t.t_rp);
-        done
-    }
-
     /// Forces the row buffer closed (used by the channel's refresh model).
     pub(crate) fn force_close(&mut self, reopen_at: DramCycle) {
         self.open_row = None;
@@ -296,44 +270,5 @@ mod tests {
         assert_eq!(done, (tp.t_rcd + tp.read_latency()).after_zero());
         assert!(b.is_busy(done - 1));
         assert!(!b.is_busy(done));
-    }
-}
-
-#[cfg(test)]
-mod auto_precharge_tests {
-    use super::*;
-    use crate::command::BankId;
-
-    #[test]
-    fn auto_precharge_closes_the_row_and_delays_reopen() {
-        let tp = TimingParams::ddr2_800();
-        let mut b = Bank::new();
-        b.issue(&DramCommand::activate(BankId(0), 5), DramCycle::ZERO, &tp);
-        let done = b.issue_auto_precharge(
-            &DramCommand::read(BankId(0), 5, 0),
-            tp.t_rcd.after_zero(),
-            &tp,
-        );
-        assert_eq!(done, (tp.t_rcd + tp.read_latency()).after_zero());
-        assert_eq!(b.open_row(), None);
-        // The row reopens only after the internal precharge completes:
-        // earliest PRE is bounded by tRAS here (tRAS > tRCD + tRTP).
-        let act = DramCommand::activate(BankId(0), 7);
-        let earliest = tp.t_ras + tp.t_rp;
-        assert!(!b.can_issue(&act, (earliest - 1).after_zero()));
-        assert!(b.can_issue(&act, earliest.max(tp.t_rc).after_zero()));
-    }
-
-    #[test]
-    fn no_further_column_access_after_auto_precharge() {
-        let tp = TimingParams::ddr2_800();
-        let mut b = Bank::new();
-        b.issue(&DramCommand::activate(BankId(0), 5), DramCycle::ZERO, &tp);
-        b.issue_auto_precharge(
-            &DramCommand::read(BankId(0), 5, 0),
-            tp.t_rcd.after_zero(),
-            &tp,
-        );
-        assert!(!b.can_issue(&DramCommand::read(BankId(0), 5, 1), DramCycle::new(1000)));
     }
 }

@@ -356,34 +356,6 @@ impl Channel {
     ///
     /// Panics if `cmd` is not ready ([`Channel::can_issue`] is false).
     pub fn issue(&mut self, cmd: &DramCommand, now: DramCycle) -> DramCycle {
-        self.occupy_buses(cmd, now);
-        #[cfg(debug_assertions)]
-        self.audit_with(|chk| chk.observe(cmd, now));
-        self.banks[cmd.bank.0 as usize].issue(cmd, now, &self.timing)
-    }
-
-    /// Issues a column command with auto-precharge (DDR2 RDA/WRA). Same
-    /// channel-level effects as [`Channel::issue`], plus the device-side
-    /// precharge of [`Bank::issue_auto_precharge`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the command is not ready, or is not a column command.
-    pub fn issue_auto_precharge(&mut self, cmd: &DramCommand, now: DramCycle) -> DramCycle {
-        assert!(
-            cmd.kind.is_column(),
-            "auto-precharge needs a column command"
-        );
-        self.occupy_buses(cmd, now);
-        self.stats.precharges += 1;
-        #[cfg(debug_assertions)]
-        self.audit_with(|chk| chk.observe_auto_precharge(cmd, now));
-        self.banks[cmd.bank.0 as usize].issue_auto_precharge(cmd, now, &self.timing)
-    }
-
-    /// The channel-level effects of issuing `cmd` at `now`: the command
-    /// and data buses, the activate windows, and the command counts.
-    fn occupy_buses(&mut self, cmd: &DramCommand, now: DramCycle) {
         assert!(
             self.can_issue(cmd, now),
             "illegal {cmd} at DRAM cycle {now}"
@@ -416,17 +388,18 @@ impl Channel {
                 self.stats.writes += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        self.audit_with(|chk| chk.observe(cmd, now));
+        self.banks[cmd.bank.0 as usize].issue(cmd, now, &self.timing)
     }
 
-    /// [`Channel::issue`], or with `auto_precharge`
-    /// [`Channel::issue_auto_precharge`], plus telemetry: reports the
-    /// command to `sink` as an [`Event::DramCommandIssued`] before issuing
-    /// it. The channel does not know its own index or the owning thread,
-    /// so the controller supplies both.
+    /// [`Channel::issue`] plus telemetry: reports the command to `sink` as
+    /// an [`Event::DramCommandIssued`] before issuing it. The channel does
+    /// not know its own index or the owning thread, so the controller
+    /// supplies both.
     pub fn issue_traced(
         &mut self,
         cmd: &DramCommand,
-        auto_precharge: bool,
         now: DramCycle,
         channel: u32,
         thread: Option<u32>,
@@ -441,14 +414,9 @@ impl Channel {
                 cmd: kind,
                 row,
                 thread,
-                auto_precharge,
             });
         }
-        if auto_precharge {
-            self.issue_auto_precharge(cmd, now)
-        } else {
-            self.issue(cmd, now)
-        }
+        self.issue(cmd, now)
     }
 }
 
@@ -694,14 +662,13 @@ mod randomized_tests {
     }
 
     /// Drives a channel through `steps` random legal commands (activates,
-    /// column reads and writes with and without auto-precharge,
-    /// precharges, and the refreshes `tick` starts once the channel has
-    /// drained) and, at every step, holds [`Channel::class_edges`] of
-    /// every bank and both access kinds against its two references: each
-    /// edge equals `earliest_issue` of the command it stands for, and is
-    /// due exactly when `can_issue` accepts that command. The bank-level
-    /// [`Bank::class_edges`] is held to `Bank::earliest_issue` and
-    /// `Bank::can_issue` the same way.
+    /// column reads and writes, precharges, and the refreshes `tick`
+    /// starts once the channel has drained) and, at every step, holds
+    /// [`Channel::class_edges`] of every bank and both access kinds
+    /// against its two references: each edge equals `earliest_issue` of
+    /// the command it stands for, and is due exactly when `can_issue`
+    /// accepts that command. The bank-level [`Bank::class_edges`] is held
+    /// to `Bank::earliest_issue` and `Bank::can_issue` the same way.
     fn check_class_edges(seeds: std::ops::Range<u64>, steps: u32) {
         let mut refreshes = 0;
         for seed in seeds {
@@ -768,20 +735,16 @@ mod randomized_tests {
                 }
                 let bank = BankId(rng.random_range(0..cfg.banks));
                 let row = rng.random_range(0u32..4);
-                let (cmd, auto_pre) = match (ch.bank(bank).open_row(), rng.random_range(0u32..6)) {
-                    (None, _) => (DramCommand::activate(bank, row), false),
-                    (Some(_), 0) => (DramCommand::precharge(bank), false),
-                    (Some(r), k @ 1..=3) => (DramCommand::read(bank, r, row), k == 3),
-                    (Some(r), k) => (DramCommand::write(bank, r, row), k == 5),
+                let cmd = match (ch.bank(bank).open_row(), rng.random_range(0u32..6)) {
+                    (None, _) => DramCommand::activate(bank, row),
+                    (Some(_), 0) => DramCommand::precharge(bank),
+                    (Some(r), 1..=3) => DramCommand::read(bank, r, row),
+                    (Some(r), _) => DramCommand::write(bank, r, row),
                 };
                 if !ch.can_issue(&cmd, now) {
                     continue;
                 }
-                if auto_pre {
-                    ch.issue_auto_precharge(&cmd, now);
-                } else {
-                    ch.issue(&cmd, now);
-                }
+                ch.issue(&cmd, now);
             }
             refreshes += ch.stats().refreshes;
         }

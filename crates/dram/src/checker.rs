@@ -124,24 +124,6 @@ impl TimingChecker {
         self.last_cmd = Some(end.saturating_sub(1).max(start));
     }
 
-    /// Audits a column command issued with auto-precharge: the column
-    /// checks apply as usual, and the device-side precharge is modeled at
-    /// its earliest legal time (no command-bus slot).
-    pub fn observe_auto_precharge(&mut self, cmd: &DramCommand, now: DramCycle) {
-        let t = self.t;
-        self.observe(cmd, now);
-        let idx = cmd.bank.0 as usize;
-        if idx < self.banks.len() {
-            let pre_at = match cmd.kind {
-                CommandKind::Write { .. } => now + t.write_latency() + t.t_wr,
-                _ => now + t.t_rtp,
-            };
-            let b = &mut self.banks[idx];
-            b.open_row = None;
-            b.last_precharge = Some(pre_at);
-        }
-    }
-
     /// Audits one issued command. Any violated constraint is recorded (the
     /// checker keeps going so a full run can be audited in one pass).
     pub fn observe(&mut self, cmd: &DramCommand, now: DramCycle) {
@@ -352,7 +334,6 @@ impl Sink for TimingAudit {
                 bank,
                 cmd,
                 row,
-                auto_precharge,
                 ..
             } => {
                 let (bank, row) = (BankId(bank), row.unwrap_or_default());
@@ -366,12 +347,7 @@ impl Sink for TimingAudit {
                     // `RefreshIssued`, below.
                     CmdKind::Refresh => return,
                 };
-                let checker = &mut self.channels[channel as usize];
-                if auto_precharge {
-                    checker.observe_auto_precharge(&cmd, dram_cycle);
-                } else {
-                    checker.observe(&cmd, dram_cycle);
-                }
+                self.channels[channel as usize].observe(&cmd, dram_cycle);
             }
             Event::RefreshIssued {
                 dram_cycle,
@@ -485,7 +461,6 @@ mod tests {
             cmd,
             row: Some(3),
             thread: None,
-            auto_precharge: false,
         }
     }
 

@@ -4,10 +4,9 @@
 //! (Mutlu & Moscibroda, *Stall-Time Fair Memory Access Scheduling for Chip
 //! Multiprocessors*, MICRO 2007): banks with row buffers, per-channel
 //! command/address/data buses, the full DDR2 timing-constraint set, an
-//! XOR-permuted address mapping, periodic refresh, and two passive
-//! auditors of the telemetry event stream: the independent
-//! [`TimingChecker`] rules (as the [`TimingAudit`] sink) and the
-//! [`EnergyModel`].
+//! XOR-permuted address mapping, periodic refresh, and a passive
+//! auditor of the telemetry event stream: the independent
+//! [`TimingChecker`] rules (as the [`TimingAudit`] sink).
 //!
 //! The model is *command accurate*: a memory controller drives it by issuing
 //! [`DramCommand`]s ([`CommandKind::Activate`], [`CommandKind::Precharge`],
@@ -46,7 +45,6 @@ pub mod checker;
 pub mod command;
 pub mod config;
 pub mod latency;
-pub mod power;
 pub mod refresh;
 pub mod rng;
 pub mod timing;
@@ -58,7 +56,6 @@ pub use checker::{TimingAudit, TimingChecker, TimingViolation};
 pub use command::{BankId, ChannelId, CommandKind, DramCommand};
 pub use config::{DramConfig, CHIPS_PER_DIMM, CONTROLLER_OVERHEAD, LINE_BYTES, ROWS};
 pub use latency::{command_bank_latency, AccessCategory};
-pub use power::{EnergyBreakdown, EnergyModel, PowerParams};
 pub use refresh::RefreshState;
 pub use timing::TimingParams;
 

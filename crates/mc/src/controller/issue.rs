@@ -12,20 +12,6 @@ use crate::request::{AccessKind, Request, RequestId};
 use stfm_dram::{BankId, DramCycle};
 use stfm_telemetry::Sink;
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowPolicy {
-    /// Leave rows open after column accesses (the paper's baseline,
-    /// Table 2: "FR-FCFS/open-page policy"). Exploits row-buffer locality;
-    /// row conflicts pay the full precharge + activate penalty.
-    #[default]
-    OpenPage,
-    /// Auto-precharge each column access unless another queued request
-    /// targets the same row. Trades away locality for conflict-free
-    /// reopening — the classic alternative for low-locality workloads.
-    ClosedPage,
-}
-
 /// Cumulative scheduling-work counters for one run (summed over
 /// channels by [`super::MemorySystem::sched_counters`]). Bookkeeping only:
 /// counters never feed back into scheduling decisions.
@@ -70,14 +56,13 @@ enum Decision {
 /// Each part is dropped by exactly what can change it, one method of
 /// [`BankSchedulers`] per rule:
 ///
-/// * a refresh ([`BankSchedulers::refresh`]) or a row change by ACTIVATE,
-///   PRECHARGE or auto-precharge ([`BankSchedulers::row_change`]) drops
-///   all of it — every row-hit classification moves;
-/// * a column command without auto-precharge
-///   ([`BankSchedulers::column_command`]) takes one request out of the
-///   list: it drops the decision and the class presence, and keeps the
-///   other requests' cached ranks, which read neither that request nor
-///   the row;
+/// * a refresh ([`BankSchedulers::refresh`]) or a row change by ACTIVATE
+///   or PRECHARGE ([`BankSchedulers::row_change`]) drops all of it —
+///   every row-hit classification moves;
+/// * a column command ([`BankSchedulers::column_command`]) takes one
+///   request out of the list: it drops the decision and the class
+///   presence, and keeps the other requests' cached ranks, which read
+///   neither that request nor the row;
 /// * an arrival of `kind` is folded in ([`BankSchedulers::arrival`]): its
 ///   class becomes present, and while the ranks are cached it is ranked
 ///   once and merged into the decision;
@@ -226,8 +211,8 @@ impl BankSchedulers {
         *e = BankCache::stale(e.kind);
     }
 
-    /// A column command without auto-precharge took one request out of
-    /// `bank`'s list; the row, and every other cached rank, stands.
+    /// A column command took one request out of `bank`'s list; the row,
+    /// and every other cached rank, stands.
     pub(super) fn column_command(&mut self, bank: usize) {
         let e = &mut self.bank_cache[bank];
         e.classes = None;
@@ -356,7 +341,6 @@ impl ChannelCtrl {
         &mut self,
         policy: &mut dyn SchedulerPolicy,
         now: DramCycle,
-        row_policy: RowPolicy,
         sink: &mut dyn Sink,
     ) {
         let sched = &mut self.sched;
@@ -410,24 +394,15 @@ impl ChannelCtrl {
         let cmd = req.next_command(&self.channel);
         let bank = cmd.bank.0 as usize;
 
-        // Phase 2 (mutable): issue and update request state. Under the
-        // closed-page policy, a column access auto-precharges unless some
-        // other queued request still wants the same row.
+        // Phase 2 (mutable): issue and update request state. Rows stay
+        // open after a column access (Table 2: open-page policy).
         let pre_open = self.channel.bank(cmd.bank).open_row();
-        let (slots, waiting) = (self.queue.slots(), self.queue.waiting(bank));
-        let auto_pre = row_policy == RowPolicy::ClosedPage
-            && cmd.is_column()
-            && !waiting
-                .iter()
-                .any(|&s| s != slot && slots[s].loc.row == req.loc.row);
         let (id, thread) = (self.id.0, Some(req.thread.0));
-        let done = self
-            .channel
-            .issue_traced(&cmd, auto_pre, now, id, thread, sink);
+        let done = self.channel.issue_traced(&cmd, now, id, thread, sink);
         self.queue.issued(slot, &cmd, pre_open, now, done);
         // Other banks are untouched: their ranks depend only on their own
         // state and on policy state, whose moves the policy reports.
-        if cmd.is_column() && !auto_pre {
+        if cmd.is_column() {
             sched.column_command(bank);
         } else {
             sched.row_change(bank);

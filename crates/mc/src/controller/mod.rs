@@ -16,7 +16,7 @@ use crate::request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 use crate::stats::{SystemStats, ThreadStats};
 use drain::WriteDrain;
 use issue::BankSchedulers;
-pub use issue::{RowPolicy, SchedCounters};
+pub use issue::SchedCounters;
 use predict::Outlook;
 pub use queue::Completion;
 use queue::RequestBuffer;
@@ -65,8 +65,6 @@ pub struct ControllerConfig {
     pub drain_high: usize,
     /// Queued-write count at which drain mode ends.
     pub drain_low: usize,
-    /// Row-buffer management policy.
-    pub row_policy: RowPolicy,
 }
 
 impl ControllerConfig {
@@ -77,7 +75,6 @@ impl ControllerConfig {
             write_capacity: 32,
             drain_high: 24,
             drain_low: 8,
-            row_policy: RowPolicy::OpenPage,
         }
     }
 }
@@ -417,7 +414,7 @@ impl MemorySystem {
                 continue;
             }
             ctrl.drain.update(&ctrl.queue, channel, now, sink);
-            ctrl.schedule(policy, now, self.ctrl_config.row_policy, sink);
+            ctrl.schedule(policy, now, sink);
             let out = &mut self.completions;
             reaped |= ctrl.queue.reap(now, out, |req, finish_cpu| {
                 stats.record_completion(req, finish_cpu);
@@ -822,8 +819,7 @@ mod scheduling_tests {
     use super::*;
     use crate::fcfs::Fcfs;
     use crate::policy::Rank;
-    use std::any::Any;
-    use stfm_dram::{ClockRatio, DramConfig, EnergyModel, PowerParams};
+    use stfm_dram::{ClockRatio, DramConfig};
 
     fn no_refresh_cfg() -> DramConfig {
         DramConfig {
@@ -979,156 +975,5 @@ mod scheduling_tests {
             now += 1;
         }
         assert!(sys.thread_stats(ThreadId(0)).row_hit_rate() > 0.9);
-    }
-
-    /// Energy accounting folds the controller's event stream.
-    #[test]
-    fn energy_model_accumulates() {
-        let cfg = no_refresh_cfg();
-        let mut sys = MemorySystem::new(cfg.clone(), Box::new(FrFcfs::new()));
-        sys.set_sink(Box::new(EnergyModel::new(&cfg, PowerParams::default())));
-        sys.try_enqueue(
-            ThreadId(0),
-            AccessKind::Read,
-            PhysAddr(0),
-            CpuCycle::ZERO,
-            0,
-        )
-        .unwrap();
-        for now in 0..40 {
-            sys.tick(DramCycle::new(now));
-        }
-        let sink: Box<dyn Any> = sys.take_sink();
-        let model = sink.downcast_ref::<EnergyModel>().unwrap();
-        let e = model.breakdown(sys.now());
-        assert!(e.activate_nj > 0.0, "ACT energy missing");
-        assert!(e.read_nj > 0.0, "read energy missing");
-        assert!(e.background_nj > 0.0, "background energy missing");
-    }
-
-    use crate::frfcfs::FrFcfs;
-}
-
-#[cfg(test)]
-mod row_policy_tests {
-    use super::*;
-    use crate::frfcfs::FrFcfs;
-    use crate::test_util::{assert_timing_clean, audit_timing};
-    use stfm_dram::{ClockRatio, DramConfig};
-
-    fn system_with(policy: RowPolicy) -> MemorySystem {
-        let cfg = DramConfig {
-            refresh_enabled: false,
-            ..DramConfig::ddr2_800()
-        };
-        let mut sys = MemorySystem::with_controller_config(
-            cfg,
-            ControllerConfig {
-                row_policy: policy,
-                ..ControllerConfig::paper_baseline()
-            },
-            Box::new(FrFcfs::new()),
-        );
-        audit_timing(&mut sys);
-        sys
-    }
-
-    fn run_stream(sys: &mut MemorySystem, n: u64, stride: u64) -> (DramCycle, f64) {
-        for i in 0..n {
-            sys.try_enqueue(
-                ThreadId(0),
-                AccessKind::Read,
-                PhysAddr(i * stride),
-                CpuCycle::ZERO,
-                0,
-            )
-            .unwrap();
-        }
-        let mut now = DramCycle::ZERO;
-        while sys.outstanding() > 0 {
-            sys.tick(now);
-            sys.drain_completions();
-            now += 1;
-            assert!(now < 1_000_000);
-        }
-        assert_timing_clean(sys);
-        (now, sys.thread_stats(ThreadId(0)).row_hit_rate())
-    }
-
-    #[test]
-    fn closed_page_kills_sequential_hit_rate() {
-        // One request in the buffer at a time would auto-precharge; here
-        // the whole burst is co-resident, so same-row requests keep the
-        // row open even under closed-page. Enqueue one by one instead.
-        let mut open_sys = system_with(RowPolicy::OpenPage);
-        let mut closed_sys = system_with(RowPolicy::ClosedPage);
-        for sys in [&mut open_sys, &mut closed_sys] {
-            let mut now = DramCycle::ZERO;
-            for i in 0..32u64 {
-                sys.try_enqueue(
-                    ThreadId(0),
-                    AccessKind::Read,
-                    PhysAddr(i * 64),
-                    ClockRatio::PAPER.dram_to_cpu(now),
-                    0,
-                )
-                .unwrap();
-                while sys.outstanding() > 0 {
-                    sys.tick(now);
-                    sys.drain_completions();
-                    now += 1;
-                }
-            }
-            assert_timing_clean(sys);
-        }
-        assert!(open_sys.thread_stats(ThreadId(0)).row_hit_rate() > 0.9);
-        assert_eq!(closed_sys.thread_stats(ThreadId(0)).row_hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn closed_page_serves_corow_bursts_without_precharge() {
-        // A co-resident same-row burst is recognized: no auto-precharge
-        // until the last access, so hits still happen within the burst.
-        let mut sys = system_with(RowPolicy::ClosedPage);
-        let (_, hit_rate) = run_stream(&mut sys, 16, 64);
-        assert!(hit_rate > 0.8, "hit rate {hit_rate}");
-    }
-
-    #[test]
-    fn closed_page_beats_open_page_on_row_conflicts() {
-        // Alternating rows in the same bank: open-page pays precharge on
-        // the critical path every time; closed-page reopens from idle.
-        let cfg = DramConfig::ddr2_800();
-        let row_stride = u64::from(cfg.row_bytes()) * u64::from(cfg.banks) * 8;
-        let mut open_sys = system_with(RowPolicy::OpenPage);
-        let mut closed_sys = system_with(RowPolicy::ClosedPage);
-        let mut times = Vec::new();
-        for sys in [&mut open_sys, &mut closed_sys] {
-            let mut now = DramCycle::ZERO;
-            for i in 0..24u64 {
-                let addr = PhysAddr((i % 2) * row_stride);
-                sys.try_enqueue(
-                    ThreadId(0),
-                    AccessKind::Read,
-                    addr,
-                    ClockRatio::PAPER.dram_to_cpu(now),
-                    0,
-                )
-                .unwrap();
-                while sys.outstanding() > 0 {
-                    sys.tick(now);
-                    sys.drain_completions();
-                    now += 1;
-                }
-            }
-            assert_timing_clean(sys);
-            times.push(now);
-        }
-        assert!(
-            times[1] <= times[0],
-            "closed-page ({}) should not lose to open-page ({}) on conflicts",
-            times[1],
-            times[0]
-        );
     }
 }

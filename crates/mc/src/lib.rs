@@ -12,7 +12,6 @@
 //! | [`FrFcfsCap`] | here | 4 (new comparison point) |
 //! | [`Nfq`] | here | 4 (Nesbit et al.) |
 //! | `Stfm` | `stfm-core` | 3, 5 (the contribution) |
-//! | [`ParBs`] | here | extension: the ISCA-2008 successor |
 //!
 //! # Example
 //!
@@ -34,21 +33,19 @@ pub mod fcfs;
 pub mod frfcfs;
 pub mod frfcfs_cap;
 pub mod nfq;
-pub mod parbs;
 pub mod policy;
 pub mod request;
 pub mod stats;
 pub mod test_util;
 
 pub use controller::{
-    bank_slot, Completion, ControllerConfig, MemorySystem, RowPolicy, SchedCounters, BANK_SLOTS,
+    bank_slot, Completion, ControllerConfig, MemorySystem, SchedCounters, BANK_SLOTS,
     DEFAULT_SAMPLE_INTERVAL, MAX_BANKS, MAX_CHANNELS,
 };
 pub use fcfs::Fcfs;
 pub use frfcfs::FrFcfs;
 pub use frfcfs_cap::FrFcfsCap;
 pub use nfq::Nfq;
-pub use parbs::ParBs;
 pub use policy::{Rank, SchedQuery, SchedulerPolicy, SystemView};
 pub use request::{AccessKind, Request, RequestId, RequestState, ThreadId};
 pub use stats::{SystemStats, ThreadStats};

@@ -139,8 +139,8 @@ impl<'a> SystemView<'a> {
 /// A DRAM scheduling policy.
 ///
 /// Implementations: [`crate::FrFcfs`], [`crate::Fcfs`],
-/// [`crate::FrFcfsCap`], [`crate::Nfq`], [`crate::ParBs`], and the STFM
-/// scheduler in the `stfm-core` crate.
+/// [`crate::FrFcfsCap`], [`crate::Nfq`], and the STFM scheduler in the
+/// `stfm-core` crate.
 ///
 /// The `Any` supertrait lets harnesses reach a concrete policy's own
 /// state (STFM's estimates) by upcasting `&dyn SchedulerPolicy` to
@@ -205,11 +205,11 @@ pub trait SchedulerPolicy: std::any::Any {
     /// The default runs the cycle hook once, which is exact for every
     /// policy whose hook is idempotent on frozen state: the first skipped
     /// cycle may observe changes since the last stepped call (an arrival
-    /// to prune against, a new bank head starting its timer at `sys.now`,
-    /// an exhausted batch to re-form), and every further call would find
-    /// the same buffers and rewrite the same persistent state. A policy
-    /// whose hook accumulates per cycle (STFM's interference drain and
-    /// interval resets) must override this with the span's closed form.
+    /// to prune against, a new bank head starting its timer at
+    /// `sys.now`), and every further call would find the same buffers and
+    /// rewrite the same persistent state. A policy whose hook accumulates
+    /// per cycle (STFM's interference drain and interval resets) must
+    /// override this with the span's closed form.
     fn fast_forward(&mut self, sys: &SystemView<'_>, _cycles: u64) {
         self.on_dram_cycle(sys);
     }
@@ -220,8 +220,8 @@ pub trait SchedulerPolicy: std::any::Any {
     ///
     /// The controller caches each bank's winner and the rank of each of
     /// its waiting requests across ticks. It drops the ranks itself only
-    /// when the bank's row changes (ACTIVATE, PRECHARGE, an
-    /// auto-precharge, a refresh) or the eligible access kind flips; an
+    /// when the bank's row changes (ACTIVATE, PRECHARGE, a refresh) or
+    /// the eligible access kind flips; an
     /// arrival is ranked once and merged, and a column command keeps
     /// every other request's rank. It calls this once per DRAM cycle,
     /// right after [`SchedulerPolicy::on_dram_cycle`] and before it

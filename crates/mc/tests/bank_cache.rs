@@ -1,12 +1,12 @@
 //! The per-bank walk cache against its definition. One bank is flooded
-//! with requests, most of them to one row, under each of the six
-//! policies and both row policies, while arrivals keep landing on the
-//! bank's carried winner. Every run must issue exactly the command and
-//! completion stream of a run whose policy reports every bank on every
-//! tick, so that each scheduling visit walks the bank afresh and calls
-//! `rank` on every waiting request. In a debug build the controller's
-//! own audit also holds every visit's carried decision, and every cached
-//! rank, equal to such a walk.
+//! with requests, most of them to one row, under each of the five
+//! policies, while arrivals keep landing on the bank's carried winner.
+//! Every run must issue exactly the command and completion stream of a
+//! run whose policy reports every bank on every tick, so that each
+//! scheduling visit walks the bank afresh and calls `rank` on every
+//! waiting request. In a debug build the controller's own audit also
+//! holds every visit's carried decision, and every cached rank, equal to
+//! such a walk.
 
 // `allow-expect-in-tests` covers `#[test]` fns only, not their helpers.
 #![allow(clippy::expect_used)]
@@ -19,8 +19,8 @@ use stfm_dram::{
     TimingParams,
 };
 use stfm_mc::{
-    AccessKind, ControllerConfig, Fcfs, FrFcfs, FrFcfsCap, MemorySystem, Nfq, ParBs, Rank, Request,
-    RowPolicy, SchedCounters, SchedQuery, SchedulerPolicy, SystemView, ThreadId,
+    AccessKind, Fcfs, FrFcfs, FrFcfsCap, MemorySystem, Nfq, Rank, Request, SchedCounters,
+    SchedQuery, SchedulerPolicy, SystemView, ThreadId,
 };
 use stfm_telemetry::{Event, RingSink, Sink, TeeSink};
 
@@ -78,14 +78,13 @@ impl SchedulerPolicy for Probe {
     }
 }
 
-/// The six policies, built fresh.
+/// The five policies, built fresh.
 fn policies(timing: TimingParams) -> Vec<Box<dyn SchedulerPolicy>> {
     vec![
         Box::new(FrFcfs::new()),
         Box::new(Fcfs::new()),
         Box::new(FrFcfsCap::new()),
         Box::new(Nfq::new(timing)),
-        Box::new(ParBs::new()),
         Box::new(Stfm::new(timing)),
     ]
 }
@@ -102,7 +101,7 @@ struct Flood {
 /// 80 cycles from four threads, every eighth to a second row (a conflict
 /// the winner can change over) and every fifth a write, then runs until
 /// the buffer drains. Ticks every cycle, as the stepped loop does.
-fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool) -> Flood {
+fn flood(policy: Box<dyn SchedulerPolicy>, uncached: bool) -> Flood {
     let dram = DramConfig::ddr2_800();
     let lines_per_row = dram.columns();
     let probe = Probe {
@@ -110,12 +109,8 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
         uncached,
         rank_calls: Cell::new(0),
     };
-    let ctrl = ControllerConfig {
-        row_policy,
-        ..ControllerConfig::paper_baseline()
-    };
     let audit = TimingAudit::new(&dram);
-    let mut mem = MemorySystem::with_controller_config(dram, ctrl, Box::new(probe));
+    let mut mem = MemorySystem::new(dram, Box::new(probe));
     mem.set_sink(Box::new(TeeSink::new(RingSink::new(1 << 16), audit)));
     let mut to_main_row = 0;
     let mut now = DramCycle::ZERO;
@@ -172,36 +167,34 @@ fn flood(policy: Box<dyn SchedulerPolicy>, row_policy: RowPolicy, uncached: bool
 #[test]
 fn a_flooded_bank_decides_as_a_fresh_walk_would() {
     let timing = DramConfig::ddr2_800().timing;
-    for row_policy in [RowPolicy::OpenPage, RowPolicy::ClosedPage] {
-        for (cached, uncached) in policies(timing).into_iter().zip(policies(timing)) {
-            let name = cached.name();
-            let got = flood(cached, row_policy, false);
-            let want = flood(uncached, row_policy, true);
-            assert!(
-                got.to_main_row >= 64,
-                "{name}: {} to one row",
-                got.to_main_row
-            );
-            for (i, (a, b)) in got.events.iter().zip(&want.events).enumerate() {
-                assert_eq!(a, b, "{name} {row_policy:?}: event {i} diverges");
-            }
-            assert_eq!(got.events.len(), want.events.len(), "{name} {row_policy:?}");
-            // The cache carried decisions and merged arrivals: far fewer
-            // walks than visits, and — counted where the controller's
-            // debug audit, which ranks every request on every visit, is
-            // compiled out — far fewer rank calls.
-            let (got_walks, want_walks) = (got.counters.rank_scans, want.counters.rank_scans);
-            assert!(got.counters.rank_carried > 0, "{name} {row_policy:?}");
-            assert!(
-                got_walks * 2 < want_walks,
-                "{name} {row_policy:?}: {got_walks} walks cached, {want_walks} uncached"
-            );
-            assert!(
-                cfg!(debug_assertions) || got.rank_calls * 3 < want.rank_calls,
-                "{name} {row_policy:?}: {} rank calls cached, {} uncached",
-                got.rank_calls,
-                want.rank_calls
-            );
+    for (cached, uncached) in policies(timing).into_iter().zip(policies(timing)) {
+        let name = cached.name();
+        let got = flood(cached, false);
+        let want = flood(uncached, true);
+        assert!(
+            got.to_main_row >= 64,
+            "{name}: {} to one row",
+            got.to_main_row
+        );
+        for (i, (a, b)) in got.events.iter().zip(&want.events).enumerate() {
+            assert_eq!(a, b, "{name}: event {i} diverges");
         }
+        assert_eq!(got.events.len(), want.events.len(), "{name}");
+        // The cache carried decisions and merged arrivals: far fewer
+        // walks than visits, and — counted where the controller's debug
+        // audit, which ranks every request on every visit, is compiled
+        // out — far fewer rank calls.
+        let (got_walks, want_walks) = (got.counters.rank_scans, want.counters.rank_scans);
+        assert!(got.counters.rank_carried > 0, "{name}");
+        assert!(
+            got_walks * 2 < want_walks,
+            "{name}: {got_walks} walks cached, {want_walks} uncached"
+        );
+        assert!(
+            cfg!(debug_assertions) || got.rank_calls * 3 < want.rank_calls,
+            "{name}: {} rank calls cached, {} uncached",
+            got.rank_calls,
+            want.rank_calls
+        );
     }
 }

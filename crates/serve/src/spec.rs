@@ -43,8 +43,6 @@ pub enum SchedSpec {
     Nfq,
     /// `"stfm"` — stall-time fair memory scheduling.
     Stfm,
-    /// `"parbs"` — PAR-BS (extension).
-    ParBs,
 }
 
 impl SchedSpec {
@@ -67,7 +65,6 @@ impl SchedSpec {
             SchedSpec::Cap => "cap",
             SchedSpec::Nfq => "nfq",
             SchedSpec::Stfm => "stfm",
-            SchedSpec::ParBs => "parbs",
         }
     }
 
@@ -79,10 +76,9 @@ impl SchedSpec {
             "cap" | "frfcfs+cap" => SchedSpec::Cap,
             "nfq" => SchedSpec::Nfq,
             "stfm" => SchedSpec::Stfm,
-            "parbs" | "par-bs" => SchedSpec::ParBs,
             other => {
                 return Err(format!(
-                    "unknown scheduler '{other}' (expected frfcfs, fcfs, cap, nfq, stfm, parbs, or all)"
+                    "unknown scheduler '{other}' (expected frfcfs, fcfs, cap, nfq, stfm, or all)"
                 ))
             }
         })
@@ -96,7 +92,6 @@ impl SchedSpec {
             SchedSpec::Cap => SchedulerKind::FrFcfsCap { cap: 4 },
             SchedSpec::Nfq => SchedulerKind::Nfq,
             SchedSpec::Stfm => SchedulerKind::Stfm,
-            SchedSpec::ParBs => SchedulerKind::ParBs,
         }
     }
 }
@@ -558,6 +553,7 @@ mod tests {
                 r#"{"mix": ["mcf"], "scheduler": "lru"}"#,
                 "unknown scheduler",
             ),
+            (r#"{"mix": ["mcf"], "scheduler": "parbs"}"#, PARBS_REFUSED),
             (r#"{"mix": ["mcf"], "insts": 0}"#, "insts must be >= 1"),
             (r#"{"mix": ["mcf"], "insts": -5}"#, "unsigned integer"),
             (r#"{"mix": ["mcf"], "alpha": 0.5}"#, "alpha must be"),
@@ -593,7 +589,13 @@ mod tests {
             let err = expand_line(line).expect_err(line);
             assert!(err.contains(needle), "{line}: {err}");
         }
+        assert_eq!(SchedSpec::parse("parbs"), Err(PARBS_REFUSED.to_string()));
     }
+
+    /// PAR-BS is not one of the paper's schedulers: its token is refused,
+    /// and the message lists the five that remain.
+    const PARBS_REFUSED: &str =
+        "unknown scheduler 'parbs' (expected frfcfs, fcfs, cap, nfq, stfm, or all)";
 
     /// 256 MB per chip, the largest row whose 8-chip size fits in a
     /// `u32`, still expands and builds a system.

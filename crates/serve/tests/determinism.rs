@@ -122,23 +122,13 @@ fn warm_cache_replays_the_cold_stream_verbatim() {
 }
 
 /// A served cell runs only on the event-driven loop, so each shape it
-/// can take is checked here against the stepped one: every scheduler
-/// (PAR-BS included), an α override and a geometry override.
+/// can take is checked here against the stepped one: every scheduler, an
+/// α override and a geometry override.
 #[test]
 fn every_cell_shape_matches_the_stepped_oracle() {
     let mix = || ["mcf", "libquantum", "hmmer"].map(String::from).to_vec();
     let cell = |sched| Cell::new(sched, mix()).insts(2_000);
-    let mut cells: Vec<Cell> = [
-        SchedSpec::FrFcfs,
-        SchedSpec::Fcfs,
-        SchedSpec::Cap,
-        SchedSpec::Nfq,
-        SchedSpec::Stfm,
-        SchedSpec::ParBs,
-    ]
-    .into_iter()
-    .map(cell)
-    .collect();
+    let mut cells: Vec<Cell> = SchedSpec::all().into_iter().map(cell).collect();
     cells.push(cell(SchedSpec::Stfm).alpha(1.2));
     cells.push(Cell {
         banks: Some(4),

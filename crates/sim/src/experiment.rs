@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use stfm_core::Stfm;
 use stfm_cpu::{Core, CoreConfig, CoreStats};
 use stfm_dram::{DramConfig, DramDelta, CPU_CYCLES_PER_DRAM_CYCLE};
-use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, ThreadId};
+use stfm_mc::{MemorySystem, ThreadId};
 use stfm_telemetry::{Event, NullSink, Sink};
 use stfm_workloads::{Profile, SyntheticTrace};
 
@@ -180,7 +180,6 @@ pub struct Experiment {
     seed: u64,
     weights: Vec<(u32, u32)>,
     shares: Vec<(u32, u32)>,
-    row_policy: RowPolicy,
     prefetch: bool,
     sample_interval: Option<u64>,
     fast_forward: bool,
@@ -221,7 +220,6 @@ impl Experiment {
             seed: 1,
             weights: Vec::new(),
             shares: Vec::new(),
-            row_policy: RowPolicy::OpenPage,
             prefetch: false,
             sample_interval: None,
             fast_forward: true,
@@ -275,13 +273,6 @@ impl Experiment {
     /// Sets thread `t`'s NFQ bandwidth share (ignored by other schedulers).
     pub fn share(mut self, thread: u32, share: u32) -> Self {
         self.shares.push((thread, share));
-        self
-    }
-
-    /// Selects the controller's row-buffer policy (default: open page, the
-    /// paper's baseline).
-    pub fn row_policy(mut self, policy: RowPolicy) -> Self {
-        self.row_policy = policy;
         self
     }
 
@@ -396,11 +387,7 @@ impl Experiment {
         let policy = self
             .scheduler
             .build(dram.timing, &self.weights, &self.shares);
-        let ctrl = ControllerConfig {
-            row_policy: self.row_policy,
-            ..ControllerConfig::paper_baseline()
-        };
-        let mut mem = MemorySystem::with_controller_config(dram.clone(), ctrl, policy);
+        let mut mem = MemorySystem::new(dram.clone(), policy);
         if let Some(interval) = self.sample_interval {
             mem.set_sample_interval(DramDelta::new(interval));
         }

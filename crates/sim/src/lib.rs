@@ -39,6 +39,6 @@ pub use experiment::{run_alone, AloneCache, Experiment, TracedRun, DEFAULT_INSTR
 pub use metrics::{gmean, unfairness_from_slowdowns, ThreadMetrics, WorkloadMetrics};
 pub use runner::run_ordered;
 pub use scheduler_kind::SchedulerKind;
-pub use stfm_mc::{RowPolicy, MAX_BANKS};
+pub use stfm_mc::MAX_BANKS;
 pub use system::{Budget, RunOutcome, RunStop, System};
 pub use table::Table;

@@ -2,7 +2,7 @@
 
 use stfm_core::{Stfm, StfmConfig};
 use stfm_dram::TimingParams;
-use stfm_mc::{Fcfs, FrFcfs, FrFcfsCap, Nfq, ParBs, SchedulerPolicy, ThreadId};
+use stfm_mc::{Fcfs, FrFcfs, FrFcfsCap, Nfq, SchedulerPolicy, ThreadId};
 
 /// The schedulers compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +23,6 @@ pub enum SchedulerKind {
     Stfm,
     /// STFM with explicit parameters (α / interval / γ ablations).
     StfmWith(StfmConfig),
-    /// PAR-BS (extension: the paper's follow-up, for comparison).
-    ParBs,
 }
 
 impl SchedulerKind {
@@ -47,7 +45,6 @@ impl SchedulerKind {
             SchedulerKind::FrFcfsCap { .. } => "FRFCFS+Cap",
             SchedulerKind::Nfq => "NFQ",
             SchedulerKind::Stfm | SchedulerKind::StfmWith(_) => "STFM",
-            SchedulerKind::ParBs => "PAR-BS",
         }
     }
 
@@ -91,7 +88,6 @@ impl SchedulerKind {
             SchedulerKind::StfmWith(cfg) => {
                 Self::build_stfm(Stfm::with_config(timing, cfg), weights)
             }
-            SchedulerKind::ParBs => Box::new(ParBs::new()),
         }
     }
 

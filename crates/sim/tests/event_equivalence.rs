@@ -23,7 +23,7 @@ use stfm_core::{Stfm, StfmConfig, StfmWork};
 use stfm_cpu::{Core, CoreConfig, TraceOp, VecTrace};
 use stfm_dram::rng::SmallRng;
 use stfm_dram::{DramConfig, CPU_CYCLES_PER_DRAM_CYCLE};
-use stfm_mc::{ControllerConfig, MemorySystem, RowPolicy, SchedCounters, ThreadId};
+use stfm_mc::{ControllerConfig, MemorySystem, SchedCounters, ThreadId};
 use stfm_sim::digest::Fnv64;
 use stfm_sim::oracle::{compare, completion_digest, observe, Case, Run};
 use stfm_sim::{AloneCache, Budget, CancelToken, Experiment, RunStop, SchedulerKind, System};
@@ -61,7 +61,7 @@ fn palette(idx: u64) -> Vec<Profile> {
 }
 
 fn draw_scheduler(rng: &mut SmallRng) -> SchedulerKind {
-    match rng.random_range(0u32..7) {
+    match rng.random_range(0u32..6) {
         0 => SchedulerKind::FrFcfs,
         1 => SchedulerKind::Fcfs,
         2 => SchedulerKind::FrFcfsCap {
@@ -73,13 +73,12 @@ fn draw_scheduler(rng: &mut SmallRng) -> SchedulerKind {
         // enough to expire within a run, so the reset — on real ticks and
         // inside elided spans, in `Stfm::fast_forward` — is exercised,
         // which the 2^24-cycle default never is here.
-        5 => SchedulerKind::StfmWith(StfmConfig {
+        _ => SchedulerKind::StfmWith(StfmConfig {
             alpha: 1.0 + rng.random_range(5u32..200) as f64 / 100.0,
             interval_length: rng.random_range(5_000u64..100_000),
             gamma_shift: rng.random_range(0u32..2),
             use_parallelism: rng.random_range(0u32..4) != 0,
         }),
-        _ => SchedulerKind::ParBs,
     }
 }
 
@@ -112,25 +111,17 @@ fn draw_case(case: u64) -> CaseConfig {
     let (profiles, mut dram) = draw_system(&mut rng);
     dram.banks = if rng.random_range(0u32..2) == 0 { 4 } else { 8 };
     dram.refresh_enabled = rng.random_range(0u32..4) != 0;
-    let ctrl = ControllerConfig {
-        row_policy: if rng.random_range(0u32..4) == 0 {
-            RowPolicy::ClosedPage
-        } else {
-            RowPolicy::OpenPage
-        },
-        // Occasionally shrink the buffers so back-pressure (and the
-        // cores' retry-gate machinery) engages hard.
-        ..if rng.random_range(0u32..3) == 0 {
-            ControllerConfig {
-                read_capacity: 16,
-                write_capacity: 8,
-                drain_high: 6,
-                drain_low: 2,
-                row_policy: RowPolicy::OpenPage,
-            }
-        } else {
-            ControllerConfig::paper_baseline()
+    // Occasionally shrink the buffers so back-pressure (and the cores'
+    // retry-gate machinery) engages hard.
+    let ctrl = if rng.random_range(0u32..3) == 0 {
+        ControllerConfig {
+            read_capacity: 16,
+            write_capacity: 8,
+            drain_high: 6,
+            drain_low: 2,
         }
+    } else {
+        ControllerConfig::paper_baseline()
     };
     CaseConfig {
         scheduler: draw_scheduler(&mut rng),
@@ -588,16 +579,11 @@ fn pointer_chase_elides_and_carries() {
 }
 
 /// The per-bank decision cache serves the stateful policies too, not
-/// only those whose ranks depend on request and bank state alone: NFQ,
-/// FR-FCFS+Cap and PAR-BS carry every bank winner their own state did
-/// not move.
+/// only those whose ranks depend on request and bank state alone: NFQ
+/// and FR-FCFS+Cap carry every bank winner their own state did not move.
 #[test]
 fn stateful_policies_carry_bank_decisions() {
-    for kind in [
-        SchedulerKind::Nfq,
-        SchedulerKind::FrFcfsCap { cap: 4 },
-        SchedulerKind::ParBs,
-    ] {
+    for kind in [SchedulerKind::Nfq, SchedulerKind::FrFcfsCap { cap: 4 }] {
         let (_, sched, cycles) = work(&observe(&work_case(kind, streaming()), true));
         println!("{kind:?}/event: {sched:?} over {cycles} dram cycles");
         assert!(
@@ -644,7 +630,6 @@ fn completion_streams_match_goldens() {
             (SchedulerKind::FrFcfsCap { cap: 4 }, 0xf414530b2bb7a865),
             (SchedulerKind::Nfq, 0xa5c2ee8152755867),
             (SchedulerKind::Stfm, 0xb0ca41e7e50d5377),
-            (SchedulerKind::ParBs, 0xd00ed1c779a67942),
         ],
     );
 }
@@ -662,7 +647,6 @@ fn pointer_chase_streams_match_goldens() {
             (SchedulerKind::FrFcfsCap { cap: 4 }, 0xb76722b48eb707a1),
             (SchedulerKind::Nfq, 0xdcf3dd918e5f048b),
             (SchedulerKind::Stfm, 0x5ce7f47243925b85),
-            (SchedulerKind::ParBs, 0x6fc44e1735f8243f),
         ],
     );
 }

@@ -42,7 +42,7 @@ pub struct EpochRow {
     pub serviced_writes: u64,
     /// Activate commands issued.
     pub activates: u64,
-    /// Precharge commands issued (explicit or auto).
+    /// Precharge commands issued.
     pub precharges: u64,
     /// Column (CAS) commands issued.
     pub cas: u64,
@@ -287,25 +287,16 @@ impl EpochSampler {
 
     fn apply(&mut self, event: &Event) {
         match event {
-            Event::DramCommandIssued {
-                cmd,
-                auto_precharge,
-                ..
-            } => {
-                match cmd {
-                    CmdKind::Activate => self.cur.activates += 1,
-                    CmdKind::Precharge => self.cur.precharges += 1,
-                    CmdKind::Read | CmdKind::Write => {
-                        self.cur.cas += 1;
-                        self.cur.bus_busy_cycles += CAS_DATA_CYCLES;
-                    }
-                    // Refreshes are counted from `RefreshIssued`, below.
-                    CmdKind::Refresh => return,
+            Event::DramCommandIssued { cmd, .. } => match cmd {
+                CmdKind::Activate => self.cur.activates += 1,
+                CmdKind::Precharge => self.cur.precharges += 1,
+                CmdKind::Read | CmdKind::Write => {
+                    self.cur.cas += 1;
+                    self.cur.bus_busy_cycles += CAS_DATA_CYCLES;
                 }
-                if *auto_precharge {
-                    self.cur.precharges += 1;
-                }
-            }
+                // Refreshes are counted from `RefreshIssued`, below.
+                CmdKind::Refresh => {}
+            },
             Event::RequestEnqueued { .. } => {
                 self.cur.enqueued += 1;
                 self.depth += 1;
@@ -409,7 +400,6 @@ mod tests {
             cmd: CmdKind::Read,
             row: Some(1),
             thread: Some(0),
-            auto_precharge: false,
         }
     }
 
@@ -421,7 +411,6 @@ mod tests {
             cmd: CmdKind::Activate,
             row: Some(1),
             thread: Some(0),
-            auto_precharge: false,
         }
     }
 

@@ -53,8 +53,6 @@ pub enum Event {
         row: Option<u32>,
         /// Owning thread of the serviced request, when attributable.
         thread: Option<u32>,
-        /// True when a CAS carried an auto-precharge (closed-row policy).
-        auto_precharge: bool,
     },
     /// A request entered a controller request buffer.
     RequestEnqueued {
@@ -236,7 +234,6 @@ impl Event {
                 cmd,
                 row,
                 thread,
-                auto_precharge,
             } => {
                 push_u64_field(&mut s, "dram_cycle", dram_cycle.get());
                 push_u64_field(&mut s, "channel", u64::from(*channel));
@@ -247,9 +244,6 @@ impl Event {
                 }
                 if let Some(thread) = thread {
                     push_u64_field(&mut s, "thread", u64::from(*thread));
-                }
-                if *auto_precharge {
-                    let _ = write!(s, "\"auto_precharge\":true,");
                 }
             }
             Event::RequestEnqueued {
@@ -424,7 +418,6 @@ mod tests {
                 cmd: CmdKind::Activate,
                 row: Some(42),
                 thread: Some(1),
-                auto_precharge: false,
             },
             Event::RequestEnqueued {
                 dram_cycle: DramCycle::new(5),

@@ -83,7 +83,6 @@ mod tests {
             cmd: CmdKind::Read,
             row: Some(3),
             thread: Some(0),
-            auto_precharge: false,
         }
     }
 

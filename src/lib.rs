@@ -8,7 +8,7 @@
 //!
 //! * [`dram`] — cycle-level DDR2 device/channel/timing model.
 //! * [`mc`] — memory controller and baseline schedulers (FR-FCFS, FCFS,
-//!   FR-FCFS+Cap, NFQ, PAR-BS).
+//!   FR-FCFS+Cap, NFQ).
 //! * [`stfm`] — the paper's contribution: the Stall-Time Fair Memory
 //!   scheduler.
 //! * [`cpu`] — trace-driven cores with L1/L2 caches and MSHRs.

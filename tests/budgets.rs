@@ -14,14 +14,12 @@ const N: u64 = 2_000;
 
 /// Every policy on `profiles`, at `[N, 3N]`.
 fn windows_equal_single_runs(profiles: &[Profile]) {
-    let mut kinds = SchedulerKind::all().to_vec();
-    kinds.push(SchedulerKind::ParBs);
     let insts = [N, 3 * N];
     let budgets = insts.map(Budget::of);
     // One cache per path, each shared across policies: the two paths'
     // baselines are computed independently of each other.
     let (together_cache, single_cache) = (AloneCache::new(), AloneCache::new());
-    for kind in kinds {
+    for kind in SchedulerKind::all() {
         let exp = Experiment::new(profiles.to_vec()).scheduler(kind);
         let mut sys = exp.shared_system();
         let together = sys.run(&budgets);

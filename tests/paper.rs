@@ -73,11 +73,7 @@ pinned! {
     #[ignore = "release-only: minutes in a debug build"]
     table5 = ("647c53000a08aa70", 80);
     #[ignore = "release-only: seconds in a debug build"]
-    extension_parbs = ("1321e1cfbf82d645", 12);
-    #[ignore = "release-only: seconds in a debug build"]
     ablation_cap = ("c4c8690f2a557066", 5);
-    #[ignore = "release-only: seconds in a debug build"]
-    ablation_energy = ("da60c6f0ad382ea3", 5);
     // Two STFM runs and the FR-FCFS run that brings the alone baselines.
     #[ignore = "release-only: seconds in a debug build"]
     ablation_estimate = ("c9b994434921bf98", 3);
@@ -87,8 +83,6 @@ pinned! {
     ablation_interval = ("59934f3ed0b9177e", 5);
     ablation_parallelism = ("16b2e409c96a90e6", 2);
     ablation_prefetch = ("cabbb720affc3d20", 4);
-    #[ignore = "release-only: seconds in a debug build"]
-    ablation_row_policy = ("32305a7226b3d40a", 8);
 }
 
 #[test]

@@ -54,13 +54,12 @@ fn assert_event_loop_matches_stepped(
         .collect()
 }
 
-/// With PAR-BS, and STFM on a 5,000-CPU-cycle interval: the run spans
+/// With STFM on a 5,000-CPU-cycle interval: the run spans
 /// many intervals, so elided spans cross resets, which
 /// `Stfm::fast_forward` must settle exactly as stepping would.
 #[test]
 fn four_cores_one_channel() {
     let mut kinds = SchedulerKind::all().to_vec();
-    kinds.push(SchedulerKind::ParBs);
     kinds.push(SchedulerKind::StfmWith(StfmConfig {
         interval_length: 5_000,
         ..StfmConfig::default()
