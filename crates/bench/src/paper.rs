@@ -747,10 +747,9 @@ impl Session {
                 let mut experiments = Vec::new();
                 for w in *sets {
                     for &kind in r.kinds {
-                        // Only STFM reads weights and only NFQ reads shares.
+                        // STFM reads them as weights, NFQ as shares.
                         let e = experiment(kind, profiles, insts, seed);
-                        let e =
-                            (w.iter().zip(0..)).fold(e, |e, (&w, i)| e.weight(i, w).share(i, w));
+                        let e = (w.iter().zip(0..)).fold(e, |e, (&w, i)| e.weight(i, w));
                         experiments.push(e);
                     }
                 }

@@ -21,22 +21,11 @@ impl Flags {
     /// Rejects non-flag tokens, flags not in `known` (a misspelt flag must
     /// not silently run the default) and value flags without a value.
     pub fn parse(args: &[String], known: &str) -> Result<Flags, String> {
-        match Flags::parse_positional(args, known)? {
-            (f, rest) if rest.is_empty() => Ok(f),
-            (_, rest) => Err(format!("unexpected argument '{}'", rest[0])),
-        }
-    }
-
-    /// [`Flags::parse`] for a subcommand that takes positional arguments:
-    /// the non-flag tokens come back in order.
-    pub fn parse_positional(args: &[String], known: &str) -> Result<(Flags, Vec<String>), String> {
         let mut f = Flags::default();
-        let mut positional = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             let Some(key) = a.strip_prefix("--") else {
-                positional.push(a.clone());
-                continue;
+                return Err(format!("unexpected argument '{a}'"));
             };
             if !known.split(' ').any(|k| k == key) {
                 let takes = if known.is_empty() { "no flags" } else { known };
@@ -51,7 +40,7 @@ impl Flags {
                 f.values.insert(key.to_string(), v.clone());
             }
         }
-        Ok((f, positional))
+        Ok(f)
     }
 
     /// String value of `--key`, if present.
@@ -133,18 +122,6 @@ mod tests {
             assert!(err.contains(flag), "{line}: {err}");
             assert!(err.contains("takes: workload insts check"), "{line}: {err}");
         }
-    }
-
-    /// Positional arguments come back in order, from anywhere among the
-    /// flags; a switch takes no value, so the token after it is one.
-    #[test]
-    fn positionals_come_back_in_order() {
-        let (f, positional) =
-            Flags::parse_positional(&argv("a.jsonl --quiet b --jobs 2 c"), "jobs quiet").unwrap();
-        assert_eq!(positional, ["a.jsonl", "b", "c"]);
-        assert!(f.has("quiet"));
-        assert_eq!(f.get("jobs"), Some("2"));
-        assert!(Flags::parse_positional(&argv("a --bogus 1"), "jobs").is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use stfm_dram::TimingAudit;
 use stfm_mc::DEFAULT_SAMPLE_INTERVAL;
 use stfm_serve::json::Value;
 use stfm_serve::spec::expand_value;
-use stfm_serve::{expand_line, run_sweep, Cell, ResultCache, SchedSpec, ServeConfig};
+use stfm_serve::{Cell, ResultCache, ServeConfig};
 use stfm_sim::{run_ordered, AloneCache, Experiment, Table, WorkloadMetrics};
 use stfm_telemetry::{EpochConfig, EpochSampler, JsonLinesSink, Sink, TeeSink};
 use stfm_workloads::{desktop, spec, Profile};
@@ -26,27 +26,24 @@ USAGE:
            [--banks N] [--row-kb N] [--jobs N] [--check] [--quiet]
            [--trace DIR [--epoch N] [--sample N]]
   stfm paper (--figure ID | --all DIR) [--insts N] [--seed N] [--full] [--jobs N]
-  stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]
-  stfm serve [--jobs N] [--cache-dir DIR] [--tcp ADDR] [--cell-timeout MS]
-           [--fault-log FILE]
+  stfm serve [--jobs N] [--cache-dir DIR] [--cell-timeout MS]
   stfm list
   stfm help
 
-`sweep` expands a JSONL spec file (one experiment grid per line; see
-DESIGN.md section 10) into cells, runs them across --jobs workers
-(default: all cores), and streams one JSON result line per cell to
-stdout in input order. Malformed lines print a one-line Err to stderr
-with the offending line number; the rest of the file still runs. With
---cache-dir, completed cells persist and later runs replay them.
-
-`serve` is the long-running form: it reads spec lines from stdin (or
-accepts sequential connections with --tcp host:port), streams result
-lines plus per-line `epoch` telemetry, answers {\"cmd\":\"ping\"|\"stats\"}
-in stream order, and exits gracefully on {\"cmd\":\"shutdown\"} or EOF.
-Cells are panic-isolated; --cell-timeout caps each cell's wall-clock
-budget in milliseconds (one retry after a 25 ms pause, then a
-structured timeout error); --fault-log FILE mirrors detected faults as
-telemetry JSONL. See DESIGN.md section 11.
+`serve` is a filter from spec lines to response lines: it reads JSONL
+spec lines (one experiment grid per line; see DESIGN.md section 10) from
+stdin, expands each into cells, runs them across --jobs workers
+(default: all cores), and writes to stdout, in input order, one JSON
+result line per cell plus a per-line `epoch` line. A malformed line is
+answered with an `error` line naming its line number; the rest still
+runs. It answers {\"cmd\":\"ping\"|\"stats\"} in stream order and exits
+gracefully on {\"cmd\":\"shutdown\"} or EOF. With --cache-dir, completed
+cells persist and later runs replay them. Cells are panic-isolated;
+--cell-timeout caps each cell's wall-clock budget in milliseconds (one
+retry after a 25 ms pause, announced by a `fault` line, then a
+structured timeout error). Every answer and every fault is on stdout;
+`stfm serve < spec.jsonl | grep '\"type\":\"result\"'` is the result
+transcript. See DESIGN.md section 11.
 
 `run` is one spec line: --workload is its `mix` (benchmark names, or one
 named mix such as case_study_intensive), the other cell flags its fields.
@@ -149,10 +146,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     for cell in &cells {
         let mut e = cell.to_experiment()?;
         for (i, w) in weights.iter().enumerate() {
-            e = match cell.scheduler {
-                SchedSpec::Nfq => e.share(i as u32, *w),
-                _ => e.weight(i as u32, *w),
-            };
+            e = e.weight(i as u32, *w);
         }
         if let Some(t) = &trace {
             e = e.sample_interval(t.sample);
@@ -373,7 +367,7 @@ fn jobs_flag(f: &Flags) -> Result<Option<usize>, String> {
 
 /// Builds the alone-run and result caches, persistent when `--cache-dir`
 /// is given (`DIR/alone` and `DIR/cells` respectively).
-fn sweep_caches(f: &Flags) -> Result<(AloneCache, ResultCache), String> {
+fn serve_caches(f: &Flags) -> Result<(AloneCache, ResultCache), String> {
     match f.get("cache-dir") {
         Some(dir) => {
             let base = Path::new(dir);
@@ -387,114 +381,23 @@ fn sweep_caches(f: &Flags) -> Result<(AloneCache, ResultCache), String> {
     }
 }
 
-/// `stfm sweep`: expand a JSONL spec file and run every cell through the
-/// shared work-stealing runner, streaming result lines to stdout.
-pub fn sweep(args: &[String]) -> Result<(), String> {
-    let (f, positional) = Flags::parse_positional(args, "jobs cache-dir quiet")?;
-    let [path] = &positional[..] else {
-        return Err("usage: stfm sweep <spec-file> [--jobs N] [--cache-dir DIR] [--quiet]".into());
-    };
-    let (alone, results) = sweep_caches(&f)?;
-    let quiet = f.has("quiet");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-
-    // Expand up front; malformed lines report and are skipped, the rest
-    // of the file still runs.
-    let mut cells = Vec::new();
-    let mut bad_lines = 0u64;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let trimmed = raw.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        match expand_line(trimmed) {
-            Ok(batch) => cells.extend(batch),
-            Err(e) => {
-                bad_lines += 1;
-                eprintln!("{path}:{line_no}: Err: {e}");
-            }
-        }
-    }
-
-    let total = cells.len();
-    // Feeds only the cells/s summary on stderr.
-    #[allow(clippy::disallowed_methods)]
-    let started = std::time::Instant::now();
-    let mut out = io::stdout().lock();
-    let mut emitted = 0usize;
-    let mut write_failed = false;
-    let summary = run_sweep(&cells, &alone, &results, jobs_flag(&f)?, |o| {
-        if writeln!(out, "{}", o.line).is_err() {
-            write_failed = true;
-        }
-        emitted += 1;
-        if !quiet {
-            let c = &cells[o.index];
-            eprintln!(
-                "[{emitted}/{total}] {} {} insts={} seed={} -> {} ({} ms)",
-                c.scheduler.token(),
-                c.mix.join("+"),
-                c.insts,
-                c.seed,
-                if o.from_cache { "cache" } else { "run" },
-                o.wall.as_millis()
-            );
-        }
-    })?;
-    out.flush().map_err(|e| format!("stdout: {e}"))?;
-    if write_failed {
-        return Err("stdout: write failed".into());
-    }
-
-    let wall = started.elapsed().as_secs_f64();
-    if !quiet {
-        let rate = if wall > 0.0 {
-            summary.cells as f64 / wall
-        } else {
-            0.0
-        };
-        eprintln!(
-            "{} cells ({} cached, {} simulated, {} quarantined, {} bad lines) on {} workers in {:.2}s ({:.1} cells/s)",
-            summary.cells,
-            summary.cache_hits,
-            summary.cells - summary.cache_hits,
-            alone.quarantined_count() + results.quarantined_count(),
-            bad_lines,
-            summary.workers,
-            wall,
-            rate
-        );
-    }
-    Ok(())
-}
-
 /// Builds the fault-tolerance configuration for `stfm serve` from its
-/// flags (`--cell-timeout` in milliseconds, `--fault-log` as a JSONL
-/// path).
+/// flags (`--cell-timeout` in milliseconds).
 fn serve_config(f: &Flags) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig::with_jobs(jobs_flag(f)?);
     let timeout_ms: u64 = f.num("cell-timeout", 0)?;
     if timeout_ms > 0 {
         cfg = cfg.cell_timeout(std::time::Duration::from_millis(timeout_ms));
     }
-    if let Some(path) = f.get("fault-log") {
-        cfg = cfg.fault_log(path);
-    }
     Ok(cfg)
 }
 
-/// `stfm serve`: the long-running experiment service (stdin/stdout line
-/// protocol, or sequential TCP connections with `--tcp`).
+/// `stfm serve`: the experiment service, a filter from spec lines on
+/// stdin to response lines on stdout.
 pub fn serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, "jobs cache-dir tcp cell-timeout fault-log")?;
-    let (alone, results) = sweep_caches(&f)?;
+    let f = Flags::parse(args, "jobs cache-dir cell-timeout")?;
+    let (alone, results) = serve_caches(&f)?;
     let cfg = serve_config(&f)?;
-    if let Some(addr) = f.get("tcp") {
-        eprintln!("stfm serve: listening on {addr}");
-        stfm_serve::serve_tcp(addr, &alone, &results, &cfg).map_err(|e| format!("{addr}: {e}"))?;
-        return Ok(());
-    }
     // `StdinLock` is not `Send` (input is read on the worker threads), so
     // wrap the handle in a `BufReader` instead of locking it.
     let stdin = BufReader::new(io::stdin());
@@ -521,6 +424,7 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stfm_serve::expand_line;
     use stfm_sim::SchedulerKind;
 
     fn argv(s: &str) -> Vec<String> {

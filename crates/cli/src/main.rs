@@ -4,7 +4,6 @@
 //! stfm run --workload mcf,libquantum,GemsFDTD,astar --scheduler stfm
 //! stfm run --workload mcf,libquantum --scheduler all --insts 100000
 //! stfm run --workload mcf,libquantum --scheduler stfm --trace trace-out
-//! stfm sweep experiments.jsonl --jobs 8 --cache-dir .stfm-cache
 //! stfm serve --cache-dir .stfm-cache < spec.jsonl
 //! stfm paper --figure fig6
 //! stfm paper --all results
@@ -20,7 +19,6 @@ fn main() {
         // `cargo bench --workspace` invokes binaries with --bench.
         Some("--bench") => Ok(()),
         Some("run") => commands::run(&argv[1..]),
-        Some("sweep") => commands::sweep(&argv[1..]),
         Some("serve") => commands::serve(&argv[1..]),
         Some("paper") => commands::paper(&argv[1..]),
         Some("list") => commands::list(&argv[1..]),

@@ -142,12 +142,6 @@ impl ResultCache {
     pub fn quarantined_count(&self) -> u64 {
         self.lines.quarantined_count()
     }
-
-    /// Number of stale temp files reaped when the cache was opened.
-    #[must_use]
-    pub fn reaped_temp_count(&self) -> u64 {
-        self.lines.reaped_count()
-    }
 }
 
 #[cfg(test)]
@@ -293,8 +287,8 @@ mod tests {
         )
         .unwrap();
         let cache = ResultCache::with_dir(&dir).unwrap();
-        assert_eq!(cache.reaped_temp_count(), 2);
         assert!(!dir.join("cell-abc.json.tmp123-0").exists());
+        assert!(!dir.join("cell-abc.json.tmp999-7").exists());
         assert!(cache.lookup(&key).is_some(), "real entry must survive");
         let _ = fs::remove_dir_all(&dir);
     }

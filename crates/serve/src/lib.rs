@@ -15,16 +15,17 @@
 //!    memoized in memory and optionally persisted to a cache directory,
 //!    so re-running a spec replays finished cells byte-for-byte and only
 //!    simulates what changed.
-//! 3. **Execution** ([`runner`], [`mod@serve`]) — batch sweeps
-//!    ([`run_sweep`], `stfm sweep`) and a long-running stdin/TCP service
-//!    ([`serve()`], `stfm serve`: streamed result lines with backpressure,
-//!    per-line epochs, structured errors, graceful shutdown), both on the
-//!    one ordered worker pool, [`stfm_sim::runner::run_ordered`].
+//! 3. **Execution** ([`runner`], [`mod@serve`]) — a filter from spec
+//!    lines to response lines ([`serve()`], `stfm serve`: streamed result
+//!    lines with backpressure, per-line epochs, structured errors and
+//!    faults, graceful shutdown) and an in-process batch runner
+//!    ([`run_sweep`]), both on the one ordered worker pool,
+//!    [`stfm_sim::runner::run_ordered`].
 //!
 //! The whole stack preserves the repository's determinism contract: the
 //! result-line stream for a spec is byte-identical across worker counts,
-//! across `sweep`/`serve`/in-process entry points, and across cold and
-//! warm caches.
+//! across the `serve`/`run_sweep`/single-cell entry points, and across
+//! cold and warm caches.
 
 // This crate parses untrusted lines beside `catch_unwind` cells: every
 // index or slice that could panic goes through `.get(..)` instead.
@@ -44,5 +45,5 @@ pub use cache::{CachedResult, ResultCache};
 pub use fault::FaultPlan;
 pub use result::{parse_result_line, result_line, ParsedResult};
 pub use runner::{run_cell_cancellable, run_sweep, CellAnswer, CellOutcome, SweepSummary};
-pub use serve::{serve, serve_listener, serve_tcp, ServeConfig, ServeTotals};
+pub use serve::{serve, ServeConfig, ServeTotals};
 pub use spec::{expand_line, Cell, SchedSpec, MAX_CELLS_PER_LINE, MAX_THREADS_PER_MIX};

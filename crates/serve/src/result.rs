@@ -3,8 +3,8 @@
 //! A result line is *deterministic*: it is a pure function of the cell and
 //! the simulation outcome, with no timestamps, host names, or cache
 //! provenance. That is what makes the service-scale determinism guarantee
-//! checkable (`stfm sweep`, `stfm serve`, and the in-process runner must
-//! produce byte-identical result streams) and what lets the persistent
+//! checkable (`stfm serve`, [`crate::run_sweep`] and the single-cell runner
+//! must produce byte-identical result streams) and what lets the persistent
 //! cache replay a stored line verbatim.
 //!
 //! Each per-thread entry carries the full shared/alone [`CoreStats`]

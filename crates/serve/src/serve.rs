@@ -15,8 +15,9 @@
 //! * **emit** (caller's thread) — receives the sequence in input order,
 //!   so the output stream is byte-identical for any `--jobs`.
 //!
-//! Malformed lines never crash the service: they produce a structured
-//! `{"type":"error","line":N,...}` response and processing continues.
+//! Malformed lines (a line that is not UTF-8 among them) never crash the
+//! service: they produce a structured `{"type":"error","line":N,...}`
+//! response and processing continues.
 //! Result lines are deterministic; wall-clock and cache telemetry appear
 //! only in `epoch`/`stats`/`bye` lines, so filtering the stream to
 //! `"type":"result"` yields a reproducible transcript.
@@ -46,21 +47,17 @@
 //!   pipeline drains, totals record the disconnect, and the caller gets
 //!   `Ok` rather than an error it can only ignore.
 //!
-//! Detected faults are additionally mirrored as
-//! [`stfm_telemetry::Event::ServeFault`] records into an optional JSONL
-//! fault log ([`ServeConfig::fault_log`]).
+//! Every fault a session detects travels on the one output stream: a
+//! retry is a `fault` line, a timeout, panic, truncation or spec error is
+//! an `error` line, and `stats`/`bye` count quarantined cache files.
 
 use std::collections::VecDeque;
-use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::TcpListener;
+use std::io::{self, BufRead, Write};
 use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use stfm_sim::{run_ordered, AloneCache, CancelToken};
-use stfm_telemetry::{Event as TelemetryEvent, JsonLinesSink, Sink};
 
 use crate::cache::ResultCache;
 use crate::json::{self, escape};
@@ -70,16 +67,13 @@ use crate::spec::{expand_line, Cell};
 /// Pause before a timed-out cell's single retry.
 const RETRY_BACKOFF: Duration = Duration::from_millis(25);
 
-/// Configuration for one [`serve`] session (and, via [`serve_tcp`], for
-/// every connection of a TCP service).
+/// Configuration for one [`serve`] session.
 #[derive(Debug, Default)]
 pub struct ServeConfig {
     /// Worker threads; `None`/`Some(0)` = available parallelism.
     pub jobs: Option<usize>,
     /// Per-cell wall-clock budget; `None` = unbounded.
     pub cell_timeout: Option<Duration>,
-    /// Mirror detected faults as telemetry JSONL into this file.
-    pub fault_log: Option<PathBuf>,
     /// Seeded fault-injection plan (test builds only).
     #[cfg(feature = "fault-inject")]
     pub fault_plan: Option<std::sync::Arc<crate::fault::FaultPlan>>,
@@ -99,13 +93,6 @@ impl ServeConfig {
     #[must_use]
     pub fn cell_timeout(mut self, budget: Duration) -> Self {
         self.cell_timeout = Some(budget);
-        self
-    }
-
-    /// Sets the fault-log path (builder style).
-    #[must_use]
-    pub fn fault_log(mut self, path: impl Into<PathBuf>) -> Self {
-        self.fault_log = Some(path.into());
         self
     }
 }
@@ -133,9 +120,6 @@ pub struct ServeTotals {
     /// Whether the client disconnected mid-stream (the session still
     /// drained and ended gracefully).
     pub disconnected: bool,
-    /// Whether an explicit `shutdown` command ended the session (as
-    /// opposed to end-of-input).
-    pub shutdown_requested: bool,
 }
 
 /// Everything the envelope produced for one cell.
@@ -231,8 +215,8 @@ impl<'a> CellRunner<'a> {
     /// isolation and timeout + one retry. Always produces exactly one
     /// [`CellOutput`].
     pub(crate) fn execute_cell(&self, cell: &Cell) -> CellOutput {
-        // Reported as latency only (the `epoch` line's `wall_ms`, `stfm
-        // sweep`'s progress on stderr); never in a result line or a cache.
+        // Reported as latency only (the `epoch` line's `wall_ms`,
+        // `CellOutcome::wall`); never in a result line or a cache.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         let key = cell.key();
@@ -322,7 +306,6 @@ struct Feed<R> {
     /// Set at end of input, on a read failure and by `shutdown`: nothing
     /// further is read.
     done: bool,
-    shutdown_requested: bool,
 }
 
 impl<R: BufRead> Iterator for Feed<R> {
@@ -336,12 +319,22 @@ impl<R: BufRead> Iterator for Feed<R> {
             if self.done {
                 return None;
             }
-            let Some((idx, Ok(raw))) = self.lines.next() else {
-                // EOF: implicit graceful shutdown.
-                self.done = true;
-                return Some(Slot::Marker(Event::Bye));
+            let (line_no, raw) = match self.lines.next() {
+                Some((idx, Ok(raw))) => (idx as u64 + 1, raw),
+                // The reader has consumed the line, so the next one reads
+                // on: a malformed line, answered in band.
+                Some((idx, Err(e))) if e.kind() == io::ErrorKind::InvalidData => {
+                    return Some(Slot::Marker(Event::Error {
+                        line_no: idx as u64 + 1,
+                        message: "line is not valid UTF-8".into(),
+                    }));
+                }
+                // EOF or a failed read: implicit graceful shutdown.
+                _ => {
+                    self.done = true;
+                    return Some(Slot::Marker(Event::Bye));
+                }
             };
-            let line_no = idx as u64 + 1;
             let trimmed = raw.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
@@ -349,7 +342,6 @@ impl<R: BufRead> Iterator for Feed<R> {
             let marker = match control_command(trimmed).as_deref() {
                 Some("shutdown") => {
                     self.done = true;
-                    self.shutdown_requested = true;
                     Event::Bye
                 }
                 Some("ping") => Event::Pong,
@@ -393,27 +385,19 @@ pub fn serve(
     cfg: &ServeConfig,
 ) -> io::Result<ServeTotals> {
     let runner = CellRunner::new(alone, results, cfg);
-    let mut feed = Feed {
+    let feed = Feed {
         lines: input.lines().enumerate(),
         queued: VecDeque::new(),
         done: false,
-        shutdown_requested: false,
     };
     let mut totals = ServeTotals::default();
     let quarantined = || alone.quarantined_count() + results.quarantined_count();
     let quarantined_before = quarantined();
     let mut write_err: Option<io::Error> = None;
     let mut line_agg = (0u64, Duration::ZERO);
-    // Best-effort fault telemetry; a log that cannot be opened degrades
-    // to no log rather than refusing to serve.
-    let mut fault_sink: Option<JsonLinesSink<BufWriter<File>>> = cfg
-        .fault_log
-        .as_ref()
-        .and_then(|p| File::create(p).ok())
-        .map(|f| JsonLinesSink::new(BufWriter::new(f)));
 
     run_ordered(
-        &mut feed,
+        feed,
         cfg.jobs,
         |slot| match slot {
             Slot::Cell { line_no, cell } => Event::Cell {
@@ -426,13 +410,8 @@ pub fn serve(
         // accounting: events already in flight still drain into totals, so
         // a disconnected client's `bye`-style bookkeeping stays exact.
         |event| {
-            let now_quarantined = quarantined() - quarantined_before;
-            if now_quarantined > totals.quarantined {
-                let detail = format!("{now_quarantined} quarantined this session");
-                record_fault(&mut fault_sink, "cache", "quarantined", "", &detail);
-            }
-            totals.quarantined = now_quarantined;
-            let rendered = render(event, &mut totals, &mut line_agg, &mut fault_sink);
+            totals.quarantined = quarantined() - quarantined_before;
+            let rendered = render(event, &mut totals, &mut line_agg);
             if totals.disconnected || write_err.is_some() {
                 return ControlFlow::Break(());
             }
@@ -442,7 +421,6 @@ pub fn serve(
                 };
                 if is_disconnect(&e) {
                     totals.disconnected = true;
-                    record_fault(&mut fault_sink, "client", "disconnect", "", &e.to_string());
                 } else {
                     write_err = Some(e);
                 }
@@ -452,10 +430,6 @@ pub fn serve(
         },
     );
 
-    if let Some(sink) = &mut fault_sink {
-        let _ = sink.flush();
-    }
-    totals.shutdown_requested = feed.shutdown_requested;
     match write_err {
         Some(e) => Err(e),
         None => Ok(totals),
@@ -468,35 +442,11 @@ fn control_command(line: &str) -> Option<String> {
     Some(v.get("cmd")?.as_str().unwrap_or_default().to_string())
 }
 
-/// Mirrors one detected fault into the telemetry fault log, if open.
-fn record_fault(
-    sink: &mut Option<JsonLinesSink<BufWriter<File>>>,
-    domain: &'static str,
-    kind: &'static str,
-    subject: &str,
-    detail: &str,
-) {
-    if let Some(sink) = sink {
-        sink.record(&TelemetryEvent::ServeFault {
-            dram_cycle: stfm_dram::DramCycle::ZERO,
-            domain,
-            kind,
-            subject: subject.to_string(),
-            detail: detail.to_string(),
-        });
-    }
-}
-
 /// Renders one in-order event to zero or more output lines, updating
 /// running totals and `line_agg`, the cache hits and wall time of the
 /// current line's cells (events arrive in input order, so a line's cells
 /// are exactly those since the previous `epoch`).
-fn render(
-    event: Event,
-    totals: &mut ServeTotals,
-    line_agg: &mut (u64, Duration),
-    fault_sink: &mut Option<JsonLinesSink<BufWriter<File>>>,
-) -> Vec<String> {
+fn render(event: Event, totals: &mut ServeTotals, line_agg: &mut (u64, Duration)) -> Vec<String> {
     match event {
         Event::Cell { line_no, out } => {
             let from_cache = matches!(out.result, Ok((_, _, true)));
@@ -508,7 +458,6 @@ fn render(
             // A retry's fault line precedes the answer it enabled.
             if let Some(detail) = &out.retry {
                 totals.faults += 1;
-                record_fault(fault_sink, "worker", "timeout_retry", &out.key, detail);
                 lines.push(format!(
                     "{{\"type\":\"fault\",\"line\":{line_no},\"domain\":\"worker\",\"kind\":\"timeout_retry\",\"cell\":\"{}\",\"detail\":\"{}\"}}",
                     out.key,
@@ -523,7 +472,6 @@ fn render(
                         "panic" => totals.panics += 1,
                         _ => {}
                     }
-                    record_fault(fault_sink, "worker", kind, &out.key, &message);
                     lines.push(format!(
                         "{{\"type\":\"error\",\"line\":{line_no},\"kind\":\"{}\",\"cell\":\"{}\",\"error\":\"{}\"}}",
                         kind,
@@ -557,55 +505,6 @@ fn render(
         }
         Event::Bye => vec![format!("{{\"type\":\"bye\",{}}}", totals_fields(totals))],
     }
-}
-
-/// Serves sequential connections from an already-bound listener until
-/// one of them issues a `shutdown` command. Exposed separately from
-/// [`serve_tcp`] so tests (and embedders) can bind to an ephemeral port
-/// first and learn the address before serving.
-///
-/// Because a disconnecting client yields `Ok` with
-/// [`ServeTotals::shutdown_requested`] preserved, a client that sends
-/// `shutdown` and drops its connection still stops the listener promptly
-/// instead of leaving it blocked in the next `accept`.
-///
-/// # Errors
-///
-/// Propagates accept failures; per-connection I/O errors only end that
-/// connection.
-pub fn serve_listener(
-    listener: &TcpListener,
-    alone: &AloneCache,
-    results: &ResultCache,
-    cfg: &ServeConfig,
-) -> io::Result<()> {
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let reader = BufReader::new(stream.try_clone()?);
-        match serve(reader, stream, alone, results, cfg) {
-            Ok(totals) if totals.shutdown_requested => break,
-            Ok(_) | Err(_) => {}
-        }
-    }
-    Ok(())
-}
-
-/// Serves sequential TCP connections on `addr` until one of them issues a
-/// `shutdown` command. Each connection gets the full line protocol;
-/// caches are shared across connections.
-///
-/// # Errors
-///
-/// Propagates bind/accept failures; per-connection I/O errors only end
-/// that connection.
-pub fn serve_tcp(
-    addr: &str,
-    alone: &AloneCache,
-    results: &ResultCache,
-    cfg: &ServeConfig,
-) -> io::Result<()> {
-    let listener = TcpListener::bind(addr)?;
-    serve_listener(&listener, alone, results, cfg)
 }
 
 #[cfg(test)]
@@ -657,7 +556,6 @@ mod tests {
         assert_eq!(totals.lines, 1);
         assert_eq!(totals.cells, 2);
         assert_eq!(totals.errors, 0);
-        assert!(!totals.shutdown_requested);
         assert!(!totals.disconnected);
     }
 
@@ -706,9 +604,10 @@ mod tests {
         );
         let (lines, totals) = run(input, Some(2));
         let kinds: Vec<_> = lines.iter().map(|l| kind(l)).collect();
-        // The line after shutdown is never processed.
+        // The line after shutdown is never processed: `bye` is the last
+        // line and its totals count one spec line and one cell.
         assert_eq!(kinds, ["pong", "result", "epoch", "stats", "bye"]);
-        assert!(totals.shutdown_requested);
+        assert_eq!((totals.lines, totals.cells), (1, 1));
         let stats = json::parse(&lines[3]).unwrap();
         assert_eq!(stats.get("cells").and_then(Value::as_u64), Some(1));
     }
@@ -865,34 +764,5 @@ mod tests {
         )
         .expect_err("a broken output device is a real error");
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
-    }
-
-    #[test]
-    fn tcp_shutdown_from_disconnecting_client_stops_listener_promptly() {
-        use std::net::TcpStream;
-        use std::sync::mpsc;
-
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port");
-        let addr = listener.local_addr().expect("local addr");
-        let (done_tx, done_rx) = mpsc::channel();
-        let server = std::thread::spawn(move || {
-            let alone = AloneCache::new();
-            let results = ResultCache::in_memory();
-            let r = serve_listener(&listener, &alone, &results, &ServeConfig::default());
-            let _ = done_tx.send(r.is_ok());
-        });
-        {
-            let mut client = TcpStream::connect(addr).expect("connect");
-            client
-                .write_all(b"{\"cmd\": \"shutdown\"}\n")
-                .expect("send shutdown");
-            // Drop without reading the bye: the server sees a broken
-            // pipe on its reply, which must not mask the shutdown.
-        }
-        let ok = done_rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("listener still blocked in accept after shutdown");
-        assert!(ok);
-        server.join().expect("server thread panicked");
     }
 }

@@ -104,11 +104,15 @@ fn closed_loop_session(jobs: usize) {
             assert!(epoch.starts_with(&want), "{epoch}");
         }
         writeln!(requests, "{{\"cmd\": \"shutdown\"}}").expect("server is up");
+        // A line after `shutdown` is never answered: `bye` is the last
+        // line, and the session ends with the client's end still open.
+        writeln!(requests, "{}", LINES[0]).expect("server is up");
         assert!(next("bye").starts_with("{\"type\":\"bye\""));
-        server.join().expect("server thread panicked")
+        let totals = server.join().expect("server thread panicked");
+        assert!(responses.next().is_none(), "a line after bye");
+        totals
     })
     .expect("session ends cleanly");
-    assert!(totals.shutdown_requested);
     assert_eq!(totals.lines, LINES.len() as u64);
     assert_eq!(totals.cells, 7);
     assert_eq!(totals.cache_hits, 1);

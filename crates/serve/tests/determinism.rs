@@ -1,6 +1,6 @@
 //! Service-scale determinism: the same spec must produce byte-identical
 //! result lines through every entry point — the batch sweep runner
-//! (`stfm sweep`), the streaming serve loop (`stfm serve` over piped
+//! (`run_sweep`), the streaming serve loop (`stfm serve` over piped
 //! stdin), and direct in-process per-cell runs — at any worker count and
 //! from cold or warm caches. The streams are compared both line-by-line
 //! and as FNV-1a digests (the same machinery as the golden-digest tests).

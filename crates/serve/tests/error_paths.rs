@@ -4,10 +4,8 @@
 //! abandoned work.
 
 use std::io::Cursor;
-use std::path::Path;
-use std::time::Duration;
 
-use stfm_serve::{expand_line, json, serve, ResultCache, ServeConfig, ServeTotals};
+use stfm_serve::{expand_line, json, serve, ResultCache, ServeConfig};
 use stfm_sim::AloneCache;
 
 const BAD_LINES: [usize; 3] = [17, 500, 999];
@@ -53,7 +51,6 @@ fn serve_completes_997_cells_around_3_bad_lines() {
     assert_eq!(totals.lines, 1000);
     assert_eq!(totals.cells, 997);
     assert_eq!(totals.errors, 3);
-    assert!(!totals.shutdown_requested);
 
     let text = String::from_utf8(out).unwrap_or_else(|e| panic!("non-UTF-8 output: {e}"));
     let result_count = text
@@ -105,84 +102,60 @@ fn sweep_style_expansion_skips_bad_lines_and_keeps_the_rest() {
     }
 }
 
-/// Two cells that cannot finish in a zero budget: each times out, is
-/// retried once, and times out again.
-const SLOW_SPEC: &str =
-    "{\"scheduler\": [\"fcfs\", \"stfm\"], \"mix\": [\"mcf\"], \"insts\": 5000000}\n";
-
-/// Serves [`SLOW_SPEC`] under a zero-ms budget with the fault log at
-/// `log`; returns the output lines and the totals.
-fn serve_timeouts(log: &Path) -> (Vec<String>, ServeTotals) {
-    let cfg = ServeConfig::with_jobs(Some(2))
-        .cell_timeout(Duration::ZERO)
-        .fault_log(log);
-    let mut out = Vec::new();
+/// A line that is not UTF-8 is a malformed line like any other: it is
+/// answered with an error naming its line number, and the lines after it
+/// are still read and answered.
+#[test]
+fn a_line_that_is_not_utf8_is_answered_and_the_session_reads_on() {
+    let input = b"{\"cmd\":\"ping\"}\n\xff\xfe bad\n{\"cmd\":\"ping\"}\n{\"cmd\":\"stats\"}\n";
     let (alone, results) = (AloneCache::new(), ResultCache::in_memory());
-    let totals = serve(Cursor::new(SLOW_SPEC), &mut out, &alone, &results, &cfg)
+    let mut out = Vec::new();
+    let cfg = ServeConfig::with_jobs(Some(1));
+    let totals = serve(Cursor::new(&input[..]), &mut out, &alone, &results, &cfg)
         .unwrap_or_else(|e| panic!("serve failed: {e}"));
     let text = String::from_utf8(out).unwrap_or_else(|e| panic!("non-UTF-8 output: {e}"));
-    (text.lines().map(String::from).collect(), totals)
-}
-
-/// `--fault-log`: every detected fault lands in the log as one
-/// `serve_fault` record that parses as JSON — per timed-out cell exactly
-/// a `timeout_retry` and a `timeout`.
-#[test]
-fn the_fault_log_records_each_timeout_and_its_retry() {
-    let log = std::env::temp_dir().join(format!("stfm-fault-log-{}.jsonl", std::process::id()));
-    let (lines, totals) = serve_timeouts(&log);
-    assert_eq!((totals.cells, totals.timeouts), (2, 2), "{lines:?}");
-    let records = std::fs::read_to_string(&log).unwrap_or_else(|e| panic!("no fault log: {e}"));
-    let _ = std::fs::remove_file(&log);
-    let mut kinds: Vec<String> = records
-        .lines()
-        .map(|r| {
-            let v = json::parse(r).unwrap_or_else(|e| panic!("{r}: {e}"));
-            let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
-            assert_eq!(field("event").as_deref(), Some("serve_fault"), "{r}");
-            field("kind").unwrap_or_default()
-        })
-        .collect();
-    kinds.sort();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 5, "{lines:?}");
+    assert_eq!(lines[0], "{\"type\":\"pong\"}");
     assert_eq!(
-        kinds,
-        ["timeout", "timeout", "timeout_retry", "timeout_retry"]
+        lines[1],
+        "{\"type\":\"error\",\"line\":2,\"error\":\"line is not valid UTF-8\"}"
     );
-}
-
-/// A fault log that cannot be created — here the path is a directory —
-/// costs the log, never the session: every cell is still answered.
-#[test]
-fn an_unwritable_fault_log_still_serves_every_cell() {
-    let (lines, totals) = serve_timeouts(&std::env::temp_dir());
-    assert_eq!((totals.cells, totals.timeouts), (2, 2), "{lines:?}");
-    let errors = lines.iter().filter(|l| l.contains("\"kind\":\"timeout\""));
-    assert_eq!(errors.count(), 2, "{lines:?}");
-    assert!(lines.last().is_some_and(|l| l.contains("\"type\":\"bye\"")));
+    assert_eq!(lines[2], "{\"type\":\"pong\"}");
+    let totals_fields = "\"lines\":1,\"cells\":0,\"cache_hits\":0,\"errors\":1,\"timeouts\":0,\"panics\":0,\"faults\":0,\"quarantined\":0";
+    assert_eq!(lines[3], format!("{{\"type\":\"stats\",{totals_fields}}}"));
+    assert_eq!(lines[4], format!("{{\"type\":\"bye\",{totals_fields}}}"));
+    assert_eq!((totals.lines, totals.errors), (1, 1));
 }
 
 /// A poisoned alone baseline is quarantined and recomputed, and the
-/// quarantine lands in the fault log as a `cache` fault giving the count;
-/// the answers stay those of the clean pass.
+/// session's `bye` counts the quarantine; the answers stay those of the
+/// clean pass.
 #[test]
-fn a_quarantined_cache_file_reaches_the_fault_log() {
-    let dir = std::env::temp_dir().join(format!("stfm-quarantine-log-{}", std::process::id()));
+fn a_quarantined_cache_file_is_counted_in_bye() {
+    let dir = std::env::temp_dir().join(format!("stfm-quarantine-bye-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = "{\"scheduler\": \"fcfs\", \"mix\": [\"mcf\"], \"insts\": 500}\n";
-    let pass = |log: &Path| {
+    let pass = || {
         let alone = AloneCache::with_dir(dir.join("alone")).unwrap();
         let results = ResultCache::in_memory();
-        let cfg = ServeConfig::with_jobs(Some(1)).fault_log(log);
+        let cfg = ServeConfig::with_jobs(Some(1));
         let mut out = Vec::new();
-        let totals = serve(Cursor::new(spec), &mut out, &alone, &results, &cfg).unwrap();
+        serve(Cursor::new(spec), &mut out, &alone, &results, &cfg).unwrap();
         let text = String::from_utf8(out).unwrap();
-        let result = text.lines().find(|l| l.contains("\"type\":\"result\""));
-        (result.map(String::from), totals.quarantined)
+        let find = |kind: &str| {
+            let tag = format!("\"type\":\"{kind}\"");
+            text.lines().find(|l| l.contains(&tag)).map(String::from)
+        };
+        let bye = find("bye").unwrap_or_default();
+        let bye = json::parse(&bye).unwrap_or_else(|e| panic!("{bye}: {e}"));
+        (
+            find("result"),
+            bye.get("quarantined").and_then(|v| v.as_u64()),
+        )
     };
-    let (clean_log, log) = (dir.join("clean.jsonl"), dir.join("faults.jsonl"));
-    let (clean, none) = pass(&clean_log);
-    assert_eq!(none, 0);
-    assert_eq!(std::fs::read_to_string(&clean_log).unwrap(), "");
+    let (clean, none) = pass();
+    assert_eq!(none, Some(0));
 
     let baselines: Vec<_> = std::fs::read_dir(dir.join("alone"))
         .unwrap()
@@ -190,19 +163,8 @@ fn a_quarantined_cache_file_reaches_the_fault_log() {
         .collect();
     assert_eq!(baselines.len(), 1, "{baselines:?}");
     std::fs::write(&baselines[0], "garbage").unwrap();
-    let (healed, quarantined) = pass(&log);
-    assert_eq!((healed.is_some(), quarantined), (true, 1));
-    assert_eq!(healed, clean, "the recomputed answer differs");
-
-    let records = std::fs::read_to_string(&log).unwrap();
+    let (healed, quarantined) = pass();
     let _ = std::fs::remove_dir_all(&dir);
-    let records: Vec<_> = records.lines().collect();
-    assert_eq!(records.len(), 1, "{records:?}");
-    let v = json::parse(records[0]).unwrap_or_else(|e| panic!("{}: {e}", records[0]));
-    let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(String::from);
-    assert_eq!(field("event").as_deref(), Some("serve_fault"));
-    assert_eq!(field("domain").as_deref(), Some("cache"));
-    assert_eq!(field("kind").as_deref(), Some("quarantined"));
-    let detail = field("detail").unwrap_or_default();
-    assert!(detail.starts_with("1 "), "{detail}");
+    assert_eq!((healed.is_some(), quarantined), (true, Some(1)));
+    assert_eq!(healed, clean, "the recomputed answer differs");
 }

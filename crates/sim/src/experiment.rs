@@ -179,7 +179,6 @@ pub struct Experiment {
     pub(crate) insts: u64,
     seed: u64,
     weights: Vec<(u32, u32)>,
-    shares: Vec<(u32, u32)>,
     prefetch: bool,
     sample_interval: Option<u64>,
     fast_forward: bool,
@@ -219,7 +218,6 @@ impl Experiment {
             insts: DEFAULT_INSTRUCTIONS,
             seed: 1,
             weights: Vec::new(),
-            shares: Vec::new(),
             prefetch: false,
             sample_interval: None,
             fast_forward: true,
@@ -264,15 +262,10 @@ impl Experiment {
         self
     }
 
-    /// Sets thread `t`'s STFM weight (ignored by other schedulers).
+    /// Sets thread `t`'s weight: STFM's thread weight and NFQ's bandwidth
+    /// share (ignored by the other schedulers).
     pub fn weight(mut self, thread: u32, weight: u32) -> Self {
         self.weights.push((thread, weight));
-        self
-    }
-
-    /// Sets thread `t`'s NFQ bandwidth share (ignored by other schedulers).
-    pub fn share(mut self, thread: u32, share: u32) -> Self {
-        self.shares.push((thread, share));
         self
     }
 
@@ -386,7 +379,7 @@ impl Experiment {
         let dram = self.effective_dram();
         let policy = self
             .scheduler
-            .build(dram.timing, &self.weights, &self.shares);
+            .build(dram.timing, &self.weights, &self.weights);
         let mut mem = MemorySystem::new(dram.clone(), policy);
         if let Some(interval) = self.sample_interval {
             mem.set_sample_interval(DramDelta::new(interval));

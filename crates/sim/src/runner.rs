@@ -1,7 +1,7 @@
 //! The ordered worker pool every parallel path runs on.
 //!
-//! The `paper` records run hundreds of independent experiments, `stfm sweep`
-//! and `stfm serve` thousands of cells, all in one shape: pull work from
+//! The `paper` records run hundreds of independent experiments, `stfm
+//! serve` thousands of cells, all in one shape: pull work from
 //! a sequence, run it on the host's cores, hand the results back **in
 //! input order**. [`run_ordered`] is that shape, once. Every unit of work
 //! is deterministic, so output never depends on `--jobs`.

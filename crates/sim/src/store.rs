@@ -44,7 +44,6 @@ pub struct Store<V> {
     prefix: &'static str,
     ext: &'static str,
     quarantined: AtomicU64,
-    reaped: u64,
 }
 
 impl<V: Clone> Store<V> {
@@ -61,13 +60,14 @@ impl<V: Clone> Store<V> {
     ) -> io::Result<Self> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
-        let mut reaped = 0;
         for entry in fs::read_dir(&dir)?.flatten() {
             let name = entry.file_name();
             let stale = name
                 .to_str()
                 .is_some_and(|n| n.starts_with(prefix) && n.contains(".tmp"));
-            reaped += u64::from(stale && fs::remove_file(entry.path()).is_ok());
+            if stale {
+                let _ = fs::remove_file(entry.path());
+            }
         }
         Ok(Store {
             memo: Mutex::default(),
@@ -75,7 +75,6 @@ impl<V: Clone> Store<V> {
             prefix,
             ext,
             quarantined: AtomicU64::new(0),
-            reaped,
         })
     }
 
@@ -154,11 +153,6 @@ impl<V: Clone> Store<V> {
     /// Number of record files quarantined so far.
     pub fn quarantined_count(&self) -> u64 {
         self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Number of stale temp files reaped when the directory was opened.
-    pub fn reaped_count(&self) -> u64 {
-        self.reaped
     }
 }
 
@@ -287,8 +281,9 @@ mod tests {
         ] {
             fs::write(dir.join(name), "torn").unwrap();
         }
-        let store: Store<String> = Store::with_dir(&dir, "rec-", "txt").unwrap();
-        assert_eq!(store.reaped_count(), 2);
+        let _store: Store<String> = Store::with_dir(&dir, "rec-", "txt").unwrap();
+        assert!(!dir.join("rec-a.txt.tmp1-0").exists());
+        assert!(!dir.join("rec-b.txt.tmp99-7").exists());
         assert!(dir.join("other-a.txt.tmp1-0").exists());
         let _ = fs::remove_dir_all(&dir);
     }

@@ -334,9 +334,8 @@ impl EpochSampler {
             Event::WriteDrainStart { .. } | Event::WriteDrainEnd { .. } => {}
             Event::RefreshIssued { .. } => self.cur.refreshes += 1,
             // Work-counter snapshots are performance accounting, not
-            // simulator state; serve-layer faults live outside simulated
-            // time. Epochs aggregate simulator state only.
-            Event::EstimatorWork { .. } | Event::ServeFault { .. } => {}
+            // simulator state. Epochs aggregate simulator state only.
+            Event::EstimatorWork { .. } => {}
         }
     }
 }

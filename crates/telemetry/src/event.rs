@@ -166,28 +166,6 @@ pub enum Event {
         /// walk.
         rank_carried: u64,
     },
-    /// A fault the serve layer detected and degraded around (it lives in
-    /// wall-clock time, outside any simulation, so `dram_cycle` is zero).
-    ServeFault {
-        /// Always [`DramCycle::ZERO`]: serve faults are not simulator
-        /// occurrences, but sinks and samplers require a stamp.
-        dram_cycle: DramCycle,
-        /// Which resilience mechanism fired: `"worker"` (a cell's run),
-        /// `"client"` (the output stream) or `"cache"` (the on-disk
-        /// caches).
-        domain: &'static str,
-        /// Fault kind within the domain: a worker's `"timeout_retry"`,
-        /// `"timeout"`, `"panic"`, `"truncated"` or `"spec"`; a client's
-        /// `"disconnect"`; the cache's `"quarantined"`, recorded each
-        /// time the session's count of quarantined files grows, with the
-        /// new count in `detail`.
-        kind: &'static str,
-        /// What the fault hit: a worker fault's cell key; empty for a
-        /// client or cache fault.
-        subject: String,
-        /// Free-form context (panic message, retry disposition, ...).
-        detail: String,
-    },
 }
 
 impl Event {
@@ -202,7 +180,6 @@ impl Event {
             Event::WriteDrainEnd { .. } => "write_drain_end",
             Event::RefreshIssued { .. } => "refresh_issued",
             Event::EstimatorWork { .. } => "estimator_work",
-            Event::ServeFault { .. } => "serve_fault",
         }
     }
 
@@ -216,8 +193,7 @@ impl Event {
             | Event::WriteDrainStart { dram_cycle, .. }
             | Event::WriteDrainEnd { dram_cycle, .. }
             | Event::RefreshIssued { dram_cycle, .. }
-            | Event::EstimatorWork { dram_cycle, .. }
-            | Event::ServeFault { dram_cycle, .. } => dram_cycle,
+            | Event::EstimatorWork { dram_cycle, .. } => dram_cycle,
         }
     }
 
@@ -353,19 +329,6 @@ impl Event {
                 push_u64_field(&mut s, "rank_scans", *rank_scans);
                 push_u64_field(&mut s, "rank_carried", *rank_carried);
             }
-            Event::ServeFault {
-                dram_cycle,
-                domain,
-                kind,
-                subject,
-                detail,
-            } => {
-                push_u64_field(&mut s, "dram_cycle", dram_cycle.get());
-                push_str_field(&mut s, "domain", domain);
-                push_str_field(&mut s, "kind", kind);
-                push_str_field(&mut s, "subject", subject);
-                push_str_field(&mut s, "detail", detail);
-            }
         }
         // Every field-push leaves a trailing comma; replace the last one.
         debug_assert!(s.ends_with(','));
@@ -470,23 +433,6 @@ mod tests {
         assert!(j.contains("\"event\":\"estimator_work\""), "{j}");
         assert!(j.contains("\"full_rebuilds\":2"), "{j}");
         assert!(j.contains("\"rank_carried\":43"), "{j}");
-        assert!(!j.contains(",}"), "dangling comma in {j}");
-    }
-
-    #[test]
-    fn serve_fault_encodes_in_json() {
-        let e = Event::ServeFault {
-            dram_cycle: DramCycle::ZERO,
-            domain: "worker",
-            kind: "panic",
-            subject: "0011223344556677".to_string(),
-            detail: "index out of bounds, len 4\n(retrying)".to_string(),
-        };
-        let j = e.to_json();
-        assert!(j.contains("\"event\":\"serve_fault\""), "{j}");
-        assert!(j.contains("\"domain\":\"worker\""), "{j}");
-        assert!(j.contains("\"kind\":\"panic\""), "{j}");
-        assert!(j.contains("\\n(retrying)"), "newline must be escaped: {j}");
         assert!(!j.contains(",}"), "dangling comma in {j}");
     }
 

@@ -10,12 +10,10 @@ use crate::sink::Sink;
 /// Streams each event as one JSON object per line (JSON Lines).
 ///
 /// I/O errors are latched rather than panicking mid-simulation: the
-/// first error stops further writes and is surfaced by [`Sink::flush`]
-/// (or [`JsonLinesSink::take_error`]).
+/// first error stops further writes and is surfaced by [`Sink::flush`].
 #[derive(Debug)]
 pub struct JsonLinesSink<W> {
     writer: W,
-    lines: u64,
     error: Option<std::io::Error>,
 }
 
@@ -25,19 +23,8 @@ impl<W: Write> JsonLinesSink<W> {
     pub fn new(writer: W) -> Self {
         JsonLinesSink {
             writer,
-            lines: 0,
             error: None,
         }
-    }
-
-    /// Lines successfully written so far.
-    pub fn lines_written(&self) -> u64 {
-        self.lines
-    }
-
-    /// Takes the latched I/O error, if any occurred.
-    pub fn take_error(&mut self) -> Option<std::io::Error> {
-        self.error.take()
     }
 
     /// Unwraps the inner writer.
@@ -51,9 +38,8 @@ impl<W: Write + 'static> Sink for JsonLinesSink<W> {
         if self.error.is_some() {
             return;
         }
-        match writeln!(self.writer, "{}", event.to_json()) {
-            Ok(()) => self.lines += 1,
-            Err(e) => self.error = Some(e),
+        if let Err(e) = writeln!(self.writer, "{}", event.to_json()) {
+            self.error = Some(e);
         }
     }
 
@@ -91,7 +77,6 @@ mod tests {
         let mut sink = JsonLinesSink::new(Vec::new());
         sink.record(&cmd(1));
         sink.record(&cmd(2));
-        assert_eq!(sink.lines_written(), 2);
         let out = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -100,10 +85,12 @@ mod tests {
         }
     }
 
-    struct FailingWriter;
+    /// Fails every write, counting the attempts.
+    struct FailingWriter(u32);
 
     impl Write for FailingWriter {
         fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
             Err(std::io::Error::other("disk full"))
         }
 
@@ -114,11 +101,11 @@ mod tests {
 
     #[test]
     fn io_errors_latch_instead_of_panicking() {
-        let mut sink = JsonLinesSink::new(FailingWriter);
+        let mut sink = JsonLinesSink::new(FailingWriter(0));
         sink.record(&cmd(1));
         sink.record(&cmd(2));
-        assert_eq!(sink.lines_written(), 0);
         assert!(sink.flush().is_err(), "flush surfaces the latched error");
         assert!(sink.flush().is_ok(), "error reported once");
+        assert_eq!(sink.into_inner().0, 1, "no write after the error");
     }
 }

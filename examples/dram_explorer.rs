@@ -80,7 +80,12 @@ fn main() {
     issue(&mut ch, &mut checker, DramCommand::precharge(b), &mut now);
     issue(&mut ch, &mut checker, DramCommand::activate(b, 8), &mut now);
 
-    checker.assert_clean();
+    let violations = checker.violations();
+    assert!(
+        violations.is_empty(),
+        "timing violation: {:?}",
+        violations.first()
+    );
     println!("\ntiming checker: every issued command was DDR2-legal.");
     println!(
         "channel stats: {} ACT, {} PRE, {} RD, {} WR",

@@ -127,7 +127,7 @@ fn nfq_shares_prioritize_important_threads() {
         .run_with_cache(&cache);
     let shared = Experiment::new(mix::fig14_weights())
         .scheduler(SchedulerKind::Nfq)
-        .share(1, 16)
+        .weight(1, 16)
         .instructions_per_thread(INSTS)
         .run_with_cache(&cache);
     assert!(
